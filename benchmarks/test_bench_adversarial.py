@@ -22,7 +22,7 @@ import time
 import pytest
 from conftest import append_trajectory as _append_trajectory, print_table
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ProtocolError
 from repro.protocol.adversary import PoisoningClient, poisoning_pull_bound
 from repro.protocol.client import RoundConfig
@@ -96,10 +96,11 @@ def test_supervised_recovery_latency_and_bit_identity(benchmark):
     def timed_round(worker_crashes, retry_policy):
         plan = FaultPlan(seed=17, default=WAN,
                          worker_crashes=worker_crashes)
-        with ProtocolSession.from_enrollment(
-                enrolled(), transport="socket",
-                aggregator_procs=NUM_CLIQUES, fault_plan=plan,
-                retry_policy=retry_policy) as session:
+        with ProtocolSession.create(
+                enrolled(),
+                settings=SessionConfig(
+                    transport="socket", aggregator_procs=NUM_CLIQUES,
+                    fault_plan=plan, retry_policy=retry_policy)) as session:
             started = time.monotonic()
             result = session.run_round(0)
             elapsed = time.monotonic() - started
@@ -127,9 +128,11 @@ def test_supervised_recovery_latency_and_bit_identity(benchmark):
     # today's fail-fast ProtocolError (no supervision luck involved).
     plan = FaultPlan(seed=17, default=WAN,
                      worker_crashes={CRASHED: (20,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=NUM_CLIQUES,
-            fault_plan=plan, retry_policy=None) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=NUM_CLIQUES,
+                fault_plan=plan, retry_policy=None)) as session:
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
             session.run_round(0)
 

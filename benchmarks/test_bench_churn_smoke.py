@@ -45,9 +45,8 @@ def test_churn_smoke_epoch_lifecycle(capsys):
                           rejoin_probability=0.0)[0]
 
     t0 = time.perf_counter()
-    session = ProtocolSession.enroll(roster, CONFIG, seed=11,
-                                     use_oprf=False,
-                                     num_cliques=NUM_CLIQUES)
+    session = ProtocolSession.create(
+        roster, CONFIG, seed=11, use_oprf=False, num_cliques=NUM_CLIQUES)
     enroll_s = time.perf_counter() - t0
 
     _observe(session)
@@ -76,7 +75,7 @@ def test_churn_smoke_epoch_lifecycle(capsys):
     assert len(result.reported_users) == NUM_USERS
 
     # Bit-identical to a fresh enrollment of the post-churn roster.
-    reference = ProtocolSession.enroll(
+    reference = ProtocolSession.create(
         list(session.epoch.user_ids), CONFIG, seed=11, use_oprf=False,
         num_cliques=NUM_CLIQUES)
     _observe(reference, salt=3)

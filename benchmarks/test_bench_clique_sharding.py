@@ -20,7 +20,7 @@ import time
 
 from conftest import append_trajectory as _append_trajectory, print_table
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.statsutil.sampling import make_rng
@@ -52,8 +52,8 @@ def _timed_round(num_cliques):
                               CONFIG, seed=11, use_oprf=False,
                               num_cliques=num_cliques)
     _observe_workload(enrollment)
-    session = ProtocolSession(CONFIG, enrollment.clients,
-                              topology="monolithic")
+    session = ProtocolSession(
+        CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
     t0 = time.perf_counter()
     result = session.run_round(1)
     return result, time.perf_counter() - t0
@@ -111,9 +111,9 @@ def test_clique_sharding_recovery_speedup():
         _observe_workload(enrollment)
         transport = InMemoryTransport()
         transport.fail_sender("user-0042")
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport,
-                                  topology="monolithic")
+        session = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport, topology="monolithic"))
         t0 = time.perf_counter()
         result = session.run_round(1)
         return session, result, time.perf_counter() - t0

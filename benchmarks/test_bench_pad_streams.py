@@ -52,7 +52,7 @@ def _run_session(share_pad_streams):
         use_oprf=False, num_cliques=NUM_CLIQUES,
         share_pad_streams=share_pad_streams)
     _observe_workload(enrollment)
-    session = ProtocolSession.from_enrollment(enrollment)
+    session = ProtocolSession.create(enrollment)
     results, timings = [], []
     for round_id in range(NUM_ROUNDS):
         t0 = time.perf_counter()

@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from conftest import append_trajectory, peak_rss_mb, print_table
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
 
 #: Sweep sketch: 4 x 256 = 1024 cells keeps the per-pair keystream at
@@ -69,10 +69,10 @@ def _run_batched_round(scale, fan_in=FAN_IN):
     and the aggregate cells (for cross-backend identity checks)."""
     gc.collect()
     t0 = time.perf_counter()
-    session = ProtocolSession.enroll(
-        _users_for(scale), CONFIG, seed=3, use_oprf=False,
-        num_cliques=max(1, scale // CLIQUE_SIZE),
-        client_backend="batched", fan_in=fan_in)
+    session = ProtocolSession.create(
+        _users_for(scale), CONFIG,
+        SessionConfig(client_backend="batched", fan_in=fan_in), seed=3,
+        use_oprf=False, num_cliques=max(1, scale // CLIQUE_SIZE))
     enroll_s = time.perf_counter() - t0
     army = session.army
     for position, uid in enumerate(army.user_ids):
@@ -100,9 +100,9 @@ def _run_batched_round(scale, fan_in=FAN_IN):
 
 def _run_object_round(scale):
     """The per-user-object reference round at the same scale/layout."""
-    session = ProtocolSession.enroll(
-        _users_for(scale), CONFIG, seed=3, use_oprf=False,
-        num_cliques=max(1, scale // CLIQUE_SIZE), fan_in=FAN_IN)
+    session = ProtocolSession.create(
+        _users_for(scale), CONFIG, SessionConfig(fan_in=FAN_IN), seed=3,
+        use_oprf=False, num_cliques=max(1, scale // CLIQUE_SIZE))
     by_id = {c.user_id: c for c in session.clients}
     for position, uid in enumerate(sorted(by_id)):
         for url in _urls_for(position):

@@ -14,7 +14,7 @@ import time
 import pytest
 from conftest import append_trajectory, print_table
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 
@@ -49,7 +49,8 @@ def test_smoke_socket_transport_round(capsys):
     timings, results, wire_bytes, spawn = {}, {}, {}, {}
     for label, kwargs in variants:
         t0 = time.perf_counter()
-        session = ProtocolSession.from_enrollment(_enrolled(), **kwargs)
+        session = ProtocolSession.create(
+            _enrolled(), settings=SessionConfig(**kwargs))
         spawn[label] = time.perf_counter() - t0
         with session:
             t0 = time.perf_counter()

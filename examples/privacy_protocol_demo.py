@@ -12,7 +12,7 @@ cliques sharded two ways, so the exchange fans out over two per-clique
 aggregators whose partial sums a root aggregator combines.
 """
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol import RoundConfig, enroll_users
 from repro.protocol.transport import InMemoryTransport
 
@@ -44,7 +44,8 @@ def main() -> None:
     print("\nRunning the round with user-7 crashing before reporting ...")
     transport = InMemoryTransport()
     transport.fail_sender("user-7")
-    session = ProtocolSession(config, clients, transport=transport)
+    session = ProtocolSession(config, clients,
+                              SessionConfig(transport=transport))
     aggregators = [e.endpoint_id for e in session.endpoints
                    if e.endpoint_id.startswith("clique-aggregator")]
     print(f"  message-driven session: {len(session.endpoints)} endpoints, "

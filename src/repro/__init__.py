@@ -84,11 +84,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    if name == "RoundCoordinator":
-        # Re-raise repro.protocol's migration guidance for the old
-        # top-level re-export too.
-        from repro import protocol
-        return protocol.RoundCoordinator  # always raises with guidance
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,10 +7,13 @@ machinery in :mod:`repro.protocol`; the internals may keep moving, the
 names below will not.
 
 * :class:`ProtocolSession` — a long-lived binding of an enrolled
-  population to an aggregation topology, a driver and a transport; call
-  :meth:`~ProtocolSession.run_round` once per reporting window and
-  :meth:`~ProtocolSession.advance_epoch` when the population churns
-  between windows.
+  population to its wiring; call :meth:`~ProtocolSession.run_round` once
+  per reporting window and :meth:`~ProtocolSession.advance_epoch` when
+  the population churns between windows.
+* :class:`SessionConfig` — the one value that names and validates every
+  wiring option (topology, transport, client backend, subprocess
+  fan-out, fault injection); every layer above — the pipeline, the
+  backend service, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
 * :func:`run_detection` — impressions in, classified (user, ad) pairs
@@ -24,16 +27,19 @@ The session lifecycle mirrors a deployment's operational cadence::
     session.advance_epoch(joins=["new-user"], leaves=["churned-user"])
     r2 = session.run_next_round()          # epoch 1, same key material
 
-:meth:`ProtocolSession.create` is the one documented constructor — it
-accepts user ids, an :class:`~repro.protocol.enrollment.Enrollment`, a
+One constructor, one driver, one settings value.
+:meth:`ProtocolSession.create` builds a session from whatever the caller
+holds — user ids, an :class:`~repro.protocol.enrollment.Enrollment`, a
 :class:`~repro.protocol.membership.MembershipManager` or a
-:class:`~repro.protocol.army.ClientArmy`, wired per a validated
-:class:`SessionConfig`. Attach a :class:`~repro.store.HistoryStore`
+:class:`~repro.protocol.army.ClientArmy`; the synchronous
+:class:`~repro.protocol.runner.ProtocolRunner` drives every round; and a
+:class:`SessionConfig` says how the parties are wired, rejecting invalid
+combinations when it is constructed — before any enrollment work is
+spent. Attach a :class:`~repro.store.HistoryStore`
 (``create(..., store="panel.db")``) and every round, epoch and verdict
 persists as it happens; :meth:`ProtocolSession.resume` then rebuilds a
 crashed session from that history, bit-identical to an uninterrupted
-run. (The older ``enroll`` / ``from_enrollment`` / ``from_membership``
-classmethods survive as deprecation shims over ``create``.)
+run.
 
 ``advance_epoch`` re-shards minimally (see
 :mod:`repro.protocol.membership`): users keep their DH key pairs and
@@ -41,18 +47,13 @@ every surviving pair secret, the per-clique aggregators are re-wired in
 place over the same transport, and round ids keep increasing so pads are
 never reused across epochs.
 
-The session defaults to the per-clique aggregator fan-out (bit-identical
-to the monolithic server, parallelizable per clique) driven
-synchronously; ``topology="monolithic"`` restores the single-server
-wiring and ``driver="async"`` runs the clique aggregators concurrently
-on an asyncio loop. (The pre-epoch ``RoundCoordinator`` shim has been
-removed; ``ProtocolSession(config, clients, topology="monolithic")`` is
-the drop-in replacement.)
-
-Transports are selected by name — ``transport="memory"`` (default),
-``"wire"`` (byte-exact codec round-trip) or ``"socket"`` (real TCP
-frames) — and ``aggregator_procs=k`` additionally runs each clique
-aggregator and the root as real subprocesses
+The default wiring is the per-clique aggregator fan-out (bit-identical
+to the monolithic server, parallelizable per clique);
+``SessionConfig(topology="monolithic")`` restores the single-server
+wiring. Transports are selected by name — ``transport="memory"``
+(default), ``"wire"`` (byte-exact codec round-trip) or ``"socket"``
+(real TCP frames) — and ``aggregator_procs=k`` additionally runs each
+clique aggregator and the root as real subprocesses
 (:mod:`repro.protocol.net`), re-wired in place by ``advance_epoch``.
 Sessions that own subprocesses or sockets are context managers; call
 :meth:`ProtocolSession.close` (or use ``with``) when done.
@@ -60,9 +61,7 @@ Sessions that own subprocesses or sockets are context managers; call
 
 from __future__ import annotations
 
-import asyncio
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -89,7 +88,6 @@ from repro.protocol.membership import (
     MembershipManager,
 )
 from repro.protocol.runner import (
-    AsyncProtocolRunner,
     ProtocolRunner,
     RoundResult,
     build_army_endpoints,
@@ -126,15 +124,12 @@ __all__ = [
 #: Supported aggregation topologies.
 TOPOLOGIES = ("fanout", "monolithic")
 
-#: Supported round drivers.
-DRIVERS = ("sync", "async")
-
 #: Supported client backends: per-user objects, or the struct-of-arrays
 #: :class:`~repro.protocol.army.ClientArmy` (bit-identical reports, one
 #: endpoint for the whole population — the 100k+-user path).
 CLIENT_BACKENDS = ("objects", "batched")
 
-#: Named transports ``ProtocolSession(transport=...)`` resolves; an
+#: Named transports ``SessionConfig(transport=...)`` resolves; an
 #: :class:`~repro.protocol.transport.InMemoryTransport` instance is
 #: accepted as well. ``"wire"`` round-trips every message through the
 #: byte-exact codec, ``"socket"`` ships the same bytes through a real
@@ -142,17 +137,13 @@ CLIENT_BACKENDS = ("objects", "batched")
 TRANSPORTS = ("memory", "wire", "socket")
 
 
-def _resolve_transport(
-    spec: TransportSpec, fault_plan: "Optional[FaultPlan]" = None
-) -> Tuple[Optional[InMemoryTransport], bool]:
-    """Transport spec -> (instance-or-None, session_owns_it).
-
-    A ``fault_plan`` turns the ``"socket"`` transport into a
-    :class:`~repro.protocol.net.ChaosSocketTransport` injecting the
-    plan's per-link WAN faults; a plan with link faults is rejected for
-    transports that have no real byte path to disturb (a crash-only
-    plan — ``worker_crashes`` and nothing else — is consumed by the
-    supervisor and works over any transport).
+def _check_transport(spec: TransportSpec,
+                     fault_plan: "Optional[FaultPlan]" = None) -> None:
+    """Population-independent transport checks: the spec names a known
+    transport (or is an instance), and a ``fault_plan`` with link faults
+    rides the ``"socket"`` transport — the only one with a real byte
+    path to disturb (a crash-only plan — ``worker_crashes`` and nothing
+    else — is consumed by the supervisor and works over any transport).
     """
     has_link_faults = fault_plan is not None and (
         not fault_plan.default.is_noop or fault_plan.links)
@@ -162,6 +153,23 @@ def _resolve_transport(
             f"path and needs transport='socket', got {spec!r} (pass a "
             f"ChaosSocketTransport instance yourself to combine a plan "
             f"with a custom transport)")
+    if not (spec is None or isinstance(spec, InMemoryTransport)
+            or spec in TRANSPORTS):
+        raise ConfigurationError(
+            f"unknown transport {spec!r}; expected one of {TRANSPORTS} or "
+            f"an InMemoryTransport instance")
+
+
+def _resolve_transport(
+    spec: TransportSpec, fault_plan: "Optional[FaultPlan]" = None
+) -> Tuple[Optional[InMemoryTransport], bool]:
+    """Transport spec -> (instance-or-None, session_owns_it).
+
+    A ``fault_plan`` turns the ``"socket"`` transport into a
+    :class:`~repro.protocol.net.ChaosSocketTransport` injecting the
+    plan's per-link WAN faults.
+    """
+    _check_transport(spec, fault_plan)
     if spec is None or isinstance(spec, InMemoryTransport):
         return spec, False
     if spec == "memory":
@@ -169,39 +177,76 @@ def _resolve_transport(
     if spec == "wire":
         from repro.protocol.transport import WireTransport
         return WireTransport(), True
-    if spec == "socket":
-        if fault_plan is not None:
-            from repro.protocol.net import ChaosSocketTransport
-            return ChaosSocketTransport(fault_plan), True
-        from repro.protocol.net import SocketTransport
-        return SocketTransport(), True
-    raise ConfigurationError(
-        f"unknown transport {spec!r}; expected one of {TRANSPORTS} or an "
-        f"InMemoryTransport instance")
+    if fault_plan is not None:
+        from repro.protocol.net import ChaosSocketTransport
+        return ChaosSocketTransport(fault_plan), True
+    from repro.protocol.net import SocketTransport
+    return SocketTransport(), True
 
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Validated wiring options for :meth:`ProtocolSession.create`.
+    """Validated wiring options — the one place they are named.
 
     Collects every knob that shapes *how* a session runs — topology,
-    driver, transport, client backend, subprocess fan-out, fault
-    injection — as one immutable, validated value, separate from *what*
-    population runs (the source argument of
-    :meth:`~ProtocolSession.create`) and from the protocol parameters
-    themselves (:class:`~repro.protocol.client.RoundConfig`).
-    Invalid combinations fail here, at construction, with the same
-    errors the session itself would raise — but before any enrollment
-    work is spent.
+    transport, client backend, subprocess fan-out, fault injection — as
+    one immutable, validated value, separate from *what* population
+    runs (the source argument of :meth:`~ProtocolSession.create`) and
+    from the protocol parameters themselves
+    (:class:`~repro.protocol.client.RoundConfig`). Every check that
+    does not need the population happens here, at construction, so an
+    invalid combination fails before any enrollment work is spent; the
+    layers above (:class:`~repro.core.pipeline.DetectionPipeline`,
+    :class:`~repro.backend.service.BackendService`, the CLI) accept and
+    forward this value instead of re-listing its fields.
+
+    Fields
+    ------
+    topology:
+        ``"fanout"`` (default): one aggregator per blinding clique
+        feeding a root; ``"monolithic"``: the paper's single server.
+    transport:
+        ``"memory"`` / ``"wire"`` / ``"socket"`` (see
+        :data:`TRANSPORTS`) or an
+        :class:`~repro.protocol.transport.InMemoryTransport` instance;
+        None is a fresh in-memory transport. A named transport is
+        created, owned and closed by the session.
+    threshold_rule:
+        Maps the #Users distribution to ``Users_th`` (default: mean,
+        §4.2).
+    client_backend:
+        ``"objects"`` or ``"batched"`` (see :data:`CLIENT_BACKENDS`);
+        picks the population representation when
+        :meth:`~ProtocolSession.create` enrolls from user ids.
+    aggregator_procs:
+        Run each clique aggregator and the root as real subprocesses;
+        must equal the enrolled clique count (checked by the session,
+        which knows the population).
+    fault_plan:
+        Optional :class:`~repro.protocol.net.FaultPlan` of seeded WAN
+        faults. Its link faults need ``transport="socket"`` (injected
+        by a :class:`~repro.protocol.net.ChaosSocketTransport`); its
+        ``worker_crashes`` are consumed by the supervised aggregator
+        pool and need ``aggregator_procs``.
+    retry_policy:
+        Optional :class:`~repro.protocol.net.RetryPolicy`. Turns the
+        aggregator pool into a
+        :class:`~repro.protocol.net.SupervisedAggregatorPool` that
+        respawns crashed/hung workers and replays the round's exchanges
+        within the policy's restart budget. Requires
+        ``aggregator_procs``. Without it, worker death fails the round
+        fast (a :class:`ProtocolError` surfaces).
+    fan_in:
+        Bound on the partial-aggregate fan-in of the fan-out topology's
+        aggregation tree (regional merge tiers appear above it).
 
     Use :func:`dataclasses.replace` to derive variants::
 
-        base = SessionConfig(topology="fanout", driver="async")
+        base = SessionConfig(client_backend="batched", fan_in=64)
         wired = replace(base, transport="wire")
     """
 
     topology: str = "fanout"
-    driver: str = "sync"
     transport: TransportSpec = None
     threshold_rule: ThresholdRuleFn = mean_threshold
     client_backend: str = "objects"
@@ -215,18 +260,20 @@ class SessionConfig:
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}; expected one of "
                 f"{TOPOLOGIES}")
-        if self.driver not in DRIVERS:
-            raise ConfigurationError(
-                f"unknown driver {self.driver!r}; expected one of "
-                f"{DRIVERS}")
         if self.client_backend not in CLIENT_BACKENDS:
             raise ConfigurationError(
                 f"unknown client_backend {self.client_backend!r}; "
                 f"expected one of {CLIENT_BACKENDS}")
+        _check_transport(self.transport, self.fault_plan)
         if self.aggregator_procs < 0:
             raise ConfigurationError(
                 f"aggregator_procs must be >= 0, got "
                 f"{self.aggregator_procs}")
+        if self.aggregator_procs and self.topology != "fanout":
+            raise ConfigurationError(
+                "aggregator_procs runs the per-clique fan-out in "
+                "subprocesses and needs topology='fanout', got "
+                f"{self.topology!r}")
         if self.fan_in is not None and self.topology != "fanout":
             raise ConfigurationError(
                 "fan_in bounds the partial-aggregate fan-in of the "
@@ -237,22 +284,21 @@ class SessionConfig:
                 "retry_policy supervises aggregator subprocesses; pass "
                 "aggregator_procs=k to run them (in-process aggregators "
                 "have nothing to respawn)")
-
-    def _session_kwargs(self) -> dict:
-        """The keyword arguments ``ProtocolSession(...)`` takes (i.e.
-        everything here except ``client_backend``, which selects the
-        population representation before the session is built)."""
-        return dict(transport=self.transport,
-                    threshold_rule=self.threshold_rule,
-                    topology=self.topology, driver=self.driver,
-                    aggregator_procs=self.aggregator_procs,
-                    fault_plan=self.fault_plan,
-                    retry_policy=self.retry_policy,
-                    fan_in=self.fan_in)
+        if self.fault_plan is not None and self.fault_plan.worker_crashes \
+                and not self.aggregator_procs:
+            raise ConfigurationError(
+                "fault_plan.worker_crashes kills aggregator subprocesses; "
+                "pass aggregator_procs=k to run them")
 
 
 class ProtocolSession:
-    """A reusable binding of protocol endpoints to a driver.
+    """An enrolled population bound to its wiring, round after round.
+
+    One constructor, one driver, one settings value: build a session
+    with :meth:`create` (from user ids, an enrollment, a membership
+    manager or an army), say how it is wired with one
+    :class:`SessionConfig`, and the synchronous
+    :class:`~repro.protocol.runner.ProtocolRunner` drives every round.
 
     A session wires the parties once — clients, aggregators (one per
     blinding clique under ``topology="fanout"``, a single server under
@@ -269,68 +315,25 @@ class ProtocolSession:
         The shared :class:`~repro.protocol.client.RoundConfig`.
     clients:
         Enrolled :class:`~repro.protocol.client.ProtocolClient` objects
-        (see :func:`~repro.protocol.enrollment.enroll_users`).
-    transport:
-        Mailbox transport; defaults to a fresh
-        :class:`~repro.protocol.transport.InMemoryTransport`. Pass a
-        :class:`~repro.protocol.transport.WireTransport` to round-trip
-        every message through the byte-exact codec.
-    threshold_rule:
-        Maps the #Users distribution to ``Users_th`` (default: mean,
-        §4.2).
-    topology:
-        ``"fanout"`` (default) or ``"monolithic"``.
-    driver:
-        ``"sync"`` (default) or ``"async"``; the async driver pumps the
-        clique aggregators as concurrent asyncio tasks and produces a
-        bit-identical result.
+        (see :func:`~repro.protocol.enrollment.enroll_users`) or a
+        :class:`~repro.protocol.army.ClientArmy`.
+    settings:
+        The validated :class:`SessionConfig`; defaults apply when
+        omitted. (``client_backend`` only matters to :meth:`create`,
+        which picks the population representation before this runs.)
     membership:
         Optional :class:`~repro.protocol.membership.MembershipManager`
         enabling :meth:`advance_epoch`; built automatically by
-        :meth:`enroll` and :meth:`from_enrollment`.
-    fault_plan:
-        Optional :class:`~repro.protocol.net.FaultPlan` of seeded WAN
-        faults. Requires ``transport="socket"``; its link faults are
-        injected by a :class:`~repro.protocol.net.ChaosSocketTransport`
-        and its ``worker_crashes`` by the supervised aggregator pool
-        (which additionally requires ``aggregator_procs``).
-    retry_policy:
-        Optional :class:`~repro.protocol.net.RetryPolicy`. Turns the
-        aggregator pool into a
-        :class:`~repro.protocol.net.SupervisedAggregatorPool` that
-        respawns crashed/hung workers and replays the round's exchanges
-        within the policy's restart budget. Requires
-        ``aggregator_procs``. Without it, worker death keeps today's
-        fail-fast semantics (a :class:`ProtocolError` surfaces).
+        :meth:`create`.
     """
 
     def __init__(self, config: RoundConfig,
                  clients: Union[Sequence[ProtocolClient], ClientArmy],
-                 transport: TransportSpec = None,
-                 threshold_rule: ThresholdRuleFn = mean_threshold,
-                 topology: str = "fanout",
-                 driver: str = "sync",
-                 membership: Optional[MembershipManager] = None,
-                 aggregator_procs: int = 0,
-                 fault_plan: "Optional[FaultPlan]" = None,
-                 retry_policy: "Optional[RetryPolicy]" = None,
-                 fan_in: Optional[int] = None) -> None:
-        if topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown topology {topology!r}; expected one of "
-                f"{TOPOLOGIES}")
-        if driver not in DRIVERS:
-            raise ConfigurationError(
-                f"unknown driver {driver!r}; expected one of {DRIVERS}")
-        if fan_in is not None and topology != "fanout":
-            raise ConfigurationError(
-                "fan_in bounds the partial-aggregate fan-in of the "
-                "aggregation tree and needs topology='fanout', got "
-                f"{topology!r}")
+                 settings: Optional[SessionConfig] = None, *,
+                 membership: Optional[MembershipManager] = None) -> None:
+        settings = settings if settings is not None else SessionConfig()
         self.config = config
-        self.topology = topology
-        self.driver = driver
-        self.fan_in = fan_in
+        self.settings = settings
         self.membership = membership
         #: The batched client backend, when this session hosts one (the
         #: army then owns the roster/epoch lifecycle instead of a
@@ -341,53 +344,39 @@ class ProtocolSession:
             raise ConfigurationError(
                 "a batched-backend session's roster lives in the army; "
                 "don't pass a MembershipManager as well")
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
         self._closed = False
         self._pool = None
         self._recorder: "Optional[SessionRecorder]" = None
         self._store: "Optional[HistoryStore]" = None
         self._owns_store = False
-        if retry_policy is not None and not aggregator_procs:
-            raise ConfigurationError(
-                "retry_policy supervises aggregator subprocesses; pass "
-                "aggregator_procs=k to run them (in-process aggregators "
-                "have nothing to respawn)")
-        if fault_plan is not None and getattr(fault_plan, "worker_crashes",
-                                              None) and not aggregator_procs:
-            raise ConfigurationError(
-                "fault_plan.worker_crashes kills aggregator subprocesses; "
-                "pass aggregator_procs=k to run them")
-        if aggregator_procs:
-            if topology != "fanout":
-                raise ConfigurationError(
-                    "aggregator_procs runs the per-clique fan-out in "
-                    "subprocesses and needs topology='fanout', got "
-                    f"{topology!r}")
+        # The one wiring check that needs the population (everything
+        # else SessionConfig already validated).
+        procs = settings.aggregator_procs
+        if procs:
             if self.army is not None:
                 cliques_present = len(self.army.members())
             else:
                 cliques_present = len({c.clique_id for c in clients})
-            if aggregator_procs != cliques_present:
+            if procs != cliques_present:
                 raise ConfigurationError(
-                    f"aggregator_procs={aggregator_procs} but the enrolled "
+                    f"aggregator_procs={procs} but the enrolled "
                     f"population has {cliques_present} blinding clique(s); "
                     f"one aggregator process serves exactly one clique "
-                    f"(enroll with num_cliques={aggregator_procs}, or pass "
+                    f"(enroll with num_cliques={procs}, or pass "
                     f"aggregator_procs={cliques_present})")
-            supervised = retry_policy is not None or (
-                fault_plan is not None
-                and getattr(fault_plan, "worker_crashes", None))
-            if supervised:
+            fault_plan = settings.fault_plan
+            if settings.retry_policy is not None or (
+                    fault_plan is not None and fault_plan.worker_crashes):
                 from repro.protocol.net import SupervisedAggregatorPool
                 self._pool = SupervisedAggregatorPool(
-                    config, retry_policy=retry_policy,
-                    fault_plan=fault_plan, fan_in=fan_in)
+                    config, retry_policy=settings.retry_policy,
+                    fault_plan=fault_plan, fan_in=settings.fan_in)
             else:
                 from repro.protocol.net import ProcessAggregatorPool
-                self._pool = ProcessAggregatorPool(config, fan_in=fan_in)
-        # A membership mid-lifecycle (e.g. handed to from_membership
-        # after rounds or epoch advances elsewhere) dictates the first
+                self._pool = ProcessAggregatorPool(
+                    config, fan_in=settings.fan_in)
+        # A membership mid-lifecycle (e.g. handed to create() after
+        # rounds or epoch advances elsewhere) dictates the first
         # usable round id; pads from its earlier rounds are spent. An
         # army owns its own round accounting the same way.
         if self.army is not None:
@@ -395,9 +384,9 @@ class ProtocolSession:
         else:
             self._next_round = membership.next_round if membership else 0
         transport, self._owns_transport = _resolve_transport(
-            transport, fault_plan=fault_plan)
+            settings.transport, fault_plan=settings.fault_plan)
         try:
-            self._wire(clients, transport, threshold_rule)
+            self._wire(clients, transport, settings.threshold_rule)
         except BaseException:
             # Wiring failures must not strand owned subprocesses or the
             # owned socket transport: the caller never gets a session
@@ -429,10 +418,10 @@ class ProtocolSession:
             if self._pool is not None:
                 endpoints, root = self._pool.wire_army(
                     self.army, threshold_rule)
-            elif self.topology == "fanout":
+            elif self.settings.topology == "fanout":
                 endpoints, root = build_army_endpoints(
                     self.config, self.army, threshold_rule=threshold_rule,
-                    fan_in=self.fan_in)
+                    fan_in=self.settings.fan_in)
             else:
                 endpoints, root = build_army_monolithic(
                     self.config, self.army, threshold_rule=threshold_rule)
@@ -441,16 +430,14 @@ class ProtocolSession:
             if self._pool is not None:
                 endpoints, root = self._pool.wire(self.clients,
                                                   threshold_rule)
-            elif self.topology == "fanout":
+            elif self.settings.topology == "fanout":
                 endpoints, root = build_fanout_endpoints(
                     self.config, self.clients, threshold_rule=threshold_rule,
-                    fan_in=self.fan_in)
+                    fan_in=self.settings.fan_in)
             else:
                 endpoints, root = build_monolithic_endpoints(
                     self.config, self.clients, threshold_rule=threshold_rule)
-        runner_cls = ProtocolRunner if self.driver == "sync" \
-            else AsyncProtocolRunner
-        self._runner = runner_cls(endpoints, root, transport=transport)
+        self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
         if self.army is not None:
             self.army.register_aliases(self._runner.transport)
@@ -488,56 +475,25 @@ class ProtocolSession:
           backend, roster owned by the army.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
-        topology, driver, transport, fault injection); defaults apply
-        when omitted. ``store`` (a
+        topology, transport, fault injection); defaults apply when
+        omitted. ``store`` (a
         :class:`~repro.store.history.HistoryStore` or a path for one)
         attaches durable history recording via :meth:`attach_store`
         before any round runs — with ``own_store=True`` (default) the
         session closes it on :meth:`close`.
-
-        This factory replaces the deprecated :meth:`enroll`,
-        :meth:`from_enrollment` and :meth:`from_membership`
-        classmethods, which survive as thin shims over it.
         """
         settings = settings if settings is not None else SessionConfig()
-        session_kwargs = settings._session_kwargs()
-        if isinstance(source, MembershipManager):
+        if isinstance(source, (Enrollment, MembershipManager, ClientArmy)):
+            kind = type(source).__name__
             if config is not None and config is not source.config:
                 raise ConfigurationError(
-                    "a MembershipManager carries its own RoundConfig; "
-                    "don't pass a different one to create()")
+                    f"the {kind} carries its own RoundConfig; don't pass "
+                    f"a different one to create()")
             if enroll_kwargs:
                 raise ConfigurationError(
                     f"enrollment keywords {sorted(enroll_kwargs)} only "
-                    f"apply when create() enrolls from user ids; a "
-                    f"MembershipManager is already enrolled")
-            session = cls(source.config, source.clients,
-                          membership=source, **session_kwargs)
-        elif isinstance(source, Enrollment):
-            if config is not None and config is not source.config:
-                raise ConfigurationError(
-                    "an Enrollment carries its own RoundConfig; don't "
-                    "pass a different one to create()")
-            if enroll_kwargs:
-                raise ConfigurationError(
-                    f"enrollment keywords {sorted(enroll_kwargs)} only "
-                    f"apply when create() enrolls from user ids; an "
-                    f"Enrollment is already enrolled")
-            membership = (MembershipManager(source)
-                          if source.keypairs else None)
-            session = cls(source.config, source.clients,
-                          membership=membership, **session_kwargs)
-        elif isinstance(source, ClientArmy):
-            if config is not None and config is not source.config:
-                raise ConfigurationError(
-                    "a ClientArmy carries its own RoundConfig; don't "
-                    "pass a different one to create()")
-            if enroll_kwargs:
-                raise ConfigurationError(
-                    f"enrollment keywords {sorted(enroll_kwargs)} only "
-                    f"apply when create() enrolls from user ids; a "
-                    f"ClientArmy is already enrolled")
-            session = cls(source.config, source, **session_kwargs)
+                    f"apply when create() enrolls from user ids; the "
+                    f"{kind} is already enrolled")
         else:
             user_ids = list(source)
             non_ids = [u for u in user_ids if not isinstance(u, str)]
@@ -555,13 +511,18 @@ class ProtocolSession:
                 # internally; the object-path knob is accepted (and
                 # irrelevant) so the two backends stay call-compatible.
                 enroll_kwargs.pop("share_pad_streams", None)
-                army = ClientArmy.enroll(user_ids, config, **enroll_kwargs)
-                session = cls(config, army, **session_kwargs)
+                source = ClientArmy.enroll(user_ids, config, **enroll_kwargs)
             else:
-                enrollment = enroll_users(user_ids, config, **enroll_kwargs)
-                membership = MembershipManager(enrollment)
-                session = cls(config, enrollment.clients,
-                              membership=membership, **session_kwargs)
+                source = enroll_users(user_ids, config, **enroll_kwargs)
+        if isinstance(source, ClientArmy):
+            session = cls(source.config, source, settings)
+        else:
+            # An Enrollment is membership-aware whenever it carries key
+            # material; a MembershipManager is joined mid-lifecycle.
+            membership = source if isinstance(source, MembershipManager) \
+                else MembershipManager(source) if source.keypairs else None
+            session = cls(source.config, source.clients, settings,
+                          membership=membership)
         if store is not None:
             try:
                 session.attach_store(store, name=store_name, own=own_store)
@@ -569,82 +530,6 @@ class ProtocolSession:
                 session.close()
                 raise
         return session
-
-    @classmethod
-    def enroll(cls, user_ids: Sequence[str], config: RoundConfig,
-               topology: str = "fanout", driver: str = "sync",
-               transport: TransportSpec = None,
-               threshold_rule: ThresholdRuleFn = mean_threshold,
-               aggregator_procs: int = 0,
-               fault_plan: "Optional[FaultPlan]" = None,
-               retry_policy: "Optional[RetryPolicy]" = None,
-               client_backend: str = "objects",
-               fan_in: Optional[int] = None,
-               **enroll_kwargs: Any) -> "ProtocolSession":
-        """Deprecated: use :meth:`create` with a :class:`SessionConfig`.
-
-        ``ProtocolSession.enroll(users, config, topology=t, seed=s)`` is
-        ``ProtocolSession.create(users, config,
-        SessionConfig(topology=t), seed=s)``.
-        """
-        warnings.warn(
-            "ProtocolSession.enroll is deprecated; use "
-            "ProtocolSession.create(user_ids, config, SessionConfig(...))",
-            DeprecationWarning, stacklevel=2)
-        settings = SessionConfig(topology=topology, driver=driver,
-                                 transport=transport,
-                                 threshold_rule=threshold_rule,
-                                 client_backend=client_backend,
-                                 aggregator_procs=aggregator_procs,
-                                 fault_plan=fault_plan,
-                                 retry_policy=retry_policy, fan_in=fan_in)
-        return cls.create(user_ids, config, settings, **enroll_kwargs)
-
-    @classmethod
-    def from_enrollment(cls, enrollment: Enrollment,
-                        topology: str = "fanout", driver: str = "sync",
-                        transport: TransportSpec = None,
-                        threshold_rule: ThresholdRuleFn = mean_threshold,
-                        aggregator_procs: int = 0,
-                        fault_plan: "Optional[FaultPlan]" = None,
-                        retry_policy: "Optional[RetryPolicy]" = None,
-                        fan_in: Optional[int] = None,
-                        ) -> "ProtocolSession":
-        """Deprecated: use :meth:`create` with a :class:`SessionConfig`."""
-        warnings.warn(
-            "ProtocolSession.from_enrollment is deprecated; use "
-            "ProtocolSession.create(enrollment, settings=SessionConfig(...))",
-            DeprecationWarning, stacklevel=2)
-        settings = SessionConfig(topology=topology, driver=driver,
-                                 transport=transport,
-                                 threshold_rule=threshold_rule,
-                                 aggregator_procs=aggregator_procs,
-                                 fault_plan=fault_plan,
-                                 retry_policy=retry_policy, fan_in=fan_in)
-        return cls.create(enrollment, settings=settings)
-
-    @classmethod
-    def from_membership(cls, membership: MembershipManager,
-                        topology: str = "fanout", driver: str = "sync",
-                        transport: TransportSpec = None,
-                        threshold_rule: ThresholdRuleFn = mean_threshold,
-                        aggregator_procs: int = 0,
-                        fault_plan: "Optional[FaultPlan]" = None,
-                        retry_policy: "Optional[RetryPolicy]" = None,
-                        fan_in: Optional[int] = None,
-                        ) -> "ProtocolSession":
-        """Deprecated: use :meth:`create` with a :class:`SessionConfig`."""
-        warnings.warn(
-            "ProtocolSession.from_membership is deprecated; use "
-            "ProtocolSession.create(membership, settings=SessionConfig(...))",
-            DeprecationWarning, stacklevel=2)
-        settings = SessionConfig(topology=topology, driver=driver,
-                                 transport=transport,
-                                 threshold_rule=threshold_rule,
-                                 aggregator_procs=aggregator_procs,
-                                 fault_plan=fault_plan,
-                                 retry_policy=retry_policy, fan_in=fan_in)
-        return cls.create(membership, settings=settings)
 
     @classmethod
     def resume(cls, store: "Union[HistoryStore, str]",
@@ -671,7 +556,7 @@ class ProtocolSession:
         roster/clique snapshot; any drift (a store written by different
         code, a truncated file) raises
         :class:`~repro.errors.StoreError` instead of silently running
-        with wrong cliques. ``settings`` re-wires topology, driver and
+        with wrong cliques. ``settings`` re-wires topology and
         transport freely — wiring is not part of the persisted
         identity. Only ``client_backend="objects"`` sessions resume
         (the army keeps no per-user key-material history yet).
@@ -709,9 +594,6 @@ class ProtocolSession:
                 raise StoreError(
                     f"session {name!r} has a gap in its epoch history "
                     f"(recorded epochs {expected}); cannot replay")
-            settings = settings if settings is not None else SessionConfig()
-            if settings.client_backend != "objects":
-                settings = replace(settings, client_backend="objects")
             membership = MembershipManager.from_history(
                 epochs[0].roster, record.config,
                 transitions=[(e.joins, e.leaves, e.first_round)
@@ -732,9 +614,8 @@ class ProtocolSession:
                     f"(replayed roster/cliques do not match the store); "
                     f"the store was written by incompatible code or is "
                     f"corrupted")
-            session = cls(record.config, membership.clients,
-                          membership=membership,
-                          **settings._session_kwargs())
+            session = cls(record.config, membership.clients, settings,
+                          membership=membership)
         except BaseException:
             if owns:
                 store.close()
@@ -917,8 +798,6 @@ class ProtocolSession:
 
     def run_round(self, round_id: int) -> RoundResult:
         """Execute one complete reporting round (with fault recovery)."""
-        if self.driver == "async":
-            return asyncio.run(self.run_round_async(round_id))
         self._check_round_id(round_id)
         result = self._runner.run_round(round_id)
         self._note_round(round_id)
@@ -940,17 +819,6 @@ class ProtocolSession:
         epoch = self.epoch
         self._recorder.record_round(
             result, epoch.epoch_id if epoch is not None else 0)
-
-    async def run_round_async(self, round_id: int) -> RoundResult:
-        """Awaitable round execution (``driver="async"`` sessions)."""
-        if not isinstance(self._runner, AsyncProtocolRunner):
-            raise ConfigurationError(
-                "run_round_async needs a session with driver='async'")
-        self._check_round_id(round_id)
-        result = await self._runner.run_round(round_id)
-        self._note_round(round_id)
-        self._record_round(result)
-        return result
 
     def run_next_round(self) -> RoundResult:
         """Run the next round in the session's monotonic round sequence."""
@@ -1045,29 +913,16 @@ class ProtocolSession:
 def run_private_round(config: RoundConfig,
                       clients: "Union[Sequence[ProtocolClient], ClientArmy]",
                       round_id: int = 0,
-                      transport: TransportSpec = None,
-                      threshold_rule: ThresholdRuleFn = mean_threshold,
-                      topology: str = "fanout",
-                      driver: str = "sync",
-                      aggregator_procs: int = 0,
-                      fault_plan: "Optional[FaultPlan]" = None,
-                      retry_policy: "Optional[RetryPolicy]" = None,
-                      fan_in: Optional[int] = None,
+                      settings: Optional[SessionConfig] = None,
                       ) -> RoundResult:
     """One-shot §6 round: wire a session, run it, return the result.
 
     The session (and any subprocesses / sockets it owns) is closed
-    before returning; pass a transport *instance* to inspect byte
-    accounting afterwards. ``clients`` may be per-user client objects
-    or a :class:`~repro.protocol.army.ClientArmy`.
+    before returning; pass a transport *instance* in ``settings`` to
+    inspect byte accounting afterwards. ``clients`` may be per-user
+    client objects or a :class:`~repro.protocol.army.ClientArmy`.
     """
-    with ProtocolSession(config, clients, transport=transport,
-                         threshold_rule=threshold_rule,
-                         topology=topology, driver=driver,
-                         aggregator_procs=aggregator_procs,
-                         fault_plan=fault_plan,
-                         retry_policy=retry_policy,
-                         fan_in=fan_in) as session:
+    with ProtocolSession(config, clients, settings) as session:
         return session.run_round(round_id)
 
 
@@ -1078,14 +933,8 @@ def run_detection(impressions: "Sequence[Impression]",
                   use_oprf: bool = False, enrollment_seed: int = 0,
                   transport_factory: Optional[TransportFactory] = None,
                   num_cliques: int = 1,
-                  topology: str = "fanout", driver: str = "sync",
                   rounds_per_window: int = 1,
-                  transport: Optional[str] = None,
-                  aggregator_procs: int = 0,
-                  fault_plan: "Optional[FaultPlan]" = None,
-                  retry_policy: "Optional[RetryPolicy]" = None,
-                  client_backend: str = "objects",
-                  fan_in: Optional[int] = None,
+                  settings: Optional[SessionConfig] = None,
                   store: "Union[HistoryStore, str, None]" = None,
                   session_name: str = "pipeline",
                   ) -> "PipelineResult":
@@ -1107,14 +956,8 @@ def run_detection(impressions: "Sequence[Impression]",
                                  enrollment_seed=enrollment_seed,
                                  transport_factory=transport_factory,
                                  num_cliques=num_cliques,
-                                 topology=topology, driver=driver,
                                  rounds_per_window=rounds_per_window,
-                                 transport=transport,
-                                 aggregator_procs=aggregator_procs,
-                                 fault_plan=fault_plan,
-                                 retry_policy=retry_policy,
-                                 client_backend=client_backend,
-                                 fan_in=fan_in, store=store,
+                                 settings=settings, store=store,
                                  session_name=session_name)
     try:
         return pipeline.run_week(impressions, week=week)

@@ -1,8 +1,9 @@
-"""Back-end substrate (paper §5): database, crawler, service.
+"""Back-end substrate (paper §5): crawler and service.
 
-* :mod:`repro.backend.database` — the metadata store (SQLite, matching
-  the paper's MySQL role): active users, anonymized weekly aggregates,
-  crawler findings;
+The paper's MySQL metadata role — active users, anonymized weekly
+aggregates, crawler findings — is served by
+:class:`repro.store.HistoryStore`, which both modules below write to.
+
 * :mod:`repro.backend.crawler` — the clean-profile crawler that visits
   audited pages with empty history; any ad it sees cannot have been
   behaviourally targeted, which is what the validation tree keys on;
@@ -10,12 +11,10 @@
   round, persist the distribution and threshold, answer client queries.
 """
 
-from repro.backend.database import MetadataStore
 from repro.backend.crawler import CleanProfileCrawler
 from repro.backend.service import BackendService, WeeklySnapshot
 
 __all__ = [
-    "MetadataStore",
     "CleanProfileCrawler",
     "BackendService",
     "WeeklySnapshot",

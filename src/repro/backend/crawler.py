@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.backend.database import MetadataStore
 from repro.simulation.adserver import AdServer
 from repro.simulation.browsing import Visit
 from repro.simulation.population import UserProfile
 from repro.simulation.websites import Website
+from repro.store.history import HistoryStore
 from repro.types import Demographics, Impression
 
 
@@ -24,7 +24,7 @@ class CleanProfileCrawler:
     """Visits sites through the simulated ad ecosystem with no profile."""
 
     def __init__(self, adserver: AdServer,
-                 store: Optional[MetadataStore] = None,
+                 store: Optional[HistoryStore] = None,
                  visits_per_site: int = 3) -> None:
         self.adserver = adserver
         self.store = store

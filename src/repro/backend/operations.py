@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
-from repro.api import run_detection
+from repro.api import SessionConfig, run_detection
 from repro.core.detector import DetectorConfig
 from repro.errors import ConfigurationError
 from repro.simulation.config import SimulationConfig
@@ -79,7 +79,7 @@ class LongitudinalDeployment:
                  dropout_rate: float = 0.05,
                  seed: int = 0,
                  num_cliques: int = 1,
-                 driver: str = "sync") -> None:
+                 settings: Optional[SessionConfig] = None) -> None:
         if not 0.0 <= churn_rate < 1.0:
             raise ConfigurationError("churn_rate must be in [0, 1)")
         if not 0.0 <= dropout_rate < 1.0:
@@ -90,11 +90,12 @@ class LongitudinalDeployment:
         self.dropout_rate = dropout_rate
         self._rng = make_rng(seed)
         self.seed = seed
-        #: Protocol knobs forwarded to each week's private session:
-        #: blinding cliques (one aggregator per clique) and the round
-        #: driver ("async" pumps the aggregators concurrently).
+        #: Forwarded to each week's private session: blinding cliques
+        #: (one aggregator per clique) and the session wiring (its
+        #: transport must stay unset — every week runs over a fresh
+        #: dropout-injecting transport).
         self.num_cliques = num_cliques
-        self.driver = driver
+        self.settings = settings
 
     def _active_subset(self, user_ids: Sequence[str]) -> Set[str]:
         """This week's panel: each user inactive with churn probability.
@@ -145,7 +146,7 @@ class LongitudinalDeployment:
                 detector_config=self.detector_config,
                 enrollment_seed=self.seed + week,
                 transport_factory=failing_transport,
-                num_cliques=self.num_cliques, driver=self.driver)
+                num_cliques=self.num_cliques, settings=self.settings)
             log.weeks.append(WeeklyOpsReport(
                 week=week,
                 active_users=len(reporting_users),

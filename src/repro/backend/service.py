@@ -9,11 +9,10 @@ extension needs for local classification (threshold + per-ad estimates).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api import ProtocolSession, SessionConfig, TransportSpec
-from repro.backend.database import MetadataStore
+from repro.api import ProtocolSession, SessionConfig
 from repro.core.thresholds import ThresholdRule
 from repro.errors import ConfigurationError, RoundStateError
 from repro.protocol.client import ProtocolClient, RoundConfig
@@ -76,14 +75,10 @@ class BackendService:
 
     def __init__(self, config: RoundConfig,
                  clients: Optional[Sequence[ProtocolClient]] = None,
-                 store: "Union[HistoryStore, MetadataStore, str, None]"
-                 = None,
+                 store: "Union[HistoryStore, str, None]" = None,
                  users_rule: ThresholdRule = ThresholdRule.MEAN,
-                 transport: "TransportSpec" = None,
-                 topology: str = "fanout",
-                 driver: str = "sync",
+                 settings: Optional[SessionConfig] = None,
                  enrollment: Optional[Enrollment] = None,
-                 aggregator_procs: int = 0,
                  session_name: str = "backend") -> None:
         if enrollment is not None:
             if clients is not None:
@@ -96,36 +91,33 @@ class BackendService:
                 "BackendService needs clients or an enrollment")
         self.config = config
         self.clients = list(clients)
-        # ``store`` accepts the modern HistoryStore (or a path for
-        # one) and, for compatibility, the deprecated MetadataStore
-        # facade — whose wrapped HistoryStore then does the real work.
+        # ``store`` is a HistoryStore or a path for one; none given
+        # keeps the service's history in memory.
         self._owns_store = store is None or isinstance(store, str)
         if store is None:
             store = HistoryStore()
         elif isinstance(store, str):
             store = HistoryStore(store)
-        self.store = store
-        self.history: HistoryStore = (
-            store.history if isinstance(store, MetadataStore) else store)
+        self.store: HistoryStore = store
         #: One long-lived session serves every weekly round: endpoints
         #: are wired once per epoch and each round drains every mailbox,
         #: so the shared transport cannot accumulate stale broadcasts
-        #: across a multi-week deployment.
-        settings = SessionConfig(
-            transport=transport, threshold_rule=users_rule.compute,
-            topology=topology, driver=driver,
-            aggregator_procs=aggregator_procs)
+        #: across a multi-week deployment. ``settings`` wires it (see
+        #: :class:`repro.api.SessionConfig`); the threshold rule is the
+        #: service's own ``users_rule``.
+        settings = replace(settings if settings is not None
+                           else SessionConfig(),
+                           threshold_rule=users_rule.compute)
         if enrollment is not None:
             self.session = ProtocolSession.create(enrollment,
                                                   settings=settings)
         else:
-            self.session = ProtocolSession(
-                config, self.clients, **settings._session_kwargs())
+            self.session = ProtocolSession(config, self.clients, settings)
         # Epoch-aware sessions additionally record their full round /
         # epoch lifecycle, making the service's session crash-resumable
         # (plain client lists carry no enrollment identity to persist).
         if self.session.membership is not None:
-            self.session.attach_store(self.history, name=session_name,
+            self.session.attach_store(self.store, name=session_name,
                                       own=False)
         #: Serializes session operations against the served root
         #: endpoint: :meth:`run_week` / :meth:`advance_epoch` / the
@@ -207,7 +199,7 @@ class BackendService:
             week=week, users_threshold=result.users_threshold,
             distribution=result.distribution, round_result=result)
         self._snapshots[week] = snapshot
-        self.history.save_weekly_stats(
+        self.store.save_weekly_stats(
             week, result.users_threshold,
             len(result.reported_users),
             len(result.missing_users),
@@ -295,7 +287,7 @@ class BackendService:
             self._root_server = None
         self.session.close()
         if self._owns_store:
-            self.history.close()
+            self.store.close()
 
     def __enter__(self) -> "BackendService":
         return self

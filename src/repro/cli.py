@@ -31,8 +31,10 @@ from repro.analysis.biasstudy import (
     generate_bias_study,
 )
 from repro.analysis.effects import predicted_effects
+from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
 from repro.core.thresholds import ThresholdRule
+from repro.errors import ConfigurationError
 from repro.simulation import SimulationConfig, Simulator
 from repro.simulation.metrics import evaluate_classifications
 from repro.sketch.countmin import CountMinSketch
@@ -82,8 +84,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_from(args: argparse.Namespace):
-    """``--chaos`` / ``--retry-budget`` -> (fault_plan, retry_policy)."""
+def _settings_from(args: argparse.Namespace) -> SessionConfig:
+    """The one :class:`~repro.api.SessionConfig` the ``detect`` wiring
+    flags describe; a combination the session would refuse raises
+    :class:`~repro.errors.ConfigurationError` here."""
     fault_plan = retry_policy = None
     if args.chaos != "none":
         from repro.protocol.net import FaultPlan
@@ -92,7 +96,10 @@ def _chaos_from(args: argparse.Namespace):
     if args.retry_budget is not None:
         from repro.protocol.net import RetryPolicy
         retry_policy = RetryPolicy(max_restarts=args.retry_budget)
-    return fault_plan, retry_policy
+    return SessionConfig(
+        transport=args.transport, client_backend=args.clients,
+        aggregator_procs=args.aggregator_procs, fault_plan=fault_plan,
+        retry_policy=retry_policy, fan_in=args.fan_in)
 
 
 def _print_chaos_telemetry(args: argparse.Namespace, session) -> None:
@@ -136,10 +143,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
               "a property of the counting protocol session)",
               file=sys.stderr)
         return 2
-    if args.aggregator_procs < 0:
-        print(f"--aggregator-procs must be >= 0, got "
-              f"{args.aggregator_procs}", file=sys.stderr)
-        return 2
     if (args.transport != "memory" or args.aggregator_procs) \
             and not args.private:
         print("--transport and --aggregator-procs configure the private "
@@ -182,31 +185,29 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print(f"--retry-budget must be >= 0, got {args.retry_budget}",
               file=sys.stderr)
         return 2
-    if args.retry_budget is not None and not args.aggregator_procs:
-        print("--retry-budget supervises aggregator subprocesses; add "
-              "--aggregator-procs", file=sys.stderr)
-        return 2
     if args.churn and round(args.churn * args.users) < 1:
         print(f"--churn {args.churn} replaces round({args.churn} * "
               f"{args.users}) = 0 users per epoch; raise --churn or "
               f"--users", file=sys.stderr)
         return 2
+    try:
+        # What the flag checks above did not need to phrase in CLI
+        # terms (a negative process count, a retry budget with nothing
+        # to supervise) is refused here, by the one validator.
+        settings = _settings_from(args)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.churn:
-        return _detect_with_churn(args)
+        return _detect_with_churn(args, settings)
     config = _config_from(args)
     result = Simulator(config).run()
     rule = ThresholdRule(args.threshold_rule)
-    fault_plan, retry_policy = _chaos_from(args)
     from repro.core.pipeline import DetectionPipeline
     pipeline = DetectionPipeline(
         detector_config=DetectorConfig(domains_rule=rule, users_rule=rule),
-        private=args.private,
-        num_cliques=args.cliques, driver=args.driver,
-        rounds_per_window=args.epoch_rounds,
-        transport=args.transport if args.private else None,
-        aggregator_procs=args.aggregator_procs,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        client_backend=args.clients, fan_in=args.fan_in,
+        private=args.private, num_cliques=args.cliques,
+        rounds_per_window=args.epoch_rounds, settings=settings,
         store=args.store)
     try:
         out = pipeline.run_week(result.impressions, week=0)
@@ -250,7 +251,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_with_churn(args: argparse.Namespace) -> int:
+def _detect_with_churn(args: argparse.Namespace,
+                       settings: SessionConfig) -> int:
     """Two windows over a churned population via the epoch lifecycle."""
     from repro.core.pipeline import DetectionPipeline
     from repro.simulation.churn import apply_churn, churn_schedule
@@ -277,18 +279,12 @@ def _detect_with_churn(args: argparse.Namespace) -> int:
 
     rule = ThresholdRule(args.threshold_rule)
     unique_ads = {imp.ad.identity for imp in result.impressions}
-    fault_plan, retry_policy = _chaos_from(args)
     pipeline = DetectionPipeline(
         detector_config=DetectorConfig(domains_rule=rule, users_rule=rule),
         private=True,
         round_config=DetectionPipeline.default_round_config(len(unique_ads)),
-        num_cliques=args.cliques, driver=args.driver,
-        rounds_per_window=args.epoch_rounds,
-        transport=args.transport,
-        aggregator_procs=args.aggregator_procs,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        client_backend=args.clients, fan_in=args.fan_in,
-        store=args.store)
+        num_cliques=args.cliques, rounds_per_window=args.epoch_rounds,
+        settings=settings, store=args.store)
 
     print(f"mode: private (blinded CMS), churned population "
           f"({args.churn:.0%}/epoch, {args.epoch_rounds} round(s)/window)")
@@ -550,10 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--cliques", type=int, default=1,
                        help="blinding cliques (and aggregators) for the "
                             "private round (default 1)")
-    p_det.add_argument("--driver", default="sync",
-                       choices=["sync", "async"],
-                       help="round driver: sync, or async to run clique "
-                            "aggregators concurrently (default sync)")
     p_det.add_argument("--transport", default="memory",
                        choices=["memory", "wire", "socket"],
                        help="private-round transport: in-memory mailboxes, "

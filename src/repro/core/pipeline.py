@@ -27,12 +27,12 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api import CLIENT_BACKENDS, ProtocolSession, SessionConfig
+from repro.api import ProtocolSession, SessionConfig
 from repro.core.counters import GlobalUserCounter
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.errors import ConfigurationError, StoreError
 from repro.protocol.client import RoundConfig
-from repro.protocol.enrollment import MAX_CLIQUES, enroll_users
+from repro.protocol.enrollment import MAX_CLIQUES
 from repro.protocol.membership import EpochTransition
 from repro.protocol.runner import RoundResult
 from repro.statsutil.distributions import EmpiricalDistribution
@@ -82,17 +82,11 @@ class DetectionPipeline:
                  enrollment_seed: int = 0,
                  transport_factory=None,
                  num_cliques: int = 1,
-                 topology: str = "fanout",
-                 driver: str = "sync",
                  rounds_per_window: int = 1,
-                 transport: Optional[str] = None,
-                 aggregator_procs: int = 0,
-                 fault_plan=None,
-                 retry_policy=None,
-                 client_backend: str = "objects",
-                 fan_in: Optional[int] = None,
+                 settings: Optional[SessionConfig] = None,
                  store: "Union[HistoryStore, str, None]" = None,
                  session_name: str = "pipeline") -> None:
+        settings = settings if settings is not None else SessionConfig()
         if num_cliques < 1:
             raise ConfigurationError(
                 f"num_cliques must be >= 1, got {num_cliques}")
@@ -103,27 +97,24 @@ class DetectionPipeline:
         if rounds_per_window < 1:
             raise ConfigurationError(
                 f"rounds_per_window must be >= 1, got {rounds_per_window}")
-        if aggregator_procs and aggregator_procs != num_cliques:
+        procs = settings.aggregator_procs
+        if procs and procs != num_cliques:
             raise ConfigurationError(
-                f"aggregator_procs={aggregator_procs} but num_cliques="
+                f"aggregator_procs={procs} but num_cliques="
                 f"{num_cliques}; one aggregator process serves exactly one "
                 f"blinding clique, so the counts must match (a window whose "
                 f"population cannot support the clique count scales both "
                 f"down together)")
-        if aggregator_procs and transport_factory is not None:
+        if procs and transport_factory is not None:
             raise ConfigurationError(
                 "aggregator_procs needs the persistent epoch session; it "
                 "cannot be combined with transport_factory (which rebuilds "
                 "a fresh per-window enrollment)")
-        if client_backend not in CLIENT_BACKENDS:
+        if settings.transport is not None and transport_factory is not None:
             raise ConfigurationError(
-                f"unknown client_backend {client_backend!r}; expected one "
-                f"of {CLIENT_BACKENDS}")
-        if transport is not None and transport_factory is not None:
-            raise ConfigurationError(
-                "pass transport or transport_factory, not both: the "
-                "factory's per-window transports would silently override "
-                f"the named {transport!r} transport")
+                "pass a settings transport or transport_factory, not both: "
+                "the factory's per-window transports would silently "
+                f"override the {settings.transport!r} transport")
         if store is not None and transport_factory is not None:
             raise ConfigurationError(
                 "durable history needs the persistent epoch session; it "
@@ -146,41 +137,18 @@ class DetectionPipeline:
         #: a bit-identical aggregate. Clamped per window so every clique
         #: keeps at least two members.
         self.num_cliques = num_cliques
-        #: Aggregation topology and round driver for the private session
-        #: (see :class:`repro.api.ProtocolSession`): per-clique fan-out
-        #: by default, optionally the monolithic server or the asyncio
-        #: driver that pumps clique aggregators concurrently.
-        self.topology = topology
-        self.driver = driver
-        #: Named transport for the persistent session (``"memory"``,
-        #: ``"wire"``, ``"socket"`` — see :data:`repro.api.TRANSPORTS`);
-        #: None keeps the in-memory default. Each fresh session builds
-        #: (and owns) its own instance, so a socket transport's TCP pair
-        #: is closed whenever the session is replaced or the pipeline
-        #: closed.
-        self.transport = transport
-        #: Run the per-clique aggregators (and the root) as real
-        #: subprocesses behind sockets. Tracks the window's effective
-        #: clique count: a window whose population forces the clique
-        #: clamp down spawns correspondingly fewer processes.
-        self.aggregator_procs = aggregator_procs
-        #: Hostile-network knobs forwarded to every private session (see
-        #: :class:`repro.api.ProtocolSession`): a
-        #: :class:`~repro.protocol.net.FaultPlan` of seeded WAN faults
-        #: and a :class:`~repro.protocol.net.RetryPolicy` that respawns
-        #: crashed aggregator workers within a restart budget.
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        #: ``"objects"`` builds one :class:`ProtocolClient` per user;
-        #: ``"batched"`` enrolls the window's whole population into one
-        #: struct-of-arrays :class:`~repro.protocol.army.ClientArmy`
-        #: (bit-identical reports, vectorized blinding — the 100k-user
-        #: backend; see docs/scaling.md).
-        self.client_backend = client_backend
-        #: Fan-in bound for the aggregation tree (fan-out topology):
-        #: regional aggregators appear whenever more cliques than this
-        #: report, so the root only ever merges ``<= fan_in`` partials.
-        self.fan_in = fan_in
+        #: Wiring of every private session (see
+        #: :class:`repro.api.SessionConfig`), forwarded as given except
+        #: for what the pipeline owns: the threshold rule is the
+        #: detector's ``users_rule``, and ``aggregator_procs`` tracks
+        #: each window's effective clique count (a window whose
+        #: population forces the clique clamp down spawns
+        #: correspondingly fewer processes). A named transport is built
+        #: (and owned) afresh by each session, so a socket transport's
+        #: TCP pair is closed whenever the session is replaced or the
+        #: pipeline closed.
+        self.settings = replace(
+            settings, threshold_rule=self.detector_config.users_rule.compute)
         #: Reporting rounds run per window (CLI ``--epoch-rounds``). The
         #: aggregate is identical every round (same observations, fresh
         #: pads); extra rounds model a deployment reporting more than
@@ -295,40 +263,23 @@ class DetectionPipeline:
     def _fresh_session(self, user_ids, config: RoundConfig,
                        cliques: int) -> ProtocolSession:
         """Epoch-0 enrollment of one window's population."""
-        transport = (self.transport_factory()
-                     if self.transport_factory is not None
-                     else self.transport)
-        settings = SessionConfig(
-            transport=transport,
-            threshold_rule=self.detector_config.users_rule.compute,
-            topology=self.topology, driver=self.driver,
-            client_backend=self.client_backend,
-            aggregator_procs=cliques if self.aggregator_procs else 0,
-            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
-            fan_in=self.fan_in)
-        if self.client_backend == "batched":
-            session = ProtocolSession.create(
-                user_ids, config, settings, seed=self.enrollment_seed,
-                use_oprf=self.use_oprf, num_cliques=cliques)
-        else:
-            enrollment = enroll_users(user_ids, config,
-                                      seed=self.enrollment_seed,
-                                      use_oprf=self.use_oprf,
-                                      num_cliques=cliques)
-            session = ProtocolSession.create(enrollment, settings=settings)
+        settings = self.settings
+        if self.transport_factory is not None:
+            settings = replace(settings, transport=self.transport_factory())
+        if settings.aggregator_procs:
+            settings = replace(settings, aggregator_procs=cliques)
+        # Each fresh enrollment is a new lineage in the store, named by
+        # generation; the store itself is shared across them (and owned
+        # by the pipeline, not any one session).
+        name = self.session_name
         if self._store is not None:
-            # Each fresh enrollment is a new lineage in the store, named
-            # by generation; the store itself is shared across them (and
-            # owned by the pipeline, not any one session).
-            name = (self.session_name if self._session_gen == 0
-                    else f"{self.session_name}#g{self._session_gen}")
+            if self._session_gen:
+                name = f"{name}#g{self._session_gen}"
             self._session_gen += 1
-            try:
-                session.attach_store(self._store, name=name, own=False)
-            except BaseException:
-                session.close()
-                raise
-        return session
+        return ProtocolSession.create(
+            user_ids, config, settings, seed=self.enrollment_seed,
+            use_oprf=self.use_oprf, num_cliques=cliques,
+            store=self._store, store_name=name, own_store=False)
 
     def _session_for(self, user_ids, config: RoundConfig,
                      cliques: int) -> ProtocolSession:

@@ -43,12 +43,12 @@ that cannot keep every clique at two members or more, and
 deployments should watch when sizing ``num_cliques`` against expected
 churn.
 
-Architecture — endpoints, messages, drivers
--------------------------------------------
+Architecture — endpoints, messages, one driver
+----------------------------------------------
 Every party is a reactive :class:`~repro.protocol.endpoint.
 ProtocolEndpoint`: it holds a transport mailbox and acts only in response
 to round-lifecycle hooks and incoming messages, returning its replies for
-a driver to deliver. Two aggregation topologies wire the same clients:
+the driver to deliver. Two aggregation topologies wire the same clients:
 
 * **monolithic** — one :class:`~repro.protocol.server.ServerEndpoint`
   (the wrapped :class:`AggregationServer`) receives everything; this is
@@ -62,16 +62,18 @@ a driver to deliver. Two aggregation topologies wire the same clients:
   a multi-server deployment. Epoch advances re-wire the aggregator set
   in place as cliques gain and lose members.
 
-Drivers (:class:`~repro.protocol.runner.ProtocolRunner` synchronously,
-:class:`~repro.protocol.runner.AsyncProtocolRunner` with per-clique
-concurrency) move messages until the round quiesces; they raise on
-unknown message types and drain every mailbox before returning.
+One driver, :class:`~repro.protocol.runner.ProtocolRunner`, moves
+messages synchronously until the round quiesces; it raises on unknown
+message types and drains every mailbox before returning. How the parties
+are wired — topology, transport, client backend, subprocess fan-out,
+fault injection — is named and validated in exactly one place, the
+:class:`repro.api.SessionConfig` value every layer above forwards.
 
 Transports — a fidelity ladder
 ------------------------------
 Endpoints never touch bytes; a transport does. The three rungs trade
 realism for speed, and a session selects one by name
-(``ProtocolSession(transport="memory" | "wire" | "socket")``):
+(``SessionConfig(transport="memory" | "wire" | "socket")``):
 
 * :class:`~repro.protocol.transport.InMemoryTransport` — mailboxes of
   Python objects; byte accounting uses each message's ``size_bytes()``
@@ -94,7 +96,7 @@ realism for speed, and a session selects one by name
   as retransmit delay, connection drops, truncated frames, slow-loris
   trickle), injected inside the ``_ship`` hook so byte accounting is
   untouched and every run replays fault-for-fault from its seed
-  (``ProtocolSession(transport="socket", fault_plan=...)``, or
+  (``SessionConfig(transport="socket", fault_plan=...)``, or
   ``cli detect --chaos wan|lossy|hostile``).
 * :mod:`repro.service` — the HTTP rung: the whole protocol exposed as a
   deployable service (``repro serve``). Remote processes drive real
@@ -113,8 +115,8 @@ Above the ladder, :mod:`repro.protocol.net` makes the parties real OS
 processes: :class:`~repro.protocol.net.ProcessAggregatorPool` runs each
 clique aggregator — and the root — as a subprocess behind an asyncio
 frame server, driven through :class:`~repro.protocol.net.
-ProcessEndpointProxy` endpoints by the unchanged drivers
-(``ProtocolSession(transport="socket", aggregator_procs=k)``;
+ProcessEndpointProxy` endpoints by the unchanged driver
+(``SessionConfig(transport="socket", aggregator_procs=k)``;
 ``examples/distributed_round.py`` is the runnable recipe, and
 ``cli detect --transport socket --aggregator-procs N`` the demo).
 Epoch advances RECONFIGURE the live processes in place — same PIDs, new
@@ -214,15 +216,11 @@ epochs (``tests/test_protocol_net.py`` pins this down for k in {1, 4}).
 What *does* change per transport is only cost: latency and the bytes
 actually on the wire, which the §7.1 accounting measures.
 
-**Entry point**: :mod:`repro.api` (:class:`~repro.api.ProtocolSession`)
-is the supported facade over all of this — including
-``advance_epoch(joins=..., leaves=...)`` on a live session. The
-pre-epoch ``RoundCoordinator`` shim has been removed;
-``ProtocolSession(config, clients, topology="monolithic")`` is the
-drop-in replacement.
+**Entry point**: :mod:`repro.api` is the supported facade over all of
+this — one constructor (:meth:`~repro.api.ProtocolSession.create`), one
+driver, one settings value (:class:`~repro.api.SessionConfig`) —
+including ``advance_epoch(joins=..., leaves=...)`` on a live session.
 """
-
-from typing import NoReturn
 
 from repro.protocol.messages import (
     BlindedReport,
@@ -244,7 +242,6 @@ from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.server import AggregationServer, ServerEndpoint
 from repro.protocol.aggregator import CliqueAggregator, RootAggregator
 from repro.protocol.runner import (
-    AsyncProtocolRunner,
     ProtocolRunner,
     RoundResult,
     build_fanout_endpoints,
@@ -284,25 +281,8 @@ __all__ = [
     "CliqueAggregator",
     "RootAggregator",
     "ProtocolRunner",
-    "AsyncProtocolRunner",
     "RoundResult",
     "build_fanout_endpoints",
     "build_monolithic_endpoints",
 ]
 
-
-def __getattr__(name: str) -> NoReturn:
-    if name == "RoundCoordinator":
-        # AttributeError keeps hasattr()/getattr(default) feature
-        # detection working (an ImportError here would crash probing
-        # consumers). The from-import form trades our guidance for
-        # Python's generic "cannot import name 'RoundCoordinator'",
-        # which still names exactly what was removed.
-        raise AttributeError(
-            "RoundCoordinator was removed in the epoch-lifecycle refactor; "
-            "use repro.api.ProtocolSession instead — "
-            "ProtocolSession(config, clients, topology='monolithic') is the "
-            "drop-in replacement (session.root.server exposes the wrapped "
-            "AggregationServer the coordinator used to expose as .server)")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

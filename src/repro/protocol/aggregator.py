@@ -17,7 +17,7 @@ clique's traffic. This module exploits that seam, replacing the single
   broadcasts the threshold.
 
 Because clique aggregators share no state, they are the unit of
-concurrency: the asyncio driver runs them as independent tasks, and a
+concurrency: ``aggregator_procs`` runs each in its own process, and a
 multi-server deployment would place each behind its own socket.
 
 Each :class:`CliqueAggregator` *wraps* a clique-restricted

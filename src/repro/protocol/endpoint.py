@@ -6,8 +6,8 @@ between reactive parties. A :class:`ProtocolEndpoint` is one such party:
 it owns a transport mailbox, and everything it does happens in response
 to either a round-lifecycle hook or an incoming message. Endpoints never
 call each other; they *return* outbound ``(recipient, message)`` pairs
-and a driver (:class:`~repro.protocol.runner.ProtocolRunner` or its
-asyncio twin) moves them. That inversion is what makes the protocol
+and the driver (:class:`~repro.protocol.runner.ProtocolRunner`) moves
+them. That inversion is what makes the protocol
 transport-agnostic: the same endpoints run over in-process mailboxes,
 the byte-exact wire codec, or — the design seam — real sockets with one
 process per endpoint.

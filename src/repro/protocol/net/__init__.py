@@ -17,8 +17,8 @@ and :class:`ProcessAggregatorPool` takes the remaining step: each
 :class:`~repro.protocol.aggregator.CliqueAggregator` and the
 :class:`~repro.protocol.aggregator.RootAggregator` run as separate OS
 processes behind asyncio TCP servers, driven through
-:class:`ProcessEndpointProxy` endpoints by the unchanged round drivers.
-``ProtocolSession(transport="socket", aggregator_procs=k)`` wires all of
+:class:`ProcessEndpointProxy` endpoints by the unchanged round driver.
+``SessionConfig(transport="socket", aggregator_procs=k)`` wires all of
 it from the facade, and ``advance_epoch`` reconfigures the live
 processes without restarting them.
 
@@ -26,7 +26,7 @@ processes without restarting them.
 top: workers that crash, crash-loop or hang mid-round are respawned from
 their specs under a bounded :class:`RetryPolicy` and the round's
 exchanges are replayed, so the round completes bit-identically instead
-of raising (``ProtocolSession(fault_plan=..., retry_policy=...)``).
+of raising (``SessionConfig(fault_plan=..., retry_policy=...)``).
 
 The guarantees the rest of the stack proves are transport-independent:
 pad one-time-ness is keyed by ``(pair, round)`` on the clients, and the

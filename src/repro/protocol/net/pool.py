@@ -6,7 +6,7 @@
 subprocess (``python -m repro.protocol.net.worker``) serving the frame
 protocol on a loopback TCP port, and hands back
 :class:`~repro.protocol.net.proxy.ProcessEndpointProxy` endpoints the
-existing drivers can run unmodified. The paper's deployment picture —
+existing driver can run unmodified. The paper's deployment picture —
 clients and aggregation servers as separate network parties — becomes
 literal: reports, recovery notices, adjustments and partial aggregates
 all cross process boundaries as wire-encoded bytes.

@@ -1,9 +1,9 @@
 """Parent-side proxy for an endpoint hosted behind a socket.
 
 A :class:`ProcessEndpointProxy` *is* a
-:class:`~repro.protocol.endpoint.ProtocolEndpoint`: the existing drivers
-(:class:`~repro.protocol.runner.ProtocolRunner` and the asyncio runner)
-call its lifecycle hooks exactly as they would a local aggregator, and
+:class:`~repro.protocol.endpoint.ProtocolEndpoint`: the existing driver
+(:class:`~repro.protocol.runner.ProtocolRunner`)
+calls its lifecycle hooks exactly as they would a local aggregator, and
 each hook becomes one request/reply exchange of length-prefixed frames
 with the hosting process. The hosted endpoint's outbox comes back as OUT
 frames and is returned to the driver unchanged — the round logic neither
@@ -208,7 +208,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         raise exc
 
     # ------------------------------------------------------------------
-    # ProtocolEndpoint lifecycle (what the drivers call)
+    # ProtocolEndpoint lifecycle (what the driver calls)
     # ------------------------------------------------------------------
     def on_round_start(self, round_id: int) -> Outbox:
         return self._call(frames.ROUND_START, frames.pack_round(round_id))

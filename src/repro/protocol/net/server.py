@@ -52,7 +52,7 @@ class EndpointServer:
         RECONFIGURE is refused.
     delay_s:
         Chaos knob: sleep this long before dispatching each frame,
-        modelling a slow aggregation server. The drivers' quiescence
+        modelling a slow aggregation server. The driver's quiescence
         logic must tolerate it (see the failure-mode tests).
     hang_after:
         Chaos knob: after this many dispatched frames the server stops

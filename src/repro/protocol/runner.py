@@ -1,20 +1,14 @@
-"""Transport-agnostic drivers for message-driven protocol rounds.
+"""The transport-agnostic driver for message-driven protocol rounds.
 
-A driver owns no protocol logic. It opens the round on every endpoint,
-moves messages between mailboxes until the exchange quiesces, fires the
-idle hooks that model deployment phase-timeouts, and repeats until every
-endpoint is quiet. Two drivers share that contract:
+The driver owns no protocol logic. :class:`ProtocolRunner` opens the
+round on every endpoint, moves messages between mailboxes until the
+exchange quiesces, fires the idle hooks that model deployment
+phase-timeouts, and repeats until every endpoint is quiet. Endpoints are
+serviced synchronously in registration order — deterministic and
+debuggable; every endpoint handler and subprocess proxy call is itself
+synchronous, so there is nothing for an event loop to overlap.
 
-* :class:`ProtocolRunner` — synchronous; endpoints are serviced in
-  registration order. Deterministic and debuggable; what the facade
-  uses by default.
-* :class:`AsyncProtocolRunner` — ``asyncio``; all busy endpoints are
-  pumped concurrently, so the per-clique aggregators of the fan-out
-  topology make progress as independent tasks (the in-process analogue
-  of one aggregation server per clique). Produces the same message
-  multiset and a bit-identical result.
-
-Invariants the drivers enforce (and the old inline coordinator did not):
+Invariants the driver enforces (and the old inline coordinator did not):
 
 * an unknown or unroutable message **raises**
   :class:`~repro.errors.ProtocolError` instead of being dropped;
@@ -25,7 +19,6 @@ Invariants the drivers enforce (and the old inline coordinator did not):
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -200,8 +193,8 @@ def build_army_monolithic(
     return [army, root], root
 
 
-class _RunnerBase:
-    """Wiring and bookkeeping shared by both drivers."""
+class ProtocolRunner:
+    """Synchronous round driver over any mailbox transport."""
 
     #: Safety valve: a correct round quiesces in a handful of cycles; a
     #: buggy endpoint that keeps emitting must not hang the process.
@@ -264,10 +257,6 @@ class _RunnerBase:
             total_messages=self.transport.total_messages,
         )
 
-
-class ProtocolRunner(_RunnerBase):
-    """Synchronous round driver over any mailbox transport."""
-
     def run_round(self, round_id: int) -> RoundResult:
         """Drive one complete round; returns once every endpoint is quiet.
 
@@ -305,49 +294,3 @@ class ProtocolRunner(_RunnerBase):
                 self._dispatch(endpoint.endpoint_id, outbox)
                 emitted = True
         return emitted
-
-
-class AsyncProtocolRunner(_RunnerBase):
-    """``asyncio`` round driver: busy endpoints are pumped concurrently.
-
-    Each delivery cycle spawns one task per endpoint with pending mail —
-    in the fan-out topology that is every clique aggregator at once, the
-    in-process analogue of one aggregation server per clique. Endpoint
-    handlers themselves are synchronous (they are CPU-bound sums); the
-    driver yields between messages so tasks interleave. State updates
-    are per-endpoint, messages commute across cliques, and modular
-    addition commutes inside the root, so the result is bit-identical to
-    the synchronous driver and the message multiset is the same.
-    """
-
-    async def run_round(self, round_id: int) -> RoundResult:
-        self._open_round(round_id)
-        for _ in range(self._MAX_CYCLES):
-            busy = [e for e in self.endpoints
-                    if self.transport.pending(e.endpoint_id)]
-            if busy:
-                await asyncio.gather(*(self._pump(e) for e in busy))
-                continue
-            emitted = await asyncio.gather(
-                *(self._idle(e, round_id) for e in self.endpoints))
-            if not any(emitted):
-                return self._close_round(round_id)
-        raise ProtocolError(f"round {round_id} did not quiesce")
-
-    async def _pump(self, endpoint: ProtocolEndpoint) -> None:
-        while True:
-            item = self.transport.receive(endpoint.endpoint_id)
-            if item is None:
-                return
-            sender, message = item
-            self._dispatch(endpoint.endpoint_id,
-                           endpoint.on_message(sender, message))
-            await asyncio.sleep(0)
-
-    async def _idle(self, endpoint: ProtocolEndpoint,
-                    round_id: int) -> bool:
-        outbox = endpoint.on_idle(round_id)
-        if outbox:
-            self._dispatch(endpoint.endpoint_id, outbox)
-        await asyncio.sleep(0)
-        return bool(outbox)

@@ -20,7 +20,7 @@ class InMemoryTransport:
 
     ``record_transcript=True`` keeps an append-only log of every
     *delivered* ``(sender, recipient, message)`` triple — the evidence
-    the driver-equivalence tests compare. Off by default: a transcript
+    the backend-equivalence tests compare. Off by default: a transcript
     grows without bound across a multi-week session.
     """
 

@@ -10,10 +10,10 @@ persist per (week, user, ad) so longitudinal questions — "which
 campaigns were flagged since week N", "how did #Users trend for this
 ad" — are answered by SQL instead of recomputation.
 
-The store also subsumes the legacy ``MetadataStore`` responsibilities
-(enrolled users, weekly aggregate stats, crawler sightings) as typed
-DAOs; :class:`repro.backend.database.MetadataStore` survives as a thin
-deprecated facade over this class.
+The store also carries the paper's metadata-database role (enrolled
+users, weekly aggregate stats, crawler sightings) as typed DAOs — the
+tables of the pre-migration ``MetadataStore`` schema, whose files are
+still adopted in place.
 
 Connection lifecycle matches the transport hardening from PR 6:
 ``close()`` is idempotent, the store is a context manager, and every
@@ -137,7 +137,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class WeeklyStatsRecord:
-    """Typed replacement for ``MetadataStore.weekly_stats``'s ad-hoc dict."""
+    """One week's aggregate statistics (the ``weekly_stats`` row, typed)."""
 
     week: int
     users_threshold: float
@@ -791,20 +791,6 @@ class HistoryStore:
             num_missing=int(row[2]),
             distribution=tuple(float(v) for v in json.loads(row[3])),
         )
-
-    def weekly_stats(self, week: int) -> Optional[Dict[str, Any]]:
-        """Deprecated dict shape of :meth:`weekly_stats_record` (the
-        legacy ``MetadataStore`` entry point)."""
-        import warnings
-
-        warnings.warn(
-            "HistoryStore.weekly_stats is deprecated; use the typed "
-            "weekly_stats_record (same data as a WeeklyStatsRecord)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        record = self.weekly_stats_record(week)
-        return None if record is None else record.to_spec()
 
     def recorded_weeks(self) -> List[int]:
         rows = self._conn().execute("SELECT week FROM weekly_stats ORDER BY week")

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.api import ProtocolSession, run_detection, run_private_round
+from repro.api import (
+    ProtocolSession,
+    SessionConfig,
+    run_detection,
+    run_private_round,
+)
 from repro.errors import ConfigurationError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
@@ -24,7 +29,7 @@ def make_enrollment(n=4, num_cliques=1, seed=2):
 class TestProtocolSession:
     def test_run_round_counts_users(self):
         enrollment = make_enrollment()
-        session = ProtocolSession.from_enrollment(enrollment)
+        session = ProtocolSession.create(enrollment)
         result = session.run_round(1)
         mapper = enrollment.clients[0].ad_mapper
         assert result.aggregate.query(
@@ -32,7 +37,8 @@ class TestProtocolSession:
         assert result.missing_users == []
 
     def test_enroll_classmethod(self):
-        session = ProtocolSession.enroll(
+        """``create`` enrolls from bare user ids."""
+        session = ProtocolSession.create(
             [f"u{i}" for i in range(6)], CONFIG, seed=1, use_oprf=False,
             num_cliques=3)
         for client in session.clients:
@@ -42,8 +48,8 @@ class TestProtocolSession:
 
     def test_multi_round_session_reuses_wiring(self):
         enrollment = make_enrollment()
-        session = ProtocolSession.from_enrollment(
-            enrollment, transport=WireTransport())
+        session = ProtocolSession.create(
+            enrollment, settings=SessionConfig(transport=WireTransport()))
         r1 = session.run_round(1)
         r2 = session.run_round(2)
         assert r2.aggregate.cells == r1.aggregate.cells
@@ -52,26 +58,26 @@ class TestProtocolSession:
 
     def test_reset_windows(self):
         enrollment = make_enrollment()
-        session = ProtocolSession.from_enrollment(enrollment)
+        session = ProtocolSession.create(enrollment)
         session.reset_windows()
         assert all(c.num_seen == 0 for c in session.clients)
 
     def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            SessionConfig(topology="sharded-nonsense")
         enrollment = make_enrollment()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):  # wiring is one value, not kwargs
             ProtocolSession(CONFIG, enrollment.clients,
-                            topology="sharded-nonsense")
-        with pytest.raises(ConfigurationError):
-            ProtocolSession(CONFIG, enrollment.clients, driver="threads")
+                            topology="monolithic")
 
     def test_sessions_over_shared_clients_keep_their_wiring(self):
         """Constructing a second session over the same client objects
         must not hijack the first session's report routing."""
         enrollment = make_enrollment(8, num_cliques=2)
         fan = ProtocolSession(CONFIG, enrollment.clients,
-                              topology="fanout")
+                              SessionConfig(topology="fanout"))
         mono = ProtocolSession(CONFIG, enrollment.clients,
-                               topology="monolithic")
+                               SessionConfig(topology="monolithic"))
         fan_result = fan.run_round(1)  # runs after mono rewired uplinks
         mono_result = mono.run_round(1)
         assert fan_result.aggregate.cells == mono_result.aggregate.cells
@@ -79,27 +85,24 @@ class TestProtocolSession:
     def test_threshold_rule_assignable_after_construction(self):
         enrollment = make_enrollment()
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  topology="monolithic")
+                                  SessionConfig(topology="monolithic"))
         session.root.threshold_rule = lambda dist: 123.5
         assert session.run_round(1).users_threshold == 123.5
 
     def test_round_coordinator_removed_with_guidance(self):
-        """The deprecated shim is gone; every import path points callers
-        at ProtocolSession."""
+        """The deprecated shim is gone, and no module-level
+        ``__getattr__`` tombstone stands in for it."""
         import importlib
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.protocol.coordinator")
         import repro.protocol
-        with pytest.raises(AttributeError, match="ProtocolSession"):
-            repro.protocol.RoundCoordinator
         with pytest.raises(ImportError, match="RoundCoordinator"):
             from repro.protocol import RoundCoordinator  # noqa: F401
         import repro
-        with pytest.raises(AttributeError, match="ProtocolSession"):
-            repro.RoundCoordinator
-        # hasattr-based feature detection must keep working.
         assert not hasattr(repro.protocol, "RoundCoordinator")
         assert not hasattr(repro, "RoundCoordinator")
+        assert not hasattr(repro.protocol, "__getattr__")
+        assert not hasattr(repro, "__getattr__")
 
     def test_service_users_rule_assignable_between_weeks(self):
         from repro.backend.service import BackendService
@@ -114,26 +117,21 @@ class TestProtocolSession:
         assert snapshot.users_threshold == \
             ThresholdRule.MEAN_PLUS_STD.compute(snapshot.distribution)
 
-    def test_sync_session_rejects_async_await(self):
-        enrollment = make_enrollment()
-        session = ProtocolSession.from_enrollment(enrollment)
-        with pytest.raises(ConfigurationError):
-            import asyncio
-            asyncio.run(session.run_round_async(1))
-
 
 class TestOneShotHelpers:
     def test_run_private_round_matches_session(self):
         a = run_private_round(CONFIG, make_enrollment().clients, round_id=1)
-        b = ProtocolSession.from_enrollment(make_enrollment()).run_round(1)
+        b = ProtocolSession.create(make_enrollment()).run_round(1)
         assert a.aggregate.cells == b.aggregate.cells
         assert a.users_threshold == b.users_threshold
 
     def test_topologies_agree(self):
         fan = run_private_round(CONFIG, make_enrollment(8, 2).clients,
-                                round_id=1, topology="fanout")
+                                round_id=1,
+                                settings=SessionConfig(topology="fanout"))
         mono = run_private_round(CONFIG, make_enrollment(8, 2).clients,
-                                 round_id=1, topology="monolithic")
+                                 round_id=1,
+                                 settings=SessionConfig(topology="monolithic"))
         assert fan.aggregate.cells == mono.aggregate.cells
 
     def test_run_detection_private_and_cleartext(self):

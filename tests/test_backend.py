@@ -1,59 +1,64 @@
-"""Unit tests for the back-end substrate: database, crawler, service."""
+"""Unit tests for the back-end substrate: metadata tables, crawler,
+service."""
 
 import pytest
 
+from repro.api import SessionConfig
 from repro.backend.crawler import CleanProfileCrawler
-from repro.backend.database import MetadataStore
 from repro.backend.service import BackendService
 from repro.core.thresholds import ThresholdRule
 from repro.errors import ConfigurationError, RoundStateError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.simulation import SimulationConfig, Simulator
+from repro.store import HistoryStore
 
 
 class TestMetadataStore:
+    """The paper's metadata-database role (users, weekly aggregates,
+    crawler sightings), served by :class:`HistoryStore`."""
+
     def test_enroll_and_list_users(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.enroll_user("u2", week=0, blinding_index=1)
             store.enroll_user("u1", week=0, blinding_index=0)
             assert store.active_users() == ["u1", "u2"]
 
     def test_duplicate_enrollment_rejected(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.enroll_user("u", week=0, blinding_index=0)
             with pytest.raises(ConfigurationError):
                 store.enroll_user("u", week=1, blinding_index=1)
 
     def test_blinding_index(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.enroll_user("u", week=0, blinding_index=7)
             assert store.blinding_index("u") == 7
             with pytest.raises(ConfigurationError):
                 store.blinding_index("ghost")
 
     def test_weekly_stats_roundtrip(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.save_weekly_stats(3, 2.5, 100, 2, [1.0, 2.0, 3.0])
-            stats = store.weekly_stats(3)
-            assert stats["users_threshold"] == 2.5
-            assert stats["num_reporting"] == 100
-            assert stats["num_missing"] == 2
-            assert stats["distribution"] == [1.0, 2.0, 3.0]
+            stats = store.weekly_stats_record(3)
+            assert stats.users_threshold == 2.5
+            assert stats.num_reporting == 100
+            assert stats.num_missing == 2
+            assert stats.distribution == (1.0, 2.0, 3.0)
 
     def test_weekly_stats_missing(self):
-        with MetadataStore() as store:
-            assert store.weekly_stats(9) is None
+        with HistoryStore() as store:
+            assert store.weekly_stats_record(9) is None
 
     def test_weekly_stats_overwrite(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.save_weekly_stats(1, 1.0, 10, 0, [])
             store.save_weekly_stats(1, 2.0, 11, 1, [5.0])
-            assert store.weekly_stats(1)["users_threshold"] == 2.0
+            assert store.weekly_stats_record(1).users_threshold == 2.0
             assert store.recorded_weeks() == [1]
 
     def test_sightings(self):
-        with MetadataStore() as store:
+        with HistoryStore() as store:
             store.record_sighting("ad-1", "site.example", week=0)
             store.record_sighting("ad-1", "site.example", week=0)  # idempotent
             assert store.crawler_saw("ad-1")
@@ -78,7 +83,7 @@ class TestCleanProfileCrawler:
             assert not truth[imp.ad.identity].is_targeted
 
     def test_sightings_recorded(self, sim):
-        store = MetadataStore()
+        store = HistoryStore()
         crawler = CleanProfileCrawler(sim.adserver, store=store)
         crawler.crawl_site(sim.catalog.sites[0], tick=0, week=2)
         for identity in crawler.ads_seen:
@@ -115,9 +120,9 @@ class TestBackendService:
             client.observe_ad("http://shared.example/ad")
         snapshot = service.run_week(0)
         assert snapshot.users_threshold > 0
-        stored = service.store.weekly_stats(0)
-        assert stored["users_threshold"] == snapshot.users_threshold
-        assert stored["num_reporting"] == 4
+        stored = service.store.weekly_stats_record(0)
+        assert stored.users_threshold == snapshot.users_threshold
+        assert stored.num_reporting == 4
 
     def test_windows_reset_between_weeks(self):
         service, enrollment = self.make_service()
@@ -248,8 +253,8 @@ class TestBackendService:
         reference = BackendService.from_enrollment(baseline)
         expected = reference.run_week(0)
         with BackendService.from_enrollment(
-                enrollment, transport="socket",
-                aggregator_procs=2) as service:
+                enrollment, settings=SessionConfig(
+                    transport="socket", aggregator_procs=2)) as service:
             snapshot = service.run_week(0)
             assert service.session.aggregator_pool is not None
             assert len(service.session.aggregator_pool.pids) == 3

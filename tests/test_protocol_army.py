@@ -21,7 +21,7 @@ The contracts this file pins:
 import numpy as np
 import pytest
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import (
     BlindingError,
     ConfigurationError,
@@ -53,23 +53,24 @@ def ads_for(user_ids):
             for i, uid in enumerate(sorted(user_ids))}
 
 
-def object_session(user_ids=USERS, num_cliques=4, record=False, **kwargs):
+def object_session(user_ids=USERS, num_cliques=4, record=False):
     transport = InMemoryTransport(record_transcript=True) if record else None
-    session = ProtocolSession.enroll(list(user_ids), CONFIG, seed=3,
-                                     use_oprf=False, num_cliques=num_cliques,
-                                     transport=transport, **kwargs)
+    session = ProtocolSession.create(
+        list(user_ids), CONFIG, SessionConfig(transport=transport), seed=3,
+        use_oprf=False, num_cliques=num_cliques)
     for client in session.clients:
         for url in ads_for(user_ids)[client.user_id]:
             client.observe_ad(url)
     return session
 
 
-def army_session(user_ids=USERS, num_cliques=4, record=False, **kwargs):
+def army_session(user_ids=USERS, num_cliques=4, record=False, **wiring):
     transport = InMemoryTransport(record_transcript=True) if record else None
-    session = ProtocolSession.enroll(list(user_ids), CONFIG, seed=3,
-                                     use_oprf=False, num_cliques=num_cliques,
-                                     transport=transport,
-                                     client_backend="batched", **kwargs)
+    session = ProtocolSession.create(
+        list(user_ids), CONFIG,
+        SessionConfig(transport=transport, client_backend="batched",
+                      **wiring),
+        seed=3, use_oprf=False, num_cliques=num_cliques)
     for uid in session.army.user_ids:
         for url in ads_for(user_ids)[uid]:
             session.army.observe_ad(uid, url)
@@ -117,11 +118,11 @@ class TestBackendEquivalence:
 
     def test_oprf_mapping_equivalent(self):
         users = USERS[:8]
-        s_obj = ProtocolSession.enroll(users, CONFIG, seed=5, use_oprf=True,
-                                       num_cliques=2)
-        s_army = ProtocolSession.enroll(users, CONFIG, seed=5, use_oprf=True,
-                                        num_cliques=2,
-                                        client_backend="batched")
+        s_obj = ProtocolSession.create(
+            users, CONFIG, seed=5, use_oprf=True, num_cliques=2)
+        s_army = ProtocolSession.create(
+            users, CONFIG, SessionConfig(client_backend="batched"), seed=5,
+            use_oprf=True, num_cliques=2)
         for client in s_obj.clients:
             client.observe_ad("http://with.oprf/ad")
         for uid in s_army.army.user_ids:
@@ -344,7 +345,8 @@ class TestClientArmy:
                                  num_cliques=2)
         for uid in army.user_ids:
             army.observe_ad(uid, "http://x/1")
-        result = run_private_round(CONFIG, army, round_id=0, fan_in=2)
+        result = run_private_round(
+            CONFIG, army, round_id=0, settings=SessionConfig(fan_in=2))
         ad_id = army.ad_mapper.ad_id("http://x/1")
         assert result.aggregate.query(ad_id) >= 8
 

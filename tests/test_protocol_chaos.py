@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
@@ -123,8 +123,10 @@ def test_wan_faults_leave_round_bit_identical_to_memory():
     plan = FaultPlan(seed=3, default=LinkFault(
         latency_s=0.001, jitter_s=0.001, loss_prob=0.2,
         retransmit_delay_s=0.001))
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", fault_plan=plan) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", fault_plan=plan)) as session:
         result = session.run_round(0)
         transport = session.transport
         assert isinstance(transport, ChaosSocketTransport)
@@ -140,8 +142,10 @@ def test_injected_faults_replay_deterministically():
         plan = FaultPlan(seed=seed, default=LinkFault(
             latency_s=0.0005, jitter_s=0.001, loss_prob=0.5,
             retransmit_delay_s=0.0005))
-        with ProtocolSession.from_enrollment(
-                enrolled(), transport="socket", fault_plan=plan) as session:
+        with ProtocolSession.create(
+                enrolled(),
+                settings=SessionConfig(
+                    transport="socket", fault_plan=plan)) as session:
             session.run_round(0)
             return dict(session.transport.events), \
                 session.transport.injected_delay_s
@@ -229,8 +233,7 @@ def test_slow_loris_trickle_stalls_out_against_the_pump_deadline():
 def test_fault_plan_requires_the_socket_transport():
     plan = FaultPlan.wan()
     with pytest.raises(ConfigurationError, match="transport='socket'"):
-        ProtocolSession.from_enrollment(enrolled(), transport="memory",
-                                        fault_plan=plan)
+        SessionConfig(transport="memory", fault_plan=plan)
 
 
 def test_crash_only_plan_works_over_any_transport():
@@ -238,9 +241,11 @@ def test_crash_only_plan_works_over_any_transport():
     # a plan with no link faults must not force the socket rung.
     plan = FaultPlan(worker_crashes={"clique-aggregator-0": (1,)})
     from repro.protocol.net import RetryPolicy
-    with ProtocolSession.from_enrollment(
-            enrolled(), aggregator_procs=2, fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=1)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=1))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts["clique-aggregator-0"] == 1
     reference = run_private_round(CONFIG, enrolled().clients, round_id=0)
@@ -250,11 +255,10 @@ def test_crash_only_plan_works_over_any_transport():
 def test_worker_crashes_require_aggregator_procs():
     plan = FaultPlan(worker_crashes={"clique-aggregator-0": (1,)})
     with pytest.raises(ConfigurationError, match="aggregator_procs"):
-        ProtocolSession.from_enrollment(enrolled(), fault_plan=plan)
+        SessionConfig(fault_plan=plan)
 
 
 def test_retry_policy_requires_aggregator_procs():
     from repro.protocol.net import RetryPolicy
     with pytest.raises(ConfigurationError, match="aggregator_procs"):
-        ProtocolSession.from_enrollment(
-            enrolled(), retry_policy=RetryPolicy(max_restarts=1))
+        SessionConfig(retry_policy=RetryPolicy(max_restarts=1))

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import ConfigurationError, MissingReportError
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import assign_cliques, enroll_users
 from repro.protocol.messages import (
     BlindedReport,
@@ -145,9 +145,9 @@ class TestScopedRecovery:
         enrollment = enrolled(num_cliques=num_cliques)
         transport = InMemoryTransport()
         transport.fail_sender(victim)
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport,
-                                  topology="monolithic")
+        session = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport, topology="monolithic"))
         result = session.run_round(1)
         return enrollment, session, result
 
@@ -178,9 +178,9 @@ class TestScopedRecovery:
         victims = ["user-02", "user-09"]
         for victim in victims:
             transport.fail_sender(victim)
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport,
-                                  topology="monolithic")
+        session = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport, topology="monolithic"))
         result = session.run_round(1)
         # Reconstruct what each survivor was asked to fix from the server:
         by_clique = {}
@@ -273,8 +273,9 @@ class TestCliqueWireFormat:
         enrollment = enrolled(num_cliques=4)
         transport = WireTransport()
         transport.fail_sender("user-03")
-        result = ProtocolSession(CONFIG, enrollment.clients,
-                                 transport=transport).run_round(1)
+        result = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport)).run_round(1)
         assert result.missing_users == ["user-03"]
         # Recovery over the byte-exact codec still matches the survivor
         # truth (the victim's ads are absent, so only >= checks).

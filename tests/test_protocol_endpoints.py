@@ -1,24 +1,19 @@
-"""The message-driven endpoint layer: fan-out, drivers, and hygiene.
+"""The message-driven endpoint layer: fan-out, the driver, and hygiene.
 
 Covers the redesign's contracts:
 
 * the per-clique aggregator fan-out is **bit-identical** to the
   monolithic server — same aggregate cells, same #Users distribution,
   same threshold — for k in {1, 4}, including dropout-recovery rounds;
-* the asyncio driver produces the same messages (as a multiset over
-  (sender, recipient, message)) and the same result as the sync driver;
 * every mailbox is drained at the end of every round (the old inline
   coordinator leaked ThresholdBroadcasts into client mailboxes forever);
 * unknown / unroutable messages raise ProtocolError instead of being
   silently dropped.
 """
 
-import asyncio
-from collections import Counter
-
 import pytest
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.errors import (
     MissingReportError,
     ProtocolError,
@@ -56,15 +51,14 @@ def enrolled(num_cliques=1, seed=3, user_ids=USER_IDS):
     return enrollment
 
 
-def run_session(enrollment, topology, driver="sync", failed=(),
-                transport_cls=InMemoryTransport, round_id=1,
-                record_transcript=False):
-    transport = transport_cls(record_transcript=record_transcript)
+def run_session(enrollment, topology, failed=(),
+                transport_cls=InMemoryTransport, round_id=1):
+    transport = transport_cls()
     for uid in failed:
         transport.fail_sender(uid)
-    session = ProtocolSession(CONFIG, enrollment.clients,
-                              transport=transport, topology=topology,
-                              driver=driver)
+    session = ProtocolSession(
+        CONFIG, enrollment.clients,
+        SessionConfig(transport=transport, topology=topology))
     return session, session.run_round(round_id)
 
 
@@ -165,7 +159,7 @@ class TestFanoutEquivalence:
         transport = InMemoryTransport()
         transport.fail_sender("user-03")
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport)
+                                  SessionConfig(transport=transport))
         # Let reports through but drop one survivor's adjustment — the
         # "failed after reporting" shape the recovery cannot absorb.
         original_send = transport.send
@@ -181,43 +175,6 @@ class TestFanoutEquivalence:
             session.run_round(1)
 
 
-class TestAsyncDriver:
-    @pytest.mark.parametrize("num_cliques,failed", [
-        (1, ()), (4, ()), (4, ("user-05", "user-09"))])
-    def test_async_equals_sync_message_for_message(self, num_cliques,
-                                                   failed):
-        sync_enr = enrolled(num_cliques=num_cliques)
-        async_enr = enrolled(num_cliques=num_cliques)
-        _, sync_result = run_session(sync_enr, "fanout", driver="sync",
-                                     failed=failed, record_transcript=True)
-        _, async_result = run_session(async_enr, "fanout", driver="async",
-                                      failed=failed, record_transcript=True)
-        # Same work: bit-identical aggregate, identical accounting.
-        assert async_result.aggregate.cells == sync_result.aggregate.cells
-        assert async_result.distribution.values == \
-            sync_result.distribution.values
-        assert async_result.users_threshold == sync_result.users_threshold
-        assert async_result.total_messages == sync_result.total_messages
-        assert async_result.total_bytes == sync_result.total_bytes
-
-    def test_async_transcript_is_same_multiset(self):
-        failed = ("user-05",)
-        transcripts = []
-        for driver in ("sync", "async"):
-            enrollment = enrolled(num_cliques=4)
-            session, _ = run_session(enrollment, "fanout", driver=driver,
-                                     failed=failed, record_transcript=True)
-            transcripts.append(Counter(session.transport.transcript))
-        assert transcripts[0] == transcripts[1]
-
-    def test_run_round_async_awaitable(self):
-        enrollment = enrolled(num_cliques=4)
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  driver="async")
-        result = asyncio.run(session.run_round_async(1))
-        assert result.reported_users == sorted(USER_IDS)
-
-
 class TestMultiRoundWireSession:
     """Acceptance: a full multi-round, multi-clique session over the
     byte-exact codec with injected dropouts."""
@@ -226,7 +183,7 @@ class TestMultiRoundWireSession:
         enrollment = enrolled(num_cliques=4)
         transport = WireTransport()
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport)
+                                  SessionConfig(transport=transport))
         reference = enrolled(num_cliques=4)
 
         # Round 1: everyone reports.
@@ -257,19 +214,6 @@ class TestMultiRoundWireSession:
             assert client.last_threshold_round == 3
         for endpoint in session.endpoints:
             assert transport.pending(endpoint.endpoint_id) == 0
-
-    def test_async_driver_over_wire_matches_sync(self):
-        results = []
-        for driver in ("sync", "async"):
-            enrollment = enrolled(num_cliques=4)
-            session, result = run_session(
-                enrollment, "fanout", driver=driver, failed=("user-05",),
-                transport_cls=WireTransport, record_transcript=True)
-            results.append((Counter(session.transport.transcript), result))
-        (sync_t, sync_r), (async_t, async_r) = results
-        assert sync_t == async_t
-        assert async_r.aggregate.cells == sync_r.aggregate.cells
-        assert async_r.total_bytes == sync_r.total_bytes
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_byte_accounting_identical_across_byte_transports(
@@ -310,7 +254,7 @@ class TestMailboxHygiene:
         enrollment = enrolled(num_cliques=2)
         transport = InMemoryTransport()
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport)
+                                  SessionConfig(transport=transport))
         for week in range(1, 6):
             session.run_round(week)
             for endpoint in session.endpoints:
@@ -343,9 +287,9 @@ class TestStrictRouting:
         message types when draining the server mailbox."""
         enrollment = enrolled(num_cliques=1)
         transport = InMemoryTransport()
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport,
-                                  topology="monolithic")
+        session = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport, topology="monolithic"))
         transport.send(enrollment.clients[0].user_id, SERVER_ENDPOINT,
                        ThresholdBroadcast(round_id=1, users_threshold=1.0))
         with pytest.raises(ProtocolError):

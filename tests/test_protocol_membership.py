@@ -19,7 +19,7 @@ The contracts this file pins:
 import numpy as np
 import pytest
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.crypto.blinding import PadStreamProvider
 from repro.errors import ConfigurationError, RoundStateError
 from repro.protocol.client import RoundConfig
@@ -37,10 +37,10 @@ def observe(clients, salt=0):
             client.observe_ad(f"ad-{(i * 3 + j + salt) % 15}")
 
 
-def session_for(user_ids=USERS, num_cliques=3, seed=3, **kwargs):
-    return ProtocolSession.enroll(user_ids, CONFIG, seed=seed,
-                                  use_oprf=False, num_cliques=num_cliques,
-                                  **kwargs)
+def session_for(user_ids=USERS, num_cliques=3, seed=3, **wiring):
+    return ProtocolSession.create(user_ids, CONFIG, SessionConfig(**wiring),
+                                  seed=seed, use_oprf=False,
+                                  num_cliques=num_cliques)
 
 
 def secrets_of(session):
@@ -194,14 +194,14 @@ class TestAdvanceEpoch:
 
 class TestFromMembership:
     def test_session_over_advanced_membership_is_runnable(self):
-        """from_membership on a mid-lifecycle manager must start at the
+        """create() on a mid-lifecycle manager must start at the
         epoch's first round, not at 0 (whose pads are spent)."""
         session = session_for()
         observe(session.clients)
         session.run_next_round()
         session.run_next_round()
         session.advance_epoch(joins=["n-a"], leaves=["user-00"])
-        rebound = ProtocolSession.from_membership(session.membership)
+        rebound = ProtocolSession.create(session.membership)
         assert rebound.next_round == 2
         rebound.reset_windows()
         observe(rebound.clients, salt=1)
@@ -212,7 +212,7 @@ class TestFromMembership:
         """A session built before rounds ran elsewhere carries a stale
         counter; its advance_epoch must not re-open spent pads."""
         session = session_for()
-        stale = ProtocolSession.from_membership(session.membership)
+        stale = ProtocolSession.create(session.membership)
         observe(session.clients)
         session.run_next_round()
         session.run_next_round()  # rounds 0, 1 spent via the manager
@@ -227,7 +227,7 @@ class TestFromMembership:
         observe(session.clients)
         session.run_next_round()
         session.run_next_round()
-        rebound = ProtocolSession.from_membership(session.membership)
+        rebound = ProtocolSession.create(session.membership)
         assert rebound.next_round == 2
         rebound.reset_windows()
         observe(rebound.clients, salt=2)
@@ -236,8 +236,8 @@ class TestFromMembership:
 
 
 class TestAggregateEquivalence:
-    def run_epoch_round(self, topology, driver):
-        session = session_for(topology=topology, driver=driver)
+    def run_epoch_round(self, topology):
+        session = session_for(topology=topology)
         observe(session.clients)
         session.run_next_round()
         session.advance_epoch(joins=["n-a", "n-b"],
@@ -247,9 +247,9 @@ class TestAggregateEquivalence:
         return session, session.run_next_round()
 
     def test_post_epoch_round_matches_fresh_enrollment(self):
-        session, result = self.run_epoch_round("fanout", "sync")
+        session, result = self.run_epoch_round("fanout")
         roster = list(session.epoch.user_ids)
-        reference = ProtocolSession.enroll(
+        reference = ProtocolSession.create(
             roster, CONFIG, seed=99, use_oprf=False, num_cliques=3)
         # Same observations on the reference population (the shared
         # KeyedPRF is seed-keyed, so map ads through *this* session's
@@ -271,20 +271,18 @@ class TestAggregateEquivalence:
 
     def test_post_epoch_round_bit_identical_same_seed_reference(self):
         """With the same PRF seed the aggregates are bit-identical."""
-        session, result = self.run_epoch_round("fanout", "sync")
+        session, result = self.run_epoch_round("fanout")
         roster = list(session.epoch.user_ids)
-        reference = ProtocolSession.enroll(
+        reference = ProtocolSession.create(
             roster, CONFIG, seed=3, use_oprf=False, num_cliques=3)
         observe(reference.clients, salt=2)
         ref_result = reference.run_round(0)
         assert result.aggregate.cells == ref_result.aggregate.cells
         assert result.users_threshold == ref_result.users_threshold
 
-    @pytest.mark.parametrize("topology,driver", [
-        ("monolithic", "sync"), ("fanout", "async")])
-    def test_topologies_and_drivers_agree_post_epoch(self, topology, driver):
-        baseline, base_result = self.run_epoch_round("fanout", "sync")
-        other, other_result = self.run_epoch_round(topology, driver)
+    def test_topologies_and_drivers_agree_post_epoch(self):
+        baseline, base_result = self.run_epoch_round("fanout")
+        other, other_result = self.run_epoch_round("monolithic")
         assert other_result.aggregate.cells == base_result.aggregate.cells
         assert other_result.users_threshold == base_result.users_threshold
 

@@ -15,7 +15,7 @@ import socket
 
 import pytest
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
@@ -39,6 +39,9 @@ CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=500)
 USER_IDS = [f"user-{i:02d}" for i in range(16)]
 
 
+MONOLITHIC = SessionConfig(topology="monolithic")
+
+
 def enrolled(num_cliques=1, seed=3, user_ids=USER_IDS):
     enrollment = enroll_users(user_ids, CONFIG, seed=seed, use_oprf=False,
                               num_cliques=num_cliques)
@@ -53,10 +56,10 @@ def observe(clients, salt=0):
 
 
 def socket_session(num_cliques, seed=3, user_ids=USER_IDS):
-    session = ProtocolSession.enroll(
-        user_ids, CONFIG, seed=seed, use_oprf=False,
-        num_cliques=num_cliques, transport="socket",
-        aggregator_procs=num_cliques)
+    session = ProtocolSession.create(
+        user_ids, CONFIG,
+        SessionConfig(transport="socket", aggregator_procs=num_cliques),
+        seed=seed, use_oprf=False, num_cliques=num_cliques)
     observe(session.clients)
     return session
 
@@ -78,7 +81,7 @@ def assert_same_round(lhs, rhs):
 def test_socket_procs_round_matches_monolithic(num_cliques):
     reference = run_private_round(
         CONFIG, enrolled(num_cliques).clients, round_id=0,
-        topology="monolithic")
+        settings=MONOLITHIC)
     with socket_session(num_cliques) as session:
         result = session.run_round(0)
         pids = session.aggregator_pool.pids
@@ -93,7 +96,7 @@ def test_socket_procs_round_matches_monolithic(num_cliques):
 def test_dropout_recovery_over_sockets(num_cliques):
     failed = ["user-03", "user-10"]
     ref_session = ProtocolSession(CONFIG, enrolled(num_cliques).clients,
-                                  topology="monolithic")
+                                  MONOLITHIC)
     for user_id in failed:
         ref_session.transport.fail_sender(user_id)
     reference = ref_session.run_round(0)
@@ -109,7 +112,7 @@ def test_dropout_recovery_over_sockets(num_cliques):
 
 def test_post_epoch_round_over_live_processes():
     joins, leaves = ["user-90", "user-91"], ["user-00"]
-    ref = ProtocolSession.enroll(USER_IDS, CONFIG, seed=3, use_oprf=False,
+    ref = ProtocolSession.create(USER_IDS, CONFIG, seed=3, use_oprf=False,
                                  num_cliques=4)
     observe(ref.clients)
     ref.run_next_round()
@@ -138,19 +141,20 @@ def test_non_default_rule_survives_epoch_advance_over_procs():
     from repro.core.thresholds import ThresholdRule
 
     rule = ThresholdRule.MEAN_PLUS_STD
-    ref = ProtocolSession.enroll(USER_IDS, CONFIG, seed=3, use_oprf=False,
-                                 num_cliques=2,
-                                 threshold_rule=rule.compute)
+    ref = ProtocolSession.create(
+        USER_IDS, CONFIG, SessionConfig(threshold_rule=rule.compute),
+        seed=3, use_oprf=False, num_cliques=2)
     observe(ref.clients)
     ref.run_next_round()
     ref.advance_epoch(joins=["user-90"], leaves=["user-00"])
     observe(ref.clients, salt=1)
     reference = ref.run_next_round()
 
-    with ProtocolSession.enroll(USER_IDS, CONFIG, seed=3, use_oprf=False,
-                                num_cliques=2, transport="socket",
-                                aggregator_procs=2,
-                                threshold_rule=rule.compute) as session:
+    with ProtocolSession.create(
+            USER_IDS, CONFIG,
+            SessionConfig(transport="socket", aggregator_procs=2,
+                          threshold_rule=rule.compute),
+            seed=3, use_oprf=False, num_cliques=2) as session:
         observe(session.clients)
         session.run_next_round()
         session.advance_epoch(joins=["user-90"], leaves=["user-00"])
@@ -159,18 +163,6 @@ def test_non_default_rule_survives_epoch_advance_over_procs():
     assert result.users_threshold == reference.users_threshold
     dist = reference.distribution
     assert reference.users_threshold == dist.mean + dist.std
-    assert_same_round(result, reference)
-
-
-def test_async_driver_over_socket_procs():
-    reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0,
-                                  topology="monolithic")
-    with ProtocolSession.enroll(USER_IDS, CONFIG, seed=3, use_oprf=False,
-                                num_cliques=2, transport="socket",
-                                driver="async",
-                                aggregator_procs=2) as session:
-        observe(session.clients)
-        result = session.run_round(0)
     assert_same_round(result, reference)
 
 
@@ -185,7 +177,7 @@ def test_socket_and_wire_transport_byte_accounting_identical():
         enrollment = enrolled(4)
         transport = transport_cls()
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport)
+                                  SessionConfig(transport=transport))
         session.run_round(0)
         runs[name] = transport
         if name == "socket":
@@ -263,40 +255,41 @@ def test_round_summary_spec_roundtrip_is_bit_exact():
 def test_aggregator_procs_must_match_clique_count():
     enrollment = enrolled(2)
     with pytest.raises(ConfigurationError, match="2 blinding clique"):
-        ProtocolSession(CONFIG, enrollment.clients, aggregator_procs=3)
+        ProtocolSession(CONFIG, enrollment.clients,
+                        SessionConfig(aggregator_procs=3))
 
 
 def test_aggregator_procs_need_fanout_topology():
-    enrollment = enrolled(1)
     with pytest.raises(ConfigurationError, match="fanout"):
-        ProtocolSession(CONFIG, enrollment.clients, topology="monolithic",
-                        aggregator_procs=1)
+        SessionConfig(topology="monolithic", aggregator_procs=1)
 
 
 def test_pipeline_rejects_conflicting_transport_configs():
     from repro.core.pipeline import DetectionPipeline
 
     with pytest.raises(ConfigurationError, match="not both"):
-        DetectionPipeline(private=True, transport="socket",
+        DetectionPipeline(private=True,
+                          settings=SessionConfig(transport="socket"),
                           transport_factory=InMemoryTransport)
     with pytest.raises(ConfigurationError, match="transport_factory"):
-        DetectionPipeline(private=True, num_cliques=2, aggregator_procs=2,
+        DetectionPipeline(private=True, num_cliques=2,
+                          settings=SessionConfig(aggregator_procs=2),
                           transport_factory=InMemoryTransport)
     with pytest.raises(ConfigurationError, match="must match"):
-        DetectionPipeline(private=True, num_cliques=4, aggregator_procs=2)
+        DetectionPipeline(private=True, num_cliques=4,
+                          settings=SessionConfig(aggregator_procs=2))
 
 
 def test_unknown_transport_spec_is_refused():
-    enrollment = enrolled(1)
     with pytest.raises(ConfigurationError, match="unknown transport"):
-        ProtocolSession(CONFIG, enrollment.clients, transport="carrier-pigeon")
+        SessionConfig(transport="carrier-pigeon")
 
 
 def test_named_transports_resolve():
     for name, cls in (("memory", InMemoryTransport), ("wire", WireTransport),
                       ("socket", SocketTransport)):
         with ProtocolSession(CONFIG, enrolled(1).clients,
-                             transport=name) as session:
+                             SessionConfig(transport=name)) as session:
             assert type(session.transport) is cls
 
 

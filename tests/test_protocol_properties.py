@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocol.client import RoundConfig
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import enroll_users
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=5, id_space=300)
@@ -81,8 +81,9 @@ class TestAggregateCorrectness:
         from repro.protocol.transport import InMemoryTransport
         transport = InMemoryTransport()
         transport.fail_sender(enrollment.clients[drop_index].user_id)
-        result = ProtocolSession(CONFIG, enrollment.clients,
-                                 transport=transport).run_round(2)
+        result = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport)).run_round(2)
         mapper = enrollment.clients[0].ad_mapper
         for url, users in surviving_truth.items():
             assert result.aggregate.query(mapper.ad_id(url)) >= len(users)

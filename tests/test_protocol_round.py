@@ -15,7 +15,7 @@ from repro.errors import (
     ProtocolError,
     RoundStateError,
 )
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport
@@ -33,8 +33,9 @@ def make_enrollment(n_users=4, use_oprf=False, seed=0):
 
 def monolithic_session(clients, transport=None):
     """The single-server wiring the deleted RoundCoordinator drove."""
-    return ProtocolSession(CONFIG, clients, transport=transport,
-                           topology="monolithic")
+    return ProtocolSession(
+        CONFIG, clients,
+        SessionConfig(transport=transport, topology="monolithic"))
 
 
 class TestRoundConfig:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ProtocolError, RoundStateError
 from repro.protocol.aggregator import CliqueAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
@@ -46,9 +46,9 @@ def enrolled(num_cliques=2, seed=5):
 # ---------------------------------------------------------------------------
 
 def test_clique_process_crash_mid_round_raises():
-    session = ProtocolSession.enroll(USER_IDS, CONFIG, seed=5,
-                                     use_oprf=False, num_cliques=2,
-                                     aggregator_procs=2)
+    session = ProtocolSession.create(
+        USER_IDS, CONFIG, SessionConfig(aggregator_procs=2), seed=5,
+        use_oprf=False, num_cliques=2)
     try:
         for i, client in enumerate(session.clients):
             client.observe_ad(f"ad-{i % 5}")
@@ -64,9 +64,9 @@ def test_clique_process_crash_mid_round_raises():
 
 
 def test_root_process_crash_mid_round_raises():
-    session = ProtocolSession.enroll(USER_IDS, CONFIG, seed=5,
-                                     use_oprf=False, num_cliques=2,
-                                     aggregator_procs=2)
+    session = ProtocolSession.create(
+        USER_IDS, CONFIG, SessionConfig(aggregator_procs=2), seed=5,
+        use_oprf=False, num_cliques=2)
     try:
         for i, client in enumerate(session.clients):
             client.observe_ad(f"ad-{i % 5}")
@@ -123,8 +123,9 @@ def test_socket_transport_enforces_its_frame_ceiling():
     transport = SocketTransport(max_frame=64)
     try:
         with pytest.raises(ProtocolError, match="exceeds"):
-            run_private_round(CONFIG, enrollment.clients, round_id=0,
-                              transport=transport)
+            run_private_round(
+                CONFIG, enrollment.clients, round_id=0,
+                settings=SessionConfig(transport=transport))
     finally:
         transport.close()
 
@@ -208,8 +209,9 @@ def test_remote_error_mentioning_truncation_is_not_misread_as_crash():
 # ---------------------------------------------------------------------------
 
 def test_slow_aggregator_process_round_still_quiesces():
-    reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0,
-                                  topology="monolithic")
+    reference = run_private_round(
+        CONFIG, enrolled(2).clients, round_id=0,
+        settings=SessionConfig(topology="monolithic"))
     enrollment = enrolled(2)
     pool = ProcessAggregatorPool(CONFIG, chaos_delay_s={0: 0.15})
     transport = SocketTransport()
@@ -235,9 +237,9 @@ def test_slow_aggregator_process_round_still_quiesces():
 def test_slow_client_endpoint_over_sockets_still_quiesces(monkeypatch):
     import types
 
-    session = ProtocolSession.enroll(USER_IDS, CONFIG, seed=5,
-                                     use_oprf=False, num_cliques=2,
-                                     transport="socket")
+    session = ProtocolSession.create(
+        USER_IDS, CONFIG, SessionConfig(transport="socket"), seed=5,
+        use_oprf=False, num_cliques=2)
     try:
         for i, client in enumerate(session.clients):
             client.observe_ad(f"ad-{i % 5}")

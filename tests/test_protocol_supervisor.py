@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.api import ProtocolSession, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, mean_threshold
@@ -47,8 +47,9 @@ def reference_result(round_id=0, fail=None):
     transport = InMemoryTransport()
     if fail is not None:
         transport.fail_sender(fail)
-    return run_private_round(CONFIG, enrollment.clients, round_id=round_id,
-                             transport=transport)
+    return run_private_round(
+        CONFIG, enrollment.clients, round_id=round_id,
+        settings=SessionConfig(transport=transport))
 
 
 def assert_bit_identical(result, reference):
@@ -82,10 +83,11 @@ def test_retry_policy_validates_and_backs_off_exponentially():
 def test_clique_worker_crash_is_recovered_bit_identically():
     reference = reference_result()
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         pool = session.aggregator_pool
         assert isinstance(pool, SupervisedAggregatorPool)
@@ -96,10 +98,11 @@ def test_clique_worker_crash_is_recovered_bit_identically():
 def test_root_worker_crash_is_recovered_bit_identically():
     reference = reference_result()
     plan = FaultPlan(seed=5, worker_crashes={SERVER_ENDPOINT: (2,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[SERVER_ENDPOINT] == 1
     assert_bit_identical(result, reference)
@@ -111,10 +114,11 @@ def test_crash_loop_within_budget_survives():
     # genuine crash loop — two respawns against a budget of two.
     reference = reference_result()
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3, 4)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
     assert_bit_identical(result, reference)
@@ -122,10 +126,11 @@ def test_crash_loop_within_budget_survives():
 
 def test_crash_loop_past_budget_raises_with_the_loop_described():
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3, 4, 5)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         with pytest.raises(ProtocolError, match="crash-looped"):
             session.run_round(0)
 
@@ -135,9 +140,11 @@ def test_same_plan_with_retries_disabled_reproduces_todays_error():
     # recovery happens, and the error is exactly the unsupervised
     # pool's "process died" ProtocolError.
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan, retry_policy=NO_RETRY) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=NO_RETRY)) as session:
         started = time.monotonic()
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
             session.run_round(0)
@@ -180,10 +187,11 @@ def test_worker_crash_and_client_dropout_in_the_same_round():
     dropped = USER_IDS[3]
     reference = reference_result(fail=dropped)
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         session.transport.fail_sender(dropped)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
@@ -197,10 +205,11 @@ def test_session_outlives_the_recovered_round():
     # round, an epoch advance, and a post-churn round all succeed (the
     # respawned worker was re-wired exactly like its predecessor).
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.from_enrollment(
-            enrolled(), transport="socket", aggregator_procs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_restarts=2, **FAST)) as session:
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         first = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
         second = session.run_round(1)

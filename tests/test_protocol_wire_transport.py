@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.protocol.client import RoundConfig
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.transport import WireTransport
 
@@ -19,8 +19,9 @@ class TestWireTransportRound:
         for client in enrollment.clients:
             client.observe_ad("http://everyone.example/ad")
         enrollment.clients[1].observe_ad("http://rare.example/ad")
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=WireTransport())
+        session = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=WireTransport()))
         result = session.run_round(5)
         mapper = enrollment.clients[0].ad_mapper
         assert result.aggregate.query(
@@ -35,8 +36,9 @@ class TestWireTransportRound:
             client.observe_ad("http://shared.example/ad")
         transport = WireTransport()
         transport.fail_sender("u2")
-        result = ProtocolSession(CONFIG, enrollment.clients,
-                                 transport=transport).run_round(1)
+        result = ProtocolSession(
+            CONFIG, enrollment.clients,
+            SessionConfig(transport=transport)).run_round(1)
         assert result.missing_users == ["u2"]
         mapper = enrollment.clients[0].ad_mapper
         assert result.aggregate.query(
@@ -46,8 +48,8 @@ class TestWireTransportRound:
         enrollment = enroll_users(["a", "b"], CONFIG, seed=4,
                                   use_oprf=False)
         transport = WireTransport()
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  transport=transport)
+        session = ProtocolSession(
+            CONFIG, enrollment.clients, SessionConfig(transport=transport))
         result = session.run_round(0)
         # Each report is 16B header + id + 4B/cell; two reports plus
         # broadcasts must exceed two raw cell payloads.

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import run_private_round
+from repro.api import SessionConfig, run_private_round
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.service.client import (
@@ -130,8 +130,9 @@ class TestServeEndToEnd:
         for client in enrollment.clients:
             for url in URLS[client.user_id]:
                 client.observe_ad(url)
-        reference = run_private_round(CONFIG, enrollment.clients,
-                                      round_id=0, transport="memory")
+        reference = run_private_round(
+            CONFIG, enrollment.clients, round_id=0,
+            settings=SessionConfig(transport="memory"))
         served_cells = np.frombuffer(
             base64.b64decode(summary["cells"]), dtype=">u8")
         assert np.array_equal(

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import run_private_round
+from repro.api import SessionConfig, run_private_round
 from repro.backend.service import WeeklySnapshot
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol import wire
@@ -205,8 +205,9 @@ class TestEquivalence:
 
     def test_round_matches_in_memory_driver_bitwise(self, finalized):
         _state, via_service = finalized
-        reference = run_private_round(CONFIG, enrolled_clients(),
-                                      round_id=0, transport="wire")
+        reference = run_private_round(
+            CONFIG, enrolled_clients(), round_id=0,
+            settings=SessionConfig(transport="wire"))
         assert np.array_equal(via_service.aggregate.cells_array,
                               reference.aggregate.cells_array)
         assert list(via_service.distribution.values) == \
@@ -222,8 +223,9 @@ class TestEquivalence:
         service's §7.1 totals equal the in-process wire driver's."""
         _state, via_service = finalized
         transport = WireTransport()
-        reference = run_private_round(CONFIG, enrolled_clients(),
-                                      round_id=0, transport=transport)
+        reference = run_private_round(
+            CONFIG, enrolled_clients(), round_id=0,
+            settings=SessionConfig(transport=transport))
         assert via_service.total_bytes == reference.total_bytes
         assert via_service.total_messages == reference.total_messages
         assert via_service.total_bytes == transport.total_bytes

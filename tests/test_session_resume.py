@@ -18,9 +18,11 @@ import pytest
 
 from repro.api import ProtocolSession, SessionConfig
 from repro.errors import ConfigurationError, StoreError
+from repro.protocol.army import ClientArmy
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import MembershipManager
+from repro.protocol.net import FaultPlan, RetryPolicy
 from repro.protocol.transport import WireTransport
 from repro.store import HistoryStore
 
@@ -60,7 +62,7 @@ class TestSessionConfigValidation:
         "kwargs",
         [
             {"topology": "ring"},
-            {"driver": "threads"},
+            {"transport": "carrier-pigeon"},
             {"client_backend": "quantum"},
             {"aggregator_procs": -1},
             {"fan_in": 2, "topology": "single"},
@@ -69,6 +71,69 @@ class TestSessionConfigValidation:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             SessionConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            pytest.param(
+                {"topology": "monolithic", "aggregator_procs": 2},
+                "needs topology='fanout'",
+                id="procs-off-fanout",
+            ),
+            pytest.param(
+                {
+                    "transport": "socket",
+                    "fault_plan": FaultPlan(
+                        worker_crashes={"clique-aggregator-0": (1,)}
+                    ),
+                },
+                "worker_crashes kills aggregator subprocesses",
+                id="worker-crashes-without-procs",
+            ),
+            pytest.param(
+                {"transport": "memory", "fault_plan": FaultPlan.wan()},
+                "needs transport='socket'",
+                id="wan-plan-off-socket",
+            ),
+            pytest.param(
+                {"fault_plan": FaultPlan.wan()},
+                "needs transport='socket'",
+                id="wan-plan-default-transport",
+            ),
+            pytest.param(
+                {"transport": "carrier-pigeon"},
+                "unknown transport",
+                id="unknown-transport",
+            ),
+            pytest.param(
+                {"retry_policy": RetryPolicy(max_restarts=1)},
+                "retry_policy supervises aggregator subprocesses",
+                id="retry-without-procs",
+            ),
+        ],
+    )
+    def test_bad_combination_rejected_before_enrollment(
+        self, kwargs, message, monkeypatch
+    ):
+        """Every population-independent check fires at the edge —
+        ``SessionConfig(...)`` — so ``create(user_ids, ...)`` cannot
+        spend the DH enrollment first (it used to, for these)."""
+
+        def enrollment_reached(*args, **kw):
+            raise AssertionError("enrollment work was spent")
+
+        monkeypatch.setattr("repro.api.enroll_users", enrollment_reached)
+        monkeypatch.setattr(ClientArmy, "enroll", enrollment_reached)
+        with pytest.raises(ConfigurationError, match=message):
+            SessionConfig(**kwargs)
+        for backend in ("objects", "batched"):
+            with pytest.raises(ConfigurationError, match=message):
+                ProtocolSession.create(
+                    USERS[:4],
+                    CONFIG,
+                    SessionConfig(client_backend=backend, **kwargs),
+                    seed=1,
+                )
 
 
 class TestCreateFactory:
@@ -117,19 +182,6 @@ class TestCreateFactory:
             assert session.army is not None
         finally:
             session.close()
-
-    def test_old_classmethods_warn_and_delegate(self):
-        with pytest.warns(DeprecationWarning, match="create"):
-            session = ProtocolSession.enroll(USERS[:4], CONFIG, seed=1)
-        session.close()
-        enrollment = enroll_users(USERS[:4], CONFIG, seed=1)
-        with pytest.warns(DeprecationWarning, match="create"):
-            session = ProtocolSession.from_enrollment(enrollment)
-        session.close()
-        manager = MembershipManager.enroll(USERS[:4], CONFIG, seed=1)
-        with pytest.warns(DeprecationWarning, match="create"):
-            session = ProtocolSession.from_membership(manager)
-        session.close()
 
 
 class TestAttachRules:

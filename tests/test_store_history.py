@@ -1,6 +1,6 @@
 """The typed DAO surface of :class:`repro.store.HistoryStore`: record
-round-trips, immutability rules, longitudinal queries, connection
-lifecycle, and the deprecation shims it replaces."""
+round-trips, immutability rules, longitudinal queries and connection
+lifecycle."""
 
 import os
 
@@ -258,29 +258,3 @@ class TestFoldedMetadataDAOs:
             assert store.sightings_for_week(1) == [
                 ("http://ad/a", "news.example")
             ]
-
-    def test_weekly_stats_dict_shim_warns(self):
-        with HistoryStore() as store:
-            store.save_weekly_stats(0, 2.5, 8, 0, [1.0])
-            with pytest.warns(DeprecationWarning, match="weekly_stats_record"):
-                stats = store.weekly_stats(0)
-            assert stats == {
-                "week": 0,
-                "users_threshold": 2.5,
-                "num_reporting": 8,
-                "num_missing": 0,
-                "distribution": [1.0],
-            }
-
-    def test_metadata_store_facade_warns_and_delegates(self, tmp_path):
-        from repro.backend.database import MetadataStore
-
-        path = os.path.join(tmp_path, "legacy.db")
-        with pytest.warns(DeprecationWarning, match="HistoryStore"):
-            legacy = MetadataStore(path)
-        with legacy:
-            legacy.enroll_user("u", week=0, blinding_index=2)
-        # The facade's file is a first-class HistoryStore file.
-        with HistoryStore(path) as store:
-            assert store.active_users() == ["u"]
-            assert store.blinding_index("u") == 2
