@@ -45,7 +45,12 @@ run.
 :mod:`repro.protocol.membership`): users keep their DH key pairs and
 every surviving pair secret, the per-clique aggregators are re-wired in
 place over the same transport, and round ids keep increasing so pads are
-never reused across epochs.
+never reused across epochs. There is one lifecycle for both client
+backends: ``session.membership`` owns the roster, epoch and round
+watermark of every session that has key material — per-user client
+objects or a :class:`~repro.protocol.army.ClientArmy` (``session.army``)
+— and only its backend hook, re-wiring the cliques churn touched,
+differs. The same replay therefore resumes either backend.
 
 The default wiring is the per-clique aggregator fan-out (bit-identical
 to the monolithic server, parallelizable per clique);
@@ -83,15 +88,16 @@ from repro.protocol.endpoint import (
 )
 from repro.protocol.enrollment import Enrollment, enroll_users
 from repro.protocol.membership import (
+    CLIENT_BACKENDS,
     Epoch,
     EpochTransition,
     MembershipManager,
 )
 from repro.protocol.runner import (
+    Clients,
     ProtocolRunner,
     RoundResult,
-    build_army_endpoints,
-    build_army_monolithic,
+    as_population,
     build_fanout_endpoints,
     build_monolithic_endpoints,
 )
@@ -123,11 +129,6 @@ __all__ = [
 
 #: Supported aggregation topologies.
 TOPOLOGIES = ("fanout", "monolithic")
-
-#: Supported client backends: per-user objects, or the struct-of-arrays
-#: :class:`~repro.protocol.army.ClientArmy` (bit-identical reports, one
-#: endpoint for the whole population — the 100k+-user path).
-CLIENT_BACKENDS = ("objects", "batched")
 
 #: Named transports ``SessionConfig(transport=...)`` resolves; an
 #: :class:`~repro.protocol.transport.InMemoryTransport` instance is
@@ -324,26 +325,31 @@ class ProtocolSession:
     membership:
         Optional :class:`~repro.protocol.membership.MembershipManager`
         enabling :meth:`advance_epoch`; built automatically by
-        :meth:`create`.
+        :meth:`create`, and here for an army (whose manager must drive
+        that very army).
     """
 
-    def __init__(self, config: RoundConfig,
-                 clients: Union[Sequence[ProtocolClient], ClientArmy],
+    def __init__(self, config: RoundConfig, clients: Clients,
                  settings: Optional[SessionConfig] = None, *,
                  membership: Optional[MembershipManager] = None) -> None:
         settings = settings if settings is not None else SessionConfig()
         self.config = config
         self.settings = settings
+        if isinstance(clients, ClientArmy):
+            if membership is None:
+                membership = MembershipManager(clients)
+            elif membership.army is not clients:
+                raise ConfigurationError(
+                    "a batched-backend session's roster lives in the "
+                    "MembershipManager built from its army; don't pass a "
+                    "different manager")
+        #: Owner of the roster, epoch and round watermark for either
+        #: client backend (None only for bare client objects that carry
+        #: no key material).
         self.membership = membership
-        #: The batched client backend, when this session hosts one (the
-        #: army then owns the roster/epoch lifecycle instead of a
-        #: MembershipManager).
+        #: The batched client backend, when this session hosts one.
         self.army: Optional[ClientArmy] = (
-            clients if isinstance(clients, ClientArmy) else None)
-        if self.army is not None and membership is not None:
-            raise ConfigurationError(
-                "a batched-backend session's roster lives in the army; "
-                "don't pass a MembershipManager as well")
+            membership.army if membership is not None else None)
         self._closed = False
         self._pool = None
         self._recorder: "Optional[SessionRecorder]" = None
@@ -353,10 +359,7 @@ class ProtocolSession:
         # else SessionConfig already validated).
         procs = settings.aggregator_procs
         if procs:
-            if self.army is not None:
-                cliques_present = len(self.army.members())
-            else:
-                cliques_present = len({c.clique_id for c in clients})
+            cliques_present = len(as_population(clients).members())
             if procs != cliques_present:
                 raise ConfigurationError(
                     f"aggregator_procs={procs} but the enrolled "
@@ -377,12 +380,8 @@ class ProtocolSession:
                     config, fan_in=settings.fan_in)
         # A membership mid-lifecycle (e.g. handed to create() after
         # rounds or epoch advances elsewhere) dictates the first
-        # usable round id; pads from its earlier rounds are spent. An
-        # army owns its own round accounting the same way.
-        if self.army is not None:
-            self._next_round = self.army.next_round
-        else:
-            self._next_round = membership.next_round if membership else 0
+        # usable round id; pads from its earlier rounds are spent.
+        self._next_round = membership.next_round if membership else 0
         transport, self._owns_transport = _resolve_transport(
             settings.transport, fault_plan=settings.fault_plan)
         try:
@@ -399,7 +398,7 @@ class ProtocolSession:
                     close()
             raise
 
-    def _wire(self, clients: Union[Sequence[ProtocolClient], ClientArmy],
+    def _wire(self, clients: Clients,
               transport: Optional[InMemoryTransport],
               threshold_rule: ThresholdRuleFn) -> None:
         """(Re-)build endpoints and runner; shared by construction and
@@ -413,34 +412,22 @@ class ProtocolSession:
         empty (there are no per-user objects) and every hosted user id
         is aliased to the army's mailbox after the transport exists.
         """
-        if self.army is not None:
-            self.clients = []
-            if self._pool is not None:
-                endpoints, root = self._pool.wire_army(
-                    self.army, threshold_rule)
-            elif self.settings.topology == "fanout":
-                endpoints, root = build_army_endpoints(
-                    self.config, self.army, threshold_rule=threshold_rule,
-                    fan_in=self.settings.fan_in)
-            else:
-                endpoints, root = build_army_monolithic(
-                    self.config, self.army, threshold_rule=threshold_rule)
+        if self._pool is not None:
+            endpoints, root = self._pool.wire(clients, threshold_rule)
+        elif self.settings.topology == "fanout":
+            endpoints, root = build_fanout_endpoints(
+                self.config, clients, threshold_rule=threshold_rule,
+                fan_in=self.settings.fan_in)
         else:
-            self.clients = list(clients)
-            if self._pool is not None:
-                endpoints, root = self._pool.wire(self.clients,
-                                                  threshold_rule)
-            elif self.settings.topology == "fanout":
-                endpoints, root = build_fanout_endpoints(
-                    self.config, self.clients, threshold_rule=threshold_rule,
-                    fan_in=self.settings.fan_in)
-            else:
-                endpoints, root = build_monolithic_endpoints(
-                    self.config, self.clients, threshold_rule=threshold_rule)
+            endpoints, root = build_monolithic_endpoints(
+                self.config, clients, threshold_rule=threshold_rule)
         self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
         if self.army is not None:
+            self.clients: List[ProtocolClient] = []
             self.army.register_aliases(self._runner.transport)
+        else:
+            self.clients = list(clients)
 
     # ------------------------------------------------------------------
     # Construction
@@ -472,7 +459,7 @@ class ProtocolSession:
         * a :class:`~repro.protocol.membership.MembershipManager` — the
           session joins its epoch lifecycle mid-flight;
         * a :class:`~repro.protocol.army.ClientArmy` — the batched
-          backend, roster owned by the army.
+          backend; a membership manager is built around it.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
         topology, transport, fault injection); defaults apply when
@@ -506,23 +493,23 @@ class ProtocolSession:
                 raise ConfigurationError(
                     "enrolling from user ids needs the shared RoundConfig: "
                     "create(user_ids, config, ...)")
-            if settings.client_backend == "batched":
-                # The army always shares one pad-stream provider
-                # internally; the object-path knob is accepted (and
-                # irrelevant) so the two backends stay call-compatible.
-                enroll_kwargs.pop("share_pad_streams", None)
-                source = ClientArmy.enroll(user_ids, config, **enroll_kwargs)
-            else:
-                source = enroll_users(user_ids, config, **enroll_kwargs)
-        if isinstance(source, ClientArmy):
-            session = cls(source.config, source, settings)
+            enroll = (ClientArmy.enroll
+                      if settings.client_backend == "batched"
+                      else enroll_users)
+            source = enroll(user_ids, config, **enroll_kwargs)
+        if isinstance(source, Enrollment):
+            # Membership-aware whenever it carries key material; the
+            # clients keep the caller's enrollment order.
+            membership = MembershipManager(source) if source.keypairs \
+                else None
+            clients: Clients = source.clients
         else:
-            # An Enrollment is membership-aware whenever it carries key
-            # material; a MembershipManager is joined mid-lifecycle.
+            # A manager is joined mid-lifecycle; an army gets its own.
             membership = source if isinstance(source, MembershipManager) \
-                else MembershipManager(source) if source.keypairs else None
-            session = cls(source.config, source.clients, settings,
-                          membership=membership)
+                else MembershipManager(source)
+            clients = membership.population
+        session = cls(source.config, clients, settings,
+                      membership=membership)
         if store is not None:
             try:
                 session.attach_store(store, name=store_name, own=own_store)
@@ -558,8 +545,10 @@ class ProtocolSession:
         :class:`~repro.errors.StoreError` instead of silently running
         with wrong cliques. ``settings`` re-wires topology and
         transport freely — wiring is not part of the persisted
-        identity. Only ``client_backend="objects"`` sessions resume
-        (the army keeps no per-user key-material history yet).
+        identity. The client backend is: a lineage resumes on the
+        backend the store recorded, whatever ``settings.client_backend``
+        says (that field only picks a representation when
+        :meth:`create` enrolls).
 
         The store stays attached (recording continues seamlessly);
         ``own_store=True`` (default) hands its lifetime to
@@ -579,11 +568,6 @@ class ProtocolSession:
                     f"store has no session named {name!r}"
                     + (f" (it has {known})" if known else
                        " (it has no sessions at all)"))
-            if record.client_backend != "objects":
-                raise ConfigurationError(
-                    f"session {name!r} was recorded with "
-                    f"client_backend={record.client_backend!r}; only "
-                    f"'objects' sessions support resume")
             epochs = store.epoch_records(name)
             if not epochs or epochs[0].epoch_id != 0:
                 raise StoreError(
@@ -599,6 +583,7 @@ class ProtocolSession:
                 transitions=[(e.joins, e.leaves, e.first_round)
                              for e in epochs[1:]],
                 last_round=store.last_round_id(name),
+                client_backend=record.client_backend,
                 seed=record.seed, use_oprf=record.use_oprf,
                 num_cliques=record.num_cliques,
                 share_pad_streams=record.share_pad_streams)
@@ -614,7 +599,7 @@ class ProtocolSession:
                     f"(replayed roster/cliques do not match the store); "
                     f"the store was written by incompatible code or is "
                     f"corrupted")
-            session = cls(record.config, membership.clients, settings,
+            session = cls(record.config, membership.population, settings,
                           membership=membership)
         except BaseException:
             if owns:
@@ -668,29 +653,21 @@ class ProtocolSession:
             store = HistoryStore(store)
             owns = True
         try:
-            if self.army is not None:
-                identity = SessionRecord(
-                    name=name, config=self.config, seed=self.army.seed,
-                    use_oprf=self.army.use_oprf,
-                    num_cliques=self.army.num_cliques,
-                    share_pad_streams=True, client_backend="batched")
-            elif self.membership is not None:
-                identity = SessionRecord(
-                    name=name, config=self.config,
-                    seed=self.membership.seed,
-                    use_oprf=self.membership.use_oprf,
-                    num_cliques=self.membership.num_cliques,
-                    share_pad_streams=self.membership.pad_streams
-                    is not None, client_backend="objects")
-            else:
+            membership = self.membership
+            if membership is None:
                 raise ConfigurationError(
                     "durable history needs an enrollment identity "
                     "(seed, clique count) to make resume possible; "
                     "build the session via ProtocolSession.create from "
                     "user ids, an Enrollment, a MembershipManager or a "
                     "ClientArmy — not from bare client objects")
-            epoch = self.epoch
-            assert epoch is not None
+            identity = SessionRecord(
+                name=name, config=self.config, seed=membership.seed,
+                use_oprf=membership.use_oprf,
+                num_cliques=membership.num_cliques,
+                share_pad_streams=membership.pad_streams is not None,
+                client_backend=membership.client_backend)
+            epoch = membership.epoch
             recorder = SessionRecorder(store, name)
             recorder.record_session(identity)
             stored = {e.epoch_id: e for e in store.epoch_records(name)}
@@ -765,8 +742,6 @@ class ProtocolSession:
     @property
     def epoch(self) -> Optional[Epoch]:
         """The current epoch (None for sessions without membership)."""
-        if self.army is not None:
-            return self.army.epoch
         return self.membership.epoch if self.membership else None
 
     @property
@@ -806,8 +781,6 @@ class ProtocolSession:
 
     def _note_round(self, round_id: int) -> None:
         self._next_round = max(self._next_round, round_id + 1)
-        if self.army is not None:
-            self.army.note_round(round_id)
         if self.membership is not None:
             self.membership.note_round(round_id)
 
@@ -841,21 +814,9 @@ class ProtocolSession:
         session's next round id: rounds never reuse an id across
         epochs, keeping every pairwise pad one-time.
 
-        Batched-backend sessions delegate to
-        :meth:`~repro.protocol.army.ClientArmy.advance_epoch` instead —
-        same churn validation and counters, applied to the
-        struct-of-arrays roster in place.
+        Both client backends take this one path: the manager drives
+        per-user client objects and the struct-of-arrays army alike.
         """
-        if self.army is not None:
-            transition = self.army.advance_epoch(
-                joins=joins, leaves=leaves, first_round=self._next_round)
-            rule = self.root.threshold_rule
-            for uid in transition.left:
-                self.transport.unregister_alias(uid)
-            self._wire(self.army, self.transport, rule)
-            if self._recorder is not None:
-                self._recorder.record_transition(transition)
-            return transition
         if self.membership is None:
             raise ConfigurationError(
                 "this session has no membership manager; construct it via "
@@ -866,7 +827,7 @@ class ProtocolSession:
         # Carry the current rule (possibly reassigned on the old root,
         # e.g. by BackendService.users_rule) into the new wiring.
         rule = self.root.threshold_rule
-        self._wire(self.membership.clients, self.transport, rule)
+        self._wire(self.membership.population, self.transport, rule)
         if self._recorder is not None:
             self._recorder.record_transition(transition)
         return transition
@@ -910,8 +871,7 @@ class ProtocolSession:
         self.close()
 
 
-def run_private_round(config: RoundConfig,
-                      clients: "Union[Sequence[ProtocolClient], ClientArmy]",
+def run_private_round(config: RoundConfig, clients: Clients,
                       round_id: int = 0,
                       settings: Optional[SessionConfig] = None,
                       ) -> RoundResult:

@@ -314,9 +314,7 @@ class DetectionPipeline:
         key = (config, cliques)
         session = self._session
         if session is not None and self._session_key == key:
-            roster = (set(session.army.user_ids)
-                      if session.army is not None
-                      else set(session.membership.roster))
+            roster = set(session.membership.roster)
             joins = sorted(set(user_ids) - roster)
             leaves = sorted(roster - set(user_ids))
             if not joins and not leaves:

@@ -31,12 +31,13 @@ register_alias`), so aggregators keep addressing users by id — missing
 -client notices and threshold broadcasts route unchanged, and the
 aggregation tier cannot tell which backend it is serving.
 
-Membership churn reuses the same pure helpers as
-:class:`~repro.protocol.membership.MembershipManager`
-(:func:`~repro.protocol.membership.validate_churn`,
-:func:`~repro.protocol.membership.reshard`), so both backends accept and
-refuse exactly the same transitions and deal joiners to exactly the
-same cliques. See ``docs/scaling.md`` for the cost model.
+The army owns no roster lifecycle. A
+:class:`~repro.protocol.membership.MembershipManager` built from it owns
+the epoch, the round watermark and the durable key material — exactly
+as it does for per-object clients — and calls the army's one backend
+hook, :meth:`ClientArmy.rewire`, with the re-sharded clique map and the
+cliques churn touched. The army holds rows for the *active* roster only.
+See ``docs/scaling.md`` for the cost model.
 """
 
 from __future__ import annotations
@@ -63,14 +64,7 @@ from repro.crypto.oprf import OPRFClient
 from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, Outbox, ProtocolEndpoint
-from repro.protocol.enrollment import derive_key_material, keypair_seed
-from repro.protocol.membership import (
-    Epoch,
-    EpochTransition,
-    enforce_clique_floor,
-    reshard,
-    validate_churn,
-)
+from repro.protocol.enrollment import KeyMaterial, derive_key_material
 from repro.protocol.messages import (
     BlindedReport,
     BlindingAdjustment,
@@ -79,7 +73,6 @@ from repro.protocol.messages import (
     ThresholdBroadcast,
 )
 from repro.protocol.transport import InMemoryTransport
-from repro.statsutil.sampling import make_rng
 
 #: Default transport mailbox name of the batched backend.
 ARMY_ENDPOINT = "client-army"
@@ -93,7 +86,10 @@ CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray]
 class ClientArmy(ProtocolEndpoint):
     """N protocol clients as one struct-of-arrays endpoint.
 
-    Build one with :meth:`enroll` (epoch 0). The army then plays every
+    Build one with :meth:`enroll` (epoch 0); hand it to a
+    :class:`~repro.protocol.membership.MembershipManager` (or a session,
+    which builds one) for churn — the army itself only implements the
+    :meth:`rewire` hook. The army plays every
     hosted user's part of the round: :meth:`on_round_start` uploads one
     :class:`~repro.protocol.messages.BlindedReport` per active user
     (whole cliques at a time), :meth:`on_message` answers missing-client
@@ -107,38 +103,47 @@ class ClientArmy(ProtocolEndpoint):
     recovery exactly like a crashed object client.
     """
 
-    def __init__(self, config: RoundConfig, group: DHGroup,
-                 clique_of: Dict[str, int],
-                 keypairs: Dict[str, KeyPair],
-                 index_of: Dict[str, int],
-                 ad_mapper: Union[KeyedPRF, ObliviousAdMapper],
-                 seed: int = 0,
-                 use_oprf: bool = True,
-                 num_cliques: int = 1,
+    def __init__(self, config: RoundConfig, material: KeyMaterial,
+                 seed: int = 0, num_cliques: int = 1,
                  endpoint_id: str = ARMY_ENDPOINT) -> None:
-        missing = [u for u in clique_of
-                   if u not in keypairs or u not in index_of]
+        missing = [u for u in material.clique_of
+                   if u not in material.keypairs
+                   or u not in material.index_of]
         if missing:
             raise ConfigurationError(
                 f"army lacks key material for {missing[:5]}; derive it "
                 f"with derive_key_material() or ClientArmy.enroll()")
         self.config = config
-        self.group = group
+        self.group = material.group
         self.seed = seed
-        self.use_oprf = use_oprf
         self.num_cliques = num_cliques
-        self.ad_mapper = ad_mapper
+        self.oprf_server = material.oprf_server
+        self.shared_prf = material.shared_prf
+        self.use_oprf = material.oprf_server is not None
+        self.ad_mapper: Union[KeyedPRF, ObliviousAdMapper]
+        if material.oprf_server is not None:
+            # One mapper serves everyone: the OPRF's blinding factor
+            # cancels, so ad ids are independent of the per-client rng
+            # stream the object path threads through each mapper.
+            self.ad_mapper = ObliviousAdMapper(
+                OPRFClient(material.oprf_server.public_key,
+                           rng=random.Random(seed << 16)),
+                material.oprf_server, id_space=config.id_space)
+        else:
+            assert material.shared_prf is not None
+            self.ad_mapper = material.shared_prf
         self.endpoint_id = endpoint_id
         self.pad_streams = PadStreamProvider()
-        #: Key material is retained even for departed users (stable
-        #: indexes, rejoin-friendly) — mirrors MembershipManager.
-        self._keypairs: Dict[str, KeyPair] = dict(keypairs)
-        self._index_of: Dict[str, int] = dict(index_of)
-        self._next_index = max(self._index_of.values()) + 1
-        self._clique_of: Dict[str, int] = dict(clique_of)
+        #: Rows of the active roster only — same names as
+        #: :class:`~repro.protocol.enrollment.Enrollment` so a
+        #: MembershipManager reads either. The manager keeps departed
+        #: users' material and hands it back through :meth:`rewire`.
+        self.keypairs: Dict[str, KeyPair] = dict(material.keypairs)
+        self.index_of: Dict[str, int] = dict(material.index_of)
+        self.clique_of: Dict[str, int] = dict(material.clique_of)
         #: Per-user URL multiset-as-set (client semantics: a URL seen
         #: twice in a window still counts once — sets deduplicate).
-        self._seen: Dict[str, Set[str]] = {u: set() for u in clique_of}
+        self._seen: Dict[str, Set[str]] = {u: set() for u in self.clique_of}
         #: Shared ad-id cache: the mapping is user-independent for both
         #: mapper kinds, so one cache serves the whole army.
         self._ad_ids: Dict[str, int] = {}
@@ -152,12 +157,6 @@ class ClientArmy(ProtocolEndpoint):
         #: *differing* rebuild under an already-blinded round id would
         #: reuse one-time pads on new cleartext).
         self._round_digests: Dict[int, bytes] = {}
-        self._next_round = 0
-        self._epoch = Epoch(epoch_id=0,
-                            user_ids=tuple(sorted(clique_of)),
-                            clique_of=dict(clique_of),
-                            num_cliques=num_cliques,
-                            first_round=0)
         self._scratch = config.make_sketch()
         #: (lo index, hi index) -> shared-secret bytes. DH secrets are
         #: symmetric, so the army pays ONE modexp per pair where the
@@ -165,8 +164,10 @@ class ClientArmy(ProtocolEndpoint):
         self._pair_secret: Dict[PairKey, bytes] = {}
         self._members_of: Dict[int, List[str]] = {}
         self._wiring_of: Dict[int, CliqueWiring] = {}
+        #: User ids aliased to this army's mailbox by the last
+        #: :meth:`register_aliases`.
+        self._aliased: Set[str] = set()
         self._refresh_members()
-        self._modexps = 0
         for clique in sorted(self._members_of):
             self._rewire_clique(clique)
         # Per-round volatile state.
@@ -183,6 +184,7 @@ class ClientArmy(ProtocolEndpoint):
                use_oprf: bool = True,
                oprf_bits: int = 256,
                num_cliques: int = 1,
+               share_pad_streams: bool = True,
                endpoint_id: str = ARMY_ENDPOINT) -> "ClientArmy":
         """Epoch-0 enrollment of the batched backend.
 
@@ -191,69 +193,38 @@ class ClientArmy(ProtocolEndpoint):
         enrollment.enroll_users`, so the army's clique map, key pairs
         and blinding indexes — and therefore its pads and reports — are
         bit-identical to an object-backed enrollment of the same
-        ``(user_ids, seed)``.
+        ``(user_ids, seed)``. ``share_pad_streams`` is accepted so the
+        two enrollment functions stay call-compatible; the army always
+        shares one pad-stream provider internally.
         """
+        del share_pad_streams
         material = derive_key_material(user_ids, config, group=group,
                                        seed=seed, use_oprf=use_oprf,
                                        oprf_bits=oprf_bits,
                                        num_cliques=num_cliques)
-        mapper: Union[KeyedPRF, ObliviousAdMapper]
-        if use_oprf:
-            assert material.oprf_server is not None
-            # One mapper serves everyone: the OPRF's blinding factor
-            # cancels, so ad ids are independent of the per-client rng
-            # stream the object path threads through each mapper.
-            mapper = ObliviousAdMapper(
-                OPRFClient(material.oprf_server.public_key,
-                           rng=random.Random(seed << 16)),
-                material.oprf_server, id_space=config.id_space)
-        else:
-            assert material.shared_prf is not None
-            mapper = material.shared_prf
-        return cls(config, material.group, material.clique_of,
-                   material.keypairs, material.index_of, mapper,
-                   seed=seed, use_oprf=use_oprf, num_cliques=num_cliques,
+        return cls(config, material, seed=seed, num_cliques=num_cliques,
                    endpoint_id=endpoint_id)
 
     # ------------------------------------------------------------------
-    # Roster surface
+    # Population surface (what the wiring layer reads)
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> Epoch:
-        return self._epoch
-
     @property
     def user_ids(self) -> List[str]:
         """The sorted active roster."""
-        return list(self._epoch.user_ids)
+        return sorted(self.clique_of)
 
     @property
-    def size(self) -> int:
-        return len(self._clique_of)
-
-    @property
-    def next_round(self) -> int:
-        """First round id not yet spent against this army's pads."""
-        return max(self._next_round, self._epoch.first_round)
-
-    def note_round(self, round_id: int) -> None:
-        """Record that ``round_id`` ran (its one-time pads are spent)."""
-        self._next_round = max(self._next_round, round_id + 1)
+    def endpoints(self) -> List[ProtocolEndpoint]:
+        """The client endpoints a runner drives for this population:
+        the army itself, standing in for every hosted user."""
+        return [self]
 
     def members(self) -> Dict[int, Dict[str, int]]:
         """clique id -> {user id -> blinding index}, for wiring the
         aggregation tier (same shape the object path derives from its
         client list)."""
-        return {clique: {uid: self._index_of[uid] for uid in member_list}
+        return {clique: {uid: self.index_of[uid] for uid in member_list}
                 for clique, member_list in self._members_of.items()}
-
-    def clique_id_of(self, user_id: str) -> int:
-        try:
-            return self._clique_of[user_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"{user_id!r} is not in epoch {self._epoch.epoch_id}'s "
-                f"roster") from None
 
     # ------------------------------------------------------------------
     # Transport wiring
@@ -266,9 +237,13 @@ class ClientArmy(ProtocolEndpoint):
 
     def register_aliases(self, transport: InMemoryTransport) -> None:
         """Alias every hosted user id to the army's mailbox, so
-        aggregators address users exactly as they do object clients."""
-        for uid in self._clique_of:
+        aggregators address users exactly as they do object clients;
+        aliases of users an earlier epoch hosted are dropped."""
+        for uid in self._aliased - self.clique_of.keys():
+            transport.unregister_alias(uid)
+        for uid in self.clique_of:
             transport.register_alias(uid, self.endpoint_id)
+        self._aliased = set(self.clique_of)
 
     # ------------------------------------------------------------------
     # Observation window
@@ -278,8 +253,7 @@ class ClientArmy(ProtocolEndpoint):
         seen = self._seen.get(user_id)
         if seen is None:
             raise ConfigurationError(
-                f"{user_id!r} is not in epoch {self._epoch.epoch_id}'s "
-                f"roster") from None
+                f"{user_id!r} is not in the army's current roster")
         ad_id = self._ad_id(url)
         seen.add(url)
         return ad_id
@@ -309,7 +283,7 @@ class ClientArmy(ProtocolEndpoint):
         """Make users silent for subsequent rounds (transport-failure
         analogue: no report, no adjustments)."""
         for uid in user_ids:
-            if uid not in self._clique_of:
+            if uid not in self.clique_of:
                 raise ConfigurationError(
                     f"cannot drop {uid!r}: not in the current roster")
             self._inactive.add(uid)
@@ -323,8 +297,8 @@ class ClientArmy(ProtocolEndpoint):
     # ------------------------------------------------------------------
     def _refresh_members(self) -> None:
         members: Dict[int, List[str]] = {}
-        for uid in sorted(self._clique_of):
-            members.setdefault(self._clique_of[uid], []).append(uid)
+        for uid in sorted(self.clique_of):
+            members.setdefault(self.clique_of[uid], []).append(uid)
         self._members_of = members
 
     def _rewire_clique(self, clique: int) -> None:
@@ -334,7 +308,7 @@ class ClientArmy(ProtocolEndpoint):
         if not member_list:
             self._wiring_of.pop(clique, None)
             return
-        indexes = [self._index_of[u] for u in member_list]
+        indexes = [self.index_of[u] for u in member_list]
         pairs: List[PairKey] = []
         lo_rows: List[int] = []
         hi_rows: List[int] = []
@@ -355,9 +329,8 @@ class ClientArmy(ProtocolEndpoint):
                     hi_uid = member_list[hi_rows[-1]]
                     self._pair_secret[pair] = self.group.element_to_bytes(
                         self.group.shared_secret(
-                            self._keypairs[lo_uid],
-                            self._keypairs[hi_uid].public))
-                    self._modexps += 1
+                            self.keypairs[lo_uid],
+                            self.keypairs[hi_uid].public))
         self._wiring_of[clique] = (pairs,
                                    np.asarray(lo_rows, dtype=np.intp),
                                    np.asarray(hi_rows, dtype=np.intp))
@@ -414,7 +387,7 @@ class ClientArmy(ProtocolEndpoint):
         if not survivors:
             return []
         missing = sorted(set(missing_indexes))
-        known = {self._index_of[u] for u in self._members_of[clique]}
+        known = {self.index_of[u] for u in self._members_of[clique]}
         unknown = [j for j in missing if j not in known]
         if unknown:
             raise BlindingError(
@@ -424,7 +397,7 @@ class ClientArmy(ProtocolEndpoint):
         lo_rows: List[int] = []
         hi_rows: List[int] = []
         for row, uid in enumerate(survivors):
-            i = self._index_of[uid]
+            i = self.index_of[uid]
             for j in missing:
                 pair = (i, j) if i < j else (j, i)
                 pairs.append(pair)
@@ -488,106 +461,43 @@ class ClientArmy(ProtocolEndpoint):
         return super().on_message(sender, message)
 
     # ------------------------------------------------------------------
-    # Epoch lifecycle
+    # The backend hook of MembershipManager.advance_epoch
     # ------------------------------------------------------------------
-    def advance_epoch(self, joins: Sequence[str] = (),
-                      leaves: Sequence[str] = (),
-                      first_round: Optional[int] = None,
-                      min_clique_floor: Optional[int] = None,
-                      ) -> EpochTransition:
-        """Produce the next epoch from a join/leave delta.
+    def rewire(self, clique_of: Dict[str, int], affected: Iterable[int],
+               joiners: Dict[str, Tuple[int, KeyPair]],
+               leavers: Sequence[str]) -> Tuple[int, int, int]:
+        """Adopt the next epoch's clique map and re-wire the cliques
+        churn touched.
 
-        Same contract — and same pure re-shard and validation helpers —
-        as :meth:`~repro.protocol.membership.MembershipManager.
-        advance_epoch`, so both backends land identical rosters and
-        clique maps from identical churn. The transition's pair-secret
-        counters are reported per *generator end* (×2 per pair) for
-        parity with the object path, even though the army holds each
-        symmetric secret once.
+        Called by :meth:`~repro.protocol.membership.MembershipManager.
+        advance_epoch` after it validated and re-sharded the roster;
+        ``joiners`` carries each joiner's (stable index, key pair) from
+        the manager's durable tables. Returns the pair secrets
+        ``(added, kept, dropped)`` across the affected cliques, counted
+        per *generator end* (×2 per pair) for parity with the object
+        path, even though the army holds each symmetric secret once.
         """
-        validate_churn(self._epoch.user_ids, joins, leaves,
-                       self.num_cliques)
-        old_clique = dict(self._epoch.clique_of)
-        leaving = set(leaves)
-        continuing = {u: c for u, c in old_clique.items()
-                      if u not in leaving}
-        new_clique, moved = reshard(continuing, self.num_cliques, joins)
-        if min_clique_floor is not None:
-            enforce_clique_floor(new_clique, self.num_cliques,
-                                 min_clique_floor)
-
-        affected = {old_clique[u] for u in leaves}
-        affected.update(old_clique[u] for u in moved)
-        affected.update(new_clique[u] for u in moved)
-        affected.update(new_clique[u] for u in joins)
-
-        # Invalidate leavers' and movers' cached pad material before the
-        # roster flips (their indexes are still resolvable here).
-        self.pad_streams.forget_users(
-            self._index_of[u] for u in (*leaves, *moved))
-
+        affected = sorted(affected)
         old_pairs: Set[PairKey] = set()
         for clique in affected:
-            wiring = self._wiring_of.get(clique)
-            if wiring is not None:
-                old_pairs.update(wiring[0])
-
-        for uid in sorted(joins):
-            self._materialize(uid)
+            if clique in self._wiring_of:
+                old_pairs.update(self._wiring_of[clique][0])
+        for uid, (index, keypair) in joiners.items():
+            self.index_of[uid] = index
+            self.keypairs[uid] = keypair
             self._seen[uid] = set()
-        for uid in leaves:
-            self._seen.pop(uid, None)
+        for uid in leavers:
+            del self.index_of[uid], self.keypairs[uid], self._seen[uid]
             self._inactive.discard(uid)
-
-        self._clique_of = dict(new_clique)
+        self.clique_of = dict(clique_of)
         self._refresh_members()
-
         new_pairs: Set[PairKey] = set()
-        modexps_before = self._modexps
-        for clique in sorted(affected):
+        for clique in affected:
             self._rewire_clique(clique)
-            wiring = self._wiring_of.get(clique)
-            if wiring is not None:
-                new_pairs.update(wiring[0])
-        new_pair_count = self._modexps - modexps_before
-        dropped_pairs = old_pairs - new_pairs
-        for pair in dropped_pairs:
-            self._pair_secret.pop(pair, None)
-        kept_pairs = len(old_pairs & new_pairs)
-        untouched_pairs = sum(
-            len(member_list) * (len(member_list) - 1) // 2
-            for clique, member_list in self._members_of.items()
-            if clique not in affected)
-
-        epoch = Epoch(
-            epoch_id=self._epoch.epoch_id + 1,
-            user_ids=tuple(sorted(new_clique)),
-            clique_of=new_clique,
-            num_cliques=self.num_cliques,
-            first_round=(self.next_round if first_round is None
-                         else max(first_round, self.next_round)),
-        )
-        self._epoch = epoch
-        self._next_round = epoch.first_round
-        return EpochTransition(
-            epoch=epoch,
-            joined=tuple(sorted(joins)),
-            left=tuple(sorted(leaves)),
-            moved=tuple(moved),
-            rekeyed=tuple(sorted(set(joins) | set(moved))),
-            modexps=2 * new_pair_count,
-            secrets_reused=2 * (kept_pairs + untouched_pairs),
-            secrets_dropped=2 * len(dropped_pairs),
-        )
-
-    def _materialize(self, user_id: str) -> None:
-        """Stable index + key pair for a joiner (new or returning) —
-        the same :func:`~repro.protocol.enrollment.keypair_seed`
-        derivation the object path uses, so a user joining either
-        backend gets the same key material."""
-        if user_id not in self._keypairs:
-            self._keypairs[user_id] = self.group.keypair(
-                make_rng(keypair_seed(self.seed, user_id)))
-        if user_id not in self._index_of:
-            self._index_of[user_id] = self._next_index
-            self._next_index += 1
+            if clique in self._wiring_of:
+                new_pairs.update(self._wiring_of[clique][0])
+        dropped = old_pairs - new_pairs
+        for pair in dropped:
+            del self._pair_secret[pair]
+        return (2 * len(new_pairs - old_pairs),
+                2 * len(old_pairs & new_pairs), 2 * len(dropped))

@@ -31,6 +31,18 @@ Lifecycle::
                                        first_round=next_round)
     ... run more rounds against the new epoch ...
 
+There is one lifecycle for both client backends. The manager is built
+from an :class:`~repro.protocol.enrollment.Enrollment` (per-user client
+objects) *or* a :class:`~repro.protocol.army.ClientArmy` (the
+struct-of-arrays backend), and everything that decides *who is
+enrolled* — validation, re-sharding, the anonymity floor, joiners' key
+material, the epoch and the round watermark — runs once, here. The
+backends differ in exactly one step, the hook that re-wires the cliques
+churn touched and reports the pair secrets added, kept and dropped:
+``ClientArmy.rewire`` for the army, ``_rewire_clients`` below for
+objects. Replay (:meth:`MembershipManager.from_history`) therefore
+rebuilds either backend, which is what lets a batched session resume.
+
 Correctness: blinding cancels within whatever peer set a clique's
 generators agree on, so any epoch's rounds aggregate bit-identically to
 a fresh enrollment of the same roster — the pads differ, their sum does
@@ -53,15 +65,31 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.crypto.blinding import BlindingGenerator
+from repro.crypto.group import KeyPair
 from repro.crypto.oprf import OPRFClient
 from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
+from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
-from repro.protocol.enrollment import Enrollment, keypair_seed
+from repro.protocol.enrollment import Enrollment, enroll_users, keypair_seed
 from repro.statsutil.sampling import make_rng
+
+#: Supported client backends: per-user objects, or the struct-of-arrays
+#: :class:`~repro.protocol.army.ClientArmy` (bit-identical reports, one
+#: endpoint for the whole population — the 100k+-user path).
+CLIENT_BACKENDS = ("objects", "batched")
 
 
 @dataclass(frozen=True)
@@ -177,13 +205,7 @@ def suggest_num_cliques(roster: Sequence[str],
 
 def validate_churn(roster: Sequence[str], joins: Sequence[str],
                    leaves: Sequence[str], num_cliques: int) -> None:
-    """Validate one join/leave delta against the current roster.
-
-    Shared by both membership owners — :class:`MembershipManager` for
-    object-backed clients and :class:`~repro.protocol.army.ClientArmy`
-    for the struct-of-arrays backend — so the two backends refuse
-    exactly the same transitions with exactly the same errors.
-    """
+    """Validate one join/leave delta against the current roster."""
     current = set(roster)
     if len(set(joins)) != len(joins):
         raise ConfigurationError("duplicate user ids in joins")
@@ -218,9 +240,8 @@ def enforce_clique_floor(clique_of: Dict[str, int], num_cliques: int,
                          min_clique_floor: int) -> None:
     """Refuse an assignment whose smallest clique breaks the floor.
 
-    Raised **before any state changes** by both membership owners, so
-    ``Epoch.min_clique_size`` never silently collapses below the
-    caller's anonymity requirement.
+    Raised **before any state changes**, so ``Epoch.min_clique_size``
+    never silently collapses below the caller's anonymity requirement.
     """
     sizes: Dict[int, int] = {c: 0 for c in range(num_cliques)}
     for clique in clique_of.values():
@@ -273,60 +294,69 @@ def reshard(clique_of: Dict[str, int], num_cliques: int,
     return assignment, sorted(moved)
 
 
-#: Backwards-compatible private alias (pre-army callers and tests).
-_reshard = reshard
-
-
 class MembershipManager:
-    """Owns the durable key material and advances the epoch lifecycle.
+    """Owns the roster, epoch, round watermark and durable key material
+    of one enrolled population — whichever client backend hosts it.
 
     Construct from an epoch-0 :class:`~repro.protocol.enrollment.
-    Enrollment` (see :func:`~repro.protocol.enrollment.enroll_users`),
-    then call :meth:`advance_epoch` between reporting windows. Key pairs
+    Enrollment` (see :func:`~repro.protocol.enrollment.enroll_users`) or
+    a :class:`~repro.protocol.army.ClientArmy`, then call
+    :meth:`advance_epoch` between reporting windows. Key pairs
     and blinding indexes are remembered even for departed users, so a
     user that leaves and later rejoins gets its old identity back — and
     round ids never repeat across epochs, so the rejoined pairs' pads
     stay one-time.
     """
 
-    def __init__(self, enrollment: Enrollment) -> None:
-        missing = [u for u in enrollment.user_ids
-                   if u not in enrollment.keypairs
-                   or u not in enrollment.index_of]
+    def __init__(self, source: Union[Enrollment, ClientArmy]) -> None:
+        missing = [u for u in source.user_ids
+                   if u not in source.keypairs
+                   or u not in source.index_of]
         if missing:
             raise ConfigurationError(
                 f"enrollment lacks key material for {missing[:5]}; build it "
                 f"with enroll_users() (epoch-aware enrollments carry "
                 f"keypairs and stable indexes)")
-        self.config: RoundConfig = enrollment.config
-        self.group = enrollment.group
-        self.seed = enrollment.seed
-        self.use_oprf = enrollment.use_oprf
-        self.oprf_server = enrollment.oprf_server
-        self.shared_prf = enrollment.shared_prf
-        self.pad_streams = enrollment.pad_streams
-        self.num_cliques = enrollment.num_cliques
-        self._keypairs = dict(enrollment.keypairs)
-        self._index_of = dict(enrollment.index_of)
+        #: The batched backend this manager drives, or None when the
+        #: population is per-user client objects.
+        self.army: Optional[ClientArmy] = (
+            source if isinstance(source, ClientArmy) else None)
+        self.config: RoundConfig = source.config
+        self.group = source.group
+        self.seed = source.seed
+        self.use_oprf = source.use_oprf
+        self.oprf_server = source.oprf_server
+        self.shared_prf = source.shared_prf
+        self.pad_streams = source.pad_streams
+        self.num_cliques = source.num_cliques
+        self._keypairs = dict(source.keypairs)
+        self._index_of = dict(source.index_of)
         self._next_index = max(self._index_of.values()) + 1
-        self._clients: Dict[str, ProtocolClient] = {
-            c.user_id: c for c in enrollment.clients}
+        self._clients: Dict[str, ProtocolClient] = (
+            {} if self.army is not None
+            else {c.user_id: c for c in source.clients})
         self._next_round = 0
         self._epoch = Epoch(
             epoch_id=0,
-            user_ids=tuple(sorted(enrollment.user_ids)),
-            clique_of=dict(enrollment.clique_of),
-            num_cliques=enrollment.num_cliques,
+            user_ids=tuple(sorted(source.user_ids)),
+            clique_of=dict(source.clique_of),
+            num_cliques=source.num_cliques,
             first_round=0,
         )
 
     # ------------------------------------------------------------------
     @classmethod
     def enroll(cls, user_ids: Sequence[str], config: RoundConfig,
+               client_backend: str = "objects",
                **enroll_kwargs: Any) -> "MembershipManager":
         """Epoch-0 enrollment and manager construction in one step."""
-        from repro.protocol.enrollment import enroll_users
-        return cls(enroll_users(user_ids, config, **enroll_kwargs))
+        if client_backend not in CLIENT_BACKENDS:
+            raise ConfigurationError(
+                f"unknown client_backend {client_backend!r}; expected one "
+                f"of {CLIENT_BACKENDS}")
+        enroll = (ClientArmy.enroll if client_backend == "batched"
+                  else enroll_users)
+        return cls(enroll(user_ids, config, **enroll_kwargs))
 
     @classmethod
     def from_history(cls, user_ids: Sequence[str], config: RoundConfig,
@@ -346,6 +376,8 @@ class MembershipManager:
         later epoch carries bit-identical key material — every DH pair,
         pair secret and pad stream matches the crashed instance, and the
         next round aggregates identically to an uninterrupted run.
+        ``enroll_kwargs`` forward to :meth:`enroll`, ``client_backend``
+        included: the replay is the same for either backend.
 
         ``last_round`` marks the highest round id already completed
         (persisted) by the previous life of this membership; it is
@@ -383,9 +415,22 @@ class MembershipManager:
         return self._epoch.user_ids
 
     @property
+    def client_backend(self) -> str:
+        """Which of :data:`CLIENT_BACKENDS` hosts this population."""
+        return "objects" if self.army is None else "batched"
+
+    @property
     def clients(self) -> List[ProtocolClient]:
-        """Active clients in roster (sorted user id) order."""
+        """Active client objects in roster (sorted user id) order;
+        empty when the army hosts the population."""
+        if self.army is not None:
+            return []
         return [self._clients[u] for u in self._epoch.user_ids]
+
+    @property
+    def population(self) -> Union[List[ProtocolClient], ClientArmy]:
+        """What the wiring layer wires: the army, or :attr:`clients`."""
+        return self.clients if self.army is None else self.army
 
     def client_of(self, user_id: str) -> ProtocolClient:
         try:
@@ -396,11 +441,7 @@ class MembershipManager:
                 f"roster") from None
 
     # ------------------------------------------------------------------
-    def _validate_churn(self, joins: Sequence[str],
-                        leaves: Sequence[str]) -> None:
-        validate_churn(self._epoch.user_ids, joins, leaves, self.num_cliques)
-
-    def _materialize(self, user_id: str) -> Tuple[int, object]:
+    def _materialize(self, user_id: str) -> Tuple[int, KeyPair]:
         """Stable index + key pair for a joiner (new or returning)."""
         keypair = self._keypairs.get(user_id)
         if keypair is None:
@@ -424,6 +465,44 @@ class MembershipManager:
                        rng=random.Random((self.seed << 16) ^ index)),
             self.oprf_server, id_space=self.config.id_space)
 
+    def _rewire_clients(self, clique_of: Dict[str, int],
+                        affected: Iterable[int],
+                        joiners: Dict[str, Tuple[int, KeyPair]],
+                        leavers: Sequence[str]) -> Tuple[int, int, int]:
+        """The object backend's hook (the army's is ``ClientArmy.
+        rewire``): drop leavers' clients, build joiners' with an empty
+        peer set, then reconcile the peer sets of the affected cliques'
+        members — nobody else's generator is touched. Returns generator
+        -end pair secrets ``(added, kept, dropped)``; a leaver's ends
+        go with its client and count as dropped.
+        """
+        added = kept = dropped = 0
+        for user in leavers:
+            dropped += len(self._clients.pop(user).blinding.peer_indexes)
+        for user, (index, keypair) in joiners.items():
+            blinding = BlindingGenerator(self.group, index, keypair, {},
+                                         pad_streams=self.pad_streams)
+            self._clients[user] = ProtocolClient(
+                user, self.config, blinding, self._mapper_for(index),
+                clique_id=clique_of[user])
+        members_of: Dict[int, List[str]] = {c: [] for c in affected}
+        for user, clique in clique_of.items():
+            if clique in members_of:
+                members_of[clique].append(user)
+        for clique in sorted(members_of):
+            publics = {self._index_of[m]: self._keypairs[m].public
+                       for m in members_of[clique]}
+            for user in sorted(members_of[clique]):
+                client = self._clients[user]
+                client.clique_id = clique
+                own = self._index_of[user]
+                was_kept, was_added, was_removed = client.blinding.set_peers(
+                    {i: pub for i, pub in publics.items() if i != own})
+                kept += was_kept
+                added += was_added
+                dropped += was_removed
+        return added, kept, dropped
+
     def advance_epoch(self, joins: Sequence[str] = (),
                       leaves: Sequence[str] = (),
                       first_round: Optional[int] = None,
@@ -445,76 +524,40 @@ class MembershipManager:
         floor holdable under forecast churn.
 
         Only users whose clique changed are re-keyed; everyone else
-        keeps their generator, and survivors of an affected clique keep
-        every pair secret that survives (one modexp per genuinely new
-        pair end). Returns the bookkeeping as an
+        keeps their pair secrets, and survivors of an affected clique
+        keep every pair secret that survives (one modexp per genuinely
+        new pair end). Returns the bookkeeping as an
         :class:`EpochTransition`.
         """
-        self._validate_churn(joins, leaves)
         old = self._epoch
-        old_clique = dict(old.clique_of)
-
+        validate_churn(old.user_ids, joins, leaves, self.num_cliques)
+        old_clique = old.clique_of
+        leaving = set(leaves)
         continuing = {u: c for u, c in old_clique.items()
-                      if u not in set(leaves)}
+                      if u not in leaving}
         new_clique, moved = reshard(continuing, self.num_cliques, joins)
         if min_clique_floor is not None:
             enforce_clique_floor(new_clique, self.num_cliques,
                                  min_clique_floor)
 
-        # Drop leavers' clients (key material is retained for rejoins);
-        # invalidate their — and moved users' — cached pad streams in
-        # one pass. Leavers' generator ends go with them, counted as
-        # dropped below.
-        leaver_ends = 0
-        for user in leaves:
-            leaver_ends += len(self._clients[user].blinding.peer_indexes)
-            del self._clients[user]
-        if self.pad_streams is not None:
-            self.pad_streams.forget_users(
-                self._index_of[user] for user in (*leaves, *moved))
-
-        # Materialize joiners: reused or freshly derived key material,
-        # an empty peer set until the affected cliques reconcile below.
-        for user in sorted(joins):
-            index, keypair = self._materialize(user)
-            blinding = BlindingGenerator(self.group, index, keypair, {},
-                                         pad_streams=self.pad_streams)
-            self._clients[user] = ProtocolClient(
-                user, self.config, blinding, self._mapper_for(index),
-                clique_id=new_clique[user])
-
         # Cliques whose membership changed: old homes of leavers and
         # moved users, new homes of joiners and moved users. Only their
-        # members' peer sets are touched at all.
+        # members' pair secrets are touched at all.
         affected = {old_clique[u] for u in leaves}
         affected.update(old_clique[u] for u in moved)
         affected.update(new_clique[u] for u in moved)
         affected.update(new_clique[u] for u in joins)
 
-        modexps = reused = 0
-        dropped = leaver_ends
-        publics = {self._index_of[u]: self._keypairs[u].public
-                   for u in new_clique}
-        members_by_clique: Dict[int, List[str]] = {}
-        for user, clique in new_clique.items():
-            members_by_clique.setdefault(clique, []).append(user)
-        for clique in sorted(affected):
-            for user in sorted(members_by_clique.get(clique, ())):
-                client = self._clients[user]
-                client.clique_id = clique
-                peers = {self._index_of[m]: publics[self._index_of[m]]
-                         for m in members_by_clique[clique] if m != user}
-                kept, added, removed = client.blinding.set_peers(peers)
-                reused += kept
-                modexps += added
-                dropped += removed
-        # Cliques the churn never touched reuse every end untouched —
-        # count them so the totals describe the whole transition, not
-        # just the affected cliques.
-        for clique, members in members_by_clique.items():
-            if clique not in affected:
-                reused += len(members) * (len(members) - 1)
-
+        # Leavers' and moved users' cached pad streams are stale; key
+        # material itself is retained for rejoins.
+        if self.pad_streams is not None:
+            self.pad_streams.forget_users(
+                self._index_of[user] for user in (*leaves, *moved))
+        joiners = {user: self._materialize(user) for user in sorted(joins)}
+        rewire = (self._rewire_clients if self.army is None
+                  else self.army.rewire)
+        modexps, reused, dropped = rewire(new_clique, affected, joiners,
+                                          leaves)
         epoch = Epoch(
             epoch_id=old.epoch_id + 1,
             user_ids=tuple(sorted(new_clique)),
@@ -526,6 +569,12 @@ class MembershipManager:
             first_round=(self.next_round if first_round is None
                          else max(first_round, self.next_round)),
         )
+        # Cliques the churn never touched reuse every end untouched —
+        # count them so the totals describe the whole transition, not
+        # just the affected cliques.
+        reused += sum(size * (size - 1)
+                      for clique, size in epoch.clique_sizes().items()
+                      if clique not in affected)
         self._epoch = epoch
         self._next_round = epoch.first_round
         return EpochTransition(

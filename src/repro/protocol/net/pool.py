@@ -40,7 +40,7 @@ from typing import (
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.aggregator import clique_endpoint_id, plan_aggregation_tree
-from repro.protocol.client import ProtocolClient, RoundConfig
+from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, ProtocolEndpoint
 from repro.protocol.net import frames
 from repro.protocol.net.proxy import ProcessEndpointProxy
@@ -52,7 +52,7 @@ from repro.protocol.net.spec import (
 )
 
 if TYPE_CHECKING:
-    from repro.protocol.army import ClientArmy
+    from repro.protocol.runner import Clients
 
 logger = logging.getLogger(__name__)
 
@@ -135,49 +135,25 @@ class ProcessAggregatorPool:
     # ------------------------------------------------------------------
     def wire(
         self,
-        clients: Sequence[ProtocolClient],
+        clients: "Clients",
         threshold_rule: Callable,
     ) -> Tuple[List[ProtocolEndpoint], ProcessEndpointProxy]:
-        """Endpoints for a round over this pool: clients stay local,
-        aggregation runs in the subprocesses. Mirrors
-        :func:`~repro.protocol.runner.build_fanout_endpoints`."""
-        from repro.protocol.runner import validate_clients
+        """Endpoints for a round over this pool: the clients (objects
+        or an army) stay local, aggregation runs in the subprocesses.
+        Mirrors :func:`~repro.protocol.runner.build_fanout_endpoints`."""
+        from repro.protocol.runner import as_population
 
-        validate_clients(clients)
-        members: Dict[int, Dict[str, int]] = {}
-        for client in clients:
-            members.setdefault(client.clique_id, {})[client.user_id] = (
-                client.blinding.user_index
-            )
+        population = as_population(clients)
+        members = population.members()
         proxies, root = self.ensure(
             members,
-            [c.user_id for c in clients],
+            population.user_ids,
             rule_spec(threshold_rule),
         )
-        for client in clients:
-            client.uplink = clique_endpoint_id(client.clique_id)
-        return [*clients, *proxies, root], root
-
-    def wire_army(
-        self,
-        army: "ClientArmy",
-        threshold_rule: Callable,
-    ) -> Tuple[List[ProtocolEndpoint], ProcessEndpointProxy]:
-        """Endpoints for a round over this pool with the batched client
-        backend: the army stays local (one endpoint for all users),
-        aggregation runs in the subprocesses. Mirrors
-        :func:`~repro.protocol.runner.build_army_endpoints`."""
-        members = army.members()
-        if not members:
-            raise ConfigurationError("a round needs at least one client")
-        proxies, root = self.ensure(
-            members,
-            army.user_ids,
-            rule_spec(threshold_rule),
+        population.set_uplinks(
+            {clique_id: clique_endpoint_id(clique_id) for clique_id in members}
         )
-        army.set_uplinks({clique_id: clique_endpoint_id(clique_id)
-                          for clique_id in members})
-        return [army, *proxies, root], root
+        return [*population.endpoints, *proxies, root], root
 
     def ensure(
         self,

@@ -20,7 +20,7 @@ Invariants the driver enforces (and the old inline coordinator did not):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.protocol.aggregator import (
@@ -30,6 +30,7 @@ from repro.protocol.aggregator import (
     clique_endpoint_id,
     plan_aggregation_tree,
 )
+from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.endpoint import (
     Outbox,
@@ -42,9 +43,6 @@ from repro.protocol.server import AggregationServer, ServerEndpoint
 from repro.protocol.transport import InMemoryTransport
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
-
-if TYPE_CHECKING:
-    from repro.protocol.army import ClientArmy
 
 
 @dataclass
@@ -62,32 +60,62 @@ class RoundResult:
     total_messages: int
 
 
-def validate_clients(clients: Sequence[ProtocolClient]) -> None:
-    """Shared endpoint-wiring validation (duplicates, emptiness)."""
-    if not clients:
-        raise ProtocolError("a round needs at least one client")
-    ids = [c.user_id for c in clients]
-    if len(set(ids)) != len(ids):
-        raise ProtocolError("duplicate client user_ids")
+class ClientPopulation:
+    """Per-user client objects behind the wiring surface a
+    :class:`~repro.protocol.army.ClientArmy` also offers
+    (``members()``, ``user_ids``, ``endpoints``, ``set_uplinks``), so
+    each topology is wired by one function for both client backends."""
+
+    def __init__(self, clients: Sequence[ProtocolClient]) -> None:
+        if not clients:
+            raise ProtocolError("a round needs at least one client")
+        self.endpoints: List[ProtocolClient] = list(clients)
+        self.user_ids = [c.user_id for c in self.endpoints]
+        if len(set(self.user_ids)) != len(self.user_ids):
+            raise ProtocolError("duplicate client user_ids")
+
+    def members(self) -> Dict[int, Dict[str, int]]:
+        """clique id -> {user id -> blinding index}."""
+        members: Dict[int, Dict[str, int]] = {}
+        for client in self.endpoints:
+            members.setdefault(client.clique_id, {})[client.user_id] = \
+                client.blinding.user_index
+        return members
+
+    def set_uplinks(self, uplink_of: Dict[int, str]) -> None:
+        for client in self.endpoints:
+            client.uplink = uplink_of[client.clique_id]
+
+
+#: What the wiring functions accept: a client list or an army.
+Clients = Union[Sequence[ProtocolClient], ClientArmy]
+
+
+def as_population(clients: Clients) -> Union[ClientPopulation, ClientArmy]:
+    """The one population interface over either client backend."""
+    if isinstance(clients, ClientArmy):
+        return clients
+    return ClientPopulation(clients)
 
 
 def build_monolithic_endpoints(
-        config: RoundConfig, clients: Sequence[ProtocolClient],
+        config: RoundConfig, clients: Clients,
         threshold_rule: ThresholdRuleFn = mean_threshold,
-        server: Optional[AggregationServer] = None,
 ) -> Tuple[List[ProtocolEndpoint], ServerEndpoint]:
-    """Wire the original single-server topology: every client uplinks to
+    """Wire the original single-server topology: every clique uplinks to
     one :class:`ServerEndpoint`. Returns ``(endpoints, root)``."""
-    validate_clients(clients)
-    if server is None:
-        index_of = {c.user_id: c.blinding.user_index for c in clients}
-        clique_of = {c.user_id: c.clique_id for c in clients}
-        server = AggregationServer(config, index_of, clique_of=clique_of)
-    root = ServerEndpoint(server, [c.user_id for c in clients],
+    population = as_population(clients)
+    members = population.members()
+    index_of = {uid: idx for index_map in members.values()
+                for uid, idx in index_map.items()}
+    clique_of = {uid: clique_id for clique_id, index_map in members.items()
+                 for uid in index_map}
+    server = AggregationServer(config, index_of, clique_of=clique_of)
+    root = ServerEndpoint(server, population.user_ids,
                           threshold_rule=threshold_rule)
-    for client in clients:
-        client.uplink = root.endpoint_id
-    return [*clients, root], root
+    population.set_uplinks({clique_id: root.endpoint_id
+                            for clique_id in members})
+    return [*population.endpoints, root], root
 
 
 def build_aggregation_tree(
@@ -120,7 +148,7 @@ def build_aggregation_tree(
 
 
 def build_fanout_endpoints(
-        config: RoundConfig, clients: Sequence[ProtocolClient],
+        config: RoundConfig, clients: Clients,
         threshold_rule: ThresholdRuleFn = mean_threshold,
         fan_in: Optional[int] = None,
 ) -> Tuple[List[ProtocolEndpoint], RootAggregator]:
@@ -131,66 +159,21 @@ def build_fanout_endpoints(
     hence one aggregator), all feeding a
     :class:`~repro.protocol.aggregator.RootAggregator` that owns the
     distribution query and the broadcast — through a regional merge tier
-    when ``fan_in`` bounds the fan-out. Returns ``(endpoints, root)``.
-    """
-    validate_clients(clients)
-    members: Dict[int, Dict[str, int]] = {}
-    for client in clients:
-        members.setdefault(client.clique_id, {})[client.user_id] = \
-            client.blinding.user_index
-    aggregation, root = build_aggregation_tree(
-        config, members, [c.user_id for c in clients],
-        threshold_rule=threshold_rule, fan_in=fan_in)
-    for client in clients:
-        client.uplink = clique_endpoint_id(client.clique_id)
-    return [*clients, *aggregation], root
-
-
-def build_army_endpoints(
-        config: RoundConfig, army: "ClientArmy",
-        threshold_rule: ThresholdRuleFn = mean_threshold,
-        fan_in: Optional[int] = None,
-) -> Tuple[List[ProtocolEndpoint], RootAggregator]:
-    """Wire the fan-out topology over the batched client backend.
-
-    The army is a single endpoint standing in for every client; the
-    aggregation tier is built from its ``members()`` map exactly as the
-    object path builds it from a client list, so the aggregators cannot
-    tell the backends apart. The caller (the session facade) must also
-    alias the hosted user ids to the army's mailbox on the transport
+    when ``fan_in`` bounds the fan-out. The aggregation tier is built
+    from ``members()`` alone, so the aggregators cannot tell the client
+    backends apart; with an army the caller must also alias the hosted
+    user ids to its mailbox on the transport
     (:meth:`~repro.protocol.army.ClientArmy.register_aliases`).
+    Returns ``(endpoints, root)``.
     """
-    members = army.members()
-    if not members:
-        raise ProtocolError("a round needs at least one client")
+    population = as_population(clients)
+    members = population.members()
     aggregation, root = build_aggregation_tree(
-        config, members, army.user_ids,
+        config, members, population.user_ids,
         threshold_rule=threshold_rule, fan_in=fan_in)
-    army.set_uplinks({clique_id: clique_endpoint_id(clique_id)
-                      for clique_id in members})
-    return [army, *aggregation], root
-
-
-def build_army_monolithic(
-        config: RoundConfig, army: "ClientArmy",
-        threshold_rule: ThresholdRuleFn = mean_threshold,
-) -> Tuple[List[ProtocolEndpoint], ServerEndpoint]:
-    """Wire the original single-server topology over the batched
-    backend: every clique uplinks to one :class:`~repro.protocol.
-    server.ServerEndpoint`. Returns ``(endpoints, root)``."""
-    members = army.members()
-    if not members:
-        raise ProtocolError("a round needs at least one client")
-    index_of = {uid: idx for index_map in members.values()
-                for uid, idx in index_map.items()}
-    clique_of = {uid: clique_id for clique_id, index_map in members.items()
-                 for uid in index_map}
-    server = AggregationServer(config, index_of, clique_of=clique_of)
-    root = ServerEndpoint(server, army.user_ids,
-                          threshold_rule=threshold_rule)
-    army.set_uplinks({clique_id: root.endpoint_id
-                      for clique_id in members})
-    return [army, root], root
+    population.set_uplinks({clique_id: clique_endpoint_id(clique_id)
+                            for clique_id in members})
+    return [*population.endpoints, *aggregation], root
 
 
 class ProtocolRunner:

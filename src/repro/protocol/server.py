@@ -350,12 +350,6 @@ class AggregationServer:
         return CountMinSketch(self.config.cms_depth, self.config.cms_width,
                               self.config.cms_seed, cells=cells)
 
-    @property
-    def _id_tables(self) -> Dict[Tuple[int, int, int], np.ndarray]:
-        """The distribution query's index-table cache (kept for callers
-        that inspect caching behaviour across rounds)."""
-        return self._distribution_query._id_tables
-
     def users_distribution(self, aggregate: CountMinSketch
                            ) -> EmpiricalDistribution:
         """The #Users distribution: query every ID in the public ID space.

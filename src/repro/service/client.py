@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import ProtocolError, ReproError
 from repro.protocol import wire
 from repro.protocol.client import ProtocolClient
-from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import MembershipManager
 from repro.protocol.net.spec import config_from_spec
 
@@ -185,17 +184,14 @@ class RemoteClient:
         replayed onto the rebuilt client."""
         spec = self.http.get("/v1/enrollment")
         config = config_from_spec(spec["config"])
-        enrollment = enroll_users(
+        manager = MembershipManager.from_history(
             list(spec["epoch0_roster"]), config,
+            transitions=[(list(t["joins"]), list(t["leaves"]),
+                          int(t["first_round"]))
+                         for t in spec["transitions"]],
             seed=int(spec["seed"]), use_oprf=bool(spec["use_oprf"]),
             num_cliques=int(spec["num_cliques"]),
             share_pad_streams=bool(spec["share_pad_streams"]))
-        manager = MembershipManager(enrollment)
-        for transition in spec["transitions"]:
-            manager.advance_epoch(
-                joins=list(transition["joins"]),
-                leaves=list(transition["leaves"]),
-                first_round=int(transition["first_round"]))
         client = manager.client_of(self.user_id)
         expected = spec["user"]
         if client.clique_id != int(expected["clique_id"]):

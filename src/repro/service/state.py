@@ -61,11 +61,7 @@ from repro.api import _resolve_transport
 from repro.backend.service import WeeklySnapshot
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol import wire
-from repro.protocol.aggregator import (
-    CliqueAggregator,
-    RootAggregator,
-    clique_endpoint_id,
-)
+from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import ProtocolEndpoint
 from repro.protocol.enrollment import enroll_users
@@ -77,7 +73,11 @@ from repro.protocol.net.spec import (
     result_to_spec,
     snapshot_to_spec,
 )
-from repro.protocol.runner import RoundResult
+from repro.protocol.runner import (
+    ClientPopulation,
+    RoundResult,
+    build_aggregation_tree,
+)
 from repro.store.history import HistoryStore, SessionRecord
 from repro.store.recorder import SessionRecorder
 
@@ -152,7 +152,7 @@ class ServiceState:
         #: Replay log for remote reconstruction: one entry per epoch
         #: advance after epoch 0.
         self._transitions: List[Dict[str, Any]] = []
-        self._aggregators: List[CliqueAggregator] = []
+        self._endpoints: List[ProtocolEndpoint] = []
         self._root: Optional[RootAggregator] = None
         self._uplink_of: Dict[str, str] = {}
         self._open_round: Optional[int] = None
@@ -254,29 +254,21 @@ class ServiceState:
     def _rebuild_endpoints(self) -> None:
         """(Re-)wire the aggregation fan-out over the same transport."""
         assert self.manager is not None
-        members: Dict[int, Dict[str, int]] = {}
-        self._uplink_of = {}
-        for client in self.manager.clients:
-            members.setdefault(client.clique_id, {})[client.user_id] = \
-                client.blinding.user_index
-            self._uplink_of[client.user_id] = \
-                clique_endpoint_id(client.clique_id)
-        self._aggregators = [CliqueAggregator(cid, self.config, index_of)
-                             for cid, index_of in sorted(members.items())]
-        self._root = RootAggregator(
-            self.config, sorted(members),
-            sorted(self._uplink_of),
+        population = ClientPopulation(self.manager.clients)
+        self._uplink_of = {
+            user_id: clique_endpoint_id(clique_id)
+            for user_id, clique_id in self.manager.epoch.clique_of.items()}
+        self._endpoints, self._root = build_aggregation_tree(
+            self.config, population.members(), population.user_ids,
             threshold_rule=resolve_rule(self.threshold_rule))
-        for endpoint in self._server_endpoints():
+        for endpoint in self._endpoints:
             self.transport.register(endpoint.endpoint_id)
         for user_id in self._uplink_of:
             self.transport.register(user_id)
 
     def _server_endpoints(self) -> List[ProtocolEndpoint]:
-        endpoints: List[ProtocolEndpoint] = list(self._aggregators)
-        if self._root is not None:
-            endpoints.append(self._root)
-        return endpoints
+        """The clique aggregators, then the root."""
+        return list(self._endpoints)
 
     def enrollment_spec(self, user_id: str) -> Dict[str, Any]:
         """Everything a remote process needs to rebuild ``user_id``'s

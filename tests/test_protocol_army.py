@@ -322,14 +322,23 @@ class TestClientArmy:
                                      clique_id=0))
 
     def test_churn_validation_matches_membership(self):
-        army = ClientArmy.enroll(USERS[:6], CONFIG, seed=1, use_oprf=False,
-                                 num_cliques=2)
-        with pytest.raises(ConfigurationError):
-            army.advance_epoch(joins=[USERS[0]])  # already enrolled
-        with pytest.raises(ConfigurationError):
-            army.advance_epoch(leaves=["nobody"])
-        with pytest.raises(ConfigurationError):
-            army.advance_epoch(leaves=USERS[:4])  # below the clique floor
+        """The army has no lifecycle of its own: the one validator
+        refuses the same churn for it, at the manager and the session
+        entry point alike, before any army state changes."""
+        from repro.protocol.membership import MembershipManager
+        for entry in (MembershipManager, ProtocolSession.create):
+            army = ClientArmy.enroll(USERS[:6], CONFIG, seed=1,
+                                     use_oprf=False, num_cliques=2)
+            owner = entry(army)
+            with pytest.raises(ConfigurationError, match="already enrolled"):
+                owner.advance_epoch(joins=[USERS[0]])
+            with pytest.raises(ConfigurationError, match="not currently"):
+                owner.advance_epoch(leaves=["nobody"])
+            with pytest.raises(ConfigurationError, match=">= 2"):
+                owner.advance_epoch(leaves=USERS[:4])  # below the floor
+            assert army.user_ids == USERS[:6]
+            assert owner.epoch.epoch_id == 0
+        assert not hasattr(ClientArmy, "advance_epoch")
 
     def test_army_session_rejects_membership(self):
         army = ClientArmy.enroll(USERS[:4], CONFIG, seed=1, use_oprf=False)

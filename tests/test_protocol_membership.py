@@ -24,7 +24,7 @@ from repro.crypto.blinding import PadStreamProvider
 from repro.errors import ConfigurationError, RoundStateError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.membership import Epoch, MembershipManager, _reshard
+from repro.protocol.membership import Epoch, MembershipManager, reshard
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=400)
@@ -170,6 +170,32 @@ class TestAdvanceEpoch:
             session.advance_epoch(joins=["x", "x"])
         with pytest.raises(ConfigurationError, match=">= 2 members"):
             session.advance_epoch(leaves=USERS[:8])  # 4 users, 3 cliques
+
+    @pytest.mark.parametrize("client_backend", ["objects", "batched"])
+    def test_leaves_scanned_a_constant_number_of_times(self, client_backend):
+        """``advance_epoch`` hoists ``set(leaves)``: it used to rebuild
+        it once per roster member, Θ(U·L). Pinned without a clock — the
+        number of passes over ``leaves`` must not grow with the roster."""
+
+        class CountingList(list):
+            passes = 0
+
+            def __iter__(self):
+                type(self).passes += 1
+                return super().__iter__()
+
+        def passes_for(num_users):
+            users = [f"user-{i:03d}" for i in range(num_users)]
+            manager = MembershipManager.enroll(
+                users, CONFIG, client_backend=client_backend, seed=3,
+                use_oprf=False, num_cliques=2)
+            CountingList.passes = 0
+            manager.advance_epoch(leaves=CountingList(users[:2]))
+            return CountingList.passes
+
+        small, large = passes_for(8), passes_for(32)
+        assert small == large
+        assert large < 32
 
     def test_k1_cannot_churn_below_two_users(self):
         """The privacy floor applies to k=1 too: a session must refuse
@@ -447,7 +473,7 @@ class TestPadStreamProvider:
 class TestReshardHelper:
     def test_joiners_fill_smallest_cliques(self):
         current = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1}
-        assignment, moved = _reshard(current, 2, ["f", "g"])
+        assignment, moved = reshard(current, 2, ["f", "g"])
         assert moved == []
         assert assignment["f"] == 1  # smallest first
         sizes = [list(assignment.values()).count(c) for c in (0, 1)]
@@ -455,15 +481,15 @@ class TestReshardHelper:
 
     def test_deterministic_forced_move(self):
         current = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 1}
-        a1, m1 = _reshard(dict(current), 2, [])
-        a2, m2 = _reshard(dict(current), 2, [])
+        a1, m1 = reshard(dict(current), 2, [])
+        a2, m2 = reshard(dict(current), 2, [])
         assert (a1, m1) == (a2, m2)
         assert m1 == ["d"]  # lexicographically largest member of donor
         assert a1["d"] == 1
 
     def test_impossible_layout_raises(self):
         with pytest.raises(ConfigurationError):
-            _reshard({"a": 0, "b": 1, "c": 1}, 2, [])
+            reshard({"a": 0, "b": 1, "c": 1}, 2, [])
 
 
 class TestEpochIntrospection:

@@ -140,7 +140,7 @@ class TestVectorizedDistribution:
             CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
         r1 = session.run_round(1)
         r2 = session.run_round(2)
-        assert len(session.root.server._id_tables) == 1
+        assert len(session.root.server._distribution_query._id_tables) == 1
         # Same observations -> identical distributions in both rounds.
         assert r1.distribution.values == r2.distribution.values
 

@@ -12,6 +12,7 @@ The tentpole guarantees pinned here:
   deterministic and the round counter resumes past every used id).
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -45,11 +46,17 @@ class HashingTransport(WireTransport):
 def _observe_week(session, week):
     """Deterministic per-(user, week) observations, windows reset first
     (windows are in-memory state, not persisted — each window re-observes,
-    exactly the pipeline's cadence)."""
+    exactly the pipeline's cadence). Feeds whichever client backend the
+    session hosts."""
     session.reset_windows()
-    for client in sorted(session.clients, key=lambda c: c.user_id):
+    if session.army is not None:
+        observe_of = {uid: functools.partial(session.army.observe_ad, uid)
+                      for uid in session.army.user_ids}
+    else:
+        observe_of = {c.user_id: c.observe_ad for c in session.clients}
+    for user_id in sorted(observe_of):
         for k in range(3):
-            client.observe_ad(f"http://ads.example/w{week}/{client.user_id}/{k}")
+            observe_of[user_id](f"http://ads.example/w{week}/{user_id}/{k}")
 
 
 class TestSessionConfigValidation:
@@ -180,6 +187,7 @@ class TestCreateFactory:
         )
         try:
             assert session.army is not None
+            assert session.membership.army is session.army
         finally:
             session.close()
 
@@ -259,7 +267,11 @@ class TestAttachRules:
             with pytest.raises(StoreError, match="real"):
                 ProtocolSession.resume(store, name="ghost", own_store=False)
 
-    def test_batched_lineage_refuses_resume(self):
+    def test_batched_lineage_resumes_as_batched(self):
+        """The store's recorded backend wins: ``settings.client_backend``
+        only picks a representation when ``create`` enrolls, so a
+        batched lineage resumes on an army even under default
+        (``"objects"``) settings."""
         with HistoryStore() as store:
             session = ProtocolSession.create(
                 USERS[:6],
@@ -271,8 +283,19 @@ class TestAttachRules:
                 seed=2,
             )
             session.close()
-            with pytest.raises(ConfigurationError, match="batched"):
-                ProtocolSession.resume(store, name="army", own_store=False)
+            resumed = ProtocolSession.resume(
+                store,
+                name="army",
+                settings=SessionConfig(client_backend="objects"),
+                own_store=False,
+            )
+            try:
+                assert resumed.army is not None
+                assert resumed.clients == []
+                assert resumed.membership.client_backend == "batched"
+                assert resumed.membership.roster == tuple(USERS[:6])
+            finally:
+                resumed.close()
 
 
 class TestCrashResumeBitIdentity:
@@ -280,12 +303,21 @@ class TestCrashResumeBitIdentity:
     to the round an uninterrupted session runs — aggregate cells AND
     every message's wire bytes."""
 
-    @pytest.mark.parametrize("num_cliques", [1, 4])
-    def test_resumed_round_bit_identical(self, num_cliques):
+    @pytest.mark.parametrize(
+        "client_backend,num_cliques",
+        [
+            pytest.param("objects", 1, id="1"),
+            pytest.param("objects", 4, id="4"),
+            pytest.param("batched", 1, id="batched-1"),
+            pytest.param("batched", 4, id="batched-4"),
+        ],
+    )
+    def test_resumed_round_bit_identical(self, client_backend, num_cliques):
         store = HistoryStore()
         recorded = ProtocolSession.create(
             USERS,
             CONFIG,
+            SessionConfig(client_backend=client_backend),
             store=store,
             store_name="s",
             own_store=False,
@@ -308,6 +340,8 @@ class TestCrashResumeBitIdentity:
             own_store=False,
         )
         try:
+            assert resumed.membership.client_backend == client_backend
+            assert (resumed.army is not None) == (client_backend == "batched")
             assert resumed.epoch.epoch_id == 1
             assert resumed.next_round == 2
             assert sorted(resumed.membership.roster) == sorted(
@@ -323,7 +357,9 @@ class TestCrashResumeBitIdentity:
         reference = ProtocolSession.create(
             USERS,
             CONFIG,
-            SessionConfig(transport=HashingTransport()),
+            SessionConfig(
+                transport=HashingTransport(), client_backend=client_backend
+            ),
             seed=5,
             num_cliques=num_cliques,
         )
