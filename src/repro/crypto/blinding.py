@@ -51,13 +51,36 @@ re-absorbing the secret from scratch) and hands each derived
 (pair, round) stream to both members, computing it once. Streams are
 derived exactly as the uncached path derives them, so reports — and
 therefore aggregates — are bit-identical with or without a provider.
+
+Batched cliques
+---------------
+A caller hosting a whole clique (:class:`~repro.protocol.army.
+ClientArmy`) needs every member's ``b_i`` at once, and the formula above
+is a running sum: :meth:`PadStreamProvider.clique_blinding` squeezes each
+pair's keystream once, adds it into the two members' ``uint64``
+accumulators (:func:`_scatter_rows`) and drops it. The working set is
+the ``(members, cells)`` accumulators plus one keystream row, and the
+cost is the squeeze itself; the ``(pairs, cells)`` pad matrix
+(:meth:`PadStreamProvider.clique_matrix`) exists for inspection only and
+feeds the same kernel through
+:meth:`BlindingGenerator.accumulate_clique_matrix`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -93,6 +116,55 @@ def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.nda
     xof.update(round_id.to_bytes(8, "big", signed=True))
     raw = xof.digest(num_cells * _CELL_BYTES)
     return np.frombuffer(raw, dtype=">u4").astype(np.uint32)
+
+
+def _scatter_rows(
+    streams: Iterable[np.ndarray],
+    num_pairs: int,
+    num_cells: int,
+    lo_rows: np.ndarray,
+    hi_rows: np.ndarray,
+    num_members: int,
+    negate: bool,
+) -> np.ndarray:
+    """The batched blinding sum: add each pair's stream into its two ends.
+
+    ``streams`` yields one unsigned ``(num_cells,)`` keystream per pair,
+    in pair order; ``lo_rows[p]`` / ``hi_rows[p]`` give the output row
+    (member position) of pair ``p``'s low- and high-index end. Each
+    stream is added into (at most) two rows of the ``(num_members,
+    num_cells)`` ``uint64`` pos/neg accumulators and can then be dropped,
+    so a lazy ``streams`` keeps one row alive at a time. Row ``m`` of the
+    result equals ``BlindingGenerator._accumulate(peers_of_m, ...)``
+    bit-for-bit, because both take exact ``uint64`` sums of the same
+    ``uint32`` streams (fewer than ``2^32`` peers cannot wrap 64 bits)
+    and reduce mod ``2^32`` once at the end — the grouping of the
+    additions cannot matter.
+
+    The sign convention is ``_accumulate``'s: for a pair ``(lo, hi)``,
+    the high end sees ``hi > lo`` so its stream lands in ``pos``
+    (``neg`` under ``negate=True``, the recovery adjustment), and the
+    low end the opposite. A row index of ``-1`` discards that end —
+    used when a pair's other end lies outside the output population (a
+    dropout-recovery pad whose missing member produces no adjustment).
+    The row maps are checked before the first stream is pulled.
+    """
+    lo = np.asarray(lo_rows, dtype=np.intp)
+    hi = np.asarray(hi_rows, dtype=np.intp)
+    if lo.shape != (num_pairs,) or hi.shape != (num_pairs,):
+        raise ConfigurationError(
+            f"need one lo/hi row per pair: pad has {num_pairs} "
+            f"pairs, got {lo.shape} / {hi.shape}"
+        )
+    pos = np.zeros((num_members, num_cells), dtype=np.uint64)
+    neg = np.zeros_like(pos)
+    hi_acc, lo_acc = (neg, pos) if negate else (pos, neg)
+    for stream, lo_row, hi_row in zip(streams, lo.tolist(), hi.tolist()):
+        if hi_row >= 0:
+            hi_acc[hi_row] += stream
+        if lo_row >= 0:
+            lo_acc[lo_row] += stream
+    return (pos - neg) % BLINDING_MODULUS
 
 
 class PadStreamProvider:
@@ -208,6 +280,37 @@ class PadStreamProvider:
             self._drop_stream_key(evicted)
         return stream
 
+    def _clique_rows(
+        self,
+        pairs: Sequence[PairKey],
+        secrets: Sequence[bytes],
+        round_id: int,
+        num_cells: int,
+    ) -> Iterator[np.ndarray]:
+        """One clique's pad rows for one round, lazily: item ``p`` is the
+        unsigned ``uint32`` keystream of ``pairs[p]``.
+
+        Each row is derived exactly as :meth:`stream` derives it (the
+        same ``_squeeze(_absorb(secret), round, cells)``), so a batched
+        caller's blinding — and therefore its reports — stays
+        byte-identical to the per-pair path. Absorbed XOF states are
+        cached per pair across rounds like the per-pair path; the derived
+        rows are *not* entered into the stream cache, because a batched
+        caller hosts both ends of every pair and consumes each row
+        exactly once. Arguments are checked here, before the first
+        squeeze; the rows themselves are squeezed as they are pulled.
+        """
+        if len(pairs) != len(secrets):
+            raise ConfigurationError(
+                f"{len(pairs)} pairs but {len(secrets)} secrets"
+            )
+        if num_cells <= 0:
+            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+        return (
+            _squeeze(self._ensure_absorbed(pair, secret), round_id, num_cells)
+            for pair, secret in zip(pairs, secrets)
+        )
+
     def clique_matrix(
         self,
         pairs: Sequence[PairKey],
@@ -216,30 +319,49 @@ class PadStreamProvider:
         num_cells: int,
     ) -> np.ndarray:
         """One clique's whole pad matrix for one round: row ``p`` is the
-        unsigned keystream of ``pairs[p]``.
+        unsigned keystream of ``pairs[p]`` (:meth:`_clique_rows`,
+        stacked).
 
         Returns a read-only ``(len(pairs), num_cells)`` ``uint32`` array.
-        Each row is derived exactly as :meth:`stream` derives it (the
-        same ``_squeeze(_absorb(secret), round, cells)``), so a batched
-        caller's blinding — and therefore its reports — stays
-        byte-identical to the per-pair path. Absorbed XOF states are
-        cached per pair across rounds like the per-pair path; the derived
-        rows are *not* entered into the stream cache, because a batched
-        caller hosts both ends of every pair and consumes the matrix
-        exactly once (caching would only double peak memory).
+        A round never needs it — :meth:`clique_blinding` sums the same
+        rows without holding them — it is the inspectable form of a
+        clique's pads.
         """
-        if len(pairs) != len(secrets):
-            raise ConfigurationError(
-                f"{len(pairs)} pairs but {len(secrets)} secrets"
-            )
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+        rows = self._clique_rows(pairs, secrets, round_id, num_cells)
         matrix = np.empty((len(pairs), num_cells), dtype=np.uint32)
-        for row, (pair, secret) in enumerate(zip(pairs, secrets)):
-            absorbed = self._ensure_absorbed(pair, secret)
-            matrix[row] = _squeeze(absorbed, round_id, num_cells)
+        for row, stream in enumerate(rows):
+            matrix[row] = stream
         matrix.setflags(write=False)
         return matrix
+
+    def clique_blinding(
+        self,
+        pairs: Sequence[PairKey],
+        secrets: Sequence[bytes],
+        lo_rows: np.ndarray,
+        hi_rows: np.ndarray,
+        num_members: int,
+        round_id: int,
+        num_cells: int,
+        negate: bool = False,
+    ) -> np.ndarray:
+        """Every member's blinding vector for one clique and round.
+
+        Returns the ``(num_members, num_cells)`` ``uint64`` matrix whose
+        row ``m`` is member ``m``'s
+        :meth:`BlindingGenerator.blinding_vector_array` (its
+        :meth:`~BlindingGenerator.adjustment_for_missing_array` under
+        ``negate=True`` with ``-1`` rows for the missing ends; see
+        :func:`_scatter_rows` for the row maps and the exactness
+        argument). Each pair's row is squeezed, added into its two
+        members' accumulators and dropped, so the working set is the
+        accumulators plus one ``4 * num_cells``-byte row — the ``(pairs,
+        cells)`` pad matrix is never built.
+        """
+        rows = self._clique_rows(pairs, secrets, round_id, num_cells)
+        return _scatter_rows(
+            rows, len(pairs), num_cells, lo_rows, hi_rows, num_members, negate
+        )
 
     def forget_users(self, user_indexes: Iterable[int]) -> None:
         """Drop cached state for every pair touching any of the given
@@ -412,46 +534,26 @@ class BlindingGenerator:
         num_members: int,
         negate: bool = False,
     ) -> np.ndarray:
-        """Every member's pos/neg pad accumulation from one pad matrix.
+        """Every member's blinding vector from a materialised pad matrix.
 
         ``pad_matrix`` is a clique's ``(P, C)`` unsigned keystream matrix
-        (one row per pair, e.g. :meth:`PadStreamProvider.clique_matrix`);
-        ``lo_rows[p]`` / ``hi_rows[p]`` give the output row (member
-        position) of pair ``p``'s low- and high-index end. Returns the
-        ``(num_members, C)`` ``uint64`` blinding matrix: row ``m`` equals
-        ``_accumulate(peers_of_m, ...)`` bit-for-bit, because both paths
-        take exact ``uint64`` sums of the same ``uint32`` streams (fewer
-        than ``2^32`` peers cannot wrap 64 bits) and reduce mod ``2^32``
-        once at the end — the grouping of the additions cannot matter.
-
-        The sign convention is ``_accumulate``'s: for a pair
-        ``(lo, hi)``, the high end sees ``hi > lo`` so its stream lands
-        in ``pos`` (``neg`` under ``negate=True``, the recovery
-        adjustment), and the low end the opposite. A row index of ``-1``
-        discards that end — used when a pair's other end lies outside
-        the output population (a dropout-recovery pad whose missing
-        member produces no adjustment).
+        (one row per pair, e.g. :meth:`PadStreamProvider.clique_matrix`).
+        Returns the ``(num_members, C)`` ``uint64`` blinding matrix:
+        :func:`_scatter_rows` over the matrix's rows, hence equal to
+        :meth:`PadStreamProvider.clique_blinding` over the same pairs,
+        which is what a round calls.
         """
-        pad = np.asarray(pad_matrix, dtype=np.uint64)
+        pad = np.asarray(pad_matrix)
         if pad.ndim != 2:
             raise ConfigurationError(
                 f"pad_matrix must be 2-D (pairs x cells), got shape {pad.shape}"
             )
-        lo = np.asarray(lo_rows, dtype=np.intp)
-        hi = np.asarray(hi_rows, dtype=np.intp)
-        if lo.shape != (pad.shape[0],) or hi.shape != (pad.shape[0],):
-            raise ConfigurationError(
-                f"need one lo/hi row per pair: pad has {pad.shape[0]} "
-                f"pairs, got {lo.shape} / {hi.shape}"
-            )
-        pos = np.zeros((num_members, pad.shape[1]), dtype=np.uint64)
-        neg = np.zeros_like(pos)
-        hi_acc, lo_acc = (neg, pos) if negate else (pos, neg)
-        hi_keep = hi >= 0
-        lo_keep = lo >= 0
-        np.add.at(hi_acc, hi[hi_keep], pad[hi_keep])
-        np.add.at(lo_acc, lo[lo_keep], pad[lo_keep])
-        return (pos - neg) % BLINDING_MODULUS
+        if pad.dtype.kind != "u":
+            pad = pad.astype(np.uint64)
+        num_pairs, num_cells = pad.shape
+        return _scatter_rows(
+            pad, num_pairs, num_cells, lo_rows, hi_rows, num_members, negate
+        )
 
     def blinding_vector_array(
         self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None

@@ -9,6 +9,12 @@ is the part of strict mypy a bare interpreter can check — and the part
 that rots first, because an unannotated seam type-checks as ``Any`` and
 silently exempts its callers.
 
+It also reports an annotation that names something the module never
+binds (no import, def, class or assignment of that name anywhere in the
+file, and not a builtin) — e.g. ``Set[int]`` without importing ``Set``.
+``from __future__ import annotations`` keeps such a name from ever
+being evaluated, so only CI's ruff ``F82`` / mypy would see it.
+
 Run it directly::
 
     python -m repro.devtools.annotations src/repro/protocol \
@@ -22,10 +28,11 @@ mypy ever sees it.
 from __future__ import annotations
 
 import ast
+import builtins
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Set
 
 #: Packages held at the strict rung of the ladder (see pyproject.toml's
 #: [tool.mypy] overrides — the two lists must agree).
@@ -40,7 +47,7 @@ STRICT_TIER = (
 
 @dataclass(frozen=True)
 class Gap:
-    """One missing annotation."""
+    """One missing annotation, or one annotation naming nothing."""
 
     path: str
     line: int
@@ -87,6 +94,80 @@ def _walk(
             )
 
 
+def _bound_names(tree: ast.Module) -> Set[str]:
+    """Every name the module binds in any scope, plus the builtins."""
+    bound = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return bound
+
+
+def _annotation_names(annotation: ast.expr) -> Iterator[str]:
+    """The bare names an annotation refers to; a string inside it is a
+    forward reference and is parsed as one."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from _annotation_names(quoted.body)
+
+
+class _UnboundAnnotations(ast.NodeVisitor):
+    """Collects annotations whose names the module binds nowhere."""
+
+    def __init__(self, path: str, bound: Set[str]) -> None:
+        self.path = path
+        self.bound = bound
+        self.scope: List[str] = []
+        self.gaps: List[Gap] = []
+
+    def _check(self, annotation: ast.expr | None) -> None:
+        if annotation is None:
+            return
+        for name in _annotation_names(annotation):
+            if name not in self.bound:
+                self.gaps.append(
+                    Gap(
+                        self.path,
+                        annotation.lineno,
+                        ".".join(self.scope) or "<module>",
+                        f"annotation names unbound {name!r}",
+                    )
+                )
+
+    def _visit_scope(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+    ) -> None:
+        self.scope.append(node.name)
+        if not isinstance(node, ast.ClassDef):
+            self._check(node.returns)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = _visit_scope
+    visit_AsyncFunctionDef = _visit_scope
+    visit_ClassDef = _visit_scope
+
+    def visit_arg(self, node: ast.arg) -> None:
+        self._check(node.annotation)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check(node.annotation)
+        self.generic_visit(node)
+
+
 def find_gaps(paths: Sequence[str], root: Path | None = None) -> List[Gap]:
     """All annotation gaps under the given files/directories."""
     root = root if root is not None else Path.cwd()
@@ -105,6 +186,9 @@ def find_gaps(paths: Sequence[str], root: Path | None = None) -> List[Gap]:
                 file_path.read_text(encoding="utf-8"), filename=rel
             )
             gaps.extend(_walk(tree.body, rel, "", False))
+            unbound = _UnboundAnnotations(rel, _bound_names(tree))
+            unbound.visit(tree)
+            gaps.extend(unbound.gaps)
     gaps.sort(key=lambda g: (g.path, g.line))
     return gaps
 

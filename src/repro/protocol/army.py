@@ -12,11 +12,11 @@ the *protocol* — every message, every byte — and deletes the objects:
   rows of struct-of-arrays state (stable blinding indexes, DH pair
   secrets, per-user URL multisets);
 * a clique's sketches are built in one :meth:`~repro.sketch.countmin.
-  CountMinSketch.flat_indexes` + ``bincount`` pass and blinded with one
-  pad matrix (:meth:`~repro.crypto.blinding.PadStreamProvider.
-  clique_matrix`) and one scatter-add
-  (:meth:`~repro.crypto.blinding.BlindingGenerator.
-  accumulate_clique_matrix`);
+  CountMinSketch.flat_indexes` + ``bincount`` pass and blinded by one
+  :meth:`~repro.crypto.blinding.PadStreamProvider.clique_blinding` call,
+  which squeezes each pair's keystream once, adds it into the pair's two
+  members' accumulators and drops it — the round's floor is the SHAKE-256
+  squeeze, and no ``(pairs, cells)`` pad matrix is ever held;
 * because both backends consume the same
   :func:`~repro.protocol.enrollment.derive_key_material` derivation and
   the blinding sum is an exact integer sum under ``uint64`` (reduced
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.crypto.blinding import (
     BLINDING_MODULUS,
-    BlindingGenerator,
     PadStreamProvider,
     PairKey,
 )
@@ -359,13 +358,15 @@ class ClientArmy(ProtocolEndpoint):
                               digest: "hashlib._Hash") -> Outbox:
         member_list = self._members_of[clique]
         cells = self._sketch_matrix(member_list)
-        digest.update(cells.tobytes())
+        # Hashed in place: a fresh (m, cells) matrix is C-contiguous,
+        # so its buffer is exactly the bytes ``tobytes()`` would copy.
+        assert cells.flags.c_contiguous
+        digest.update(cells)
         pairs, lo_rows, hi_rows = self._wiring_of[clique]
         secrets = [self._pair_secret[p] for p in pairs]
-        pad = self.pad_streams.clique_matrix(pairs, secrets, round_id,
-                                             self.config.num_cells)
-        blinding = BlindingGenerator.accumulate_clique_matrix(
-            pad, lo_rows, hi_rows, len(member_list))
+        blinding = self.pad_streams.clique_blinding(
+            pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
+            self.config.num_cells)
         blinded = (cells + blinding) % BLINDING_MODULUS
         uplink = self._uplink_of.get(clique, self.default_uplink)
         outbox: Outbox = []
@@ -402,7 +403,7 @@ class ClientArmy(ProtocolEndpoint):
                 pair = (i, j) if i < j else (j, i)
                 pairs.append(pair)
                 # The missing end of the pair produces no adjustment:
-                # row -1 discards it in the scatter-add.
+                # row -1 discards it in the accumulation.
                 if i < j:
                     lo_rows.append(row)
                     hi_rows.append(-1)
@@ -410,12 +411,10 @@ class ClientArmy(ProtocolEndpoint):
                     lo_rows.append(-1)
                     hi_rows.append(row)
         secrets = [self._pair_secret[p] for p in pairs]
-        pad = self.pad_streams.clique_matrix(pairs, secrets, round_id,
-                                             self.config.num_cells)
-        adjustments = BlindingGenerator.accumulate_clique_matrix(
-            pad, np.asarray(lo_rows, dtype=np.intp),
-            np.asarray(hi_rows, dtype=np.intp), len(survivors),
-            negate=True)
+        adjustments = self.pad_streams.clique_blinding(
+            pairs, secrets, np.asarray(lo_rows, dtype=np.intp),
+            np.asarray(hi_rows, dtype=np.intp), len(survivors), round_id,
+            self.config.num_cells, negate=True)
         return [(recipient, BlindingAdjustment(
             user_id=uid, round_id=round_id,
             cells=CellVector(adjustments[row]), clique_id=clique))

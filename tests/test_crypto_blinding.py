@@ -6,14 +6,20 @@ the true sum.
 """
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BlindingError, ConfigurationError
-from repro.crypto.blinding import BLINDING_MODULUS, BlindingGenerator
+from repro.crypto import blinding as blinding_module
+from repro.crypto.blinding import (
+    BLINDING_MODULUS,
+    BlindingGenerator,
+    PadStreamProvider,
+)
 from repro.crypto.group import DHGroup
 
 
@@ -152,3 +158,140 @@ class TestBlindingProperties:
             vec = user.blinding_vector(num_cells, round_id=round_id)
             total = [(t + v) % BLINDING_MODULUS for t, v in zip(total, vec)]
         assert total == [0] * num_cells
+
+
+def make_clique(group: DHGroup, indexes: Sequence[int], seed: int = 0):
+    """A clique whose member rows carry the given (arbitrary, distinct)
+    blinding indexes: per-object generators in row order, plus the
+    batched wiring ``ClientArmy`` builds for the same members — pairs as
+    ordered ``(lo, hi)`` index tuples, their shared-secret bytes, and
+    each end's member row."""
+    rng = random.Random(seed)
+    keypairs = [group.keypair(rng) for _ in indexes]
+    generators = [
+        BlindingGenerator(
+            group, index, keypairs[row],
+            {other: keypairs[r].public
+             for r, other in enumerate(indexes) if r != row})
+        for row, index in enumerate(indexes)]
+    pairs: List[Tuple[int, int]] = []
+    secrets: List[bytes] = []
+    lo_rows: List[int] = []
+    hi_rows: List[int] = []
+    for a in range(len(indexes)):
+        for b in range(a + 1, len(indexes)):
+            lo, hi = (a, b) if indexes[a] < indexes[b] else (b, a)
+            pairs.append((indexes[lo], indexes[hi]))
+            secrets.append(group.element_to_bytes(
+                group.shared_secret(keypairs[lo], keypairs[hi].public)))
+            lo_rows.append(lo)
+            hi_rows.append(hi)
+    return (generators, pairs, secrets,
+            np.asarray(lo_rows, dtype=np.intp),
+            np.asarray(hi_rows, dtype=np.intp))
+
+
+class TestCliqueBlinding:
+    """The batched kernel against the per-object generators it replaces."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10_000),
+                    min_size=1, max_size=9, unique=True),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=-5, max_value=1000))
+    def test_rows_equal_per_member_generators(self, indexes, num_cells,
+                                              round_id):
+        generators, pairs, secrets, lo, hi = make_clique(
+            DHGroup.standard(128), indexes, seed=round_id)
+        n = len(indexes)
+        batched = PadStreamProvider().clique_blinding(
+            pairs, secrets, lo, hi, n, round_id, num_cells)
+        assert batched.dtype == np.uint64 and batched.shape == (n, num_cells)
+        for row, generator in enumerate(generators):
+            expected = generator.blinding_vector_array(num_cells, round_id)
+            assert batched[row].tobytes() == expected.tobytes()
+        assert not (batched.sum(axis=0) % BLINDING_MODULUS).any()
+        pad = PadStreamProvider().clique_matrix(
+            pairs, secrets, round_id, num_cells)
+        assert pad.dtype == np.uint32 and pad.shape == (len(pairs), num_cells)
+        assert not pad.flags.writeable
+        via_matrix = BlindingGenerator.accumulate_clique_matrix(pad, lo, hi, n)
+        assert via_matrix.tobytes() == batched.tobytes()
+
+    def test_discarded_rows_and_negate_equal_adjustments(self, group):
+        indexes = [40, 7, 19, 3, 88, 61]
+        generators, _, _, _, _ = make_clique(group, indexes, seed=4)
+        missing = [19, 88]
+        survivors = [g for g in generators if g.user_index not in missing]
+        pairs, secrets, lo_rows, hi_rows = [], [], [], []
+        for row, generator in enumerate(survivors):
+            i = generator.user_index
+            for j in missing:
+                pairs.append((min(i, j), max(i, j)))
+                secrets.append(generator._secret_bytes[j])
+                lo_rows.append(row if i < j else -1)
+                hi_rows.append(-1 if i < j else row)
+        lo = np.asarray(lo_rows, dtype=np.intp)
+        hi = np.asarray(hi_rows, dtype=np.intp)
+        batched = PadStreamProvider().clique_blinding(
+            pairs, secrets, lo, hi, len(survivors), 11, 16, negate=True)
+        for row, generator in enumerate(survivors):
+            expected = generator.adjustment_for_missing_array(missing, 16, 11)
+            assert batched[row].tobytes() == expected.tobytes()
+        pad = PadStreamProvider().clique_matrix(pairs, secrets, 11, 16)
+        via_matrix = BlindingGenerator.accumulate_clique_matrix(
+            pad, lo, hi, len(survivors), negate=True)
+        assert via_matrix.tobytes() == batched.tobytes()
+
+    def test_one_member_clique_is_all_zeros(self):
+        empty = np.asarray([], dtype=np.intp)
+        batched = PadStreamProvider().clique_blinding(
+            [], [], empty, empty, 1, 3, 12)
+        assert batched.dtype == np.uint64 and batched.shape == (1, 12)
+        assert not batched.any()
+        assert PadStreamProvider().clique_matrix([], [], 3, 12).shape == (0, 12)
+
+    def test_refusals_come_before_any_squeeze(self, group, monkeypatch):
+        _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9])
+        pad = PadStreamProvider().clique_matrix(pairs, secrets, 1, 8)
+
+        def no_squeeze(*args, **kwargs):
+            raise AssertionError("squeezed before the arguments were checked")
+
+        monkeypatch.setattr(blinding_module, "_squeeze", no_squeeze)
+        provider = PadStreamProvider()
+        with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
+            provider.clique_blinding(pairs, secrets[:2], lo, hi, 3, 1, 8)
+        with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
+            provider.clique_matrix(pairs, secrets[:2], 1, 8)
+        for num_cells in (0, -4):
+            with pytest.raises(ConfigurationError, match="num_cells"):
+                provider.clique_blinding(pairs, secrets, lo, hi, 3, 1,
+                                         num_cells)
+            with pytest.raises(ConfigurationError, match="num_cells"):
+                provider.clique_matrix(pairs, secrets, 1, num_cells)
+        with pytest.raises(ConfigurationError, match="num_cells"):
+            provider.clique_blinding([], [], lo[:0], hi[:0], 1, 1, 0)
+        for bad_lo, bad_hi in ((lo[:2], hi), (lo, hi[:2]),
+                               (lo.reshape(3, 1), hi.reshape(3, 1))):
+            with pytest.raises(ConfigurationError, match="one lo/hi row"):
+                provider.clique_blinding(pairs, secrets, bad_lo, bad_hi,
+                                         3, 1, 8)
+            with pytest.raises(ConfigurationError, match="one lo/hi row"):
+                BlindingGenerator.accumulate_clique_matrix(
+                    pad, bad_lo, bad_hi, 3)
+        for not_2d in (pad[0], pad.reshape(3, 2, 4)):
+            with pytest.raises(ConfigurationError, match="2-D"):
+                BlindingGenerator.accumulate_clique_matrix(not_2d, lo, hi, 3)
+        assert not provider._absorbed
+
+    def test_forget_users_evicts_states_the_batched_path_absorbed(self, group):
+        _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9, 14])
+        provider = PadStreamProvider()
+        provider.clique_blinding(pairs, secrets, lo, hi, 4, 1, 8)
+        assert set(provider._absorbed) == set(pairs)
+        assert provider.cached_streams == 0
+        provider.forget_users([9])
+        assert set(provider._absorbed) == {p for p in pairs if 9 not in p}
+        provider.forget_users([2, 5, 14])
+        assert not provider._absorbed and not provider._pairs_of

@@ -3,9 +3,11 @@
 ``repro.devtools.annotations`` is the in-tree proxy for CI's strict
 mypy rung: it asserts every def in the strict tier is fully annotated
 (all parameters including ``*args``/``**kwargs``, plus the return
-type). These tests keep the tier pinned at zero gaps so an unannotated
-seam fails tier-1 locally before CI's real mypy ever sees it, and
-exercise the gap finder itself against synthetic fixtures.
+type), and that no annotation names something the module never binds
+(ruff ``F82``'s job in CI). These tests keep the tier pinned at zero
+gaps so an unannotated seam — or an unimported ``Set`` — fails tier-1
+locally before CI's real tools ever see it, and exercise the gap finder
+itself against synthetic fixtures.
 """
 
 from __future__ import annotations
@@ -132,6 +134,64 @@ def test_nested_function_first_arg_not_treated_as_self(tmp_path: Path) -> None:
     assert [(g.function, g.what) for g in gaps] == [
         ("C.method.inner", "parameter 'x'"),
     ]
+
+
+def test_unimported_annotation_name_is_reported(tmp_path: Path) -> None:
+    """``from __future__ import annotations`` hides an unimported ``Set``
+    at run time; the finder must not."""
+    target = _write(
+        tmp_path,
+        """
+        from __future__ import annotations
+
+        from typing import Dict, Tuple
+
+        PairKey = Tuple[int, int]
+
+
+        class Provider:
+            def __init__(self) -> None:
+                self._pairs_of: Dict[int, Set[PairKey]] = {}
+
+            def pairs(self, user: int) -> "FrozenSet[PairKey]":
+                return frozenset(self._pairs_of[user])
+        """,
+    )
+    gaps = find_gaps([str(target)], root=tmp_path)
+    assert [(g.line, g.function, g.what) for g in gaps] == [
+        (11, "Provider.__init__", "annotation names unbound 'Set'"),
+        (13, "Provider.pairs", "annotation names unbound 'FrozenSet'"),
+    ]
+
+
+def test_names_bound_anywhere_in_the_module_are_not_reported(
+    tmp_path: Path,
+) -> None:
+    target = _write(
+        tmp_path,
+        """
+        from __future__ import annotations
+
+        import hashlib
+        import numpy as np
+        from typing import TYPE_CHECKING, Optional, TypeVar
+
+        if TYPE_CHECKING:
+            from collections import OrderedDict
+
+        T = TypeVar("T")
+
+
+        def f(x: "hashlib._Hash", y: np.ndarray, z: T) -> "OrderedDict[str, Later]":
+            count: Optional[int] = None
+            return OrderedDict()
+
+
+        class Later:
+            pass
+        """,
+    )
+    assert find_gaps([str(target)], root=tmp_path) == []
 
 
 def test_main_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:

@@ -18,6 +18,8 @@ The contracts this file pins:
   tree only re-parenthesizes the sum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,30 @@ class TestClientArmy:
         army.observe_ad(USERS[0], "http://x/1")
         with pytest.raises(RoundStateError):
             army.on_round_start(0)
+
+    def test_round_working_set_is_smaller_than_the_pad_matrix(self):
+        """Clock-free pin of the streamed blinding: one clique of 32
+        users x 4096 cells has P = 496 pairs, so its pad matrix alone
+        would be P*C*4 = 8.1 MB. A round that squeezes a row, adds it
+        twice and drops it peaks at the (members, cells) accumulators
+        instead; materialising the matrix (and scattering copies of it)
+        peaked at 5.4x the matrix."""
+        users, cells = 32, 4096
+        config = RoundConfig(cms_depth=4, cms_width=cells // 4, cms_seed=7,
+                             id_space=400)
+        army = ClientArmy.enroll([f"user-{i:03d}" for i in range(users)],
+                                 config, seed=1, use_oprf=False)
+        for i, uid in enumerate(army.user_ids):
+            army.observe_ad(uid, f"http://ads.example/{i % 7}")
+        pad_matrix_bytes = users * (users - 1) // 2 * cells * 4
+        tracemalloc.start()
+        try:
+            outbox = army.on_round_start(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outbox) == users
+        assert peak < pad_matrix_bytes, (peak, pad_matrix_bytes)
 
     def test_drop_and_restore(self):
         session = army_session(num_cliques=2)
