@@ -90,12 +90,30 @@ from repro.crypto.group import DHGroup, KeyPair
 #: Blinding modulus: 2^32, the range of a 4-byte CMS cell.
 BLINDING_MODULUS = 1 << 32
 
+#: ``BLINDING_MODULUS - 1`` as a ``uint64`` scalar: see :func:`reduce_cells`.
+_CELL_MASK = np.uint64(BLINDING_MODULUS - 1)
+
 #: Bytes per keystream block (one 32-bit cell).
 _CELL_BYTES = 4
 
 #: A pair of user indexes, ordered (low, high): the cache key of one
 #: shared secret's keystream.
 PairKey = Tuple[int, int]
+
+
+def reduce_cells(values: np.ndarray) -> np.ndarray:
+    """``values mod 2^32`` for an **unsigned** array, as a bit mask.
+
+    The one reduction every blinded sum ends in — blinding vectors,
+    blinded reports, and each aggregation tier's partial. For ``uint64``
+    (any unsigned dtype) keeping the low 32 bits *is* the remainder, also
+    for a wrapped ``pos - neg`` with ``neg > pos``: ``uint64`` arithmetic
+    is exact mod ``2^64`` and ``2^32`` divides ``2^64``. The mask is
+    several times cheaper than NumPy's 64-bit division (1.7 vs 16 µs on
+    a ``(4, 1024)`` matrix). Signed arrays are refused (NumPy has no
+    ``int64 & uint64``): their negatives need a real ``%``.
+    """
+    return values & _CELL_MASK
 
 
 def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
@@ -164,7 +182,7 @@ def _scatter_rows(
             hi_acc[hi_row] += stream
         if lo_row >= 0:
             lo_acc[lo_row] += stream
-    return (pos - neg) % BLINDING_MODULUS
+    return reduce_cells(pos - neg)
 
 
 class PadStreamProvider:
@@ -524,7 +542,7 @@ class BlindingGenerator:
                 pos += stream
             else:
                 neg += stream
-        return (pos - neg) % BLINDING_MODULUS
+        return reduce_cells(pos - neg)
 
     @staticmethod
     def accumulate_clique_matrix(
@@ -592,7 +610,7 @@ class BlindingGenerator:
         """
         cell_arr = np.asarray(cells, dtype=np.uint64)
         blinding = self.blinding_vector_array(len(cell_arr), round_id, peers)
-        return (cell_arr + blinding) % BLINDING_MODULUS
+        return reduce_cells(cell_arr + blinding)
 
     def blind(
         self, cells: Sequence[int], round_id: int, peers: Optional[Iterable[int]] = None

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MissingReportError, ProtocolError, RoundStateError
-from repro.crypto.blinding import BLINDING_MODULUS
+from repro.crypto.blinding import reduce_cells
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import (
     SERVER_ENDPOINT,
@@ -342,10 +342,9 @@ class RegionalAggregator(ProtocolEndpoint):
             cells += partial.cells_as_array()
             reported.extend(partial.reported)
             missing.extend(partial.missing)
-        cells %= BLINDING_MODULUS
         return PartialAggregate(clique_id=self.region_id,
                                 round_id=round_id,
-                                cells=CellVector(cells),
+                                cells=CellVector(reduce_cells(cells)),
                                 reported=tuple(reported),
                                 missing=tuple(missing))
 
@@ -427,10 +426,10 @@ class RootAggregator(ProtocolEndpoint):
         cells = np.zeros(self.config.num_cells, dtype=np.uint64)
         for clique in self.clique_ids:
             cells += self._partials[clique].cells_as_array()
-        cells %= BLINDING_MODULUS
         aggregate = CountMinSketch(self.config.cms_depth,
                                    self.config.cms_width,
-                                   self.config.cms_seed, cells=cells)
+                                   self.config.cms_seed,
+                                   cells=reduce_cells(cells))
         distribution = self._distribution_query.distribution(aggregate)
         threshold = self.threshold_rule(distribution)
         self._summary = RoundSummary(

@@ -11,8 +11,14 @@ the *protocol* — every message, every byte — and deletes the objects:
   :class:`~repro.protocol.endpoint.ProtocolEndpoint` hosting N users as
   rows of struct-of-arrays state (stable blinding indexes, DH pair
   secrets, per-user URL multisets);
-* a clique's sketches are built in one :meth:`~repro.sketch.countmin.
-  CountMinSketch.flat_indexes` + ``bincount`` pass and blinded by one
+* a sketch row is a function of the ad alone (paper §6, "CMS
+  computation") and a window has far fewer distinct ads than (user, ad)
+  pairs, so each distinct URL is hashed **once per round**, army-wide:
+  :meth:`ClientArmy.on_round_start` builds one index table with
+  :meth:`~repro.sketch.countmin.CountMinSketch.flat_indexes` and every
+  clique's sketches are a gather from it plus one ``bincount`` — no
+  per-clique, per-(user, ad) hashing;
+* a clique is blinded by one
   :meth:`~repro.crypto.blinding.PadStreamProvider.clique_blinding` call,
   which squeezes each pair's keystream once, adds it into the pair's two
   members' accumulators and drops it — the round's floor is the SHAKE-256
@@ -54,9 +60,9 @@ from repro.errors import (
     RoundStateError,
 )
 from repro.crypto.blinding import (
-    BLINDING_MODULUS,
     PadStreamProvider,
     PairKey,
+    reduce_cells,
 )
 from repro.crypto.group import DHGroup, KeyPair
 from repro.crypto.oprf import OPRFClient
@@ -80,6 +86,16 @@ ARMY_ENDPOINT = "client-army"
 #: order plus, per pair, the member-row of each end (rows index the
 #: clique's sorted member list).
 CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray]
+
+#: One round's sketch index table: URL -> row, and per row the URL's
+#: ``depth`` flat cell indexes (an ``(n, depth)`` ``int64`` array, so a
+#: clique's gather is a row ``take``).
+IndexTable = Tuple[Dict[str, int], np.ndarray]
+
+#: Ad ids hashed per ``flat_indexes`` call while building the table: keeps
+#: the hash's ``(depth, slice)`` temporaries independent of the window
+#: size (the ``server._ID_CHUNK`` precedent).
+_TABLE_SLICE = 65536
 
 
 class ClientArmy(ProtocolEndpoint):
@@ -334,30 +350,53 @@ class ClientArmy(ProtocolEndpoint):
                                    np.asarray(lo_rows, dtype=np.intp),
                                    np.asarray(hi_rows, dtype=np.intp))
 
-    def _sketch_matrix(self, member_list: Sequence[str]) -> np.ndarray:
+    def _index_table(self) -> IndexTable:
+        """Hash every URL of the window once: the round's index table.
+
+        Rows follow the shared ad-id cache, a superset of the window's
+        URLs (every observed URL passed through :meth:`_ad_id`). Two URLs
+        that collide on one ad id keep a row each, like two
+        ``update_many`` items. Rebuilt from scratch every round, so there
+        is nothing to invalidate when the window or the roster changes.
+        """
+        ad_ids = list(self._ad_ids.values())
+        row_of = {url: row for row, url in enumerate(self._ad_ids)}
+        flat = np.empty((len(ad_ids), self.config.cms_depth), dtype=np.int64)
+        for start in range(0, len(ad_ids), _TABLE_SLICE):
+            stop = start + _TABLE_SLICE
+            flat[start:stop] = self._scratch.flat_indexes(
+                ad_ids[start:stop]).T
+        return row_of, flat
+
+    def _sketch_matrix(self, member_list: Sequence[str],
+                       table: IndexTable) -> np.ndarray:
         """All members' cleartext CMS cells as one ``(m, cells)`` uint64
-        matrix — one hash pass and one ``bincount`` for the clique,
-        bit-identical to per-user ``CountMinSketch.update_many``."""
+        matrix — a gather from the round's index table and one
+        ``bincount`` for the clique, bit-identical to per-user
+        ``CountMinSketch.update_many`` (the same flat indexes are
+        counted; only where they were derived differs)."""
+        row_of, flat = table
         num_cells = self.config.num_cells
-        items: List[int] = []
+        rows: List[int] = []
         lengths: List[int] = []
         for uid in member_list:
-            ids = [self._ad_id(url) for url in self._seen[uid]]
-            items.extend(ids)
-            lengths.append(len(ids))
-        rows = len(member_list)
-        if not items:
-            return np.zeros((rows, num_cells), dtype=np.uint64)
-        flat = self._scratch.flat_indexes(items).astype(np.int64)
-        member_of = np.repeat(np.arange(rows, dtype=np.int64), lengths)
-        combined = flat + member_of[None, :] * num_cells
-        counts = np.bincount(combined.ravel(), minlength=rows * num_cells)
-        return counts.astype(np.uint64).reshape(rows, num_cells)
+            seen = self._seen[uid]
+            rows.extend(map(row_of.__getitem__, seen))
+            lengths.append(len(seen))
+        members = len(member_list)
+        if not rows:
+            return np.zeros((members, num_cells), dtype=np.uint64)
+        combined = flat.take(rows, axis=0)
+        member_base = np.arange(members, dtype=np.int64) * num_cells
+        combined += member_base.repeat(lengths)[:, None]
+        counts = np.bincount(combined.ravel(), minlength=members * num_cells)
+        return counts.astype(np.uint64).reshape(members, num_cells)
 
     def _build_clique_reports(self, clique: int, round_id: int,
+                              table: IndexTable,
                               digest: "hashlib._Hash") -> Outbox:
         member_list = self._members_of[clique]
-        cells = self._sketch_matrix(member_list)
+        cells = self._sketch_matrix(member_list, table)
         # Hashed in place: a fresh (m, cells) matrix is C-contiguous,
         # so its buffer is exactly the bytes ``tobytes()`` would copy.
         assert cells.flags.c_contiguous
@@ -367,7 +406,7 @@ class ClientArmy(ProtocolEndpoint):
         blinding = self.pad_streams.clique_blinding(
             pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
             self.config.num_cells)
-        blinded = (cells + blinding) % BLINDING_MODULUS
+        blinded = reduce_cells(cells + blinding)
         uplink = self._uplink_of.get(clique, self.default_uplink)
         outbox: Outbox = []
         reported: List[str] = []
@@ -427,10 +466,11 @@ class ClientArmy(ProtocolEndpoint):
         self._reported_by_clique = {}
         self._adjusted_cliques = set()
         digest = hashlib.sha256()
+        table = self._index_table()
         outbox: Outbox = []
         for clique in sorted(self._members_of):
             outbox.extend(self._build_clique_reports(clique, round_id,
-                                                     digest))
+                                                     table, digest))
         fingerprint = digest.digest()
         previous = self._round_digests.get(round_id)
         if previous is not None and previous != fingerprint:

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import MissingReportError, ProtocolError, RoundStateError
-from repro.crypto.blinding import BLINDING_MODULUS
+from repro.crypto.blinding import reduce_cells
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import (
     SERVER_ENDPOINT,
@@ -346,9 +346,8 @@ class AggregationServer:
         cells = np.zeros(self.config.num_cells, dtype=np.uint64)
         for clique in sorted(partials):
             cells += partials[clique]
-        cells %= BLINDING_MODULUS
         return CountMinSketch(self.config.cms_depth, self.config.cms_width,
-                              self.config.cms_seed, cells=cells)
+                              self.config.cms_seed, cells=reduce_cells(cells))
 
     def users_distribution(self, aggregate: CountMinSketch
                            ) -> EmpiricalDistribution:

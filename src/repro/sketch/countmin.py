@@ -25,6 +25,11 @@ Scalar operations (:meth:`~CountMinSketch.update`,
 :meth:`~CountMinSketch.update_many_conservative`) that hash all items once
 and do the index arithmetic and cell updates in NumPy; both paths produce
 bit-identical cell vectors (``tests/test_sketch_batch.py``).
+
+A sketch owns its cells and nothing else: the row hash family is the
+immutable, shared :func:`~repro.sketch.hashing.shared_hash_family` of its
+``(depth, width, seed)``, so constructing a sketch — a round builds one
+per client and one per clique aggregate — draws no coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +40,12 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, SketchDimensionMismatch
-from repro.sketch.hashing import HashFamily, Item, stable_hash_many
+from repro.sketch.hashing import (
+    HashFamily,
+    Item,
+    shared_hash_family,
+    stable_hash_many,
+)
 
 #: Euler's number, spelled out for the w = ceil(e / epsilon) sizing rule.
 _E = math.e
@@ -68,7 +78,9 @@ class CountMinSketch:
         self.depth = depth
         self.width = width
         self.seed = seed
-        self._hashes = HashFamily(depth, width, seed)
+        # Shared, immutable: same-dimension sketches hash alike. Cells below
+        # are always this sketch's own.
+        self._hashes = shared_hash_family(depth, width, seed)
         if cells is None:
             self._cells = np.zeros(depth * width, dtype=np.uint64)
         else:
@@ -155,9 +167,11 @@ class CountMinSketch:
         """Flat (row-major) cell index per (row, item): shape ``(d, n)``.
 
         The single source of truth for the sketch's cell layout; callers
-        that gather against :attr:`cells_array` directly (e.g. the
-        aggregation server's cached ID-space table) must use this rather
-        than re-deriving ``row * width + column``.
+        that gather against :attr:`cells_array` directly (the aggregation
+        server's cached ID-space table, the batched client backend's
+        per-round index table) must use this rather than re-deriving
+        ``row * width + column``. Indexes depend on the item alone, so a
+        caller counting many users' items hashes each distinct item once.
         """
         matrix = self._hashes.index_matrix(stable_hash_many(items))
         rows = np.arange(self.depth, dtype=np.uint64).reshape(-1, 1)

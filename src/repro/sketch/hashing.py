@@ -18,10 +18,16 @@ Two evaluation paths produce bit-identical indexes:
   all ``d x n`` indexes with NumPy ``uint64`` arithmetic, using the Mersenne
   fold ``y mod p = (y >> 61) + (y & p)`` and 32-bit limb multiplication so
   no intermediate exceeds 64 bits.
+
+The batch path's cost is per *call* as much as per item (a BLAKE2b loop,
+then a dozen small-array NumPy operations), so callers batch widely — one
+call per round, not one per clique — and take their immutable family
+from :func:`shared_hash_family` instead of constructing one per sketch.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from typing import List, Sequence, Tuple, Union
@@ -117,6 +123,12 @@ class HashFamily:
     Coefficients are drawn from a seeded RNG so that two parties
     constructing a family with the same (d, width, seed) agree on every
     hash value — a requirement for blinded sketches to be mergeable.
+
+    A family is immutable after ``__init__`` (the coefficient arrays are
+    read-only), so any number of sketches may hold the same instance:
+    :func:`shared_hash_family` hands out one per ``(d, width, seed)``
+    instead of re-seeding an RNG and re-drawing ``2·d`` coefficients per
+    sketch.
     """
 
     def __init__(self, d: int, width: int, seed: int = 0) -> None:
@@ -128,10 +140,10 @@ class HashFamily:
         self.width = width
         self.seed = seed
         rng = random.Random(seed)
-        self._coeffs: List[Tuple[int, int]] = [
+        self._coeffs: Tuple[Tuple[int, int], ...] = tuple(
             (rng.randrange(1, MERSENNE_P), rng.randrange(0, MERSENNE_P))
             for _ in range(d)
-        ]
+        )
         # Column vectors (d, 1) so index_matrix broadcasts against (n,) digests.
         self._a = np.array([a for a, _ in self._coeffs], dtype=np.uint64).reshape(
             -1, 1
@@ -139,6 +151,8 @@ class HashFamily:
         self._b = np.array([b for _, b in self._coeffs], dtype=np.uint64).reshape(
             -1, 1
         )
+        self._a.setflags(write=False)
+        self._b.setflags(write=False)
         self._width64 = np.uint64(width)
 
     def index(self, row: int, item: Item) -> int:
@@ -174,3 +188,18 @@ class HashFamily:
 
     def __repr__(self) -> str:
         return f"HashFamily(d={self.d}, width={self.width}, seed={self.seed})"
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def shared_hash_family(d: int, width: int, seed: int = 0) -> HashFamily:
+    """The one :class:`HashFamily` for ``(d, width, seed)``.
+
+    Every :class:`~repro.sketch.countmin.CountMinSketch` takes its family
+    from here: a round builds thousands of same-dimension sketches (one
+    per client, one per clique aggregate) and they all hash alike. Only
+    the immutable family is shared — cells never are. The cache is small
+    and bounded (an evicted family is simply re-derived, identically)
+    and typed, so a family's ``seed`` is the caller's own value, never
+    an equal-comparing one of another type.
+    """
+    return HashFamily(d, width, seed)

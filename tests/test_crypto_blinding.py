@@ -19,6 +19,7 @@ from repro.crypto.blinding import (
     BLINDING_MODULUS,
     BlindingGenerator,
     PadStreamProvider,
+    reduce_cells,
 )
 from repro.crypto.group import DHGroup
 
@@ -37,6 +38,47 @@ def make_users(group: DHGroup, n: int, seed: int = 0) -> List[BlindingGenerator]
         peers = {j: pub for j, pub in publics.items() if j != i}
         users.append(BlindingGenerator(group, i, kp, peers))
     return users
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+class TestReduceCells:
+    """The mask every blinded sum ends in, against the ``%`` it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_U64 | st.sampled_from(_EDGES), max_size=24))
+    def test_mask_equals_modulo(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        reduced = reduce_cells(arr)
+        assert reduced.dtype == np.uint64 and reduced.shape == arr.shape
+        assert reduced.tolist() == [v % 2**32 for v in values]
+        assert reduced.tobytes() == (arr % BLINDING_MODULUS).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_U64, _U64), min_size=1, max_size=24))
+    def test_wrapped_difference_is_the_signed_residue(self, pairs):
+        """``pos - neg`` wraps mod 2^64 when ``neg > pos``; the low 32
+        bits are still ``(pos - neg) mod 2^32`` over the integers."""
+        pos = np.array([p for p, _ in pairs], dtype=np.uint64)
+        neg = np.array([n for _, n in pairs], dtype=np.uint64)
+        assert reduce_cells(pos - neg).tolist() == [
+            (p - n) % 2**32 for p, n in pairs]
+        assert reduce_cells(neg - pos).tolist() == [
+            (n - p) % 2**32 for p, n in pairs]
+
+    def test_matrices_and_narrow_unsigned_dtypes(self):
+        matrix = np.array([[2**32 + 5, 7], [2**64 - 1, 2**63]], dtype=np.uint64)
+        assert reduce_cells(matrix).tolist() == [[5, 7], [2**32 - 1, 0]]
+        narrow = np.array([0, 2**32 - 1], dtype=np.uint32)
+        assert reduce_cells(narrow).tolist() == [0, 2**32 - 1]
+
+    def test_signed_arrays_are_refused(self):
+        """A negative int64 needs a real ``%`` (the adversary's wrap):
+        masking it must fail loudly, never reinterpret the sign bit."""
+        with pytest.raises(TypeError):
+            reduce_cells(np.array([-1, 5], dtype=np.int64))
 
 
 class TestBlindingCancellation:

@@ -16,12 +16,17 @@ The contracts this file pins:
   cliques and the root (any ``fan_in``) never changes the aggregate,
   distribution or threshold: modular addition is associative, and the
   tree only re-parenthesizes the sum.
+* **Hash once** — a round hashes each distinct URL of the window once,
+  army-wide, and builds no hash family; both are pinned by counting
+  calls, not by a clock.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import (
@@ -38,12 +43,15 @@ from repro.protocol.aggregator import (
 from repro.protocol.army import ARMY_ENDPOINT, ClientArmy
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT
+from repro.protocol.membership import MembershipManager
 from repro.protocol.messages import (
     BlindedReport,
     BlindingAdjustment,
     PartialAggregate,
 )
 from repro.protocol.transport import InMemoryTransport
+from repro.sketch.countmin import CountMinSketch
+from repro.sketch.hashing import HashFamily
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=7, id_space=400)
 USERS = [f"user-{i:03d}" for i in range(24)]
@@ -184,6 +192,151 @@ class TestBackendEquivalence:
         r_flat = object_session().run_round(0)
         r_mono = army_session(topology="monolithic").run_round(0)
         assert np.array_equal(cells_of(r_flat), cells_of(r_mono))
+
+
+#: A pool small enough that users overlap, mapped onto an id space small
+#: enough (2-3) that distinct URLs collide on one ad id.
+POOL = [f"http://pool.example/{i}" for i in range(5)]
+
+
+@st.composite
+def windows(draw):
+    """(id_space, num_cliques, one observation list per user): 1-12
+    users, as many cliques as leave every clique two members (a single
+    user is the one single-member clique enrollment allows), lists that
+    may be empty or repeat a URL."""
+    users = draw(st.integers(min_value=1, max_value=12))
+    num_cliques = draw(st.integers(min_value=1,
+                                   max_value=max(1, min(3, users // 2))))
+    observed = draw(st.lists(st.lists(st.sampled_from(POOL), max_size=6),
+                             min_size=users, max_size=users))
+    return draw(st.integers(min_value=2, max_value=3)), num_cliques, observed
+
+
+class TestGeneratedWindows:
+    @settings(max_examples=40, deadline=None)
+    @given(windows())
+    @example((3, 3, [[]] * 6))  # a wholly empty window
+    @example((2, 1, [POOL + POOL[:2]]))  # one user, every URL collides
+    @example((2, 2, [POOL[:1], [], POOL[1:], [], POOL[::2]]))
+    def test_reports_equal_objects_and_sum_is_cleartext(self, window):
+        id_space, num_cliques, observed = window
+        config = RoundConfig(cms_depth=3, cms_width=16, cms_seed=7,
+                             id_space=id_space)
+        roster = USERS[:len(observed)]
+        s_obj, s_army = (ProtocolSession.create(
+            roster, config,
+            SessionConfig(transport=InMemoryTransport(record_transcript=True),
+                          client_backend=backend),
+            seed=3, use_oprf=False, num_cliques=num_cliques)
+            for backend in ("objects", "batched"))
+        urls_of = dict(zip(roster, observed))
+        for client in s_obj.clients:
+            for url in urls_of[client.user_id]:
+                client.observe_ad(url)
+        for uid in roster:
+            s_army.army.observe_ads(uid, urls_of[uid])
+        r_obj, r_army = s_obj.run_round(0), s_army.run_round(0)
+        reports_obj = payloads_of(s_obj, BlindedReport)
+        assert sorted(reports_obj) == roster
+        assert reports_obj == payloads_of(s_army, BlindedReport)
+        results_match(r_obj, r_army)
+        cleartext = config.make_sketch()
+        for urls in observed:  # a URL seen twice in a window counts once
+            cleartext.update_many(
+                [s_army.army.ad_mapper.ad_id(url) for url in set(urls)])
+        assert np.array_equal(cells_of(r_army), cleartext.cells_array)
+
+
+class TestHashOncePerRound:
+    """Clock-free pins of the per-round index table and the shared hash
+    family: both count calls, so they fail on a regression at any speed."""
+
+    def test_each_distinct_url_is_hashed_once_army_wide(self, monkeypatch):
+        """64 cliques of 4 over a 50-URL pool: one ``flat_indexes`` call
+        over 50 items a round (per-clique hashing made 64 calls over all
+        768 (user, URL) pairs) — also after the window is reset and
+        refilled, and after joiners bring unseen URLs."""
+        hashed = []
+        flat_indexes = CountMinSketch.flat_indexes
+
+        def counting(self, items):
+            hashed.append(len(items))
+            return flat_indexes(self, items)
+
+        monkeypatch.setattr(CountMinSketch, "flat_indexes", counting)
+        pool = [f"http://ads.example/{i}" for i in range(50)]
+        army = ClientArmy.enroll([f"user-{i:03d}" for i in range(256)],
+                                 CONFIG, seed=1, use_oprf=False,
+                                 num_cliques=64)
+        manager = MembershipManager(army)
+
+        def observe(user_ids):
+            for i, uid in enumerate(user_ids):
+                army.observe_ads(uid, [pool[(3 * i + j) % 50]
+                                       for j in range(3)])
+
+        observe(army.user_ids)
+        attributes = set(vars(army))
+        assert len(army.on_round_start(0)) == 256
+        assert hashed == [50]
+        # Nothing about the table outlives the round that built it.
+        assert set(vars(army)) == attributes
+        army.reset_window()
+        observe(army.user_ids)
+        hashed.clear()
+        army.on_round_start(1)
+        assert hashed == [50]
+        joiners = ["user-900", "user-901"]
+        manager.advance_epoch(joins=joiners)
+        army.observe_ads(joiners[0], ["http://new.example/a", pool[0]])
+        army.observe_ads(joiners[1], ["http://new.example/b"])
+        hashed.clear()
+        assert len(army.on_round_start(2)) == 258
+        assert hashed == [52]
+
+    def test_table_built_in_slices_gives_the_same_reports(self, monkeypatch):
+        """A window larger than one hashing slice only bounds the hash's
+        temporaries: the reports do not depend on the slice size."""
+        def reports(army):
+            for i, uid in enumerate(army.user_ids):
+                army.observe_ads(uid, [f"http://ads.example/{(5 * i + j) % 23}"
+                                       for j in range(4)])
+            return [(recipient, message.user_id,
+                     message.cells_as_array().tobytes())
+                    for recipient, message in army.on_round_start(0)]
+
+        def enroll():
+            return ClientArmy.enroll(USERS, CONFIG, seed=1, use_oprf=False,
+                                     num_cliques=4)
+
+        whole = reports(enroll())
+        monkeypatch.setattr("repro.protocol.army._TABLE_SLICE", 5)
+        assert reports(enroll()) == whole
+
+    def test_warm_round_builds_no_hash_family_per_clique(self, monkeypatch):
+        """Aggregating a clique needs cells, not coefficients: a warm
+        fan-out round constructs as many ``HashFamily`` objects at 32
+        cliques as at 8 (one fresh family per clique aggregate, before
+        sketches shared theirs)."""
+        built = []
+        init = HashFamily.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HashFamily, "__init__", counting)
+        per_cliques = {}
+        for num_cliques in (8, 32):
+            session = army_session(
+                [f"user-{i:03d}" for i in range(2 * num_cliques)],
+                num_cliques=num_cliques)
+            session.run_round(0)
+            built.clear()
+            session.run_round(1)
+            per_cliques[num_cliques] = len(built)
+        assert per_cliques[8] == per_cliques[32], per_cliques
 
 
 class TestAggregationTreePlan:

@@ -36,6 +36,19 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             CountMinSketch.from_error_bounds(0.1, 0.1, 0)
 
+    def test_same_dimension_sketches_share_one_hash_family(self):
+        """The family is immutable and shared; the cells never are."""
+        a, b = CountMinSketch(4, 32, seed=9), CountMinSketch(4, 32, seed=9)
+        assert a.hash_family is b.hash_family
+        assert a.empty_like().hash_family is a.hash_family
+        assert CountMinSketch(4, 32, seed=10).hash_family is not a.hash_family
+        assert CountMinSketch(4, 33, seed=9).hash_family is not a.hash_family
+        a.update_many(["x", "y", "x"])
+        assert a.total == 3 and a.query("x") >= 2
+        assert b.total == 0 and not b.cells_array.any()
+        assert not a.hash_family._a.flags.writeable
+        assert not a.hash_family._b.flags.writeable
+
     def test_width_follows_e_over_epsilon(self):
         cms = CountMinSketch.from_error_bounds(0.01, 0.01, 100)
         assert cms.width == math.ceil(math.e / 0.01)
