@@ -31,10 +31,13 @@ def main() -> None:
     for _ in range(5):
         clients[3].observe_ad("http://tracker.example/you-again")
 
-    mapper = clients[3].ad_mapper
-    print(f"  OPRF mapping: {mapper.protocol_rounds} unique-ad rounds, "
+    # One mapper per enrolled panel: the id is a function of the URL
+    # alone, so ten sightings of the brand ad cost one OPRF exchange.
+    mapper = enrollment.ad_mapper
+    print(f"  OPRF mapping: {mapper.protocol_rounds} exchanges for the "
+          f"panel's {mapper.cache_size} distinct ads, "
           f"{mapper.bytes_exchanged()} bytes "
-          f"(two group elements per unique ad)\n")
+          f"(two group elements per distinct ad)\n")
 
     report = clients[3].build_report(round_id=1)
     print("One blinded report as the server sees it (first 8 cells):")

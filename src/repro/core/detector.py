@@ -79,8 +79,12 @@ class CountBasedDetector:
         UNDECIDED when the activity gate fails — the paper's "refrains
         from making a guess for lack of sufficient data".
         """
+        return self._classify(ad, users_seen, users_threshold, week,
+                              self.domains_threshold())
+
+    def _classify(self, ad: Ad, users_seen: float, users_threshold: float,
+                  week: int, domains_threshold: float) -> ClassifiedAd:
         domains_seen = self.counter.domains_seen(ad.identity)
-        domains_threshold = self.domains_threshold()
         if not self.meets_activity_gate:
             label = Label.UNDECIDED
         else:
@@ -98,7 +102,9 @@ class CountBasedDetector:
                      users_seen_of: Callable[[str], float],
                      users_threshold: float, week: int = 0
                      ) -> List[ClassifiedAd]:
-        """Classify a batch of ads against one global snapshot."""
-        return [self.classify(ad, users_seen_of(ad.identity),
-                              users_threshold, week)
+        """Classify a batch of ads against one global snapshot (and one
+        Domains_th(u): the local counters do not move during a batch)."""
+        domains_threshold = self.domains_threshold()
+        return [self._classify(ad, users_seen_of(ad.identity),
+                               users_threshold, week, domains_threshold)
                 for ad in ads]

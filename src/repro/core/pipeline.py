@@ -398,11 +398,9 @@ class DetectionPipeline:
             total_messages=(session.transport.total_messages
                             - messages_before))
 
-        # With per-client OPRF mappers any client's cache computes the
-        # same (shared-key) function; use the first client's (or the
-        # army's single shared mapper).
-        mapper = (session.army.ad_mapper if session.army is not None
-                  else session.clients[0].ad_mapper)
+        # The panel's one mapper, whichever backend hosts it: under OPRF
+        # observation already mapped every identity, so these are hits.
+        mapper = session.membership.ad_mapper
 
         # Batch the aggregate lookups: one query_many over every identity
         # seen this window instead of id-space scalar queries per ad.

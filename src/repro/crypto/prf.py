@@ -52,7 +52,9 @@ class ObliviousAdMapper:
     The extension calls :meth:`ad_id` as ads are encountered; each unique
     URL costs one two-message OPRF round (two group elements on the wire),
     repeats are free. :attr:`protocol_rounds` and :meth:`bytes_exchanged`
-    expose the §7.1 cost accounting.
+    count what *this mapper* evaluated: an enrolled panel shares one
+    (:class:`~repro.protocol.enrollment.KeyMaterial`), so there they count
+    panel-distinct URLs, not one deployed user's §7.1 traffic.
     """
 
     def __init__(self, client: OPRFClient, server: OPRFServer, id_space: int) -> None:

@@ -49,8 +49,7 @@ See ``docs/scaling.md`` for the cost model.
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,8 +64,6 @@ from repro.crypto.blinding import (
     reduce_cells,
 )
 from repro.crypto.group import DHGroup, KeyPair
-from repro.crypto.oprf import OPRFClient
-from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, Outbox, ProtocolEndpoint
 from repro.protocol.enrollment import KeyMaterial, derive_key_material
@@ -133,20 +130,8 @@ class ClientArmy(ProtocolEndpoint):
         self.seed = seed
         self.num_cliques = num_cliques
         self.oprf_server = material.oprf_server
-        self.shared_prf = material.shared_prf
         self.use_oprf = material.oprf_server is not None
-        self.ad_mapper: Union[KeyedPRF, ObliviousAdMapper]
-        if material.oprf_server is not None:
-            # One mapper serves everyone: the OPRF's blinding factor
-            # cancels, so ad ids are independent of the per-client rng
-            # stream the object path threads through each mapper.
-            self.ad_mapper = ObliviousAdMapper(
-                OPRFClient(material.oprf_server.public_key,
-                           rng=random.Random(seed << 16)),
-                material.oprf_server, id_space=config.id_space)
-        else:
-            assert material.shared_prf is not None
-            self.ad_mapper = material.shared_prf
+        self.ad_mapper = material.ad_mapper
         self.endpoint_id = endpoint_id
         self.pad_streams = PadStreamProvider()
         #: Rows of the active roster only — same names as

@@ -8,8 +8,8 @@ everyone to a shared OPRF server for ad-ID mapping.
 
 In the epoch lifecycle (:mod:`repro.protocol.membership`) this is the
 **epoch-0 constructor**: an :class:`Enrollment` carries the key material
-(key pairs, stable blinding indexes, the shared PRF / OPRF server and the
-pad-stream provider) that a
+(key pairs, stable blinding indexes, the panel's ad-ID mapper and its OPRF
+server, and the pad-stream provider) that a
 :class:`~repro.protocol.membership.MembershipManager` reuses when the
 population churns between epochs, so joins and leaves never re-run the
 full U·(U/k−1)-modexp exchange.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
@@ -74,8 +74,9 @@ class Enrollment:
     #: for deriving joiners' key material in later epochs.
     seed: int = 0
     use_oprf: bool = True
-    #: The shared KeyedPRF when ``use_oprf=False`` (None otherwise).
-    shared_prf: Optional[KeyedPRF] = None
+    #: The one URL -> ad-ID mapper every client of the panel holds (see
+    #: :class:`KeyMaterial`; None only on a hand-built enrollment).
+    ad_mapper: Optional[Union[KeyedPRF, ObliviousAdMapper]] = None
     #: The pad-stream cache shared by this population's generators
     #: (None when ``share_pad_streams=False``).
     pad_streams: Optional[PadStreamProvider] = None
@@ -150,6 +151,17 @@ class KeyMaterial:
     :class:`~repro.protocol.army.ClientArmy` — consume this one
     derivation, which is what makes their reports byte-identical for the
     same ``(user_ids, seed)``.
+
+    ``ad_mapper`` is built once per membership and held by every client,
+    joiners and returning users included: the :class:`KeyedPRF` when
+    ``use_oprf=False``, otherwise ONE :class:`ObliviousAdMapper` over
+    ``oprf_server``. ``id = F(k, url) mod |A|`` (paper §6) is a function of
+    the URL alone — the blind-RSA blinding factor cancels — so the panel
+    runs the blind/sign/verify/unblind exchange once per *distinct* URL:
+    ``oprf_server.evaluations`` and the mapper's ``protocol_rounds`` /
+    ``bytes_exchanged()`` count panel-distinct URLs. A *deployed* user's
+    §7.1 OPRF traffic stays the analytic ``unique_ads x OPRFClient.
+    exchange_bytes()`` of ``benchmarks/test_bench_s71_overhead.py``.
     """
 
     group: DHGroup
@@ -157,7 +169,7 @@ class KeyMaterial:
     keypairs: Dict[str, KeyPair]
     index_of: Dict[str, int]
     oprf_server: Optional[OPRFServer]
-    shared_prf: Optional[KeyedPRF]
+    ad_mapper: Union[KeyedPRF, ObliviousAdMapper]
 
 
 def derive_key_material(user_ids: Sequence[str], config: RoundConfig,
@@ -190,16 +202,22 @@ def derive_key_material(user_ids: Sequence[str], config: RoundConfig,
     index_of = {uid: i for i, uid in enumerate(sorted(user_ids))}
 
     oprf_server: Optional[OPRFServer] = None
-    shared_prf: Optional[KeyedPRF] = None
+    ad_mapper: Union[KeyedPRF, ObliviousAdMapper]
     if use_oprf:
         oprf_server = OPRFServer.generate(bits=oprf_bits,
                                           rng=random.Random(seed + 1))
+        # The blinding factor cancels, so ad ids do not depend on this
+        # rng stream (nor on who asks): one mapper serves the panel.
+        ad_mapper = ObliviousAdMapper(
+            OPRFClient(oprf_server.public_key,
+                       rng=random.Random(seed << 16)),
+            oprf_server, id_space=config.id_space)
     else:
-        shared_prf = KeyedPRF(key=seed.to_bytes(8, "big", signed=True),
-                              id_space=config.id_space)
+        ad_mapper = KeyedPRF(key=seed.to_bytes(8, "big", signed=True),
+                             id_space=config.id_space)
     return KeyMaterial(group=group, clique_of=clique_of, keypairs=keypairs,
                        index_of=index_of, oprf_server=oprf_server,
-                       shared_prf=shared_prf)
+                       ad_mapper=ad_mapper)
 
 
 def keypair_seed(seed: int, user_id: str) -> int:
@@ -226,11 +244,12 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
                  share_pad_streams: bool = True) -> Enrollment:
     """Wire up a population of protocol clients (epoch 0).
 
-    With ``use_oprf=True`` (deployment fidelity) every client maps ad URLs
-    through a shared blind-RSA OPRF server. With ``use_oprf=False`` clients
-    share a :class:`KeyedPRF` directly — the same function without protocol
-    messages, which is much faster for large simulations and detector-level
-    tests where OPRF fidelity is irrelevant.
+    With ``use_oprf=True`` (deployment fidelity) ad URLs are mapped through
+    a blind-RSA OPRF server, with ``use_oprf=False`` through a
+    :class:`KeyedPRF` directly — the same function without protocol
+    messages, for large simulations and detector-level tests. Either way
+    every client holds the panel's one mapper, so each panel-distinct URL
+    is mapped once (:class:`KeyMaterial` says what its counters count).
 
     ``num_cliques`` shards the blinding graph (see the module docstring);
     the default of 1 reproduces the unsharded protocol exactly.
@@ -249,8 +268,6 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     clique_of = material.clique_of
     keypairs = material.keypairs
     index_of = material.index_of
-    oprf_server = material.oprf_server
-    shared_prf = material.shared_prf
     publics = {index_of[uid]: kp.public for uid, kp in keypairs.items()}
     clique_of_index = {index_of[uid]: clique for uid, clique
                        in clique_of.items()}
@@ -266,17 +283,11 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
                  if j != idx and clique_of_index[j] == clique}
         blinding = BlindingGenerator(group, idx, keypairs[uid], peers,
                                      pad_streams=pad_streams)
-        if use_oprf:
-            mapper = ObliviousAdMapper(
-                OPRFClient(oprf_server.public_key,
-                           rng=random.Random((seed << 16) ^ idx)),
-                oprf_server, id_space=config.id_space)
-        else:
-            mapper = shared_prf
-        clients.append(ProtocolClient(uid, config, blinding, mapper,
-                                      clique_id=clique))
-    return Enrollment(clients=clients, group=group, oprf_server=oprf_server,
+        clients.append(ProtocolClient(uid, config, blinding,
+                                      material.ad_mapper, clique_id=clique))
+    return Enrollment(clients=clients, group=group,
+                      oprf_server=material.oprf_server,
                       config=config, clique_of=clique_of,
                       num_cliques=num_cliques, keypairs=keypairs,
                       index_of=index_of, seed=seed, use_oprf=use_oprf,
-                      shared_prf=shared_prf, pad_streams=pad_streams)
+                      ad_mapper=material.ad_mapper, pad_streams=pad_streams)

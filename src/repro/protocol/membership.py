@@ -11,9 +11,9 @@ first-class lifecycle:
   clique map, and the first round id valid under it. Rounds run against
   one epoch's wiring; the roster never changes mid-round.
 * a :class:`MembershipManager` owns the durable key material (DH key
-  pairs, stable blinding indexes, the OPRF server / shared PRF, the
-  pad-stream cache) and produces the next epoch from ``joins`` and
-  ``leaves``. Re-sharding is *minimal and deterministic*: continuing
+  pairs, stable blinding indexes, the panel's ad-ID mapper and OPRF
+  server, the pad-stream cache) and produces the next epoch from ``joins``
+  and ``leaves``. Re-sharding is *minimal and deterministic*: continuing
   users keep their clique wherever possible, joiners fill the smallest
   cliques, and only when a clique would fall below two members does a
   deterministically chosen member move. Consequently only users whose
@@ -63,7 +63,6 @@ advance_epoch` to make that structurally impossible.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -79,8 +78,6 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.crypto.blinding import BlindingGenerator
 from repro.crypto.group import KeyPair
-from repro.crypto.oprf import OPRFClient
-from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.enrollment import Enrollment, enroll_users, keypair_seed
@@ -312,11 +309,11 @@ class MembershipManager:
         missing = [u for u in source.user_ids
                    if u not in source.keypairs
                    or u not in source.index_of]
-        if missing:
+        if missing or source.ad_mapper is None:
             raise ConfigurationError(
-                f"enrollment lacks key material for {missing[:5]}; build it "
-                f"with enroll_users() (epoch-aware enrollments carry "
-                f"keypairs and stable indexes)")
+                f"enrollment lacks key material for {missing[:5] or 'ad ids'}"
+                f"; build it with enroll_users() (epoch-aware enrollments "
+                f"carry keypairs, stable indexes and the panel's ad mapper)")
         #: The batched backend this manager drives, or None when the
         #: population is per-user client objects.
         self.army: Optional[ClientArmy] = (
@@ -326,7 +323,9 @@ class MembershipManager:
         self.seed = source.seed
         self.use_oprf = source.use_oprf
         self.oprf_server = source.oprf_server
-        self.shared_prf = source.shared_prf
+        #: The panel's one URL -> ad-id mapper, held by epoch-0 clients,
+        #: joiners and returning users alike.
+        self.ad_mapper = source.ad_mapper
         self.pad_streams = source.pad_streams
         self.num_cliques = source.num_cliques
         self._keypairs = dict(source.keypairs)
@@ -455,16 +454,6 @@ class MembershipManager:
             self._index_of[user_id] = index
         return index, keypair
 
-    def _mapper_for(
-        self, index: int
-    ) -> Optional[Union[KeyedPRF, ObliviousAdMapper]]:
-        if not self.use_oprf:
-            return self.shared_prf
-        return ObliviousAdMapper(
-            OPRFClient(self.oprf_server.public_key,
-                       rng=random.Random((self.seed << 16) ^ index)),
-            self.oprf_server, id_space=self.config.id_space)
-
     def _rewire_clients(self, clique_of: Dict[str, int],
                         affected: Iterable[int],
                         joiners: Dict[str, Tuple[int, KeyPair]],
@@ -483,7 +472,7 @@ class MembershipManager:
             blinding = BlindingGenerator(self.group, index, keypair, {},
                                          pad_streams=self.pad_streams)
             self._clients[user] = ProtocolClient(
-                user, self.config, blinding, self._mapper_for(index),
+                user, self.config, blinding, self.ad_mapper,
                 clique_id=clique_of[user])
         members_of: Dict[int, List[str]] = {c: [] for c in affected}
         for user, clique in clique_of.items():

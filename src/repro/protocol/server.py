@@ -12,8 +12,8 @@ so this is bit-identical to reducing after every addition), and the
 #Users distribution query batches the whole public ID space through
 :meth:`~repro.sketch.countmin.CountMinSketch.query_many`. Because the
 ID-space indexes depend only on the round's hash family, the server caches
-the index table across rounds and a steady-state distribution query is a
-single NumPy gather.
+the index table across rounds (and epochs) and a steady-state distribution
+query is a single NumPy gather.
 
 Clique-scoped cancellation
 --------------------------
@@ -41,7 +41,8 @@ clique-restricted instance so every validation applies per clique too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -73,6 +74,18 @@ _ID_TABLE_MAX_BYTES = 128 * 1024 * 1024
 _ID_CHUNK = 65536
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _id_table(depth: int, width: int, seed: int, id_space: int) -> np.ndarray:
+    """The read-only flat ``(depth, id_space)`` cell-index table of one
+    hash family over one public ID space — a function of nothing else, so
+    it serves every round, epoch and session of the process. Small and
+    bounded like :func:`~repro.sketch.hashing.shared_hash_family`: an
+    evicted table is re-derived, identically."""
+    table = CountMinSketch(depth, width, seed).flat_indexes(range(id_space))
+    table.setflags(write=False)
+    return table
+
+
 class UsersDistributionQuery:
     """The #Users distribution query over an aggregate sketch.
 
@@ -84,26 +97,21 @@ class UsersDistributionQuery:
 
     Extracted from :class:`AggregationServer` so the fan-out topology's
     root aggregator answers the query with the very same code (and
-    therefore bit-identical values); the cache is keyed by hash family
-    and survives across rounds.
+    therefore bit-identical values); the table comes from
+    :func:`_id_table`, so it survives rounds *and* the new query object
+    every epoch advance wires.
     """
 
     def __init__(self, config: RoundConfig) -> None:
         self.config = config
-        # (depth, width, seed) -> flat (d, id_space) cell-index table; the
-        # indexes are round-independent, so one table serves every round.
-        self._id_tables: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     def _id_table_for(self, aggregate: CountMinSketch) -> Optional[np.ndarray]:
-        """Flat cell indexes of every public ID, cached per hash family."""
-        key = (aggregate.depth, aggregate.width, aggregate.seed)
-        table = self._id_tables.get(key)
-        if table is None:
-            if aggregate.depth * self.config.id_space * 8 > _ID_TABLE_MAX_BYTES:
-                return None
-            table = aggregate.flat_indexes(range(self.config.id_space))
-            self._id_tables[key] = table
-        return table
+        """Flat cell indexes of every public ID, or None when the table
+        would be unreasonably large."""
+        if aggregate.depth * self.config.id_space * 8 > _ID_TABLE_MAX_BYTES:
+            return None
+        return _id_table(aggregate.depth, aggregate.width, aggregate.seed,
+                         self.config.id_space)
 
     def distribution(self, aggregate: CountMinSketch) -> EmpiricalDistribution:
         table = self._id_table_for(aggregate)

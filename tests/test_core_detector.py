@@ -205,6 +205,25 @@ class TestDetector:
         assert results[0].label is Label.TARGETED
         assert results[1].label is Label.NON_TARGETED
 
+    def test_classify_all_computes_domains_threshold_once(self, monkeypatch):
+        """Domains_th(u) is one moment per user, not one per ad: a batch
+        builds the #Domains distribution once and every verdict equals
+        the single-call ``classify``."""
+        detector = self.make_detector(min_ad_serving_domains=1)
+        self.feed_background(detector)
+        for d in range(6):
+            detector.observe(imp("u", "chaser", f"c{d}.com"))
+        ads = [Ad(url="chaser")] + [Ad(url=f"bg-{i}") for i in range(4)]
+        one_by_one = [detector.classify(ad, 3.0, 10.0, week=2) for ad in ads]
+        calls = []
+        distribution = UserDomainCounter.distribution
+        monkeypatch.setattr(
+            UserDomainCounter, "distribution",
+            lambda self: calls.append(self) or distribution(self))
+        assert detector.classify_all(ads, lambda a: 3.0, 10.0, 2) \
+            == one_by_one
+        assert len(calls) == 1
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             DetectorConfig(min_ad_serving_domains=0)

@@ -56,7 +56,7 @@ def test_positive_poison_shifts_target_estimate_by_exactly_delta():
     reference = run_private_round(CONFIG, enrolled().clients, round_id=0)
     boost = 7
     result, enrollment, rogue = run_with_rogue({TARGET: boost})
-    ad_id = enrollment.shared_prf.ad_id(TARGET)
+    ad_id = enrollment.ad_mapper.ad_id(TARGET)
     assert rogue.pull_bound == boost
     # Blinding cancels identically, so the aggregate moves by exactly
     # the poison delta on the target's cells.
@@ -68,7 +68,7 @@ def test_negative_poison_suppresses_the_rogues_own_sighting():
     reference = run_private_round(CONFIG, enrolled().clients, round_id=0)
     # Client 0 honestly saw the target (0 % 3 == 0); delta -1 erases it.
     result, enrollment, _ = run_with_rogue({TARGET: -1})
-    ad_id = enrollment.shared_prf.ad_id(TARGET)
+    ad_id = enrollment.ad_mapper.ad_id(TARGET)
     assert result.aggregate.query(ad_id) \
         == reference.aggregate.query(ad_id) - 1
 

@@ -74,6 +74,12 @@ class TestEpochZero:
                                     use_oprf=False).clients
         with pytest.raises(ConfigurationError, match="key material"):
             MembershipManager(bare)
+        # Key pairs and indexes but no ad mapper: joiners could not be
+        # wired, so that is refused up front too.
+        full = enroll_users(["a", "b"], CONFIG, use_oprf=False)
+        full.ad_mapper = None
+        with pytest.raises(ConfigurationError, match="key material"):
+            MembershipManager(full)
 
 
 class TestAdvanceEpoch:

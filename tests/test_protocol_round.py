@@ -69,7 +69,10 @@ class TestEnrollment:
     def test_oprf_mode_has_server(self):
         enrollment = make_enrollment(2, use_oprf=True)
         assert enrollment.oprf_server is not None
-        assert enrollment.clients[0].ad_mapper is not enrollment.clients[1].ad_mapper
+        # One mapper per membership: the panel shares it (paper §6: the
+        # id is a function of the URL alone).
+        assert enrollment.clients[0].ad_mapper is enrollment.ad_mapper
+        assert enrollment.clients[1].ad_mapper is enrollment.ad_mapper
 
     def test_keyed_prf_mode_shares_mapper(self):
         enrollment = make_enrollment(2, use_oprf=False)

@@ -140,9 +140,35 @@ class TestVectorizedDistribution:
             CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
         r1 = session.run_round(1)
         r2 = session.run_round(2)
-        assert len(session.root.server._distribution_query._id_tables) == 1
+        query = session.root.server._distribution_query
+        table = query._id_table_for(r1.aggregate)
+        assert table is query._id_table_for(r2.aggregate)
+        assert not table.flags.writeable  # shared process-wide
         # Same observations -> identical distributions in both rounds.
         assert r1.distribution.values == r2.distribution.values
+
+    def test_id_table_survives_an_epoch(self, monkeypatch):
+        """``advance_epoch`` wires a new root aggregator (a new query
+        object); the ID space must not be re-hashed for it."""
+        from repro.protocol import server as server_mod
+        server_mod._id_table.cache_clear()
+        id_space_calls = []
+        flat_indexes = CountMinSketch.flat_indexes
+
+        def counting(self, items):
+            if isinstance(items, range) and len(items) == CONFIG.id_space:
+                id_space_calls.append(items)
+            return flat_indexes(self, items)
+
+        monkeypatch.setattr(CountMinSketch, "flat_indexes", counting)
+        session = ProtocolSession.create(_enrolled_round(seed=37))
+        before = session.run_next_round()
+        query = session.root._distribution_query
+        session.advance_epoch(joins=["joiner"], leaves=["u0"])
+        assert session.root._distribution_query is not query
+        after = session.run_next_round()
+        assert len(id_space_calls) == 1
+        assert before.distribution.values and after.distribution.values
 
 
 class TestBlindingArrayApis:
