@@ -2,7 +2,7 @@
 
 The paper's privacy guarantees rest on a handful of code-level
 disciplines — pads are one-time per (pair, round), every byte on the
-wire flows through the ``_ship``/``_transcode`` accounting hooks, all
+wire flows through the ``_ship``/``_carry`` accounting hooks, all
 randomness on the protocol/crypto path comes from seeded generators, and
 no protocol error is ever silently swallowed. Runtime tests exercise
 those invariants on the paths they happen to cover; the tools in this

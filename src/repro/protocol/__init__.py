@@ -82,13 +82,13 @@ realism for speed, and a session selects one by name
   round-trips the byte-exact codec in :mod:`repro.protocol.wire`
   (16-byte header, 4-byte big-endian cells) and bills the *actual*
   encoded size. All byte-exact transports share this one
-  ``_transcode`` accounting path and customize only the ``_ship``
+  ``_carry`` accounting path and customize only the ``_ship``
   byte-moving hook, so transcript byte counts cannot drift between
   them.
 * :class:`~repro.protocol.net.SocketTransport` — the same wire bytes
-  pushed through a real localhost TCP connection as length-prefixed
-  frames; truncation, oversize and framing bugs fail here, not in
-  production.
+  queued as length-prefixed frames and flushed through a real localhost
+  TCP connection when their mailbox is read (one flush per tier);
+  truncation, oversize and framing bugs fail here, not in production.
 * :class:`~repro.protocol.net.ChaosSocketTransport` — the socket rung
   under seeded hostile-WAN conditions: a
   :class:`~repro.protocol.net.FaultPlan` assigns each directed link a
@@ -103,7 +103,7 @@ realism for speed, and a session selects one by name
   :class:`~repro.protocol.client.ProtocolClient` objects through a
   JSON-over-HTTP API with per-enrollment bearer tokens; every protocol
   message still crosses a byte-exact transport's
-  ``_transcode``/``_ship`` seam *under* the HTTP plane (the HTTP body
+  ``_carry``/``_ship`` seam *under* the HTTP plane (the HTTP body
   carries the wire encoding; the service refuses ``transport="memory"``
   so parity never goes vacuous), which keeps HTTP-vs-socket byte parity
   assertable and lets a chaos :class:`~repro.protocol.net.FaultPlan`

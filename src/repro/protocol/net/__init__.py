@@ -7,8 +7,8 @@ transports below it are a fidelity ladder —
   objects between mailboxes (fast, what simulations use);
 * :class:`~repro.protocol.transport.WireTransport` round-trips every
   message through the byte-exact codec in :mod:`repro.protocol.wire`;
-* :class:`SocketTransport` (here) pushes those same bytes through a real
-  localhost TCP connection as length-prefixed frames;
+* :class:`SocketTransport` (here) queues those same bytes as frames and
+  flushes them through a real localhost TCP connection on mailbox reads;
 * :class:`ChaosSocketTransport` makes those frames suffer — seeded,
   per-link WAN faults (latency, jitter, loss, drops, truncation,
   slow-loris trickle) described by a :class:`FaultPlan` —

@@ -262,7 +262,7 @@ class ChaosSocketTransport(SocketTransport):
 
     Faults are injected inside :meth:`_ship`, *after* encoding and
     *before* the frame crosses the TCP pair, so the single accounting
-    path in :meth:`~repro.protocol.transport.WireTransport._transcode`
+    path in :meth:`~repro.protocol.transport.WireTransport._carry`
     is untouched: byte counters, transcripts and (for survivable
     faults) round results are bit-identical to the clean transport.
 
@@ -279,20 +279,14 @@ class ChaosSocketTransport(SocketTransport):
         self.plan = plan if plan is not None else FaultPlan()
         self.events: Counter = Counter()
         self.injected_delay_s = 0.0
-        self._link: LinkKey = ("?", "?")
 
-    def send(self, sender: str, recipient: str, message: Any) -> bool:
-        # The base send path doesn't thread routing into the codec hook;
-        # stash the link so _ship can resolve its fault. Single-threaded
-        # per the driver contract (one send in flight at a time).
-        self._link = (sender, recipient)
-        return super().send(sender, recipient, message)
-
-    def _ship(self, encoded: bytes) -> bytes:
-        sender, recipient = self._link
+    def _ship(self, mailbox: str, sender: str, recipient: str, encoded: bytes) -> None:
         fault = self.plan.fault_for(sender, recipient)
         if fault.is_noop:
-            return super()._ship(encoded)
+            return super()._ship(mailbox, sender, recipient, encoded)
+        # A faulty link ships its frame alone, now (after whatever is queued
+        # ahead of it): the fault hits exactly it and surfaces from this send.
+        self._flush()
         rng = self.plan.rng_for(sender, recipient)
 
         delay = 0.0
@@ -324,20 +318,19 @@ class ChaosSocketTransport(SocketTransport):
             # consistent (the pump echoes a complete frame) and the
             # codec on the delivery side raises the truncation error a
             # corrupted stream would produce.
-            cut = rng.randrange(1, max(2, len(encoded)))
+            encoded = encoded[:rng.randrange(1, max(2, len(encoded)))]
             self.events["truncated"] += 1
-            return super()._ship(encoded[:cut])
-        if fault.trickle_bytes_per_s:
+        elif fault.trickle_bytes_per_s:
             self.events["trickled"] += 1
             chunk = max(64, int(fault.trickle_bytes_per_s * _TRICKLE_QUANTUM_S))
             self._chunk = chunk
             self._write_pause = chunk / fault.trickle_bytes_per_s
-            try:
-                return super()._ship(encoded)
-            finally:
-                self._chunk = _CHUNK
-                self._write_pause = 0.0
-        return super()._ship(encoded)
+        try:
+            super()._ship(mailbox, sender, recipient, encoded)
+            self._flush()
+        finally:
+            self._chunk = _CHUNK
+            self._write_pause = 0.0
 
 
 #: The tentpole's alias: a transport whose links are faulty by plan.

@@ -3,21 +3,25 @@
 :class:`SocketTransport` is the byte-exact
 :class:`~repro.protocol.transport.WireTransport` with the loopback made
 physical: each :meth:`~repro.protocol.transport.InMemoryTransport.send`
-wire-encodes the message, wraps it in a length-prefixed frame, writes it
-into a connected localhost TCP socket and reads it back out of the peer
-end before delivery. Every byte of every protocol message therefore
+wire-encodes the message, wraps it in a length-prefixed frame and queues
+it; reading a mailbox that has frames in flight first flushes the whole
+queue, in send order, into a connected localhost TCP socket and reads it
+back out of the peer end. Every byte of every protocol message therefore
 crosses the kernel's TCP stack — framing bugs, partial reads and
-oversized frames fail here, not in production.
+oversized frames fail here, not in production — at one flush per tier of
+a round; and as no reader sees a mailbox before everything queued ahead
+of it has arrived, deliveries and transcript are the wire transport's.
 
-Accounting is the shared :meth:`WireTransport._transcode` path: the
+Accounting is the shared :meth:`WireTransport._carry` path: the
 counters bill ``len(wire.encode(message))`` exactly as the in-memory
 wire transport does (frame overhead is transport plumbing, not §7.1
 message bytes), so byte counts cannot drift between transports — the
 equivalence tests assert equality.
 
-The write-then-read of one frame happens on one thread, so the pump
-interleaves non-blocking writes and reads under ``select``; a frame
-larger than the socket buffers cannot deadlock it.
+A flush happens on one thread, so the pump interleaves non-blocking
+writes and reads under ``select``: frames larger than the socket buffers
+cannot deadlock it. Its stall deadline bounds one frame (re-armed as each
+completes), and a flush that fails mid-stream closes the transport.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ import socket
 import struct
 import threading
 import time
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError, TransportError
+from repro.protocol import wire
 from repro.protocol.net import frames
 from repro.protocol.transport import WireTransport
 
@@ -55,6 +61,9 @@ class SocketTransport(WireTransport):
         self._chunk = _CHUNK
         self._write_pause = 0.0
         self._lock = threading.Lock()
+        # Sends framed but not yet on the wire, and the mailboxes they are for.
+        self._queue: List[Tuple[str, str, str, bytes]] = []
+        self._in_flight: Set[str] = set()
         listener = socket.create_server(("127.0.0.1", 0))
         try:
             self.port = listener.getsockname()[1]
@@ -70,25 +79,50 @@ class SocketTransport(WireTransport):
     # ------------------------------------------------------------------
     # The byte-shipping hook (single accounting path stays in the base)
     # ------------------------------------------------------------------
-    def _ship(self, encoded: bytes) -> bytes:
+    def _ship(self, mailbox: str, sender: str, recipient: str, encoded: bytes) -> None:
+        """Frame and queue; :meth:`_flush` moves the bytes."""
         if self._closed:
             raise TransportError("socket transport is closed")
+        frames.check_frame_length(1 + len(encoded), self.max_frame)
+        frame = frames.pack_frame(frames.SHIP, encoded)
         with self._lock:
-            body = self._pump(frames.pack_frame(frames.SHIP, encoded))
-        kind, payload = body[0], body[1:]
-        if kind != frames.SHIP:
-            raise ProtocolError(
-                f"socket transport echoed frame kind {kind}, expected SHIP"
-            )
-        return payload
+            self._queue.append((mailbox, sender, recipient, frame))
+            self._in_flight.add(mailbox)
 
-    def _pump(self, frame: bytes) -> bytes:
-        """Write one frame and read it back, interleaved under select."""
-        out = memoryview(frame)
+    def receive(self, endpoint: str) -> Optional[Tuple[str, Any]]:
+        if endpoint in self._in_flight:
+            self._flush()
+        return super().receive(endpoint)
+
+    def drain(self, endpoint: str) -> List[Tuple[str, Any]]:
+        if endpoint in self._in_flight:
+            self._flush()
+        return super().drain(endpoint)
+
+    def pending(self, endpoint: str) -> int:
+        if endpoint in self._in_flight:
+            self._flush()
+        return super().pending(endpoint)
+
+    def _flush(self) -> None:
+        """Write the queued frames and read each back, in send order; an
+        error mid-stream desynchronises the pair, so it closes the transport."""
+        with self._lock:
+            queue, self._queue = self._queue, []
+            self._in_flight.clear()
+            try:
+                self._pump(queue)
+            except BaseException:
+                self.close()
+                raise
+
+    def _pump(self, queue: List[Tuple[str, str, str, bytes]]) -> None:
+        """Interleaved under select; a frame is delivered as its echo completes."""
+        out = memoryview(b"".join(frame for _, _, _, frame in queue))
         buf = bytearray()
-        need = None  # total frame size once the length prefix is in
+        done = 0  # frames echoed, checked, decoded and delivered
         deadline = time.monotonic() + self.timeout
-        while out or need is None or len(buf) < 4 + need:
+        while done < len(queue):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportError(
@@ -106,24 +140,33 @@ class SocketTransport(WireTransport):
                 out = out[sent:]
                 if sent and out and self._write_pause:
                     # Trickle pacing: the deadline above still bounds the
-                    # whole frame, so a too-slow sender stalls out.
+                    # frame being echoed, so a too-slow sender stalls out.
                     left = deadline - time.monotonic()
                     time.sleep(min(self._write_pause, max(0.0, left)))
-            if readable:
-                chunk = self._in.recv(_CHUNK)
-                if not chunk:
-                    raise TransportError("socket transport connection closed mid-frame")
-                buf += chunk
-            if need is None and len(buf) >= 4:
-                (length,) = struct.unpack_from(">I", buf, 0)
+            if not readable:
+                continue
+            chunk = self._in.recv(_CHUNK)
+            if not chunk:
+                raise TransportError("socket transport connection closed mid-frame")
+            buf += chunk
+            start = 0
+            while done < len(queue) and len(buf) - start >= 5:
+                length, kind = struct.unpack_from(">IB", buf, start)
                 frames.check_frame_length(length, self.max_frame)
-                need = length
-        if len(buf) != 4 + need:
-            raise ProtocolError(
-                f"socket transport echoed {len(buf) - 4} frame bytes, "
-                f"expected {need}"
-            )
-        return bytes(buf[4:])
+                mailbox, sender, recipient, frame = queue[done]
+                if 4 + length != len(frame) or kind != frames.SHIP:
+                    raise ProtocolError(
+                        f"socket transport echoed {length} frame bytes of kind "
+                        f"{kind}, expected {len(frame) - 4} of kind SHIP"
+                    )
+                end = start + len(frame)
+                if len(buf) < end:
+                    break
+                message = wire.decode(bytes(buf[start + 5 : end]))
+                self._deliver(mailbox, sender, recipient, message)
+                start, done = end, done + 1
+                deadline = time.monotonic() + self.timeout
+            del buf[:start]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -136,6 +179,7 @@ class SocketTransport(WireTransport):
         if getattr(self, "_closed", True):
             return
         self._closed = True
+        self._queue, self._in_flight = [], set()
         for sock in (getattr(self, "_out", None), getattr(self, "_in", None)):
             if sock is None:
                 continue

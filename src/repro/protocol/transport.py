@@ -13,6 +13,7 @@ from collections import defaultdict, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
+from repro.protocol import wire
 
 
 class InMemoryTransport:
@@ -83,11 +84,10 @@ class InMemoryTransport:
     def send(self, sender: str, recipient: str, message: Any) -> bool:
         """Deliver ``message``; returns False if the sender is failed.
 
-        The single send path for every transport: failed-sender drop,
-        mailbox append, message/byte accounting and transcript recording
-        live here, and subclasses customize only :meth:`_transcode` — so
-        byte accounting cannot drift between transports. Dropped messages
-        are not counted: a crashed client sends nothing.
+        The single send path for every transport: routing, failed-sender
+        drop and message/byte accounting live here and subclasses customize
+        only :meth:`_carry`, so byte accounting cannot drift between them.
+        Dropped messages are not counted: a crashed client sends nothing.
         """
         mailbox = recipient if recipient in self._mailboxes \
             else self._aliases.get(recipient)
@@ -95,22 +95,25 @@ class InMemoryTransport:
             raise TransportError(f"unknown endpoint: {recipient!r}")
         if sender in self._failed_senders:
             return False
-        delivered, nbytes = self._transcode(message)
-        self._mailboxes[mailbox].append((sender, delivered))
+        nbytes = self._carry(mailbox, sender, recipient, message)
         self.messages_sent[sender] += 1
         self.bytes_sent[sender] += nbytes
-        if self.transcript is not None:
-            self.transcript.append((sender, recipient, delivered))
         return True
 
-    def _transcode(self, message: Any) -> Tuple[Any, int]:
-        """Codec hook: (message as delivered, bytes to account).
-
-        The in-memory transport delivers the object itself and bills the
-        ``size_bytes()`` model (0 for messages without one).
-        """
+    def _carry(self, mailbox: str, sender: str, recipient: str,
+               message: Any) -> int:
+        """Carry hook: get one routed message to ``mailbox``, return the
+        bytes to bill (memory: the object itself, now, at ``size_bytes()``)."""
+        self._deliver(mailbox, sender, recipient, message)
         size = getattr(message, "size_bytes", None)
-        return message, (size() if callable(size) else 0)
+        return size() if callable(size) else 0
+
+    def _deliver(self, mailbox: str, sender: str, recipient: str,
+                 delivered: Any) -> None:
+        """Append an arrived message to its mailbox and the transcript."""
+        self._mailboxes[mailbox].append((sender, delivered))
+        if self.transcript is not None:
+            self.transcript.append((sender, recipient, delivered))
 
     def receive(self, endpoint: str) -> Optional[Tuple[str, Any]]:
         """Pop the oldest (sender, message) pair, or None if empty."""
@@ -153,18 +156,18 @@ class WireTransport(InMemoryTransport):
     accounting — is the base class's single send path.
     """
 
-    def _transcode(self, message: Any) -> Tuple[Any, int]:
+    def _carry(self, mailbox: str, sender: str, recipient: str,
+               message: Any) -> int:
         """The single codec-and-accounting path for every byte-exact
-        transport: encode once, ship the bytes via :meth:`_ship`, decode
-        what came back, and bill ``len(encoded)``. Subclasses that move
-        the bytes somewhere real (see :class:`repro.protocol.net.
-        SocketTransport`) override only :meth:`_ship`, so the byte
-        counters cannot drift between transports."""
-        from repro.protocol import wire
+        transport: encode once, :meth:`_ship` the routed bytes, bill
+        ``len(encoded)``. Subclasses that move the bytes somewhere real
+        override only :meth:`_ship`, so the byte counters cannot drift."""
         encoded = wire.encode(message)
-        return wire.decode(self._ship(encoded)), len(encoded)
+        self._ship(mailbox, sender, recipient, encoded)
+        return len(encoded)
 
-    def _ship(self, encoded: bytes) -> bytes:
-        """Byte-shipping hook: returns the bytes as the recipient sees
-        them. The in-memory wire transport hands them straight back."""
-        return encoded
+    def _ship(self, mailbox: str, sender: str, recipient: str,
+              encoded: bytes) -> None:
+        """Byte-shipping hook: get ``encoded`` to the recipient's side and
+        :meth:`_deliver` what the codec parses there (here: at once)."""
+        self._deliver(mailbox, sender, recipient, wire.decode(encoded))

@@ -14,7 +14,7 @@ reproduction — the top rung of the transport fidelity ladder (see
 * :mod:`repro.service.state` — the operator's protocol state: epochs,
   server-side aggregation endpoints, and the byte-exact transport every
   protocol message still crosses (HTTP bodies carry the wire encoding;
-  the bytes are billed at the ``_ship``/``_transcode`` seam, so
+  the bytes are billed at the ``_ship``/``_carry`` seam, so
   HTTP-vs-socket byte parity is assertable and chaos fault plans inject
   *under* the HTTP plane unchanged);
 * :mod:`repro.service.app` — the JSON route layer and

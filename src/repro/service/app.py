@@ -39,7 +39,7 @@ exactly like :class:`~repro.backend.service.BackendService` operations.
 Wire payloads (reports, adjustments, mailbox messages) travel as base64
 of the byte-exact :mod:`repro.protocol.wire` encoding inside the JSON
 envelope; the protocol bytes themselves are accounted where they always
-were, in the transport's ``_transcode``/``_ship`` seam.
+were, in the transport's ``_carry``/``_ship`` seam.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ implements the tiny subset the service uses:
 This is transport *plumbing*: the HTTP envelope around control-plane
 JSON is not part of the §7.1 protocol byte accounting (protocol bytes
 are billed where they always were, in ``InMemoryTransport.send`` via
-``_transcode``/``_ship``). The server still counts its envelope bytes
+``_carry``/``_ship``). The server still counts its envelope bytes
 in :attr:`HttpServer.bytes_in` / :attr:`HttpServer.bytes_out` as
 operational telemetry.
 """

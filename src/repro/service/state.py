@@ -14,7 +14,7 @@ refuses ``transport="memory"`` and runs the
 :class:`~repro.protocol.transport.WireTransport` family only: a report
 POSTed over HTTP is decoded from its wire bytes, then *re-sent* through
 ``transport.send(user, clique-aggregator, message)`` — the single
-``_transcode``/``_ship`` path every other transport uses. Byte counts
+``_carry``/``_ship`` path every other transport uses. Byte counts
 are therefore directly comparable between an HTTP-driven round and an
 in-process socket round (the equivalence tests assert equality), and a
 :class:`~repro.protocol.net.ChaosSocketTransport` fault plan injects its

@@ -7,6 +7,7 @@ exceptions re-raise as their original classes, and a round with an
 injected slow endpoint still quiesces with a bit-identical result.
 """
 
+import select
 import socket
 import struct
 import threading
@@ -126,6 +127,10 @@ def test_socket_transport_enforces_its_frame_ceiling():
             run_private_round(
                 CONFIG, enrollment.clients, round_id=0,
                 settings=SessionConfig(transport=transport))
+        # Refused at send, from the encoded size alone: nothing was
+        # queued and not a byte reached the socket.
+        assert not transport._queue
+        assert select.select([transport._in], [], [], 0.05)[0] == []
     finally:
         transport.close()
 

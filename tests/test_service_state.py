@@ -8,7 +8,7 @@ The headline assertions:
   as wire bytes — produces a **bit-identical** aggregate, distribution
   and threshold to the in-process driver over the same enrollment, and
   the **same §7.1 byte totals** (the service re-sends every payload
-  through the transport's ``_transcode``/``_ship`` seam);
+  through the transport's ``_carry``/``_ship`` seam);
 * ``RoundSummary`` / ``RoundResult`` / ``WeeklySnapshot`` survive their
   JSON specs exactly (satellite: ``net/spec.py`` round-trips).
 """

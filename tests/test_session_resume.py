@@ -38,9 +38,9 @@ class HashingTransport(WireTransport):
         super().__init__()
         self.hashes = []
 
-    def _ship(self, encoded):
+    def _ship(self, mailbox, sender, recipient, encoded):
         self.hashes.append(hashlib.sha256(encoded).hexdigest())
-        return super()._ship(encoded)
+        super()._ship(mailbox, sender, recipient, encoded)
 
 
 def _observe_week(session, week):
