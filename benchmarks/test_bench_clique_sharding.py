@@ -21,6 +21,7 @@ import time
 from conftest import append_trajectory as _append_trajectory, print_table
 
 from repro.api import ProtocolSession, SessionConfig
+from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.statsutil.sampling import make_rng
@@ -52,8 +53,7 @@ def _timed_round(num_cliques):
                               CONFIG, seed=11, use_oprf=False,
                               num_cliques=num_cliques)
     _observe_workload(enrollment)
-    session = ProtocolSession(
-        CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
+    session = ProtocolSession(CONFIG, enrollment.clients)
     t0 = time.perf_counter()
     result = session.run_round(1)
     return result, time.perf_counter() - t0
@@ -111,15 +111,17 @@ def test_clique_sharding_recovery_speedup():
         _observe_workload(enrollment)
         transport = InMemoryTransport()
         transport.fail_sender("user-0042")
-        session = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport, topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=transport))
         t0 = time.perf_counter()
         result = session.run_round(1)
-        return session, result, time.perf_counter() - t0
+        adjustments = sum(len(e.server.adjusted_users)
+                          for e in session.endpoints
+                          if isinstance(e, CliqueAggregator))
+        return adjustments, result, time.perf_counter() - t0
 
-    flat_sess, flat_result, flat_s = run(1)
-    shard_sess, shard_result, shard_s = run(NUM_CLIQUES)
+    flat_adjustments, flat_result, flat_s = run(1)
+    shard_adjustments, shard_result, shard_s = run(NUM_CLIQUES)
 
     assert flat_result.recovery_round_used
     assert shard_result.recovery_round_used
@@ -127,17 +129,16 @@ def test_clique_sharding_recovery_speedup():
     assert shard_result.aggregate.cells == flat_result.aggregate.cells
     # Unsharded: all 199 survivors adjust. Sharded: only the victim's
     # 49 clique mates do.
-    assert len(flat_sess.root.server.adjusted_users) == NUM_USERS - 1
-    assert len(shard_sess.root.server.adjusted_users) == \
-        NUM_USERS // NUM_CLIQUES - 1
+    assert flat_adjustments == NUM_USERS - 1
+    assert shard_adjustments == NUM_USERS // NUM_CLIQUES - 1
 
     print_table(
         "perf: clique sharding, round with one dropout + recovery",
         "  (adjustment fan-out is clique-local)",
         [f"  k=1:  {flat_s * 1000:8.1f} ms, "
-         f"{len(flat_sess.root.server.adjusted_users)} adjustments",
+         f"{flat_adjustments} adjustments",
          f"  k={NUM_CLIQUES}:  {shard_s * 1000:8.1f} ms, "
-         f"{len(shard_sess.root.server.adjusted_users)} adjustments"])
+         f"{shard_adjustments} adjustments"])
 
     _append_trajectory({
         "bench": "clique_sharding_recovery",
@@ -146,6 +147,6 @@ def test_clique_sharding_recovery_speedup():
         "num_cliques": NUM_CLIQUES,
         "flat_round_s": round(flat_s, 6),
         "sharded_round_s": round(shard_s, 6),
-        "flat_adjustments": len(flat_sess.root.server.adjusted_users),
-        "sharded_adjustments": len(shard_sess.root.server.adjusted_users),
+        "flat_adjustments": flat_adjustments,
+        "sharded_adjustments": shard_adjustments,
     })

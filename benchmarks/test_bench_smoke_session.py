@@ -6,8 +6,9 @@ carrying the ``smoke`` marker (see ``conftest.py``), so CI can run
     PYTHONPATH=src python -m pytest benchmarks -m "not slow" -q
 
 in seconds and still exercise the real protocol data path end to end:
-enrollment with blinding cliques, the per-clique aggregator fan-out, and
-the monolithic reference. The timing record lands in
+enrollment with blinding cliques and the clique -> root aggregation
+tree, checked against the plain sum of the cleartext sketches. The
+timing record lands in
 ``BENCH_perf_hotpaths.json`` so the perf trajectory has a per-commit
 gate, not just an occasional full bench run.
 """
@@ -17,7 +18,7 @@ import time
 import pytest
 from conftest import append_trajectory as _append_trajectory
 
-from repro.api import ProtocolSession, SessionConfig
+from repro.api import ProtocolSession
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 
@@ -44,18 +45,17 @@ def _enrolled(seed=11):
 
 @pytest.mark.smoke
 def test_smoke_session_round(capsys):
-    timings = {}
-    results = {}
-    for label, topology in (("fanout_sync", "fanout"),
-                            ("monolithic", "monolithic")):
-        session = ProtocolSession.create(
-            _enrolled(), settings=SessionConfig(topology=topology))
-        t0 = time.perf_counter()
-        results[label] = session.run_round(1)
-        timings[label] = time.perf_counter() - t0
+    enrollment = _enrolled()
+    session = ProtocolSession.create(enrollment)
+    t0 = time.perf_counter()
+    result = session.run_round(1)
+    timings = {"fanout_sync": time.perf_counter() - t0}
 
-    reference = results["monolithic"].aggregate.cells
-    assert results["fanout_sync"].aggregate.cells == reference
+    reference = CONFIG.make_sketch()
+    for client in enrollment.clients:
+        reference.update_many([client.ad_mapper.ad_id(url)
+                               for url in client.seen_urls])
+    assert result.aggregate.cells == reference.cells
     assert all(t < TIME_LIMIT_S for t in timings.values()), timings
 
     _append_trajectory({

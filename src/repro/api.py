@@ -11,8 +11,8 @@ names below will not.
   per reporting window and :meth:`~ProtocolSession.advance_epoch` when
   the population churns between windows.
 * :class:`SessionConfig` — the one value that names and validates every
-  wiring option (topology, transport, client backend, subprocess
-  fan-out, fault injection); every layer above — the pipeline, the
+  wiring option (transport, client backend, subprocess fan-out, tree
+  fan-in, fault injection); every layer above — the pipeline, the
   backend service, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
@@ -52,10 +52,10 @@ objects or a :class:`~repro.protocol.army.ClientArmy` (``session.army``)
 — and only its backend hook, re-wiring the cliques churn touched,
 differs. The same replay therefore resumes either backend.
 
-The default wiring is the per-clique aggregator fan-out (bit-identical
-to the monolithic server, parallelizable per clique);
-``SessionConfig(topology="monolithic")`` restores the single-server
-wiring. Transports are selected by name — ``transport="memory"``
+There is one aggregation topology: a clique aggregator per blinding
+clique feeding the root, through regional merge tiers when ``fan_in``
+bounds the fan-out (the paper's single back-end is the one-clique
+tree). Transports are selected by name — ``transport="memory"``
 (default), ``"wire"`` (byte-exact codec round-trip) or ``"socket"``
 (real TCP frames) — and ``aggregator_procs=k`` additionally runs each
 clique aggregator and the root as real subprocesses
@@ -98,8 +98,7 @@ from repro.protocol.runner import (
     ProtocolRunner,
     RoundResult,
     as_population,
-    build_fanout_endpoints,
-    build_monolithic_endpoints,
+    build_aggregation_tree,
 )
 from repro.protocol.transport import InMemoryTransport
 
@@ -126,9 +125,6 @@ __all__ = [
     "RoundConfig",
     "RoundResult",
 ]
-
-#: Supported aggregation topologies.
-TOPOLOGIES = ("fanout", "monolithic")
 
 #: Named transports ``SessionConfig(transport=...)`` resolves; an
 #: :class:`~repro.protocol.transport.InMemoryTransport` instance is
@@ -189,8 +185,8 @@ def _resolve_transport(
 class SessionConfig:
     """Validated wiring options — the one place they are named.
 
-    Collects every knob that shapes *how* a session runs — topology,
-    transport, client backend, subprocess fan-out, fault injection — as
+    Collects every knob that shapes *how* a session runs — transport,
+    client backend, subprocess fan-out, tree fan-in, fault injection — as
     one immutable, validated value, separate from *what* population
     runs (the source argument of :meth:`~ProtocolSession.create`) and
     from the protocol parameters themselves
@@ -203,9 +199,6 @@ class SessionConfig:
 
     Fields
     ------
-    topology:
-        ``"fanout"`` (default): one aggregator per blinding clique
-        feeding a root; ``"monolithic"``: the paper's single server.
     transport:
         ``"memory"`` / ``"wire"`` / ``"socket"`` (see
         :data:`TRANSPORTS`) or an
@@ -238,8 +231,9 @@ class SessionConfig:
         ``aggregator_procs``. Without it, worker death fails the round
         fast (a :class:`ProtocolError` surfaces).
     fan_in:
-        Bound on the partial-aggregate fan-in of the fan-out topology's
-        aggregation tree (regional merge tiers appear above it).
+        Bound (>= 2) on the partial-aggregate fan-in of the aggregation
+        tree (regional merge tiers appear above it); None keeps every
+        clique aggregator feeding the root directly.
 
     Use :func:`dataclasses.replace` to derive variants::
 
@@ -247,7 +241,6 @@ class SessionConfig:
         wired = replace(base, transport="wire")
     """
 
-    topology: str = "fanout"
     transport: TransportSpec = None
     threshold_rule: ThresholdRuleFn = mean_threshold
     client_backend: str = "objects"
@@ -257,10 +250,6 @@ class SessionConfig:
     fan_in: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown topology {self.topology!r}; expected one of "
-                f"{TOPOLOGIES}")
         if self.client_backend not in CLIENT_BACKENDS:
             raise ConfigurationError(
                 f"unknown client_backend {self.client_backend!r}; "
@@ -270,16 +259,10 @@ class SessionConfig:
             raise ConfigurationError(
                 f"aggregator_procs must be >= 0, got "
                 f"{self.aggregator_procs}")
-        if self.aggregator_procs and self.topology != "fanout":
+        if self.fan_in is not None and self.fan_in < 2:
             raise ConfigurationError(
-                "aggregator_procs runs the per-clique fan-out in "
-                "subprocesses and needs topology='fanout', got "
-                f"{self.topology!r}")
-        if self.fan_in is not None and self.topology != "fanout":
-            raise ConfigurationError(
-                "fan_in bounds the partial-aggregate fan-in of the "
-                "aggregation tree and needs topology='fanout', got "
-                f"{self.topology!r}")
+                f"fan_in must be >= 2 (a 1-child tier merges nothing), "
+                f"got {self.fan_in}")
         if self.retry_policy is not None and not self.aggregator_procs:
             raise ConfigurationError(
                 "retry_policy supervises aggregator subprocesses; pass "
@@ -301,9 +284,8 @@ class ProtocolSession:
     :class:`SessionConfig`, and the synchronous
     :class:`~repro.protocol.runner.ProtocolRunner` drives every round.
 
-    A session wires the parties once — clients, aggregators (one per
-    blinding clique under ``topology="fanout"``, a single server under
-    ``"monolithic"``) and the root — and then drives as many rounds as
+    A session wires the parties once — clients, one aggregator per
+    blinding clique and the root — and then drives as many rounds as
     the deployment needs over the same transport, draining every mailbox
     each round. Sessions built from an epoch-aware enrollment (any
     :func:`~repro.protocol.enrollment.enroll_users` result) also support
@@ -404,7 +386,7 @@ class ProtocolSession:
         """(Re-)build endpoints and runner; shared by construction and
         epoch advances (which pass the session's existing transport).
 
-        With an aggregator pool, the fan-out endpoints are proxies to
+        With an aggregator pool, the aggregation endpoints are proxies to
         live subprocesses: the pool converges its process set onto the
         current clique map (reconfiguring survivors in place) and the
         runner drives the proxies through the unchanged endpoint
@@ -414,13 +396,12 @@ class ProtocolSession:
         """
         if self._pool is not None:
             endpoints, root = self._pool.wire(clients, threshold_rule)
-        elif self.settings.topology == "fanout":
-            endpoints, root = build_fanout_endpoints(
-                self.config, clients, threshold_rule=threshold_rule,
-                fan_in=self.settings.fan_in)
         else:
-            endpoints, root = build_monolithic_endpoints(
-                self.config, clients, threshold_rule=threshold_rule)
+            population = as_population(clients)
+            aggregation, root = build_aggregation_tree(
+                self.config, population.members(), population.user_ids,
+                threshold_rule=threshold_rule, fan_in=self.settings.fan_in)
+            endpoints = [*population.endpoints, *aggregation]
         self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
         if self.army is not None:
@@ -462,7 +443,7 @@ class ProtocolSession:
           backend; a membership manager is built around it.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
-        topology, transport, fault injection); defaults apply when
+        transport, fan-in, fault injection); defaults apply when
         omitted. ``store`` (a
         :class:`~repro.store.history.HistoryStore` or a path for one)
         attaches durable history recording via :meth:`attach_store`
@@ -543,8 +524,8 @@ class ProtocolSession:
         roster/clique snapshot; any drift (a store written by different
         code, a truncated file) raises
         :class:`~repro.errors.StoreError` instead of silently running
-        with wrong cliques. ``settings`` re-wires topology and
-        transport freely — wiring is not part of the persisted
+        with wrong cliques. ``settings`` re-wires transport and
+        fan-in freely — wiring is not part of the persisted
         identity. The client backend is: a lineage resumes on the
         backend the store recorded, whatever ``settings.client_backend``
         says (that field only picks a representation when
@@ -807,8 +788,8 @@ class ProtocolSession:
         Delegates the key-material work to the session's
         :class:`~repro.protocol.membership.MembershipManager` (only
         users whose clique changed are re-keyed), then rebuilds the
-        aggregation endpoints — one aggregator per surviving clique
-        under the fan-out topology — over the *same* transport, so
+        aggregation endpoints — one aggregator per surviving clique —
+        over the *same* transport, so
         byte/message accounting and any injected failures persist
         across the transition. The new epoch's ``first_round`` is this
         session's next round id: rounds never reuse an id across

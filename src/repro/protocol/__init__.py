@@ -48,25 +48,25 @@ Architecture — endpoints, messages, one driver
 Every party is a reactive :class:`~repro.protocol.endpoint.
 ProtocolEndpoint`: it holds a transport mailbox and acts only in response
 to round-lifecycle hooks and incoming messages, returning its replies for
-the driver to deliver. Two aggregation topologies wire the same clients:
-
-* **monolithic** — one :class:`~repro.protocol.server.ServerEndpoint`
-  (the wrapped :class:`AggregationServer`) receives everything; this is
-  the paper's single honest-but-curious backend.
-* **fan-out** — one :class:`~repro.protocol.aggregator.CliqueAggregator`
-  per blinding clique feeds a
-  :class:`~repro.protocol.aggregator.RootAggregator` with
-  :class:`~repro.protocol.messages.PartialAggregate` messages. Blinding
-  cancels per clique, so the combined aggregate is bit-identical to the
-  monolithic sum while collection parallelizes per clique — the seam for
-  a multi-server deployment. Epoch advances re-wire the aggregator set
-  in place as cliques gain and lose members.
+the driver to deliver. There is one aggregation topology, a tree
+(:func:`~repro.protocol.runner.build_aggregation_tree`): one
+:class:`~repro.protocol.aggregator.CliqueAggregator` per blinding clique
+— each wrapping a clique-restricted :class:`AggregationServer` — feeds a
+:class:`~repro.protocol.aggregator.RootAggregator` with
+:class:`~repro.protocol.messages.PartialAggregate` messages, through
+regional merge tiers when ``fan_in`` bounds the fan-out. Blinding
+cancels per clique, so the combined aggregate is bit-identical to the
+flat sum over every report while collection parallelizes per clique —
+the seam for a multi-server deployment. The paper's single
+honest-but-curious back-end is the k = 1 tree. A client's uplink is a
+pure function of its clique id, so epoch advances re-wire only the
+aggregator set as cliques gain and lose members.
 
 One driver, :class:`~repro.protocol.runner.ProtocolRunner`, moves
 messages synchronously until the round quiesces; it raises on unknown
 message types and drains every mailbox before returning. How the parties
-are wired — topology, transport, client backend, subprocess fan-out,
-fault injection — is named and validated in exactly one place, the
+are wired — transport, client backend, subprocess fan-out, tree
+fan-in, fault injection — is named and validated in exactly one place, the
 :class:`repro.api.SessionConfig` value every layer above forwards.
 
 Transports — a fidelity ladder
@@ -239,13 +239,12 @@ from repro.protocol.endpoint import (
     mean_threshold,
 )
 from repro.protocol.client import ProtocolClient, RoundConfig
-from repro.protocol.server import AggregationServer, ServerEndpoint
+from repro.protocol.server import AggregationServer
 from repro.protocol.aggregator import CliqueAggregator, RootAggregator
 from repro.protocol.runner import (
     ProtocolRunner,
     RoundResult,
-    build_fanout_endpoints,
-    build_monolithic_endpoints,
+    build_aggregation_tree,
 )
 from repro.protocol.enrollment import Enrollment, assign_cliques, enroll_users
 from repro.protocol.membership import (
@@ -277,12 +276,10 @@ __all__ = [
     "ProtocolClient",
     "RoundConfig",
     "AggregationServer",
-    "ServerEndpoint",
     "CliqueAggregator",
     "RootAggregator",
     "ProtocolRunner",
     "RoundResult",
-    "build_fanout_endpoints",
-    "build_monolithic_endpoints",
+    "build_aggregation_tree",
 ]
 

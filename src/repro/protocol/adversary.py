@@ -99,7 +99,6 @@ class PoisoningClient(ProtocolClient):
             clique_id=client.clique_id,
             poison=poison,
         )
-        rogue.uplink = client.uplink
         for url in client.seen_urls:
             rogue.observe_ad(url)
         return rogue

@@ -1,36 +1,38 @@
-"""Per-clique aggregation fan-out: clique aggregators and their root.
+"""The aggregation tree: clique aggregators, regional tiers, the root.
 
-PR 2 made blinding cancellation *clique-local*: each clique's pads sum
-to zero independently, so a clique's reports (plus its own recovery
+Blinding cancellation is *clique-local*: each clique's pads sum to zero
+independently, so a clique's reports (plus its own recovery
 adjustments) can be collected and summed without ever seeing another
-clique's traffic. This module exploits that seam, replacing the single
-:class:`~repro.protocol.server.AggregationServer` endpoint with
+clique's traffic. The back-end is therefore a tree:
 
 * one :class:`CliqueAggregator` per blinding clique — collects exactly
   its clique's :class:`~repro.protocol.messages.BlindedReport` messages,
   runs the clique-local recovery round when members drop out, and emits
-  one :class:`~repro.protocol.messages.PartialAggregate` to the root;
+  one :class:`~repro.protocol.messages.PartialAggregate` upward;
+* optional :class:`RegionalAggregator` tiers that merge partials so no
+  endpoint collects more than ``fan_in`` feeds;
 * one :class:`RootAggregator` — combines the partials into the global
-  aggregate (bit-identical to the monolithic sum: each partial is the
-  clique's cell-wise sum modulo the blinding modulus, and modular
-  addition is associative), answers the #Users distribution query and
-  broadcasts the threshold.
+  aggregate (bit-identical to the flat sum over every report: each
+  partial is the clique's cell-wise sum modulo the blinding modulus, and
+  modular addition is associative), answers the #Users distribution
+  query and broadcasts the threshold.
 
-Because clique aggregators share no state, they are the unit of
-concurrency: ``aggregator_procs`` runs each in its own process, and a
-multi-server deployment would place each behind its own socket.
+The paper's single honest-but-curious back-end is the k = 1 tree: one
+clique aggregator that collects and recovers, one root that queries and
+thresholds. Because clique aggregators share no state, they are the
+unit of concurrency: ``aggregator_procs`` runs each in its own process,
+and a multi-server deployment would place each behind its own socket.
 
 Each :class:`CliqueAggregator` *wraps* a clique-restricted
-:class:`~repro.protocol.server.AggregationServer`, so every validation
-the monolithic server performs — duplicate/differing resends, wrong
-clique ids, adjustments from non-reporters, strict recovery-coverage
-release checks — applies unchanged to the fan-out path.
+:class:`~repro.protocol.server.AggregationServer`, which owns every
+validation — duplicate/differing resends, wrong clique ids, adjustments
+from non-reporters, strict recovery-coverage release checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from repro.protocol.endpoint import (
     ProtocolEndpoint,
     RoundSummary,
     ThresholdRuleFn,
+    clique_endpoint_id,
     mean_threshold,
 )
 from repro.protocol.messages import (
@@ -55,11 +58,6 @@ from repro.protocol.messages import (
 )
 from repro.protocol.server import AggregationServer, UsersDistributionQuery
 from repro.sketch.countmin import CountMinSketch
-
-
-def clique_endpoint_id(clique_id: int) -> str:
-    """Canonical transport name of one clique's aggregator."""
-    return f"clique-aggregator-{clique_id}"
 
 
 def regional_endpoint_id(level: int, region_id: int) -> str:
@@ -82,10 +80,10 @@ class RegionalNode:
 
 @dataclass(frozen=True)
 class AggregationTreePlan:
-    """A fan-in-bounded aggregation topology over a set of cliques.
+    """A fan-in-bounded aggregation tree over a set of cliques.
 
-    With ``fan_in=None`` (or few enough cliques) the plan is the flat
-    PR-2 fan-out: every clique feeds the root directly. Otherwise sorted
+    With ``fan_in=None`` (or few enough cliques) the plan is flat:
+    every clique feeds the root directly. Otherwise sorted
     clique ids are grouped into consecutive chunks of ``fan_in``,
     each chunk merged by a :class:`RegionalAggregator`, and the grouping
     repeats level by level until at most ``fan_in`` feeds survive for
@@ -97,7 +95,7 @@ class AggregationTreePlan:
     fan_in: Optional[int]
     #: clique id -> endpoint id its partial is sent to.
     clique_parent: Dict[int, str]
-    #: Regional tiers bottom-up; empty for the flat topology.
+    #: Regional tiers bottom-up; empty for the flat tree.
     levels: Tuple[Tuple[RegionalNode, ...], ...]
     #: The ids whose partials the root expects (clique ids when flat,
     #: top-tier region ids otherwise).
@@ -125,7 +123,7 @@ def plan_aggregation_tree(clique_ids: Sequence[int],
                           fan_in: Optional[int] = None,
                           root_id: str = SERVER_ENDPOINT,
                           ) -> AggregationTreePlan:
-    """Plan the (possibly multi-level) aggregation topology.
+    """Plan the (possibly multi-level) aggregation tree.
 
     Deterministic: sorted clique ids, consecutive chunks, region ids
     numbered 0.. per level — two sessions over the same population plan
@@ -257,45 +255,31 @@ class CliqueAggregator(ProtocolEndpoint):
                                 missing=missing)
 
 
-class RegionalAggregator(ProtocolEndpoint):
-    """Mid-tier fan-in: merges child partials into one bigger partial.
-
-    Purely message-driven like the root, but it finalizes nothing: once
-    every expected child's :class:`~repro.protocol.messages.
-    PartialAggregate` arrived it emits a single merged partial — cells
-    summed modulo the blinding modulus, participation rosters
-    concatenated — upward and goes quiet. Reusing ``PartialAggregate``
-    for the merged result means the regional tier introduces no new
-    wire message: a regional feed is indistinguishable from a very
-    large clique's feed, which is exactly why the root needs no
-    tree awareness beyond its child-id list.
-
-    Validation mirrors the root: wrong-round or unexpected-child
+class _PartialCollector(ProtocolEndpoint):
+    """Partial intake shared by the regional tiers and the root: one
+    :class:`~repro.protocol.messages.PartialAggregate` per expected
+    child per round. Wrong-round, unexpected-child and wrong-size
     partials raise, identical retransmissions are idempotent, differing
-    duplicates are rejected.
-    """
+    duplicates are rejected; :meth:`_complete` fires once, when the
+    last child's partial arrived."""
 
-    def __init__(self, region_id: int, level: int, config: RoundConfig,
-                 child_ids: Sequence[int], parent_id: str) -> None:
+    def __init__(self, config: RoundConfig,
+                 child_ids: Sequence[int]) -> None:
         if not child_ids:
             raise ProtocolError(
-                f"regional aggregator {region_id} has no children")
-        if len(set(child_ids)) != len(child_ids):
+                f"{type(self).__name__} needs at least one child")
+        #: Membership test per partial — built once, not per message.
+        self._children: FrozenSet[int] = frozenset(child_ids)
+        if len(self._children) != len(child_ids):
             raise ProtocolError("duplicate child ids")
-        self.region_id = region_id
-        self.level = level
         self.config = config
-        self.child_ids = sorted(child_ids)
-        self.parent_id = parent_id
-        self.endpoint_id = regional_endpoint_id(level, region_id)
+        self.child_ids: List[int] = sorted(child_ids)
         self._round_id: Optional[int] = None
         self._partials: Dict[int, PartialAggregate] = {}
-        self._released = False
 
     def on_round_start(self, round_id: int) -> Outbox:
         self._round_id = round_id
         self._partials.clear()
-        self._released = False
         return []
 
     def on_message(self, sender: str, message: Any) -> Outbox:
@@ -303,12 +287,12 @@ class RegionalAggregator(ProtocolEndpoint):
             return super().on_message(sender, message)
         if self._round_id is None:
             raise RoundStateError(
-                f"no round in progress at region {self.endpoint_id}")
+                f"no round in progress at {self.endpoint_id}")
         if message.round_id != self._round_id:
             raise RoundStateError(
                 f"partial for round {message.round_id}, current is "
                 f"{self._round_id}")
-        if message.clique_id not in set(self.child_ids):
+        if message.clique_id not in self._children:
             raise RoundStateError(
                 f"partial from unexpected child {message.clique_id} at "
                 f"{self.endpoint_id}")
@@ -324,16 +308,18 @@ class RegionalAggregator(ProtocolEndpoint):
                 f"duplicate partial from child {message.clique_id} with "
                 f"differing content")
         self._partials[message.clique_id] = message
-        if len(self._partials) == len(self.child_ids) and not self._released:
-            self._released = True
-            return [(self.parent_id, self._merge(self._round_id))]
+        if len(self._partials) == len(self.child_ids):
+            return self._complete(self._round_id)
         return []
 
-    def _merge(self, round_id: int) -> PartialAggregate:
-        """One merged partial: the region's cell-wise sum (reduced once,
-        like every tier — modular addition is associative, so the root's
-        final aggregate is bit-identical to the flat topology's) plus
-        the concatenated participation rosters."""
+    def _complete(self, round_id: int) -> Outbox:
+        raise NotImplementedError
+
+    def _merged(self) -> Tuple[np.ndarray, List[str], List[str]]:
+        """Every child's partial, in child-id order: the cell-wise sum
+        reduced once (modular addition is associative, so the result is
+        bit-identical at every tree depth) and the concatenated
+        participation rosters."""
         cells = np.zeros(self.config.num_cells, dtype=np.uint64)
         reported: List[str] = []
         missing: List[str] = []
@@ -342,94 +328,74 @@ class RegionalAggregator(ProtocolEndpoint):
             cells += partial.cells_as_array()
             reported.extend(partial.reported)
             missing.extend(partial.missing)
-        return PartialAggregate(clique_id=self.region_id,
-                                round_id=round_id,
-                                cells=CellVector(reduce_cells(cells)),
-                                reported=tuple(reported),
-                                missing=tuple(missing))
+        return reduce_cells(cells), reported, missing
 
 
-class RootAggregator(ProtocolEndpoint):
+class RegionalAggregator(_PartialCollector):
+    """Mid-tier fan-in: merges child partials into one bigger partial.
+
+    Purely message-driven like the root, but it finalizes nothing: once
+    every expected child's :class:`~repro.protocol.messages.
+    PartialAggregate` arrived it emits a single merged partial — cells
+    summed modulo the blinding modulus, participation rosters
+    concatenated — upward and goes quiet. Reusing ``PartialAggregate``
+    for the merged result means the regional tier introduces no new
+    wire message: a regional feed is indistinguishable from a very
+    large clique's feed, which is exactly why the root needs no
+    tree awareness beyond its child-id list.
+    """
+
+    def __init__(self, region_id: int, level: int, config: RoundConfig,
+                 child_ids: Sequence[int], parent_id: str) -> None:
+        super().__init__(config, child_ids)
+        self.region_id = region_id
+        self.level = level
+        self.parent_id = parent_id
+        self.endpoint_id = regional_endpoint_id(level, region_id)
+
+    def _complete(self, round_id: int) -> Outbox:
+        cells, reported, missing = self._merged()
+        return [(self.parent_id, PartialAggregate(
+            clique_id=self.region_id, round_id=round_id,
+            cells=CellVector(cells), reported=tuple(reported),
+            missing=tuple(missing)))]
+
+
+class RootAggregator(_PartialCollector):
     """Combines every clique's partial into the round's global result.
 
     Purely message-driven: it neither knows users nor touches blinding —
-    it waits for one :class:`PartialAggregate` per expected clique, adds
+    it waits for one :class:`PartialAggregate` per expected child, adds
     the cell vectors modulo the blinding modulus (bit-identical to the
-    monolithic sum), answers the #Users distribution query with the same
-    cached-index-table code the monolithic server uses, and broadcasts
-    ``Users_th`` to every client.
+    flat sum over every report), answers the #Users distribution query
+    and broadcasts ``Users_th`` to every client.
     """
 
     def __init__(self, config: RoundConfig, clique_ids: Sequence[int],
                  client_ids: Sequence[str],
                  threshold_rule: ThresholdRuleFn = mean_threshold,
                  endpoint_id: str = SERVER_ENDPOINT) -> None:
-        if not clique_ids:
-            raise ProtocolError("root aggregator needs at least one clique")
-        if len(set(clique_ids)) != len(clique_ids):
-            raise ProtocolError("duplicate clique ids")
-        self.config = config
-        self.clique_ids = sorted(clique_ids)
+        super().__init__(config, clique_ids)
+        self.clique_ids = self.child_ids
         self.client_ids = list(client_ids)
         self.threshold_rule = threshold_rule
         self.endpoint_id = endpoint_id
         self._distribution_query = UsersDistributionQuery(config)
-        self._round_id: Optional[int] = None
-        self._partials: Dict[int, PartialAggregate] = {}
         self._summary: Optional[RoundSummary] = None
 
     def on_round_start(self, round_id: int) -> Outbox:
-        self._round_id = round_id
-        self._partials.clear()
         self._summary = None
-        return []
+        return super().on_round_start(round_id)
 
-    def on_message(self, sender: str, message: Any) -> Outbox:
-        if not isinstance(message, PartialAggregate):
-            return super().on_message(sender, message)
-        if self._round_id is None:
-            raise RoundStateError("no round in progress at the root")
-        if message.round_id != self._round_id:
-            raise RoundStateError(
-                f"partial for round {message.round_id}, current is "
-                f"{self._round_id}")
-        if message.clique_id not in set(self.clique_ids):
-            raise RoundStateError(
-                f"partial from unexpected clique {message.clique_id}")
-        if len(message.cells) != self.config.num_cells:
-            raise RoundStateError(
-                f"partial has {len(message.cells)} cells, expected "
-                f"{self.config.num_cells}")
-        existing = self._partials.get(message.clique_id)
-        if existing is not None:
-            if _same_partial(existing, message):
-                return []  # idempotent retransmission
-            raise RoundStateError(
-                f"duplicate partial from clique {message.clique_id} with "
-                f"differing content")
-        self._partials[message.clique_id] = message
-        if len(self._partials) == len(self.clique_ids):
-            return self._finalize(self._round_id)
-        return []
-
-    def _finalize(self, round_id: int) -> Outbox:
-        reported: List[str] = []
-        missing: List[str] = []
-        for clique in self.clique_ids:
-            partial = self._partials[clique]
-            reported.extend(partial.reported)
-            missing.extend(partial.missing)
+    def _complete(self, round_id: int) -> Outbox:
+        cells, reported, missing = self._merged()
         if not reported:
             raise MissingReportError(
                 f"no reports arrived; all {len(missing)} enrolled users "
                 f"are missing")
-        cells = np.zeros(self.config.num_cells, dtype=np.uint64)
-        for clique in self.clique_ids:
-            cells += self._partials[clique].cells_as_array()
         aggregate = CountMinSketch(self.config.cms_depth,
                                    self.config.cms_width,
-                                   self.config.cms_seed,
-                                   cells=reduce_cells(cells))
+                                   self.config.cms_seed, cells=cells)
         distribution = self._distribution_query.distribution(aggregate)
         threshold = self.threshold_rule(distribution)
         self._summary = RoundSummary(
@@ -449,5 +415,5 @@ class RootAggregator(ProtocolEndpoint):
         if self._summary is None:
             raise ProtocolError(
                 f"round has not finalized: {len(self._partials)}/"
-                f"{len(self.clique_ids)} partials arrived")
+                f"{len(self.child_ids)} partials arrived")
         return self._summary

@@ -65,7 +65,11 @@ from repro.crypto.blinding import (
 )
 from repro.crypto.group import DHGroup, KeyPair
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import SERVER_ENDPOINT, Outbox, ProtocolEndpoint
+from repro.protocol.endpoint import (
+    Outbox,
+    ProtocolEndpoint,
+    clique_endpoint_id,
+)
 from repro.protocol.enrollment import KeyMaterial, derive_key_material
 from repro.protocol.messages import (
     BlindedReport,
@@ -148,8 +152,6 @@ class ClientArmy(ProtocolEndpoint):
         #: mapper kinds, so one cache serves the whole army.
         self._ad_ids: Dict[str, int] = {}
         self._inactive: Set[str] = set()
-        self._uplink_of: Dict[int, str] = {}
-        self.default_uplink: str = SERVER_ENDPOINT
         self.last_threshold: Optional[float] = None
         self.last_threshold_round: Optional[int] = None
         #: round id -> sha256 over the round's cleartext sketch matrices
@@ -229,12 +231,6 @@ class ClientArmy(ProtocolEndpoint):
     # ------------------------------------------------------------------
     # Transport wiring
     # ------------------------------------------------------------------
-    def set_uplinks(self, uplink_of: Dict[int, str]) -> None:
-        """Route each clique's reports to an aggregation endpoint (the
-        builders point clique ``c`` at its clique aggregator; the
-        monolithic topology points every clique at the server)."""
-        self._uplink_of = dict(uplink_of)
-
     def register_aliases(self, transport: InMemoryTransport) -> None:
         """Alias every hosted user id to the army's mailbox, so
         aggregators address users exactly as they do object clients;
@@ -392,7 +388,7 @@ class ClientArmy(ProtocolEndpoint):
             pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
             self.config.num_cells)
         blinded = reduce_cells(cells + blinding)
-        uplink = self._uplink_of.get(clique, self.default_uplink)
+        uplink = clique_endpoint_id(clique)
         outbox: Outbox = []
         reported: List[str] = []
         for row, uid in enumerate(member_list):

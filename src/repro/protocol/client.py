@@ -7,8 +7,8 @@ a blinded CMS report on demand.
 
 The client is a reactive :class:`~repro.protocol.endpoint.
 ProtocolEndpoint`: when a round opens it uploads its blinded report to
-its :attr:`~ProtocolClient.uplink` (the monolithic server, or its
-clique's aggregator in the fan-out topology), a
+its :attr:`~ProtocolClient.uplink` (its clique's aggregator — a pure
+function of its clique id), a
 :class:`~repro.protocol.messages.MissingClientsNotice` makes it answer
 with a :class:`~repro.protocol.messages.BlindingAdjustment`, and a
 :class:`~repro.protocol.messages.ThresholdBroadcast` is recorded as
@@ -25,7 +25,11 @@ from typing import Any, Dict, Iterable, Optional, Protocol, Set
 
 from repro.errors import ConfigurationError, RoundStateError
 from repro.crypto.blinding import BlindingGenerator
-from repro.protocol.endpoint import SERVER_ENDPOINT, Outbox, ProtocolEndpoint
+from repro.protocol.endpoint import (
+    Outbox,
+    ProtocolEndpoint,
+    clique_endpoint_id,
+)
 from repro.protocol.messages import (
     BlindedReport,
     BlindingAdjustment,
@@ -107,10 +111,6 @@ class ProtocolClient(ProtocolEndpoint):
         self.blinding = blinding
         self.ad_mapper = ad_mapper
         self.clique_id = clique_id
-        #: Where this client's reports and adjustments go: the monolithic
-        #: server by default; the session wiring repoints it at the
-        #: clique's aggregator in the fan-out topology.
-        self.uplink: str = SERVER_ENDPOINT
         #: The last ``Users_th`` received via ThresholdBroadcast (what the
         #: extension's local detector consumes), and its round.
         self.last_threshold: Optional[float] = None
@@ -131,6 +131,18 @@ class ProtocolClient(ProtocolEndpoint):
         #: idempotent and allowed). Survives :meth:`reset_window` — the
         #: pads are no fresher after a window reset.
         self._blinded_rounds: Dict[int, bytes] = {}
+
+    @property
+    def clique_id(self) -> int:
+        return self._clique_id
+
+    @clique_id.setter
+    def clique_id(self, clique_id: int) -> None:
+        self._clique_id = clique_id
+        # Where this client's reports and adjustments go: its clique's
+        # aggregator. Derived here, where the clique is assigned, so it
+        # cannot drift from the clique map after a re-shard.
+        self.uplink = clique_endpoint_id(clique_id)
 
     # ------------------------------------------------------------------
     # Observation phase
@@ -205,7 +217,7 @@ class ProtocolClient(ProtocolEndpoint):
         self._blinded_rounds[round_id] = digest
         return BlindedReport(user_id=self.user_id, round_id=round_id,
                              cells=CellVector(blinded),
-                             clique_id=self.clique_id)
+                             clique_id=self._clique_id)
 
     def build_cleartext_report(self, round_id: int) -> CleartextReport:
         """The non-private baseline used for §7.1 size comparison."""
@@ -229,7 +241,7 @@ class ProtocolClient(ProtocolEndpoint):
             missing_indexes, self.config.num_cells, round_id)
         return BlindingAdjustment(user_id=self.user_id, round_id=round_id,
                                   cells=CellVector(cells),
-                                  clique_id=self.clique_id)
+                                  clique_id=self._clique_id)
 
     # ------------------------------------------------------------------
     # Reactive endpoint behaviour (driven by a ProtocolRunner)

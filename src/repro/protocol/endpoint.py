@@ -12,18 +12,18 @@ transport-agnostic: the same endpoints run over in-process mailboxes,
 the byte-exact wire codec, or — the design seam — real sockets with one
 process per endpoint.
 
-Three endpoint roles exist:
+Two endpoint roles exist:
 
-* :class:`~repro.protocol.client.ProtocolClient` — one user; uploads a
-  blinded report when the round opens, answers notices with adjustments,
-  records the threshold broadcast;
-* :class:`~repro.protocol.server.ServerEndpoint` — the monolithic
-  aggregation server of the original design, wrapped as a reactive
-  endpoint (``topology="monolithic"`` sessions drive it);
-* :class:`~repro.protocol.aggregator.CliqueAggregator` /
-  :class:`~repro.protocol.aggregator.RootAggregator` — the fan-out
-  topology: one aggregator per blinding clique, partials combined by a
-  root. Bit-identical output, parallelizable collection.
+* :class:`~repro.protocol.client.ProtocolClient` (or one
+  :class:`~repro.protocol.army.ClientArmy` hosting every user) — uploads
+  a blinded report when the round opens, answers notices with
+  adjustments, records the threshold broadcast;
+* the aggregation tree — one
+  :class:`~repro.protocol.aggregator.CliqueAggregator` per blinding
+  clique, an optional :class:`~repro.protocol.aggregator.
+  RegionalAggregator` tier, and the
+  :class:`~repro.protocol.aggregator.RootAggregator` that combines the
+  partials, answers the #Users query and broadcasts the threshold.
 
 An endpoint that receives a message type it has no business handling
 raises :class:`~repro.errors.ProtocolError` — unknown traffic is a
@@ -43,9 +43,14 @@ if TYPE_CHECKING:
     from repro.protocol.client import RoundConfig
 
 #: Transport endpoint name of the aggregation root ("backend server" in
-#: the paper's Figure 1). In the monolithic topology it is the single
-#: server; in the fan-out topology it is the root aggregator.
+#: the paper's Figure 1).
 SERVER_ENDPOINT = "backend-server"
+
+
+def clique_endpoint_id(clique_id: int) -> str:
+    """Canonical transport name of one clique's aggregator — and so the
+    uplink of every client enrolled in that clique."""
+    return f"clique-aggregator-{clique_id}"
 
 #: What an endpoint hands back to the driver: messages to deliver.
 Outbox = List[Tuple[str, Any]]

@@ -212,7 +212,7 @@ class PartialAggregate:
     members reported, or the clique-local recovery round completed).
     ``cells`` is the clique's cell-wise sum modulo the blinding modulus;
     the root adds the partials and reduces again, which is bit-identical
-    to the monolithic sum (modular addition is associative). ``reported``
+    to the flat sum (modular addition is associative). ``reported``
     and ``missing`` carry the clique's participation roster so the root
     can reconstruct the round-wide accounting.
     """

@@ -107,7 +107,7 @@ class ProcessAggregatorPool:
         the regional merge tier (see :func:`~repro.protocol.aggregator.
         plan_aggregation_tree`) as subprocesses — the root then only
         ever sees fan-in partials. ``None`` (default) keeps the flat
-        clique -> root topology.
+        clique -> root tree.
     """
 
     def __init__(
@@ -139,19 +139,16 @@ class ProcessAggregatorPool:
         threshold_rule: Callable,
     ) -> Tuple[List[ProtocolEndpoint], ProcessEndpointProxy]:
         """Endpoints for a round over this pool: the clients (objects
-        or an army) stay local, aggregation runs in the subprocesses.
-        Mirrors :func:`~repro.protocol.runner.build_fanout_endpoints`."""
+        or an army) stay local, aggregation runs in the subprocesses —
+        the counterpart of :func:`~repro.protocol.runner.
+        build_aggregation_tree`."""
         from repro.protocol.runner import as_population
 
         population = as_population(clients)
-        members = population.members()
         proxies, root = self.ensure(
-            members,
+            population.members(),
             population.user_ids,
             rule_spec(threshold_rule),
-        )
-        population.set_uplinks(
-            {clique_id: clique_endpoint_id(clique_id) for clique_id in members}
         )
         return [*population.endpoints, *proxies, root], root
 

@@ -27,7 +27,6 @@ from repro.protocol.aggregator import (
     CliqueAggregator,
     RegionalAggregator,
     RootAggregator,
-    clique_endpoint_id,
     plan_aggregation_tree,
 )
 from repro.protocol.army import ClientArmy
@@ -39,7 +38,6 @@ from repro.protocol.endpoint import (
     ThresholdRuleFn,
     mean_threshold,
 )
-from repro.protocol.server import AggregationServer, ServerEndpoint
 from repro.protocol.transport import InMemoryTransport
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
@@ -63,8 +61,8 @@ class RoundResult:
 class ClientPopulation:
     """Per-user client objects behind the wiring surface a
     :class:`~repro.protocol.army.ClientArmy` also offers
-    (``members()``, ``user_ids``, ``endpoints``, ``set_uplinks``), so
-    each topology is wired by one function for both client backends."""
+    (``members()``, ``user_ids``, ``endpoints``), so one function wires
+    the aggregation tree for both client backends."""
 
     def __init__(self, clients: Sequence[ProtocolClient]) -> None:
         if not clients:
@@ -82,10 +80,6 @@ class ClientPopulation:
                 client.blinding.user_index
         return members
 
-    def set_uplinks(self, uplink_of: Dict[int, str]) -> None:
-        for client in self.endpoints:
-            client.uplink = uplink_of[client.clique_id]
-
 
 #: What the wiring functions accept: a client list or an army.
 Clients = Union[Sequence[ProtocolClient], ClientArmy]
@@ -98,39 +92,24 @@ def as_population(clients: Clients) -> Union[ClientPopulation, ClientArmy]:
     return ClientPopulation(clients)
 
 
-def build_monolithic_endpoints(
-        config: RoundConfig, clients: Clients,
-        threshold_rule: ThresholdRuleFn = mean_threshold,
-) -> Tuple[List[ProtocolEndpoint], ServerEndpoint]:
-    """Wire the original single-server topology: every clique uplinks to
-    one :class:`ServerEndpoint`. Returns ``(endpoints, root)``."""
-    population = as_population(clients)
-    members = population.members()
-    index_of = {uid: idx for index_map in members.values()
-                for uid, idx in index_map.items()}
-    clique_of = {uid: clique_id for clique_id, index_map in members.items()
-                 for uid in index_map}
-    server = AggregationServer(config, index_of, clique_of=clique_of)
-    root = ServerEndpoint(server, population.user_ids,
-                          threshold_rule=threshold_rule)
-    population.set_uplinks({clique_id: root.endpoint_id
-                            for clique_id in members})
-    return [*population.endpoints, root], root
-
-
 def build_aggregation_tree(
         config: RoundConfig, members: Dict[int, Dict[str, int]],
         client_ids: Sequence[str],
         threshold_rule: ThresholdRuleFn = mean_threshold,
         fan_in: Optional[int] = None,
 ) -> Tuple[List[ProtocolEndpoint], RootAggregator]:
-    """The aggregation tier shared by both client backends.
+    """Wire the aggregation tree — the one topology, and the same for
+    both client backends (it is built from ``members`` alone).
 
     One :class:`~repro.protocol.aggregator.CliqueAggregator` per clique
-    in ``members``; with ``fan_in`` set and more cliques than that, a
-    regional tier (or several) merges partials on the way up so that no
-    endpoint — root included — ever collects more than ``fan_in`` feeds
-    (see :func:`~repro.protocol.aggregator.plan_aggregation_tree`).
+    in ``members`` (an unsharded population is one clique: the paper's
+    single back-end) feeding the
+    :class:`~repro.protocol.aggregator.RootAggregator`; with ``fan_in``
+    set and more cliques than that, a regional tier (or several) merges
+    partials on the way up so that no endpoint — root included — ever
+    collects more than ``fan_in`` feeds (see
+    :func:`~repro.protocol.aggregator.plan_aggregation_tree`). Clients
+    need no wiring: a client's uplink is a function of its clique id.
     Returns ``(aggregation endpoints, root)``.
     """
     plan = plan_aggregation_tree(sorted(members), fan_in)
@@ -145,35 +124,6 @@ def build_aggregation_tree(
     root = RootAggregator(config, list(plan.root_children),
                           list(client_ids), threshold_rule=threshold_rule)
     return [*cliques, *regionals, root], root
-
-
-def build_fanout_endpoints(
-        config: RoundConfig, clients: Clients,
-        threshold_rule: ThresholdRuleFn = mean_threshold,
-        fan_in: Optional[int] = None,
-) -> Tuple[List[ProtocolEndpoint], RootAggregator]:
-    """Wire the per-clique fan-out topology.
-
-    One :class:`~repro.protocol.aggregator.CliqueAggregator` per blinding
-    clique present in ``clients`` (an unsharded population is one clique,
-    hence one aggregator), all feeding a
-    :class:`~repro.protocol.aggregator.RootAggregator` that owns the
-    distribution query and the broadcast — through a regional merge tier
-    when ``fan_in`` bounds the fan-out. The aggregation tier is built
-    from ``members()`` alone, so the aggregators cannot tell the client
-    backends apart; with an army the caller must also alias the hosted
-    user ids to its mailbox on the transport
-    (:meth:`~repro.protocol.army.ClientArmy.register_aliases`).
-    Returns ``(endpoints, root)``.
-    """
-    population = as_population(clients)
-    members = population.members()
-    aggregation, root = build_aggregation_tree(
-        config, members, population.user_ids,
-        threshold_rule=threshold_rule, fan_in=fan_in)
-    population.set_uplinks({clique_id: clique_endpoint_id(clique_id)
-                            for clique_id in members})
-    return [*population.endpoints, *aggregation], root
 
 
 class ProtocolRunner:
@@ -198,13 +148,6 @@ class ProtocolRunner:
         self.transport = transport or InMemoryTransport()
         for endpoint in self.endpoints:
             self.transport.register(endpoint.endpoint_id)
-        # Snapshot each client's uplink as wired at construction, and
-        # re-apply it when a round opens: building another session over
-        # the same client objects rewires their (shared, mutable) uplink
-        # attribute, and without the snapshot this runner's next round
-        # would route reports to the other topology's aggregators.
-        self._uplinks = {e.endpoint_id: e.uplink for e in self.endpoints
-                         if isinstance(e, ProtocolClient)}
 
     def _dispatch(self, sender_id: str, outbox: Outbox) -> None:
         """Send an endpoint's outbox; an unregistered recipient raises
@@ -214,9 +157,6 @@ class ProtocolRunner:
 
     def _open_round(self, round_id: int) -> None:
         for endpoint in self.endpoints:
-            uplink = self._uplinks.get(endpoint.endpoint_id)
-            if uplink is not None:
-                endpoint.uplink = uplink
             self._dispatch(endpoint.endpoint_id,
                            endpoint.on_round_start(round_id))
 

@@ -33,36 +33,23 @@ released — partial coverage leaves un-cancelled pads in every cell, which
 is indistinguishable from a valid aggregate by inspection.
 
 In the message-driven protocol this class is pure aggregation state and
-validation; :class:`ServerEndpoint` (below) wraps it as the reactive
-monolithic-topology endpoint, and each fan-out
-:class:`~repro.protocol.aggregator.CliqueAggregator` wraps a
-clique-restricted instance so every validation applies per clique too.
+validation: each :class:`~repro.protocol.aggregator.CliqueAggregator`
+wraps a clique-restricted instance as its reactive endpoint, and the
+tests feed one directly as the reference the aggregation tree must
+match.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.errors import MissingReportError, ProtocolError, RoundStateError
+from repro.errors import MissingReportError, RoundStateError
 from repro.crypto.blinding import reduce_cells
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import (
-    SERVER_ENDPOINT,
-    Outbox,
-    ProtocolEndpoint,
-    RoundSummary,
-    ThresholdRuleFn,
-    mean_threshold,
-)
-from repro.protocol.messages import (
-    BlindedReport,
-    BlindingAdjustment,
-    MissingClientsNotice,
-    ThresholdBroadcast,
-)
+from repro.protocol.messages import BlindedReport, BlindingAdjustment
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
 
@@ -95,9 +82,9 @@ class UsersDistributionQuery:
     would be unreasonably large. Zero-count IDs are excluded — they carry
     no information about any ad.
 
-    Extracted from :class:`AggregationServer` so the fan-out topology's
-    root aggregator answers the query with the very same code (and
-    therefore bit-identical values); the table comes from
+    Extracted from :class:`AggregationServer` so the root aggregator
+    answers the query with the very same code (and therefore
+    bit-identical values); the table comes from
     :func:`_id_table`, so it survives rounds *and* the new query object
     every epoch advance wires.
     """
@@ -367,106 +354,3 @@ class AggregationServer:
         scalar hash evaluations per round.
         """
         return self._distribution_query.distribution(aggregate)
-
-
-class ServerEndpoint(ProtocolEndpoint):
-    """The monolithic :class:`AggregationServer`, as a reactive endpoint.
-
-    Wraps the original single-server design: every report and adjustment
-    from the whole population lands here. On the first idle after the
-    reports are in, missing users trigger clique-scoped notices; on the
-    next idle the recovery must have completed (the wrapped server's
-    strict release checks raise otherwise), the aggregate and #Users
-    distribution are computed, and the threshold is broadcast to every
-    client.
-
-    A ``topology="monolithic"`` session drives exactly this endpoint;
-    its behaviour — message flow, byte accounting, failure modes —
-    matches the paper's single-backend design (and the long-removed
-    inline coordinator it replaced).
-    """
-
-    def __init__(self, server: AggregationServer,
-                 client_ids: Sequence[str],
-                 threshold_rule: ThresholdRuleFn = mean_threshold,
-                 endpoint_id: str = SERVER_ENDPOINT) -> None:
-        self.server = server
-        self.client_ids = list(client_ids)
-        self.threshold_rule = threshold_rule
-        self.endpoint_id = endpoint_id
-        self._notices_sent = False
-        self._summary: Optional[RoundSummary] = None
-
-    def on_round_start(self, round_id: int) -> Outbox:
-        self.server.start_round(round_id)
-        self._notices_sent = False
-        self._summary = None
-        return []
-
-    def on_message(self, sender: str, message: Any) -> Outbox:
-        if isinstance(message, BlindedReport):
-            self.server.submit_report(message)
-            return []
-        if isinstance(message, BlindingAdjustment):
-            self.server.submit_adjustment(message)
-            return []
-        return super().on_message(sender, message)
-
-    def on_idle(self, round_id: int) -> Outbox:
-        if self._summary is not None:
-            return []
-        if not self._notices_sent:
-            self._notices_sent = True
-            notices = self._recovery_notices(round_id)
-            if notices:
-                return notices
-        return self._finalize(round_id)
-
-    def _recovery_notices(self, round_id: int) -> Outbox:
-        """Clique-scoped notices to every survivor of an affected clique.
-
-        A dropout's pads exist only inside its own clique, so only that
-        clique's surviving reporters are notified, with only their
-        clique's missing indexes. A clique that is missing *entirely*
-        has no survivors to notify — and needs none.
-        """
-        missing_by_clique = self.server.missing_indexes_by_clique()
-        if not missing_by_clique:
-            return []
-        out: Outbox = []
-        reported = self.server.reported_users
-        for user_id in self.client_ids:
-            if user_id not in reported:
-                continue
-            clique = self.server.clique_of[user_id]
-            clique_missing = missing_by_clique.get(clique)
-            if clique_missing is None:
-                continue
-            out.append((user_id, MissingClientsNotice(
-                round_id=round_id,
-                missing_indexes=tuple(clique_missing),
-                clique_id=clique)))
-        return out
-
-    def _finalize(self, round_id: int) -> Outbox:
-        missing = self.server.missing_users()
-        aggregate = self.server.aggregate()
-        distribution = self.server.users_distribution(aggregate)
-        threshold = self.threshold_rule(distribution)
-        self._summary = RoundSummary(
-            round_id=round_id,
-            aggregate=aggregate,
-            distribution=distribution,
-            users_threshold=threshold,
-            reported_users=sorted(self.server.reported_users),
-            missing_users=missing,
-            recovery_round_used=bool(missing),
-        )
-        broadcast = ThresholdBroadcast(round_id=round_id,
-                                       users_threshold=threshold)
-        return [(user_id, broadcast) for user_id in self.client_ids]
-
-    def round_summary(self) -> RoundSummary:
-        if self._summary is None:
-            raise ProtocolError("round has not finalized")
-        return self._summary

@@ -199,7 +199,11 @@ class RemoteClient:
                 f"local rebuild put {self.user_id!r} in clique "
                 f"{client.clique_id}, the service says "
                 f"{expected['clique_id']} — replay diverged")
-        client.uplink = str(expected["uplink"])
+        if client.uplink != str(expected["uplink"]):
+            raise ProtocolError(
+                f"local rebuild points {self.user_id!r} at "
+                f"{client.uplink!r}, the service says "
+                f"{expected['uplink']!r} — replay diverged")
         for url in self._observations:
             client.observe_ad(url)
         self.client = client

@@ -64,28 +64,44 @@ class TestProtocolSession:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SessionConfig(topology="sharded-nonsense")
+            SessionConfig(transport="sharded-nonsense")
         enrollment = make_enrollment()
         with pytest.raises(TypeError):  # wiring is one value, not kwargs
             ProtocolSession(CONFIG, enrollment.clients,
-                            topology="monolithic")
+                            transport="wire")
+
+    def test_topology_is_not_a_knob(self):
+        """One aggregation tree: the field is gone, not tombstoned."""
+        import dataclasses
+        with pytest.raises(TypeError):
+            SessionConfig(topology="fanout")
+        assert [f.name for f in dataclasses.fields(SessionConfig)] == [
+            "transport", "threshold_rule", "client_backend",
+            "aggregator_procs", "fault_plan", "retry_policy", "fan_in"]
+        with pytest.raises(ImportError):
+            from repro.protocol import ServerEndpoint  # noqa: F401
 
     def test_sessions_over_shared_clients_keep_their_wiring(self):
-        """Constructing a second session over the same client objects
-        must not hijack the first session's report routing."""
-        enrollment = make_enrollment(8, num_cliques=2)
-        fan = ProtocolSession(CONFIG, enrollment.clients,
-                              SessionConfig(topology="fanout"))
-        mono = ProtocolSession(CONFIG, enrollment.clients,
-                               SessionConfig(topology="monolithic"))
-        fan_result = fan.run_round(1)  # runs after mono rewired uplinks
-        mono_result = mono.run_round(1)
-        assert fan_result.aggregate.cells == mono_result.aggregate.cells
+        """Two sessions over the same client objects, wired as
+        different trees, run interleaved rounds without disturbing
+        each other: a client's uplink is its clique's aggregator in
+        both, so there is nothing for either to re-point."""
+        enrollment = make_enrollment(8, num_cliques=4)
+        flat = ProtocolSession(CONFIG, enrollment.clients)
+        tiered = ProtocolSession(CONFIG, enrollment.clients,
+                                 SessionConfig(fan_in=2))
+        assert len(tiered.endpoints) > len(flat.endpoints)
+        for round_id in (1, 2):
+            flat_result = flat.run_round(round_id)
+            tiered_result = tiered.run_round(round_id)
+            assert flat_result.aggregate.cells == \
+                tiered_result.aggregate.cells
+            assert flat_result.reported_users == \
+                tiered_result.reported_users
 
     def test_threshold_rule_assignable_after_construction(self):
         enrollment = make_enrollment()
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  SessionConfig(topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients)
         session.root.threshold_rule = lambda dist: 123.5
         assert session.run_round(1).users_threshold == 123.5
 
@@ -124,15 +140,6 @@ class TestOneShotHelpers:
         b = ProtocolSession.create(make_enrollment()).run_round(1)
         assert a.aggregate.cells == b.aggregate.cells
         assert a.users_threshold == b.users_threshold
-
-    def test_topologies_agree(self):
-        fan = run_private_round(CONFIG, make_enrollment(8, 2).clients,
-                                round_id=1,
-                                settings=SessionConfig(topology="fanout"))
-        mono = run_private_round(CONFIG, make_enrollment(8, 2).clients,
-                                 round_id=1,
-                                 settings=SessionConfig(topology="monolithic"))
-        assert fan.aggregate.cells == mono.aggregate.cells
 
     def test_run_detection_private_and_cleartext(self):
         from repro.simulation import SimulationConfig, Simulator

@@ -188,11 +188,6 @@ class TestBackendEquivalence:
         assert reports_obj == reports_army
         results_match(r_obj, r_army)
 
-    def test_monolithic_topology_equivalent(self):
-        r_flat = object_session().run_round(0)
-        r_mono = army_session(topology="monolithic").run_round(0)
-        assert np.array_equal(cells_of(r_flat), cells_of(r_mono))
-
 
 #: A pool small enough that users overlap, mapped onto an id space small
 #: enough (2-3) that distinct URLs collide on one ad id.
@@ -386,10 +381,6 @@ class TestAggregationTreePlan:
         r_flat = army_session(num_cliques=8).run_round(0)
         r_tree = army_session(num_cliques=8, fan_in=fan_in).run_round(0)
         results_match(r_flat, r_tree)
-
-    def test_fan_in_rejected_off_fanout(self):
-        with pytest.raises(ConfigurationError):
-            army_session(topology="monolithic", fan_in=2)
 
 
 class TestRegionalAggregator:

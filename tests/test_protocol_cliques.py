@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError, MissingReportError
 from repro.protocol import wire
+from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import assign_cliques, enroll_users
@@ -145,11 +146,16 @@ class TestScopedRecovery:
         enrollment = enrolled(num_cliques=num_cliques)
         transport = InMemoryTransport()
         transport.fail_sender(victim)
-        session = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport, topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=transport))
         result = session.run_round(1)
         return enrollment, session, result
+
+    @staticmethod
+    def _clique_servers(session):
+        """Each clique aggregator's wrapped AggregationServer."""
+        return [e.server for e in session.endpoints
+                if isinstance(e, CliqueAggregator)]
 
     def test_dropout_confined_to_its_clique(self):
         enrollment, session, result = self._run_with_dropout(4)
@@ -159,7 +165,9 @@ class TestScopedRecovery:
         assert result.recovery_round_used
         assert result.missing_users == ["user-05"]
         # Exactly the victim's clique mates adjusted — nobody else.
-        assert session.root.server.adjusted_users == mates
+        adjusted = set().union(*(server.adjusted_users for server
+                                 in self._clique_servers(session)))
+        assert adjusted == mates
 
     def test_dropout_recovery_equals_survivor_truth(self):
         enrollment, _session, result = self._run_with_dropout(4)
@@ -178,9 +186,8 @@ class TestScopedRecovery:
         victims = ["user-02", "user-09"]
         for victim in victims:
             transport.fail_sender(victim)
-        session = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport, topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=transport))
         result = session.run_round(1)
         # Reconstruct what each survivor was asked to fix from the server:
         by_clique = {}
@@ -189,7 +196,10 @@ class TestScopedRecovery:
         for victim in victims:
             by_clique.setdefault(
                 enrollment.clique_of[victim], []).append(index_of[victim])
-        assert session.root.server.missing_indexes_by_clique() == \
+        missing_by_clique = {}
+        for server in self._clique_servers(session):
+            missing_by_clique.update(server.missing_indexes_by_clique())
+        assert missing_by_clique == \
             {clique: sorted(idx) for clique, idx in by_clique.items()}
         assert sorted(result.missing_users) == sorted(victims)
 

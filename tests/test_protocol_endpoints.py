@@ -1,10 +1,11 @@
-"""The message-driven endpoint layer: fan-out, the driver, and hygiene.
+"""The message-driven endpoint layer: the tree, the driver, and hygiene.
 
 Covers the redesign's contracts:
 
-* the per-clique aggregator fan-out is **bit-identical** to the
-  monolithic server — same aggregate cells, same #Users distribution,
-  same threshold — for k in {1, 4}, including dropout-recovery rounds;
+* the aggregation tree is **bit-identical** to one
+  ``AggregationServer`` fed every report directly — same aggregate
+  cells, same #Users distribution, same threshold — for k in {1, 4},
+  including dropout-recovery rounds;
 * every mailbox is drained at the end of every round (the old inline
   coordinator leaked ThresholdBroadcasts into client mailboxes forever);
 * unknown / unroutable messages raise ProtocolError instead of being
@@ -23,6 +24,7 @@ from repro.errors import (
 from repro.protocol import wire
 from repro.protocol.aggregator import (
     CliqueAggregator,
+    RegionalAggregator,
     RootAggregator,
     clique_endpoint_id,
 )
@@ -51,19 +53,19 @@ def enrolled(num_cliques=1, seed=3, user_ids=USER_IDS):
     return enrollment
 
 
-def run_session(enrollment, topology, failed=(),
+def run_session(enrollment, failed=(),
                 transport_cls=InMemoryTransport, round_id=1):
     transport = transport_cls()
     for uid in failed:
         transport.fail_sender(uid)
-    session = ProtocolSession(
-        CONFIG, enrollment.clients,
-        SessionConfig(transport=transport, topology=topology))
+    session = ProtocolSession(CONFIG, enrollment.clients,
+                              SessionConfig(transport=transport))
     return session, session.run_round(round_id)
 
 
-def monolithic_reference_aggregate(enrollment, failed=(), round_id=1):
-    """What the pre-redesign monolithic server computes, fed directly."""
+def reference_server(enrollment, failed=(), round_id=1):
+    """One ``AggregationServer`` over the whole population, fed every
+    report (and recovery adjustment) directly — no endpoints, no tree."""
     clients = [c for c in enrollment.clients if c.user_id not in failed]
     index_of = {c.user_id: c.blinding.user_index
                 for c in enrollment.clients}
@@ -78,41 +80,58 @@ def monolithic_reference_aggregate(enrollment, failed=(), round_id=1):
         if clique_missing:
             server.submit_adjustment(
                 client.build_adjustment(round_id, clique_missing))
-    return server.aggregate()
+    return server
+
+
+def monolithic_reference_aggregate(enrollment, failed=(), round_id=1):
+    return reference_server(enrollment, failed, round_id).aggregate()
+
+
+def cleartext_sum(enrollment, failed=()):
+    """The plain cell-wise sum of the reporters' unblinded sketches."""
+    total = CONFIG.make_sketch()
+    for client in enrollment.clients:
+        if client.user_id not in failed:
+            total.merge(client._build_sketch())
+    return total
 
 
 class TestFanoutEquivalence:
+    @staticmethod
+    def assert_matches_direct_server(enrollment, failed=()):
+        """The tree's round result equals one AggregationServer fed
+        directly — and the plain sum of the reporters' sketches."""
+        server = reference_server(enrollment, failed=failed)
+        aggregate = server.aggregate()
+        distribution = server.users_distribution(aggregate)
+        _, fan = run_session(enrollment, failed=failed)
+        assert fan.aggregate.cells == aggregate.cells
+        assert fan.aggregate.cells == \
+            cleartext_sum(enrollment, failed=failed).cells
+        assert fan.distribution.values == distribution.values
+        assert fan.users_threshold == distribution.mean
+        assert set(fan.reported_users) == server.reported_users
+        assert fan.missing_users == server.missing_users() == \
+            sorted(failed)
+        assert fan.recovery_round_used == bool(failed)
+
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_bit_identical_to_monolithic(self, num_cliques):
-        enrollment = enrolled(num_cliques=num_cliques)
-        _, mono = run_session(enrollment, "monolithic")
-        _, fan = run_session(enrollment, "fanout")
-        assert fan.aggregate.cells == mono.aggregate.cells
-        assert fan.distribution.values == mono.distribution.values
-        assert fan.users_threshold == mono.users_threshold
-        assert fan.reported_users == mono.reported_users
-        assert fan.missing_users == mono.missing_users == []
+        self.assert_matches_direct_server(enrolled(num_cliques=num_cliques))
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_bit_identical_with_dropout_recovery(self, num_cliques):
-        failed = ("user-05",)
-        enrollment = enrolled(num_cliques=num_cliques)
-        _, mono = run_session(enrollment, "monolithic", failed=failed)
-        _, fan = run_session(enrollment, "fanout", failed=failed)
-        assert mono.recovery_round_used and fan.recovery_round_used
-        assert fan.missing_users == mono.missing_users == ["user-05"]
-        assert fan.aggregate.cells == mono.aggregate.cells
-        assert fan.distribution.values == mono.distribution.values
-        assert fan.users_threshold == mono.users_threshold
+        self.assert_matches_direct_server(
+            enrolled(num_cliques=num_cliques), failed=("user-05",))
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_matches_direct_aggregation_server(self, num_cliques):
-        """Acceptance: the fan-out path equals AggregationServer.aggregate()
-        on the same enrollment/round inputs, dropouts included."""
+        """Acceptance: the tree equals AggregationServer.aggregate() on
+        the same enrollment/round inputs, dropouts included."""
         failed = ("user-02", "user-09")
         enrollment = enrolled(num_cliques=num_cliques)
         reference = monolithic_reference_aggregate(enrollment, failed=failed)
-        _, fan = run_session(enrollment, "fanout", failed=failed)
+        _, fan = run_session(enrollment, failed=failed)
         assert fan.aggregate.cells == reference.cells
 
     def test_fanout_spawns_one_aggregator_per_clique(self):
@@ -127,8 +146,7 @@ class TestFanoutEquivalence:
     def test_recovery_stays_inside_the_clique(self):
         enrollment = enrolled(num_cliques=4)
         victim = "user-05"
-        session, result = run_session(enrollment, "fanout",
-                                      failed=(victim,))
+        session, result = run_session(enrollment, failed=(victim,))
         assert result.missing_users == [victim]
         victim_clique = enrollment.clique_of[victim]
         for endpoint in session.endpoints:
@@ -147,10 +165,10 @@ class TestFanoutEquivalence:
         dead_clique = enrollment.clique_of["user-00"]
         dead = tuple(uid for uid, c in enrollment.clique_of.items()
                      if c == dead_clique)
-        _, fan = run_session(enrollment, "fanout", failed=dead)
-        _, mono = run_session(enrollment, "monolithic", failed=dead)
+        _, fan = run_session(enrollment, failed=dead)
+        reference = monolithic_reference_aggregate(enrollment, failed=dead)
         assert sorted(fan.missing_users) == sorted(dead)
-        assert fan.aggregate.cells == mono.aggregate.cells
+        assert fan.aggregate.cells == reference.cells
 
     def test_unrecovered_clique_raises(self):
         """A survivor that fails after reporting (its adjustment is
@@ -228,7 +246,7 @@ class TestMultiRoundWireSession:
             for transport_cls in (WireTransport, SocketTransport):
                 enrollment = enrolled(num_cliques=num_cliques)
                 session, result = run_session(
-                    enrollment, "fanout", failed=failed,
+                    enrollment, failed=failed,
                     transport_cls=transport_cls)
                 transport = session.transport
                 per_transport[transport_cls] = (
@@ -287,9 +305,8 @@ class TestStrictRouting:
         message types when draining the server mailbox."""
         enrollment = enrolled(num_cliques=1)
         transport = InMemoryTransport()
-        session = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport, topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=transport))
         transport.send(enrollment.clients[0].user_id, SERVER_ENDPOINT,
                        ThresholdBroadcast(round_id=1, users_threshold=1.0))
         with pytest.raises(ProtocolError):
@@ -341,6 +358,45 @@ class TestStrictRouting:
         wrong.on_round_start(1)
         with pytest.raises(RoundStateError):
             wrong.on_message(client.user_id, client.build_report(1))
+
+
+class TestFlatRootIntake:
+    """Clock-free pin for the flat-root fix: checking one partial's
+    sender against the child list must not rebuild a set of every
+    child (20,000 ints is ~1 MiB a message, quadratic a round)."""
+
+    CHILDREN = 20_000
+    TINY = RoundConfig(cms_depth=1, cms_width=4, cms_seed=1, id_space=8)
+
+    def collectors(self):
+        children = list(range(self.CHILDREN))
+        return [RootAggregator(self.TINY, children, ["u"]),
+                RegionalAggregator(0, 1, self.TINY, children,
+                                   SERVER_ENDPOINT)]
+
+    def test_intake_allocates_nothing_per_child(self):
+        import tracemalloc
+        partial = PartialAggregate(clique_id=7, round_id=1,
+                                   cells=CellVector([1, 2, 3, 4]),
+                                   reported=("u",))
+        for collector in self.collectors():
+            collector.on_round_start(1)
+            collector.on_message("child", partial)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                # An identical resend walks every check, stores nothing.
+                assert collector.on_message("child", partial) == []
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 16 * 1024, type(collector).__name__
+
+    def test_membership_is_built_once(self):
+        for collector in self.collectors():
+            assert isinstance(collector._children, frozenset)
+            assert len(collector._children) == self.CHILDREN
 
 
 class TestPartialAggregateWire:

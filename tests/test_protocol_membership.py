@@ -22,9 +22,12 @@ import pytest
 from repro.api import ProtocolSession, SessionConfig
 from repro.crypto.blinding import PadStreamProvider
 from repro.errors import ConfigurationError, RoundStateError
+from repro.protocol.army import ClientArmy
 from repro.protocol.client import RoundConfig
+from repro.protocol.endpoint import clique_endpoint_id
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import Epoch, MembershipManager, reshard
+from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=400)
@@ -268,8 +271,8 @@ class TestFromMembership:
 
 
 class TestAggregateEquivalence:
-    def run_epoch_round(self, topology):
-        session = session_for(topology=topology)
+    def run_epoch_round(self, **wiring):
+        session = session_for(**wiring)
         observe(session.clients)
         session.run_next_round()
         session.advance_epoch(joins=["n-a", "n-b"],
@@ -279,7 +282,7 @@ class TestAggregateEquivalence:
         return session, session.run_next_round()
 
     def test_post_epoch_round_matches_fresh_enrollment(self):
-        session, result = self.run_epoch_round("fanout")
+        session, result = self.run_epoch_round()
         roster = list(session.epoch.user_ids)
         reference = ProtocolSession.create(
             roster, CONFIG, seed=99, use_oprf=False, num_cliques=3)
@@ -303,7 +306,7 @@ class TestAggregateEquivalence:
 
     def test_post_epoch_round_bit_identical_same_seed_reference(self):
         """With the same PRF seed the aggregates are bit-identical."""
-        session, result = self.run_epoch_round("fanout")
+        session, result = self.run_epoch_round()
         roster = list(session.epoch.user_ids)
         reference = ProtocolSession.create(
             roster, CONFIG, seed=3, use_oprf=False, num_cliques=3)
@@ -313,10 +316,21 @@ class TestAggregateEquivalence:
         assert result.users_threshold == ref_result.users_threshold
 
     def test_topologies_and_drivers_agree_post_epoch(self):
-        baseline, base_result = self.run_epoch_round("fanout")
-        other, other_result = self.run_epoch_round("monolithic")
+        baseline, base_result = self.run_epoch_round()
+        other, other_result = self.run_epoch_round(fan_in=2)
+        assert len(other.endpoints) > len(baseline.endpoints)
         assert other_result.aggregate.cells == base_result.aggregate.cells
         assert other_result.users_threshold == base_result.users_threshold
+        # ... and both equal one AggregationServer fed the post-epoch
+        # reports directly (rebuilding a round's report is idempotent).
+        clients = baseline.clients
+        server = AggregationServer(
+            CONFIG, {c.user_id: c.blinding.user_index for c in clients},
+            clique_of={c.user_id: c.clique_id for c in clients})
+        server.start_round(base_result.round_id)
+        for client in clients:
+            server.submit_report(client.build_report(base_result.round_id))
+        assert server.aggregate().cells == base_result.aggregate.cells
 
     def test_recovery_round_works_after_epoch_advance(self):
         transport = InMemoryTransport()
@@ -348,6 +362,50 @@ class TestAggregateEquivalence:
         observe(session.clients, salt=4)
         result = session.run_next_round()
         assert len(result.reported_users) == 12
+
+
+class TestUplinkFollowsClique:
+    """A client's uplink is a pure function of its clique id: a forced
+    re-shard move re-points it with no wiring call — no session, no
+    ``build_aggregation_tree``, nothing but the epoch advance."""
+
+    ROSTER = [f"user-{i:02d}" for i in range(8)]
+
+    def force_move(self, manager):
+        """Shrink one clique to a single member so the re-shard must
+        move a continuing user into it; returns (mover, old, new)."""
+        before = dict(manager.epoch.clique_of)
+        doomed = before[self.ROSTER[0]]
+        mates = [u for u, c in before.items()
+                 if c == doomed and u != self.ROSTER[0]]
+        transition = manager.advance_epoch(leaves=mates)
+        (mover,) = transition.moved
+        after = transition.epoch.clique_of[mover]
+        assert after == doomed != before[mover]
+        return mover, before[mover], after
+
+    def test_object_client_uplink_is_its_new_cliques_aggregator(self):
+        manager = MembershipManager(enroll_users(
+            self.ROSTER, CONFIG, seed=3, use_oprf=False, num_cliques=3))
+        for client in manager.clients:
+            assert client.uplink == clique_endpoint_id(client.clique_id)
+        mover, old, new = self.force_move(manager)
+        client = manager.client_of(mover)
+        assert client.clique_id == new
+        assert client.uplink == clique_endpoint_id(new)
+        assert client.uplink != clique_endpoint_id(old)
+
+    def test_army_reports_go_to_the_new_cliques_aggregator(self):
+        army = ClientArmy.enroll(self.ROSTER, CONFIG, seed=3,
+                                 use_oprf=False, num_cliques=3)
+        manager = MembershipManager(army)
+        mover, old, new = self.force_move(manager)
+        recipient_of = {message.user_id: recipient for recipient, message
+                        in army.on_round_start(manager.next_round)}
+        assert recipient_of[mover] == clique_endpoint_id(new)
+        assert recipient_of == {
+            uid: clique_endpoint_id(clique)
+            for uid, clique in manager.epoch.clique_of.items()}
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ The contract under test is the acceptance bar of the socket-transport
 work: a private round whose clique aggregators (and root) run as real
 subprocesses behind TCP sockets produces **bit-identical** aggregate
 cells, #Users distribution and threshold decisions to the in-memory
-monolithic path — for k in {1, 4}, including a dropout-recovery round
+in-process path — for k in {1, 4}, including a dropout-recovery round
 and a post-``advance_epoch`` round over live (never restarted)
 processes. Byte accounting over the socket transport must equal the
 in-memory wire transport's, sender by sender: both bill the single
@@ -37,9 +37,6 @@ from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=500)
 USER_IDS = [f"user-{i:02d}" for i in range(16)]
-
-
-MONOLITHIC = SessionConfig(topology="monolithic")
 
 
 def enrolled(num_cliques=1, seed=3, user_ids=USER_IDS):
@@ -79,9 +76,9 @@ def assert_same_round(lhs, rhs):
 
 @pytest.mark.parametrize("num_cliques", [1, 4])
 def test_socket_procs_round_matches_monolithic(num_cliques):
+    # The reference is the same tree in-process, over plain mailboxes.
     reference = run_private_round(
-        CONFIG, enrolled(num_cliques).clients, round_id=0,
-        settings=MONOLITHIC)
+        CONFIG, enrolled(num_cliques).clients, round_id=0)
     with socket_session(num_cliques) as session:
         result = session.run_round(0)
         pids = session.aggregator_pool.pids
@@ -95,8 +92,7 @@ def test_socket_procs_round_matches_monolithic(num_cliques):
 @pytest.mark.parametrize("num_cliques", [1, 4])
 def test_dropout_recovery_over_sockets(num_cliques):
     failed = ["user-03", "user-10"]
-    ref_session = ProtocolSession(CONFIG, enrolled(num_cliques).clients,
-                                  MONOLITHIC)
+    ref_session = ProtocolSession(CONFIG, enrolled(num_cliques).clients)
     for user_id in failed:
         ref_session.transport.fail_sender(user_id)
     reference = ref_session.run_round(0)
@@ -257,11 +253,6 @@ def test_aggregator_procs_must_match_clique_count():
     with pytest.raises(ConfigurationError, match="2 blinding clique"):
         ProtocolSession(CONFIG, enrollment.clients,
                         SessionConfig(aggregator_procs=3))
-
-
-def test_aggregator_procs_need_fanout_topology():
-    with pytest.raises(ConfigurationError, match="fanout"):
-        SessionConfig(topology="monolithic", aggregator_procs=1)
 
 
 def test_pipeline_rejects_conflicting_transport_configs():

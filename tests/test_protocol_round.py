@@ -31,11 +31,11 @@ def make_enrollment(n_users=4, use_oprf=False, seed=0):
                         seed=seed, use_oprf=use_oprf)
 
 
-def monolithic_session(clients, transport=None):
-    """The single-server wiring the deleted RoundCoordinator drove."""
-    return ProtocolSession(
-        CONFIG, clients,
-        SessionConfig(transport=transport, topology="monolithic"))
+def single_backend_session(clients, transport=None):
+    """The paper's single back-end: an unsharded population is the
+    k = 1 tree (one clique aggregator, one root)."""
+    return ProtocolSession(CONFIG, clients,
+                           SessionConfig(transport=transport))
 
 
 class TestRoundConfig:
@@ -112,7 +112,7 @@ class TestFullRound:
             client.observe_ad("http://popular.ad/1")
         clients[0].observe_ad("http://niche.ad/1")
 
-        result = monolithic_session(clients).run_round(round_id=1)
+        result = single_backend_session(clients).run_round(round_id=1)
 
         mapper = clients[0].ad_mapper
         popular_est = result.aggregate.query(mapper.ad_id("http://popular.ad/1"))
@@ -129,7 +129,7 @@ class TestFullRound:
         for client in clients:
             client.observe_ad("http://everyone.sees/ad")
         clients[0].observe_ad("http://only.one/ad")
-        result = monolithic_session(clients).run_round(1)
+        result = single_backend_session(clients).run_round(1)
         # Two ads -> distribution has ~2 entries (maybe more from CMS
         # collisions); threshold is the mean, between 1 and 4.
         assert len(result.distribution) >= 2
@@ -154,7 +154,7 @@ class TestFullRound:
         clients = enrollment.clients
         for client in clients:
             client.observe_ad("http://with.oprf/ad")
-        result = monolithic_session(clients).run_round(2)
+        result = single_backend_session(clients).run_round(2)
         ad_id = clients[0].ad_mapper.ad_id("http://with.oprf/ad")
         assert result.aggregate.query(ad_id) >= 3
 
@@ -162,7 +162,7 @@ class TestFullRound:
         enrollment = make_enrollment(3)
         for client in enrollment.clients:
             client.observe_ad("http://x/1")
-        result = monolithic_session(enrollment.clients).run_round(1)
+        result = single_backend_session(enrollment.clients).run_round(1)
         # 3 reports + 3 broadcasts at minimum.
         assert result.total_messages >= 6
         assert result.total_bytes > 3 * CONFIG.num_cells * 4
@@ -177,7 +177,7 @@ class TestFaultTolerance:
         transport = InMemoryTransport()
         transport.fail_sender(clients[2].user_id)
 
-        result = monolithic_session(clients, transport=transport).run_round(1)
+        result = single_backend_session(clients, transport=transport).run_round(1)
 
         assert result.missing_users == [clients[2].user_id]
         assert result.recovery_round_used
@@ -193,7 +193,7 @@ class TestFaultTolerance:
         transport = InMemoryTransport()
         transport.fail_sender(clients[0].user_id)
         transport.fail_sender(clients[5].user_id)
-        result = monolithic_session(
+        result = single_backend_session(
             clients, transport=transport).run_round(3)
         assert len(result.missing_users) == 2
         ad_id = clients[1].ad_mapper.ad_id("http://shared.ad/1")
@@ -252,7 +252,7 @@ class TestServerValidation:
 
     def test_session_rejects_empty_and_duplicates(self):
         with pytest.raises(ProtocolError):
-            monolithic_session([])
+            single_backend_session([])
         clients = make_enrollment(2).clients
         with pytest.raises(ProtocolError):
-            monolithic_session([clients[0], clients[0]])
+            single_backend_session([clients[0], clients[0]])

@@ -214,9 +214,7 @@ def test_remote_error_mentioning_truncation_is_not_misread_as_crash():
 # ---------------------------------------------------------------------------
 
 def test_slow_aggregator_process_round_still_quiesces():
-    reference = run_private_round(
-        CONFIG, enrolled(2).clients, round_id=0,
-        settings=SessionConfig(topology="monolithic"))
+    reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0)
     enrollment = enrolled(2)
     pool = ProcessAggregatorPool(CONFIG, chaos_delay_s={0: 0.15})
     transport = SocketTransport()

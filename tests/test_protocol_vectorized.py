@@ -18,7 +18,7 @@ import numpy as np
 from repro.crypto.blinding import BLINDING_MODULUS
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
-from repro.api import ProtocolSession, SessionConfig
+from repro.api import ProtocolSession
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, BlindingAdjustment, CellVector
 from repro.protocol.server import AggregationServer
@@ -108,8 +108,7 @@ class TestVectorizedAggregation:
 class TestVectorizedDistribution:
     def test_batched_distribution_matches_scalar(self):
         enrollment = _enrolled_round(seed=17)
-        session = ProtocolSession(
-            CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients)
         result = session.run_round(1)
         scalar = _seed_scalar_distribution(CONFIG, result.aggregate)
         assert result.distribution.values == scalar.values
@@ -136,11 +135,10 @@ class TestVectorizedDistribution:
 
     def test_table_cache_reused_across_rounds(self):
         enrollment = _enrolled_round(seed=23)
-        session = ProtocolSession(
-            CONFIG, enrollment.clients, SessionConfig(topology="monolithic"))
+        session = ProtocolSession(CONFIG, enrollment.clients)
         r1 = session.run_round(1)
         r2 = session.run_round(2)
-        query = session.root.server._distribution_query
+        query = session.root._distribution_query
         table = query._id_table_for(r1.aggregate)
         assert table is query._id_table_for(r2.aggregate)
         assert not table.flags.writeable  # shared process-wide

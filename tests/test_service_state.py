@@ -35,6 +35,7 @@ from repro.protocol.net.spec import (
     summary_to_spec,
 )
 from repro.protocol.transport import WireTransport
+from repro.service.client import RemoteClient
 from repro.service.state import ServiceState
 
 CONFIG = RoundConfig(cms_depth=3, cms_width=64, cms_seed=7, id_space=512)
@@ -248,6 +249,34 @@ class TestEquivalence:
         assert [(u, t) for (_r, u, _s, t) in state.undelivered] == \
             [("u3", "ThresholdBroadcast")]
         state.close()
+
+
+class TestRemoteSync:
+    """``RemoteClient.sync`` derives its uplink from the replayed clique
+    and *checks* it against the service's spec — it never adopts it."""
+
+    def synced(self, mutate):
+        state = fresh_state()
+        spec = json.loads(json.dumps(state.enrollment_spec("u0")))
+        state.close()
+        mutate(spec["user"])
+        remote = RemoteClient("localhost", 0, "u0")
+        remote.http.get = lambda path: spec
+        return remote.sync(), spec
+
+    def test_derived_uplink_matches_the_service(self):
+        client, spec = self.synced(lambda user: None)
+        assert client.uplink == spec["user"]["uplink"] == \
+            f"clique-aggregator-{client.clique_id}"
+
+    def test_uplink_mismatch_is_a_diverged_replay(self):
+        with pytest.raises(ProtocolError, match="replay diverged"):
+            self.synced(lambda user: user.update(uplink="backend-server"))
+
+    def test_clique_mismatch_is_a_diverged_replay(self):
+        with pytest.raises(ProtocolError, match="replay diverged"):
+            self.synced(lambda user: user.update(
+                clique_id=user["clique_id"] + 1))
 
 
 class TestSpecRoundTrips:

@@ -62,17 +62,18 @@ def _observe_week(session, week):
 class TestSessionConfigValidation:
     def test_defaults_are_valid(self):
         settings = SessionConfig()
-        assert settings.topology == "fanout"
+        assert settings.fan_in is None
         assert settings.client_backend == "objects"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"topology": "ring"},
+            {"fan_in": 1},
             {"transport": "carrier-pigeon"},
             {"client_backend": "quantum"},
             {"aggregator_procs": -1},
-            {"fan_in": 2, "topology": "single"},
+            {"fan_in": 0},
+            {"fan_in": -3},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -83,9 +84,13 @@ class TestSessionConfigValidation:
         "kwargs,message",
         [
             pytest.param(
-                {"topology": "monolithic", "aggregator_procs": 2},
-                "needs topology='fanout'",
-                id="procs-off-fanout",
+                {"fan_in": 1}, "fan_in must be >= 2", id="fan-in-one"
+            ),
+            pytest.param(
+                {"fan_in": 0}, "fan_in must be >= 2", id="fan-in-zero"
+            ),
+            pytest.param(
+                {"fan_in": -3}, "fan_in must be >= 2", id="fan-in-negative"
             ),
             pytest.param(
                 {
