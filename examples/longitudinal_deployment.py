@@ -4,7 +4,8 @@
 The paper ran the system live for over a year with a fluctuating panel.
 This example simulates six weeks of operation with realistic friction:
 
-* 20% weekly churn (users inactive, on holiday, uninstalled);
+* 20% weekly churn (users inactive, on holiday, uninstalled), absorbed
+  by one persistent session as ``advance_epoch`` deltas;
 * 8% of reporters crash mid-round, triggering the §6 two-message
   blinding-recovery round;
 * every week's #Users statistics travel as blinded CMS reports.
@@ -34,8 +35,13 @@ def main() -> None:
     print(f"weeks needing the blinding-recovery round: "
           f"{recoveries}/{len(log.weeks)}")
     lo, hi = min(log.thresholds), max(log.thresholds)
-    print(f"Users_th stayed within [{lo:.2f}, {hi:.2f}] — the weekly "
-          f"refresh keeps the global threshold stable despite churn.")
+    print(f"Users_th stayed within [{lo:.2f}, {hi:.2f}] despite churn.")
+    rekeyed = ", ".join(
+        "full enrollment" if w.rekeyed_users is None else str(w.rekeyed_users)
+        for w in log.weeks)
+    print(f"users re-keyed per week: {rekeyed} — one epoch session follows "
+          f"the panel, so only users whose clique changed pay new key "
+          f"exchanges (panel ~{log.weeks[0].active_users}).")
 
 
 if __name__ == "__main__":

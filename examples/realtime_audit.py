@@ -7,10 +7,11 @@ local counters, and each audit click gets an instant answer with the
 paper's two-signal rationale.
 """
 
-from repro.backend.service import BackendService
+from repro.api import ProtocolSession
 from repro.core.audit import AuditService
 from repro.core.detector import DetectorConfig
 from repro.protocol import RoundConfig, enroll_users
+from repro.protocol.net.spec import WeeklySnapshot
 from repro.types import Ad, Impression
 
 
@@ -21,7 +22,6 @@ def main() -> None:
           "aggregation round ...")
     enrollment = enroll_users([f"user-{i}" for i in range(12)], config,
                               seed=4, use_oprf=False)
-    backend = BackendService(config, enrollment.clients)
     # Last week: everyone saw the big brand ad; user-0 alone met a
     # suspicious offer; half the panel saw a mid-size campaign.
     for client in enrollment.clients:
@@ -29,11 +29,17 @@ def main() -> None:
     for client in enrollment.clients[:6]:
         client.observe_ad("http://midsize.example/offer")
     enrollment.clients[0].observe_ad("http://suspicious.example/just-for-you")
-    backend.run_week(0)
-    print(f"  Users_th = {backend.users_threshold(0):.2f}\n")
+    with ProtocolSession.create(enrollment) as session:
+        result = session.run_round(0)
+    # What the back-end retains of the week — the same value
+    # ``GET /v1/snapshots/0`` serves over HTTP.
+    snapshot = WeeklySnapshot(week=0, users_threshold=result.users_threshold,
+                              distribution=result.distribution,
+                              round_result=result)
+    print(f"  Users_th = {snapshot.users_threshold:.2f}\n")
 
     mapper = enrollment.clients[0].ad_mapper
-    audit = AuditService("user-0", backend, ad_id_of=mapper.ad_id,
+    audit = AuditService("user-0", lambda: snapshot, ad_id_of=mapper.ad_id,
                          config=DetectorConfig(min_ad_serving_domains=3))
 
     print("user-0 browses this week; the extension observes:")

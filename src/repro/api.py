@@ -13,7 +13,7 @@ names below will not.
 * :class:`SessionConfig` — the one value that names and validates every
   wiring option (transport, client backend, subprocess fan-out, tree
   fan-in, fault injection); every layer above — the pipeline, the
-  backend service, the CLI — accepts and forwards it unchanged.
+  deployment loop, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
 * :func:`run_detection` — impressions in, classified (user, ad) pairs
@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     List,
     Optional,
     Sequence,
@@ -114,8 +113,6 @@ if TYPE_CHECKING:
 
 #: What ``transport=`` accepts: a named transport or a live instance.
 TransportSpec = Union[str, InMemoryTransport, None]
-#: Zero-argument factory producing a fresh per-window transport.
-TransportFactory = Callable[[], InMemoryTransport]
 
 __all__ = [
     "ProtocolSession",
@@ -157,7 +154,7 @@ def _check_transport(spec: TransportSpec,
             f"an InMemoryTransport instance")
 
 
-def _resolve_transport(
+def resolve_transport(
     spec: TransportSpec, fault_plan: "Optional[FaultPlan]" = None
 ) -> Tuple[Optional[InMemoryTransport], bool]:
     """Transport spec -> (instance-or-None, session_owns_it).
@@ -194,8 +191,8 @@ class SessionConfig:
     does not need the population happens here, at construction, so an
     invalid combination fails before any enrollment work is spent; the
     layers above (:class:`~repro.core.pipeline.DetectionPipeline`,
-    :class:`~repro.backend.service.BackendService`, the CLI) accept and
-    forward this value instead of re-listing its fields.
+    :class:`~repro.backend.operations.LongitudinalDeployment`, the CLI)
+    accept and forward this value instead of re-listing its fields.
 
     Fields
     ------
@@ -364,7 +361,7 @@ class ProtocolSession:
         # rounds or epoch advances elsewhere) dictates the first
         # usable round id; pads from its earlier rounds are spent.
         self._next_round = membership.next_round if membership else 0
-        transport, self._owns_transport = _resolve_transport(
+        transport, self._owns_transport = resolve_transport(
             settings.transport, fault_plan=settings.fault_plan)
         try:
             self._wire(clients, transport, settings.threshold_rule)
@@ -805,8 +802,8 @@ class ProtocolSession:
                 "enroll_users carries the required key material)")
         transition = self.membership.advance_epoch(
             joins=joins, leaves=leaves, first_round=self._next_round)
-        # Carry the current rule (possibly reassigned on the old root,
-        # e.g. by BackendService.users_rule) into the new wiring.
+        # Carry the current rule (possibly reassigned on the old root
+        # between rounds) into the new wiring.
         rule = self.root.threshold_rule
         self._wire(self.membership.population, self.transport, rule)
         if self._recorder is not None:
@@ -872,7 +869,6 @@ def run_detection(impressions: "Sequence[Impression]",
                   detector_config: "Optional[DetectorConfig]" = None,
                   round_config: Optional[RoundConfig] = None,
                   use_oprf: bool = False, enrollment_seed: int = 0,
-                  transport_factory: Optional[TransportFactory] = None,
                   num_cliques: int = 1,
                   rounds_per_window: int = 1,
                   settings: Optional[SessionConfig] = None,
@@ -895,7 +891,6 @@ def run_detection(impressions: "Sequence[Impression]",
                                  round_config=round_config,
                                  use_oprf=use_oprf,
                                  enrollment_seed=enrollment_seed,
-                                 transport_factory=transport_factory,
                                  num_cliques=num_cliques,
                                  rounds_per_window=rounds_per_window,
                                  settings=settings, store=store,

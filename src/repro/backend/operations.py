@@ -5,8 +5,9 @@ varying commitment. This module simulates that operational reality on
 top of the substrate:
 
 * **churn** — each week a fraction of the panel is inactive (uninstalls,
-  holidays); enrollment (the key bulletin board) is refreshed weekly with
-  the active set, exactly as the §6 protocol expects;
+  holidays); one persistent session follows the active set with
+  ``advance_epoch`` deltas, so only users whose clique changed are
+  re-keyed — nobody re-runs the full DH enrollment week after week;
 * **dropouts** — some enrolled users crash *mid-round* after observing
   ads but before reporting, exercising the fault-tolerance round in the
   wild rather than under a unit test;
@@ -19,12 +20,14 @@ panel size, dropouts, Users_th trajectory, flagged counts, traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Set
 
-from repro.api import SessionConfig, run_detection
+from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
+from repro.core.pipeline import DetectionPipeline
 from repro.errors import ConfigurationError
+from repro.protocol.transport import InMemoryTransport
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulator
 from repro.statsutil.sampling import make_rng
@@ -42,6 +45,10 @@ class WeeklyOpsReport:
     flagged_targeted: int
     recovery_round_used: bool
     protocol_bytes: int
+    #: Users re-keyed by this week's epoch advance; None when there was
+    #: none — the week paid a full enrollment (the first week, a roster
+    #: delta the clique layout could not absorb, an outgrown sketch).
+    rekeyed_users: Optional[int] = None
 
 
 @dataclass
@@ -90,11 +97,16 @@ class LongitudinalDeployment:
         self.dropout_rate = dropout_rate
         self._rng = make_rng(seed)
         self.seed = seed
-        #: Forwarded to each week's private session: blinding cliques
-        #: (one aggregator per clique) and the session wiring (its
-        #: transport must stay unset — every week runs over a fresh
-        #: dropout-injecting transport).
+        #: Forwarded to the private session: blinding cliques (one
+        #: aggregator per clique) and the session wiring (its transport
+        #: must stay unset — the run owns the dropout-injecting one).
         self.num_cliques = num_cliques
+        settings = settings if settings is not None else SessionConfig()
+        if settings.transport is not None:
+            raise ConfigurationError(
+                "the deployment injects dropouts through its own "
+                "in-memory transport; leave settings.transport unset, "
+                f"got {settings.transport!r}")
         self.settings = settings
 
     def _active_subset(self, user_ids: Sequence[str]) -> Set[str]:
@@ -119,45 +131,49 @@ class LongitudinalDeployment:
         result = Simulator(sim_config).run()
         all_users = [u.user_id for u in result.population]
 
+        # One pipeline, hence one epoch session, for the whole run; the
+        # transport is ours so each week's dropouts can be failed on it.
+        transport = InMemoryTransport()
+        pipeline = DetectionPipeline(
+            detector_config=self.detector_config, private=True,
+            enrollment_seed=self.seed, num_cliques=self.num_cliques,
+            settings=replace(self.settings, transport=transport))
         log = DeploymentLog()
-        for week in range(num_weeks):
-            active = self._active_subset(all_users)
-            week_impressions = [imp for imp in result.impressions
-                                if imp.week == week
-                                and imp.user_id in active]
-            if not week_impressions:
-                continue
-            reporting_users = {imp.user_id for imp in week_impressions}
-            dropouts = {uid for uid in reporting_users
-                        if self._rng.random() < self.dropout_rate}
-            # Keep at least two reporters so aggregation is meaningful.
-            if len(reporting_users - dropouts) < 2:
-                dropouts = set()
+        try:
+            for week in range(num_weeks):
+                active = self._active_subset(all_users)
+                week_impressions = [imp for imp in result.impressions
+                                    if imp.week == week
+                                    and imp.user_id in active]
+                if not week_impressions:
+                    continue
+                reporting_users = {imp.user_id for imp in week_impressions}
+                # Sorted: set order varies with the process's hash seed.
+                dropouts = {uid for uid in sorted(reporting_users)
+                            if self._rng.random() < self.dropout_rate}
+                # Keep at least two reporters so aggregation is meaningful.
+                if len(reporting_users - dropouts) < 2:
+                    dropouts = set()
 
-            def failing_transport(failed=frozenset(dropouts)):
-                from repro.protocol.transport import InMemoryTransport
-                transport = InMemoryTransport()
-                for uid in failed:
+                for uid in dropouts:
                     transport.fail_sender(uid)
-                return transport
-
-            out = run_detection(
-                week_impressions, week=week, private=True,
-                detector_config=self.detector_config,
-                enrollment_seed=self.seed + week,
-                transport_factory=failing_transport,
-                num_cliques=self.num_cliques, settings=self.settings)
-            log.weeks.append(WeeklyOpsReport(
-                week=week,
-                active_users=len(reporting_users),
-                dropouts=len(dropouts),
-                users_threshold=out.users_threshold,
-                pairs_classified=len(out.classified),
-                flagged_targeted=len(out.targeted),
-                recovery_round_used=bool(
-                    out.round_result
-                    and out.round_result.recovery_round_used),
-                protocol_bytes=(out.round_result.total_bytes
-                                if out.round_result else 0)))
+                try:
+                    out = pipeline.run_week(week_impressions, week=week)
+                finally:
+                    for uid in dropouts:
+                        transport.restore_sender(uid)
+                transition = pipeline.last_transition
+                log.weeks.append(WeeklyOpsReport(
+                    week=week,
+                    active_users=len(reporting_users),
+                    dropouts=len(dropouts),
+                    users_threshold=out.users_threshold,
+                    pairs_classified=len(out.classified),
+                    flagged_targeted=len(out.targeted),
+                    recovery_round_used=out.round_result.recovery_round_used,
+                    protocol_bytes=out.round_result.total_bytes,
+                    rekeyed_users=(len(transition.rekeyed)
+                                   if transition is not None else None)))
+        finally:
+            pipeline.close()
         return log
-

@@ -34,7 +34,7 @@ from repro.analysis.effects import predicted_effects
 from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
 from repro.core.thresholds import ThresholdRule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StoreError
 from repro.simulation import SimulationConfig, Simulator
 from repro.simulation.metrics import evaluate_classifications
 from repro.sketch.countmin import CountMinSketch
@@ -416,14 +416,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = RoundConfig(cms_depth=args.cms_depth, cms_width=args.cms_width,
                          cms_seed=args.seed, id_space=args.id_space)
-    service = ReproService(
-        config, seed=args.seed, num_cliques=args.cliques,
-        use_oprf=args.use_oprf, threshold_rule=args.threshold_rule,
-        transport=args.transport, host=args.host, port=args.port,
-        operator_token=args.operator_token,
-        job_workers=args.job_workers,
-        retry_policy=RetryPolicy(max_restarts=args.job_retries),
-        job_timeout_s=args.job_timeout, store=args.store)
+    try:
+        service = ReproService(
+            config, seed=args.seed, num_cliques=args.cliques,
+            use_oprf=args.use_oprf, threshold_rule=args.threshold_rule,
+            transport=args.transport, host=args.host, port=args.port,
+            operator_token=args.operator_token,
+            job_workers=args.job_workers,
+            retry_policy=RetryPolicy(max_restarts=args.job_retries),
+            job_timeout_s=args.job_timeout, store=args.store)
+    except StoreError as exc:
+        # A store that already holds this service's session: a second
+        # life would reuse its one-time pads. Refused before any bind.
+        print(exc, file=sys.stderr)
+        return 2
     try:
         host, port = service.start()
         print(f"operator token: {service.operator_token}", flush=True)

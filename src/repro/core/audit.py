@@ -10,9 +10,11 @@ within at most few seconds." The pieces that make this possible:
   recent completed weekly aggregation round — a lookup, not a protocol
   run.
 
-:class:`AuditService` wires a user's live counter to the
-:class:`~repro.backend.service.BackendService` snapshots and answers
-per-ad audit queries instantly.
+:class:`AuditService` wires a user's live counter to the operator's
+latest :class:`~repro.protocol.net.spec.WeeklySnapshot` — built from a
+session's last round, held by a ``ServiceState``, or fetched from
+``GET /v1/snapshots/{week}`` — and answers per-ad audit queries
+instantly.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.backend.service import BackendService
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.errors import RoundStateError
+from repro.protocol.net.spec import WeeklySnapshot
 from repro.types import Ad, ClassifiedAd, Impression, Label
 
 
@@ -38,15 +40,19 @@ class AuditAnswer:
 class AuditService:
     """Per-user real-time audit endpoint.
 
-    ``ad_id_of`` maps ad identities to the integer IDs the aggregate
-    sketch is indexed by (the extension's OPRF cache in deployment).
+    ``latest_snapshot`` returns the most recent completed round's
+    :class:`~repro.protocol.net.spec.WeeklySnapshot` (None before the
+    first); ``ad_id_of`` maps ad identities to the integer IDs the
+    aggregate sketch is indexed by (the extension's OPRF cache in
+    deployment).
     """
 
-    def __init__(self, user_id: str, backend: BackendService,
+    def __init__(self, user_id: str,
+                 latest_snapshot: Callable[[], Optional[WeeklySnapshot]],
                  ad_id_of: Callable[[str], int],
                  config: Optional[DetectorConfig] = None) -> None:
         self.user_id = user_id
-        self.backend = backend
+        self.latest_snapshot = latest_snapshot
         self.ad_id_of = ad_id_of
         self.detector = CountBasedDetector(user_id, config)
 
@@ -64,25 +70,19 @@ class AuditService:
     # ------------------------------------------------------------------
     # Audit queries
     # ------------------------------------------------------------------
-    def latest_week(self) -> int:
-        """Most recent week with a completed aggregation round."""
-        weeks = self.backend.weeks_run
-        if not weeks:
+    def audit(self, ad: Ad) -> AuditAnswer:
+        """Answer "is this ad targeted at me?" from current state."""
+        snapshot = self.latest_snapshot()
+        if snapshot is None:
             raise RoundStateError(
                 "no aggregation round has completed yet; auditing needs at "
                 "least one weekly snapshot")
-        return weeks[-1]
-
-    def audit(self, ad: Ad) -> AuditAnswer:
-        """Answer "is this ad targeted at me?" from current state."""
-        week = self.latest_week()
-        users_threshold = self.backend.users_threshold(week)
-        users_seen = self.backend.estimated_users(
-            week, self.ad_id_of(ad.identity))
-        verdict = self.detector.classify(ad, users_seen=users_seen,
-                                         users_threshold=users_threshold,
-                                         week=week)
-        return AuditAnswer(verdict=verdict, based_on_week=week,
+        users_seen = float(snapshot.round_result.aggregate.query(
+            self.ad_id_of(ad.identity)))
+        verdict = self.detector.classify(
+            ad, users_seen=users_seen,
+            users_threshold=snapshot.users_threshold, week=snapshot.week)
+        return AuditAnswer(verdict=verdict, based_on_week=snapshot.week,
                            explanation=self._explain(verdict))
 
     @staticmethod

@@ -80,7 +80,6 @@ class DetectionPipeline:
                  round_config: Optional[RoundConfig] = None,
                  use_oprf: bool = False,
                  enrollment_seed: int = 0,
-                 transport_factory=None,
                  num_cliques: int = 1,
                  rounds_per_window: int = 1,
                  settings: Optional[SessionConfig] = None,
@@ -105,33 +104,11 @@ class DetectionPipeline:
                 f"blinding clique, so the counts must match (a window whose "
                 f"population cannot support the clique count scales both "
                 f"down together)")
-        if procs and transport_factory is not None:
-            raise ConfigurationError(
-                "aggregator_procs needs the persistent epoch session; it "
-                "cannot be combined with transport_factory (which rebuilds "
-                "a fresh per-window enrollment)")
-        if settings.transport is not None and transport_factory is not None:
-            raise ConfigurationError(
-                "pass a settings transport or transport_factory, not both: "
-                "the factory's per-window transports would silently "
-                f"override the {settings.transport!r} transport")
-        if store is not None and transport_factory is not None:
-            raise ConfigurationError(
-                "durable history needs the persistent epoch session; it "
-                "cannot be combined with transport_factory (which "
-                "rebuilds a fresh per-window enrollment)")
         self.detector_config = detector_config or DetectorConfig()
         self.private = private
         self.round_config = round_config
         self.use_oprf = use_oprf
         self.enrollment_seed = enrollment_seed
-        #: Optional zero-arg callable returning the transport for private
-        #: rounds — the hook for injecting client failures (longitudinal
-        #: deployment, fault-tolerance tests). When set, every window
-        #: gets a fresh enrollment over the injected transport (the
-        #: pre-epoch behaviour); the persistent epoch session below is
-        #: only used without it.
-        self.transport_factory = transport_factory
         #: Blinding cliques per private round (paper §6 scaling lever):
         #: keystream work drops from Θ(U²·cells) to Θ((U/k)·U·cells) with
         #: a bit-identical aggregate. Clamped per window so every clique
@@ -146,7 +123,9 @@ class DetectionPipeline:
         #: correspondingly fewer processes). A named transport is built
         #: (and owned) afresh by each session, so a socket transport's
         #: TCP pair is closed whenever the session is replaced or the
-        #: pipeline closed.
+        #: pipeline closed; a transport *instance* stays the caller's —
+        #: the hook for injecting client failures
+        #: (``fail_sender`` / ``restore_sender`` around a window).
         self.settings = replace(
             settings, threshold_rule=self.detector_config.users_rule.compute)
         #: Reporting rounds run per window (CLI ``--epoch-rounds``). The
@@ -167,12 +146,12 @@ class DetectionPipeline:
         #: key every window and silently defeat epoch reuse.
         self._derived_config: Optional[RoundConfig] = None
         self._derived_for_ads = 0
-        #: Pipeline-lifetime round-id floor. Fresh sessions (the
-        #: transport_factory path, or a rebuild after an unservable
-        #: delta) restart their own counter at 0, but same-seed
-        #: re-enrollments of the same roster derive the *same* pair
-        #: secrets — replaying round ids across windows would reuse
-        #: one-time pads. Every window's rounds start at this floor.
+        #: Pipeline-lifetime round-id floor. A fresh session (the
+        #: rebuild after an unservable delta) restarts its own counter
+        #: at 0, but same-seed re-enrollments of the same roster derive
+        #: the *same* pair secrets — replaying round ids across windows
+        #: would reuse one-time pads. Every window's rounds start at
+        #: this floor.
         self._round_floor = 0
         #: The last window's epoch transition (None when the window ran
         #: in the session's existing epoch or on a fresh enrollment).
@@ -198,7 +177,7 @@ class DetectionPipeline:
     @property
     def session(self) -> Optional[ProtocolSession]:
         """The persistent private-mode epoch session (None before the
-        first private window, or when ``transport_factory`` is set)."""
+        first private window)."""
         return self._session
 
     @property
@@ -243,14 +222,10 @@ class DetectionPipeline:
         later windows reuse it while their ad volume fits (the sketch
         and ID space were sized for at least this many ads), and a
         window that outgrows it re-derives with 25% headroom so steady
-        growth does not re-enroll every single window. The legacy
-        ``transport_factory`` path keeps per-window sizing — it builds
-        a fresh session each window anyway.
+        growth does not re-enroll every single window.
         """
         if self.round_config is not None:
             return self.round_config
-        if self.transport_factory is not None:
-            return self.default_round_config(num_unique_ads)
         if self._derived_config is not None \
                 and num_unique_ads <= self._derived_for_ads:
             return self._derived_config
@@ -264,8 +239,6 @@ class DetectionPipeline:
                        cliques: int) -> ProtocolSession:
         """Epoch-0 enrollment of one window's population."""
         settings = self.settings
-        if self.transport_factory is not None:
-            settings = replace(settings, transport=self.transport_factory())
         if settings.aggregator_procs:
             settings = replace(settings, aggregator_procs=cliques)
         # Each fresh enrollment is a new lineage in the store, named by
@@ -286,13 +259,8 @@ class DetectionPipeline:
         """The window's session: reuse the persistent epoch session when
         possible, advancing its epoch by the roster delta; fall back to
         a fresh epoch-0 enrollment otherwise.
-
-        ``transport_factory`` disables persistence — failure injection
-        wants a fresh, caller-controlled transport per window.
         """
         self.last_transition = None
-        if self.transport_factory is not None:
-            return self._fresh_session(user_ids, config, cliques)
         # Prefer the live session's clique count whenever the window's
         # population still supports it: re-sharding to a different k
         # cannot reuse key material, so a population oscillating around

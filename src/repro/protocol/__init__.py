@@ -120,9 +120,9 @@ ProcessEndpointProxy` endpoints by the unchanged driver
 ``examples/distributed_round.py`` is the runnable recipe, and
 ``cli detect --transport socket --aggregator-procs N`` the demo).
 Epoch advances RECONFIGURE the live processes in place — same PIDs, new
-clique map — and :meth:`repro.backend.service.BackendService.serve_root`
-puts a live session's root behind a listening port for remote summary
-queries.
+clique map — and an :class:`~repro.protocol.net.EndpointServer` with
+``allowed_kinds={SUMMARY}`` puts a live root behind a listening port for
+remote summary queries only.
 
 **Scale.** Two orthogonal levers take the same round to 100k+ users
 with bit-identical results (``docs/scaling.md`` has the cost model and

@@ -9,13 +9,11 @@ terminated by DONE, or a single ERR frame carrying the exception — so a
 raise inside the hosted endpoint surfaces on the caller's side as the
 same exception class, never as a hang.
 
-Two deployments share this class:
-
-* the aggregator **worker** (:mod:`repro.protocol.net.worker`) runs it as
-  a subprocess's main loop;
-* :meth:`repro.backend.service.BackendService.serve_root` runs it on a
-  daemon thread, putting a live session's root aggregator behind a
-  listening port for external query clients.
+The aggregator **worker** (:mod:`repro.protocol.net.worker`) runs it as
+a subprocess's main loop; :meth:`EndpointServer.start` runs it on a
+daemon thread instead, which is how a live root aggregator is put behind
+a listening port for external query clients (with ``allowed_kinds``
+narrowing what they may send).
 
 Dispatch is serialized under one lock across all connections: endpoint
 state is single-threaded by contract, and the frame protocol is strictly
@@ -60,19 +58,11 @@ class EndpointServer:
         wedged-worker failure mode. EOF-based crash detection cannot see
         it; the proxy's per-exchange deadline (and the supervisor's
         kill-and-respawn) must.
-    lock:
-        Optional externally owned lock serializing dispatch. When the
-        hosted endpoint is *also* driven by another thread (a
-        :class:`~repro.backend.service.BackendService` running weekly
-        rounds while serving its root), the owner passes the same lock
-        it holds around round execution, so remote queries can never
-        interleave with an in-flight round. Defaults to a private lock
-        (serializing across connections only).
     allowed_kinds:
         Optional allow-list of frame kinds this deployment accepts;
         anything else is refused with an ERR frame. The aggregator
-        worker needs the full verb set; a query-only surface (the
-        backend's ``serve_root`` port) passes ``{frames.SUMMARY}`` so a
+        worker needs the full verb set; a query-only surface (a root
+        served to external clients) passes ``{frames.SUMMARY}`` so a
         connecting client cannot mutate round state, swap the threshold
         rule, or stop the service. None (default) allows everything.
     """
@@ -86,7 +76,6 @@ class EndpointServer:
         rebuild: Optional[Callable[[Dict[str, Any]], ProtocolEndpoint]] = None,
         delay_s: float = 0.0,
         hang_after: Optional[int] = None,
-        lock: Optional[threading.Lock] = None,
         allowed_kinds: Optional[frozenset[int]] = None,
     ) -> None:
         self.endpoint = endpoint
@@ -101,7 +90,7 @@ class EndpointServer:
             frozenset(allowed_kinds) if allowed_kinds is not None else None
         )
         self.address: Optional[Tuple[str, int]] = None
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -234,7 +223,7 @@ class EndpointServer:
             self._loop.call_soon_threadsafe(self._stop.set)
 
     # ------------------------------------------------------------------
-    # Threaded hosting (BackendService.serve_root)
+    # Threaded hosting (a root served to external query clients)
     # ------------------------------------------------------------------
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Serve on a daemon thread; returns the bound ``(host, port)``."""

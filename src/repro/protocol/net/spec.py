@@ -21,10 +21,10 @@ guidance rather than silently replaced.
 from __future__ import annotations
 
 import base64
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.backend.service import WeeklySnapshot
     from repro.protocol.aggregator import (
         CliqueAggregator,
         RegionalAggregator,
@@ -336,8 +336,31 @@ def result_from_spec(
         raise ProtocolError(f"malformed round-result spec: {exc}") from None
 
 
-def snapshot_to_spec(snapshot: "WeeklySnapshot") -> Dict[str, Any]:
-    """JSON form of a :class:`~repro.backend.service.WeeklySnapshot`."""
+@dataclass
+class WeeklySnapshot:
+    """What an operator retains from one weekly round: what the
+    extension asks the back-end for (``Users_th``, per-ad estimates from
+    the round's aggregate) when it classifies locally."""
+
+    week: int
+    users_threshold: float
+    distribution: EmpiricalDistribution
+    round_result: "RoundResult"
+
+    def to_spec(self) -> Dict[str, Any]:
+        """JSON-serializable form: the HTTP plane's snapshot-query
+        payload."""
+        return snapshot_to_spec(self)
+
+    @classmethod
+    def from_spec(cls, spec: Dict[str, Any], config: RoundConfig) -> "WeeklySnapshot":
+        """Inverse of :meth:`to_spec`; the embedded round result's
+        aggregate is reconstructed bit-identically."""
+        return snapshot_from_spec(spec, config)
+
+
+def snapshot_to_spec(snapshot: WeeklySnapshot) -> Dict[str, Any]:
+    """JSON form of a :class:`WeeklySnapshot`."""
     return {
         "week": int(snapshot.week),
         "users_threshold": snapshot.users_threshold,
@@ -348,10 +371,8 @@ def snapshot_to_spec(snapshot: "WeeklySnapshot") -> Dict[str, Any]:
 
 def snapshot_from_spec(
     spec: Dict[str, Any], config: Optional[RoundConfig] = None
-) -> "WeeklySnapshot":
-    """Rebuild a :class:`~repro.backend.service.WeeklySnapshot`."""
-    from repro.backend.service import WeeklySnapshot
-
+) -> WeeklySnapshot:
+    """Rebuild a :class:`WeeklySnapshot`."""
     if config is None:
         raise ProtocolError(
             "reconstructing a weekly snapshot needs the shared RoundConfig"

@@ -155,31 +155,6 @@ class ProtocolRunner:
         for recipient, message in outbox:
             self.transport.send(sender_id, recipient, message)
 
-    def _open_round(self, round_id: int) -> None:
-        for endpoint in self.endpoints:
-            self._dispatch(endpoint.endpoint_id,
-                           endpoint.on_round_start(round_id))
-
-    def _close_round(self, round_id: int) -> RoundResult:
-        for endpoint in self.endpoints:
-            endpoint.on_round_end(round_id)
-            if self.transport.pending(endpoint.endpoint_id):
-                raise ProtocolError(
-                    f"mailbox {endpoint.endpoint_id!r} not drained at "
-                    f"round end")
-        summary: RoundSummary = self.root.round_summary()
-        return RoundResult(
-            round_id=summary.round_id,
-            aggregate=summary.aggregate,
-            distribution=summary.distribution,
-            users_threshold=summary.users_threshold,
-            reported_users=summary.reported_users,
-            missing_users=summary.missing_users,
-            recovery_round_used=summary.recovery_round_used,
-            total_bytes=self.transport.total_bytes,
-            total_messages=self.transport.total_messages,
-        )
-
     def run_round(self, round_id: int) -> RoundResult:
         """Drive one complete round; returns once every endpoint is quiet.
 
@@ -188,15 +163,29 @@ class ProtocolRunner:
         :class:`~repro.errors.MissingReportError` when an incomplete
         recovery makes the aggregate unreleasable.
         """
-        self._open_round(round_id)
+        self.open_round(round_id)
         for _ in range(self._MAX_CYCLES):
-            if self._deliver_pending():
+            if self.deliver_pending():
                 continue
-            if not self._idle_phase(round_id):
-                return self._close_round(round_id)
+            if not self.idle_phase(round_id):
+                return self.close_round(round_id)
         raise ProtocolError(f"round {round_id} did not quiesce")
 
-    def _deliver_pending(self) -> bool:
+    # ------------------------------------------------------------------
+    # The four phases ``run_round`` loops over. A caller whose clients
+    # live elsewhere (the HTTP plane's ``ServiceState``) runs a runner
+    # over the aggregation endpoints alone and calls the phases itself,
+    # at the moments its remote traffic dictates.
+    # ------------------------------------------------------------------
+    def open_round(self, round_id: int) -> None:
+        """Start the round on every endpoint and send what they emit."""
+        for endpoint in self.endpoints:
+            self._dispatch(endpoint.endpoint_id,
+                           endpoint.on_round_start(round_id))
+
+    def deliver_pending(self) -> bool:
+        """Empty every endpoint's mailbox once, in registration order;
+        True when anything was delivered (so more may be pending)."""
         progressed = False
         for endpoint in self.endpoints:
             while True:
@@ -209,7 +198,8 @@ class ProtocolRunner:
                 progressed = True
         return progressed
 
-    def _idle_phase(self, round_id: int) -> bool:
+    def idle_phase(self, round_id: int) -> bool:
+        """Fire every endpoint's phase timeout; True when any emitted."""
         emitted = False
         for endpoint in self.endpoints:
             outbox = endpoint.on_idle(round_id)
@@ -217,3 +207,29 @@ class ProtocolRunner:
                 self._dispatch(endpoint.endpoint_id, outbox)
                 emitted = True
         return emitted
+
+    def close_round(self, round_id: int) -> RoundResult:
+        """End the round on every endpoint and return its result.
+
+        The root's summary is read *before* any ``on_round_end``: an
+        unfinalized root raises here with every endpoint untouched, so
+        the round stays open and a later ``close_round`` succeeds.
+        """
+        summary: RoundSummary = self.root.round_summary()
+        for endpoint in self.endpoints:
+            endpoint.on_round_end(round_id)
+            if self.transport.pending(endpoint.endpoint_id):
+                raise ProtocolError(
+                    f"mailbox {endpoint.endpoint_id!r} not drained at "
+                    f"round end")
+        return RoundResult(
+            round_id=summary.round_id,
+            aggregate=summary.aggregate,
+            distribution=summary.distribution,
+            users_threshold=summary.users_threshold,
+            reported_users=summary.reported_users,
+            missing_users=summary.missing_users,
+            recovery_round_used=summary.recovery_round_used,
+            total_bytes=self.transport.total_bytes,
+            total_messages=self.transport.total_messages,
+        )

@@ -33,8 +33,7 @@ POST   /v1/shutdown                       operator  request clean shutdown
 Ordering rules the auth tests pin down: authentication runs before the
 body is even parsed, authorization (role) before any state is read, and
 every protocol mutation happens under one ops lock — a rejected request
-can not have mutated protocol state, and two racing requests serialize
-exactly like :class:`~repro.backend.service.BackendService` operations.
+can not have mutated protocol state, and two racing requests serialize.
 
 Wire payloads (reports, adjustments, mailbox messages) travel as base64
 of the byte-exact :mod:`repro.protocol.wire` encoding inside the JSON

@@ -33,14 +33,16 @@ key material included — in another process (see
 a fidelity limit of the reproduction, documented in ``docs/service.md``;
 the paper's deployment runs real per-client key exchange instead.
 
-The round lifecycle mirrors the in-process driver's quiescence loop,
-split at the HTTP boundary: ``open`` starts the round on the server
-endpoints, ``submit`` feeds one client message through the transport and
-pumps the aggregators, ``advance`` fires the idle phase (the deployment
-phase-timeout: "whoever has not reported is missing"), and ``finalize``
-closes the round once the root has a summary. Client-bound traffic
-(notices, the threshold broadcast) waits in the clients' transport
-mailboxes until polled over HTTP.
+The round lifecycle is the in-process driver's quiescence loop, split
+at the HTTP boundary: a :class:`~repro.protocol.runner.ProtocolRunner`
+over the aggregation tree (the clients are remote) moves every message,
+and the service calls its four phases when the remote traffic dictates
+— ``start_round`` opens the round, ``submit`` feeds one client message
+through the transport and delivers what is pending, ``advance`` fires
+the idle phase (the deployment phase-timeout: "whoever has not reported
+is missing"), and ``finalize`` closes the round once the root has a
+summary. Client-bound traffic (notices, the threshold broadcast) waits
+in the clients' transport mailboxes until polled over HTTP.
 """
 
 from __future__ import annotations
@@ -57,17 +59,16 @@ from typing import (
     Union,
 )
 
-from repro.api import _resolve_transport
-from repro.backend.service import WeeklySnapshot
-from repro.errors import ConfigurationError, ProtocolError
+from repro.api import resolve_transport
+from repro.errors import ConfigurationError, ProtocolError, StoreError
 from repro.protocol import wire
-from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
+from repro.protocol.aggregator import clique_endpoint_id
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import ProtocolEndpoint
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import MembershipManager
 from repro.protocol.messages import BlindedReport, BlindingAdjustment
 from repro.protocol.net.spec import (
+    WeeklySnapshot,
     config_to_spec,
     resolve_rule,
     result_to_spec,
@@ -75,10 +76,15 @@ from repro.protocol.net.spec import (
 )
 from repro.protocol.runner import (
     ClientPopulation,
+    ProtocolRunner,
     RoundResult,
     build_aggregation_tree,
 )
-from repro.store.history import HistoryStore, SessionRecord
+from repro.store.history import (
+    HistoryStore,
+    SessionRecord,
+    WeeklyStatsRecord,
+)
 from repro.store.recorder import SessionRecorder
 
 if TYPE_CHECKING:
@@ -94,16 +100,20 @@ SERVICE_TRANSPORTS = ("wire", "socket")
 #: endpoint emits is server-to-client traffic.
 _CLIENT_MESSAGE_TYPES = (BlindedReport, BlindingAdjustment)
 
-#: Safety valve for the server-side delivery pump (see runner._MAX_CYCLES).
-_MAX_PUMP_CYCLES = 10_000
-
 
 class ServiceState:
     """The operator's protocol state: enrollment, epochs, rounds.
 
     Not thread-safe by itself — the app layer serializes every call
-    under one ops lock (:attr:`lock`), the same discipline
-    :class:`~repro.backend.service.BackendService` uses.
+    under one ops lock (:attr:`lock`).
+
+    A store file belongs to one service life. Enrollment is a pure
+    function of ``(roster, config, seed)`` and a new life starts again
+    at round 0, so a second life recording under a session name the
+    store already holds would blind different weeks' reports with the
+    same ``(pair, round)`` one-time pads; construction refuses it with
+    :class:`~repro.errors.StoreError`. (Resuming a life needs the
+    clients' tokens persisted as well — not implemented.)
     """
 
     def __init__(self, config: RoundConfig, seed: int = 0,
@@ -128,21 +138,32 @@ class ServiceState:
         self.threshold_rule = threshold_rule
         self.transport_name = transport
         #: Durable round history behind the ``/v1/history/*`` routes:
-        #: every epoch and finalized round persists as it happens, so a
-        #: service restart pointed at the same store file can resume the
-        #: protocol lineage (``ProtocolSession.resume``) and historical
-        #: queries never recompute. Default is an in-memory store (the
-        #: endpoints still answer, nothing survives the process).
+        #: every epoch and finalized round persists as it happens, so
+        #: historical queries never recompute and the file outlives the
+        #: process for offline analysis. Default is an in-memory store
+        #: (the endpoints still answer, nothing survives the process).
         self._owns_store = store is None or isinstance(store, str)
         if store is None:
             store = HistoryStore()
         elif isinstance(store, str):
             store = HistoryStore(store)
+        if session_name in store.session_names():
+            last = store.last_round_id(session_name)
+            progress = ("no round finalized" if last is None
+                        else f"last round {last}")
+            message = (
+                f"store {store.path!r} already records session "
+                f"{session_name!r} ({progress}); a new service life would "
+                f"re-enroll with the same seed and reuse its one-time pads "
+                f"from round 0 — point --store at a new file")
+            if self._owns_store:
+                store.close()
+            raise StoreError(message)
         self.store = store
         self.session_name = session_name
         self._recorder = SessionRecorder(store, session_name)
         self.lock = threading.RLock()
-        instance, self._owns_transport = _resolve_transport(
+        instance, self._owns_transport = resolve_transport(
             transport, fault_plan=fault_plan)
         assert instance is not None
         self.transport = instance
@@ -152,8 +173,8 @@ class ServiceState:
         #: Replay log for remote reconstruction: one entry per epoch
         #: advance after epoch 0.
         self._transitions: List[Dict[str, Any]] = []
-        self._endpoints: List[ProtocolEndpoint] = []
-        self._root: Optional[RootAggregator] = None
+        #: Drives the aggregation tree; rebuilt with it every epoch.
+        self._runner: Optional[ProtocolRunner] = None
         self._uplink_of: Dict[str, str] = {}
         self._open_round: Optional[int] = None
         self._next_round = 0
@@ -258,17 +279,19 @@ class ServiceState:
         self._uplink_of = {
             user_id: clique_endpoint_id(clique_id)
             for user_id, clique_id in self.manager.epoch.clique_of.items()}
-        self._endpoints, self._root = build_aggregation_tree(
+        endpoints, root = build_aggregation_tree(
             self.config, population.members(), population.user_ids,
             threshold_rule=resolve_rule(self.threshold_rule))
-        for endpoint in self._endpoints:
-            self.transport.register(endpoint.endpoint_id)
+        self._runner = ProtocolRunner(endpoints, root,
+                                      transport=self.transport)
         for user_id in self._uplink_of:
             self.transport.register(user_id)
 
-    def _server_endpoints(self) -> List[ProtocolEndpoint]:
-        """The clique aggregators, then the root."""
-        return list(self._endpoints)
+    def _deliver(self) -> None:
+        """Deliver server-bound mail until the server side is quiet."""
+        assert self._runner is not None
+        while self._runner.deliver_pending():
+            pass
 
     def enrollment_spec(self, user_id: str) -> Dict[str, Any]:
         """Everything a remote process needs to rebuild ``user_id``'s
@@ -304,42 +327,18 @@ class ServiceState:
 
     def start_round(self) -> int:
         """Open the next round on the server endpoints."""
-        if self.manager is None:
+        if self._runner is None:
             raise ProtocolError("no epoch exists yet; advance the epoch "
                                 "before opening a round")
         if self._open_round is not None:
             raise ProtocolError(
                 f"round {self._open_round} is already open")
         round_id = self._next_round
-        for endpoint in self._server_endpoints():
-            self._dispatch(endpoint.endpoint_id,
-                           endpoint.on_round_start(round_id))
+        self._runner.open_round(round_id)
         self._open_round = round_id
         self._reports_seen = {}
-        self._pump()
+        self._deliver()
         return round_id
-
-    def _dispatch(self, sender_id: str,
-                  outbox: Sequence[Tuple[str, Any]]) -> None:
-        for recipient, message in outbox:
-            self.transport.send(sender_id, recipient, message)
-
-    def _pump(self) -> None:
-        """Deliver server-bound mail until the server side is quiet."""
-        for _ in range(_MAX_PUMP_CYCLES):
-            progressed = False
-            for endpoint in self._server_endpoints():
-                while True:
-                    item = self.transport.receive(endpoint.endpoint_id)
-                    if item is None:
-                        break
-                    sender, message = item
-                    self._dispatch(endpoint.endpoint_id,
-                                   endpoint.on_message(sender, message))
-                    progressed = True
-            if not progressed:
-                return
-        raise ProtocolError("server-side delivery did not quiesce")
 
     def _require_round(self, round_id: int) -> None:
         if self._open_round is None:
@@ -356,7 +355,7 @@ class ServiceState:
         is a client-side message of the open round actually sent by the
         authenticated ``user_id``, then sends it through
         ``transport.send`` — the accounting path — to the user's clique
-        aggregator and pumps the server side.
+        aggregator and delivers what is pending on the server side.
         """
         if self._open_round is None:
             raise ProtocolError("no round is open")
@@ -380,7 +379,7 @@ class ServiceState:
         self.transport.send(user_id, uplink, message)
         if isinstance(message, BlindedReport):
             self._reports_seen[user_id] = message.round_id
-        self._pump()
+        self._deliver()
         return {"round_id": self._open_round, "accepted": True}
 
     def drain_mailbox(self, user_id: str,
@@ -401,19 +400,15 @@ class ServiceState:
 
         This is where a clique aggregator decides "whoever has not
         reported by now is missing" and starts the recovery round, and
-        later where it releases its partial aggregate — exactly the
-        driver's ``_idle_phase``, triggered by the operator instead of
-        transport quiescence.
+        later where it releases its partial aggregate — the driver's
+        ``idle_phase``, triggered by the operator instead of transport
+        quiescence.
         """
         self._require_round(round_id)
-        self._pump()
-        emitted = False
-        for endpoint in self._server_endpoints():
-            outbox = endpoint.on_idle(round_id)
-            if outbox:
-                self._dispatch(endpoint.endpoint_id, outbox)
-                emitted = True
-        self._pump()
+        assert self._runner is not None
+        self._deliver()
+        emitted = self._runner.idle_phase(round_id)
+        self._deliver()
         return {
             "round_id": round_id,
             "emitted": emitted,
@@ -435,46 +430,30 @@ class ServiceState:
         rather than poisoning the next round's mailboxes.
         """
         self._require_round(round_id)
-        assert self._root is not None
-        self._pump()
-        summary = self._root.round_summary()  # raises until finalized
-        for endpoint in self._server_endpoints():
-            endpoint.on_round_end(round_id)
-            if self.transport.pending(endpoint.endpoint_id):
-                raise ProtocolError(
-                    f"mailbox {endpoint.endpoint_id!r} not drained at "
-                    f"round end")
+        assert self._runner is not None and self.manager is not None
+        self._deliver()
+        # Raises until the root finalized, leaving the round open.
+        result = self._runner.close_round(round_id)
         for user_id in sorted(self._uplink_of):
             for sender, message in self.transport.drain(user_id):
                 self.undelivered.append(
                     (round_id, user_id, sender, type(message).__name__))
-        result = RoundResult(
-            round_id=summary.round_id,
-            aggregate=summary.aggregate,
-            distribution=summary.distribution,
-            users_threshold=summary.users_threshold,
-            reported_users=summary.reported_users,
-            missing_users=summary.missing_users,
-            recovery_round_used=summary.recovery_round_used,
-            total_bytes=self.transport.total_bytes,
-            total_messages=self.transport.total_messages,
-        )
         snapshot = WeeklySnapshot(
             week=round_id, users_threshold=result.users_threshold,
             distribution=result.distribution, round_result=result)
         self._snapshots[round_id] = snapshot
         self._open_round = None
         self._next_round = round_id + 1
-        assert self.manager is not None
         self.manager.note_round(round_id)
         # Persist the finalized round (week == round id on the service
         # plane: one reporting round per weekly window) and its stats.
         self._recorder.week = round_id
         self._recorder.record_round(result, self.manager.epoch.epoch_id)
-        self.store.save_weekly_stats(
-            round_id, result.users_threshold,
-            len(result.reported_users), len(result.missing_users),
-            list(result.distribution.values))
+        self.store.save_weekly_record(WeeklyStatsRecord(
+            week=round_id, users_threshold=result.users_threshold,
+            num_reporting=len(result.reported_users),
+            num_missing=len(result.missing_users),
+            distribution=tuple(result.distribution.values)))
         return result
 
     # ------------------------------------------------------------------

@@ -10,10 +10,11 @@ persist per (week, user, ad) so longitudinal questions — "which
 campaigns were flagged since week N", "how did #Users trend for this
 ad" — are answered by SQL instead of recomputation.
 
-The store also carries the paper's metadata-database role (enrolled
-users, weekly aggregate stats, crawler sightings) as typed DAOs — the
-tables of the pre-migration ``MetadataStore`` schema, whose files are
-still adopted in place.
+The store also carries the paper's metadata-database role (weekly
+aggregate stats, crawler sightings) as typed DAOs — tables of the
+pre-migration ``MetadataStore`` schema, whose files are still adopted in
+place. (That schema's ``users`` table stays, so files at rest still
+open; nothing writes it.)
 
 Connection lifecycle matches the transport hardening from PR 6:
 ``close()`` is idempotent, the store is a context manager, and every
@@ -30,7 +31,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -38,7 +38,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigurationError, StoreError
+from repro.errors import StoreError
 from repro.protocol.client import RoundConfig
 from repro.store.migrations import HEAD_VERSION, apply_migrations, schema_version
 
@@ -252,9 +252,9 @@ class HistoryStore:
         self.path = path
         self._closed = False
         # check_same_thread=False: the HTTP service plane records from
-        # its request-handler threads. Every multi-threaded holder
-        # (ServiceState, BackendService) serializes store access under
-        # its ops lock, which is the discipline sqlite3 actually needs.
+        # its request-handler threads. Its multi-threaded holder
+        # (ServiceState) serializes store access under its ops lock,
+        # which is the discipline sqlite3 actually needs.
         self._db: Optional[sqlite3.Connection] = sqlite3.connect(
             path, check_same_thread=False)
         try:
@@ -676,66 +676,6 @@ class HistoryStore:
             for r in rows.fetchall()
         ]
 
-    # -- enrolled users (folded from MetadataStore) -------------------------
-    def enroll_user(self, user_id: str, week: int, blinding_index: int) -> None:
-        conn = self._conn()
-        try:
-            with conn:
-                conn.execute(
-                    "INSERT INTO users (user_id, enrolled_week, "
-                    "blinding_index) VALUES (?, ?, ?)",
-                    (user_id, week, blinding_index),
-                )
-        except sqlite3.IntegrityError:
-            raise ConfigurationError(f"user {user_id!r} already enrolled") from None
-
-    def active_users(self) -> List[str]:
-        """Users currently enrolled (departed ones excluded)."""
-        rows = self._conn().execute(
-            "SELECT user_id FROM users WHERE departed_week IS NULL ORDER BY user_id"
-        )
-        return [str(r[0]) for r in rows.fetchall()]
-
-    def known_users(self) -> List[str]:
-        """Every user ever enrolled, departed or not."""
-        rows = self._conn().execute("SELECT user_id FROM users ORDER BY user_id")
-        return [str(r[0]) for r in rows.fetchall()]
-
-    def mark_departed(self, user_id: str, week: int) -> None:
-        """Record that a user left the panel in ``week``."""
-        conn = self._conn()
-        with conn:
-            updated = conn.execute(
-                "UPDATE users SET departed_week = ? WHERE user_id = ?",
-                (week, user_id),
-            ).rowcount
-        if not updated:
-            raise ConfigurationError(f"unknown user {user_id!r}")
-
-    def mark_rejoined(self, user_id: str) -> None:
-        """Clear a departure (the user re-enrolled)."""
-        conn = self._conn()
-        with conn:
-            updated = conn.execute(
-                "UPDATE users SET departed_week = NULL WHERE user_id = ?",
-                (user_id,),
-            ).rowcount
-        if not updated:
-            raise ConfigurationError(f"unknown user {user_id!r}")
-
-    def blinding_index(self, user_id: str) -> int:
-        row = (
-            self._conn()
-            .execute(
-                "SELECT blinding_index FROM users WHERE user_id = ?",
-                (user_id,),
-            )
-            .fetchone()
-        )
-        if row is None:
-            raise ConfigurationError(f"unknown user {user_id!r}")
-        return int(row[0])
-
     # -- weekly aggregates (typed DAO replacing the ad-hoc dicts) -----------
     def save_weekly_record(self, record: WeeklyStatsRecord) -> None:
         conn = self._conn()
@@ -750,26 +690,6 @@ class HistoryStore:
                     json.dumps(list(record.distribution)),
                 ),
             )
-
-    def save_weekly_stats(
-        self,
-        week: int,
-        users_threshold: float,
-        num_reporting: int,
-        num_missing: int,
-        distribution_values: Iterable[float],
-    ) -> None:
-        """Positional-argument compatibility shim over
-        :meth:`save_weekly_record` (the legacy ``MetadataStore`` call)."""
-        self.save_weekly_record(
-            WeeklyStatsRecord(
-                week=week,
-                users_threshold=users_threshold,
-                num_reporting=num_reporting,
-                num_missing=num_missing,
-                distribution=tuple(distribution_values),
-            )
-        )
 
     def weekly_stats_record(self, week: int) -> Optional[WeeklyStatsRecord]:
         """The typed weekly record (None when the week never ran)."""

@@ -120,18 +120,38 @@ class TestProtocolSession:
         assert not hasattr(repro.protocol, "__getattr__")
         assert not hasattr(repro, "__getattr__")
 
+    def test_second_operator_and_pre_epoch_fork_are_gone(self):
+        """No tombstones: the deleted operator class is a plain
+        ``ImportError`` and the per-window transport hook a plain
+        ``TypeError``; the option counts are what the docs say."""
+        import importlib
+        import inspect
+
+        from repro.core.pipeline import DetectionPipeline
+        with pytest.raises(ImportError, match="BackendService"):
+            from repro.backend import BackendService  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.backend.service")
+        with pytest.raises(TypeError, match="transport_factory"):
+            DetectionPipeline(transport_factory=None)
+        with pytest.raises(TypeError, match="transport_factory"):
+            run_detection([], transport_factory=None)
+        import repro.api
+        assert not hasattr(repro.api, "TransportFactory")
+        assert len(inspect.signature(DetectionPipeline).parameters) == 10
+        assert len(inspect.signature(run_detection).parameters) == 12
+
     def test_service_users_rule_assignable_between_weeks(self):
-        from repro.backend.service import BackendService
+        """The threshold rule is assignable on ``session.root`` between
+        rounds and the next round's ``Users_th`` follows it."""
         from repro.core.thresholds import ThresholdRule
-        enrollment = make_enrollment()
-        service = BackendService(CONFIG, enrollment.clients)
-        service.run_week(0)
-        for client in enrollment.clients:  # windows reset after week 0
-            client.observe_ad("http://everyone.example/ad")
-        service.users_rule = ThresholdRule.MEAN_PLUS_STD
-        snapshot = service.run_week(1)
-        assert snapshot.users_threshold == \
-            ThresholdRule.MEAN_PLUS_STD.compute(snapshot.distribution)
+        session = ProtocolSession.create(make_enrollment())
+        first = session.run_round(0)
+        session.root.threshold_rule = ThresholdRule.MEAN_PLUS_STD.compute
+        second = session.run_round(1)
+        assert second.users_threshold == \
+            ThresholdRule.MEAN_PLUS_STD.compute(second.distribution)
+        assert second.users_threshold != first.users_threshold
 
 
 class TestOneShotHelpers:

@@ -75,3 +75,33 @@ class TestLongitudinalDeployment:
         assert log.weeks
         assert not log.weeks[0].recovery_round_used
         assert log.weeks[0].dropouts == 0
+
+    def test_churn_is_epoch_deltas_not_weekly_enrollments(self, monkeypatch):
+        """One persistent session follows the churning panel: a
+        multi-week run pays fewer full enrollments than it has weeks
+        (the rest are ``advance_epoch`` deltas re-keying a handful of
+        users) and still recovers from every week's dropouts."""
+        import repro.api
+        enrollments = []
+        real = repro.api.enroll_users
+
+        def counting(user_ids, *args, **kwargs):
+            enrollments.append(len(user_ids))
+            return real(user_ids, *args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "enroll_users", counting)
+        log = LongitudinalDeployment(
+            config=SimulationConfig(num_users=30, num_websites=60,
+                                    average_user_visits=40,
+                                    percentage_targeted=2.0, frequency_cap=8,
+                                    seed=3),
+            churn_rate=0.2, dropout_rate=0.1, seed=3).run(num_weeks=4)
+        assert len(log.weeks) == 4
+        assert 1 <= len(enrollments) < len(log.weeks)
+        deltas = [w.rekeyed_users for w in log.weeks
+                  if w.rekeyed_users is not None]
+        assert len(deltas) == len(log.weeks) - len(enrollments)
+        assert all(n < min(enrollments) for n in deltas)
+        assert any(w.dropouts for w in log.weeks)
+        for week in log.weeks:
+            assert week.recovery_round_used == (week.dropouts > 0)

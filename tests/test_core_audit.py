@@ -2,31 +2,53 @@
 
 import pytest
 
-from repro.backend.service import BackendService
+from repro.api import ProtocolSession
 from repro.core.audit import AuditService
 from repro.core.detector import DetectorConfig
 from repro.errors import RoundStateError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
+from repro.protocol.net.spec import WeeklySnapshot
 from repro.types import Ad, Impression, Label
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=2, id_space=400)
 
 
+class Backend:
+    """A session plus the snapshot it retains from its last round — what
+    ``AuditService`` is handed a view of."""
+
+    def __init__(self, user_ids, seed):
+        self.session = ProtocolSession.create(user_ids, CONFIG, seed=seed,
+                                              use_oprf=False)
+        self.latest = None
+
+    def run_week(self, week):
+        result = self.session.run_round(week)
+        self.latest = WeeklySnapshot(
+            week=week, users_threshold=result.users_threshold,
+            distribution=result.distribution, round_result=result)
+        self.session.reset_windows()
+
+
 @pytest.fixture()
-def world():
+def backend():
     """Five users; everyone saw the popular ad, user u0 was stalked."""
-    enrollment = enroll_users([f"u{i}" for i in range(5)], CONFIG, seed=9,
-                              use_oprf=False)
-    backend = BackendService(CONFIG, enrollment.clients)
-    for client in enrollment.clients:
+    backend = Backend([f"u{i}" for i in range(5)], seed=9)
+    clients = backend.session.clients
+    for client in clients:
         client.observe_ad("http://popular.example/ad")
-    enrollment.clients[0].observe_ad("http://stalker.example/ad")
+    clients[0].observe_ad("http://stalker.example/ad")
     backend.run_week(0)
-    mapper = enrollment.clients[0].ad_mapper
-    audit = AuditService("u0", backend, ad_id_of=mapper.ad_id,
-                         config=DetectorConfig(min_ad_serving_domains=2))
-    return audit
+    return backend
+
+
+@pytest.fixture()
+def world(backend):
+    """u0's audit service over that back-end's latest snapshot."""
+    mapper = backend.session.clients[0].ad_mapper
+    return AuditService("u0", lambda: backend.latest, ad_id_of=mapper.ad_id,
+                        config=DetectorConfig(min_ad_serving_domains=2))
 
 
 def imp(user, url, domain, tick=0):
@@ -36,8 +58,7 @@ def imp(user, url, domain, tick=0):
 class TestAuditService:
     def test_needs_a_completed_round(self):
         enrollment = enroll_users(["a", "b"], CONFIG, seed=1, use_oprf=False)
-        backend = BackendService(CONFIG, enrollment.clients)
-        audit = AuditService("a", backend,
+        audit = AuditService("a", lambda: None,
                              ad_id_of=enrollment.clients[0].ad_mapper.ad_id)
         with pytest.raises(RoundStateError):
             audit.audit(Ad(url="http://x.example/ad"))
@@ -88,11 +109,11 @@ class TestAuditService:
         answer = world.audit(Ad(url="http://bg-0.example/a"))
         assert answer.verdict.label is Label.UNDECIDED
 
-    def test_uses_latest_week(self, world):
+    def test_uses_latest_week(self, world, backend):
         # Run a second, empty-ish week and confirm auditing tracks it.
-        for client in world.backend.clients:
+        for client in backend.session.clients:
             client.observe_ad("http://week1.example/ad")
-        world.backend.run_week(1)
+        backend.run_week(1)
         for i in range(4):
             world.observe(imp("u0", f"http://bg-{i}.example/a",
                               f"site-{i}.example"))

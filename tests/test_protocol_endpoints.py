@@ -288,15 +288,47 @@ class TestMailboxHygiene:
             assert client.last_threshold_round == 1
 
     def test_backend_service_transport_stays_drained(self):
-        from repro.backend.service import BackendService
+        """Week over week on one long-lived session (what every
+        operator of the back-end runs), no client mailbox keeps mail."""
         enrollment = enrolled(num_cliques=2)
-        service = BackendService(CONFIG, enrollment.clients)
+        session = ProtocolSession(CONFIG, enrollment.clients)
         for week in range(3):
+            session.reset_windows()
             for i, client in enumerate(enrollment.clients):
                 client.observe_ad(f"ad-week{week}-{i % 4}")
-            service.run_week(week)
+            session.run_round(week)
             for client in enrollment.clients:
-                assert service.transport.pending(client.user_id) == 0
+                assert session.transport.pending(client.user_id) == 0
+
+
+class TestRunnerPhases:
+    """The four public phases ``run_round`` loops over — what a caller
+    whose clients are remote (``ServiceState``) steps by hand."""
+
+    def test_close_round_reads_the_summary_before_any_round_end(self):
+        """An unfinalized root makes ``close_round`` raise with no
+        endpoint ended, so the round stays open (HTTP 409 upstream) and
+        a later ``close_round`` of the same round succeeds."""
+        from repro.protocol.runner import ProtocolRunner
+        _, expected = run_session(enrolled(num_cliques=2))
+        session = ProtocolSession(CONFIG, enrolled(num_cliques=2).clients)
+        runner = ProtocolRunner(session.endpoints, session.root,
+                                transport=session.transport)
+        ended = []
+        for endpoint in runner.endpoints:
+            endpoint.on_round_end = \
+                lambda round_id, e=endpoint: ended.append(e.endpoint_id)
+        runner.open_round(1)
+        with pytest.raises(ProtocolError, match="not finalized"):
+            runner.close_round(1)
+        assert ended == []
+        while runner.deliver_pending() or runner.idle_phase(1):
+            pass
+        result = runner.close_round(1)
+        assert ended == [e.endpoint_id for e in runner.endpoints]
+        assert result.aggregate.cells == expected.aggregate.cells
+        assert result.users_threshold == expected.users_threshold
+        assert result.total_bytes == expected.total_bytes
 
 
 class TestStrictRouting:

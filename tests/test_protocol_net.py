@@ -258,14 +258,6 @@ def test_aggregator_procs_must_match_clique_count():
 def test_pipeline_rejects_conflicting_transport_configs():
     from repro.core.pipeline import DetectionPipeline
 
-    with pytest.raises(ConfigurationError, match="not both"):
-        DetectionPipeline(private=True,
-                          settings=SessionConfig(transport="socket"),
-                          transport_factory=InMemoryTransport)
-    with pytest.raises(ConfigurationError, match="transport_factory"):
-        DetectionPipeline(private=True, num_cliques=2,
-                          settings=SessionConfig(aggregator_procs=2),
-                          transport_factory=InMemoryTransport)
     with pytest.raises(ConfigurationError, match="must match"):
         DetectionPipeline(private=True, num_cliques=4,
                           settings=SessionConfig(aggregator_procs=2))
@@ -285,7 +277,7 @@ def test_named_transports_resolve():
 
 
 # ---------------------------------------------------------------------------
-# The threaded endpoint server (what BackendService.serve_root uses)
+# The threaded endpoint server (a root served to external query clients)
 # ---------------------------------------------------------------------------
 
 def test_endpoint_server_hosts_a_root_over_tcp():
@@ -299,6 +291,35 @@ def test_endpoint_server_hosts_a_root_over_tcp():
         summary = proxy.round_summary()
         assert summary.aggregate.cells == \
             session.root.round_summary().aggregate.cells
+        proxy.close()
+    finally:
+        server.stop()
+
+
+def test_endpoint_server_allowed_kinds_is_query_only():
+    """Input rejection at the served port: with
+    ``allowed_kinds={SUMMARY}`` a remote peer can read the finalized
+    summary but cannot start a round, swap the threshold rule or stop
+    the server — and the port keeps answering afterwards."""
+    from repro.core.thresholds import ThresholdRule
+
+    session = ProtocolSession(CONFIG, enrolled(2).clients)
+    expected = session.run_round(0)
+    server = EndpointServer(session.root,
+                            allowed_kinds=frozenset({frames.SUMMARY}))
+    host, port = server.start()
+    try:
+        proxy = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
+                                             config=CONFIG)
+        with pytest.raises(ProtocolError, match="not permitted"):
+            proxy.on_round_start(5)
+        with pytest.raises(ProtocolError, match="not permitted"):
+            proxy.threshold_rule = ThresholdRule.MEDIAN.compute
+        with pytest.raises(ProtocolError, match="not permitted"):
+            proxy._call(frames.SHUTDOWN)
+        summary = proxy.round_summary()
+        assert summary.users_threshold == expected.users_threshold
+        assert summary.aggregate.cells == expected.aggregate.cells
         proxy.close()
     finally:
         server.stop()

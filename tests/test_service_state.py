@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import SessionConfig, run_private_round
-from repro.backend.service import WeeklySnapshot
+from repro.protocol.net.spec import WeeklySnapshot
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig

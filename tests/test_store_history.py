@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig
-from repro.errors import ConfigurationError, StoreError
+from repro.errors import StoreError
 from repro.protocol.client import RoundConfig
 from repro.store import (
     DetectionRecord,
@@ -86,7 +86,7 @@ class TestLifecycle:
         store.close()
         assert store.closed
         with pytest.raises(StoreError, match="closed"):
-            store.active_users()
+            store.recorded_weeks()
 
     def test_context_manager(self):
         with HistoryStore() as store:
@@ -235,20 +235,6 @@ class TestLongitudinalQueries:
 
 
 class TestFoldedMetadataDAOs:
-    def test_user_lifecycle(self):
-        with HistoryStore() as store:
-            store.enroll_user("u2", week=0, blinding_index=1)
-            store.enroll_user("u1", week=0, blinding_index=0)
-            assert store.active_users() == ["u1", "u2"]
-            store.mark_departed("u1", week=3)
-            assert store.active_users() == ["u2"]
-            assert store.known_users() == ["u1", "u2"]
-            store.mark_rejoined("u1")
-            assert store.active_users() == ["u1", "u2"]
-            assert store.blinding_index("u2") == 1
-            with pytest.raises(ConfigurationError):
-                store.enroll_user("u1", week=1, blinding_index=5)
-
     def test_sightings(self):
         with HistoryStore() as store:
             store.record_sighting("http://ad/a", "news.example", week=1)
