@@ -64,13 +64,11 @@ def peak_rss_mb() -> float:
 
 
 def pytest_collection_modifyitems(config, items):
-    """Every bench is ``slow`` unless explicitly marked ``smoke``:
-    tier-1 (`pytest -x -q`) never collects this directory (see
-    ``testpaths`` in pytest.ini), ``-m "not slow"`` selects only the
-    quick CI smoke benches, and ``-m slow`` the full suite."""
+    """Every bench is ``slow``: tier-1 (`pytest -x -q`) never collects
+    this directory (see ``testpaths`` in pytest.ini) and ``-m slow``
+    selects the full suite. Per-commit timing lives in ``bench/``."""
     for item in items:
-        if item.get_closest_marker("smoke") is None:
-            item.add_marker(pytest.mark.slow)
+        item.add_marker(pytest.mark.slow)
 
 
 def print_table(title: str, header: str, rows) -> None:

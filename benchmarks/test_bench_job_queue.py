@@ -3,7 +3,7 @@
 Times the service plane's :class:`~repro.service.jobs.JobQueue` on the
 paths that matter operationally — how much latency the queue itself
 adds around a successful attempt, how close the measured retry delay
-tracks the :class:`~repro.protocol.net.supervisor.RetryPolicy`
+tracks the :class:`~repro.protocol.net.RetryPolicy`
 arithmetic, how long budget exhaustion takes to land in dead-letter,
 and the end-to-end cost of a real subprocess detection job whose first
 attempt is killed. Rows append to the ``BENCH_perf_hotpaths.json``
@@ -14,7 +14,7 @@ import time
 
 from conftest import append_trajectory, print_table
 
-from repro.protocol.net.supervisor import RetryPolicy
+from repro.protocol.net import RetryPolicy
 from repro.service.jobs import DEAD, SUCCEEDED, JobError, JobQueue
 from repro.service.jobworker import JOB_KIND_DETECTION, detection_handler
 

@@ -109,7 +109,7 @@ if TYPE_CHECKING:
     from repro.store.history import HistoryStore
     from repro.store.recorder import SessionRecorder
     from repro.types import Impression
-    from repro.protocol.net.supervisor import RetryPolicy
+    from repro.protocol.net.pool import RetryPolicy
 
 #: What ``transport=`` accepts: a named transport or a live instance.
 TransportSpec = Union[str, InMemoryTransport, None]
@@ -137,7 +137,8 @@ def _check_transport(spec: TransportSpec,
     transport (or is an instance), and a ``fault_plan`` with link faults
     rides the ``"socket"`` transport — the only one with a real byte
     path to disturb (a crash-only plan — ``worker_crashes`` and nothing
-    else — is consumed by the supervisor and works over any transport).
+    else — is consumed by the aggregator pool and works over any
+    transport).
     """
     has_link_faults = fault_plan is not None and (
         not fault_plan.default.is_noop or fault_plan.links)
@@ -217,16 +218,14 @@ class SessionConfig:
         Optional :class:`~repro.protocol.net.FaultPlan` of seeded WAN
         faults. Its link faults need ``transport="socket"`` (injected
         by a :class:`~repro.protocol.net.ChaosSocketTransport`); its
-        ``worker_crashes`` are consumed by the supervised aggregator
-        pool and need ``aggregator_procs``.
+        ``worker_crashes`` are executed by the aggregator pool and need
+        ``aggregator_procs``.
     retry_policy:
-        Optional :class:`~repro.protocol.net.RetryPolicy`. Turns the
-        aggregator pool into a
-        :class:`~repro.protocol.net.SupervisedAggregatorPool` that
-        respawns crashed/hung workers and replays the round's exchanges
-        within the policy's restart budget. Requires
-        ``aggregator_procs``. Without it, worker death fails the round
-        fast (a :class:`ProtocolError` surfaces).
+        Optional :class:`~repro.protocol.net.RetryPolicy`: the restart
+        budget of the aggregator pool, which respawns crashed/hung
+        workers and replays the round's exchanges while it lasts.
+        Requires ``aggregator_procs``. None is a budget of 0: worker
+        death fails the round fast (a :class:`ProtocolError` surfaces).
     fan_in:
         Bound (>= 2) on the partial-aggregate fan-in of the aggregation
         tree (regional merge tiers appear above it); None keeps every
@@ -346,17 +345,10 @@ class ProtocolSession:
                     f"one aggregator process serves exactly one clique "
                     f"(enroll with num_cliques={procs}, or pass "
                     f"aggregator_procs={cliques_present})")
-            fault_plan = settings.fault_plan
-            if settings.retry_policy is not None or (
-                    fault_plan is not None and fault_plan.worker_crashes):
-                from repro.protocol.net import SupervisedAggregatorPool
-                self._pool = SupervisedAggregatorPool(
-                    config, retry_policy=settings.retry_policy,
-                    fault_plan=fault_plan, fan_in=settings.fan_in)
-            else:
-                from repro.protocol.net import ProcessAggregatorPool
-                self._pool = ProcessAggregatorPool(
-                    config, fan_in=settings.fan_in)
+            from repro.protocol.net import ProcessAggregatorPool
+            self._pool = ProcessAggregatorPool(
+                config, retry_policy=settings.retry_policy,
+                fault_plan=settings.fault_plan, fan_in=settings.fan_in)
         # A membership mid-lifecycle (e.g. handed to create() after
         # rounds or epoch advances elsewhere) dictates the first
         # usable round id; pads from its earlier rounds are spent.

@@ -113,10 +113,9 @@ def _print_chaos_telemetry(args: argparse.Namespace, session) -> None:
           f"(seed {transport.plan.seed}): {events}; "
           f"injected delay {transport.injected_delay_s:.3f}s")
     pool = session.aggregator_pool
-    restarts = getattr(pool, "restarts", None)
-    if restarts:
+    if pool is not None and pool.restarts:
         respawned = ", ".join(f"{eid} x{n}"
-                              for eid, n in sorted(restarts.items()))
+                              for eid, n in sorted(pool.restarts.items()))
         print(f"  supervised respawns: {respawned}")
 
 
@@ -411,7 +410,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     from repro.protocol.client import RoundConfig
-    from repro.protocol.net.supervisor import RetryPolicy
+    from repro.protocol.net import RetryPolicy
     from repro.service import ReproService
 
     config = RoundConfig(cms_depth=args.cms_depth, cms_width=args.cms_width,

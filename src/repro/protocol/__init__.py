@@ -120,9 +120,8 @@ ProcessEndpointProxy` endpoints by the unchanged driver
 ``examples/distributed_round.py`` is the runnable recipe, and
 ``cli detect --transport socket --aggregator-procs N`` the demo).
 Epoch advances RECONFIGURE the live processes in place — same PIDs, new
-clique map — and an :class:`~repro.protocol.net.EndpointServer` with
-``allowed_kinds={SUMMARY}`` puts a live root behind a listening port for
-remote summary queries only.
+clique map — and an :class:`~repro.protocol.net.EndpointServer` built
+with ``allowed_kinds={SUMMARY}`` answers summary queries only.
 
 **Scale.** Two orthogonal levers take the same round to 100k+ users
 with bit-identical results (``docs/scaling.md`` has the cost model and
@@ -140,20 +139,19 @@ collects more than ``fan_in`` partials. Both reuse the existing wire
 messages unchanged, and ``benchmarks/test_bench_scale_sweep.py`` charts
 users/second and peak RSS from 1k to 100k users.
 
-**Supervision.** By default a crashed worker process fails the round
-fast (a :class:`~repro.errors.ProtocolError` naming the dead endpoint).
-Passing a :class:`~repro.protocol.net.RetryPolicy` upgrades the pool to
-a :class:`~repro.protocol.net.SupervisedAggregatorPool`: every exchange
-runs under a per-exchange deadline (hangs cannot outlive it), a worker
-that dies or wedges is respawned from its spec with exponential backoff
-(``backoff_base_s * backoff_factor**(n-1)``, capped at
-``backoff_max_s``), the current round's exchanges are replayed into the
-replacement — sound because aggregators are deterministic and the
-protocol's messages are idempotent under identical resends — and the
-round completes **bit-identically**. The budget is
-``max_restarts`` per worker per round; a crash-loop past it raises a
-``ProtocolError`` describing the loop. :data:`~repro.protocol.net.
-NO_RETRY` keeps supervision off explicitly.
+**Supervision.** The pool supervises its own workers; a
+:class:`~repro.protocol.net.RetryPolicy` is the restart budget it
+spends. Every exchange runs under a per-exchange deadline (hangs cannot
+outlive it). With the default budget of 0 (``retry_policy=None``, i.e.
+:data:`~repro.protocol.net.NO_RETRY`) a crashed or wedged worker fails
+the round fast (a :class:`~repro.errors.ProtocolError` naming the dead
+endpoint). With ``max_restarts`` > 0 the worker is respawned from its
+spec with exponential backoff (``backoff_base_s * backoff_factor**(n-1)``,
+capped at ``backoff_max_s``), the current round's exchanges are replayed
+into the replacement — sound because aggregators are deterministic and
+the protocol's messages are idempotent under identical resends — and the
+round completes **bit-identically**. The budget is per worker per round;
+a crash-loop past it raises a ``ProtocolError`` describing the loop.
 
 **What survives which fault** (with ``transport="socket"``,
 ``aggregator_procs=k``):
@@ -171,17 +169,17 @@ Truncated frame / severed link        Fails fast — codec-level
                                       ``ProtocolError`` / transport
                                       ``TransportError``; nothing
                                       silently wrong.
-Clique worker crash (supervised)      Survives, bit-identical — respawn
+Clique worker crash (budget > 0)      Survives, bit-identical — respawn
                                       + replay within ``max_restarts``.
-Root crash (supervised)               Survives, bit-identical — same
+Root crash (budget > 0)               Survives, bit-identical — same
                                       respawn/replay path.
-Worker hang (supervised)              Survives — per-exchange deadline
+Worker hang (budget > 0)              Survives — per-exchange deadline
                                       converts the hang into a crash,
                                       then respawn + replay.
 Crash past the restart budget         Fails fast — ``ProtocolError``
                                       naming the crash loop.
-Any crash (unsupervised default)      Fails fast — today's semantics,
-                                      unchanged.
+Any crash (default budget of 0)       Fails fast — ``ProtocolError``
+                                      naming the dead endpoint.
 HTTP client vanishes mid-round        Survives — the service's idle
 (service plane)                       phase declares it missing; the
                                       clique recovery round runs; its

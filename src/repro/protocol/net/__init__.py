@@ -22,11 +22,13 @@ processes behind asyncio TCP servers, driven through
 it from the facade, and ``advance_epoch`` reconfigures the live
 processes without restarting them.
 
-:class:`SupervisedAggregatorPool` adds the production failure story on
-top: workers that crash, crash-loop or hang mid-round are respawned from
-their specs under a bounded :class:`RetryPolicy` and the round's
-exchanges are replayed, so the round completes bit-identically instead
-of raising (``SessionConfig(fault_plan=..., retry_policy=...)``).
+The pool is also its workers' supervisor, and that is the production
+failure story: given a :class:`RetryPolicy` with restart budget
+(``SessionConfig(fault_plan=..., retry_policy=...)``), workers that
+crash, crash-loop or hang mid-round are respawned from their specs and
+the round's exchanges are replayed, so the round completes
+bit-identically instead of raising. The default budget is 0
+(:data:`NO_RETRY`): the first worker death fails the round fast.
 
 The guarantees the rest of the stack proves are transport-independent:
 pad one-time-ness is keyed by ``(pair, round)`` on the clients, and the
@@ -36,7 +38,11 @@ every rung of the ladder — the equivalence tests pin that down for
 """
 
 from repro.protocol.net import frames
-from repro.protocol.net.pool import ProcessAggregatorPool
+from repro.protocol.net.pool import (
+    NO_RETRY,
+    ProcessAggregatorPool,
+    RetryPolicy,
+)
 from repro.protocol.net.proxy import ProcessEndpointProxy
 from repro.protocol.net.server import EndpointServer
 from repro.protocol.net.spec import (
@@ -52,29 +58,19 @@ from repro.protocol.net.transport import SocketTransport
 from repro.protocol.net.chaos import (
     ChaosSocketTransport,
     FaultPlan,
-    FaultyTransport,
     LinkFault,
-)
-from repro.protocol.net.supervisor import (
-    NO_RETRY,
-    RetryPolicy,
-    SupervisedAggregatorPool,
-    SupervisedEndpointProxy,
 )
 
 __all__ = [
     "ChaosSocketTransport",
     "EndpointServer",
     "FaultPlan",
-    "FaultyTransport",
     "LinkFault",
     "NO_RETRY",
     "ProcessAggregatorPool",
     "ProcessEndpointProxy",
     "RetryPolicy",
     "SocketTransport",
-    "SupervisedAggregatorPool",
-    "SupervisedEndpointProxy",
     "build_endpoint",
     "clique_spec",
     "frames",

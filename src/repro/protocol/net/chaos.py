@@ -39,8 +39,8 @@ Fault semantics (what each knob does to one shipped frame):
     ``timeout`` surfaces as a bounded stall error, never a hang.
 
 ``FaultPlan.worker_crashes`` schedules aggregator-process kills by
-exchange ordinal; it is consumed by the supervisor layer
-(:mod:`repro.protocol.net.supervisor`), not by the transport.
+exchange ordinal; it is consumed by the aggregator pool's proxies
+(:mod:`repro.protocol.net.proxy`), not by the transport.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class FaultPlan:
         then ``default``.
     worker_crashes:
         ``endpoint_id -> iterable of exchange ordinals`` (1-based) at
-        which the supervisor kills that endpoint's hosting process just
+        which the pool kills that endpoint's hosting process just
         before the exchange runs. Consecutive ordinals produce a crash
         loop: the respawned process is killed again on its first
         exchange.
@@ -190,7 +190,7 @@ class FaultPlan:
         return rng
 
     # ------------------------------------------------------------------
-    # Crash schedule (consumed by the supervisor)
+    # Crash schedule (consumed by the pool's proxies)
     # ------------------------------------------------------------------
     def take_crash(self, endpoint_id: str, exchange_no: int) -> bool:
         """True if the plan kills ``endpoint_id`` at this exchange.
@@ -246,7 +246,7 @@ class FaultPlan:
         """An actively bad network: WAN latency, heavy loss *and* a
         scheduled aggregator crash-loop (supply ``worker_crashes`` to
         place the kills; pair with a
-        :class:`~repro.protocol.net.supervisor.RetryPolicy` to survive
+        :class:`~repro.protocol.net.RetryPolicy` to survive
         them)."""
         fault = LinkFault(
             latency_s=overrides.pop("latency_s", 0.003),
@@ -332,13 +332,8 @@ class ChaosSocketTransport(SocketTransport):
             self._chunk = _CHUNK
             self._write_pause = 0.0
 
-
-#: The tentpole's alias: a transport whose links are faulty by plan.
-FaultyTransport = ChaosSocketTransport
-
 __all__ = [
     "ChaosSocketTransport",
     "FaultPlan",
-    "FaultyTransport",
     "LinkFault",
 ]

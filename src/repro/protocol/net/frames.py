@@ -167,6 +167,17 @@ def connect_stream(
     return sock
 
 
+def _peer_gone(message: str, timed_out: bool = False) -> ProtocolError:
+    """A ProtocolError marked where the loss is *observed*: the stream
+    ended (``peer_dead``) or the read deadline expired (``timed_out``
+    too). Callers test the marker, never the message — a parse error on
+    a complete frame from a live peer may well say "truncated"."""
+    exc = ProtocolError(message)
+    exc.peer_dead = True
+    exc.timed_out = timed_out
+    return exc
+
+
 def _recv_exact(
     sock: socket.socket,
     count: int,
@@ -186,21 +197,23 @@ def _recv_exact(
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ProtocolError(
+                raise _peer_gone(
                     f"timed out waiting for {context} "
-                    f"({received}/{count} bytes)"
+                    f"({received}/{count} bytes)",
+                    timed_out=True,
                 )
             sock.settimeout(min(sock.gettimeout() or remaining, remaining))
         try:
             chunk = sock.recv(count - received)
         except socket.timeout:
-            raise ProtocolError(
-                f"timed out waiting for {context} ({received}/{count} bytes)"
+            raise _peer_gone(
+                f"timed out waiting for {context} ({received}/{count} bytes)",
+                timed_out=True,
             ) from None
         if not chunk:
             if received == 0:
                 return None
-            raise ProtocolError(
+            raise _peer_gone(
                 f"connection closed mid-frame: {context} truncated at "
                 f"{received}/{count} bytes"
             )
@@ -228,12 +241,12 @@ def recv_frame(
     if header is None:
         if eof_ok:
             return None
-        raise ProtocolError("connection closed while waiting for a frame")
+        raise _peer_gone("connection closed while waiting for a frame")
     (length,) = _LEN.unpack(header)
     check_frame_length(length, max_frame)
     payload = _recv_exact(sock, length, "frame payload", deadline)
     if payload is None:
-        raise ProtocolError("connection closed between frame header and payload")
+        raise _peer_gone("connection closed between frame header and payload")
     return payload[0], payload[1:]
 
 

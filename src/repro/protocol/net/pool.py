@@ -16,6 +16,14 @@ all cross process boundaries as wire-encoded bytes.
 cliques get a RECONFIGURE frame with their new membership (same PID, no
 restart), vanished cliques are shut down, new cliques spawn, and the
 root learns the new clique/client rosters the same way.
+
+The pool is also the workers' supervisor: :meth:`respawn` replaces a
+dead or hung worker from its stored spec, and the :class:`RetryPolicy`
+it is built with is the per-round restart budget its proxies spend (see
+:mod:`repro.protocol.net.proxy` for the exchange loop and why replay is
+sound). The default budget is 0: the first worker death fails the round
+with a :class:`~repro.errors.ProtocolError` — "never a hang" — and a
+deployment where aggregation servers do die mid-round passes a budget.
 """
 
 from __future__ import annotations
@@ -25,7 +33,10 @@ import logging
 import os
 import subprocess
 import sys
+import socket
 import time
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -52,9 +63,55 @@ from repro.protocol.net.spec import (
 )
 
 if TYPE_CHECKING:
+    from repro.protocol.net.chaos import FaultPlan
     from repro.protocol.runner import Clients
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry-with-backoff for endpoint exchanges.
+
+    ``max_restarts`` is the per-endpoint, per-round budget: a worker may
+    be respawned that many times within one round before the crash loop
+    is declared unrecoverable and the round fails with the underlying
+    :class:`~repro.errors.ProtocolError`. Backoff between restarts is
+    exponential: ``backoff_base_s * backoff_factor**(n-1)``, capped at
+    ``backoff_max_s``.
+    """
+
+    max_restarts: int = 2
+    backoff_base_s: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max_s: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_restarts < 0:
+            raise ConfigurationError(
+                f"RetryPolicy.max_restarts must be >= 0, got "
+                f"{self.max_restarts}"
+            )
+        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+            raise ConfigurationError("RetryPolicy backoff times must be >= 0")
+        if self.backoff_factor < 1.0:
+            raise ConfigurationError(
+                f"RetryPolicy.backoff_factor must be >= 1, got "
+                f"{self.backoff_factor}"
+            )
+
+    def backoff_s(self, restart_no: int) -> float:
+        """Backoff before restart number ``restart_no`` (1-based)."""
+        raw = self.backoff_base_s * self.backoff_factor ** max(
+            0, restart_no - 1
+        )
+        return min(self.backoff_max_s, raw)
+
+
+#: A restart budget of 0: scheduled crashes still fire, but the first
+#: death raises. What a pool built without a policy enforces, and what
+#: "the same plan with retries disabled" runs against.
+NO_RETRY = RetryPolicy(max_restarts=0, backoff_base_s=0.0)
 
 
 class _Worker:
@@ -88,9 +145,14 @@ class ProcessAggregatorPool:
     config:
         The shared :class:`~repro.protocol.client.RoundConfig` every
         hosted aggregator is built with.
-    root_id:
-        Transport name of the root endpoint (default: the canonical
-        backend-server name).
+    retry_policy:
+        The :class:`RetryPolicy` every proxy enforces. ``None`` means
+        :data:`NO_RETRY`: the first worker death raises — kept reachable
+        so a chaos scenario can prove the respawn (not luck) saved the
+        round.
+    fault_plan:
+        The :class:`~repro.protocol.net.chaos.FaultPlan` whose
+        ``worker_crashes`` schedule this pool executes.
     chaos_delay_s:
         Failure injection for tests: clique id -> seconds each frame
         dispatch is delayed in that clique's process, modelling a slow
@@ -113,7 +175,8 @@ class ProcessAggregatorPool:
     def __init__(
         self,
         config: RoundConfig,
-        root_id: str = SERVER_ENDPOINT,
+        retry_policy: Optional[RetryPolicy] = None,
+        fault_plan: Optional[FaultPlan] = None,
         max_frame: int = frames.DEFAULT_MAX_FRAME,
         timeout: float = 60.0,
         chaos_delay_s: Optional[Dict[int, float]] = None,
@@ -121,13 +184,16 @@ class ProcessAggregatorPool:
         fan_in: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.root_id = root_id
+        self.retry_policy = retry_policy if retry_policy is not None else NO_RETRY
+        self.fault_plan = fault_plan
         self.max_frame = max_frame
         self.timeout = timeout
         self.fan_in = fan_in
         self.chaos_delay_s = dict(chaos_delay_s or {})
         self.chaos_hang_after = dict(chaos_hang_after or {})
         self._workers: Dict[str, _Worker] = {}
+        #: endpoint id -> lifetime respawn count (telemetry).
+        self.restarts: Counter = Counter()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -169,9 +235,7 @@ class ProcessAggregatorPool:
             raise ProtocolError("aggregator pool is closed")
         if not members:
             raise ConfigurationError("aggregator pool needs at least one clique")
-        plan = plan_aggregation_tree(
-            sorted(members), self.fan_in, root_id=self.root_id
-        )
+        plan = plan_aggregation_tree(sorted(members), self.fan_in)
         desired: Dict[str, Dict[str, Any]] = {}
         for clique_id, index_of in members.items():
             desired[clique_endpoint_id(clique_id)] = clique_spec(
@@ -192,12 +256,11 @@ class ProcessAggregatorPool:
                 parent_id=node.parent_id,
                 max_frame=self.max_frame,
             )
-        desired[self.root_id] = root_spec(
+        desired[SERVER_ENDPOINT] = root_spec(
             self.config,
             list(plan.root_children),
             list(client_ids),
             rule=rule,
-            endpoint_id=self.root_id,
             max_frame=self.max_frame,
         )
 
@@ -237,7 +300,7 @@ class ProcessAggregatorPool:
         proxies.extend(
             self._workers[node.endpoint_id].proxy for node in plan.nodes()
         )
-        return proxies, self._workers[self.root_id].proxy
+        return proxies, self._workers[SERVER_ENDPOINT].proxy
 
     # ------------------------------------------------------------------
     # Process management
@@ -307,17 +370,14 @@ class ProcessAggregatorPool:
                 f"{line[:200]!r}"
             ) from None
 
-    def _make_proxy(
+    def _attach(
         self,
         endpoint_id: str,
-        host: str,
-        port: int,
         process: subprocess.Popen,
         spec: Dict[str, Any],
-    ) -> ProcessEndpointProxy:
-        """Proxy factory — the supervisor subclass overrides this to hand
-        out supervised proxies over the same handshake."""
-        return ProcessEndpointProxy.connect(
+    ) -> _Worker:
+        host, port = self._handshake(endpoint_id, process)
+        proxy = ProcessEndpointProxy.connect(
             host,
             port,
             endpoint_id,
@@ -326,16 +386,8 @@ class ProcessAggregatorPool:
             timeout=self.timeout,
             pid=process.pid,
             rule=spec.get("threshold_rule"),
+            pool=self,
         )
-
-    def _attach(
-        self,
-        endpoint_id: str,
-        process: subprocess.Popen,
-        spec: Dict[str, Any],
-    ) -> _Worker:
-        host, port = self._handshake(endpoint_id, process)
-        proxy = self._make_proxy(endpoint_id, host, port, process, spec)
         return _Worker(process, proxy, spec)
 
     def _terminate(
@@ -391,13 +443,66 @@ class ProcessAggregatorPool:
     def endpoint_ids(self) -> List[str]:
         return sorted(self._workers)
 
-    def kill(self, endpoint_id: str) -> None:
-        """Hard-kill one hosted endpoint's process (crash injection)."""
+    def _worker(self, endpoint_id: str) -> _Worker:
         try:
-            worker = self._workers[endpoint_id]
+            return self._workers[endpoint_id]
         except KeyError:
             raise ProtocolError(f"no aggregator process for {endpoint_id!r}") from None
+
+    def kill(self, endpoint_id: str) -> None:
+        """Hard-kill one hosted endpoint's process (crash injection)."""
+        self._terminate(self._worker(endpoint_id).process, grace=10.0, hard=True)
+
+    # ------------------------------------------------------------------
+    # Supervision (what the proxies invoke)
+    # ------------------------------------------------------------------
+    def inject_crash(self, endpoint_id: str) -> None:
+        """Execute one scheduled kill from the fault plan."""
+        logger.info(
+            "chaos: killing %s (pid %s) per fault plan",
+            endpoint_id,
+            self._worker(endpoint_id).process.pid,
+        )
+        self.kill(endpoint_id)
+
+    def respawn(self, endpoint_id: str) -> Tuple[socket.socket, int]:
+        """Replace one worker's process in place; returns the proxy's
+        new connection and the new PID.
+
+        The replacement is built from the worker's stored spec — with
+        the threshold rule refreshed from the proxy's live mirror (a
+        SET_RULE pushed mid-epoch must survive the respawn) and any
+        ``hang_after`` chaos knob stripped (the injected wedge is a
+        one-shot fault; respawning it wedged would make every hang an
+        unrecoverable crash loop by construction).
+        """
+        if self._closed:
+            raise ProtocolError("aggregator pool is closed")
+        worker = self._worker(endpoint_id)
+        self.restarts[endpoint_id] += 1
+        # The old process may be a hung-but-alive worker: take it down
+        # hard before spawning its replacement, and release its pipes.
         self._terminate(worker.process, grace=10.0, hard=True)
+        for pipe in (worker.process.stdin, worker.process.stdout):
+            if pipe is not None:
+                try:
+                    pipe.close()
+                except OSError:
+                    pass
+        spec = {
+            key: value
+            for key, value in worker.spec.items()
+            if key != "hang_after"
+        }
+        if "threshold_rule" in spec:
+            spec["threshold_rule"] = rule_spec(worker.proxy.threshold_rule)
+        worker.spec = spec
+        process = self._launch(spec)
+        host, port = self._handshake(endpoint_id, process)
+        worker.process = process
+        logger.info("respawned %s as pid %s", endpoint_id, process.pid)
+        sock = frames.connect_stream(host, port, timeout=self.timeout)
+        return sock, process.pid
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -18,13 +18,40 @@ Failure semantics (the satellite contract):
   is re-raised here as the *same* exception class (``MissingReportError``
   from an unrecoverable clique stays ``MissingReportError``);
 * every exchange is bounded by a socket timeout.
+
+Supervision: a proxy handed out by a
+:class:`~repro.protocol.net.pool.ProcessAggregatorPool` whose
+:class:`~repro.protocol.net.pool.RetryPolicy` has restart budget left
+does not surface a peer death (EOF, reset, *or* a hung worker caught by
+the per-exchange deadline). It journals the current round's exchanges,
+asks the pool for a fresh process (same spec, same endpoint id, new
+PID), replays the journal into it and retries the failed exchange. With
+a budget of 0 — the default — or with no pool behind it (a proxy
+connected by hand), the first death raises as above.
+
+Why replay is sound: the hosted aggregators are deterministic functions
+of the exchange sequence, and the protocol's messages are idempotent
+under identical resends (a clique aggregator accepts a bit-identical
+report twice; the root accepts a duplicate partial). Replaying the
+journal therefore reconstructs exactly the state the dead process held,
+and the driver — which never learns about the crash — completes the
+round **bit-identically** to an undisturbed run. Outboxes produced
+during replay are discarded: the driver already delivered them.
+
+Crash injection (``FaultPlan.worker_crashes``) happens here rather than
+in the transport because what dies is a *process*, not a link: the proxy
+consults the plan's schedule before each exchange and has the pool kill
+its own worker — after any pending respawn, so consecutive ordinals
+crash the *replacement* process and produce a genuine crash loop against
+the restart budget.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.protocol.endpoint import ThresholdRuleFn
 
@@ -41,6 +68,11 @@ from repro.protocol.endpoint import Outbox, ProtocolEndpoint, RoundSummary
 from repro.protocol.net import frames
 from repro.protocol.net.spec import resolve_rule, rule_spec, summary_from_spec
 
+if TYPE_CHECKING:
+    from repro.protocol.net.pool import ProcessAggregatorPool, RetryPolicy
+
+logger = logging.getLogger(__name__)
+
 #: Exception classes an ERR frame may name; anything else re-raises as
 #: ProtocolError so a hosted bug cannot smuggle arbitrary types across.
 _ERROR_TYPES = {
@@ -55,8 +87,23 @@ _ERROR_TYPES = {
 }
 
 
+#: Exchange kinds that rebuild round state and are therefore journaled
+#: for replay. SUMMARY / SET_RULE / RECONFIGURE / SHUTDOWN are not: they
+#: either carry no state, are re-pushed from the spec on respawn, or
+#: must not be retried against a fresh process.
+_REPLAYED_KINDS = frozenset(
+    (frames.ROUND_START, frames.MSG, frames.IDLE, frames.ROUND_END)
+)
+
+
 class ProcessEndpointProxy(ProtocolEndpoint):
-    """Drive a socket-hosted endpoint through the standard lifecycle."""
+    """Drive a socket-hosted endpoint through the standard lifecycle.
+
+    ``pool`` is the :class:`~repro.protocol.net.pool.ProcessAggregatorPool`
+    that launched the hosting process and can respawn it; its retry
+    policy and fault plan are the ones this proxy enforces. None (a
+    proxy connected by hand) has nothing to respawn.
+    """
 
     def __init__(
         self,
@@ -67,12 +114,19 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         timeout: float = 60.0,
         pid: Optional[int] = None,
         rule: Optional[str] = None,
+        pool: "Optional[ProcessAggregatorPool]" = None,
     ) -> None:
         self.endpoint_id = endpoint_id
         self.config = config
         self.max_frame = max_frame
         self.timeout = timeout
         self.pid = pid
+        self._pool = pool
+        #: The current round's (kind, body) exchange journal.
+        self._journal: List[Tuple[int, bytes]] = []
+        self._exchanges = 0
+        self._restarts_this_round = 0
+        self._needs_respawn = False
         self._adopt_socket(sock)
         # The local mirror of the hosted root's threshold rule MUST
         # start in sync with what the process was spawned with: epoch
@@ -93,6 +147,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         timeout: float = 60.0,
         pid: Optional[int] = None,
         rule: Optional[str] = None,
+        pool: "Optional[ProcessAggregatorPool]" = None,
     ) -> "ProcessEndpointProxy":
         sock = frames.connect_stream(host, port, timeout=timeout)
         return cls(
@@ -103,6 +158,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             timeout=timeout,
             pid=pid,
             rule=rule,
+            pool=pool,
         )
 
     # ------------------------------------------------------------------
@@ -111,8 +167,8 @@ class ProcessEndpointProxy(ProtocolEndpoint):
     def _adopt_socket(self, sock: socket.socket) -> None:
         """Take ownership of a (possibly replacement) connection.
 
-        The supervisor calls this after respawning a crashed worker: the
-        proxy keeps its identity and journal, only the plumbing changes.
+        Called again after the pool respawns a crashed worker: the proxy
+        keeps its identity and journal, only the plumbing changes.
         """
         self._sock = sock
         self._sock.settimeout(self.timeout)
@@ -125,7 +181,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
     def _died(self, why: str, dead: bool = True) -> ProtocolError:
         """A ProtocolError naming the endpoint; ``dead=True`` (actual
         peer-process death / hang, as opposed to local misuse like
-        calling a closed proxy) tags it ``peer_dead`` so the supervisor
+        calling a closed proxy) tags it ``peer_dead`` so :meth:`_call`
         can tell a respawnable crash from an unretriable condition
         without string matching."""
         who = f"endpoint process {self.endpoint_id!r}"
@@ -145,6 +201,79 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         return exc
 
     def _call(self, kind: int, body: bytes = b"") -> Outbox:
+        """The supervised exchange loop: scheduled crash, exchange, and
+        on peer death respawn + replay while the round's restart budget
+        lasts. With a budget of 0 the first death propagates as raised.
+        """
+        pool = self._pool
+        if pool is None or kind == frames.SHUTDOWN:
+            # No pool: nothing to crash, respawn or replay with. And
+            # SHUTDOWN must never respawn a dead worker just to kill it
+            # again.
+            return self._exchange(kind, body)
+        policy, plan = pool.retry_policy, pool.fault_plan
+        if kind == frames.ROUND_START:
+            self._journal.clear()
+            self._restarts_this_round = 0
+        while True:
+            try:
+                if self._needs_respawn:
+                    self._respawn_and_replay(pool)
+                self._exchanges += 1
+                if plan is not None and plan.take_crash(
+                    self.endpoint_id, self._exchanges
+                ):
+                    pool.inject_crash(self.endpoint_id)
+                outbox = self._exchange(kind, body)
+            except ProtocolError as exc:
+                if not exc.peer_dead or policy.max_restarts == 0:
+                    raise  # a live peer's error, or no budget to retry on
+                self._note_death(policy, exc)  # raises once it is spent
+                continue
+            if policy.max_restarts and kind in _REPLAYED_KINDS:
+                self._journal.append((kind, body))
+            return outbox
+
+    def _note_death(self, policy: "RetryPolicy", exc: ProtocolError) -> None:
+        """Account one worker death; schedule a respawn or give up."""
+        if self._restarts_this_round >= policy.max_restarts:
+            raise ProtocolError(
+                f"endpoint process {self.endpoint_id!r} crash-looped: died "
+                f"{self._restarts_this_round + 1} time(s) this round, "
+                f"restart budget {policy.max_restarts} exhausted "
+                f"({exc})"
+            ) from exc
+        self._restarts_this_round += 1
+        self._needs_respawn = True
+        logger.warning(
+            "%s %s (%s); restart %d/%d",
+            self.endpoint_id,
+            "hung" if exc.timed_out else "died",
+            exc,
+            self._restarts_this_round,
+            policy.max_restarts,
+        )
+        backoff = policy.backoff_s(self._restarts_this_round)
+        if backoff:
+            time.sleep(backoff)
+
+    def _respawn_and_replay(self, pool: "ProcessAggregatorPool") -> None:
+        """Fresh process, same identity: adopt its socket, replay the
+        round journal to rebuild the partial state the dead worker held.
+
+        Raises the usual death errors if the *replacement* dies during
+        replay — the loop in :meth:`_call` catches them, so consecutive
+        scheduled crashes burn restart budget as a genuine crash loop.
+        """
+        sock, self.pid = pool.respawn(self.endpoint_id)
+        self._adopt_socket(sock)
+        for kind, body in self._journal:
+            # Outboxes were already delivered by the driver before the
+            # crash; replay only rebuilds endpoint state.
+            self._exchange(kind, body)
+        self._needs_respawn = False
+
+    def _exchange(self, kind: int, body: bytes = b"") -> Outbox:
         """One request/reply exchange; returns the hosted outbox.
 
         The exchange as a whole is bounded by ``timeout``: the deadline
@@ -186,16 +315,16 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         except (ConnectionError, BrokenPipeError, OSError) as exc:
             raise self._died(f"died mid-round ({exc})") from None
         except ProtocolError as exc:
-            # recv_frame raises ProtocolError on EOF/truncation: a killed
-            # process closes its socket mid-exchange. A *remote* error
-            # relayed by an ERR frame (marked below) is not a crash —
-            # the process is alive and must not be misreported as dead,
-            # whatever its message contains.
-            if getattr(exc, "remote", False):
-                raise
-            if "timed out" in str(exc):
+            # recv_frame marks the errors it raises where it observes
+            # the loss: EOF / a close mid-frame (a killed process closes
+            # its socket mid-exchange) and deadline expiry. Anything
+            # unmarked — an error relayed by an ERR frame, a complete
+            # reply that fails to parse — came from a live process and
+            # must not be misreported as dead, whatever its message
+            # contains.
+            if exc.timed_out:
                 raise self._timeout_error(started) from None
-            if "closed" in str(exc) or "truncated" in str(exc):
+            if exc.peer_dead:
                 raise self._died(f"died mid-round ({exc})") from None
             raise
 

@@ -11,9 +11,9 @@ same exception class, never as a hang.
 
 The aggregator **worker** (:mod:`repro.protocol.net.worker`) runs it as
 a subprocess's main loop; :meth:`EndpointServer.start` runs it on a
-daemon thread instead, which is how a live root aggregator is put behind
-a listening port for external query clients (with ``allowed_kinds``
-narrowing what they may send).
+daemon thread of the calling process instead (how the net-layer tests
+host an endpoint without a subprocess), and ``allowed_kinds`` narrows
+the verbs a connection may send.
 
 Dispatch is serialized under one lock across all connections: endpoint
 state is single-threaded by contract, and the frame protocol is strictly
@@ -56,15 +56,15 @@ class EndpointServer:
         Chaos knob: after this many dispatched frames the server stops
         replying (sleeps ~forever per request) *without* exiting — the
         wedged-worker failure mode. EOF-based crash detection cannot see
-        it; the proxy's per-exchange deadline (and the supervisor's
+        it; the proxy's per-exchange deadline (and the pool's
         kill-and-respawn) must.
     allowed_kinds:
         Optional allow-list of frame kinds this deployment accepts;
         anything else is refused with an ERR frame. The aggregator
-        worker needs the full verb set; a query-only surface (a root
-        served to external clients) passes ``{frames.SUMMARY}`` so a
-        connecting client cannot mutate round state, swap the threshold
-        rule, or stop the service. None (default) allows everything.
+        worker needs the full verb set; a query-only surface passes
+        ``{frames.SUMMARY}`` so a connecting client cannot mutate round
+        state, swap the threshold rule, or stop the service. None
+        (default) allows everything.
     """
 
     def __init__(
@@ -223,7 +223,7 @@ class EndpointServer:
             self._loop.call_soon_threadsafe(self._stop.set)
 
     # ------------------------------------------------------------------
-    # Threaded hosting (a root served to external query clients)
+    # Threaded hosting (in-process, instead of a worker subprocess)
     # ------------------------------------------------------------------
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Serve on a daemon thread; returns the bound ``(host, port)``."""

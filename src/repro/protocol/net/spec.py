@@ -131,7 +131,7 @@ def clique_spec(
     """Spec for one clique's aggregator process.
 
     ``hang_after`` is chaos plumbing: the hosted server stops replying
-    (without exiting) after that many dispatched frames — the supervisor
+    (without exiting) after that many dispatched frames — the respawn
     tests' stand-in for a wedged aggregation server.
     """
     spec = {

@@ -22,8 +22,8 @@ reproduction — the top rung of the transport fidelity ladder (see
   ``repro serve`` boots;
 * :mod:`repro.service.jobs` / :mod:`repro.service.jobworker` — a
   retrying worker-pool job queue for detection runs (submit → poll →
-  result, exponential backoff via the socket supervisor's
-  :class:`~repro.protocol.net.supervisor.RetryPolicy`, dead-letter for
+  result, exponential backoff via the aggregator pool's
+  :class:`~repro.protocol.net.RetryPolicy`, dead-letter for
   jobs that exhaust the budget);
 * :mod:`repro.service.client` — :class:`~repro.service.client.
   RemoteClient` and :class:`~repro.service.client.OperatorClient`, the

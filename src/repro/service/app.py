@@ -58,7 +58,7 @@ from repro.service.state import ServiceState
 
 if TYPE_CHECKING:
     from repro.protocol.net.chaos import FaultPlan
-    from repro.protocol.net.supervisor import RetryPolicy
+    from repro.protocol.net import RetryPolicy
 
 OPERATOR_PRINCIPAL = "operator"
 

@@ -4,8 +4,8 @@ The service plane accepts detection jobs over HTTP (submit → poll →
 result). Detection runs are subprocess work that can fail for boring
 operational reasons — a worker killed mid-run, a transient timeout — so
 the queue retries with exponential backoff, reusing the *same*
-:class:`~repro.protocol.net.supervisor.RetryPolicy` arithmetic the
-socket-plane supervisor applies to crashed aggregator processes: a job
+:class:`~repro.protocol.net.RetryPolicy` arithmetic the aggregator
+pool applies to crashed aggregator processes: a job
 gets ``max_restarts`` retries after its first attempt, attempt *n*'s
 failure waits ``backoff_s(n)`` before requeueing, and a job that
 exhausts the budget lands in a queryable **dead-letter** state — it
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.protocol.net.supervisor import RetryPolicy
+from repro.protocol.net import RetryPolicy
 
 #: Job lifecycle states (JSON values of the status field).
 QUEUED = "queued"
@@ -89,7 +89,7 @@ class JobQueue:
     """Submit → poll → result, with supervised retries and dead-letter.
 
     ``retry_policy.max_restarts`` is the retry budget *after* the first
-    attempt (matching the socket supervisor's restarts-after-crash
+    attempt (matching the aggregator pool's restarts-after-crash
     semantics), so a job runs at most ``max_restarts + 1`` times.
     """
 
@@ -231,7 +231,7 @@ class JobQueue:
                     f"dead after {record.attempts}/{budget} attempts: "
                     f"{record.failures[-1]}")
             else:
-                # Same arithmetic as the socket supervisor: retry n
+                # Same arithmetic as the aggregator pool: retry n
                 # (1-based) backs off base * factor**(n-1), capped.
                 delay = self.retry_policy.backoff_s(record.attempts)
                 record.status = RETRYING

@@ -2,7 +2,10 @@
 that operate it."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOWER = ("protocol", "crypto", "sketch", "statsutil")
@@ -27,4 +30,22 @@ def test_lower_layers_import_nothing_from_their_operators():
                     if module.startswith(UPPER + ("repro.core",)) \
                             and (rel, module) not in ALLOWED:
                         offenders.append(f"{rel} imports {module}")
+    assert offenders == []
+
+
+def test_there_is_one_aggregator_pool_and_one_proxy():
+    """Supervision is the pool: the second pool/proxy pair and its
+    module are gone, not shimmed. (Names are assembled so this file does
+    not itself trip the check.)"""
+    gone = ["Supervised" + "AggregatorPool", "Supervised" + "EndpointProxy"]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.protocol.net." + "supervisor")
+    for name in gone:
+        with pytest.raises(ImportError):
+            exec(f"from repro.protocol.net import {name}")
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if any(name in path.read_text() for name in gone)
+    ]
     assert offenders == []

@@ -169,6 +169,16 @@ class TestScopedRecovery:
                                  in self._clique_servers(session)))
         assert adjusted == mates
 
+    def test_unsharded_dropout_is_adjusted_by_every_survivor(self):
+        # The k=1 side of the fan-out comparison: without sharding every
+        # one of the N-1 survivors pads against the victim and adjusts;
+        # with k=4 (above) only its clique mates do.
+        _enrollment, session, result = self._run_with_dropout(1)
+        assert result.recovery_round_used
+        (server,) = self._clique_servers(session)
+        assert server.adjusted_users == set(USER_IDS) - {"user-05"}
+        assert len(server.adjusted_users) == len(USER_IDS) - 1
+
     def test_dropout_recovery_equals_survivor_truth(self):
         enrollment, _session, result = self._run_with_dropout(4)
         mapper = enrollment.clients[0].ad_mapper

@@ -167,6 +167,20 @@ class TestAdvanceEpoch:
         assert len(transition.moved) >= 1
         assert set(transition.rekeyed) == set(transition.moved)
 
+    def test_scheduled_churn_rekeys_exactly_joiners_and_movers(self):
+        # A churn_schedule delta (joins and leaves together, 25% of the
+        # roster) — not a hand-picked one-in-one-out swap.
+        from repro.simulation.churn import churn_schedule
+        plan = churn_schedule(USERS, 1, 0.25, seed=11,
+                              rejoin_probability=0.0)[0]
+        session = session_for()
+        transition = session.advance_epoch(joins=plan.joins,
+                                           leaves=plan.leaves)
+        assert set(transition.joined) == set(plan.joins)
+        assert set(transition.rekeyed) == \
+            set(transition.joined) | set(transition.moved)
+        assert transition.secrets_reused > 0
+
     def test_validation(self):
         session = session_for()
         with pytest.raises(ConfigurationError, match="already enrolled"):

@@ -186,6 +186,21 @@ def test_socket_and_wire_transport_byte_accounting_identical():
     assert wire_t.total_bytes == socket_t.total_bytes > 0
 
 
+def test_socket_fan_out_and_subprocess_rounds_bill_identical_bytes():
+    # Moving the aggregators into their own processes changes where the
+    # frames are consumed, not what crosses the client-facing transport.
+    runs = {}
+    for procs in (0, 4):
+        with ProtocolSession.create(
+                enrolled(4),
+                settings=SessionConfig(transport="socket",
+                                       aggregator_procs=procs)) as session:
+            runs[procs] = (session.run_round(0),
+                           session.transport.total_bytes)
+    assert_same_round(runs[4][0], runs[0][0])
+    assert runs[4][1] == runs[0][1] > 0
+
+
 def test_socket_transport_ships_real_tcp_bytes():
     from repro.protocol import wire
     from repro.protocol.messages import ThresholdBroadcast

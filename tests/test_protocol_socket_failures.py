@@ -25,6 +25,7 @@ from repro.protocol.net import (
     EndpointServer,
     ProcessAggregatorPool,
     ProcessEndpointProxy,
+    RetryPolicy,
     SocketTransport,
     frames,
 )
@@ -207,6 +208,86 @@ def test_remote_error_mentioning_truncation_is_not_misread_as_crash():
         proxy.close()
     finally:
         server.stop()
+
+
+def _scripted_peer(replies):
+    """A loopback peer that answers request *n* with the raw bytes
+    ``replies[n]``, then closes. Returns ``(port, cleanup)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def serve():
+        conn, _ = listener.accept()
+        accepted.append(conn)
+        for reply in replies:
+            if frames.recv_frame(conn, eof_ok=True) is None:
+                break
+            conn.sendall(reply)
+        conn.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+
+    def cleanup():
+        listener.close()
+        for conn in accepted:
+            conn.close()
+
+    return listener.getsockname()[1], cleanup
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_malformed_reply_from_a_live_peer_is_not_misread_as_crash(budget):
+    """Regression: a *complete* OUT frame whose body fails to parse
+    ('frame body truncated inside its name field') comes from a live
+    peer. It must surface as the codec's own error — not be rewrapped
+    as 'died mid-round', which under a restart budget would SIGKILL a
+    healthy worker, replay into the same malformed reply and report a
+    crash loop, hiding the codec bug."""
+    pool = None
+    if budget is not None:
+        pool = ProcessAggregatorPool(
+            CONFIG, retry_policy=RetryPolicy(max_restarts=budget))
+    port, cleanup = _scripted_peer([
+        frames.pack_frame(frames.OUT, b"\x00\x64abc"),
+        frames.pack_frame(frames.DONE),
+    ])
+    try:
+        proxy = ProcessEndpointProxy.connect(
+            "127.0.0.1", port, "live-peer", config=CONFIG, timeout=5.0,
+            pool=pool)
+        with pytest.raises(ProtocolError) as excinfo:
+            proxy.on_idle(0)
+        assert "truncated inside its name field" in str(excinfo.value)
+        assert "died mid-round" not in str(excinfo.value)
+        assert not excinfo.value.peer_dead
+        if pool is not None:
+            assert pool.restarts == {}
+        # The connection was not torn down: the next exchange works.
+        assert proxy.on_idle(0) == []
+        proxy.close()
+    finally:
+        cleanup()
+
+
+@pytest.mark.parametrize("reply", [
+    b"",                                              # EOF before a frame
+    struct.pack(">I", 64) + bytes([frames.DONE]),     # close mid-frame
+], ids=["eof", "truncated-read"])
+def test_real_peer_death_names_endpoint_and_pid_and_is_marked(reply):
+    port, cleanup = _scripted_peer([reply])
+    try:
+        proxy = ProcessEndpointProxy.connect(
+            "127.0.0.1", port, "doomed", config=CONFIG, timeout=5.0,
+            pid=4242)
+        with pytest.raises(ProtocolError) as excinfo:
+            proxy.on_idle(0)
+        message = str(excinfo.value)
+        assert "'doomed'" in message and "pid 4242" in message
+        assert "died mid-round" in message
+        assert excinfo.value.peer_dead and not excinfo.value.timed_out
+        proxy.close()
+    finally:
+        cleanup()
 
 
 # ---------------------------------------------------------------------------

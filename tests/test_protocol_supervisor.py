@@ -19,8 +19,8 @@ from repro.protocol.enrollment import enroll_users
 from repro.protocol.net import (
     NO_RETRY,
     FaultPlan,
+    ProcessAggregatorPool,
     RetryPolicy,
-    SupervisedAggregatorPool,
 )
 from repro.protocol.runner import ProtocolRunner
 
@@ -90,7 +90,7 @@ def test_clique_worker_crash_is_recovered_bit_identically():
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         pool = session.aggregator_pool
-        assert isinstance(pool, SupervisedAggregatorPool)
+        assert isinstance(pool, ProcessAggregatorPool)
         assert pool.restarts[CLIQUE0] == 1
     assert_bit_identical(result, reference)
 
@@ -151,6 +151,25 @@ def test_same_plan_with_retries_disabled_reproduces_todays_error():
         assert time.monotonic() - started < 30  # fail fast, never hang
 
 
+def test_a_plain_session_runs_the_same_pool_with_a_budget_of_zero():
+    # No retry_policy, no fault plan: still the one pool, enforcing
+    # NO_RETRY — nothing is respawned and nothing is journaled.
+    reference = reference_result()
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(aggregator_procs=2)) as session:
+        pool = session.aggregator_pool
+        assert type(pool) is ProcessAggregatorPool
+        assert pool.retry_policy is NO_RETRY
+        result = session.run_round(0)
+        assert pool.restarts == {}
+        proxies = [e for e in session.endpoints
+                   if e.endpoint_id in pool.endpoint_ids]
+        assert len(proxies) == 3
+        assert all(proxy._journal == [] for proxy in proxies)
+    assert_bit_identical(result, reference)
+
+
 # ---------------------------------------------------------------------------
 # Hangs: the per-exchange deadline turns a wedge into a crash
 # ---------------------------------------------------------------------------
@@ -162,7 +181,7 @@ def test_hung_worker_is_detected_respawned_and_recovered():
     # dispatched exchange; only the proxy deadline can catch that. The
     # pool timeout doubles as the startup-handshake deadline, so it
     # must still leave room for a subprocess cold start.
-    pool = SupervisedAggregatorPool(
+    pool = ProcessAggregatorPool(
         CONFIG, timeout=5.0, chaos_hang_after={0: 2},
         retry_policy=RetryPolicy(max_restarts=1, **FAST))
     try:

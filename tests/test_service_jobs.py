@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.protocol.net.supervisor import RetryPolicy
+from repro.protocol.net import RetryPolicy
 from repro.service.jobs import (
     DEAD,
     QUEUED,
