@@ -25,12 +25,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.biasstudy import (
-    PAPER_TABLE2_ODDS_RATIOS,
-    fit_bias_study,
-    generate_bias_study,
-)
-from repro.analysis.effects import predicted_effects
 from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
 from repro.core.thresholds import ThresholdRule
@@ -152,10 +146,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print("--clients and --fan-in configure the private counting "
               "protocol session; add --private", file=sys.stderr)
         return 2
-    if args.fan_in is not None and args.fan_in < 2:
-        print(f"--fan-in must be >= 2 (a tree tier needs to merge "
-              f"something), got {args.fan_in}", file=sys.stderr)
-        return 2
     if args.aggregator_procs:
         if args.cliques not in (1, args.aggregator_procs):
             print(f"--aggregator-procs {args.aggregator_procs} conflicts "
@@ -180,10 +170,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
               "real socket links; add --private --transport socket",
               file=sys.stderr)
         return 2
-    if args.retry_budget is not None and args.retry_budget < 0:
-        print(f"--retry-budget must be >= 0, got {args.retry_budget}",
-              file=sys.stderr)
-        return 2
     if args.churn and round(args.churn * args.users) < 1:
         print(f"--churn {args.churn} replaces round({args.churn} * "
               f"{args.users}) = 0 users per epoch; raise --churn or "
@@ -191,8 +177,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return 2
     try:
         # What the flag checks above did not need to phrase in CLI
-        # terms (a negative process count, a retry budget with nothing
-        # to supervise) is refused here, by the one validator.
+        # terms (a fan-in below 2, a negative retry budget or process
+        # count, a retry budget with nothing to supervise) is refused
+        # here, by the one validator, in its own words.
         settings = _settings_from(args)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
@@ -294,13 +281,12 @@ def _detect_with_churn(args: argparse.Namespace,
 
 
 def _run_churn_windows(args, pipeline, rosters, result) -> int:
-    from repro.types import TICKS_PER_WEEK
     for week, roster in enumerate(rosters):
         # A roster member only participates in a window it has traffic
         # in — the pipeline enrolls reporters, so restrict the printed
         # roster to them too or the stats would drift from reality.
         active = {imp.user_id for imp in result.impressions
-                  if imp.tick // TICKS_PER_WEEK == week}
+                  if imp.week == week}
         members = set(roster) & active
         impressions = [imp for imp in result.impressions
                        if imp.user_id in members]
@@ -366,6 +352,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_bias(args: argparse.Namespace) -> int:
     """``bias``: fit the Table-2 regression and print effects."""
+    from repro.analysis.biasstudy import (
+        PAPER_TABLE2_ODDS_RATIOS,
+        fit_bias_study,
+        generate_bias_study,
+    )
+    from repro.analysis.effects import predicted_effects
+
     data = generate_bias_study(num_users=args.users,
                                ads_per_user=args.ads_per_user,
                                seed=args.seed)

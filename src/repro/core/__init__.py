@@ -17,7 +17,6 @@ the paper settles on the mean.
 
 from repro.core.counters import GlobalUserCounter, UserDomainCounter
 from repro.core.thresholds import ThresholdRule
-from repro.core.window import WeeklyWindow, window_of
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.core.pipeline import DetectionPipeline, PipelineResult
 
@@ -25,8 +24,6 @@ __all__ = [
     "GlobalUserCounter",
     "UserDomainCounter",
     "ThresholdRule",
-    "WeeklyWindow",
-    "window_of",
     "CountBasedDetector",
     "DetectorConfig",
     "DetectionPipeline",

@@ -289,7 +289,7 @@ class UnseededRandomnessRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# PL003 — no blocking calls inside async def in the net layer
+# PL003 — no blocking calls inside async def anywhere in the package
 # ---------------------------------------------------------------------------
 
 _BLOCKING_SUBPROCESS = {"run", "call", "check_call", "check_output"}
@@ -300,13 +300,12 @@ class BlockingInAsyncRule(Rule):
     rule_id = "PL003"
     title = "blocking call inside an async def"
     hint = (
-        "use await asyncio.sleep / loop.run_in_executor / the aio_* frame"
-        " helpers; one blocking call stalls every connection the event"
-        " loop is serving"
+        "use await asyncio.sleep / loop.run_in_executor; one blocking"
+        " call stalls every connection the event loop is serving"
     )
 
     def scope(self, path: str) -> bool:
-        return path.startswith("src/repro/protocol/")
+        return path.startswith("src/repro/")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         tracker = _SocketTracker(ctx.tree)

@@ -113,15 +113,15 @@ realism for speed, and a session selects one by name
 
 Above the ladder, :mod:`repro.protocol.net` makes the parties real OS
 processes: :class:`~repro.protocol.net.ProcessAggregatorPool` runs each
-clique aggregator — and the root — as a subprocess behind an asyncio
-frame server, driven through :class:`~repro.protocol.net.
-ProcessEndpointProxy` endpoints by the unchanged driver
+clique aggregator — and the root — as a subprocess whose
+:class:`~repro.protocol.net.EndpointServer` answers one
+:class:`~repro.protocol.net.ProcessEndpointProxy` in a blocking
+request/reply frame loop, driven by the unchanged driver
 (``SessionConfig(transport="socket", aggregator_procs=k)``;
 ``examples/distributed_round.py`` is the runnable recipe, and
 ``cli detect --transport socket --aggregator-procs N`` the demo).
 Epoch advances RECONFIGURE the live processes in place — same PIDs, new
-clique map — and an :class:`~repro.protocol.net.EndpointServer` built
-with ``allowed_kinds={SUMMARY}`` answers summary queries only.
+clique map.
 
 **Scale.** Two orthogonal levers take the same round to 100k+ users
 with bit-identical results (``docs/scaling.md`` has the cost model and

@@ -33,14 +33,11 @@ protocol violation, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import ProtocolError
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
-
-if TYPE_CHECKING:
-    from repro.protocol.client import RoundConfig
 
 #: Transport endpoint name of the aggregation root ("backend server" in
 #: the paper's Figure 1).
@@ -75,20 +72,6 @@ class RoundSummary:
     reported_users: List[str]
     missing_users: List[str]
     recovery_round_used: bool
-
-    def to_spec(self) -> Dict[str, Any]:
-        """JSON-serializable form (see :mod:`repro.protocol.net.spec`);
-        the aggregate cells travel exactly, as base64 big-endian u64."""
-        from repro.protocol.net.spec import summary_to_spec
-        return summary_to_spec(self)
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any],
-                  config: "RoundConfig") -> "RoundSummary":
-        """Inverse of :meth:`to_spec`; needs the shared round config to
-        re-wrap the aggregate cells as a sketch."""
-        from repro.protocol.net.spec import summary_from_spec
-        return summary_from_spec(spec, config)
 
 
 class ProtocolEndpoint:

@@ -16,8 +16,9 @@ transports below it are a fidelity ladder —
 and :class:`ProcessAggregatorPool` takes the remaining step: each
 :class:`~repro.protocol.aggregator.CliqueAggregator` and the
 :class:`~repro.protocol.aggregator.RootAggregator` run as separate OS
-processes behind asyncio TCP servers, driven through
-:class:`ProcessEndpointProxy` endpoints by the unchanged round driver.
+processes, each an :class:`EndpointServer` answering its one
+:class:`ProcessEndpointProxy` in a blocking request/reply loop on a
+loopback TCP port, driven by the unchanged round driver.
 ``SessionConfig(transport="socket", aggregator_procs=k)`` wires all of
 it from the facade, and ``advance_epoch`` reconfigures the live
 processes without restarting them.

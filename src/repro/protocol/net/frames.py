@@ -31,10 +31,7 @@ import socket
 import struct
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    import asyncio
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 
@@ -167,6 +164,27 @@ def connect_stream(
     return sock
 
 
+def listen_stream(host: str, port: int) -> socket.socket:
+    """The hosting side's listening socket (``port=0``: ephemeral)."""
+    return socket.create_server((host, port))
+
+
+def accept_stream(listener: socket.socket) -> socket.socket:
+    """Block until a peer connects; its connection, TCP_NODELAY on."""
+    sock, _ = listener.accept()
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def hang_up(sock: socket.socket) -> None:
+    """Shut both directions down, waking a thread blocked reading
+    ``sock`` (it sees EOF); a no-op on an already-closed socket."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 def _peer_gone(message: str, timed_out: bool = False) -> ProtocolError:
     """A ProtocolError marked where the loss is *observed*: the stream
     ended (``peer_dead``) or the read deadline expired (``timed_out``
@@ -226,6 +244,11 @@ def send_frame(sock: socket.socket, kind: int, body: bytes = b"") -> None:
     sock.sendall(pack_frame(kind, body))
 
 
+def send_frames(sock: socket.socket, replies: Iterable[Tuple[int, bytes]]) -> None:
+    """Several ``(kind, body)`` frames in one write."""
+    sock.sendall(b"".join(pack_frame(kind, body) for kind, body in replies))
+
+
 def recv_frame(
     sock: socket.socket,
     max_frame: int = DEFAULT_MAX_FRAME,
@@ -247,35 +270,4 @@ def recv_frame(
     payload = _recv_exact(sock, length, "frame payload", deadline)
     if payload is None:
         raise _peer_gone("connection closed between frame header and payload")
-    return payload[0], payload[1:]
-
-
-# ---------------------------------------------------------------------------
-# asyncio stream I/O (the server side)
-# ---------------------------------------------------------------------------
-
-
-async def aio_recv_frame(
-    reader: "asyncio.StreamReader",
-    max_frame: int = DEFAULT_MAX_FRAME,
-    eof_ok: bool = True,
-) -> Optional[Tuple[int, bytes]]:
-    """Asyncio twin of :func:`recv_frame` for ``StreamReader`` sources."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial and eof_ok:
-            return None
-        raise ProtocolError("connection closed while waiting for a frame") from None
-    (length,) = _LEN.unpack(header)
-    check_frame_length(length, max_frame)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame: payload truncated at "
-            f"{len(exc.partial)}/{length} bytes"
-        ) from None
     return payload[0], payload[1:]

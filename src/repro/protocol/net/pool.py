@@ -177,7 +177,6 @@ class ProcessAggregatorPool:
         config: RoundConfig,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_frame: int = frames.DEFAULT_MAX_FRAME,
         timeout: float = 60.0,
         chaos_delay_s: Optional[Dict[int, float]] = None,
         chaos_hang_after: Optional[Dict[int, int]] = None,
@@ -186,7 +185,6 @@ class ProcessAggregatorPool:
         self.config = config
         self.retry_policy = retry_policy if retry_policy is not None else NO_RETRY
         self.fault_plan = fault_plan
-        self.max_frame = max_frame
         self.timeout = timeout
         self.fan_in = fan_in
         self.chaos_delay_s = dict(chaos_delay_s or {})
@@ -243,7 +241,6 @@ class ProcessAggregatorPool:
                 self.config,
                 index_of,
                 root_id=plan.clique_parent[clique_id],
-                max_frame=self.max_frame,
                 delay_s=self.chaos_delay_s.get(clique_id, 0.0),
                 hang_after=self.chaos_hang_after.get(clique_id),
             )
@@ -254,14 +251,12 @@ class ProcessAggregatorPool:
                 self.config,
                 node.child_ids,
                 parent_id=node.parent_id,
-                max_frame=self.max_frame,
             )
         desired[SERVER_ENDPOINT] = root_spec(
             self.config,
             list(plan.root_children),
             list(client_ids),
             rule=rule,
-            max_frame=self.max_frame,
         )
 
         for endpoint_id in sorted(set(self._workers) - set(desired)):
@@ -382,7 +377,6 @@ class ProcessAggregatorPool:
             port,
             endpoint_id,
             config=self.config,
-            max_frame=self.max_frame,
             timeout=self.timeout,
             pid=process.pid,
             rule=spec.get("threshold_rule"),

@@ -110,7 +110,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         endpoint_id: str,
         sock: socket.socket,
         config: Optional[RoundConfig] = None,
-        max_frame: int = frames.DEFAULT_MAX_FRAME,
         timeout: float = 60.0,
         pid: Optional[int] = None,
         rule: Optional[str] = None,
@@ -118,7 +117,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
     ) -> None:
         self.endpoint_id = endpoint_id
         self.config = config
-        self.max_frame = max_frame
         self.timeout = timeout
         self.pid = pid
         self._pool = pool
@@ -143,7 +141,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         port: int,
         endpoint_id: str,
         config: Optional[RoundConfig] = None,
-        max_frame: int = frames.DEFAULT_MAX_FRAME,
         timeout: float = 60.0,
         pid: Optional[int] = None,
         rule: Optional[str] = None,
@@ -154,7 +151,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             endpoint_id,
             sock,
             config=config,
-            max_frame=max_frame,
             timeout=timeout,
             pid=pid,
             rule=rule,
@@ -290,9 +286,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             frames.send_frame(self._sock, kind, body)
             outbox: Outbox = []
             while True:
-                frame = frames.recv_frame(
-                    self._sock, self.max_frame, deadline=deadline
-                )
+                frame = frames.recv_frame(self._sock, deadline=deadline)
                 assert frame is not None  # eof_ok=False raises instead
                 reply_kind, reply_body = frame
                 if reply_kind == frames.DONE:

@@ -45,8 +45,6 @@ from repro.protocol.endpoint import (
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
 
-from repro.protocol.net.frames import DEFAULT_MAX_FRAME
-
 #: Spec keys shared by all roles.
 ROLE_CLIQUE = "clique"
 ROLE_REGIONAL = "regional"
@@ -124,7 +122,6 @@ def clique_spec(
     config: RoundConfig,
     index_of: Dict[str, int],
     root_id: str = SERVER_ENDPOINT,
-    max_frame: int = DEFAULT_MAX_FRAME,
     delay_s: float = 0.0,
     hang_after: Optional[int] = None,
 ) -> Dict[str, Any]:
@@ -140,7 +137,6 @@ def clique_spec(
         "config": config_to_spec(config),
         "index_of": {uid: int(idx) for uid, idx in sorted(index_of.items())},
         "root_id": root_id,
-        "max_frame": int(max_frame),
         "delay_s": float(delay_s),
     }
     if hang_after is not None:
@@ -154,7 +150,6 @@ def regional_spec(
     config: RoundConfig,
     child_ids: Sequence[int],
     parent_id: str,
-    max_frame: int = DEFAULT_MAX_FRAME,
     delay_s: float = 0.0,
 ) -> Dict[str, Any]:
     """Spec for one mid-tier (regional) aggregator process.
@@ -171,7 +166,6 @@ def regional_spec(
         "config": config_to_spec(config),
         "child_ids": sorted(int(c) for c in child_ids),
         "parent_id": parent_id,
-        "max_frame": int(max_frame),
         "delay_s": float(delay_s),
     }
 
@@ -182,7 +176,6 @@ def root_spec(
     client_ids: Sequence[str],
     rule: str = "mean",
     endpoint_id: str = SERVER_ENDPOINT,
-    max_frame: int = DEFAULT_MAX_FRAME,
     delay_s: float = 0.0,
 ) -> Dict[str, Any]:
     """Spec for the root aggregator process."""
@@ -193,7 +186,6 @@ def root_spec(
         "client_ids": list(client_ids),
         "threshold_rule": rule_spec(rule),
         "endpoint_id": endpoint_id,
-        "max_frame": int(max_frame),
         "delay_s": float(delay_s),
     }
 
@@ -304,7 +296,7 @@ def summary_from_spec(
 
 def result_to_spec(result: "RoundResult") -> Dict[str, Any]:
     """JSON form of a :class:`~repro.protocol.runner.RoundResult`: the
-    round-summary fields (a result duck-types one) plus the transport's
+    round-summary fields (a result is a summary) plus the transport's
     §7.1 byte accounting."""
     spec = summary_to_spec(result)
     spec["total_bytes"] = int(result.total_bytes)
@@ -321,17 +313,9 @@ def result_from_spec(
 
     summary = summary_from_spec(spec, config)
     try:
-        return RoundResult(
-            round_id=summary.round_id,
-            aggregate=summary.aggregate,
-            distribution=summary.distribution,
-            users_threshold=summary.users_threshold,
-            reported_users=summary.reported_users,
-            missing_users=summary.missing_users,
-            recovery_round_used=summary.recovery_round_used,
-            total_bytes=int(spec["total_bytes"]),
-            total_messages=int(spec["total_messages"]),
-        )
+        return RoundResult(**vars(summary),
+                           total_bytes=int(spec["total_bytes"]),
+                           total_messages=int(spec["total_messages"]))
     except (KeyError, ValueError) as exc:
         raise ProtocolError(f"malformed round-result spec: {exc}") from None
 
@@ -346,17 +330,6 @@ class WeeklySnapshot:
     users_threshold: float
     distribution: EmpiricalDistribution
     round_result: "RoundResult"
-
-    def to_spec(self) -> Dict[str, Any]:
-        """JSON-serializable form: the HTTP plane's snapshot-query
-        payload."""
-        return snapshot_to_spec(self)
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any], config: RoundConfig) -> "WeeklySnapshot":
-        """Inverse of :meth:`to_spec`; the embedded round result's
-        aggregate is reconstructed bit-identically."""
-        return snapshot_from_spec(spec, config)
 
 
 def snapshot_to_spec(snapshot: WeeklySnapshot) -> Dict[str, Any]:

@@ -14,14 +14,12 @@ parent process dies with the pipe open.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import sys
 import threading
 from typing import Tuple
 
-from repro.protocol.net.frames import DEFAULT_MAX_FRAME
 from repro.protocol.net.server import EndpointServer
 from repro.protocol.net.spec import build_endpoint
 
@@ -46,12 +44,9 @@ def main() -> int:
     if not line:
         return 2
     spec = json.loads(line)
-    endpoint = build_endpoint(spec)
     hang_after = spec.get("hang_after")
     server = EndpointServer(
-        endpoint,
-        max_frame=int(spec.get("max_frame", DEFAULT_MAX_FRAME)),
-        rebuild=build_endpoint,
+        build_endpoint(spec),
         delay_s=float(spec.get("delay_s", 0.0)),
         hang_after=int(hang_after) if hang_after is not None else None,
     )
@@ -62,7 +57,7 @@ def main() -> int:
         sys.stdout.write(json.dumps({"host": host, "port": port}) + "\n")
         sys.stdout.flush()
 
-    asyncio.run(server.serve(announce=announce))
+    server.serve(announce=announce)
     return 0
 
 

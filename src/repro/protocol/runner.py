@@ -39,21 +39,13 @@ from repro.protocol.endpoint import (
     mean_threshold,
 )
 from repro.protocol.transport import InMemoryTransport
-from repro.sketch.countmin import CountMinSketch
-from repro.statsutil.distributions import EmpiricalDistribution
 
 
 @dataclass
-class RoundResult:
-    """Outcome of one protocol round."""
+class RoundResult(RoundSummary):
+    """Outcome of one protocol round: the root's summary plus the
+    transport's §7.1 byte accounting."""
 
-    round_id: int
-    aggregate: CountMinSketch
-    distribution: EmpiricalDistribution
-    users_threshold: float
-    reported_users: List[str]
-    missing_users: List[str]
-    recovery_round_used: bool
     total_bytes: int
     total_messages: int
 
@@ -222,14 +214,6 @@ class ProtocolRunner:
                 raise ProtocolError(
                     f"mailbox {endpoint.endpoint_id!r} not drained at "
                     f"round end")
-        return RoundResult(
-            round_id=summary.round_id,
-            aggregate=summary.aggregate,
-            distribution=summary.distribution,
-            users_threshold=summary.users_threshold,
-            reported_users=summary.reported_users,
-            missing_users=summary.missing_users,
-            recovery_round_used=summary.recovery_round_used,
-            total_bytes=self.transport.total_bytes,
-            total_messages=self.transport.total_messages,
-        )
+        return RoundResult(**vars(summary),
+                           total_bytes=self.transport.total_bytes,
+                           total_messages=self.transport.total_messages)

@@ -17,9 +17,10 @@ implements the tiny subset the service uses:
 * handlers are synchronous callables dispatched via
   ``loop.run_in_executor``, so blocking protocol work (a round pump, a
   job submission) never stalls the accept loop;
-* the threaded ``start()``/``stop()`` lifecycle is the same pattern as
-  :class:`repro.protocol.net.server.EndpointServer` — a daemon thread
-  runs the asyncio loop, startup errors propagate to the caller.
+* ``start()``/``stop()`` run the asyncio loop on a daemon thread, and
+  startup errors propagate to the caller. This is the package's one
+  event loop: unlike an aggregator worker, which answers its one proxy
+  in a blocking loop, the HTTP plane serves many remote clients at once.
 
 This is transport *plumbing*: the HTTP envelope around control-plane
 JSON is not part of the §7.1 protocol byte accounting (protocol bytes
@@ -221,8 +222,7 @@ class HttpServer:
     The handler runs in the default thread-pool executor, one request
     at a time per connection; connections are served concurrently and
     the *handler itself* is responsible for its own locking (the
-    service app serializes on one ops lock, exactly like
-    :class:`~repro.protocol.net.server.EndpointServer` dispatch).
+    service app serializes on one ops lock).
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
@@ -297,7 +297,7 @@ class HttpServer:
                 500, f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
-    # Asyncio serving + threaded lifecycle (EndpointServer pattern)
+    # Asyncio serving + threaded lifecycle
     # ------------------------------------------------------------------
     async def serve(self) -> None:
         """Run until :meth:`request_stop`."""

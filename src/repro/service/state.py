@@ -169,10 +169,6 @@ class ServiceState:
         self.transport = instance
         self.manager: Optional[MembershipManager] = None
         self._pending_joins: List[str] = []
-        self._epoch0_roster: Optional[List[str]] = None
-        #: Replay log for remote reconstruction: one entry per epoch
-        #: advance after epoch 0.
-        self._transitions: List[Dict[str, Any]] = []
         #: Drives the aggregation tree; rebuilt with it every epoch.
         self._runner: Optional[ProtocolRunner] = None
         self._uplink_of: Dict[str, str] = {}
@@ -215,8 +211,9 @@ class ServiceState:
         """Freeze pending joins (and apply ``leaves``) into a new epoch.
 
         The first call performs the epoch-0 enrollment; later calls
-        advance the membership manager, recording the transition for
-        remote replay. Refused while a round is open.
+        advance the membership manager. Either way the store records the
+        epoch — the lineage :meth:`enrollment_spec` replays from. Refused
+        while a round is open.
         """
         if self._open_round is not None:
             raise ProtocolError(
@@ -235,7 +232,6 @@ class ServiceState:
                 use_oprf=self.use_oprf, num_cliques=self.num_cliques,
                 share_pad_streams=self.share_pad_streams)
             self.manager = MembershipManager(enrollment)
-            self._epoch0_roster = roster
             self._recorder.record_session(SessionRecord(
                 name=self.session_name, config=self.config,
                 seed=self.seed, use_oprf=self.use_oprf,
@@ -251,11 +247,6 @@ class ServiceState:
             joins = sorted(self._pending_joins)
             transition = self.manager.advance_epoch(
                 joins=joins, leaves=leaves, first_round=self._next_round)
-            self._transitions.append({
-                "joins": joins,
-                "leaves": sorted(leaves),
-                "first_round": transition.epoch.first_round,
-            })
             self._recorder.record_transition(transition)
             left = list(transition.left)
         self._pending_joins.clear()
@@ -295,22 +286,27 @@ class ServiceState:
 
     def enrollment_spec(self, user_id: str) -> Dict[str, Any]:
         """Everything a remote process needs to rebuild ``user_id``'s
-        :class:`~repro.protocol.client.ProtocolClient` deterministically."""
-        if self.manager is None or self._epoch0_roster is None:
+        :class:`~repro.protocol.client.ProtocolClient` deterministically:
+        the enrollment identity plus the epoch lineage the store holds —
+        epoch 0's roster, then each later epoch's delta (what
+        :meth:`repro.api.ProtocolSession.resume` replays too)."""
+        if self.manager is None:
             raise ProtocolError(
                 "no epoch exists yet; advance the epoch first")
         if user_id not in self._uplink_of:
             raise ProtocolError(
                 f"{user_id!r} is not a member of the current epoch")
         epoch = self.manager.epoch
+        first, *later = self.store.epoch_records(self.session_name)
         return {
             "config": config_to_spec(self.config),
             "seed": self.seed,
             "use_oprf": self.use_oprf,
             "num_cliques": self.num_cliques,
             "share_pad_streams": self.share_pad_streams,
-            "epoch0_roster": list(self._epoch0_roster),
-            "transitions": [dict(t) for t in self._transitions],
+            "epoch0_roster": sorted(first.roster),
+            "transitions": [{"joins": list(e.joins), "leaves": list(e.leaves),
+                             "first_round": e.first_round} for e in later],
             "user": {
                 "user_id": user_id,
                 "clique_id": epoch.clique_of[user_id],

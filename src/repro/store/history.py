@@ -38,8 +38,9 @@ from typing import (
     Union,
 )
 
-from repro.errors import StoreError
+from repro.errors import ProtocolError, StoreError
 from repro.protocol.client import RoundConfig
+from repro.protocol.net.spec import config_from_spec, config_to_spec
 from repro.store.migrations import HEAD_VERSION, apply_migrations, schema_version
 
 if TYPE_CHECKING:
@@ -121,18 +122,9 @@ class RoundRecord:
         (summary fields plus the persisted byte accounting)."""
         from repro.protocol.runner import RoundResult
 
-        summary = self.summary(config)
-        return RoundResult(
-            round_id=summary.round_id,
-            aggregate=summary.aggregate,
-            distribution=summary.distribution,
-            users_threshold=summary.users_threshold,
-            reported_users=summary.reported_users,
-            missing_users=summary.missing_users,
-            recovery_round_used=summary.recovery_round_used,
-            total_bytes=self.total_bytes,
-            total_messages=self.total_messages,
-        )
+        return RoundResult(**vars(self.summary(config)),
+                           total_bytes=self.total_bytes,
+                           total_messages=self.total_messages)
 
 
 @dataclass(frozen=True)
@@ -206,31 +198,6 @@ class TrendPoint:
     users_seen: float
     flagged_users: int
     users_threshold: float
-
-
-def _config_to_json(config: RoundConfig) -> str:
-    return json.dumps(
-        {
-            "cms_depth": config.cms_depth,
-            "cms_width": config.cms_width,
-            "cms_seed": config.cms_seed,
-            "id_space": config.id_space,
-        },
-        sort_keys=True,
-    )
-
-
-def _config_from_json(text: str) -> RoundConfig:
-    try:
-        fields = json.loads(text)
-        return RoundConfig(
-            cms_depth=int(fields["cms_depth"]),
-            cms_width=int(fields["cms_width"]),
-            cms_seed=int(fields["cms_seed"]),
-            id_space=int(fields["id_space"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed round-config JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +292,7 @@ class HistoryStore:
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     record.name,
-                    _config_to_json(record.config),
+                    json.dumps(config_to_spec(record.config), sort_keys=True),
                     record.seed,
                     int(record.use_oprf),
                     record.num_cliques,
@@ -347,9 +314,13 @@ class HistoryStore:
         )
         if row is None:
             return None
+        try:
+            config = config_from_spec(json.loads(row[0]))
+        except (ProtocolError, TypeError, ValueError) as exc:
+            raise StoreError(f"malformed round-config JSON: {exc}") from None
         return SessionRecord(
             name=name,
-            config=_config_from_json(row[0]),
+            config=config,
             seed=int(row[1]),
             use_oprf=bool(row[2]),
             num_cliques=int(row[3]),

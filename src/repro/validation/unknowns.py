@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from scipy import stats
-
 from repro.errors import ConfigurationError, ValidationError
 from repro.simulation.adserver import AdServer
 from repro.simulation.browsing import Visit
@@ -138,7 +136,11 @@ class UnknownResolver:
         means the receiver set is interest-skewed. Bonferroni-corrected
         across categories.
         """
-        receivers = [self.population.by_id(uid) for uid in receiving_users
+        # Imported here, not at module level: `import repro` (every
+        # aggregator worker and CLI run) must not pay scipy's import.
+        from scipy import stats
+
+        receivers =[self.population.by_id(uid) for uid in receiving_users
                      if uid in {u.user_id for u in self.population}]
         if len(receivers) < 2:
             return False

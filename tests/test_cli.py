@@ -109,6 +109,18 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "--chaos wan|lossy|hostile" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--fan-in", "1"], "fan_in must be >= 2"),
+        (["--retry-budget", "-1"], "max_restarts must be >= 0"),
+    ], ids=["fan-in", "retry-budget"])
+    def test_wiring_refusals_speak_in_the_validators_words(
+            self, capsys, flags, message):
+        """One validator per value: the CLI forwards the flag and prints
+        SessionConfig's / RetryPolicy's refusal as is."""
+        code = main(["detect", "--users", "16", "--private", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_transport_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--transport", "quic"])

@@ -1,14 +1,13 @@
-"""Unit tests for counters, thresholds, windows and the detector."""
+"""Unit tests for counters, thresholds and the detector."""
 
 import pytest
 
 from repro.core.counters import GlobalUserCounter, UserDomainCounter
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.core.thresholds import ThresholdRule
-from repro.core.window import WeeklyWindow, window_of
 from repro.errors import ConfigurationError
 from repro.statsutil.distributions import EmpiricalDistribution
-from repro.types import TICKS_PER_WEEK, Ad, Impression, Label
+from repro.types import Ad, Impression, Label
 
 
 def imp(user, ad_url, domain, tick=0):
@@ -104,30 +103,6 @@ class TestThresholdRules:
         """The ordering that explains Figure 3's two curves."""
         assert (ThresholdRule.MEAN_PLUS_MEDIAN.compute(self.DIST)
                 > ThresholdRule.MEAN.compute(self.DIST))
-
-
-class TestWindows:
-    def test_window_of(self):
-        assert window_of(0) == 0
-        assert window_of(TICKS_PER_WEEK - 1) == 0
-        assert window_of(TICKS_PER_WEEK) == 1
-
-    def test_window_bounds(self):
-        w = WeeklyWindow(2)
-        assert w.start_tick == 2 * TICKS_PER_WEEK
-        assert w.end_tick == 3 * TICKS_PER_WEEK
-        assert w.contains(w.start_tick)
-        assert not w.contains(w.end_tick)
-
-    def test_filter(self):
-        w = WeeklyWindow(0)
-        impressions = [imp("u", "ad", "a.com", tick=0),
-                       imp("u", "ad", "a.com", tick=TICKS_PER_WEEK + 1)]
-        assert len(w.filter(impressions)) == 1
-
-    def test_negative_week_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WeeklyWindow(-1)
 
 
 class TestDetector:

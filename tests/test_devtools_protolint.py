@@ -203,6 +203,17 @@ class TestPL003:
         )
         assert lint_source(source, PROTO) == []
 
+    def test_service_event_loop_is_in_scope(self):
+        """The HTTP plane holds the package's one event loop: a blocking
+        call in its handlers stalls every remote client."""
+        source = (
+            "import time\n"
+            "async def handle():\n"
+            "    time.sleep(1)\n"
+        )
+        findings = lint_source(source, "src/repro/service/fake.py")
+        assert ids(findings) == ["PL003"]
+
     def test_escape_hatch_roundtrip(self):
         source = (
             "import time\n"

@@ -3,6 +3,9 @@ that operate it."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,39 @@ def test_there_is_one_aggregator_pool_and_one_proxy():
         if any(name in path.read_text() for name in gone)
     ]
     assert offenders == []
+
+
+def test_the_protocol_layer_runs_no_event_loop():
+    """An aggregator worker answers its one proxy in a blocking
+    request/reply loop: nothing under protocol/ imports asyncio or
+    defines a coroutine."""
+    offenders = []
+    for path in sorted((SRC / "protocol").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, (ast.AsyncFunctionDef, ast.Await,
+                                   ast.AsyncFor, ast.AsyncWith)):
+                offenders.append(f"{rel}:{node.lineno} is async")
+                continue
+            else:
+                continue
+            offenders.extend(f"{rel} imports {module}" for module in modules
+                             if module.split(".")[0] == "asyncio")
+    assert offenders == []
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """scipy serves two analyses (§7.3.3's hypergeometric test, the §8
+    regression); the package, the CLI and every aggregator worker
+    process import without paying for it."""
+    code = ("import sys, repro, repro.cli, repro.protocol.net.worker; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"

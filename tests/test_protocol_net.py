@@ -12,11 +12,12 @@ shared codec path.
 """
 
 import socket
+import time
 
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, mean_threshold
@@ -311,46 +312,36 @@ def test_endpoint_server_hosts_a_root_over_tcp():
         server.stop()
 
 
-def test_endpoint_server_allowed_kinds_is_query_only():
-    """Input rejection at the served port: with
-    ``allowed_kinds={SUMMARY}`` a remote peer can read the finalized
-    summary but cannot start a round, swap the threshold rule or stop
-    the server — and the port keeps answering afterwards."""
-    from repro.core.thresholds import ThresholdRule
-
+def test_endpoint_server_serves_the_next_proxy_after_one_hangs_up():
+    """One peer at a time: when a hand-connected proxy closes, the loop
+    goes back to accept and serves the next one; stop() ends it promptly
+    even while a proxy is still connected and idle."""
     session = ProtocolSession(CONFIG, enrolled(2).clients)
     expected = session.run_round(0)
-    server = EndpointServer(session.root,
-                            allowed_kinds=frozenset({frames.SUMMARY}))
-    host, port = server.start()
-    try:
-        proxy = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
-                                             config=CONFIG)
-        with pytest.raises(ProtocolError, match="not permitted"):
-            proxy.on_round_start(5)
-        with pytest.raises(ProtocolError, match="not permitted"):
-            proxy.threshold_rule = ThresholdRule.MEDIAN.compute
-        with pytest.raises(ProtocolError, match="not permitted"):
-            proxy._call(frames.SHUTDOWN)
-        summary = proxy.round_summary()
-        assert summary.users_threshold == expected.users_threshold
-        assert summary.aggregate.cells == expected.aggregate.cells
-        proxy.close()
-    finally:
-        server.stop()
-
-
-def test_endpoint_server_refuses_reconfigure_without_rebuild():
-    session = ProtocolSession(CONFIG, enrolled(1).clients)
     server = EndpointServer(session.root)
     host, port = server.start()
+    thread = server._thread
+    first = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
+                                         config=CONFIG)
+    second = None
     try:
-        proxy = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
-                                             config=CONFIG)
-        with pytest.raises(ProtocolError, match="reconfiguration"):
-            proxy.reconfigure(root_spec(CONFIG, [0], ["u1"]))
-        proxy.close()
+        assert first.round_summary().aggregate.cells == \
+            expected.aggregate.cells
+        first.close()
+        second = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
+                                              config=CONFIG)
+        summary = second.round_summary()
+        assert summary.aggregate.cells == expected.aggregate.cells
+        assert summary.users_threshold == expected.users_threshold
+        # `second` is still connected and idle: stop() must not wait on it.
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 5
+        assert not thread.is_alive()
     finally:
+        first.close()
+        if second is not None:
+            second.close()
         server.stop()
 
 

@@ -139,13 +139,13 @@ def test_socket_transport_enforces_its_frame_ceiling():
 def test_worker_connection_drops_after_oversized_frame():
     """A framing violation desyncs the stream; the server must drop the
     connection (and the proxy must raise), not limp along."""
-    pool = ProcessAggregatorPool(CONFIG, max_frame=1 << 16)
+    pool = ProcessAggregatorPool(CONFIG)
     try:
         proxies, root = pool.ensure({0: {"u1": 0, "u2": 1}}, ["u1", "u2"])
         proxy = proxies[0]
-        # Bypass the proxy API to ship a frame above the worker's limit.
-        frames.send_frame(proxy._sock, frames.MSG,
-                          b"z" * (1 << 17))
+        # Bypass the proxy API: a length prefix above the worker's
+        # ceiling is refused from the prefix alone, before any payload.
+        proxy._sock.sendall(struct.pack(">I", frames.DEFAULT_MAX_FRAME + 1))
         with pytest.raises(ProtocolError):
             proxy.on_idle(0)
     finally:

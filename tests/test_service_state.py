@@ -303,8 +303,8 @@ class TestSpecRoundTrips:
             reported_users=result.reported_users,
             missing_users=result.missing_users,
             recovery_round_used=result.recovery_round_used)
-        rebuilt = RoundSummary.from_spec(
-            json.loads(json.dumps(summary.to_spec())), CONFIG)
+        rebuilt = summary_from_spec(
+            json.loads(json.dumps(summary_to_spec(summary))), CONFIG)
         assert np.array_equal(rebuilt.aggregate.cells_array,
                               summary.aggregate.cells_array)
         assert rebuilt.users_threshold == summary.users_threshold
@@ -316,8 +316,8 @@ class TestSpecRoundTrips:
         snapshot = WeeklySnapshot(
             week=0, users_threshold=result.users_threshold,
             distribution=result.distribution, round_result=result)
-        rebuilt = WeeklySnapshot.from_spec(
-            json.loads(json.dumps(snapshot.to_spec())), CONFIG)
+        rebuilt = snapshot_from_spec(
+            json.loads(json.dumps(snapshot_to_spec(snapshot))), CONFIG)
         assert rebuilt.week == 0
         assert rebuilt.users_threshold == snapshot.users_threshold
         assert np.array_equal(rebuilt.round_result.aggregate.cells_array,
