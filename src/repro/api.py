@@ -30,8 +30,9 @@ The session lifecycle mirrors a deployment's operational cadence::
 One constructor, one driver, one settings value.
 :meth:`ProtocolSession.create` builds a session from whatever the caller
 holds — user ids, an :class:`~repro.protocol.enrollment.Enrollment`, a
-:class:`~repro.protocol.membership.MembershipManager` or a
-:class:`~repro.protocol.army.ClientArmy`; the synchronous
+:class:`~repro.protocol.membership.MembershipManager`, a
+:class:`~repro.protocol.army.ClientArmy` or a
+:class:`~repro.protocol.runner.RemotePopulation`; the synchronous
 :class:`~repro.protocol.runner.ProtocolRunner` drives every round; and a
 :class:`SessionConfig` says how the parties are wired, rejecting invalid
 combinations when it is constructed — before any enrollment work is
@@ -51,6 +52,12 @@ watermark of every session that has key material — per-user client
 objects or a :class:`~repro.protocol.army.ClientArmy` (``session.army``)
 — and only its backend hook, re-wiring the cliques churn touched,
 differs. The same replay therefore resumes either backend.
+
+A third population, selected by its type like the army, is
+:class:`~repro.protocol.runner.RemotePopulation`: members whose clients
+run in another process. The HTTP operator behind ``repro serve`` is
+such a session, stepping the round's phases (``open_round`` ...
+``close_round``) as remote traffic arrives.
 
 There is one aggregation topology: a clique aggregator per blinding
 clique feeding the root, through regional merge tiers when ``fan_in``
@@ -93,8 +100,10 @@ from repro.protocol.membership import (
     MembershipManager,
 )
 from repro.protocol.runner import (
+    ClientPopulation,
     Clients,
     ProtocolRunner,
+    RemotePopulation,
     RoundResult,
     as_population,
     build_aggregation_tree,
@@ -276,7 +285,7 @@ class ProtocolSession:
 
     One constructor, one driver, one settings value: build a session
     with :meth:`create` (from user ids, an enrollment, a membership
-    manager or an army), say how it is wired with one
+    manager, an army or remote members), say how it is wired with one
     :class:`SessionConfig`, and the synchronous
     :class:`~repro.protocol.runner.ProtocolRunner` drives every round.
 
@@ -294,8 +303,9 @@ class ProtocolSession:
         The shared :class:`~repro.protocol.client.RoundConfig`.
     clients:
         Enrolled :class:`~repro.protocol.client.ProtocolClient` objects
-        (see :func:`~repro.protocol.enrollment.enroll_users`) or a
-        :class:`~repro.protocol.army.ClientArmy`.
+        (see :func:`~repro.protocol.enrollment.enroll_users`), a
+        :class:`~repro.protocol.army.ClientArmy` or a
+        :class:`~repro.protocol.runner.RemotePopulation`.
     settings:
         The validated :class:`SessionConfig`; defaults apply when
         omitted. (``client_backend`` only matters to :meth:`create`,
@@ -328,6 +338,9 @@ class ProtocolSession:
         #: The batched client backend, when this session hosts one.
         self.army: Optional[ClientArmy] = (
             membership.army if membership is not None else None)
+        #: Remote members: a live view, re-wired as is on epoch advances.
+        self._remote = clients if isinstance(clients, RemotePopulation) \
+            else None
         self._closed = False
         self._pool = None
         self._recorder: "Optional[SessionRecorder]" = None
@@ -379,32 +392,32 @@ class ProtocolSession:
         live subprocesses: the pool converges its process set onto the
         current clique map (reconfiguring survivors in place) and the
         runner drives the proxies through the unchanged endpoint
-        lifecycle. With the batched backend, ``self.clients`` stays
-        empty (there are no per-user objects) and every hosted user id
-        is aliased to the army's mailbox after the transport exists.
+        lifecycle. Once the transport exists the population registers
+        its members' mailboxes; ``self.clients`` holds per-user client
+        objects only (empty for the army and remote members).
         """
+        population = as_population(clients)
         if self._pool is not None:
             endpoints, root = self._pool.wire(clients, threshold_rule)
         else:
-            population = as_population(clients)
             aggregation, root = build_aggregation_tree(
                 self.config, population.members(), population.user_ids,
                 threshold_rule=threshold_rule, fan_in=self.settings.fan_in)
             endpoints = [*population.endpoints, *aggregation]
         self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
-        if self.army is not None:
-            self.clients: List[ProtocolClient] = []
-            self.army.register_aliases(self._runner.transport)
-        else:
-            self.clients = list(clients)
+        population.register_mailboxes(self._runner.transport)
+        self.clients: List[ProtocolClient] = (
+            list(population.endpoints)
+            if isinstance(population, ClientPopulation) else [])
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, source: Union[Sequence[str], Enrollment,
-                                  MembershipManager, ClientArmy],
+                                  MembershipManager, ClientArmy,
+                                  RemotePopulation],
                config: Optional[RoundConfig] = None,
                settings: Optional[SessionConfig] = None,
                *,
@@ -429,7 +442,9 @@ class ProtocolSession:
         * a :class:`~repro.protocol.membership.MembershipManager` — the
           session joins its epoch lifecycle mid-flight;
         * a :class:`~repro.protocol.army.ClientArmy` — the batched
-          backend; a membership manager is built around it.
+          backend; a membership manager is built around it;
+        * a :class:`~repro.protocol.runner.RemotePopulation` — clients
+          in another process; its membership is the session's.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
         transport, fan-in, fault injection); defaults apply when
@@ -440,7 +455,8 @@ class ProtocolSession:
         session closes it on :meth:`close`.
         """
         settings = settings if settings is not None else SessionConfig()
-        if isinstance(source, (Enrollment, MembershipManager, ClientArmy)):
+        if isinstance(source, (Enrollment, MembershipManager, ClientArmy,
+                               RemotePopulation)):
             kind = type(source).__name__
             if config is not None and config is not source.config:
                 raise ConfigurationError(
@@ -473,6 +489,8 @@ class ProtocolSession:
             membership = MembershipManager(source) if source.keypairs \
                 else None
             clients: Clients = source.clients
+        elif isinstance(source, RemotePopulation):
+            membership, clients = source.membership, source
         else:
             # A manager is joined mid-lifecycle; an army gets its own.
             membership = source if isinstance(source, MembershipManager) \
@@ -682,12 +700,6 @@ class ProtocolSession:
         """The attached history store (None when nothing records)."""
         return self._store
 
-    @property
-    def recorder(self) -> "Optional[SessionRecorder]":
-        """The attached :class:`~repro.store.recorder.SessionRecorder`
-        (None when no store is attached)."""
-        return self._recorder
-
     def note_week(self, week: Optional[int]) -> None:
         """Tag rounds recorded from now on with a detection week (the
         pipeline calls this before a window's rounds; ``None`` clears).
@@ -744,24 +756,44 @@ class ProtocolSession:
     def run_round(self, round_id: int) -> RoundResult:
         """Execute one complete reporting round (with fault recovery)."""
         self._check_round_id(round_id)
-        result = self._runner.run_round(round_id)
-        self._note_round(round_id)
-        self._record_round(result)
-        return result
+        return self._finish_round(round_id, self._runner.run_round(round_id))
 
-    def _note_round(self, round_id: int) -> None:
+    # The runner's phases, stepped by a caller whose clients are remote
+    # (it feeds their messages into the transport between them).
+    def open_round(self, round_id: int) -> None:
+        """Start ``round_id`` on every endpoint (pad-reuse checked)."""
+        self._check_round_id(round_id)
+        self._runner.open_round(round_id)
+
+    def deliver_pending(self) -> bool:
+        """Empty every endpoint's mailbox once; True if anything moved."""
+        return self._runner.deliver_pending()
+
+    def idle_phase(self, round_id: int) -> bool:
+        """Fire every endpoint's phase timeout; True when any emitted."""
+        return self._runner.idle_phase(round_id)
+
+    def close_round(self, round_id: int,
+                    week: Optional[int] = None) -> RoundResult:
+        """End and record the round (tagged ``week`` when given); raises,
+        leaving it open, while the root has no summary."""
+        result = self._runner.close_round(round_id)
+        if week is not None:
+            self.note_week(week)
+        return self._finish_round(round_id, result)
+
+    def _finish_round(self, round_id: int,
+                      result: RoundResult) -> RoundResult:
+        """Spend the round's pads and persist it (what :meth:`resume`
+        replays)."""
         self._next_round = max(self._next_round, round_id + 1)
         if self.membership is not None:
             self.membership.note_round(round_id)
-
-    def _record_round(self, result: RoundResult) -> None:
-        """Persist a completed round through the attached recorder (the
-        durability hook behind :meth:`resume`); no-op without one."""
-        if self._recorder is None:
-            return
-        epoch = self.epoch
-        self._recorder.record_round(
-            result, epoch.epoch_id if epoch is not None else 0)
+        if self._recorder is not None:
+            epoch = self.epoch
+            self._recorder.record_round(
+                result, epoch.epoch_id if epoch is not None else 0)
+        return result
 
     def run_next_round(self) -> RoundResult:
         """Run the next round in the session's monotonic round sequence."""
@@ -797,7 +829,8 @@ class ProtocolSession:
         # Carry the current rule (possibly reassigned on the old root
         # between rounds) into the new wiring.
         rule = self.root.threshold_rule
-        self._wire(self.membership.population, self.transport, rule)
+        self._wire(self._remote or self.membership.population,
+                   self.transport, rule)
         if self._recorder is not None:
             self._recorder.record_transition(transition)
         return transition

@@ -11,8 +11,9 @@ modules below write to.
   mid-round dropouts: one :class:`~repro.core.pipeline.DetectionPipeline`
   operated week over week.
 
-The weekly round itself has two operators, differing in where the
-clients are: :class:`~repro.core.pipeline.DetectionPipeline` hosts them
+The weekly round itself has two operators, both driving one
+:class:`~repro.api.ProtocolSession` and differing in where the clients
+are: :class:`~repro.core.pipeline.DetectionPipeline` hosts them
 in-process, :class:`~repro.service.state.ServiceState` serves remote
 ones over HTTP.
 """

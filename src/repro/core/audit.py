@@ -12,7 +12,7 @@ within at most few seconds." The pieces that make this possible:
 
 :class:`AuditService` wires a user's live counter to the operator's
 latest :class:`~repro.protocol.net.spec.WeeklySnapshot` — built from a
-session's last round, held by a ``ServiceState``, or fetched from
+session's last round, read back from a service's store, or fetched from
 ``GET /v1/snapshots/{week}`` — and answers per-ad audit queries
 instantly.
 """

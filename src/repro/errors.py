@@ -52,8 +52,6 @@ class ProtocolError(ReproError):
 
     #: The peer process died (or the proxy was closed) — respawnable.
     peer_dead: bool = False
-    #: The error was raised in the remote worker and re-raised locally.
-    remote: bool = False
     #: The failure was a socket timeout, not a protocol violation.
     timed_out: bool = False
 

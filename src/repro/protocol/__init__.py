@@ -186,6 +186,15 @@ HTTP client vanishes mid-round        Survives — the service's idle
                                       threshold broadcast is accounted
                                       as undelivered, picked up at the
                                       next poll.
+Report after the recovery notice      Refused before it is stored
+named its user missing (e.g. a slow   (``RoundStateError``, HTTP 409);
+HTTP client)                          the round releases the survivors'
+                                      sum. Limit: a *lying* aggregator
+                                      can name a user whose report it
+                                      holds and so unmask it; double
+                                      masking (Bonawitz et al., CCS
+                                      2017) fixes that, out of scope
+                                      for an honest-but-curious back-end.
 HTTP request with a bad/stale token   Survives, state untouched — 401
 (service plane)                       before any parsing or protocol
                                       mutation; revoked (post-leave)

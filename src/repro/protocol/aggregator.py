@@ -200,17 +200,26 @@ class CliqueAggregator(ProtocolEndpoint):
         self.server = AggregationServer(
             config, dict(index_of),
             clique_of={uid: clique_id for uid in index_of})
-        self._notices_sent = False
+        #: Users this round's MissingClientsNotice named (empty until
+        #: the notice goes out).
+        self._noticed: FrozenSet[str] = frozenset()
         self._released = False
 
     def on_round_start(self, round_id: int) -> Outbox:
         self.server.start_round(round_id)
-        self._notices_sent = False
+        self._noticed = frozenset()
         self._released = False
         return []
 
     def on_message(self, sender: str, message: Any) -> Outbox:
         if isinstance(message, BlindedReport):
+            if message.user_id in self._noticed:
+                # Minus the survivors' adjustments for this user, the
+                # report would be its cleartext sketch: never store it.
+                raise RoundStateError(
+                    f"late report from {message.user_id!r}: clique "
+                    f"{self.clique_id}'s recovery notice already counted "
+                    f"that user missing in round {message.round_id}")
             self.server.submit_report(message)
             return []
         if isinstance(message, BlindingAdjustment):
@@ -222,8 +231,8 @@ class CliqueAggregator(ProtocolEndpoint):
         if self._released:
             return []
         missing = self.server.missing_users()
-        if missing and self.server.reported_users and not self._notices_sent:
-            self._notices_sent = True
+        if missing and self.server.reported_users and not self._noticed:
+            self._noticed = frozenset(missing)
             notice_indexes = tuple(
                 sorted(self.server.index_of[u] for u in missing))
             notice = MissingClientsNotice(round_id=round_id,

@@ -167,7 +167,7 @@ class ClientArmy(ProtocolEndpoint):
         self._members_of: Dict[int, List[str]] = {}
         self._wiring_of: Dict[int, CliqueWiring] = {}
         #: User ids aliased to this army's mailbox by the last
-        #: :meth:`register_aliases`.
+        #: :meth:`register_mailboxes`.
         self._aliased: Set[str] = set()
         self._refresh_members()
         for clique in sorted(self._members_of):
@@ -231,7 +231,7 @@ class ClientArmy(ProtocolEndpoint):
     # ------------------------------------------------------------------
     # Transport wiring
     # ------------------------------------------------------------------
-    def register_aliases(self, transport: InMemoryTransport) -> None:
+    def register_mailboxes(self, transport: InMemoryTransport) -> None:
         """Alias every hosted user id to the army's mailbox, so
         aggregators address users exactly as they do object clients;
         aliases of users an earlier epoch hosted are dropped."""

@@ -326,9 +326,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         name = err.get("error", "ProtocolError")
         message = err.get("message", "remote endpoint error")
         exc_type = _ERROR_TYPES.get(name, ProtocolError)
-        exc = exc_type(f"[{self.endpoint_id}] {message}")
-        exc.remote = True
-        raise exc
+        raise exc_type(f"[{self.endpoint_id}] {message}")
 
     # ------------------------------------------------------------------
     # ProtocolEndpoint lifecycle (what the driver calls)

@@ -150,7 +150,6 @@ def regional_spec(
     config: RoundConfig,
     child_ids: Sequence[int],
     parent_id: str,
-    delay_s: float = 0.0,
 ) -> Dict[str, Any]:
     """Spec for one mid-tier (regional) aggregator process.
 
@@ -166,7 +165,6 @@ def regional_spec(
         "config": config_to_spec(config),
         "child_ids": sorted(int(c) for c in child_ids),
         "parent_id": parent_id,
-        "delay_s": float(delay_s),
     }
 
 
@@ -176,7 +174,6 @@ def root_spec(
     client_ids: Sequence[str],
     rule: str = "mean",
     endpoint_id: str = SERVER_ENDPOINT,
-    delay_s: float = 0.0,
 ) -> Dict[str, Any]:
     """Spec for the root aggregator process."""
     return {
@@ -186,7 +183,6 @@ def root_spec(
         "client_ids": list(client_ids),
         "threshold_rule": rule_spec(rule),
         "endpoint_id": endpoint_id,
-        "delay_s": float(delay_s),
     }
 
 

@@ -38,6 +38,7 @@ from repro.protocol.endpoint import (
     ThresholdRuleFn,
     mean_threshold,
 )
+from repro.protocol.membership import MembershipManager
 from repro.protocol.transport import InMemoryTransport
 
 
@@ -51,10 +52,11 @@ class RoundResult(RoundSummary):
 
 
 class ClientPopulation:
-    """Per-user client objects behind the wiring surface a
-    :class:`~repro.protocol.army.ClientArmy` also offers
-    (``members()``, ``user_ids``, ``endpoints``), so one function wires
-    the aggregation tree for both client backends."""
+    """Per-user client objects behind the population interface
+    (``members()``, ``user_ids``, ``endpoints``, ``register_mailboxes``)
+    that :class:`~repro.protocol.army.ClientArmy` and
+    :class:`RemotePopulation` also offer, so one function wires the
+    aggregation tree for all three."""
 
     def __init__(self, clients: Sequence[ProtocolClient]) -> None:
         if not clients:
@@ -72,14 +74,44 @@ class ClientPopulation:
                 client.blinding.user_index
         return members
 
+    def register_mailboxes(self, transport: InMemoryTransport) -> None:
+        """Nothing to add: the runner registers every endpoint's."""
 
-#: What the wiring functions accept: a client list or an army.
-Clients = Union[Sequence[ProtocolClient], ClientArmy]
+
+class RemotePopulation:
+    """Members whose clients run in another process (the HTTP plane's):
+    no in-process endpoint, the tree wired from an object-backend
+    ``membership`` alone, and one mailbox per member where server-to-
+    client mail waits until polled. A live view of the membership's
+    epoch, so an epoch advance re-wires the same object."""
+
+    endpoints: Tuple[ProtocolEndpoint, ...] = ()
+
+    def __init__(self, membership: MembershipManager) -> None:
+        self.membership = membership
+        self.config = membership.config
+
+    @property
+    def user_ids(self) -> List[str]:
+        return list(self.membership.epoch.user_ids)
+
+    def members(self) -> Dict[int, Dict[str, int]]:
+        return ClientPopulation(self.membership.clients).members()
+
+    def register_mailboxes(self, transport: InMemoryTransport) -> None:
+        for user_id in self.user_ids:
+            transport.register(user_id)
 
 
-def as_population(clients: Clients) -> Union[ClientPopulation, ClientArmy]:
-    """The one population interface over either client backend."""
-    if isinstance(clients, ClientArmy):
+#: The population interface's three implementations.
+Population = Union[ClientPopulation, ClientArmy, RemotePopulation]
+#: What the wiring functions accept: a client list or a population.
+Clients = Union[Sequence[ProtocolClient], ClientArmy, RemotePopulation]
+
+
+def as_population(clients: Clients) -> Population:
+    """The one population interface, selected by the object's type."""
+    if isinstance(clients, (ClientArmy, RemotePopulation)):
         return clients
     return ClientPopulation(clients)
 
@@ -165,9 +197,8 @@ class ProtocolRunner:
 
     # ------------------------------------------------------------------
     # The four phases ``run_round`` loops over. A caller whose clients
-    # live elsewhere (the HTTP plane's ``ServiceState``) runs a runner
-    # over the aggregation endpoints alone and calls the phases itself,
-    # at the moments its remote traffic dictates.
+    # are remote (the HTTP plane) steps them through its
+    # ``ProtocolSession`` when its remote traffic dictates.
     # ------------------------------------------------------------------
     def open_round(self, round_id: int) -> None:
         """Start the round on every endpoint and send what they emit."""

@@ -11,12 +11,12 @@ reproduction — the top rung of the transport fidelity ladder (see
   truncation raises, per-request deadline);
 * :mod:`repro.service.auth` — per-enrollment bearer tokens, compared in
   constant time, revoked on leave;
-* :mod:`repro.service.state` — the operator's protocol state: epochs,
-  server-side aggregation endpoints, and the byte-exact transport every
-  protocol message still crosses (HTTP bodies carry the wire encoding;
-  the bytes are billed at the ``_ship``/``_carry`` seam, so
-  HTTP-vs-socket byte parity is assertable and chaos fault plans inject
-  *under* the HTTP plane unchanged);
+* :mod:`repro.service.state` — the operator: a
+  :class:`~repro.api.ProtocolSession` over remote members, stepped by
+  HTTP requests, over the byte-exact transport every protocol message
+  still crosses (HTTP bodies carry the wire encoding; the bytes are
+  billed at the ``_ship``/``_carry`` seam, so HTTP-vs-socket byte
+  parity is assertable and chaos fault plans inject *under* it);
 * :mod:`repro.service.app` — the JSON route layer and
   :class:`~repro.service.app.ReproService`, the composed stack that
   ``repro serve`` boots;

@@ -181,7 +181,9 @@ class RemoteClient:
         """Rebuild this user's :class:`ProtocolClient` from the service's
         enrollment spec: replay epoch 0 and every transition, then pick
         out our own client. Observations recorded before the sync are
-        replayed onto the rebuilt client."""
+        replayed onto the rebuilt client. (The spec's
+        ``share_pad_streams`` is not needed: shared or not, the derived
+        pad streams are byte-identical.)"""
         spec = self.http.get("/v1/enrollment")
         config = config_from_spec(spec["config"])
         manager = MembershipManager.from_history(
@@ -190,8 +192,7 @@ class RemoteClient:
                           int(t["first_round"]))
                          for t in spec["transitions"]],
             seed=int(spec["seed"]), use_oprf=bool(spec["use_oprf"]),
-            num_cliques=int(spec["num_cliques"]),
-            share_pad_streams=bool(spec["share_pad_streams"]))
+            num_cliques=int(spec["num_cliques"]))
         client = manager.client_of(self.user_id)
         expected = spec["user"]
         if client.clique_id != int(expected["clique_id"]):

@@ -120,7 +120,7 @@ class TestBackendService:
     @staticmethod
     def run_week(state, url):
         """One weekly round: every member observes ``url`` and reports."""
-        clients = state.manager.clients
+        clients = state.session.membership.clients
         for client in clients:
             client.reset_window()
             client.observe_ad(url)
@@ -161,7 +161,7 @@ class TestBackendService:
         with closing(self.make_service()) as state:
             self.run_week(state, "http://q.example/ad")
             snapshot = snapshot_from_spec(state.snapshot_spec(0), self.CONFIG)
-            mapper = state.manager.ad_mapper
+            mapper = state.session.membership.ad_mapper
         assert snapshot.users_threshold > 0
         ad_id = mapper.ad_id("http://q.example/ad")
         assert snapshot.round_result.aggregate.query(ad_id) >= 4

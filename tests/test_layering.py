@@ -88,3 +88,24 @@ def test_importing_the_package_does_not_load_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "[]"
+
+
+def test_the_service_drives_one_session():
+    """The HTTP operator steps one ``ProtocolSession``: nothing under
+    service/ enrolls, wires the aggregation tree, drives a runner, marks
+    rounds spent or records history by itself."""
+    owned = {"enroll_users", "SessionRecorder", "build_aggregation_tree",
+             "ProtocolRunner", "record_session", "record_epoch",
+             "record_transition", "record_round", "note_round"}
+    offenders = []
+    for path in sorted((SRC / "service").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) \
+                else getattr(func, "attr", None)
+            if name in owned:
+                offenders.append(f"{rel}:{node.lineno} calls {name}")
+    assert offenders == []

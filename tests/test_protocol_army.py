@@ -432,7 +432,7 @@ class TestClientArmy:
         assert army.endpoint_id == ARMY_ENDPOINT
         transport = InMemoryTransport()
         transport.register(ARMY_ENDPOINT)
-        army.register_aliases(transport)
+        army.register_mailboxes(transport)
         transport.send("someone", USERS[0], "ping")
         assert transport.receive(ARMY_ENDPOINT) == ("someone", "ping")
 

@@ -12,14 +12,20 @@ Each class pins one bug that existed before the hardening PR:
   the cell-wise difference of the sketches.
 * ``enroll_users`` carried a dead ``or b"\\0"`` fallback on the shared
   PRF key (an 8-byte bytes object is always truthy).
+* ``CliqueAggregator`` stored a report that arrived after its recovery
+  notice had named the sender missing; minus the survivors' adjustments
+  that report is the sender's cleartext sketch.
 """
 
 import inspect
 
+import numpy as np
 import pytest
 
+from repro.crypto.blinding import reduce_cells
 from repro.errors import MissingReportError, RoundStateError
 from repro.protocol import enrollment as enrollment_mod
+from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, BlindingAdjustment
@@ -227,3 +233,59 @@ class TestSeedZeroPrfKey:
         assert 'or b"\\0"' not in source and "or b'\\0'" not in source
         # And the real guarantee the fallback pretended to give:
         assert (0).to_bytes(8, "big", signed=True)  # truthy, 8 bytes
+
+
+class TestLateReportAfterRecoveryNotice:
+    """Four members, three report, the notice names the fourth missing,
+    the three adjustments arrive — and then the fourth report."""
+
+    URLS = ("http://ad.example/1", "http://ad.example/2")
+
+    def _recovered_clique(self):
+        clients = make_enrollment(4).clients
+        for i, client in enumerate(clients):
+            client.observe_ad(self.URLS[i % 2])
+        aggregator = CliqueAggregator(
+            0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+        aggregator.on_round_start(1)
+        survivors, late = clients[:3], clients[3]
+        for client in survivors:
+            aggregator.on_message(client.user_id, client.build_report(1))
+        notices = aggregator.on_idle(1)
+        assert sorted(u for u, _ in notices) == \
+            sorted(c.user_id for c in survivors)
+        adjustments = []
+        for client, (_user, notice) in zip(survivors, notices):
+            [(_uplink, adjustment)] = client.on_message(
+                aggregator.endpoint_id, notice)
+            aggregator.on_message(client.user_id, adjustment)
+            adjustments.append(adjustment)
+        return survivors, late, aggregator, adjustments
+
+    @staticmethod
+    def cleartext(client):
+        sketch = CONFIG.make_sketch()
+        sketch.update_many([client.ad_mapper.ad_id(url)
+                            for url in client.seen_urls])
+        return sketch.cells_array.astype(np.uint64)
+
+    def test_late_report_is_refused_before_it_is_stored(self):
+        survivors, late, aggregator, adjustments = self._recovered_clique()
+        report = late.build_report(1)
+        # What storing it would hand the back-end: the report minus the
+        # survivors' adjustments is the late user's sketch, cell for cell.
+        unmasked = reduce_cells(report.cells_as_array() - sum(
+            a.cells_as_array() for a in adjustments))
+        assert np.array_equal(unmasked, self.cleartext(late))
+        with pytest.raises(RoundStateError, match="late report"):
+            aggregator.on_message(late.user_id, report)
+        assert late.user_id not in aggregator.server.reported_users
+        # A survivor's identical resend stays idempotent.
+        aggregator.on_message(survivors[0].user_id,
+                              survivors[0].build_report(1))
+        [(_root, partial)] = aggregator.on_idle(1)
+        assert partial.missing == (late.user_id,)
+        assert partial.reported == tuple(sorted(
+            c.user_id for c in survivors))
+        assert np.array_equal(partial.cells_as_array(),
+                              sum(self.cleartext(c) for c in survivors))

@@ -184,7 +184,7 @@ class TestRejectionsDoNotMutateState:
             app(make_request("POST", "/v1/epoch", {}, token=token))
         assert exc.value.status == 401
         assert snapshot_state(app.state) == before
-        assert app.state.manager is None  # the epoch never happened
+        assert app.state.session is None  # the epoch never happened
 
     def test_auth_runs_before_body_parse(self, app):
         """A bad token with an unparseable body is 401, not 400: the

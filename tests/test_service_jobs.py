@@ -78,11 +78,14 @@ class TestQueueMechanics:
                 queue.wait("job-99", timeout=0.1)
 
     def test_wait_times_out_on_a_slow_job(self):
-        with JobQueue({"slow": lambda r: time.sleep(5) or {}},
+        release = threading.Event()
+        with JobQueue({"slow": lambda r: release.wait(10) and {}},
                       retry_policy=FAST) as queue:
             record = queue.submit("slow")
             with pytest.raises(TimeoutError):
                 queue.wait(record.job_id, timeout=0.05)
+            # Let the job finish, so closing the queue does not wait.
+            release.set()
 
     def test_closed_queue_refuses_submission(self):
         queue = JobQueue({"ok": lambda r: {}}, retry_policy=FAST)
@@ -190,7 +193,10 @@ class TestDetectionWorker:
 
     def test_kill_first_attempt_then_retry_succeeds(self):
         """The acceptance scenario: SIGKILL the first worker process;
-        the retry reproduces the same deterministic answer."""
+        the retry reproduces the same deterministic answer. The hook
+        runs before the params are written to the worker's stdin, and
+        the worker blocks reading them, so the kill always lands on a
+        live process."""
         killed = []
 
         def kill_first(record, proc):
@@ -200,8 +206,7 @@ class TestDetectionWorker:
 
         handlers = {JOB_KIND_DETECTION: detection_handler(hook=kill_first)}
         with JobQueue(handlers, retry_policy=FAST) as queue:
-            record = queue.submit(JOB_KIND_DETECTION,
-                                  dict(self.PARAMS, delay_s=5),
+            record = queue.submit(JOB_KIND_DETECTION, dict(self.PARAMS),
                                   timeout_s=60)
             done = queue.wait(record.job_id, timeout=60)
             assert done.status == SUCCEEDED

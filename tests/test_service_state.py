@@ -18,9 +18,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import SessionConfig, run_private_round
+from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.protocol.net.spec import WeeklySnapshot
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, RoundStateError
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import RoundSummary
@@ -37,6 +37,7 @@ from repro.protocol.net.spec import (
 from repro.protocol.transport import WireTransport
 from repro.service.client import RemoteClient
 from repro.service.state import ServiceState
+from repro.store.history import HistoryStore
 
 CONFIG = RoundConfig(cms_depth=3, cms_width=64, cms_seed=7, id_space=512)
 ROSTER = [f"u{i}" for i in range(6)]
@@ -249,6 +250,113 @@ class TestEquivalence:
         assert [(u, t) for (_r, u, _s, t) in state.undelivered] == \
             [("u3", "ThresholdBroadcast")]
         state.close()
+
+    def test_late_report_after_the_notice_is_refused(self):
+        """A slow client POSTs its report after ``advance`` named it
+        missing and the survivors adjusted: refused with its bytes
+        billed, never stored, and the round ends exactly as if it had
+        never reported."""
+        state = fresh_state()
+        by_id = {c.user_id: c for c in enrolled_clients()}
+        survivors = [uid for uid in ROSTER if uid != "u3"]
+        rid = state.start_round()
+        for uid in survivors:
+            state.submit(uid, wire.encode(by_id[uid].build_report(rid)))
+        assert state.advance(rid)["emitted"]  # the recovery notice
+        for uid in survivors:
+            for item in state.drain_mailbox(uid, rid):
+                for _r, reply in by_id[uid].on_message(
+                        item["from"], wire.decode(item["payload"])):
+                    state.submit(uid, wire.encode(reply))
+        late = wire.encode(by_id["u3"].build_report(rid))
+        before = state.transport.total_bytes
+        with pytest.raises(RoundStateError, match="late report"):
+            state.submit("u3", late)
+        assert state.transport.total_bytes == before + len(late)
+        assert state.status()["reports_received"] == len(survivors)
+        while state.advance(rid)["emitted"]:
+            pass
+        result = state.finalize(rid)
+        state.close()
+        reference_state = fresh_state()
+        clients = enrolled_clients()
+        reference = drive_round(
+            reference_state, clients,
+            participants=[c for c in clients if c.user_id != "u3"])
+        reference_state.close()
+        assert list(result.missing_users) == ["u3"]
+        assert np.array_equal(result.aggregate.cells_array,
+                              reference.aggregate.cells_array)
+        assert result.users_threshold == reference.users_threshold
+        assert result.total_bytes == reference.total_bytes + len(late)
+
+
+class TestMultiEpochParity:
+    """A service life — two rounds (one with a dropout), an epoch with a
+    join and a leave, one more round — against an in-process session
+    over the same roster, seed and ``"wire"`` transport."""
+
+    @staticmethod
+    def observe(clients):
+        for client in clients:
+            if not client.seen_urls:
+                for url in URLS.get(client.user_id, ["http://ads.example/new"]):
+                    client.observe_ad(url)
+
+    def service_life(self):
+        state = fresh_state()
+        results = []
+        for dropout in (None, "u3"):
+            clients = state.session.membership.clients
+            self.observe(clients)
+            present = [c for c in clients if c.user_id != dropout]
+            results.append(drive_round(state, clients, participants=present))
+        state.enroll("u-new")
+        state.advance_epoch(leaves=["u1"])
+        clients = state.session.membership.clients
+        self.observe(clients)
+        results.append(drive_round(state, clients))
+        return state, results
+
+    def session_life(self):
+        session = ProtocolSession.create(
+            sorted(ROSTER), CONFIG, SessionConfig(transport="wire"),
+            store=HistoryStore(), store_name="service", seed=11,
+            use_oprf=False, num_cliques=2)
+        results = []
+        for dropout in (None, "u3"):
+            self.observe(session.clients)
+            if dropout:
+                session.transport.fail_sender(dropout)
+            session.note_week(session.next_round)
+            results.append(session.run_next_round())
+            if dropout:
+                session.transport.restore_sender(dropout)
+        session.advance_epoch(joins=["u-new"], leaves=["u1"])
+        self.observe(session.clients)
+        session.note_week(session.next_round)
+        results.append(session.run_next_round())
+        return session, results
+
+    def test_rounds_and_records_match_the_in_process_session(self):
+        state, via_service = self.service_life()
+        session, in_process = self.session_life()
+        try:
+            assert [r.missing_users for r in via_service] == [[], ["u3"], []]
+            for served, reference in zip(via_service, in_process):
+                assert served.round_id == reference.round_id
+                assert np.array_equal(served.aggregate.cells_array,
+                                      reference.aggregate.cells_array)
+                assert served.users_threshold == reference.users_threshold
+                assert served.total_bytes == reference.total_bytes
+                assert served.total_messages == reference.total_messages
+            assert state.store.epoch_records("service") == \
+                session.store.epoch_records("service")
+            assert state.store.round_history(session="service") == \
+                session.store.round_history(session="service")
+        finally:
+            state.close()
+            session.close()
 
 
 class TestRemoteSync:

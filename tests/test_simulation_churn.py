@@ -278,7 +278,7 @@ class TestBackendServiceEpochs:
         state.advance_epoch()
 
         def run_week():
-            clients = state.manager.clients
+            clients = state.session.membership.clients
             for client in clients:
                 client.reset_window()
                 client.observe_ad("http://everyone.example/ad")
