@@ -44,7 +44,7 @@ from repro.core import (
     DetectorConfig,
     ThresholdRule,
 )
-from repro.sketch import CountMinSketch, SpectralBloomFilter
+from repro.sketch import CountMinSketch
 from repro.protocol import (
     Epoch,
     MembershipManager,
@@ -70,7 +70,6 @@ __all__ = [
     "DetectorConfig",
     "ThresholdRule",
     "CountMinSketch",
-    "SpectralBloomFilter",
     "RoundConfig",
     "Epoch",
     "MembershipManager",

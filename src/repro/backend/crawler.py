@@ -10,7 +10,7 @@ id, so no history accumulates between audits.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.simulation.adserver import AdServer
 from repro.simulation.browsing import Visit
@@ -30,7 +30,7 @@ class CleanProfileCrawler:
         self.store = store
         self.visits_per_site = visits_per_site
         self._session_counter = 0
-        self._seen: Set[Tuple[str, str]] = set()  # (ad identity, domain)
+        self._seen: Set[str] = set()  # ad identities
 
     def _fresh_profile(self) -> UserProfile:
         self._session_counter += 1
@@ -50,7 +50,7 @@ class CleanProfileCrawler:
             visit = Visit(user_id=profile.user_id, website=site, tick=tick)
             for impression in self.adserver.serve_for_profile(profile, visit):
                 impressions.append(impression)
-                self._seen.add((impression.ad.identity, site.domain))
+                self._seen.add(impression.ad.identity)
                 if self.store is not None:
                     self.store.record_sighting(impression.ad.identity,
                                                site.domain, week)
@@ -65,8 +65,8 @@ class CleanProfileCrawler:
 
     def saw_ad(self, ad_identity: str) -> bool:
         """Did any crawl session encounter this ad?"""
-        return any(identity == ad_identity for identity, _ in self._seen)
+        return ad_identity in self._seen
 
     @property
     def ads_seen(self) -> Set[str]:
-        return {identity for identity, _ in self._seen}
+        return set(self._seen)

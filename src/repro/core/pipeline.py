@@ -399,10 +399,9 @@ class DetectionPipeline:
                    window_ticks: Optional[int] = None) -> PipelineResult:
         """Classify one window of arbitrary length.
 
-        The paper fixes the window at seven days (§4.2); the window-length
-        ablation bench uses this generalization to show why: shorter
-        windows starve the activity gate and the repetition signal, longer
-        ones mix in faded campaigns and delay reporting.
+        The paper fixes the window at seven days (§4.2); shorter windows
+        starve the activity gate and the repetition signal, longer ones
+        mix in faded campaigns and delay reporting.
         """
         from repro.types import TICKS_PER_WEEK
         if window_ticks is None:

@@ -3,8 +3,7 @@
 The paper "empirically evaluated different options based on several
 moments of the distributions (the mean, the median, the standard
 deviation, and possible combinations thereof)" and settled on the mean;
-Figure 3 additionally shows Mean+Median. All candidates live here so the
-Figure 3 bench and the ablation bench can sweep them.
+Figure 3 additionally shows Mean+Median. All candidates live here.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Three building blocks, each implemented from scratch:
   multi-server XOR composition mentioned in the paper's footnote 4.
 
 Parameter sizes are configurable: tests run with small-but-real moduli,
-overhead benches (§7.1) with paper-scale 1024-bit parameters.
+§7.1's overhead figures use paper-scale 1024-bit parameters.
 """
 
 from repro.crypto.primes import generate_prime, generate_safe_prime, is_probable_prime

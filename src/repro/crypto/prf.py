@@ -14,9 +14,8 @@ Two views of the same function live here:
   the paper prescribes ("the mapping is done once per unique ad").
 
 The ID space should *over*-estimate the true number of distinct ads to keep
-collisions rare; the trade-off (bigger space -> more server false-positive
-queries, smaller space -> more collisions inflating counts) is quantified
-in the ablation bench.
+collisions rare: bigger space -> more server false-positive queries,
+smaller space -> more collisions inflating counts (paper §6).
 """
 
 from __future__ import annotations

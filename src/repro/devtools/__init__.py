@@ -9,7 +9,7 @@ those invariants on the paths they happen to cover; the tools in this
 package check them *statically*, over every module, on every run:
 
 * :mod:`repro.devtools.protolint` — the AST-based protocol-invariant
-  linter (``python -m repro.devtools.protolint src tests benchmarks``).
+  linter (``python -m repro.devtools.protolint src tests``).
   See :mod:`repro.devtools.protolint.rules` for the rule catalogue.
 * :mod:`repro.devtools.annotations` — the strict-typing ladder's local
   rung: verifies that every function in the strict-tier packages

@@ -2,7 +2,7 @@
 
 Run it over the tree::
 
-    python -m repro.devtools.protolint src tests benchmarks
+    python -m repro.devtools.protolint src tests
 
 Rules (see :mod:`repro.devtools.protolint.rules` for the catalogue and
 the docs' "Static analysis" section for the invariants they guard):

@@ -258,7 +258,7 @@ def lint_paths(
 
     ``root`` anchors the repo-relative paths rules scope on; it defaults
     to the current working directory, which is where
-    ``python -m repro.devtools.protolint src tests benchmarks`` runs.
+    ``python -m repro.devtools.protolint src tests`` runs.
     """
     root = root if root is not None else Path.cwd()
     chosen = rules if rules is not None else active_rules()

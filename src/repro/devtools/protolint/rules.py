@@ -2,7 +2,7 @@
 
 Each rule machine-checks one of the code-level disciplines the paper's
 privacy guarantees rest on. Rules scope themselves by repo-relative
-path, so running the linter over ``src tests benchmarks`` applies each
+path, so running the linter over ``src tests`` applies each
 invariant exactly where it must hold (a test harness is allowed to open
 raw sockets; the protocol package is not).
 
@@ -27,6 +27,9 @@ from repro.devtools.protolint.engine import (
 # ---------------------------------------------------------------------------
 # Shared AST helpers
 # ---------------------------------------------------------------------------
+
+#: A module's random / os aliases, numpy.random bases, from-random / from-os names.
+_RandomImports = Tuple[Set[str], Set[str], Set[str], Dict[str, str], Dict[str, str]]
 
 #: socket-module functions that create a live socket.
 _SOCKET_CREATORS = {
@@ -212,6 +215,23 @@ class RawSocketRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+def _random_imports(tree: ast.Module) -> _RandomImports:
+    """The names a module reaches random, os and numpy.random under."""
+    np_random_bases = {f"{alias}.random" for alias in _module_aliases(tree, "numpy")}
+    np_random_bases.update(
+        local
+        for local, orig in _from_imports(tree, "numpy").items()
+        if orig == "random"
+    )
+    return (
+        _module_aliases(tree, "random"),
+        _module_aliases(tree, "os"),
+        np_random_bases,
+        _from_imports(tree, "random"),
+        _from_imports(tree, "os"),
+    )
+
+
 @register
 class UnseededRandomnessRule(Rule):
     rule_id = "PL002"
@@ -225,14 +245,11 @@ class UnseededRandomnessRule(Rule):
     def scope(self, path: str) -> bool:
         return _in_strict_protocol_paths(path)
 
-    def _flag_message(self, ctx: FileContext, node: ast.Call) -> Optional[str]:
+    def _flag_message(
+        self, ctx: FileContext, node: ast.Call, imports: _RandomImports
+    ) -> Optional[str]:
         func = node.func
-        tree = ctx.tree
-        random_aliases = _module_aliases(tree, "random")
-        numpy_aliases = _module_aliases(tree, "numpy")
-        os_aliases = _module_aliases(tree, "os")
-        from_random = _from_imports(tree, "random")
-        from_os = _from_imports(tree, "os")
+        random_aliases, os_aliases, np_random_bases, from_random, from_os = imports
         if isinstance(func, ast.Name):
             origin = from_random.get(func.id)
             if origin is not None and origin[:1].islower():
@@ -262,12 +279,6 @@ class UnseededRandomnessRule(Rule):
             if not ctx.path.startswith("src/repro/crypto/"):
                 return "os.urandom is OS entropy; only crypto/ may use it"
             return None
-        np_random_bases = {f"{alias}.random" for alias in numpy_aliases}
-        np_random_bases.update(
-            local
-            for local, orig in _from_imports(tree, "numpy").items()
-            if orig == "random"
-        )
         if base in np_random_bases:
             if func.attr in {"default_rng", "RandomState", "Generator", "SeedSequence"}:
                 if not node.args and not node.keywords:
@@ -281,9 +292,11 @@ class UnseededRandomnessRule(Rule):
         return None
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        # Built once per file, not per call: each build walks the module.
+        imports = _random_imports(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                message = self._flag_message(ctx, node)
+                message = self._flag_message(ctx, node, imports)
                 if message is not None:
                     yield self.finding(ctx, node, message)
 

@@ -136,8 +136,8 @@ NumPy passes, and the *fan-in-bounded aggregation tree*
 ``fan_in=...``) inserts :class:`~repro.protocol.aggregator.
 RegionalAggregator` merge tiers so no endpoint — root included — ever
 collects more than ``fan_in`` partials. Both reuse the existing wire
-messages unchanged, and ``benchmarks/test_bench_scale_sweep.py`` charts
-users/second and peak RSS from 1k to 100k users.
+messages unchanged; the ``bench/`` workloads ``army_small_cliques`` and
+``army_big_cliques`` time both.
 
 **Supervision.** The pool supervises its own workers; a
 :class:`~repro.protocol.net.RetryPolicy` is the restart budget it

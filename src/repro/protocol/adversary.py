@@ -24,8 +24,8 @@ The damage is bounded by construction.  With total poison budget
   mean — the default ``Users_th`` — moves by at most ``B`` as well
   (every sampled estimate moves by at most ``B``).
 
-``benchmarks/test_bench_adversarial.py`` measures the actual pull
-against this bound and appends it to the performance trajectory; the
+``tests/test_protocol_adversarial.py`` checks the actual pull against
+this bound at boosts 1, 8 and 64; the
 mitigation knobs are protocol-level (clique sizing via
 :func:`~repro.protocol.membership.suggest_num_cliques`, threshold rules
 robust to outliers) rather than cryptographic.

@@ -161,7 +161,7 @@ class KeyMaterial:
     ``oprf_server.evaluations`` and the mapper's ``protocol_rounds`` /
     ``bytes_exchanged()`` count panel-distinct URLs. A *deployed* user's
     §7.1 OPRF traffic stays the analytic ``unique_ads x OPRFClient.
-    exchange_bytes()`` of ``benchmarks/test_bench_s71_overhead.py``.
+    exchange_bytes()`` of ``tests/test_paper_claims.py``'s weekly budget.
     """
 
     group: DHGroup

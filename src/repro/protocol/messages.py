@@ -2,8 +2,8 @@
 
 Every message type knows its serialized size under the paper's assumptions
 (4-byte sketch cells, group elements of the DH modulus size, 100-character
-Unicode URLs for the cleartext baseline) so the overhead benches can report
-communication costs without a real network stack.
+Unicode URLs for the cleartext baseline), so §7.1's communication costs
+need no real network stack.
 
 Cell-carrying messages (:class:`BlindedReport`, :class:`BlindingAdjustment`)
 accept either a plain tuple of ints or a :class:`CellVector` — an immutable

@@ -23,8 +23,12 @@ from repro.simulation.browsing import Visit
 from repro.simulation.campaigns import BrowsingHistory, Campaign
 from repro.simulation.config import SimulationConfig
 from repro.simulation.population import Population
+from repro.simulation.websites import Website
 from repro.statsutil.sampling import make_rng
 from repro.types import AdKind, Impression
+
+#: Placed kinds whose eligibility reads only the site, never the visitor.
+_SITE_ONLY_KINDS = (AdKind.CONTEXTUAL, AdKind.STATIC, AdKind.BRAND)
 
 
 class AdServer:
@@ -51,6 +55,8 @@ class AdServer:
         for campaign in self.campaigns:
             for domain in campaign.placement_domains:
                 self._placements[domain].append(campaign)
+        # site -> eligible placements, where every placement is site-only.
+        self._site_placements: Dict[Website, List[Campaign]] = {}
         # Indexes for user-targeting campaigns.
         self._segment_campaigns: Dict[str, List[Campaign]] = defaultdict(list)
         self._retarget_by_domain: Dict[str, List[Campaign]] = defaultdict(list)
@@ -104,6 +110,17 @@ class AdServer:
             categories=frozenset(self._visited_categories[user_id]),
             domains=frozenset(self._visited_domains[user_id]))
 
+    def _placements_for(self, user, site: Website,
+                        history: BrowsingHistory) -> List[Campaign]:
+        cached = self._site_placements.get(site)
+        if cached is not None:
+            return cached
+        placed = self._placements.get(site.domain, [])
+        eligible = [c for c in placed if c.eligible(user, site, history)]
+        if all(c.kind in _SITE_ONLY_KINDS for c in placed):
+            self._site_placements[site] = eligible
+        return eligible
+
     def serve(self, visit: Visit) -> List[Impression]:
         """Fill the page's ad slots for one visit by a panel user."""
         return self.serve_for_profile(self.population.by_id(visit.user_id),
@@ -143,9 +160,7 @@ class AdServer:
         # renders a random sample of the site's eligible inventory.
         remaining = slots - len(impressions)
         if remaining > 0:
-            eligible = [c for c in self._placements.get(
-                            visit.website.domain, [])
-                        if c.eligible(user, visit.website, history)]
+            eligible = self._placements_for(user, visit.website, history)
             if len(eligible) > remaining:
                 eligible = self._rng.sample(eligible, remaining)
             for campaign in eligible:

@@ -14,6 +14,8 @@ different intensity.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -69,7 +71,7 @@ class BrowsingModel:
             day, hour = divmod(tick, TICKS_PER_DAY)
             weights.append(DAY_WEIGHTS[day] * HOUR_WEIGHTS[hour])
         total = sum(weights)
-        self._tick_weights = [w / total for w in weights]
+        self._tick_cdf = list(itertools.accumulate(w / total for w in weights))
 
     def _poisson(self, lam: float) -> int:
         """Knuth's algorithm; adequate for lam up to a few hundred."""
@@ -84,13 +86,8 @@ class BrowsingModel:
             k += 1
 
     def _pick_tick(self, week: int) -> int:
-        u = self._rng.random()
-        acc = 0.0
-        for tick, w in enumerate(self._tick_weights):
-            acc += w
-            if u <= acc:
-                return week * TICKS_PER_WEEK + tick
-        return week * TICKS_PER_WEEK + TICKS_PER_WEEK - 1
+        tick = bisect.bisect_left(self._tick_cdf, self._rng.random())
+        return week * TICKS_PER_WEEK + min(tick, TICKS_PER_WEEK - 1)
 
     def _pick_site(self, user: UserProfile) -> Website:
         if user.interests and self._rng.random() < self.interest_affinity:

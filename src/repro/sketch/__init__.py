@@ -2,13 +2,10 @@
 
 eyeWnder clients encode the ad IDs they saw into a count-min sketch (CMS)
 whose cells can be additively blinded; the server sums blinded sketches and
-queries the aggregate. A spectral bloom filter is provided as the
-alternative synopsis the paper mentions (reference [19]) and is compared
-against the CMS in the ablation benches.
+queries the aggregate.
 """
 
 from repro.sketch.hashing import HashFamily, stable_hash
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.spectral_bloom import SpectralBloomFilter
 
-__all__ = ["HashFamily", "stable_hash", "CountMinSketch", "SpectralBloomFilter"]
+__all__ = ["HashFamily", "stable_hash", "CountMinSketch"]

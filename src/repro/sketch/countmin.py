@@ -11,7 +11,7 @@ columns, and guarantees for every item ``x`` with true count ``c_x``:
 Note the paper's row formula is more conservative than the textbook
 ``ceil(ln(1/delta))``; with ``delta = epsilon = 0.001`` and 4-byte cells it
 reproduces exactly the 185 / 196 / 207 KB sketch sizes reported in §7.1 for
-10k / 50k / 100k ads (see ``benchmarks/test_bench_s71_overhead.py``).
+10k / 50k / 100k ads (see ``tests/test_paper_claims.py``).
 
 Cells are backed by a ``numpy.uint64`` array (values must lie in
 ``[0, 2^64)``). The aggregation protocol blinds cells with additive shares
@@ -132,8 +132,7 @@ class CountMinSketch:
 
         Reduces overcounting versus :meth:`update`, but the resulting
         sketch is *not* mergeable by cell-wise addition — exactly why
-        eyeWnder's blinded-aggregation design cannot use it. Provided for
-        the ablation bench quantifying what that property costs.
+        eyeWnder's blinded-aggregation design cannot use it.
         """
         if count < 0:
             raise ConfigurationError(f"negative update ({count}) not allowed")

@@ -2,8 +2,6 @@
 
 from repro.statsutil.distributions import EmpiricalDistribution, histogram_density
 from repro.statsutil.sampling import ZipfSampler, CategoricalSampler, make_rng
-from repro.statsutil.density import GaussianKDE, silverman_bandwidth
-from repro.statsutil.textplot import curve_plot, sparkline
 
 __all__ = [
     "EmpiricalDistribution",
@@ -11,8 +9,4 @@ __all__ = [
     "ZipfSampler",
     "CategoricalSampler",
     "make_rng",
-    "GaussianKDE",
-    "silverman_bandwidth",
-    "curve_plot",
-    "sparkline",
 ]

@@ -4,8 +4,8 @@ The count-based algorithm (paper §4.2) turns a multiset of counts — how many
 users saw each ad, how many domains showed an ad to a user — into a scalar
 threshold. The paper evaluates several moments (mean, median, mean+median,
 mean+std) and settles on the mean. :class:`EmpiricalDistribution` is the one
-place those statistics are computed so the detector, the protocol evaluation
-(Figure 2) and the benches all agree on definitions.
+place those statistics are computed so the detector and the protocol
+evaluation (Figure 2) agree on definitions.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Table 3: capability comparison against prior targeted-ad detectors.
 
-The table is qualitative; the value of coding it is (a) the bench renders
-the same matrix the paper prints, and (b) each eyeWnder property is
-cross-linked to the module that implements it, making the claims
-checkable against this codebase.
+The table is qualitative; coding it lets ``repro compare`` print the
+paper's matrix with each eyeWnder property cross-linked to the module
+that implements it.
 """
 
 from __future__ import annotations

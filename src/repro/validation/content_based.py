@@ -71,12 +71,3 @@ class ContentBasedHeuristic:
         """Does the ad's landing category overlap the user's profile?"""
         return bool(ad.category) and self.profile(user_id).overlaps(
             ad.category)
-
-    def classifies_targeted(self, user_id: str, ad: Ad) -> bool:
-        """CB's verdict — identical to semantic overlap by construction.
-
-        The paper keeps overlap-check and CB-verdict as separate stages
-        "for generality" (their footnote 9); we expose both names for the
-        same reason.
-        """
-        return self.has_semantic_overlap(user_id, ad)

@@ -5,8 +5,8 @@ targeted or not. Human labels are noisy — users "have limitations in
 detecting bias or discrimination" (paper's reference [47]) — so the
 labeler has both a coverage rate (most ads go unlabeled, feeding the
 UNKNOWN branches of Figure 4) and an accuracy (labels flip with some
-probability). Both are exposed as parameters so the Figure-4 bench can
-show sensitivity to annotator quality.
+probability). Both are parameters, so Figure 4's sensitivity to
+annotator quality can be explored.
 """
 
 from __future__ import annotations

@@ -156,6 +156,25 @@ class TestPL002:
         )
         assert lint_source(source, PROTO) == []
 
+    def test_import_tables_are_built_once_per_file(self, monkeypatch):
+        # Each table build walks the whole module, so building them per
+        # call made the rule quadratic in the module's size.
+        from repro.devtools.protolint import rules
+
+        builds = []
+        for name in ("_module_aliases", "_from_imports"):
+            real = getattr(rules, name)
+            monkeypatch.setattr(
+                rules,
+                name,
+                lambda tree, module, real=real: builds.append(module)
+                or real(tree, module),
+            )
+        (pl002,) = [r for r in active_rules() if r.rule_id == "PL002"]
+        source = "import numpy as np\n" + "x = np.zeros(1).sum()\n" * 50
+        assert lint_source(source, "src/repro/sketch/fake.py", rules=[pl002]) == []
+        assert sorted(builds) == ["numpy", "numpy", "os", "os", "random", "random"]
+
 
 # ---------------------------------------------------------------------------
 # PL003 — no blocking calls inside async def
@@ -513,7 +532,6 @@ class TestRealTree:
             [
                 str(REPO_ROOT / "src"),
                 str(REPO_ROOT / "tests"),
-                str(REPO_ROOT / "benchmarks"),
             ],
             root=REPO_ROOT,
         )

@@ -85,6 +85,14 @@ def test_threshold_shift_is_bounded_by_the_poison_budget():
     assert shift > 0  # the attack did real (but bounded) damage
 
 
+@pytest.mark.parametrize("boost", [1, 8, 64])
+def test_threshold_shift_stays_within_the_bound_at_every_boost(boost):
+    reference = run_private_round(CONFIG, enrolled().clients, round_id=0)
+    result, _, _ = run_with_rogue({TARGET: boost})
+    shift = abs(result.users_threshold - reference.users_threshold)
+    assert shift <= poisoning_pull_bound({TARGET: boost}) == boost
+
+
 def test_poisoned_report_is_byte_indistinguishable_on_the_wire():
     honest = enrolled()
     rogue_enrollment = enrolled()

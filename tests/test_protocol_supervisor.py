@@ -19,6 +19,7 @@ from repro.protocol.enrollment import enroll_users
 from repro.protocol.net import (
     NO_RETRY,
     FaultPlan,
+    LinkFault,
     ProcessAggregatorPool,
     RetryPolicy,
 )
@@ -114,6 +115,23 @@ def test_crash_loop_within_budget_survives():
     # genuine crash loop — two respawns against a budget of two.
     reference = reference_result()
     plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3, 4)})
+    with ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(
+                transport="socket", aggregator_procs=2, fault_plan=plan,
+                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+        result = session.run_round(0)
+        assert session.aggregator_pool.restarts[CLIQUE0] == 2
+    assert_bit_identical(result, reference)
+
+
+def test_crash_loop_under_wan_weather_survives():
+    # The same crash loop while every link also suffers seeded latency,
+    # jitter and loss: replay into the replacement is still exact.
+    reference = reference_result()
+    plan = FaultPlan(seed=17, default=LinkFault(
+        latency_s=0.002, jitter_s=0.002, loss_prob=0.01,
+        retransmit_delay_s=0.005), worker_crashes={CLIQUE0: (3, 4)})
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(

@@ -78,7 +78,6 @@ def served():
                 proc.wait(10)
 
 
-@pytest.mark.slow
 class TestServeEndToEnd:
     """One ordered story against a single served process (the fixture
     is module-scoped; tests run in definition order)."""

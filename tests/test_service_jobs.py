@@ -184,7 +184,6 @@ class TestDeadLetter:
         assert queue.get(waiting.job_id).status in (QUEUED, SUCCEEDED)
 
 
-@pytest.mark.slow
 class TestDetectionWorker:
     """The real subprocess worker behind ``kind="detection"``."""
 

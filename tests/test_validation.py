@@ -125,7 +125,7 @@ class TestEvaluationTree:
     def make_tree(self, sim, crawler_sees=(), labeling_rate=0.0,
                   profiles=None):
         crawler = CleanProfileCrawler(sim.adserver)
-        crawler._seen.update((identity, "site-x") for identity in crawler_sees)
+        crawler._seen.update(crawler_sees)
         heuristic = ContentBasedHeuristic(min_websites_per_category=1)
         if profiles:
             heuristic.build_profiles(profiles)
