@@ -432,7 +432,7 @@ class ProtocolSession:
 
         * a sequence of **user ids** — epoch-0 enrollment happens here
           (``config`` required; ``enroll_kwargs`` — ``seed``,
-          ``use_oprf``, ``num_cliques``, ``share_pad_streams``, ... —
+          ``use_oprf``, ``num_cliques``, ... —
           forward to :func:`~repro.protocol.enrollment.enroll_users`,
           and ``settings.client_backend`` picks per-user client objects
           or the struct-of-arrays
@@ -573,8 +573,7 @@ class ProtocolSession:
                 last_round=store.last_round_id(name),
                 client_backend=record.client_backend,
                 seed=record.seed, use_oprf=record.use_oprf,
-                num_cliques=record.num_cliques,
-                share_pad_streams=record.share_pad_streams)
+                num_cliques=record.num_cliques)
             final = epochs[-1]
             replayed = membership.epoch
             if (replayed.epoch_id != final.epoch_id

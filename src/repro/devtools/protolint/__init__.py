@@ -10,11 +10,14 @@ the docs' "Static analysis" section for the invariants they guard):
 ========  ==========================================================
 PL001     raw socket I/O only inside the byte-accounting seam
 PL002     no unseeded randomness under protocol/, crypto/, sketch/
-PL003     no blocking calls inside ``async def`` anywhere in src/repro
 PL004     no silent exception swallowing in protocol code
 PL005     wire-schema drift across messages.py / wire.py / net/spec.py
 PL000     (framework) defective ``# protolint: disable=`` directives
 ========  ==========================================================
+
+PL003 is unassigned: the package defines no coroutine, so there is no
+``async def`` to keep blocking calls out of
+(``tests/test_layering.py::test_the_package_runs_no_event_loop``).
 
 Suppress a finding inline — the reason is mandatory and itself linted::
 

@@ -1,4 +1,4 @@
-"""The protolint rule catalogue (PL001–PL005).
+"""The protolint rule catalogue (PL001, PL002, PL004, PL005).
 
 Each rule machine-checks one of the code-level disciplines the paper's
 privacy guarantees rest on. Rules scope themselves by repo-relative
@@ -164,8 +164,9 @@ def _in_strict_protocol_paths(path: str) -> bool:
 #: layer and the transport whose ``_ship`` hook does the byte accounting.
 #: The HTTP service plane (``repro/service/``) is deliberately NOT
 #: allowlisted: all of its protocol bytes must cross the same seam
-#: (asyncio streams and http.client carry the control plane; a raw
-#: ``socket.socket()`` there would be an unaccounted byte path).
+#: (socketserver's request streams and http.client carry the control
+#: plane; a raw ``socket.socket()`` there would be an unaccounted byte
+#: path).
 PL001_ALLOWED = (
     "src/repro/protocol/net/transport.py",
     "src/repro/protocol/net/frames.py",
@@ -299,68 +300,6 @@ class UnseededRandomnessRule(Rule):
                 message = self._flag_message(ctx, node, imports)
                 if message is not None:
                     yield self.finding(ctx, node, message)
-
-
-# ---------------------------------------------------------------------------
-# PL003 — no blocking calls inside async def anywhere in the package
-# ---------------------------------------------------------------------------
-
-_BLOCKING_SUBPROCESS = {"run", "call", "check_call", "check_output"}
-
-
-@register
-class BlockingInAsyncRule(Rule):
-    rule_id = "PL003"
-    title = "blocking call inside an async def"
-    hint = (
-        "use await asyncio.sleep / loop.run_in_executor; one blocking"
-        " call stalls every connection the event loop is serving"
-    )
-
-    def scope(self, path: str) -> bool:
-        return path.startswith("src/repro/")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        tracker = _SocketTracker(ctx.tree)
-        time_aliases = _module_aliases(ctx.tree, "time")
-        subprocess_aliases = _module_aliases(ctx.tree, "subprocess")
-        from_time = _from_imports(ctx.tree, "time")
-
-        def blocking_message(node: ast.Call) -> Optional[str]:
-            func = node.func
-            if isinstance(func, ast.Name):
-                if from_time.get(func.id) == "sleep":
-                    return "time.sleep blocks the event loop"
-                return None
-            if tracker.is_creation_call(node):
-                return f"{_dotted(func)} performs a blocking connect"
-            if tracker.is_socket_method_call(node):
-                assert isinstance(func, ast.Attribute)
-                return f"blocking socket .{func.attr}() in async code"
-            if isinstance(func, ast.Attribute):
-                base = _dotted(func.value)
-                if base in time_aliases and func.attr == "sleep":
-                    return "time.sleep blocks the event loop"
-                if base in subprocess_aliases and func.attr in _BLOCKING_SUBPROCESS:
-                    return f"subprocess.{func.attr} blocks the event loop"
-            return None
-
-        def walk(node: ast.AST, in_async: bool) -> Iterator[Finding]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.AsyncFunctionDef):
-                    yield from walk(child, True)
-                elif isinstance(
-                    child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)
-                ):
-                    yield from walk(child, False)
-                else:
-                    if in_async and isinstance(child, ast.Call):
-                        message = blocking_message(child)
-                        if message is not None:
-                            yield self.finding(ctx, child, message)
-                    yield from walk(child, in_async)
-
-        yield from walk(ctx.tree, False)
 
 
 # ---------------------------------------------------------------------------

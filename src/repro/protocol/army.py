@@ -186,7 +186,6 @@ class ClientArmy(ProtocolEndpoint):
                use_oprf: bool = True,
                oprf_bits: int = 256,
                num_cliques: int = 1,
-               share_pad_streams: bool = True,
                endpoint_id: str = ARMY_ENDPOINT) -> "ClientArmy":
         """Epoch-0 enrollment of the batched backend.
 
@@ -195,11 +194,8 @@ class ClientArmy(ProtocolEndpoint):
         enrollment.enroll_users`, so the army's clique map, key pairs
         and blinding indexes — and therefore its pads and reports — are
         bit-identical to an object-backed enrollment of the same
-        ``(user_ids, seed)``. ``share_pad_streams`` is accepted so the
-        two enrollment functions stay call-compatible; the army always
-        shares one pad-stream provider internally.
+        ``(user_ids, seed)``.
         """
-        del share_pad_streams
         material = derive_key_material(user_ids, config, group=group,
                                        seed=seed, use_oprf=use_oprf,
                                        oprf_bits=oprf_bits,

@@ -78,7 +78,7 @@ class Enrollment:
     #: :class:`KeyMaterial`; None only on a hand-built enrollment).
     ad_mapper: Optional[Union[KeyedPRF, ObliviousAdMapper]] = None
     #: The pad-stream cache shared by this population's generators
-    #: (None when ``share_pad_streams=False``).
+    #: (None only on a hand-built enrollment).
     pad_streams: Optional[PadStreamProvider] = None
 
     @property
@@ -240,8 +240,7 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
                  seed: int = 0,
                  use_oprf: bool = True,
                  oprf_bits: int = 256,
-                 num_cliques: int = 1,
-                 share_pad_streams: bool = True) -> Enrollment:
+                 num_cliques: int = 1) -> Enrollment:
     """Wire up a population of protocol clients (epoch 0).
 
     With ``use_oprf=True`` (deployment fidelity) ad URLs are mapped through
@@ -254,12 +253,10 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     ``num_cliques`` shards the blinding graph (see the module docstring);
     the default of 1 reproduces the unsharded protocol exactly.
 
-    ``share_pad_streams`` (default on) wires every client to one
-    :class:`~repro.crypto.blinding.PadStreamProvider`, halving the
-    SHAKE-256 pad work of an in-process session; the derived streams are
-    byte-identical, so every report and aggregate is unchanged. Pass
-    ``False`` to model deployment clients that each derive their own
-    streams.
+    Every client is wired to one :class:`~repro.crypto.blinding.
+    PadStreamProvider`, halving the SHAKE-256 pad work of an in-process
+    session; the streams are byte-identical to the ones a deployment
+    client derives on its own, so every report and aggregate is too.
     """
     material = derive_key_material(user_ids, config, group=group, seed=seed,
                                    use_oprf=use_oprf, oprf_bits=oprf_bits,
@@ -272,7 +269,7 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     clique_of_index = {index_of[uid]: clique for uid, clique
                        in clique_of.items()}
 
-    pad_streams = PadStreamProvider() if share_pad_streams else None
+    pad_streams = PadStreamProvider()
     clients: List[ProtocolClient] = []
     for uid in user_ids:
         idx = index_of[uid]

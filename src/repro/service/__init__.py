@@ -6,9 +6,9 @@ query the resulting thresholds. This package is that shape for the
 reproduction — the top rung of the transport fidelity ladder (see
 :mod:`repro.protocol` for the full ladder):
 
-* :mod:`repro.service.http` — a stdlib asyncio HTTP/1.1 server with the
-  frames-layer reader discipline (length checked before allocation,
-  truncation raises, per-request deadline);
+* :mod:`repro.service.http` — a threaded stdlib HTTP/1.1 server with
+  the frames-layer reader discipline (length checked before allocation,
+  truncation raises, one deadline per whole request);
 * :mod:`repro.service.auth` — per-enrollment bearer tokens, compared in
   constant time, revoked on leave;
 * :mod:`repro.service.state` — the operator: a

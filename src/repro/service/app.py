@@ -287,10 +287,16 @@ class ServiceApp:
         if rest == () and method == "POST":
             payload = request.json()
             kind = payload.get("kind", JOB_KIND_DETECTION)
+            if not isinstance(kind, str):
+                raise HttpError(400, "'kind' must be a string")
             params = payload.get("params", {})
             if not isinstance(params, dict):
                 raise HttpError(400, "'params' must be a JSON object")
             timeout_s = payload.get("timeout_s")
+            if timeout_s is not None and (
+                    isinstance(timeout_s, bool)
+                    or not isinstance(timeout_s, (int, float))):
+                raise HttpError(400, "'timeout_s' must be a number")
             record = self.jobs.submit(kind, params, timeout_s=timeout_s)
             return Response.json(_job_spec(record), status=201)
         if rest == () and method == "GET":
@@ -348,9 +354,9 @@ class ReproService:
         self.http = HttpServer(self.app, host=host, port=port)
         self._started = False
 
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
+    def start(self) -> Tuple[str, int]:
         """Bind and serve; returns the bound ``(host, port)``."""
-        address = self.http.start(timeout)
+        address = self.http.start()
         self._started = True
         return address
 

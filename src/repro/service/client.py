@@ -181,9 +181,7 @@ class RemoteClient:
         """Rebuild this user's :class:`ProtocolClient` from the service's
         enrollment spec: replay epoch 0 and every transition, then pick
         out our own client. Observations recorded before the sync are
-        replayed onto the rebuilt client. (The spec's
-        ``share_pad_streams`` is not needed: shared or not, the derived
-        pad streams are byte-identical.)"""
+        replayed onto the rebuilt client."""
         spec = self.http.get("/v1/enrollment")
         config = config_from_spec(spec["config"])
         manager = MembershipManager.from_history(

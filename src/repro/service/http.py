@@ -5,8 +5,8 @@ JSON response out, over localhost, with the same reader discipline as
 :mod:`repro.protocol.net.frames` — every length is validated *before*
 any allocation, truncation raises instead of hanging, and a peer that
 trickles bytes forever runs into a deadline. The stdlib's
-``http.server`` offers none of that under asyncio, so this module
-implements the tiny subset the service uses:
+``http.server`` offers none of that, so this module implements the tiny
+subset the service uses:
 
 * request bodies must carry ``Content-Length`` (chunked encoding is
   refused with 501 — the service's clients never send it);
@@ -14,13 +14,15 @@ implements the tiny subset the service uses:
   the body at the frame layer's ``DEFAULT_MAX_FRAME`` — all checked
   against the declared length before buffering, mirroring
   :func:`repro.protocol.net.frames.check_frame_length`;
-* handlers are synchronous callables dispatched via
-  ``loop.run_in_executor``, so blocking protocol work (a round pump, a
-  job submission) never stalls the accept loop;
-* ``start()``/``stop()`` run the asyncio loop on a daemon thread, and
-  startup errors propagate to the caller. This is the package's one
-  event loop: unlike an aggregator worker, which answers its one proxy
-  in a blocking loop, the HTTP plane serves many remote clients at once.
+* every connection is served on its own daemon thread
+  (:class:`socketserver.ThreadingTCPServer`), which parses with plain
+  blocking reads and calls the synchronous handler directly, so
+  blocking protocol work (a round pump, a job submission) stalls only
+  the client that asked for it;
+* one deadline bounds each whole request, from the wait for its request
+  line to its last body byte: a timer hangs the connection up, so
+  neither an idle keep-alive peer nor one trickling a byte at a time
+  holds its thread forever.
 
 This is transport *plumbing*: the HTTP envelope around control-plane
 JSON is not part of the §7.1 protocol byte accounting (protocol bytes
@@ -32,20 +34,27 @@ operational telemetry.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socketserver
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, BinaryIO, Callable, Dict, Optional,
+                    Set, Tuple)
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ReproError
-from repro.protocol.net.frames import DEFAULT_MAX_FRAME
+from repro.protocol.net import frames
+
+if TYPE_CHECKING:
+    import socket
 
 #: Reader-discipline caps (reject before allocating, like frames.py).
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BLOCK = 64 * 1024
-MAX_BODY = DEFAULT_MAX_FRAME
+MAX_BODY = frames.DEFAULT_MAX_FRAME
+
+#: How often the accept loop checks for :meth:`HttpServer.stop`.
+_POLL_INTERVAL = 0.02
 
 _REASONS = {
     200: "OK",
@@ -130,99 +139,135 @@ class Response:
         return head.encode("latin-1") + self.body
 
 
-#: Handler signature: a synchronous callable, run in the executor.
+#: Handler signature: a synchronous callable, run on the connection's thread.
 Handler = Callable[[Request], Response]
 
 
-class _BadRequest(Exception):
-    """Internal: a malformed request that still gets an HTTP reply."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-async def _read_line(reader: asyncio.StreamReader, limit: int,
-                     what: str) -> bytes:
+def _read_line(rfile: BinaryIO, limit: int, what: str) -> bytes:
     """One CRLF-terminated line, capped at ``limit`` bytes."""
-    try:
-        line = await reader.readuntil(b"\n")
-    except asyncio.LimitOverrunError:
-        raise _BadRequest(431, f"{what} exceeds {limit} bytes") from None
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError from None
-        raise _BadRequest(400, f"connection closed mid-{what}") from None
+    line = rfile.readline(limit + 1)
     if len(line) > limit:
-        raise _BadRequest(431, f"{what} exceeds {limit} bytes")
+        raise HttpError(431, f"{what} exceeds {limit} bytes")
+    if not line.endswith(b"\n"):
+        if not line:
+            raise EOFError
+        raise HttpError(400, f"connection closed mid-{what}")
     return line.rstrip(b"\r\n")
 
 
-async def _read_request(reader: asyncio.StreamReader,
-                        max_body: int) -> Tuple[Request, int]:
+def _read_request(rfile: BinaryIO, max_body: int) -> Tuple[Request, int]:
     """Parse one request with the frames.py reject-before-allocate
     discipline; returns (request, envelope bytes consumed)."""
-    request_line = await _read_line(reader, MAX_REQUEST_LINE, "request line")
+    request_line = _read_line(rfile, MAX_REQUEST_LINE, "request line")
     consumed = len(request_line) + 2
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
-        raise _BadRequest(400, "malformed request line")
+        raise HttpError(400, "malformed request line")
     method, target, version = parts
     if not version.startswith("HTTP/1."):
-        raise _BadRequest(400, f"unsupported protocol version {version!r}")
+        raise HttpError(400, f"unsupported protocol version {version!r}")
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = await _read_line(reader, MAX_HEADER_BLOCK, "header block")
+        line = _read_line(rfile, MAX_HEADER_BLOCK, "header block")
         consumed += len(line) + 2
         if not line:
             break
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BLOCK:
-            raise _BadRequest(431,
-                              f"header block exceeds {MAX_HEADER_BLOCK} bytes")
+            raise HttpError(431,
+                            f"header block exceeds {MAX_HEADER_BLOCK} bytes")
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
-            raise _BadRequest(400, f"malformed header line {line[:40]!r}")
+            raise HttpError(400, f"malformed header line {line[:40]!r}")
         headers[name.strip().lower()] = value.strip()
     if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise _BadRequest(501, "chunked transfer encoding is not supported")
+        raise HttpError(501, "chunked transfer encoding is not supported")
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
     except ValueError:
-        raise _BadRequest(400,
-                          f"bad content-length {length_text!r}") from None
+        raise HttpError(400, f"bad content-length {length_text!r}") from None
     if length < 0:
-        raise _BadRequest(400, f"negative content-length {length}")
+        raise HttpError(400, f"negative content-length {length}")
     # The frames.py discipline: refuse the declared size before
     # buffering a single body byte.
     if length > max_body:
-        raise _BadRequest(413, f"body of {length} bytes exceeds the "
-                               f"{max_body}-byte limit")
-    body = b""
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise _BadRequest(400, f"connection closed mid-body "
-                                   f"({len(exc.partial)}/{length} bytes)"
-                              ) from None
-        consumed += length
-    split = urlsplit(target)
+        raise HttpError(413, f"body of {length} bytes exceeds the "
+                             f"{max_body}-byte limit")
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        raise HttpError(400, f"connection closed mid-body "
+                             f"({len(body)}/{length} bytes)")
+    consumed += length
+    try:
+        split = urlsplit(target)
+    except ValueError:
+        raise HttpError(400, f"malformed request target {target[:40]!r}") \
+            from None
     query = dict(parse_qsl(split.query))
     return Request(method=method.upper(), path=split.path, query=query,
                    headers=headers, body=body), consumed
 
 
-class HttpServer:
-    """Serve one synchronous handler behind an asyncio accept loop.
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection: parse, dispatch and reply until the peer
+    hangs up, asks to close, sends a malformed request or misses the
+    deadline."""
 
-    The handler runs in the default thread-pool executor, one request
-    at a time per connection; connections are served concurrently and
-    the *handler itself* is responsible for its own locking (the
-    service app serializes on one ops lock).
+    server: _ThreadedServer
+
+    def handle(self) -> None:
+        http = self.server.http
+        with http._lock:
+            http._live.add(self.connection)
+        try:
+            while True:
+                deadline = threading.Timer(http.timeout, frames.hang_up,
+                                           (self.connection,))
+                deadline.daemon = True
+                deadline.start()
+                try:
+                    request, consumed = _read_request(self.rfile,
+                                                      http.max_body)
+                except EOFError:
+                    return
+                except HttpError as exc:  # malformed: answer, then close
+                    self._reply(Response.error(exc.status, exc.message))
+                    return
+                finally:
+                    deadline.cancel()
+                http._count(consumed, 0, 1)
+                self._reply(http._dispatch(request))
+                if request.headers.get("connection", "").lower() == "close":
+                    return
+        except OSError:
+            pass  # a reset, or the deadline hung up: nobody to answer
+        finally:
+            with http._lock:
+                http._live.discard(self.connection)
+
+    def _reply(self, response: Response) -> None:
+        payload = response.encode()
+        self.server.http._count(0, len(payload), 0)
+        self.wfile.write(payload)
+
+
+class _ThreadedServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, http: HttpServer) -> None:
+        self.http = http
+        super().__init__((http.host, http.port), _Connection)
+
+
+class HttpServer:
+    """Serve one synchronous handler, one daemon thread per connection.
+
+    Connections are served concurrently, so the *handler itself* is
+    responsible for its own locking (the service app serializes on one
+    ops lock).
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
@@ -232,7 +277,7 @@ class HttpServer:
         self.host = host
         self.port = port
         self.max_body = max_body
-        #: Per-request read deadline: a peer trickling bytes cannot
+        #: Whole-request read deadline: a peer trickling bytes cannot
         #: hold a connection slot forever.
         self.timeout = timeout
         self.address: Optional[Tuple[str, int]] = None
@@ -240,52 +285,15 @@ class HttpServer:
         self.bytes_in = 0
         self.bytes_out = 0
         self.requests_served = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._lock = threading.Lock()
+        self._live: Set[socket.socket] = set()
+        self._server: Optional[_ThreadedServer] = None
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                try:
-                    request, consumed = await asyncio.wait_for(
-                        _read_request(reader, self.max_body), self.timeout)
-                except EOFError:
-                    break
-                except asyncio.TimeoutError:
-                    break
-                except _BadRequest as exc:
-                    response = Response.error(exc.status, exc.message)
-                    payload = response.encode()
-                    self.bytes_out += len(payload)
-                    writer.write(payload)
-                    await writer.drain()
-                    break
-                self.bytes_in += consumed
-                self.requests_served += 1
-                response = await loop.run_in_executor(
-                    None, self._dispatch, request)
-                payload = response.encode()
-                self.bytes_out += len(payload)
-                writer.write(payload)
-                await writer.drain()
-                if request.headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def _count(self, bytes_in: int, bytes_out: int, requests: int) -> None:
+        with self._lock:
+            self.bytes_in += bytes_in
+            self.bytes_out += bytes_out
+            self.requests_served += requests
 
     def _dispatch(self, request: Request) -> Response:
         try:
@@ -296,53 +304,32 @@ class HttpServer:
             return Response.error(
                 500, f"{type(exc).__name__}: {exc}")
 
-    # ------------------------------------------------------------------
-    # Asyncio serving + threaded lifecycle
-    # ------------------------------------------------------------------
-    async def serve(self) -> None:
-        """Run until :meth:`request_stop`."""
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle, self.host, self.port,
-                limit=MAX_HEADER_BLOCK)
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.address = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._stop.wait()
-
-    def request_stop(self) -> None:
-        """Signal the serve loop to exit (safe from any thread)."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed: the server is down, which is the goal
-
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
-        """Serve on a daemon thread; returns the bound ``(host, port)``."""
-        if self._thread is not None:
+    def start(self) -> Tuple[str, int]:
+        """Bind, then serve on a daemon thread; returns the bound
+        ``(host, port)``."""
+        if self._server is not None:
             raise HttpError(500, "http server already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self.serve()),
-            name="repro-service-http", daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise HttpError(500, "http server did not start in time")
-        if self._startup_error is not None:
-            raise HttpError(
-                500, f"http server failed to bind: {self._startup_error}")
-        assert self.address is not None
+        try:
+            self._server = _ThreadedServer(self)
+        except OSError as exc:
+            raise HttpError(500, f"http server failed to bind: {exc}") \
+                from None
+        host, port = self._server.server_address[:2]
+        self.address = (str(host), int(port))
+        threading.Thread(target=self._server.serve_forever,
+                         args=(_POLL_INTERVAL,), name="repro-service-http",
+                         daemon=True).start()
         return self.address
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop the threaded server and join its thread."""
-        self.request_stop()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
+    def stop(self) -> None:
+        """Stop the accept loop (returns once it has), close the
+        listener and hang up every open connection."""
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.shutdown()
+        server.server_close()
+        with self._lock:
+            live = list(self._live)
+        for connection in live:
+            frames.hang_up(connection)

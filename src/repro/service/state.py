@@ -258,7 +258,6 @@ class ServiceState:
             "seed": identity.seed,
             "use_oprf": identity.use_oprf,
             "num_cliques": identity.num_cliques,
-            "share_pad_streams": identity.share_pad_streams,
             "epoch0_roster": sorted(first.roster),
             "transitions": [{"joins": list(e.joins), "leaves": list(e.leaves),
                              "first_round": e.first_round} for e in later],

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,6 +62,9 @@ class SessionRecord:
     :func:`~repro.protocol.enrollment.enroll_users`), which is what
     makes crash-resume possible: re-deriving key material from this
     record reproduces the exact DH pairs and pad streams.
+    ``share_pad_streams`` is kept for stores written when sharing was
+    optional; shared or not, every pad byte is the same, so it is not
+    part of the identity.
     """
 
     name: str
@@ -69,7 +72,7 @@ class SessionRecord:
     seed: int
     use_oprf: bool
     num_cliques: int
-    share_pad_streams: bool
+    share_pad_streams: bool = field(compare=False)
     client_backend: str = "objects"
 
 

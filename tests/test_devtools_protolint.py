@@ -24,7 +24,7 @@ from repro.devtools.protolint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: A path inside the protocol package (in scope for PL001–PL004).
+#: A path inside the protocol package (in scope for PL001, PL002, PL004).
 PROTO = "src/repro/protocol/net/fake.py"
 
 
@@ -77,8 +77,8 @@ class TestPL001:
 
     def test_service_package_is_in_scope(self):
         """The HTTP service plane gets no raw sockets either: its only
-        byte paths are asyncio streams and http.client, and protocol
-        bytes move through the transport seam underneath."""
+        byte paths are socketserver's request streams and http.client,
+        and protocol bytes move through the transport seam underneath."""
         source = (
             "import socket\n"
             "def leak():\n"
@@ -174,72 +174,6 @@ class TestPL002:
         source = "import numpy as np\n" + "x = np.zeros(1).sum()\n" * 50
         assert lint_source(source, "src/repro/sketch/fake.py", rules=[pl002]) == []
         assert sorted(builds) == ["numpy", "numpy", "os", "os", "random", "random"]
-
-
-# ---------------------------------------------------------------------------
-# PL003 — no blocking calls inside async def
-# ---------------------------------------------------------------------------
-
-
-class TestPL003:
-    def test_flags_sleep_and_subprocess_in_async(self):
-        source = (
-            "import subprocess\n"
-            "import time\n"
-            "async def handle():\n"
-            "    time.sleep(1)\n"
-            "    subprocess.run(['true'])\n"
-        )
-        assert ids(lint_source(source, PROTO)) == ["PL003", "PL003"]
-
-    def test_flags_blocking_socket_op_in_async(self):
-        source = (
-            "import socket\n"
-            "async def pump(sock: socket.socket):\n"
-            "    return sock.recv(4)\n"
-        )
-        # PL001 also fires (raw socket outside the seam); PL003 is the
-        # async-specific finding under test here.
-        assert "PL003" in ids(lint_source(source, PROTO))
-
-    def test_near_miss_sync_def_and_nested_sync_pass(self):
-        source = (
-            "import time\n"
-            "def sync_path():\n"
-            "    time.sleep(1)\n"
-            "async def outer():\n"
-            "    def inner():\n"
-            "        time.sleep(1)\n"
-            "    return inner\n"
-        )
-        assert lint_source(source, PROTO) == []
-
-    def test_near_miss_asyncio_sleep_passes(self):
-        source = (
-            "import asyncio\n"
-            "async def handle():\n"
-            "    await asyncio.sleep(1)\n"
-        )
-        assert lint_source(source, PROTO) == []
-
-    def test_service_event_loop_is_in_scope(self):
-        """The HTTP plane holds the package's one event loop: a blocking
-        call in its handlers stalls every remote client."""
-        source = (
-            "import time\n"
-            "async def handle():\n"
-            "    time.sleep(1)\n"
-        )
-        findings = lint_source(source, "src/repro/service/fake.py")
-        assert ids(findings) == ["PL003"]
-
-    def test_escape_hatch_roundtrip(self):
-        source = (
-            "import time\n"
-            "async def handle():\n"
-            "    time.sleep(1)  # protolint: disable=PL003 (fixture)\n"
-        )
-        assert lint_source(source, PROTO) == []
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +348,11 @@ class TestSuppressionLinting:
 
     def test_multi_rule_disable(self):
         source = (
+            "import random\n"
             "import socket\n"
-            "async def pump(sock: socket.socket):\n"
-            "    return sock.recv(4)"
-            "  # protolint: disable=PL001, PL003 (fixture)\n"
+            "def pump(sock: socket.socket):\n"
+            "    return sock.recv(random.randint(1, 4))"
+            "  # protolint: disable=PL001, PL002 (fixture)\n"
         )
         assert lint_source(source, PROTO) == []
 
@@ -429,7 +364,7 @@ class TestSuppressionLinting:
 
 class TestFramework:
     def test_catalogue_is_complete(self):
-        assert sorted(REGISTRY) == ["PL001", "PL002", "PL003", "PL004", "PL005"]
+        assert sorted(REGISTRY) == ["PL001", "PL002", "PL004", "PL005"]
         for rule_cls in REGISTRY.values():
             assert rule_cls.title and rule_cls.hint
 

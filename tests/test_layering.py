@@ -54,12 +54,13 @@ def test_there_is_one_aggregator_pool_and_one_proxy():
     assert offenders == []
 
 
-def test_the_protocol_layer_runs_no_event_loop():
+def test_the_package_runs_no_event_loop():
     """An aggregator worker answers its one proxy in a blocking
-    request/reply loop: nothing under protocol/ imports asyncio or
+    request/reply loop, and the HTTP plane serves each connection on a
+    thread of its own: nothing in the package imports asyncio or
     defines a coroutine."""
     offenders = []
-    for path in sorted((SRC / "protocol").rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

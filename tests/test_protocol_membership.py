@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig
-from repro.crypto.blinding import PadStreamProvider
+from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
 from repro.errors import ConfigurationError, RoundStateError
 from repro.protocol.army import ClientArmy
-from repro.protocol.client import RoundConfig
+from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.endpoint import clique_endpoint_id
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import Epoch, MembershipManager, reshard
@@ -456,14 +456,24 @@ class TestDeterminism:
 class TestPadStreamProvider:
     def test_cached_streams_match_uncached_reports_bitwise(self):
         cached = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
-                              num_cliques=3, share_pad_streams=True)
-        uncached = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
-                                num_cliques=3, share_pad_streams=False)
+                              num_cliques=3)
         assert cached.pad_streams is not None
-        assert uncached.pad_streams is None
+        # The reference: the same key material behind provider-less
+        # generators, each deriving its own streams.
+        publics = {cached.index_of[u]: kp.public
+                   for u, kp in cached.keypairs.items()}
+        uncached = []
+        for client in cached.clients:
+            blinding = BlindingGenerator(
+                cached.group, cached.index_of[client.user_id],
+                cached.keypairs[client.user_id],
+                {j: publics[j] for j in client.blinding.peer_indexes})
+            uncached.append(ProtocolClient(client.user_id, CONFIG, blinding,
+                                           cached.ad_mapper,
+                                           clique_id=client.clique_id))
         observe(cached.clients)
-        observe(uncached.clients)
-        for a, b in zip(cached.clients, uncached.clients):
+        observe(uncached)
+        for a, b in zip(cached.clients, uncached):
             assert a.build_report(4).cells == b.build_report(4).cells
 
     def test_each_pair_stream_computed_once_per_round(self):

@@ -10,6 +10,7 @@ from repro.protocol.messages import (
     BlindingAdjustment,
     CleartextReport,
     MissingClientsNotice,
+    PartialAggregate,
     PublicKeyAnnouncement,
     ThresholdBroadcast,
 )
@@ -26,6 +27,16 @@ SAMPLES = [
     BlindingAdjustment("user-4", round_id=2, cells=(7, 8, 9)),
     ThresholdBroadcast(round_id=4, users_threshold=2.25),
 ]
+#: One sample of every wire type, multi-byte characters included.
+EVERY_TYPE = [pytest.param(m, id=type(m).__name__) for m in SAMPLES] + [
+    pytest.param(CleartextReport("üser", 1, urls=("http://ü.example/päth",)),
+                 id="CleartextReport-unicode"),
+    pytest.param(PartialAggregate(clique_id=3, round_id=5, cells=(1, 2, 3),
+                                  reported=("user-1", "üser-2"),
+                                  missing=("user-3",)),
+                 id="PartialAggregate"),
+]
+HEADER = 16
 
 
 class TestRoundTrip:
@@ -101,3 +112,21 @@ class TestErrors:
         report = CleartextReport("u", 1, urls=("x" * 70000,))
         with pytest.raises(ProtocolError):
             encode(report)
+
+    @pytest.mark.parametrize("message", EVERY_TYPE)
+    def test_every_truncation_is_a_protocol_error(self, message):
+        """Cut the payload anywhere and fix the header's length field up,
+        so only the payload parser can notice."""
+        data = encode(message)
+        payload = data[HEADER:]
+        for cut in range(len(payload)):
+            header = bytearray(data[:HEADER])
+            header[8:12] = cut.to_bytes(4, "big")
+            with pytest.raises(ProtocolError):
+                decode(bytes(header) + payload[:cut])
+
+    def test_string_length_past_the_payload_is_a_protocol_error(self):
+        data = bytearray(encode(BlindedReport("ab", 1, cells=(1, 2))))
+        data[HEADER:HEADER + 2] = (200).to_bytes(2, "big")
+        with pytest.raises(ProtocolError, match="overruns"):
+            decode(bytes(data))

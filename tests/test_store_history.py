@@ -116,6 +116,18 @@ class TestSessionAndEpochDAOs:
             with pytest.raises(StoreError, match="different"):
                 store.record_session(_session_record(seed=99))
 
+    def test_pad_stream_sharing_is_not_part_of_the_identity(self):
+        """A store written when sharing was optional may record 0;
+        sharing never changed a pad byte, so the session still attaches
+        and resumes."""
+        with HistoryStore() as store:
+            store.record_session(_session_record(
+                name="live", use_oprf=True, num_cliques=1,
+                share_pad_streams=False))
+            _run_round(store)
+            ProtocolSession.resume(store, "live", own_store=False).close()
+            assert not store.session_record("live").share_pad_streams
+
     def test_epoch_records_ordered_and_immutable(self):
         with HistoryStore() as store:
             store.record_session(_session_record())
