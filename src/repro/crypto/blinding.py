@@ -3,23 +3,31 @@
 Following Kursawe, Danezis & Kohlweiss, user ``u_i`` blinds the ``m``-th
 cell of its report in round ``s`` with
 
-    b_i[m] = sum_{j != i}  H(y_j^{x_i} || s)[m] * (-1)^{i > j}   (mod 2^32)
+    b_i[m] = sum_{j != i}  H(y_j^{x_i} || s)[m] * (-1)^{i < j}   (mod 2^32)
 
 where ``y_j^{x_i}`` is the pairwise DH shared secret with user ``u_j``
-and ``H(.)[m]`` is the ``m``-th 32-bit block of an extendable-output
-function (SHAKE-256) keyed by the shared secret and the round number.
-Because ``H`` is evaluated on the *shared* secret, users ``i`` and ``j``
-derive the same keystream with opposite signs, so summing all users'
-blinding vectors gives zero in every cell — without any interaction
-beyond the one-time public-key exchange.
+and ``H(.)[m]`` is the ``m``-th 32-bit block of the pad XOF: SHAKE-128
+absorbing the shared secret's bytes, then the round id as 8 signed
+big-endian bytes, squeezed for ``4 * cells`` bytes read as big-endian
+``uint32``. Because ``H`` is evaluated on the *shared* secret, users
+``i`` and ``j`` derive the same keystream with opposite signs, so
+summing all users' blinding vectors gives zero in every cell — without
+any interaction beyond the one-time public-key exchange.
 
 Using one XOF call per (peer, round) instead of one hash per cell keeps
 the construction equivalent (a PRF keyed by the DH secret) while making
-rounds with thousands of sketch cells practical.
+rounds with thousands of sketch cells practical. SHAKE-128 is rated at
+128-bit strength (FIPS 202), above every bundled DH group (the largest,
+1024-bit Oakley group 2, is about 80 bits per NIST SP 800-57), so the
+extra capacity of SHAKE-256 would buy nothing and cost a fifth of every
+squeeze. Changing the XOF changes every pad byte, so a remote client and
+its operator must run the same release.
 
 Arithmetic is modulo ``2**32`` (matching the paper's 4-byte CMS cells):
 blinded cells are uniformly random individually, yet their sum recovers
-the true aggregate as long as true cell sums stay below ``2**32``.
+the true aggregate as long as true cell sums stay below ``2**32``. The
+blinding sums accumulate in wrapping ``uint32``, which is exact mod
+``2^32``, so the order and grouping of the additions cannot matter.
 
 Cancellation is a property of whichever *peer set* a generator was built
 over, not of the global population: when enrollment shards users into
@@ -43,7 +51,7 @@ A real deployment's clients derive every (pair, round) stream locally,
 and so does a :class:`BlindingGenerator` built without a provider. An
 in-process session, however, hosts *both* ends of every pair, and the
 two ends derive byte-identical streams from the same shared secret —
-half of all SHAKE-256 work in a simulated round is duplicated. A
+half of all pad XOF work in a simulated round is duplicated. A
 :class:`PadStreamProvider` shared across an enrollment removes that
 duplication: it keeps one absorbed XOF state per pair for the lifetime
 of an epoch (successive rounds fork the cached state instead of
@@ -57,10 +65,10 @@ Batched cliques
 A caller hosting a whole clique (:class:`~repro.protocol.army.
 ClientArmy`) needs every member's ``b_i`` at once, and the formula above
 is a running sum: :meth:`PadStreamProvider.clique_blinding` squeezes each
-pair's keystream once, adds it into the two members' ``uint64``
-accumulators (:func:`_scatter_rows`) and drops it. The working set is
-the ``(members, cells)`` accumulators plus one keystream row, and the
-cost is the squeeze itself; the ``(pairs, cells)`` pad matrix
+pair's keystream once, adds it into its two members' rows of one
+``uint32`` accumulator (:func:`_scatter_rows`) and drops it. The working
+set is the ``(members, cells)`` accumulator plus one keystream row, and
+the cost is the squeeze itself; the ``(pairs, cells)`` pad matrix
 (:meth:`PadStreamProvider.clique_matrix`) exists for inspection only and
 feeds the same kernel through
 :meth:`BlindingGenerator.accumulate_clique_matrix`.
@@ -104,32 +112,27 @@ PairKey = Tuple[int, int]
 def reduce_cells(values: np.ndarray) -> np.ndarray:
     """``values mod 2^32`` for an **unsigned** array, as a bit mask.
 
-    The one reduction every blinded sum ends in — blinding vectors,
-    blinded reports, and each aggregation tier's partial. For ``uint64``
-    (any unsigned dtype) keeping the low 32 bits *is* the remainder, also
-    for a wrapped ``pos - neg`` with ``neg > pos``: ``uint64`` arithmetic
-    is exact mod ``2^64`` and ``2^32`` divides ``2^64``. The mask is
-    several times cheaper than NumPy's 64-bit division (1.7 vs 16 µs on
-    a ``(4, 1024)`` matrix). Signed arrays are refused (NumPy has no
-    ``int64 & uint64``): their negatives need a real ``%``.
+    The one reduction every blinded sum ends in — blinded reports and
+    each aggregation tier's partial. For any unsigned dtype keeping the
+    low 32 bits *is* the remainder, and the mask is several times
+    cheaper than NumPy's 64-bit division (1.7 vs 16 µs on a ``(4,
+    1024)`` matrix). Signed arrays are refused (NumPy has no ``int64 &
+    uint64``): their negatives need a real ``%``.
     """
     return values & _CELL_MASK
 
 
 def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
-    """SHAKE-256 with the pair's shared secret absorbed, round not yet."""
-    xof = hashlib.shake_256()
+    """The pad XOF with the pair's shared secret absorbed, round not yet."""
+    xof = hashlib.shake_128()
     xof.update(secret_bytes)
     return xof
 
 
 def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.ndarray:
-    """Fork an absorbed XOF state with the round id and squeeze cells.
-
-    The byte stream is viewed as big-endian 32-bit cells and returned as
-    a native ``uint32`` array; accumulation sums these into ``uint64``
-    totals, which cannot wrap before the final mod-2^32 reduction.
-    """
+    """Fork an absorbed XOF state with the round id and squeeze cells:
+    the byte stream read as big-endian 32-bit cells, returned as a
+    native ``uint32`` array."""
     xof = absorbed.copy()
     xof.update(round_id.to_bytes(8, "big", signed=True))
     raw = xof.digest(num_cells * _CELL_BYTES)
@@ -151,21 +154,18 @@ def _scatter_rows(
     in pair order; ``lo_rows[p]`` / ``hi_rows[p]`` give the output row
     (member position) of pair ``p``'s low- and high-index end. Each
     stream is added into (at most) two rows of the ``(num_members,
-    num_cells)`` ``uint64`` pos/neg accumulators and can then be dropped,
+    num_cells)`` wrapping ``uint32`` accumulator and can then be dropped,
     so a lazy ``streams`` keeps one row alive at a time. Row ``m`` of the
     result equals ``BlindingGenerator._accumulate(peers_of_m, ...)``
-    bit-for-bit, because both take exact ``uint64`` sums of the same
-    ``uint32`` streams (fewer than ``2^32`` peers cannot wrap 64 bits)
-    and reduce mod ``2^32`` once at the end — the grouping of the
-    additions cannot matter.
+    bit-for-bit: both are sums mod ``2^32`` of the same streams.
 
     The sign convention is ``_accumulate``'s: for a pair ``(lo, hi)``,
-    the high end sees ``hi > lo`` so its stream lands in ``pos``
-    (``neg`` under ``negate=True``, the recovery adjustment), and the
-    low end the opposite. A row index of ``-1`` discards that end —
-    used when a pair's other end lies outside the output population (a
-    dropout-recovery pad whose missing member produces no adjustment).
-    The row maps are checked before the first stream is pulled.
+    the high end adds the stream and the low end subtracts it (the
+    opposite under ``negate=True``, the recovery adjustment). A row
+    index of ``-1`` discards that end — used when a pair's other end
+    lies outside the output population (a dropout-recovery pad whose
+    missing member produces no adjustment). The row maps are checked
+    before the first stream is pulled.
     """
     lo = np.asarray(lo_rows, dtype=np.intp)
     hi = np.asarray(hi_rows, dtype=np.intp)
@@ -174,15 +174,14 @@ def _scatter_rows(
             f"need one lo/hi row per pair: pad has {num_pairs} "
             f"pairs, got {lo.shape} / {hi.shape}"
         )
-    pos = np.zeros((num_members, num_cells), dtype=np.uint64)
-    neg = np.zeros_like(pos)
-    hi_acc, lo_acc = (neg, pos) if negate else (pos, neg)
-    for stream, lo_row, hi_row in zip(streams, lo.tolist(), hi.tolist()):
-        if hi_row >= 0:
-            hi_acc[hi_row] += stream
-        if lo_row >= 0:
-            lo_acc[lo_row] += stream
-    return reduce_cells(pos - neg)
+    plus, minus = (lo, hi) if negate else (hi, lo)
+    acc = np.zeros((num_members, num_cells), dtype=np.uint32)
+    for stream, plus_row, minus_row in zip(streams, plus.tolist(), minus.tolist()):
+        if plus_row >= 0:
+            acc[plus_row] += stream
+        if minus_row >= 0:
+            acc[minus_row] -= stream
+    return acc
 
 
 class PadStreamProvider:
@@ -192,7 +191,7 @@ class PadStreamProvider:
     enrollment (an epoch's worth of clients living in one process). It
     caches two things:
 
-    * per pair — the SHAKE-256 state with the shared secret already
+    * per pair — the XOF state with the shared secret already
       absorbed, kept for the whole epoch so each round *extends* the
       pair's stream family (fork + squeeze) instead of re-deriving the
       state from scratch;
@@ -263,11 +262,10 @@ class PadStreamProvider:
     ) -> np.ndarray:
         """The pair's unsigned keystream for one round.
 
-        A read-only native ``uint32`` array of values in ``[0, 2^32)``
-        (callers accumulate into ``uint64`` totals). ``pair`` must be
-        the ordered ``(low_index, high_index)`` tuple; both members pass
+        A read-only native ``uint32`` array. ``pair`` must be the
+        ordered ``(low_index, high_index)`` tuple; both members pass
         the same shared-secret bytes, so whichever asks first pays the
-        SHAKE-256 squeeze and the other reuses the cached bytes.
+        squeeze and the other reuses the cached bytes.
         """
         key = (pair, round_id, num_cells)
         stream = self._streams.pop(key, None)
@@ -370,16 +368,15 @@ class PadStreamProvider:
         :meth:`BlindingGenerator.blinding_vector_array` (its
         :meth:`~BlindingGenerator.adjustment_for_missing_array` under
         ``negate=True`` with ``-1`` rows for the missing ends; see
-        :func:`_scatter_rows` for the row maps and the exactness
-        argument). Each pair's row is squeezed, added into its two
-        members' accumulators and dropped, so the working set is the
-        accumulators plus one ``4 * num_cells``-byte row — the ``(pairs,
-        cells)`` pad matrix is never built.
+        :func:`_scatter_rows` for the row maps). Each pair's row is
+        squeezed, added into its two members' rows and dropped, so the
+        working set is the accumulator plus one ``4 * num_cells``-byte
+        row — the ``(pairs, cells)`` pad matrix is never built.
         """
         rows = self._clique_rows(pairs, secrets, round_id, num_cells)
         return _scatter_rows(
             rows, len(pairs), num_cells, lo_rows, hi_rows, num_members, negate
-        )
+        ).astype(np.uint64)
 
     def forget_users(self, user_indexes: Iterable[int]) -> None:
         """Drop cached state for every pair touching any of the given
@@ -423,7 +420,7 @@ class BlindingGenerator:
         The DH group all users share.
     user_index:
         This user's position in the canonical (sorted) user ordering. The
-        ``(-1)^(i > j)`` sign convention needs a total order on users.
+        ``(-1)^(i < j)`` sign convention needs a total order on users.
     keypair:
         This user's DH key pair.
     peer_publics:
@@ -527,22 +524,15 @@ class BlindingGenerator:
     def _accumulate(
         self, peers: Sequence[int], round_id: int, num_cells: int, negate: bool
     ) -> np.ndarray:
-        # Positive and negative stream sums accumulate separately (each
-        # stream value is < 2^32, so fewer than 2^32 peers cannot wrap
-        # uint64), then one wrapping subtraction: uint64 arithmetic is
-        # exact mod 2^64 and 2^32 divides 2^64, so the final mod-2^32
-        # reduction is bit-identical to negating every stream into
-        # [0, 2^32) and summing — without materializing a negated copy
-        # per peer.
-        pos = np.zeros(num_cells, dtype=np.uint64)
-        neg = np.zeros(num_cells, dtype=np.uint64)
+        # Wrapping uint32 is exact mod 2^32, the blinding modulus.
+        acc = np.zeros(num_cells, dtype=np.uint32)
         for peer in peers:
             stream = self._unsigned_stream(peer, round_id, num_cells)
             if (self.user_index > peer) != negate:
-                pos += stream
+                acc += stream
             else:
-                neg += stream
-        return reduce_cells(pos - neg)
+                acc -= stream
+        return acc.astype(np.uint64)
 
     @staticmethod
     def accumulate_clique_matrix(
@@ -567,11 +557,11 @@ class BlindingGenerator:
                 f"pad_matrix must be 2-D (pairs x cells), got shape {pad.shape}"
             )
         if pad.dtype.kind != "u":
-            pad = pad.astype(np.uint64)
+            pad = pad.astype(np.uint32)
         num_pairs, num_cells = pad.shape
         return _scatter_rows(
             pad, num_pairs, num_cells, lo_rows, hi_rows, num_members, negate
-        )
+        ).astype(np.uint64)
 
     def blinding_vector_array(
         self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None

@@ -21,15 +21,16 @@ the *protocol* — every message, every byte — and deletes the objects:
 * a clique is blinded by one
   :meth:`~repro.crypto.blinding.PadStreamProvider.clique_blinding` call,
   which squeezes each pair's keystream once, adds it into the pair's two
-  members' accumulators and drops it — the round's floor is the SHAKE-256
-  squeeze, and no ``(pairs, cells)`` pad matrix is ever held;
+  members' accumulator rows and drops it — the round's floor is the
+  squeeze of the pad XOF in ``crypto/blinding.py``, and no ``(pairs,
+  cells)`` pad matrix is ever held;
 * because both backends consume the same
   :func:`~repro.protocol.enrollment.derive_key_material` derivation and
-  the blinding sum is an exact integer sum under ``uint64`` (reduced
-  once mod 2^32), every :class:`~repro.protocol.messages.BlindedReport`
-  is **byte-identical** to what the per-object path emits for the same
-  ``(user_ids, seed)`` — the equivalence suite in
-  ``tests/test_protocol_army.py`` holds that line.
+  the blinding sum is exact mod 2^32 in any order, every
+  :class:`~repro.protocol.messages.BlindedReport` is **byte-identical**
+  to what the per-object path emits for the same ``(user_ids, seed)`` —
+  the equivalence suite in ``tests/test_protocol_army.py`` holds that
+  line.
 
 Transport-wise the army registers every hosted user id as an *alias* of
 its single mailbox (:meth:`~repro.protocol.transport.InMemoryTransport.
@@ -383,7 +384,8 @@ class ClientArmy(ProtocolEndpoint):
         blinding = self.pad_streams.clique_blinding(
             pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
             self.config.num_cells)
-        blinded = reduce_cells(cells + blinding)
+        cells += blinding
+        blinded = reduce_cells(cells)
         uplink = clique_endpoint_id(clique)
         outbox: Outbox = []
         reported: List[str] = []

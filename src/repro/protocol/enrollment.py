@@ -254,9 +254,9 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     the default of 1 reproduces the unsharded protocol exactly.
 
     Every client is wired to one :class:`~repro.crypto.blinding.
-    PadStreamProvider`, halving the SHAKE-256 pad work of an in-process
-    session; the streams are byte-identical to the ones a deployment
-    client derives on its own, so every report and aggregate is too.
+    PadStreamProvider`, halving the session's work for the pad XOF in
+    ``crypto/blinding.py``; the streams are byte-identical to the ones a
+    deployment client derives on its own, so every report is too.
     """
     material = derive_key_material(user_ids, config, group=group, seed=seed,
                                    use_oprf=use_oprf, oprf_bits=oprf_bits,

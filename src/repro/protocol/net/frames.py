@@ -106,7 +106,11 @@ def unpack_name(body: bytes) -> Tuple[str, bytes]:
     (length,) = struct.unpack_from(">H", body, 0)
     if len(body) < 2 + length:
         raise ProtocolError("frame body truncated inside its name field")
-    return body[2 : 2 + length].decode("utf-8"), body[2 + length :]
+    try:
+        name = body[2 : 2 + length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"frame name is not UTF-8: {exc}") from None
+    return name, body[2 + length :]
 
 
 def pack_json(payload: Dict[str, Any]) -> bytes:
@@ -116,7 +120,7 @@ def pack_json(payload: Dict[str, Any]) -> bytes:
 def unpack_json(body: bytes) -> Dict[str, Any]:
     try:
         decoded = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed JSON frame body: {exc}") from None
     if not isinstance(decoded, dict):
         raise ProtocolError("JSON frame body must be an object")

@@ -5,8 +5,10 @@ users gives zero in every cell (mod 2^32), so blinded reports aggregate to
 the true sum.
 """
 
+import hashlib
 import random
 from typing import Dict, List, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from repro.crypto.blinding import (
     reduce_cells,
 )
 from repro.crypto.group import DHGroup
+from repro.protocol import wire
+from repro.protocol.client import RoundConfig
+from repro.protocol.enrollment import enroll_users
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +342,155 @@ class TestCliqueBlinding:
         assert set(provider._absorbed) == {p for p in pairs if 9 not in p}
         provider.forget_users([2, 5, 14])
         assert not provider._absorbed and not provider._pairs_of
+
+
+def reference_stream(secret: bytes, round_id: int, num_cells: int) -> List[int]:
+    """The pad keystream from bare ``hashlib``: SHAKE-128 over the secret
+    then the round id (8 signed big-endian bytes), read as big-endian
+    32-bit cells."""
+    raw = hashlib.shake_128(
+        secret + round_id.to_bytes(8, "big", signed=True)).digest(4 * num_cells)
+    return [int.from_bytes(raw[k:k + 4], "big") for k in range(0, len(raw), 4)]
+
+
+class TestPadPRG:
+    """Known answers for the pad XOF: any change to a pad byte fails here."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=1, max_size=64),
+           st.integers(min_value=-2**63, max_value=2**63 - 1),
+           st.integers(min_value=1, max_value=64))
+    def test_squeeze_matches_bare_shake128(self, secret, round_id, num_cells):
+        absorbed = blinding_module._absorb(secret)
+        stream = blinding_module._squeeze(absorbed, round_id, num_cells)
+        assert stream.dtype == np.uint32
+        assert stream.tolist() == reference_stream(secret, round_id, num_cells)
+        # Forking leaves the absorbed state reusable for the next round.
+        assert blinding_module._squeeze(absorbed, round_id, num_cells).tolist() \
+            == stream.tolist()
+
+    def test_stream_known_answer(self):
+        stream = blinding_module._squeeze(
+            blinding_module._absorb(bytes(range(32))), 7, 1024)
+        assert hashlib.sha256(stream.astype(">u4").tobytes()).hexdigest() == (
+            "d633c1badee80d96abc337893b3fb184a6d3951d718064efdad3256f8b4325c1")
+
+    def test_blinded_report_known_answer(self):
+        config = RoundConfig(cms_depth=2, cms_width=16, cms_seed=7,
+                             id_space=100)
+        enrollment = enroll_users(["alice", "bob", "carol"], config, seed=3,
+                                  use_oprf=False)
+        for i, client in enumerate(enrollment.clients):
+            client.observe_ad(f"https://ads.example/{i}")
+            client.observe_ad("https://ads.example/shared")
+        encoded = wire.encode(enrollment.clients[1].build_report(5))
+        assert hashlib.sha256(encoded).hexdigest() == (
+            "f17384c9e8714ed72da8caeffd4214147989f1bb58acc0b8afbffafa891bc8a5")
+
+
+_MAX_CELL = 2**32 - 1
+
+
+def oracle_pad(mode: str, seed: int, num_pairs: int, num_cells: int) -> np.ndarray:
+    """A ``(pairs, cells)`` ``uint32`` pad whose rows are all
+    ``0xFFFFFFFF`` (``max``), all zero, random, or (``mixed``) one of the
+    three each."""
+    rng = np.random.default_rng(seed)
+    pad = rng.integers(0, 2**32, (num_pairs, num_cells), dtype=np.uint32)
+    kinds = {"max": 0, "zero": 1, "random": 2}.get(mode)
+    kind = rng.integers(0, 3, num_pairs) if kinds is None else np.full(
+        num_pairs, kinds)
+    pad[kind == 0] = _MAX_CELL
+    pad[kind == 1] = 0
+    return pad
+
+
+def signed_sum(terms: Sequence[Tuple[int, np.ndarray]], num_cells: int) -> List[int]:
+    """``sum(sign * int(s)) % 2**32`` per cell, in Python ints."""
+    return [sum(sign * int(stream[c]) for sign, stream in terms) % 2**32
+            for c in range(num_cells)]
+
+
+@pytest.fixture(scope="module")
+def population_of_64(group) -> List[BlindingGenerator]:
+    return make_users(group, 64, seed=11)
+
+
+_MODES = st.sampled_from(["max", "zero", "random", "mixed"])
+_SEEDS = st.integers(min_value=0, max_value=2**32)
+
+
+class TestAccumulatorOracle:
+    """Both accumulators against the blinding formula summed in Python
+    ints, including streams at the wrap boundary and 64-member cliques."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=64),
+           st.integers(min_value=1, max_value=4), _MODES, _SEEDS,
+           st.booleans(), st.none() | _SEEDS)
+    def test_scatter_rows_and_matrix(self, members, num_cells, mode, seed,
+                                     negate, scramble):
+        """``scramble=None`` is a whole clique's wiring; otherwise each
+        end keeps its member row, is discarded (``-1``) or lands on any
+        row."""
+        pairs = [(a, b) for a in range(members) for b in range(a + 1, members)]
+        lo = np.asarray([a for a, _ in pairs], dtype=np.intp)
+        hi = np.asarray([b for _, b in pairs], dtype=np.intp)
+        if scramble is not None:
+            rng = np.random.default_rng(scramble)
+            for ends in (lo, hi):
+                choice = rng.integers(0, 3, len(pairs))
+                ends[choice == 1] = -1
+                ends[choice == 2] = rng.integers(0, members,
+                                                 int((choice == 2).sum()))
+        pad = oracle_pad(mode, seed, len(pairs), num_cells)
+        terms: Dict[int, List[Tuple[int, np.ndarray]]] = {
+            m: [] for m in range(-1, members)}
+        sign = -1 if negate else 1
+        for stream, lo_row, hi_row in zip(pad, lo.tolist(), hi.tolist()):
+            terms[hi_row].append((sign, stream))
+            terms[lo_row].append((-sign, stream))
+        expected = [signed_sum(terms[m], num_cells) for m in range(members)]
+        scattered = blinding_module._scatter_rows(
+            iter(pad), len(pairs), num_cells, lo, hi, members, negate)
+        assert scattered.tolist() == expected
+        for matrix in (pad, pad.astype(np.uint64)):
+            result = BlindingGenerator.accumulate_clique_matrix(
+                matrix, lo, hi, members, negate=negate)
+            assert result.dtype == np.uint64
+            assert result.tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=4), _MODES, _SEEDS,
+           st.integers(min_value=-5, max_value=1000))
+    def test_generator_vectors_and_adjustments(self, population_of_64, data,
+                                               num_cells, mode, seed,
+                                               round_id):
+        """``peers=None`` sums all 63 peers of a 64-member clique."""
+        users = population_of_64
+        user = users[data.draw(st.integers(min_value=0, max_value=63))]
+        others = [u.user_index for u in users if u is not user]
+        subsets = st.lists(st.sampled_from(others), unique=True)
+        peers = data.draw(st.none() | subsets)
+        missing = data.draw(st.just(others) | subsets)
+        pad = oracle_pad(mode, seed, len(users), num_cells)
+        row_of = {user._secret_bytes[peer]: peer for peer in others}
+
+        def fake_squeeze(secret, squeeze_round, cells):
+            assert squeeze_round == round_id and cells == num_cells
+            return pad[row_of[secret]]
+
+        def up(peer):  # +1 when this user is the pair's high end
+            return 1 if user.user_index > peer else -1
+
+        with mock.patch.object(blinding_module, "_absorb", lambda s: s), \
+                mock.patch.object(blinding_module, "_squeeze", fake_squeeze):
+            vector = user.blinding_vector_array(num_cells, round_id, peers)
+            adjustment = user.adjustment_for_missing_array(
+                missing, num_cells, round_id)
+        assert vector.dtype == adjustment.dtype == np.uint64
+        assert vector.tolist() == signed_sum(
+            [(up(p), pad[p]) for p in (others if peers is None else peers)],
+            num_cells)
+        assert adjustment.tolist() == signed_sum(
+            [(-up(p), pad[p]) for p in missing], num_cells)

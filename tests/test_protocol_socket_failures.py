@@ -12,8 +12,11 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ProtocolError, RoundStateError
@@ -152,6 +155,116 @@ def test_worker_connection_drops_after_oversized_frame():
         pool.close()
 
 
+def test_non_utf8_name_is_an_unmarked_protocol_error():
+    with pytest.raises(ProtocolError, match="not UTF-8") as excinfo:
+        frames.unpack_name(b"\x00\x02\xff\xfe" + b"payload")
+    assert not excinfo.value.peer_dead and not excinfo.value.timed_out
+
+
+# ---------------------------------------------------------------------------
+# Frame readers under mutated valid frames
+# ---------------------------------------------------------------------------
+
+_FUZZ_MAX_FRAME = 1024
+
+_VALID_BODIES = st.one_of(
+    st.builds(lambda r: (frames.ROUND_START, frames.pack_round(r)),
+              st.integers(min_value=0, max_value=2**32 - 1)),
+    st.builds(lambda name, rest: (frames.OUT, frames.pack_name(name) + rest),
+              st.text(max_size=12), st.binary(max_size=48)),
+    st.builds(lambda spec: (frames.SET_RULE, frames.pack_json(spec)),
+              st.dictionaries(st.text(max_size=6),
+                              st.none() | st.integers() | st.text(max_size=6),
+                              max_size=4)),
+)
+
+
+@st.composite
+def _mutated(draw, valid: bytes) -> bytes:
+    """``valid`` after one to four byte flips, cuts, inserts or deletes."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        op = draw(st.sampled_from(["flip", "cut", "insert", "delete"]))
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        if op == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(min_value=1, max_value=255))
+        elif op == "cut":
+            del data[at:]
+        elif op == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif op == "delete":
+            del data[at:at + draw(st.integers(min_value=1, max_value=4))]
+    return bytes(data)
+
+
+def _mutated_frames():
+    return _VALID_BODIES.flatmap(
+        lambda kind_body: _mutated(frames.pack_frame(*kind_body)))
+
+
+def _mutated_bodies():
+    return _VALID_BODIES.flatmap(lambda kind_body: _mutated(kind_body[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_frames())
+def test_recv_frame_on_mutated_frames_parses_or_refuses(data):
+    """Every mutated frame, written whole and then closed, is a
+    ProtocolError or a frame whose re-packing is a prefix of the bytes —
+    never a bare exception, a timeout (the writer closed, so waiting is a
+    hang) or an allocation beyond ``max_frame``."""
+    left, right = socket.socketpair()
+    try:
+        left.sendall(data)
+        left.close()
+        tracemalloc.start()
+        try:
+            frame = frames.recv_frame(right, max_frame=_FUZZ_MAX_FRAME,
+                                      deadline=time.monotonic() + 5)
+        except ProtocolError as exc:
+            assert not exc.timed_out, exc
+            frame = None
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < 2 * _FUZZ_MAX_FRAME + 16 * 1024
+        if frame is not None:
+            kind, body = frame
+            packed = frames.pack_frame(kind, body)
+            assert len(body) < _FUZZ_MAX_FRAME
+            assert data.startswith(packed)
+    finally:
+        right.close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_bodies())
+def test_body_readers_on_mutated_bodies_parse_or_refuse(body):
+    try:
+        round_id = frames.unpack_round(body)
+    except ProtocolError:
+        pass
+    else:
+        assert frames.pack_round(round_id) == body
+    try:
+        name, rest = frames.unpack_name(body)
+    except ProtocolError:
+        pass
+    else:
+        assert frames.pack_name(name) + rest == body
+    try:
+        spec = frames.unpack_json(body)
+    except ProtocolError:
+        pass
+    else:
+        assert isinstance(spec, dict)
+
+
+def test_deeply_nested_json_body_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="malformed JSON"):
+        frames.unpack_json(b"[" * 100_000)
+
+
 # ---------------------------------------------------------------------------
 # Remote exceptions keep their class
 # ---------------------------------------------------------------------------
@@ -263,6 +376,26 @@ def test_malformed_reply_from_a_live_peer_is_not_misread_as_crash(budget):
         if pool is not None:
             assert pool.restarts == {}
         # The connection was not torn down: the next exchange works.
+        assert proxy.on_idle(0) == []
+        proxy.close()
+    finally:
+        cleanup()
+
+
+def test_out_frame_with_a_non_utf8_recipient_is_a_live_peer_error():
+    """Regression: an OUT frame whose recipient is not UTF-8 escaped
+    ``_exchange`` as a bare ``UnicodeDecodeError``. It is the live peer's
+    malformed reply: an unmarked ProtocolError, connection kept."""
+    port, cleanup = _scripted_peer([
+        frames.pack_frame(frames.OUT, b"\x00\x02\xff\xfe" + b"payload"),
+        frames.pack_frame(frames.DONE),
+    ])
+    try:
+        proxy = ProcessEndpointProxy.connect(
+            "127.0.0.1", port, "live-peer", config=CONFIG, timeout=5.0)
+        with pytest.raises(ProtocolError, match="not UTF-8") as excinfo:
+            proxy.on_idle(0)
+        assert not excinfo.value.peer_dead
         assert proxy.on_idle(0) == []
         proxy.close()
     finally:
