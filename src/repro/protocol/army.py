@@ -50,7 +50,7 @@ See ``docs/scaling.md`` for the cost model.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from repro.crypto.blinding import (
     reduce_cells,
 )
 from repro.crypto.group import DHGroup, KeyPair
-from repro.protocol.client import RoundConfig
+from repro.protocol.client import RoundConfig, notice_needs_answer
 from repro.protocol.endpoint import (
     Outbox,
     ProtocolEndpoint,
@@ -173,9 +173,11 @@ class ClientArmy(ProtocolEndpoint):
         self._refresh_members()
         for clique in sorted(self._members_of):
             self._rewire_clique(clique)
-        # Per-round volatile state.
+        # Per-round volatile state: the last round reported in, who
+        # reported per clique, and the missing set each clique answered.
+        self._reported_round: Optional[int] = None
         self._reported_by_clique: Dict[int, Tuple[str, ...]] = {}
-        self._adjusted_cliques: Set[int] = set()
+        self._answered: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -406,6 +408,12 @@ class ClientArmy(ProtocolEndpoint):
         if not survivors:
             return []
         missing = sorted(set(missing_indexes))
+        named = sorted({self.index_of[u] for u in survivors}
+                       .intersection(missing))
+        if named:
+            raise BlindingError(
+                f"a surviving user cannot be in the missing set: "
+                f"{named[:5]} reported in clique {clique}")
         known = {self.index_of[u] for u in self._members_of[clique]}
         unknown = [j for j in missing if j not in known]
         if unknown:
@@ -443,7 +451,7 @@ class ClientArmy(ProtocolEndpoint):
     # ------------------------------------------------------------------
     def on_round_start(self, round_id: int) -> Outbox:
         self._reported_by_clique = {}
-        self._adjusted_cliques = set()
+        self._answered = {}
         digest = hashlib.sha256()
         table = self._index_table()
         outbox: Outbox = []
@@ -458,20 +466,24 @@ class ClientArmy(ProtocolEndpoint):
                 f"reusing its one-time pads on new cleartext would leak "
                 f"pad differences")
         self._round_digests[round_id] = fingerprint
+        self._reported_round = round_id
         return outbox
 
     def on_message(self, sender: str, message: Any) -> Outbox:
         if isinstance(message, MissingClientsNotice):
             # The aggregator notifies every survivor individually; the
             # first notice for a clique yields *all* survivors'
-            # adjustments in one batch, the rest are already answered.
-            if message.clique_id in self._adjusted_cliques:
+            # adjustments in one batch, the identical rest need none.
+            clique = message.clique_id
+            if not notice_needs_answer(message, self._reported_round,
+                                       clique in self._members_of,
+                                       self._answered.get(clique)):
                 return []
-            self._adjusted_cliques.add(message.clique_id)
-            return self._build_adjustments(message.clique_id,
-                                           message.round_id,
-                                           message.missing_indexes,
-                                           sender)
+            outbox = self._build_adjustments(clique, message.round_id,
+                                             message.missing_indexes,
+                                             sender)
+            self._answered[clique] = frozenset(message.missing_indexes)
+            return outbox
         if isinstance(message, ThresholdBroadcast):
             self.last_threshold = message.users_threshold
             self.last_threshold_round = message.round_id

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Protocol, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set
 
-from repro.errors import ConfigurationError, RoundStateError
+from repro.errors import ConfigurationError, ProtocolError, RoundStateError
 from repro.crypto.blinding import BlindingGenerator
 from repro.protocol.endpoint import (
     Outbox,
@@ -81,6 +81,38 @@ class AdMapper(Protocol):
     def ad_id(self, url: str) -> int: ...
 
 
+def notice_needs_answer(notice: MissingClientsNotice,
+                        reported_round: Optional[int], hosted: bool,
+                        answered: Optional[FrozenSet[int]]) -> bool:
+    """Whether a recovery notice still needs its adjustments.
+
+    Answering hands the notice's sender the pads the answering client
+    shares with the named peers in the notice's round; in a clique of
+    two that is the peer's whole blinding. So the notice must carry the
+    round the client last reported in (:class:`RoundStateError`
+    otherwise) and a clique it serves (``hosted``; a
+    :class:`ProtocolError` otherwise), and a clique is answered once a
+    round: ``answered`` is the missing set already answered there, if
+    any. An identical repeat needs no answer, a differing one raises.
+    """
+    if notice.round_id != reported_round:
+        raise RoundStateError(
+            f"recovery notice for round {notice.round_id}, but the last "
+            f"report went out in round {reported_round}; answering would "
+            f"hand out pads of a round this client did not report in")
+    if not hosted:
+        raise ProtocolError(
+            f"recovery notice for clique {notice.clique_id}, which this "
+            f"endpoint does not serve")
+    if answered is None:
+        return True
+    if answered != frozenset(notice.missing_indexes):
+        raise RoundStateError(
+            f"clique {notice.clique_id} already answered a different "
+            f"recovery notice in round {notice.round_id}")
+    return False
+
+
 class ProtocolClient(ProtocolEndpoint):
     """One user's protocol endpoint.
 
@@ -131,6 +163,10 @@ class ProtocolClient(ProtocolEndpoint):
         #: idempotent and allowed). Survives :meth:`reset_window` — the
         #: pads are no fresher after a window reset.
         self._blinded_rounds: Dict[int, bytes] = {}
+        #: The round of the last report built, and the missing set of the
+        #: recovery notice answered in it (see notice_needs_answer).
+        self._reported_round: Optional[int] = None
+        self._answered: Optional[FrozenSet[int]] = None
 
     @property
     def clique_id(self) -> int:
@@ -215,6 +251,8 @@ class ProtocolClient(ProtocolEndpoint):
                 f"keystream would leak the cell difference")
         blinded = self.blinding.blind_array(sketch.cells_array, round_id)
         self._blinded_rounds[round_id] = digest
+        if round_id != self._reported_round:
+            self._reported_round, self._answered = round_id, None
         return BlindedReport(user_id=self.user_id, round_id=round_id,
                              cells=CellVector(blinded),
                              clique_id=self._clique_id)
@@ -255,12 +293,17 @@ class ProtocolClient(ProtocolEndpoint):
         return [(self.uplink, self.build_report(round_id))]
 
     def on_message(self, sender: str, message: Any) -> Outbox:
-        """React to server traffic: notices beget adjustments, the
-        threshold broadcast is recorded; anything else is a protocol
-        violation and raises."""
+        """React to server traffic: a notice for the round this client
+        last reported in begets one adjustment, the threshold broadcast
+        is recorded; anything else is a protocol violation and raises."""
         if isinstance(message, MissingClientsNotice):
+            if not notice_needs_answer(
+                    message, self._reported_round,
+                    message.clique_id == self._clique_id, self._answered):
+                return []
             adjustment = self.build_adjustment(message.round_id,
                                                message.missing_indexes)
+            self._answered = frozenset(message.missing_indexes)
             return [(sender, adjustment)]
         if isinstance(message, ThresholdBroadcast):
             self.last_threshold = message.users_threshold

@@ -197,5 +197,5 @@ class SocketTransport(WireTransport):
     def __del__(self) -> None:  # best-effort cleanup, must never raise
         try:
             self.close()
-        except BaseException:  # protolint: disable=PL004 (close() is shutdown-safe by construction; __del__ during interpreter teardown may still see torn-down modules and must never raise)
+        except BaseException:  # allowlisted in devtools/protolint.py (PL004)
             pass

@@ -1,9 +1,9 @@
 """Pin the strict-typing tier at zero annotation gaps.
 
-``repro.devtools.annotations`` is the in-tree proxy for CI's strict
-mypy rung: it asserts every def in the strict tier is fully annotated
-(all parameters including ``*args``/``**kwargs``, plus the return
-type), and that no annotation names something the module never binds
+protolint's annotation check (``annotation_gaps``) is the in-tree proxy
+for CI's strict mypy rung: every def in the strict tier is fully
+annotated (all parameters including ``*args``/``**kwargs``, plus the
+return type), and no annotation names something the module never binds
 (ruff ``F82``'s job in CI). These tests keep the tier pinned at zero
 gaps so an unannotated seam — or an unimported ``Set`` — fails tier-1
 locally before CI's real tools ever see it, and exercise the gap finder
@@ -12,12 +12,13 @@ itself against synthetic fixtures.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.annotations import STRICT_TIER, Gap, find_gaps, main
+from repro.devtools.protolint import STRICT_TIER, Flag, annotation_gaps
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,8 +33,15 @@ ANNOTATED_EXTRAS = (
 )
 
 
-def _gaps_under(relpath: str) -> list[Gap]:
-    return find_gaps([str(REPO_ROOT / relpath)], root=REPO_ROOT)
+def _gaps_under(relpath: str) -> list[str]:
+    target = REPO_ROOT / relpath
+    files = [target] if target.is_file() else sorted(target.rglob("*.py"))
+    gaps = []
+    for file in files:
+        path = file.relative_to(REPO_ROOT).as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        gaps += [f"{path}:{line}: {msg}" for line, msg in annotation_gaps(path, tree)]
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +52,14 @@ def _gaps_under(relpath: str) -> list[Gap]:
 @pytest.mark.parametrize("package", STRICT_TIER)
 def test_strict_tier_fully_annotated(package: str) -> None:
     gaps = _gaps_under(package)
-    rendered = "\n".join(g.render() for g in gaps)
+    rendered = "\n".join(gaps)
     assert not gaps, f"annotation gaps in strict tier {package}:\n{rendered}"
 
 
 @pytest.mark.parametrize("target", ANNOTATED_EXTRAS)
 def test_annotated_extras_stay_annotated(target: str) -> None:
     gaps = _gaps_under(target)
-    rendered = "\n".join(g.render() for g in gaps)
+    rendered = "\n".join(gaps)
     assert not gaps, f"annotation gaps in {target}:\n{rendered}"
 
 
@@ -71,30 +79,25 @@ def test_strict_tier_matches_mypy_override() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write(tmp_path: Path, source: str) -> Path:
-    target = tmp_path / "mod.py"
-    target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return target
+def _gaps(source: str) -> list[Flag]:
+    return list(annotation_gaps("mod.py", ast.parse(textwrap.dedent(source))))
 
 
-def test_finds_unannotated_parameter_and_return(tmp_path: Path) -> None:
-    target = _write(
-        tmp_path,
+def test_finds_unannotated_parameter_and_return() -> None:
+    gaps = _gaps(
         """
         def f(x, y: int):
             return x + y
         """,
     )
-    gaps = find_gaps([str(target)], root=tmp_path)
-    assert [(g.function, g.what) for g in gaps] == [
-        ("f", "parameter 'x'"),
-        ("f", "return type"),
+    assert [message for _line, message in gaps] == [
+        "f: parameter 'x'",
+        "f: return type",
     ]
 
 
-def test_self_and_cls_are_exempt(tmp_path: Path) -> None:
-    target = _write(
-        tmp_path,
+def test_self_and_cls_are_exempt() -> None:
+    gaps = _gaps(
         """
         class C:
             def method(self, x: int) -> int:
@@ -105,24 +108,24 @@ def test_self_and_cls_are_exempt(tmp_path: Path) -> None:
                 return cls()
         """,
     )
-    assert find_gaps([str(target)], root=tmp_path) == []
+    assert gaps == []
 
 
-def test_star_args_need_annotations(tmp_path: Path) -> None:
-    target = _write(
-        tmp_path,
+def test_star_args_need_annotations() -> None:
+    gaps = _gaps(
         """
         def f(*args, **kwargs) -> None:
             pass
         """,
     )
-    gaps = find_gaps([str(target)], root=tmp_path)
-    assert {g.what for g in gaps} == {"parameter *args", "parameter **kwargs"}
+    assert {message for _line, message in gaps} == {
+        "f: parameter *args",
+        "f: parameter **kwargs",
+    }
 
 
-def test_nested_function_first_arg_not_treated_as_self(tmp_path: Path) -> None:
-    target = _write(
-        tmp_path,
+def test_nested_function_first_arg_not_treated_as_self() -> None:
+    gaps = _gaps(
         """
         class C:
             def method(self) -> None:
@@ -130,17 +133,15 @@ def test_nested_function_first_arg_not_treated_as_self(tmp_path: Path) -> None:
                     pass
         """,
     )
-    gaps = find_gaps([str(target)], root=tmp_path)
-    assert [(g.function, g.what) for g in gaps] == [
-        ("C.method.inner", "parameter 'x'"),
+    assert [message for _line, message in gaps] == [
+        "C.method.inner: parameter 'x'",
     ]
 
 
-def test_unimported_annotation_name_is_reported(tmp_path: Path) -> None:
+def test_unimported_annotation_name_is_reported() -> None:
     """``from __future__ import annotations`` hides an unimported ``Set``
     at run time; the finder must not."""
-    target = _write(
-        tmp_path,
+    gaps = _gaps(
         """
         from __future__ import annotations
 
@@ -157,18 +158,14 @@ def test_unimported_annotation_name_is_reported(tmp_path: Path) -> None:
                 return frozenset(self._pairs_of[user])
         """,
     )
-    gaps = find_gaps([str(target)], root=tmp_path)
-    assert [(g.line, g.function, g.what) for g in gaps] == [
-        (11, "Provider.__init__", "annotation names unbound 'Set'"),
-        (13, "Provider.pairs", "annotation names unbound 'FrozenSet'"),
+    assert gaps == [
+        (11, "Provider.__init__: annotation names unbound 'Set'"),
+        (13, "Provider.pairs: annotation names unbound 'FrozenSet'"),
     ]
 
 
-def test_names_bound_anywhere_in_the_module_are_not_reported(
-    tmp_path: Path,
-) -> None:
-    target = _write(
-        tmp_path,
+def test_names_bound_anywhere_in_the_module_are_not_reported() -> None:
+    gaps = _gaps(
         """
         from __future__ import annotations
 
@@ -191,17 +188,4 @@ def test_names_bound_anywhere_in_the_module_are_not_reported(
             pass
         """,
     )
-    assert find_gaps([str(target)], root=tmp_path) == []
-
-
-def test_main_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    clean = _write(tmp_path, "x = 1\n")
-    assert main([str(clean)]) == 0
-    assert "fully annotated" in capsys.readouterr().out
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("def f(x):\n    pass\n", encoding="utf-8")
-    assert main([str(dirty)]) == 1
-    out = capsys.readouterr().out
-    assert "parameter 'x'" in out
-    assert "2 gap(s)" in out
+    assert gaps == []

@@ -4,7 +4,7 @@
 ``close()``. Best-effort cleanup may only absorb expected teardown noise
 (dead workers, half-closed pipes, interpreter shutdown); a genuine bug in
 ``close()`` must surface. ``SocketTransport.__del__`` keeps the broad
-catch deliberately (documented protolint escape hatch): its ``close()``
+catch deliberately (its protolint PL004 allowlist entry): its ``close()``
 is shutdown-safe by construction, and ``__del__`` during interpreter
 teardown must never raise.
 """

@@ -11,6 +11,7 @@ in-memory wire transport's, sender by sender: both bill the single
 shared codec path.
 """
 
+import dataclasses
 import socket
 import time
 
@@ -20,7 +21,11 @@ from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ConfigurationError
 from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import SERVER_ENDPOINT, mean_threshold
+from repro.protocol.endpoint import (
+    SERVER_ENDPOINT,
+    RoundSummary,
+    mean_threshold,
+)
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.net import (
     EndpointServer,
@@ -35,6 +40,8 @@ from repro.protocol.net import (
     summary_to_spec,
 )
 from repro.protocol.transport import InMemoryTransport, WireTransport
+from repro.sketch.countmin import CountMinSketch
+from repro.statsutil.distributions import EmpiricalDistribution
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=500)
 USER_IDS = [f"user-{i:02d}" for i in range(16)]
@@ -248,16 +255,27 @@ def test_rule_spec_names_and_refusals():
 
 
 def test_round_summary_spec_roundtrip_is_bit_exact():
-    result = run_private_round(CONFIG, enrolled(2).clients, round_id=1)
+    """Over a recovery round, so that every field carries a value its
+    default would not: a key summary_to_spec writes but summary_from_spec
+    never reads shows up as a field that does not come back."""
     session = ProtocolSession(CONFIG, enrolled(2).clients)
+    session.transport.fail_sender(USER_IDS[3])
     session.run_round(1)
     summary = session.root.round_summary()
+    assert summary.missing_users == [USER_IDS[3]]
+    assert summary.recovery_round_used
     rebuilt = summary_from_spec(summary_to_spec(summary), CONFIG)
-    assert rebuilt.aggregate.cells == summary.aggregate.cells
-    assert rebuilt.distribution.values == summary.distribution.values
-    assert rebuilt.users_threshold == summary.users_threshold
-    assert rebuilt.reported_users == summary.reported_users
-    assert result.aggregate.cells == summary.aggregate.cells
+
+    def comparable(value):
+        if isinstance(value, CountMinSketch):
+            return value.depth, value.width, value.seed, value.cells
+        if isinstance(value, EmpiricalDistribution):
+            return value.values
+        return value
+
+    for field in dataclasses.fields(RoundSummary):
+        assert comparable(getattr(rebuilt, field.name)) == \
+            comparable(getattr(summary, field.name)), field.name
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ Each class pins one bug that existed before the hardening PR:
 * ``CliqueAggregator`` stored a report that arrived after its recovery
   notice had named the sender missing; minus the survivors' adjustments
   that report is the sender's cleartext sketch.
+* Both client backends answered a ``MissingClientsNotice`` for any
+  round, any number of times, handing out pad material of rounds they
+  never reported in.
 """
 
 import inspect
@@ -23,12 +26,22 @@ import numpy as np
 import pytest
 
 from repro.crypto.blinding import reduce_cells
-from repro.errors import MissingReportError, RoundStateError
+from repro.errors import (
+    BlindingError,
+    MissingReportError,
+    ProtocolError,
+    RoundStateError,
+)
 from repro.protocol import enrollment as enrollment_mod
 from repro.protocol.aggregator import CliqueAggregator
+from repro.protocol.army import ClientArmy
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.messages import BlindedReport, BlindingAdjustment
+from repro.protocol.messages import (
+    BlindedReport,
+    BlindingAdjustment,
+    MissingClientsNotice,
+)
 from repro.protocol.server import AggregationServer
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=5, id_space=300)
@@ -289,3 +302,70 @@ class TestLateReportAfterRecoveryNotice:
             c.user_id for c in survivors))
         assert np.array_equal(partial.cells_as_array(),
                               sum(self.cleartext(c) for c in survivors))
+
+
+class TestRecoveryNoticeGuard:
+    """Answering a notice hands its sender the pads the answering client
+    shares with the named peers in the notice's round; in a clique of
+    two that is the peer's whole blinding for the round. So a client
+    answers only a notice for the round it last reported in, for its own
+    clique, once: an identical repeat is a no-op, a differing one a
+    :class:`RoundStateError`."""
+
+    SENDER = "clique-aggregator-0"
+
+    @pytest.fixture(params=["objects", "batched"])
+    def clique0(self, request):
+        """(endpoint answering for clique 0, a reporting member's index,
+        a silent member's index, the third member's index) in a six-user,
+        two-clique panel; the endpoint has not reported yet."""
+        if request.param == "objects":
+            members = sorted((c for c in make_enrollment(6, num_cliques=2).clients
+                              if c.clique_id == 0), key=lambda c: c.user_id)
+            for client in members:
+                client.observe_ad("http://ad.example/1")
+            return (members[0],
+                    *(c.blinding.user_index for c in members))
+        army = ClientArmy.enroll([f"user-{i}" for i in range(6)], CONFIG,
+                                 seed=0, use_oprf=False, num_cliques=2)
+        survivor, silent, third = sorted(army.members()[0])
+        army.observe_ad(survivor, "http://ad.example/1")
+        army.drop_users([silent])
+        return (army, *(army.index_of[u] for u in (survivor, silent, third)))
+
+    def notice(self, round_id, *missing, clique_id=0):
+        return MissingClientsNotice(round_id=round_id,
+                                    missing_indexes=missing,
+                                    clique_id=clique_id)
+
+    def test_notice_for_another_round_is_refused(self, clique0):
+        endpoint, _survivor, silent, _third = clique0
+        endpoint.on_round_start(0)
+        with pytest.raises(RoundStateError, match="round 7"):
+            endpoint.on_message(self.SENDER, self.notice(7, silent))
+
+    def test_notice_before_any_report_is_refused(self, clique0):
+        endpoint, _survivor, silent, _third = clique0
+        with pytest.raises(RoundStateError, match="round 3"):
+            endpoint.on_message(self.SENDER, self.notice(3, silent))
+
+    def test_one_answer_per_round_and_clique(self, clique0):
+        endpoint, _survivor, silent, third = clique0
+        endpoint.on_round_start(0)
+        answer = endpoint.on_message(self.SENDER, self.notice(0, silent))
+        assert answer and all(isinstance(m, BlindingAdjustment)
+                              and m.round_id == 0 for _to, m in answer)
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent)) == []
+        with pytest.raises(RoundStateError, match="different"):
+            endpoint.on_message(self.SENDER, self.notice(0, silent, third))
+
+    def test_malformed_notices_raise_typed_errors(self, clique0):
+        endpoint, survivor, silent, _third = clique0
+        endpoint.on_round_start(0)
+        with pytest.raises(BlindingError, match="surviving"):
+            endpoint.on_message(self.SENDER, self.notice(0, survivor))
+        with pytest.raises(ProtocolError, match="clique 9"):
+            endpoint.on_message(self.SENDER,
+                                self.notice(0, silent, clique_id=9))
+        # The refusals consumed nothing: the honest notice still answers.
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent))

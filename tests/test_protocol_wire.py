@@ -1,10 +1,15 @@
-"""Round-trip and error tests for the binary wire codec."""
+"""Round-trip, registry and error tests for the binary wire codec."""
+
+import dataclasses
+import inspect
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.protocol import messages, wire
 from repro.protocol.messages import (
     BlindedReport,
     BlindingAdjustment,
@@ -40,10 +45,22 @@ HEADER = 16
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("message", SAMPLES,
-                             ids=[type(m).__name__ for m in SAMPLES])
+    @pytest.mark.parametrize("message", EVERY_TYPE)
     def test_encode_decode_identity(self, message):
         assert decode(encode(message)) == message
+
+    def test_every_message_class_is_registered(self):
+        """The message classes (dataclasses defining ``size_bytes``) are
+        exactly the codec's tagged types, the ``Message`` union and the
+        types sampled above, and no two share a tag."""
+        classes = {
+            cls for _name, cls in inspect.getmembers(messages, inspect.isclass)
+            if cls.__module__ == messages.__name__
+            and dataclasses.is_dataclass(cls) and "size_bytes" in vars(cls)}
+        assert set(wire._TYPE_OF) == classes
+        assert set(typing.get_args(wire.Message)) == classes
+        assert {type(p.values[0]) for p in EVERY_TYPE} == classes
+        assert len(set(wire._TYPE_OF.values())) == len(classes)
 
     def test_empty_collections(self):
         assert decode(encode(BlindedReport("u", 0, cells=()))) == \
