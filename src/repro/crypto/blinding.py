@@ -41,9 +41,11 @@ secret with*, i.e. dropouts inside its own clique.
 
 Every operation has an array form (:meth:`BlindingGenerator.blind_array`,
 :meth:`BlindingGenerator.blinding_vector_array`,
-:meth:`BlindingGenerator.adjustment_for_missing_array`) returning
-``numpy.uint64`` vectors so the protocol's fast path never boxes cells
-into Python ints; the ``List[int]`` methods are thin views over them.
+:meth:`BlindingGenerator.adjustment_for_missing_array`) returning its
+wrapping ``numpy.uint32`` accumulator unchanged, the 4-byte cell a report
+carries to the root (only the cleartext sketch it blinds has 64-bit
+counts), so no cell is boxed, widened or masked on the way; the
+``List[int]`` methods are thin views over them.
 
 Pad-stream caching
 ------------------
@@ -98,28 +100,12 @@ from repro.crypto.group import DHGroup, KeyPair
 #: Blinding modulus: 2^32, the range of a 4-byte CMS cell.
 BLINDING_MODULUS = 1 << 32
 
-#: ``BLINDING_MODULUS - 1`` as a ``uint64`` scalar: see :func:`reduce_cells`.
-_CELL_MASK = np.uint64(BLINDING_MODULUS - 1)
-
 #: Bytes per keystream block (one 32-bit cell).
 _CELL_BYTES = 4
 
 #: A pair of user indexes, ordered (low, high): the cache key of one
 #: shared secret's keystream.
 PairKey = Tuple[int, int]
-
-
-def reduce_cells(values: np.ndarray) -> np.ndarray:
-    """``values mod 2^32`` for an **unsigned** array, as a bit mask.
-
-    The one reduction every blinded sum ends in — blinded reports and
-    each aggregation tier's partial. For any unsigned dtype keeping the
-    low 32 bits *is* the remainder, and the mask is several times
-    cheaper than NumPy's 64-bit division (1.7 vs 16 µs on a ``(4,
-    1024)`` matrix). Signed arrays are refused (NumPy has no ``int64 &
-    uint64``): their negatives need a real ``%``.
-    """
-    return values & _CELL_MASK
 
 
 def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
@@ -363,8 +349,8 @@ class PadStreamProvider:
     ) -> np.ndarray:
         """Every member's blinding vector for one clique and round.
 
-        Returns the ``(num_members, num_cells)`` ``uint64`` matrix whose
-        row ``m`` is member ``m``'s
+        Returns the ``(num_members, num_cells)`` ``uint32`` accumulator,
+        whose row ``m`` is member ``m``'s
         :meth:`BlindingGenerator.blinding_vector_array` (its
         :meth:`~BlindingGenerator.adjustment_for_missing_array` under
         ``negate=True`` with ``-1`` rows for the missing ends; see
@@ -376,7 +362,7 @@ class PadStreamProvider:
         rows = self._clique_rows(pairs, secrets, round_id, num_cells)
         return _scatter_rows(
             rows, len(pairs), num_cells, lo_rows, hi_rows, num_members, negate
-        ).astype(np.uint64)
+        )
 
     def forget_users(self, user_indexes: Iterable[int]) -> None:
         """Drop cached state for every pair touching any of the given
@@ -532,7 +518,7 @@ class BlindingGenerator:
                 acc += stream
             else:
                 acc -= stream
-        return acc.astype(np.uint64)
+        return acc
 
     @staticmethod
     def accumulate_clique_matrix(
@@ -546,7 +532,7 @@ class BlindingGenerator:
 
         ``pad_matrix`` is a clique's ``(P, C)`` unsigned keystream matrix
         (one row per pair, e.g. :meth:`PadStreamProvider.clique_matrix`).
-        Returns the ``(num_members, C)`` ``uint64`` blinding matrix:
+        Returns the ``(num_members, C)`` ``uint32`` blinding matrix:
         :func:`_scatter_rows` over the matrix's rows, hence equal to
         :meth:`PadStreamProvider.clique_blinding` over the same pairs,
         which is what a round calls.
@@ -561,16 +547,15 @@ class BlindingGenerator:
         num_pairs, num_cells = pad.shape
         return _scatter_rows(
             pad, num_pairs, num_cells, lo_rows, hi_rows, num_members, negate
-        ).astype(np.uint64)
+        )
 
     def blinding_vector_array(
         self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None
     ) -> np.ndarray:
-        """Blinding factors for ``num_cells`` cells as a ``uint64`` array.
+        """Blinding factors for ``num_cells`` cells as a ``uint32`` array.
 
-        Values lie in ``[0, 2^32)``. ``peers`` restricts the sum to a
-        subset of peers (used by the fault-tolerance re-round); default is
-        all known peers.
+        ``peers`` restricts the sum to a subset of peers (used by the
+        fault-tolerance re-round); default is all known peers.
         """
         if num_cells <= 0:
             raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
@@ -595,12 +580,13 @@ class BlindingGenerator:
         """Blind a cell vector: ``(cells + blinding) mod 2^32``.
 
         Accepts any integer sequence (a sketch's ``cells_array`` view makes
-        the whole path array-to-array) and returns ``uint64`` values in
-        ``[0, 2^32)``.
+        the whole path array-to-array) and returns the ``uint32``
+        accumulator they were added into (narrowing keeps a cell mod 2^32).
         """
-        cell_arr = np.asarray(cells, dtype=np.uint64)
-        blinding = self.blinding_vector_array(len(cell_arr), round_id, peers)
-        return reduce_cells(cell_arr + blinding)
+        cell_arr = np.asarray(cells).astype(np.uint32, copy=False)
+        blinded = self.blinding_vector_array(len(cell_arr), round_id, peers)
+        blinded += cell_arr
+        return blinded
 
     def blind(
         self, cells: Sequence[int], round_id: int, peers: Optional[Iterable[int]] = None
@@ -611,7 +597,7 @@ class BlindingGenerator:
     def adjustment_for_missing_array(
         self, missing: Iterable[int], num_cells: int, round_id: int
     ) -> np.ndarray:
-        """Correction vector for the §6 fault-tolerance round (``uint64``).
+        """Correction vector for the §6 fault-tolerance round (``uint32``).
 
         If peers in ``missing`` never reported, their blinding terms do not
         cancel. Every *surviving* user sends the negation of the terms it

@@ -37,7 +37,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MissingReportError, ProtocolError, RoundStateError
-from repro.crypto.blinding import reduce_cells
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import (
     SERVER_ENDPOINT,
@@ -255,9 +254,9 @@ class CliqueAggregator(ProtocolEndpoint):
         if not reported:
             # Whole clique dropped out: no pads entered any sum, nothing
             # to recover; contribute zeros and report the roster missing.
-            cells = np.zeros(self.config.num_cells, dtype=np.uint64)
+            cells = np.zeros(self.config.num_cells, dtype=np.uint32)
         else:
-            cells = self.server.aggregate().cells_array
+            cells = self.server.aggregate_cells()
         self._released = True
         return PartialAggregate(clique_id=self.clique_id, round_id=round_id,
                                 cells=CellVector(cells), reported=reported,
@@ -325,11 +324,11 @@ class _PartialCollector(ProtocolEndpoint):
         raise NotImplementedError
 
     def _merged(self) -> Tuple[np.ndarray, List[str], List[str]]:
-        """Every child's partial, in child-id order: the cell-wise sum
-        reduced once (modular addition is associative, so the result is
+        """Every child's partial, in child-id order: the cell-wise sum in
+        wrapping ``uint32`` (exact mod 2^32, so the result is
         bit-identical at every tree depth) and the concatenated
         participation rosters."""
-        cells = np.zeros(self.config.num_cells, dtype=np.uint64)
+        cells = np.zeros(self.config.num_cells, dtype=np.uint32)
         reported: List[str] = []
         missing: List[str] = []
         for child in self.child_ids:
@@ -337,7 +336,7 @@ class _PartialCollector(ProtocolEndpoint):
             cells += partial.cells_as_array()
             reported.extend(partial.reported)
             missing.extend(partial.missing)
-        return reduce_cells(cells), reported, missing
+        return cells, reported, missing
 
 
 class RegionalAggregator(_PartialCollector):

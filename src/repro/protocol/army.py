@@ -59,11 +59,7 @@ from repro.errors import (
     ConfigurationError,
     RoundStateError,
 )
-from repro.crypto.blinding import (
-    PadStreamProvider,
-    PairKey,
-    reduce_cells,
-)
+from repro.crypto.blinding import PadStreamProvider, PairKey
 from repro.crypto.group import DHGroup, KeyPair
 from repro.protocol.client import RoundConfig, notice_needs_answer
 from repro.protocol.endpoint import (
@@ -155,10 +151,10 @@ class ClientArmy(ProtocolEndpoint):
         self._inactive: Set[str] = set()
         self.last_threshold: Optional[float] = None
         self.last_threshold_round: Optional[int] = None
-        #: round id -> sha256 over the round's cleartext sketch matrices
-        #: (the batched analogue of ProtocolClient's pad-reuse guard: a
-        #: *differing* rebuild under an already-blinded round id would
-        #: reuse one-time pads on new cleartext).
+        #: round id -> sha256 over the round's ``uint32`` cleartext sketch
+        #: matrices (the batched analogue of ProtocolClient's pad-reuse
+        #: guard: a *differing* rebuild under an already-blinded round id
+        #: would reuse one-time pads on new cleartext).
         self._round_digests: Dict[int, bytes] = {}
         self._scratch = config.make_sketch()
         #: (lo index, hi index) -> shared-secret bytes. DH secrets are
@@ -350,11 +346,12 @@ class ClientArmy(ProtocolEndpoint):
 
     def _sketch_matrix(self, member_list: Sequence[str],
                        table: IndexTable) -> np.ndarray:
-        """All members' cleartext CMS cells as one ``(m, cells)`` uint64
+        """All members' cleartext CMS cells as one ``(m, cells)`` uint32
         matrix — a gather from the round's index table and one
-        ``bincount`` for the clique, bit-identical to per-user
+        ``bincount`` for the clique, equal mod 2^32 to per-user
         ``CountMinSketch.update_many`` (the same flat indexes are
-        counted; only where they were derived differs)."""
+        counted; only where they were derived differs), which is all a
+        blinded cell keeps."""
         row_of, flat = table
         num_cells = self.config.num_cells
         rows: List[int] = []
@@ -365,12 +362,12 @@ class ClientArmy(ProtocolEndpoint):
             lengths.append(len(seen))
         members = len(member_list)
         if not rows:
-            return np.zeros((members, num_cells), dtype=np.uint64)
+            return np.zeros((members, num_cells), dtype=np.uint32)
         combined = flat.take(rows, axis=0)
         member_base = np.arange(members, dtype=np.int64) * num_cells
         combined += member_base.repeat(lengths)[:, None]
         counts = np.bincount(combined.ravel(), minlength=members * num_cells)
-        return counts.astype(np.uint64).reshape(members, num_cells)
+        return counts.astype(np.uint32).reshape(members, num_cells)
 
     def _build_clique_reports(self, clique: int, round_id: int,
                               table: IndexTable,
@@ -383,11 +380,10 @@ class ClientArmy(ProtocolEndpoint):
         digest.update(cells)
         pairs, lo_rows, hi_rows = self._wiring_of[clique]
         secrets = [self._pair_secret[p] for p in pairs]
-        blinding = self.pad_streams.clique_blinding(
+        # Blinded in place: each row becomes one report's cells.
+        cells += self.pad_streams.clique_blinding(
             pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
             self.config.num_cells)
-        cells += blinding
-        blinded = reduce_cells(cells)
         uplink = clique_endpoint_id(clique)
         outbox: Outbox = []
         reported: List[str] = []
@@ -397,7 +393,7 @@ class ClientArmy(ProtocolEndpoint):
             reported.append(uid)
             outbox.append((uplink, BlindedReport(
                 user_id=uid, round_id=round_id,
-                cells=CellVector(blinded[row]), clique_id=clique)))
+                cells=CellVector(cells[row]), clique_id=clique)))
         self._reported_by_clique[clique] = tuple(reported)
         return outbox
 

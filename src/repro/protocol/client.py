@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, RoundStateError
 from repro.crypto.blinding import BlindingGenerator
@@ -155,6 +155,9 @@ class ProtocolClient(ProtocolEndpoint):
         #: (observations fix it); invalidated by new observations and
         #: window resets.
         self._sketch_cache: Optional[CountMinSketch] = None
+        #: (sketch, sha256 of its cells): the guard's digest, once per
+        #: sketch object whichever ``_build_sketch`` built it.
+        self._sketch_digest: Optional[Tuple[CountMinSketch, bytes]] = None
         #: round id -> digest of the cell vector blinded in that round.
         #: The pairwise keystream is a one-time pad keyed by
         #: ``(pair, round_id)``; blinding two *different* sketches under
@@ -242,7 +245,10 @@ class ProtocolClient(ProtocolEndpoint):
         report (e.g. a retransmission) is allowed.
         """
         sketch = self._build_sketch()
-        digest = hashlib.sha256(sketch.cells_array.tobytes()).digest()
+        if self._sketch_digest is None or self._sketch_digest[0] is not sketch:
+            self._sketch_digest = (
+                sketch, hashlib.sha256(sketch.cells_array).digest())
+        digest = self._sketch_digest[1]
         previous = self._blinded_rounds.get(round_id)
         if previous is not None and previous != digest:
             raise RoundStateError(

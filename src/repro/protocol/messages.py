@@ -5,13 +5,14 @@ Every message type knows its serialized size under the paper's assumptions
 Unicode URLs for the cleartext baseline), so §7.1's communication costs
 need no real network stack.
 
-Cell-carrying messages (:class:`BlindedReport`, :class:`BlindingAdjustment`)
-accept either a plain tuple of ints or a :class:`CellVector` — an immutable
-sequence backed by a ``numpy.uint64`` array. The protocol's fast path keeps
-cell vectors as arrays from the client's blinding step through the server's
-aggregation (:func:`cells_to_array` recovers the array without per-cell
-boxing); equality, iteration and indexing behave exactly like the tuple
-form, so the two are interchangeable.
+Cell-carrying messages (:class:`BlindedReport`, :class:`BlindingAdjustment`,
+:class:`PartialAggregate`) accept either a plain tuple of ints or a
+:class:`CellVector` — an immutable sequence backed by a ``numpy.uint32``
+array, the paper's 4-byte cell. Blinded cells stay ``uint32`` from the
+client's blinding step through every aggregation tier (:func:`cells_to_array`
+recovers the array without per-cell boxing); only the root widens the final
+sum, into a cleartext ``CountMinSketch``. Equality, iteration and indexing
+behave exactly like the tuple form, so the two are interchangeable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import ProtocolError
+
 #: Size of one sketch cell on the wire, per the paper.
 CELL_BYTES = 4
 
@@ -29,19 +32,19 @@ HEADER_BYTES = 16
 
 
 class CellVector(Sequence):
-    """Immutable cell vector backed by a ``numpy.uint64`` array.
+    """Immutable cell vector backed by a read-only ``numpy.uint32`` array.
 
     Compares equal to any integer sequence with the same values (so tests
     and callers may mix tuples and vectors freely) and hashes like the
     equivalent tuple. The constructor does not copy an array that is
-    already ``uint64`` — callers hand over ownership and must not mutate
-    it afterwards.
+    already ``uint32`` — callers hand over ownership and must not mutate
+    it afterwards — and refuses values outside ``[0, 2^32)``.
     """
 
     __slots__ = ("_array", "_hash")
 
     def __init__(self, values: Union[Sequence[int], np.ndarray]) -> None:
-        arr = np.asarray(values, dtype=np.uint64)
+        arr = cells_to_array(values)
         arr.setflags(write=False)
         self._array = arr
         self._hash = None
@@ -59,7 +62,7 @@ class CellVector(Sequence):
 
     @property
     def array(self) -> np.ndarray:
-        """The backing read-only ``uint64`` array (no copy)."""
+        """The backing read-only ``uint32`` array (no copy)."""
         return self._array
 
     def __len__(self) -> int:
@@ -96,12 +99,21 @@ class CellVector(Sequence):
 Cells = Union[Tuple[int, ...], CellVector]
 
 
-def cells_to_array(cells: Cells) -> np.ndarray:
-    """The ``uint64`` array behind a cell vector, without per-cell boxing
-    when the message already carries a :class:`CellVector`."""
+def cells_to_array(cells: Union[Cells, np.ndarray]) -> np.ndarray:
+    """The ``uint32`` array behind a cell vector, the one conversion
+    point: a value outside ``[0, 2^32)`` raises
+    :class:`~repro.errors.ProtocolError`, never wraps."""
     if isinstance(cells, CellVector):
         return cells.array
-    return np.asarray(cells, dtype=np.uint64)
+    arr = np.asarray(cells)
+    if arr.dtype == np.uint32:
+        return arr
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                     or arr.max() > 0xFFFFFFFF):
+        raise ProtocolError(
+            "cell values must be integers in [0, 2^32), the range of a "
+            "4-byte cell")
+    return arr.astype(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ class BlindedReport:
     clique_id: int = 0
 
     def cells_as_array(self) -> np.ndarray:
-        """The cell vector as a ``uint64`` array (zero-copy when possible)."""
+        """The cell vector as a ``uint32`` array (zero-copy when possible)."""
         return cells_to_array(self.cells)
 
     def size_bytes(self) -> int:
@@ -185,7 +197,7 @@ class BlindingAdjustment:
     clique_id: int = 0
 
     def cells_as_array(self) -> np.ndarray:
-        """The cell vector as a ``uint64`` array (zero-copy when possible)."""
+        """The cell vector as a ``uint32`` array (zero-copy when possible)."""
         return cells_to_array(self.cells)
 
     def size_bytes(self) -> int:
@@ -224,7 +236,7 @@ class PartialAggregate:
     missing: Tuple[str, ...] = ()
 
     def cells_as_array(self) -> np.ndarray:
-        """The cell vector as a ``uint64`` array (zero-copy when possible)."""
+        """The cell vector as a ``uint32`` array (zero-copy when possible)."""
         return cells_to_array(self.cells)
 
     def size_bytes(self) -> int:

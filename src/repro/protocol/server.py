@@ -6,10 +6,9 @@ random-looking cell vectors; only the sum over *all* enrolled users (plus
 adjustments for dropouts) is meaningful.
 
 The aggregation hot path is fully vectorized: report cell vectors are
-summed as ``uint64`` arrays (one modular reduction at the end — summing
-fewer than ``2^32`` reports of values below ``2^32`` cannot wrap 64 bits,
-so this is bit-identical to reducing after every addition), and the
-#Users distribution query batches the whole public ID space through
+summed in one wrapping ``uint32`` array, the 4-byte cells they arrive
+as (exact mod 2^32, the blinding modulus, so nothing is left to reduce),
+and the #Users distribution query batches the whole public ID space through
 :meth:`~repro.sketch.countmin.CountMinSketch.query_many`. Because the
 ID-space indexes depend only on the round's hash family, the server caches
 the index table across rounds (and epochs) and a steady-state distribution
@@ -18,9 +17,9 @@ query is a single NumPy gather.
 Clique-scoped cancellation
 --------------------------
 When enrollment shards users into blinding cliques, each clique's pads sum
-to zero *independently*: the server accumulates a partial sum per clique
-and combines them into the global aggregate, which is bit-identical to the
-unsharded sum (modular addition is associative). Dropout recovery is
+to zero *independently*, so the sum over all cliques' submissions is
+bit-identical to the unsharded sum, however the aggregation tree groups
+it (modular addition is associative). Dropout recovery is
 likewise clique-local — a missing user only un-cancels pads inside its own
 clique, so only that clique's survivors owe adjustments, and a clique that
 vanished entirely contributed no pads at all (its counts are simply
@@ -47,7 +46,6 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.errors import MissingReportError, RoundStateError
-from repro.crypto.blinding import reduce_cells
 from repro.protocol.client import RoundConfig
 from repro.protocol.messages import BlindedReport, BlindingAdjustment
 from repro.sketch.countmin import CountMinSketch
@@ -170,9 +168,11 @@ class AggregationServer:
                 f"report for round {report.round_id}, current is {round_id}")
         if report.user_id not in self.index_of:
             raise RoundStateError(f"unknown user {report.user_id!r}")
-        if len(report.cells) != self.config.num_cells:
+        # Checked at intake: a cell outside [0, 2^32) is a ProtocolError.
+        cells = report.cells_as_array()
+        if len(cells) != self.config.num_cells:
             raise RoundStateError(
-                f"report has {len(report.cells)} cells, expected "
+                f"report has {len(cells)} cells, expected "
                 f"{self.config.num_cells}")
         if report.clique_id != self.clique_of[report.user_id]:
             raise RoundStateError(
@@ -181,8 +181,7 @@ class AggregationServer:
                 f"{self.clique_of[report.user_id]}")
         existing = self._reports.get(report.user_id)
         if existing is not None:
-            if np.array_equal(existing.cells_as_array(),
-                              report.cells_as_array()):
+            if np.array_equal(existing.cells_as_array(), cells):
                 return  # idempotent retransmission
             raise RoundStateError(
                 f"duplicate report from {report.user_id!r} with differing "
@@ -203,7 +202,8 @@ class AggregationServer:
         if adjustment.user_id not in self.index_of:
             raise RoundStateError(
                 f"adjustment from unknown user {adjustment.user_id!r}")
-        if len(adjustment.cells) != self.config.num_cells:
+        cells = adjustment.cells_as_array()
+        if len(cells) != self.config.num_cells:
             raise RoundStateError("adjustment cell-count mismatch")
         if adjustment.clique_id != self.clique_of[adjustment.user_id]:
             raise RoundStateError(
@@ -212,8 +212,7 @@ class AggregationServer:
                 f"{self.clique_of[adjustment.user_id]}")
         existing = self._adjustments.get(adjustment.user_id)
         if existing is not None:
-            if np.array_equal(existing.cells_as_array(),
-                              adjustment.cells_as_array()):
+            if np.array_equal(existing.cells_as_array(), cells):
                 return
             raise RoundStateError(
                 f"duplicate adjustment from {adjustment.user_id!r} with "
@@ -300,12 +299,17 @@ class AggregationServer:
                     f"applying it would add un-cancelled noise")
 
     def aggregate(self, allow_missing: bool = False) -> CountMinSketch:
-        """Sum all reports (and adjustments) into the aggregate sketch.
+        """The sum of all reports and adjustments as the cleartext
+        aggregate sketch: :meth:`aggregate_cells`, widened to the
+        sketch's counts."""
+        return CountMinSketch(self.config.cms_depth, self.config.cms_width,
+                              self.config.cms_seed,
+                              cells=self.aggregate_cells(allow_missing))
 
-        Reports and adjustments are accumulated into one partial sum per
-        blinding clique, then the partials are combined — bit-identical
-        to the flat sum (modular addition is associative) and the natural
-        place for a future multi-server split to shard work.
+    def aggregate_cells(self, allow_missing: bool = False) -> np.ndarray:
+        """Sum all reports (and adjustments) in one wrapping ``uint32``
+        accumulator: exact mod 2^32, so any order and any grouping of the
+        additions — per clique, per tree tier — gives the same cells.
 
         If any clique's recovery is incomplete — some of its members are
         missing and not every survivor submitted an adjustment — the
@@ -323,26 +327,11 @@ class AggregationServer:
         if not allow_missing:
             self._check_adjustment_consistency()
             self._check_recovery_coverage()
-        partials: Dict[int, np.ndarray] = {}
-
-        def partial(clique: int) -> np.ndarray:
-            arr = partials.get(clique)
-            if arr is None:
-                arr = partials[clique] = np.zeros(self.config.num_cells,
-                                                  dtype=np.uint64)
-            return arr
-
-        for user, report in self._reports.items():
-            arr = partial(self.clique_of[user])
-            arr += report.cells_as_array()
-        for user, adjustment in self._adjustments.items():
-            arr = partial(self.clique_of[user])
-            arr += adjustment.cells_as_array()
-        cells = np.zeros(self.config.num_cells, dtype=np.uint64)
-        for clique in sorted(partials):
-            cells += partials[clique]
-        return CountMinSketch(self.config.cms_depth, self.config.cms_width,
-                              self.config.cms_seed, cells=reduce_cells(cells))
+        cells = np.zeros(self.config.num_cells, dtype=np.uint32)
+        for submission in (*self._reports.values(),
+                           *self._adjustments.values()):
+            cells += submission.cells_as_array()
+        return cells
 
     def users_distribution(self, aggregate: CountMinSketch
                            ) -> EmpiricalDistribution:

@@ -4,9 +4,10 @@ The in-memory transport moves Python objects; a real deployment moves
 bytes. This codec pins down the exact format the byte-accounting in
 :mod:`repro.protocol.messages` models: fixed 16-byte header (magic, type,
 round, payload length) followed by a type-specific payload with 4-byte
-big-endian sketch cells — so ``decode(encode(m)) == m`` and
-``len(encode(m))`` agrees with ``m.size_bytes()`` up to the variable-size
-identity strings.
+big-endian sketch cells — the messages' native ``uint32`` cells, byte-
+swapped — so ``decode(encode(m)) == m`` and ``len(encode(m))`` agrees
+with ``m.size_bytes()`` up to the variable-size identity strings. A cell
+outside ``[0, 2^32)`` is refused, never wrapped.
 
 Format (all integers big-endian):
 
@@ -92,29 +93,21 @@ def _unpack_str_seq(buf: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
 
 
 def _pack_cells(cells: Cells) -> bytes:
-    """Big-endian 4-byte cells via a single NumPy ``tobytes`` call.
-
-    Accepts tuples or :class:`~repro.protocol.messages.CellVector`; falls
-    back to per-int packing only for exotic values NumPy cannot convert
-    (negative or >= 2^64 ints, which the scalar path masked silently).
-    """
-    header = struct.pack(">I", len(cells))
-    try:
-        arr = np.asarray(cells_to_array(cells))
-    except (OverflowError, ValueError, TypeError):
-        return header + b"".join(struct.pack(">I", cell & 0xFFFFFFFF)
-                                 for cell in cells)
-    return header + (arr & 0xFFFFFFFF).astype(">u4").tobytes()
+    """The cells' ``uint32`` array, byteswapped to big-endian once; a
+    value outside ``[0, 2^32)`` raises :class:`~repro.errors.ProtocolError`
+    (:func:`~repro.protocol.messages.cells_to_array`)."""
+    arr = cells_to_array(cells)
+    return struct.pack(">I", len(arr)) + arr.astype(">u4").tobytes()
 
 
 def _unpack_cells(buf: bytes, offset: int) -> Tuple[CellVector, int]:
-    """Decode cells straight into an array-backed :class:`CellVector`."""
+    """Decode cells into a native ``uint32`` :class:`CellVector`: one byteswap."""
     (count,) = struct.unpack_from(">I", buf, offset)
     offset += 4
     if len(buf) < offset + 4 * count:
         raise ProtocolError("cell payload truncated")
     cells = np.frombuffer(buf, dtype=">u4", count=count,
-                          offset=offset).astype(np.uint64)
+                          offset=offset).astype(np.uint32)
     return CellVector(cells), offset + 4 * count
 
 

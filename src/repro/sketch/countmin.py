@@ -14,9 +14,10 @@ reproduces exactly the 185 / 196 / 207 KB sketch sizes reported in §7.1 for
 10k / 50k / 100k ads (see ``tests/test_paper_claims.py``).
 
 Cells are backed by a ``numpy.uint64`` array (values must lie in
-``[0, 2^64)``). The aggregation protocol blinds cells with additive shares
-modulo ``2**32``, so the sketch exposes its raw cell vector — as Python ints
-via :attr:`CountMinSketch.cells`, or zero-copy via
+``[0, 2^64)``); only blinded cells are the 4-byte ``uint32`` a report
+carries. The aggregation protocol blinds cells with additive shares modulo
+``2**32``, so the sketch exposes its raw cell vector — as Python ints via
+:attr:`CountMinSketch.cells`, or zero-copy via
 :attr:`CountMinSketch.cells_array` — and can be reconstructed from one.
 
 Scalar operations (:meth:`~CountMinSketch.update`,

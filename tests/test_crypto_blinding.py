@@ -21,7 +21,6 @@ from repro.crypto.blinding import (
     BLINDING_MODULUS,
     BlindingGenerator,
     PadStreamProvider,
-    reduce_cells,
 )
 from repro.crypto.group import DHGroup
 from repro.protocol import wire
@@ -43,47 +42,6 @@ def make_users(group: DHGroup, n: int, seed: int = 0) -> List[BlindingGenerator]
         peers = {j: pub for j, pub in publics.items() if j != i}
         users.append(BlindingGenerator(group, i, kp, peers))
     return users
-
-
-_U64 = st.integers(min_value=0, max_value=2**64 - 1)
-_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
-
-
-class TestReduceCells:
-    """The mask every blinded sum ends in, against the ``%`` it replaced."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_U64 | st.sampled_from(_EDGES), max_size=24))
-    def test_mask_equals_modulo(self, values):
-        arr = np.array(values, dtype=np.uint64)
-        reduced = reduce_cells(arr)
-        assert reduced.dtype == np.uint64 and reduced.shape == arr.shape
-        assert reduced.tolist() == [v % 2**32 for v in values]
-        assert reduced.tobytes() == (arr % BLINDING_MODULUS).tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(_U64, _U64), min_size=1, max_size=24))
-    def test_wrapped_difference_is_the_signed_residue(self, pairs):
-        """``pos - neg`` wraps mod 2^64 when ``neg > pos``; the low 32
-        bits are still ``(pos - neg) mod 2^32`` over the integers."""
-        pos = np.array([p for p, _ in pairs], dtype=np.uint64)
-        neg = np.array([n for _, n in pairs], dtype=np.uint64)
-        assert reduce_cells(pos - neg).tolist() == [
-            (p - n) % 2**32 for p, n in pairs]
-        assert reduce_cells(neg - pos).tolist() == [
-            (n - p) % 2**32 for p, n in pairs]
-
-    def test_matrices_and_narrow_unsigned_dtypes(self):
-        matrix = np.array([[2**32 + 5, 7], [2**64 - 1, 2**63]], dtype=np.uint64)
-        assert reduce_cells(matrix).tolist() == [[5, 7], [2**32 - 1, 0]]
-        narrow = np.array([0, 2**32 - 1], dtype=np.uint32)
-        assert reduce_cells(narrow).tolist() == [0, 2**32 - 1]
-
-    def test_signed_arrays_are_refused(self):
-        """A negative int64 needs a real ``%`` (the adversary's wrap):
-        masking it must fail loudly, never reinterpret the sign bit."""
-        with pytest.raises(TypeError):
-            reduce_cells(np.array([-1, 5], dtype=np.int64))
 
 
 class TestBlindingCancellation:
@@ -253,7 +211,7 @@ class TestCliqueBlinding:
         n = len(indexes)
         batched = PadStreamProvider().clique_blinding(
             pairs, secrets, lo, hi, n, round_id, num_cells)
-        assert batched.dtype == np.uint64 and batched.shape == (n, num_cells)
+        assert batched.dtype == np.uint32 and batched.shape == (n, num_cells)
         for row, generator in enumerate(generators):
             expected = generator.blinding_vector_array(num_cells, round_id)
             assert batched[row].tobytes() == expected.tobytes()
@@ -294,7 +252,7 @@ class TestCliqueBlinding:
         empty = np.asarray([], dtype=np.intp)
         batched = PadStreamProvider().clique_blinding(
             [], [], empty, empty, 1, 3, 12)
-        assert batched.dtype == np.uint64 and batched.shape == (1, 12)
+        assert batched.dtype == np.uint32 and batched.shape == (1, 12)
         assert not batched.any()
         assert PadStreamProvider().clique_matrix([], [], 3, 12).shape == (0, 12)
 
@@ -457,7 +415,7 @@ class TestAccumulatorOracle:
         for matrix in (pad, pad.astype(np.uint64)):
             result = BlindingGenerator.accumulate_clique_matrix(
                 matrix, lo, hi, members, negate=negate)
-            assert result.dtype == np.uint64
+            assert result.dtype == np.uint32
             assert result.tolist() == expected
 
     @settings(max_examples=40, deadline=None)
@@ -488,7 +446,7 @@ class TestAccumulatorOracle:
             vector = user.blinding_vector_array(num_cells, round_id, peers)
             adjustment = user.adjustment_for_missing_array(
                 missing, num_cells, round_id)
-        assert vector.dtype == adjustment.dtype == np.uint64
+        assert vector.dtype == adjustment.dtype == np.uint32
         assert vector.tolist() == signed_sum(
             [(up(p), pad[p]) for p in (others if peers is None else peers)],
             num_cells)

@@ -20,18 +20,21 @@ Each class pins one bug that existed before the hardening PR:
   never reported in.
 """
 
+import hashlib
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.crypto.blinding import reduce_cells
+from repro.api import ProtocolSession
 from repro.errors import (
     BlindingError,
     MissingReportError,
     ProtocolError,
     RoundStateError,
 )
+from repro.protocol import client as client_mod
 from repro.protocol import enrollment as enrollment_mod
 from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.army import ClientArmy
@@ -228,6 +231,33 @@ class TestRoundIdReuse:
         with pytest.raises(RoundStateError):
             client.build_report(5)
 
+    def test_guard_hashes_each_sketch_once(self, monkeypatch):
+        """The guard's digest is computed once per built sketch, not once
+        a round: three rounds of four unchanged windows hash four
+        sketches, and one new observation costs its client exactly one
+        more hash — counted, not timed."""
+        calls = []
+
+        def counting_sha256(data=b""):
+            calls.append(1)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(client_mod, "hashlib",
+                            SimpleNamespace(sha256=counting_sha256))
+        session = ProtocolSession.create(
+            [f"user-{i}" for i in range(4)], CONFIG, seed=0, use_oprf=False)
+        try:
+            for client in session.clients:
+                client.observe_ad("http://ad.example/1")
+            for _ in range(3):
+                session.run_next_round()
+            assert len(calls) == 4
+            session.clients[2].observe_ad("http://ad.example/2")
+            session.run_next_round()
+            assert len(calls) == 5
+        finally:
+            session.close()
+
 
 class TestSeedZeroPrfKey:
     def test_seed_zero_enrollment_works(self):
@@ -280,15 +310,17 @@ class TestLateReportAfterRecoveryNotice:
         sketch = CONFIG.make_sketch()
         sketch.update_many([client.ad_mapper.ad_id(url)
                             for url in client.seen_urls])
-        return sketch.cells_array.astype(np.uint64)
+        return sketch.cells_array
 
     def test_late_report_is_refused_before_it_is_stored(self):
         survivors, late, aggregator, adjustments = self._recovered_clique()
         report = late.build_report(1)
         # What storing it would hand the back-end: the report minus the
-        # survivors' adjustments is the late user's sketch, cell for cell.
-        unmasked = reduce_cells(report.cells_as_array() - sum(
-            a.cells_as_array() for a in adjustments))
+        # survivors' adjustments is the late user's sketch, cell for cell
+        # (plain uint32 subtraction wraps mod 2^32).
+        unmasked = report.cells_as_array() - sum(
+            a.cells_as_array() for a in adjustments)
+        assert unmasked.dtype == np.uint32
         assert np.array_equal(unmasked, self.cleartext(late))
         with pytest.raises(RoundStateError, match="late report"):
             aggregator.on_message(late.user_id, report)

@@ -1,6 +1,6 @@
 """The vectorized blinded-aggregation path vs the seed scalar semantics.
 
-The protocol rewrite keeps cell vectors as ``uint64`` arrays from the
+The protocol rewrite keeps cell vectors as ``uint32`` arrays from the
 client's blinding step through the server's aggregate; these tests pin the
 invariants that make that safe:
 
@@ -177,7 +177,7 @@ class TestBlindingArrayApis:
         as_list = client.blinding.blind(cells, round_id=6)
         as_array = client.blinding.blind_array(
             np.asarray(cells, dtype=np.uint64), round_id=6)
-        assert as_array.dtype == np.uint64
+        assert as_array.dtype == np.uint32
         assert as_list == as_array.tolist()
 
     def test_adjustment_array_matches_list(self):

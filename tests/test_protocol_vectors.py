@@ -20,8 +20,14 @@ import pytest
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
-from repro.protocol.messages import BlindedReport, BlindingAdjustment
-from repro.protocol.transport import WireTransport
+from repro.protocol.messages import (
+    BlindedReport,
+    BlindingAdjustment,
+    CellVector,
+    PartialAggregate,
+)
+from repro.protocol.net.transport import SocketTransport
+from repro.protocol.transport import InMemoryTransport, WireTransport
 from repro.store import HistoryStore
 
 VECTORS = json.loads(
@@ -55,10 +61,12 @@ def observe(session, week):
         observe_of[uid](f"http://ads.example/w{week}/{uid}")
 
 
-def run_scenario(name, backend):
-    """The vector of ``name``'s recorded round on ``backend``."""
+def run_scenario(name, backend, transport=None):
+    """The vector of ``name``'s recorded round on ``backend``, over
+    ``transport`` (a recording wire transport by default)."""
     num_cliques, use_oprf, kind = SCENARIOS[name]
-    transport = WireTransport(record_transcript=True)
+    if transport is None:
+        transport = WireTransport(record_transcript=True)
     settings = SessionConfig(transport=transport, client_backend=backend)
     store = HistoryStore() if kind == "resume" else None
     session = ProtocolSession.create(
@@ -112,3 +120,32 @@ def test_round_matches_golden_vector(name, backend):
     computed = run_scenario(name, backend)
     assert computed == VECTORS["scenarios"][name], (
         f"{name} on {backend} computed {json.dumps(computed)}")
+
+
+TRANSPORTS = {"memory": InMemoryTransport, "wire": WireTransport,
+              "socket": SocketTransport}
+
+
+@pytest.mark.parametrize("backend", ["objects", "batched"])
+@pytest.mark.parametrize("transport_name", sorted(TRANSPORTS))
+def test_delivered_cells_are_read_only_uint32(transport_name, backend):
+    """Blinded cells are 4 bytes from blinding to root on every
+    transport: each delivered report, adjustment and partial carries a
+    read-only ``uint32`` array, and the round is still the golden one."""
+    transport = TRANSPORTS[transport_name](record_transcript=True)
+    try:
+        computed = run_scenario("k4-dropout", backend, transport)
+    finally:
+        if isinstance(transport, SocketTransport):
+            transport.close()
+    delivered = [message for _sender, _recipient, message
+                 in transport.transcript
+                 if isinstance(message, (BlindedReport, BlindingAdjustment,
+                                         PartialAggregate))]
+    assert {type(m) for m in delivered} == {
+        BlindedReport, BlindingAdjustment, PartialAggregate}
+    for message in delivered:
+        assert isinstance(message.cells, CellVector)
+        assert message.cells.array.dtype == np.uint32
+        assert not message.cells.array.flags.writeable
+    assert computed == VECTORS["scenarios"]["k4-dropout"]

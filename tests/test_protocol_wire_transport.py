@@ -1,14 +1,74 @@
 """Full protocol rounds over the byte-exact wire codec."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.protocol.client import RoundConfig
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.transport import WireTransport
+from repro.protocol.messages import BlindedReport, BlindingAdjustment, CellVector
+from repro.protocol.net.transport import SocketTransport
+from repro.protocol.server import AggregationServer
+from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=3, id_space=200)
+
+#: Cell values at both edges of a 4-byte cell and just past them.
+EDGE_CELLS = [0, 2**32 - 1, 2**32, -1, 2**64 - 1]
+
+
+@pytest.fixture(scope="module")
+def transports():
+    made = {"memory": InMemoryTransport(), "wire": WireTransport(),
+            "socket": SocketTransport()}
+    for transport in made.values():
+        transport.register("aggregator")
+    yield made
+    made["socket"].close()
+
+
+class TestCellRange:
+    """A cell arrives exactly as sent or not at all: on the codec
+    transports ``encode`` refuses a value outside ``[0, 2^32)``, and on
+    memory the server's intake does — nothing wraps it silently."""
+
+    @pytest.mark.parametrize("name", ["memory", "wire", "socket"])
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from([BlindedReport, BlindingAdjustment]),
+           cells=st.lists(st.sampled_from(EDGE_CELLS), min_size=1,
+                          max_size=5))
+    def test_cells_arrive_exact_or_are_refused(self, transports, name,
+                                               kind, cells):
+        transport = transports[name]
+        server = AggregationServer(
+            RoundConfig(cms_depth=1, cms_width=len(cells), cms_seed=0,
+                        id_space=1), {"u": 0})
+        server.start_round(1)
+        submit = server.submit_report if kind is BlindedReport \
+            else server.submit_adjustment
+        message = kind("u", 1, cells=tuple(cells))
+
+        def deliver():
+            transport.send("u", "aggregator", message)
+            _sender, delivered = transport.receive("aggregator")
+            submit(delivered)
+            return delivered
+
+        if all(0 <= cell < 2**32 for cell in cells):
+            delivered = deliver()
+            assert delivered == message
+            array = delivered.cells_as_array()
+            assert array.dtype == np.uint32 and array.tolist() == cells
+        else:
+            with pytest.raises(ProtocolError, match=r"\[0, 2\^32\)"):
+                deliver()
+            with pytest.raises(ProtocolError, match=r"\[0, 2\^32\)"):
+                CellVector(cells)
+            assert transport.pending("aggregator") == 0
+            assert not server.reported_users and not server.adjusted_users
 
 
 class TestWireTransportRound:
