@@ -11,8 +11,8 @@ Subcommands:
   Figure 5);
 * ``compare``  — render the Table-3 capability matrix;
 * ``overhead`` — the §7.1 protocol-overhead numbers;
-* ``serve``    — boot the HTTP service plane (enrollment, rounds, job
-  queue) and block until shutdown.
+* ``serve``    — boot the HTTP service plane (enrollment, rounds,
+  history) and block until shutdown.
 
 Every command is seeded and deterministic: re-running with the same
 arguments reproduces the same output (``serve`` is deterministic in its
@@ -385,26 +385,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: boot the HTTP service plane and block until shutdown.
 
     The full stack comes up — HTTP routes, root aggregator wiring, the
-    detection job queue — and serves until a ``POST /v1/shutdown`` from
-    the operator (or Ctrl-C). The operator token and the bound address
-    are printed first, flushed, so a parent process can scrape them.
+    history store — and serves until a ``POST /v1/shutdown`` from the
+    operator (or Ctrl-C). The operator token and the bound address are
+    printed first, flushed, so a parent process can scrape them. A store
+    that already holds its session, an operator token no header can
+    carry, or a port that will not bind is one stderr line and exit 2.
     """
     if args.cms_depth <= 0 or args.cms_width <= 0 or args.id_space <= 0:
         print(f"--cms-depth/--cms-width/--id-space must be positive, got "
               f"{args.cms_depth}/{args.cms_width}/{args.id_space}",
               file=sys.stderr)
         return 2
-    if args.job_workers < 1:
-        print(f"--job-workers must be >= 1, got {args.job_workers}",
-              file=sys.stderr)
-        return 2
-    if args.job_retries < 0:
-        print(f"--job-retries must be >= 0, got {args.job_retries}",
-              file=sys.stderr)
-        return 2
     from repro.protocol.client import RoundConfig
-    from repro.protocol.net import RetryPolicy
-    from repro.service import ReproService
+    from repro.service import HttpError, ReproService
 
     config = RoundConfig(cms_depth=args.cms_depth, cms_width=args.cms_width,
                          cms_seed=args.seed, id_space=args.id_space)
@@ -413,13 +406,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config, seed=args.seed, num_cliques=args.cliques,
             use_oprf=args.use_oprf, threshold_rule=args.threshold_rule,
             transport=args.transport, host=args.host, port=args.port,
-            operator_token=args.operator_token,
-            job_workers=args.job_workers,
-            retry_policy=RetryPolicy(max_restarts=args.job_retries),
-            job_timeout_s=args.job_timeout, store=args.store)
-    except StoreError as exc:
-        # A store that already holds this service's session: a second
-        # life would reuse its one-time pads. Refused before any bind.
+            operator_token=args.operator_token, store=args.store)
+    except (StoreError, ConfigurationError) as exc:
+        # A store that already holds this service's session (a second
+        # life would reuse its one-time pads), or an operator token no
+        # header can carry. Refused before any bind.
         print(exc, file=sys.stderr)
         return 2
     try:
@@ -432,6 +423,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("interrupted; shutting down", file=sys.stderr)
         else:
             print("shutdown requested; stopping", flush=True)
+    except HttpError as exc:  # the port is taken
+        print(exc, file=sys.stderr)
+        return 2
     finally:
         service.close()
     return 0
@@ -623,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser("serve",
                            help="boot the HTTP service plane (enrollment, "
-                                "rounds, job queue) and block")
+                                "rounds, history) and block")
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     p_srv.add_argument("--port", type=int, default=0,
@@ -655,16 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of minting one; the full token "
                             "(principal + secret) is printed at startup "
                             "either way")
-    p_srv.add_argument("--job-workers", type=int, default=2,
-                       help="detection job-queue worker threads "
-                            "(default 2)")
-    p_srv.add_argument("--job-retries", type=int, default=2,
-                       help="retry budget per job after its first attempt "
-                            "(default 2; exhausted jobs go to the "
-                            "dead-letter state)")
-    p_srv.add_argument("--job-timeout", type=float, default=120.0,
-                       help="default per-job timeout in seconds "
-                            "(default 120)")
     p_srv.add_argument("--store", default=None, metavar="PATH",
                        help="persist the service's durable round history "
                             "into this HistoryStore SQLite file (default: "

@@ -109,7 +109,7 @@ realism for speed, and a session selects one by name
   assertable and lets a chaos :class:`~repro.protocol.net.FaultPlan`
   inject unchanged beneath the service
   (``ReproService(..., transport="socket", fault_plan=...)``). See
-  ``docs/service.md`` for routes, auth and the job queue.
+  ``docs/service.md`` for routes and auth.
 
 Above the ladder, :mod:`repro.protocol.net` makes the parties real OS
 processes: :class:`~repro.protocol.net.ProcessAggregatorPool` runs each
@@ -204,13 +204,6 @@ Oversized / trickled HTTP request     Fails that request fast — length
                                       431), per-request deadline kills
                                       slow-loris; the round is
                                       unaffected.
-Detection worker killed (job queue)   Survives — retry with exponential
-                                      backoff re-runs the deterministic
-                                      job; same answer, attempts
-                                      recorded.
-Job past its retry budget             Fails visibly — queryable
-                                      dead-letter state with the full
-                                      failure history; never hangs.
 ====================================  =================================
 
 **Transport-independent guarantees.** Pad one-time-ness is enforced on

@@ -20,11 +20,6 @@ reproduction — the top rung of the transport fidelity ladder (see
 * :mod:`repro.service.app` — the JSON route layer and
   :class:`~repro.service.app.ReproService`, the composed stack that
   ``repro serve`` boots;
-* :mod:`repro.service.jobs` / :mod:`repro.service.jobworker` — a
-  retrying worker-pool job queue for detection runs (submit → poll →
-  result, exponential backoff via the aggregator pool's
-  :class:`~repro.protocol.net.RetryPolicy`, dead-letter for
-  jobs that exhaust the budget);
 * :mod:`repro.service.client` — :class:`~repro.service.client.
   RemoteClient` and :class:`~repro.service.client.OperatorClient`, the
   other-process side: a real :class:`~repro.protocol.client.
@@ -47,35 +42,15 @@ from repro.service.client import (
     run_remote_round,
 )
 from repro.service.http import HttpError, HttpServer, Request, Response
-from repro.service.jobs import (
-    DEAD,
-    QUEUED,
-    RETRYING,
-    RUNNING,
-    SUCCEEDED,
-    JobError,
-    JobQueue,
-    JobRecord,
-)
-from repro.service.jobworker import JOB_KIND_DETECTION, detection_handler
 from repro.service.state import SERVICE_TRANSPORTS, ServiceState
 
 __all__ = [
-    "DEAD",
-    "JOB_KIND_DETECTION",
     "OPERATOR_PRINCIPAL",
-    "QUEUED",
-    "RETRYING",
     "ROLE_CLIENT",
     "ROLE_OPERATOR",
-    "RUNNING",
     "SERVICE_TRANSPORTS",
-    "SUCCEEDED",
     "HttpError",
     "HttpServer",
-    "JobError",
-    "JobQueue",
-    "JobRecord",
     "OperatorClient",
     "Principal",
     "RemoteClient",
@@ -87,6 +62,5 @@ __all__ = [
     "ServiceHTTP",
     "ServiceState",
     "TokenBook",
-    "detection_handler",
     "run_remote_round",
 ]

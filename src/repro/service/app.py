@@ -1,8 +1,7 @@
 """The HTTP route layer and the composed ``repro serve`` service.
 
 :class:`ServiceApp` maps the REST surface onto
-:class:`~repro.service.state.ServiceState` and
-:class:`~repro.service.jobs.JobQueue`:
+:class:`~repro.service.state.ServiceState`:
 
 ====== ================================== ========= =======================
 Method Path                               Auth      Meaning
@@ -24,9 +23,6 @@ GET    /v1/history/weeks                  any       recorded weeks
 GET    /v1/history/rounds                 any       persisted rounds
 GET    /v1/history/flagged                any       flagged campaigns view
 GET    /v1/history/trend                  any       one campaign's trajectory
-POST   /v1/jobs                           operator  submit a detection job
-GET    /v1/jobs                           operator  list jobs (?status=dead)
-GET    /v1/jobs/{id}                      operator  poll one job
 POST   /v1/shutdown                       operator  request clean shutdown
 ====== ================================== ========= =======================
 
@@ -46,36 +42,27 @@ from __future__ import annotations
 import base64
 import binascii
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.protocol.client import RoundConfig
 from repro.service.auth import ROLE_CLIENT, ROLE_OPERATOR, Principal, TokenBook
 from repro.service.http import HttpError, HttpServer, Request, Response
-from repro.service.jobs import JobQueue, JobRecord
-from repro.service.jobworker import JOB_KIND_DETECTION, detection_handler
 from repro.service.state import ServiceState
 
 if TYPE_CHECKING:
     from repro.protocol.net.chaos import FaultPlan
-    from repro.protocol.net import RetryPolicy
 
 OPERATOR_PRINCIPAL = "operator"
-
-
-def _job_spec(record: JobRecord) -> Dict[str, Any]:
-    return record.to_spec()
 
 
 class ServiceApp:
     """Routes requests; owns nothing but the dispatch table."""
 
     def __init__(self, state: ServiceState, tokens: TokenBook,
-                 jobs: Optional[JobQueue] = None,
                  shutdown: Optional[threading.Event] = None) -> None:
         self.state = state
         self.tokens = tokens
-        self.jobs = jobs
         self.shutdown = shutdown or threading.Event()
 
     # ------------------------------------------------------------------
@@ -129,8 +116,6 @@ class ServiceApp:
                 return Response.json(self.state.snapshot_spec(week))
         if parts[:1] == ["history"] and method == "GET":
             return self._history_route(request, tuple(parts[1:]))
-        if parts[:1] == ["jobs"]:
-            return self._jobs_route(request, principal, parts[1:])
         if parts == ["shutdown"] and method == "POST":
             self.tokens.require(principal, ROLE_OPERATOR)
             self.shutdown.set()
@@ -139,10 +124,15 @@ class ServiceApp:
 
     @staticmethod
     def _int(text: str, what: str) -> int:
+        """A round id, week or epoch: 400 unless ``0 <= n < 2**63``,
+        the range the store's SQLite INTEGER columns hold."""
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise HttpError(400, f"bad {what} {text!r}") from None
+        if not 0 <= value < 2 ** 63:
+            raise HttpError(400, f"{what} {value} is out of range")
+        return value
 
     # ------------------------------------------------------------------
     # Enrollment and epochs
@@ -274,49 +264,14 @@ class ServiceApp:
         raise HttpError(
             404, f"no such history route GET /{'/'.join(rest)}")
 
-    # ------------------------------------------------------------------
-    # Jobs
-    # ------------------------------------------------------------------
-    def _jobs_route(self, request: Request, principal: Principal,
-                    rest: Tuple[str, ...]) -> Response:
-        self.tokens.require(principal, ROLE_OPERATOR)
-        if self.jobs is None:
-            raise HttpError(503, "this service runs without a job queue")
-        rest = tuple(rest)
-        method = request.method
-        if rest == () and method == "POST":
-            payload = request.json()
-            kind = payload.get("kind", JOB_KIND_DETECTION)
-            if not isinstance(kind, str):
-                raise HttpError(400, "'kind' must be a string")
-            params = payload.get("params", {})
-            if not isinstance(params, dict):
-                raise HttpError(400, "'params' must be a JSON object")
-            timeout_s = payload.get("timeout_s")
-            if timeout_s is not None and (
-                    isinstance(timeout_s, bool)
-                    or not isinstance(timeout_s, (int, float))):
-                raise HttpError(400, "'timeout_s' must be a number")
-            record = self.jobs.submit(kind, params, timeout_s=timeout_s)
-            return Response.json(_job_spec(record), status=201)
-        if rest == () and method == "GET":
-            status = request.query.get("status")
-            records = self.jobs.list_jobs(status=status)
-            return Response.json({"jobs": [_job_spec(r) for r in records]})
-        if len(rest) == 1 and method == "GET":
-            try:
-                record = self.jobs.get(rest[0])
-            except KeyError:
-                raise HttpError(404, f"no such job {rest[0]!r}") from None
-            return Response.json(_job_spec(record))
-        raise HttpError(404, f"no such jobs route {method} /{'/'.join(rest)}")
-
 
 class ReproService:
-    """The whole service plane, composed: state + auth + jobs + HTTP.
+    """The whole service plane, composed: state + auth + HTTP.
 
     What ``repro serve`` boots, and what in-process tests drive via
-    :meth:`start`/:meth:`close` (or as a context manager).
+    :meth:`start`/:meth:`close` (or as a context manager). The operator
+    token is settled before the store opens, so a refused
+    ``operator_token`` leaves nothing to close.
     """
 
     def __init__(self, config: RoundConfig, seed: int = 0,
@@ -325,17 +280,9 @@ class ReproService:
                  fault_plan: "Optional[FaultPlan]" = None,
                  host: str = "127.0.0.1", port: int = 0,
                  operator_token: Optional[str] = None,
-                 job_workers: int = 2,
-                 retry_policy: "Optional[RetryPolicy]" = None,
-                 job_timeout_s: float = 120.0,
-                 job_handlers: Optional[Dict[str, Callable[..., Any]]] = None,
                  store: Optional[str] = None,
                  session_name: str = "service",
                  ) -> None:
-        self.state = ServiceState(
-            config, seed=seed, num_cliques=num_cliques, use_oprf=use_oprf,
-            threshold_rule=threshold_rule, transport=transport,
-            fault_plan=fault_plan, store=store, session_name=session_name)
         self.tokens = TokenBook()
         if operator_token is None:
             self.operator_token = self.tokens.mint(
@@ -343,13 +290,12 @@ class ReproService:
         else:
             self.operator_token = self.tokens.adopt(
                 OPERATOR_PRINCIPAL, ROLE_OPERATOR, operator_token)
-        handlers = job_handlers if job_handlers is not None else {
-            JOB_KIND_DETECTION: detection_handler()}
-        self.jobs = JobQueue(handlers, workers=job_workers,
-                             retry_policy=retry_policy,
-                             default_timeout_s=job_timeout_s)
+        self.state = ServiceState(
+            config, seed=seed, num_cliques=num_cliques, use_oprf=use_oprf,
+            threshold_rule=threshold_rule, transport=transport,
+            fault_plan=fault_plan, store=store, session_name=session_name)
         self.shutdown_requested = threading.Event()
-        self.app = ServiceApp(self.state, self.tokens, jobs=self.jobs,
+        self.app = ServiceApp(self.state, self.tokens,
                               shutdown=self.shutdown_requested)
         self.http = HttpServer(self.app, host=host, port=port)
         self._started = False
@@ -373,7 +319,6 @@ class ReproService:
         if self._started:
             self.http.stop()
             self._started = False
-        self.jobs.close()
         self.state.close()
 
     def __enter__(self) -> "ReproService":

@@ -3,9 +3,11 @@
 Every enrolled client holds a per-enrollment bearer token; the operator
 holds one with the ``operator`` role. Tokens are opaque strings of the
 form ``<principal-b64>.<secret-hex>`` — the principal rides inside the
-token so the book can look up the *expected* token and compare the two
-full strings with :func:`hmac.compare_digest`, keeping the comparison
-constant-time regardless of where the presented token diverges.
+token so the book can look up the *expected* token and compare the
+UTF-8 bytes of the two full strings with :func:`hmac.compare_digest`,
+keeping the comparison constant-time regardless of where the presented
+token diverges (bytes, because the string form refuses non-ASCII text
+and a header may carry any latin-1 character).
 
 Lifecycle rules the protocol imposes:
 
@@ -31,6 +33,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.service.http import HttpError
 
 #: Roles a token can carry.
@@ -88,8 +91,14 @@ class TokenBook:
         The caller picks the secret half; the stored (and returned) form
         still embeds the principal — ``<principal-b64>.<secret>`` — so
         authentication stays a single constant-time comparison of full
-        tokens. Present the *returned* token, not the bare secret.
+        tokens. Present the *returned* token, not the bare secret. A
+        secret that is not printable ASCII without whitespace could never
+        arrive intact in a header, so it is refused.
         """
+        if not all("!" <= c <= "~" for c in secret):
+            raise ConfigurationError(
+                f"the secret for {principal!r} must be printable ASCII "
+                f"without whitespace")
         if principal in self._tokens:
             raise HttpError(409, f"{principal!r} already holds a live token")
         token = self._encode(principal, secret)
@@ -124,8 +133,9 @@ class TokenBook:
         Raises :class:`~repro.service.http.HttpError` 401 for a missing
         header, a malformed scheme or token, an unknown/revoked
         principal, or a wrong secret. The token comparison is a single
-        :func:`hmac.compare_digest` over the full expected and presented
-        strings, so timing does not reveal where they diverge.
+        :func:`hmac.compare_digest` over the UTF-8 bytes of the full
+        expected and presented tokens, so timing does not reveal where
+        they diverge.
         """
         if authorization is None:
             raise _unauthorized("missing bearer token")
@@ -138,7 +148,8 @@ class TokenBook:
         expected = self._tokens.get(principal) if principal else None
         # Unknown principals compare against a decoy so the rejection
         # path does the same constant-time work as the happy path.
-        if not hmac.compare_digest(expected or self._decoy, presented):
+        if not hmac.compare_digest((expected or self._decoy).encode("utf-8"),
+                                   presented.encode("utf-8")):
             raise _unauthorized("unknown, revoked or wrong token")
         assert principal is not None
         return Principal(name=principal, role=self._roles[principal])

@@ -93,7 +93,8 @@ class ServiceHTTP:
 
 
 class OperatorClient:
-    """The operator's side of the API: epochs, rounds, jobs, shutdown."""
+    """The operator's side of the API: epochs, rounds, snapshots,
+    shutdown."""
 
     def __init__(self, host: str, port: int, token: str,
                  timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
@@ -120,21 +121,6 @@ class OperatorClient:
 
     def snapshot(self, week: int) -> Dict[str, Any]:
         return self.http.get(f"/v1/snapshots/{week}")
-
-    def submit_job(self, params: Optional[Dict[str, Any]] = None,
-                   kind: str = "detection",
-                   timeout_s: Optional[float] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"kind": kind, "params": params or {}}
-        if timeout_s is not None:
-            payload["timeout_s"] = timeout_s
-        return self.http.post("/v1/jobs", payload)
-
-    def job(self, job_id: str) -> Dict[str, Any]:
-        return self.http.get(f"/v1/jobs/{job_id}")
-
-    def jobs(self, status: Optional[str] = None) -> List[Dict[str, Any]]:
-        path = "/v1/jobs" + (f"?status={status}" if status else "")
-        return list(self.http.get(path)["jobs"])
 
     def shutdown(self) -> Dict[str, Any]:
         return self.http.post("/v1/shutdown")

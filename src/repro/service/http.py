@@ -17,7 +17,7 @@ subset the service uses:
 * every connection is served on its own daemon thread
   (:class:`socketserver.ThreadingTCPServer`), which parses with plain
   blocking reads and calls the synchronous handler directly, so
-  blocking protocol work (a round pump, a job submission) stalls only
+  blocking protocol work (a round pump, a finalize) stalls only
   the client that asked for it;
 * one deadline bounds each whole request, from the wait for its request
   line to its last body byte: a timer hangs the connection up, so

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -163,12 +165,28 @@ class TestServe:
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
 
-    def test_zero_job_workers_refused(self, capsys):
-        code = main(["serve", "--job-workers", "0"])
-        assert code == 2
-        assert "--job-workers" in capsys.readouterr().err
+    @pytest.fixture()
+    def no_block(self, monkeypatch):
+        """A service that does come up returns at once instead of
+        serving until shutdown."""
+        monkeypatch.setattr("repro.service.ReproService.wait_for_shutdown",
+                            lambda self, timeout=None: True)
 
-    def test_negative_job_retries_refused(self, capsys):
-        code = main(["serve", "--job-retries", "-1"])
+    def test_busy_port_is_one_line_and_exit_2(self, capsys, no_block):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            code = main(["serve", "--port", str(port)])
         assert code == 2
-        assert "--job-retries" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed to bind" in err
+        assert err.count("\n") == 1
+
+    def test_unsendable_operator_token_is_one_line_and_exit_2(self, capsys,
+                                                             no_block):
+        code = main(["serve", "--operator-token", "bad token"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "printable ASCII" in err
+        assert err.count("\n") == 1

@@ -5,9 +5,9 @@ The promises under test (documented in ``docs/service.md``):
 * a missing, malformed, unknown or wrong bearer token is refused with
   401 **before** the request body is parsed and before any protocol
   state is read — a rejected request can never have mutated state;
-* token comparison is one :func:`hmac.compare_digest` over the full
-  expected and presented strings (with a decoy for unknown principals),
-  so timing does not reveal where a guess diverges;
+* token comparison is one :func:`hmac.compare_digest` over the UTF-8
+  bytes of the full expected and presented tokens (with a decoy for
+  unknown principals), so timing does not reveal where a guess diverges;
 * a leave revokes — enrollment tokens are not usable across epochs
   after the user leaves.
 
@@ -21,6 +21,7 @@ from hmac import compare_digest as real_compare_digest
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.protocol.client import RoundConfig
 from repro.service.app import OPERATOR_PRINCIPAL, ServiceApp
 from repro.service.auth import ROLE_CLIENT, ROLE_OPERATOR, TokenBook
@@ -93,6 +94,11 @@ class TestTokenBook:
         with pytest.raises(HttpError):  # the bare secret is not a token
             book.authenticate("Bearer chosen-by-the-cli")
 
+    @pytest.mark.parametrize("secret", ["bad token", "caf\xe9", "tab\there"])
+    def test_adopt_refuses_a_secret_no_header_can_carry(self, secret):
+        with pytest.raises(ConfigurationError, match="printable ASCII"):
+            TokenBook().adopt(OPERATOR_PRINCIPAL, ROLE_OPERATOR, secret)
+
     def test_require_role_mismatch_is_403(self):
         book = TokenBook()
         token = book.mint("u1", ROLE_CLIENT)
@@ -109,10 +115,13 @@ class TestTokenBook:
         "Bearer    ",                           # whitespace token
         "Bearer no-dot-separator",              # malformed token shape
         "Bearer !!!!.beef",                     # undecodable principal
+        "Bearer \xe9\xe9",                      # non-ASCII token
+        "Bearer b3BlcmF0b3I=.s3cre\xe9",         # operator's, last byte \xe9
     ])
     def test_missing_or_malformed_is_401(self, header):
         book = TokenBook()
         book.mint("u1", ROLE_CLIENT)
+        book.adopt(OPERATOR_PRINCIPAL, ROLE_OPERATOR, "s3cret")
         with pytest.raises(HttpError) as exc:
             book.authenticate(header)
         assert exc.value.status == 401
@@ -128,7 +137,7 @@ class TestTokenBook:
 
 
 class TestConstantTimeComparison:
-    """The comparison is one compare_digest over full token strings."""
+    """The comparison is one compare_digest over full token bytes."""
 
     @pytest.fixture()
     def spy(self, monkeypatch):
@@ -146,7 +155,7 @@ class TestConstantTimeComparison:
         book = TokenBook()
         token = book.mint("u1", ROLE_CLIENT)
         book.authenticate(f"Bearer {token}")
-        assert spy == [(token, token)]
+        assert spy == [(token.encode(), token.encode())]
 
     def test_wrong_secret_still_compares_full_strings_once(self, spy):
         book = TokenBook()
@@ -155,7 +164,7 @@ class TestConstantTimeComparison:
         wrong = f"{prefix}.{'0' * len(secret)}"
         with pytest.raises(HttpError):
             book.authenticate(f"Bearer {wrong}")
-        assert spy == [(token, wrong)]
+        assert spy == [(token.encode(), wrong.encode())]
 
     def test_unknown_principal_compares_against_decoy(self, spy):
         """The unknown-principal path does the same constant-time work
@@ -166,7 +175,7 @@ class TestConstantTimeComparison:
         with pytest.raises(HttpError):
             book.authenticate(f"Bearer {stranger}")
         assert len(spy) == 1
-        assert spy[0] == (book._decoy, stranger)
+        assert spy[0] == (book._decoy.encode(), stranger.encode())
 
 
 class TestRejectionsDoNotMutateState:

@@ -5,8 +5,7 @@ separate process, enroll clients over HTTP, run a full private round
 through the API, read the round summary back from this (second)
 process, and assert the aggregate / distribution / threshold are
 **bit-identical** to an in-memory-transport run of the same enrollment.
-Then submit a detection job over HTTP and shut the service down
-cleanly.
+Then shut the service down cleanly over HTTP.
 """
 
 import base64
@@ -14,7 +13,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -25,7 +23,6 @@ from repro.protocol.enrollment import enroll_users
 from repro.service.client import (
     OperatorClient,
     RemoteClient,
-    ServiceAPIError,
     run_remote_round,
 )
 
@@ -50,8 +47,7 @@ def served():
          "--seed", str(SEED), "--cliques", str(CLIQUES),
          "--cms-depth", str(CONFIG.cms_depth),
          "--cms-width", str(CONFIG.cms_width),
-         "--id-space", str(CONFIG.id_space),
-         "--job-workers", "1"],
+         "--id-space", str(CONFIG.id_space)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=env)
     token = address = None
@@ -143,30 +139,6 @@ class TestServeEndToEnd:
         snapshot = operator.snapshot(0)
         assert snapshot["round_result"] == summary
         assert snapshot["users_threshold"] == reference.users_threshold
-
-    def test_detection_job_over_http(self, served):
-        operator, _host, _port, _proc = served
-        record = operator.submit_job(
-            {"users": 12, "websites": 8, "visits": 4, "seed": 3},
-            timeout_s=120)
-        job_id = record["job_id"]
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            record = operator.job(job_id)
-            if record["status"] in ("succeeded", "dead"):
-                break
-            time.sleep(0.3)
-        assert record["status"] == "succeeded", record
-        assert record["result"]["users_threshold"] > 0
-        assert record["result"]["seed"] == 3
-
-    def test_client_token_cannot_submit_jobs(self, served):
-        _operator, host, port, _proc = served
-        remote = self.remotes["u00"]
-        sneaky = OperatorClient(host, port, remote.token)
-        with pytest.raises(ServiceAPIError) as exc:
-            sneaky.submit_job({})
-        assert exc.value.status == 403
 
     def test_shutdown_is_clean(self, served):
         operator, _host, _port, proc = served

@@ -1,5 +1,5 @@
 """The service plane's edges: deadlines, mutated requests, malformed
-payloads and job parameters.
+payloads and out-of-range integers.
 
 Every request a client can send ends in one of two ways: a well-formed
 HTTP status line with a structured JSON ``{"error": ...}`` body, or a
@@ -30,6 +30,7 @@ from repro.service.client import (
     OperatorClient,
     RemoteClient,
     ServiceAPIError,
+    ServiceHTTP,
 )
 from repro.service.http import HttpServer, Request, Response
 
@@ -251,9 +252,16 @@ def test_mutated_requests_get_a_structured_answer_or_a_clean_close(
 @pytest.fixture(scope="module")
 def service():
     config = RoundConfig(cms_depth=3, cms_width=64, cms_seed=7, id_space=512)
-    with ReproService(config, seed=11, job_workers=1,
-                      job_handlers={"noop": lambda record: {}}) as svc:
+    with ReproService(config, seed=11) as svc:
         yield svc
+
+
+@pytest.fixture(scope="module")
+def edge_member(service):
+    """A client token of its own, for the client-only routes."""
+    member = RemoteClient(*service.address, "edge")
+    member.enroll()
+    return member
 
 
 def post_status(http, path, payload):
@@ -287,18 +295,33 @@ class TestRoutes:
                 {"payload": payload.decode()}))
         assert all(400 <= s < 500 for s in statuses), statuses
 
-    @pytest.mark.parametrize("payload", [
-        {"kind": []},
-        {"kind": "noop", "timeout_s": [1]},
-        {"kind": "noop", "timeout_s": True},
-    ], ids=["kind-not-a-string", "timeout-a-list", "timeout-a-bool"])
-    def test_malformed_job_params_are_400(self, service, payload):
+    @pytest.mark.parametrize("who, path, payload", [
+        ("operator", "/v1/epoch", {"leaves": "u0"}),
+        ("operator", "/v1/epoch", {"leaves": [1]}),
+        ("anyone", "/v1/enroll", {"user_id": 5}),
+        ("client", "/v1/rounds/{rid}/messages", {"payload": 5}),
+        ("client", "/v1/rounds/{rid}/messages", {"payload": "!!"}),
+    ], ids=["leaves-not-a-list", "leaves-not-strings", "user-id-not-a-string",
+            "payload-not-a-string", "payload-not-base64"])
+    def test_malformed_bodies_are_400(self, service, edge_member, who, path,
+                                      payload):
         host, port = service.address
-        operator = OperatorClient(host, port, service.operator_token)
-        assert post_status(operator.http, "/v1/jobs", payload) == 400
+        http = {"operator": ServiceHTTP(host, port, service.operator_token),
+                "client": edge_member.http,
+                "anyone": ServiceHTTP(host, port)}[who]
+        path = path.format(rid=service.state.open_round or 0)
+        assert post_status(http, path, payload) == 400
 
-    def test_well_formed_job_is_accepted(self, service):
-        host, port = service.address
-        operator = OperatorClient(host, port, service.operator_token)
-        record = operator.submit_job(kind="noop", timeout_s=5)
-        assert record["kind"] == "noop"
+    @pytest.mark.parametrize("path", [
+        "/v1/rounds/{n}/summary",
+        "/v1/snapshots/{n}",
+        "/v1/history/rounds?epoch={n}",
+        "/v1/history/flagged?since_week={n}",
+    ], ids=["round-id", "week", "epoch", "since-week"])
+    def test_out_of_range_integers_are_400(self, service, path):
+        """Past SQLite's signed 64 bits is the client's error, not an
+        OverflowError."""
+        http = ServiceHTTP(*service.address, service.operator_token)
+        with pytest.raises(ServiceAPIError) as exc:
+            http.get(path.format(n=2 ** 70))
+        assert exc.value.status == 400
