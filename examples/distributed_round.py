@@ -6,8 +6,9 @@ back-end actually on the other side of a socket):
 1. enroll a population into ``k`` blinding cliques;
 2. ask the session for the ``"socket"`` transport (every protocol
    message crosses a real TCP connection as a length-prefixed frame)
-   and ``aggregator_procs=k`` (each clique aggregator — and the root —
-   is a separate OS process speaking the wire format);
+   and ``aggregator_procs=True`` (each clique aggregator — one per
+   enrolled clique — and the root is a separate OS process speaking
+   the wire format);
 3. run rounds; churn the roster with ``advance_epoch`` — the live
    aggregator processes are re-wired in place, never restarted.
 
@@ -41,7 +42,7 @@ def main():
 
     with ProtocolSession.create(
             USERS, CONFIG,
-            SessionConfig(transport="socket", aggregator_procs=CLIQUES),
+            SessionConfig(transport="socket", aggregator_procs=True),
             seed=9, use_oprf=False, num_cliques=CLIQUES) as session:
         print(f"aggregator processes ({CLIQUES} cliques + root):")
         for endpoint_id, pid in session.aggregator_pool.pids.items():

@@ -64,8 +64,8 @@ clique feeding the root, through regional merge tiers when ``fan_in``
 bounds the fan-out (the paper's single back-end is the one-clique
 tree). Transports are selected by name — ``transport="memory"``
 (default), ``"wire"`` (byte-exact codec round-trip) or ``"socket"``
-(real TCP frames) — and ``aggregator_procs=k`` additionally runs each
-clique aggregator and the root as real subprocesses
+(real TCP frames) — and ``aggregator_procs=True`` additionally runs
+each clique aggregator present and the root as real subprocesses
 (:mod:`repro.protocol.net`), re-wired in place by ``advance_epoch``.
 Sessions that own subprocesses or sockets are context managers; call
 :meth:`ProtocolSession.close` (or use ``with``) when done.
@@ -77,6 +77,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -115,8 +116,7 @@ if TYPE_CHECKING:
     from repro.protocol.net.pool import ProcessAggregatorPool
     from repro.core.detector import DetectorConfig
     from repro.core.pipeline import PipelineResult
-    from repro.store.history import HistoryStore
-    from repro.store.recorder import SessionRecorder
+    from repro.store.history import EpochRecord, HistoryStore
     from repro.types import Impression
     from repro.protocol.net.pool import RetryPolicy
 
@@ -220,9 +220,8 @@ class SessionConfig:
         picks the population representation when
         :meth:`~ProtocolSession.create` enrolls from user ids.
     aggregator_procs:
-        Run each clique aggregator and the root as real subprocesses;
-        must equal the enrolled clique count (checked by the session,
-        which knows the population).
+        ``True`` runs each clique aggregator and the root as real
+        subprocesses, one per clique the population enrolled.
     fault_plan:
         Optional :class:`~repro.protocol.net.FaultPlan` of seeded WAN
         faults. Its link faults need ``transport="socket"`` (injected
@@ -249,7 +248,7 @@ class SessionConfig:
     transport: TransportSpec = None
     threshold_rule: ThresholdRuleFn = mean_threshold
     client_backend: str = "objects"
-    aggregator_procs: int = 0
+    aggregator_procs: bool = False
     fault_plan: "Optional[FaultPlan]" = None
     retry_policy: "Optional[RetryPolicy]" = None
     fan_in: Optional[int] = None
@@ -260,10 +259,10 @@ class SessionConfig:
                 f"unknown client_backend {self.client_backend!r}; "
                 f"expected one of {CLIENT_BACKENDS}")
         _check_transport(self.transport, self.fault_plan)
-        if self.aggregator_procs < 0:
+        if not isinstance(self.aggregator_procs, bool):
             raise ConfigurationError(
-                f"aggregator_procs must be >= 0, got "
-                f"{self.aggregator_procs}")
+                f"aggregator_procs is True or False (one process per "
+                f"enrolled clique), got {self.aggregator_procs!r}")
         if self.fan_in is not None and self.fan_in < 2:
             raise ConfigurationError(
                 f"fan_in must be >= 2 (a 1-child tier merges nothing), "
@@ -271,13 +270,13 @@ class SessionConfig:
         if self.retry_policy is not None and not self.aggregator_procs:
             raise ConfigurationError(
                 "retry_policy supervises aggregator subprocesses; pass "
-                "aggregator_procs=k to run them (in-process aggregators "
+                "aggregator_procs=True to run them (in-process aggregators "
                 "have nothing to respawn)")
         if self.fault_plan is not None and self.fault_plan.worker_crashes \
                 and not self.aggregator_procs:
             raise ConfigurationError(
                 "fault_plan.worker_crashes kills aggregator subprocesses; "
-                "pass aggregator_procs=k to run them")
+                "pass aggregator_procs=True to run them")
 
 
 class ProtocolSession:
@@ -343,21 +342,13 @@ class ProtocolSession:
             else None
         self._closed = False
         self._pool = None
-        self._recorder: "Optional[SessionRecorder]" = None
         self._store: "Optional[HistoryStore]" = None
+        self._store_name = ""
         self._owns_store = False
-        # The one wiring check that needs the population (everything
-        # else SessionConfig already validated).
-        procs = settings.aggregator_procs
-        if procs:
-            cliques_present = len(as_population(clients).members())
-            if procs != cliques_present:
-                raise ConfigurationError(
-                    f"aggregator_procs={procs} but the enrolled "
-                    f"population has {cliques_present} blinding clique(s); "
-                    f"one aggregator process serves exactly one clique "
-                    f"(enroll with num_cliques={procs}, or pass "
-                    f"aggregator_procs={cliques_present})")
+        #: The detection week stamped on every round recorded while it
+        #: is set (the pipeline sets it before a window's rounds).
+        self.week: Optional[int] = None
+        if settings.aggregator_procs:
             from repro.protocol.net import ProcessAggregatorPool
             self._pool = ProcessAggregatorPool(
                 config, retry_policy=settings.retry_policy,
@@ -423,7 +414,6 @@ class ProtocolSession:
                *,
                store: "Union[HistoryStore, str, None]" = None,
                store_name: str = "session",
-               own_store: bool = True,
                **enroll_kwargs: Any) -> "ProtocolSession":
         """The one documented way to build a session.
 
@@ -451,8 +441,7 @@ class ProtocolSession:
         omitted. ``store`` (a
         :class:`~repro.store.history.HistoryStore` or a path for one)
         attaches durable history recording via :meth:`attach_store`
-        before any round runs — with ``own_store=True`` (default) the
-        session closes it on :meth:`close`.
+        before any round runs.
         """
         settings = settings if settings is not None else SessionConfig()
         if isinstance(source, (Enrollment, MembershipManager, ClientArmy,
@@ -500,7 +489,7 @@ class ProtocolSession:
                       membership=membership)
         if store is not None:
             try:
-                session.attach_store(store, name=store_name, own=own_store)
+                session.attach_store(store, name=store_name)
             except BaseException:
                 session.close()
                 raise
@@ -509,8 +498,7 @@ class ProtocolSession:
     @classmethod
     def resume(cls, store: "Union[HistoryStore, str]",
                name: str = "session",
-               settings: Optional[SessionConfig] = None,
-               *, own_store: bool = True) -> "ProtocolSession":
+               settings: Optional[SessionConfig] = None) -> "ProtocolSession":
         """Reconstruct a crashed session from its persisted history.
 
         Reads the session's enrollment identity, epoch lineage and
@@ -539,15 +527,13 @@ class ProtocolSession:
         :meth:`create` enrolls).
 
         The store stays attached (recording continues seamlessly);
-        ``own_store=True`` (default) hands its lifetime to
-        :meth:`close`.
+        :meth:`close` closes it when ``store`` was a path.
         """
         from repro.errors import StoreError
         from repro.store.history import HistoryStore
-        owns = own_store
+        owns = isinstance(store, str)
         if isinstance(store, str):
             store = HistoryStore(store)
-            owns = True
         try:
             record = store.session_record(name)
             if record is None:
@@ -593,23 +579,24 @@ class ProtocolSession:
                 store.close()
             raise
         try:
-            session.attach_store(store, name=name, own=owns)
+            session.attach_store(store, name=name)
         except BaseException:
             session.close()
             if owns:
                 store.close()
             raise
+        session._owns_store = owns
         return session
 
     # ------------------------------------------------------------------
     # Durable history
     # ------------------------------------------------------------------
     def attach_store(self, store: "Union[HistoryStore, str]",
-                     name: str = "session", own: bool = True) -> None:
+                     name: str = "session") -> None:
         """Attach a :class:`~repro.store.history.HistoryStore`: from now
-        on every completed round, epoch transition and (when a pipeline
-        tags the week via :meth:`note_week`) detection verdict is
-        persisted as it happens, making :meth:`resume` possible.
+        on every completed round (tagged with :attr:`week`) and epoch
+        transition is persisted as it happens, making :meth:`resume`
+        possible.
 
         ``store`` may be a live store or a path (opened — and migrated
         to schema HEAD — here). The session's enrollment identity
@@ -618,10 +605,8 @@ class ProtocolSession:
         name raises :class:`~repro.errors.StoreError`, as does
         attaching at an epoch whose lineage the store cannot account
         for (attach at creation, or re-attach via :meth:`resume`).
-        With ``own=True`` (default) :meth:`close` also closes the
-        store; pass ``own=False`` when the store outlives the session
-        (e.g. one store shared across a pipeline's session
-        generations).
+        :meth:`close` closes the store exactly when it was opened here
+        from a path; a store instance stays the caller's.
 
         Rounds completed *before* the store was attached are not
         back-filled; attach before the first round (easiest via
@@ -629,16 +614,14 @@ class ProtocolSession:
         """
         from repro.errors import StoreError
         from repro.store.history import HistoryStore, SessionRecord
-        from repro.store.recorder import SessionRecorder
-        if self._recorder is not None:
+        if self._store is not None:
             raise ConfigurationError(
                 f"this session already records to store "
-                f"{self._recorder.store.path!r} as "
-                f"{self._recorder.name!r}; one session, one store")
-        owns = own
+                f"{self._store.path!r} as {self._store_name!r}; one "
+                f"session, one store")
+        owns = isinstance(store, str)
         if isinstance(store, str):
             store = HistoryStore(store)
-            owns = True
         try:
             membership = self.membership
             if membership is None:
@@ -655,8 +638,7 @@ class ProtocolSession:
                 share_pad_streams=membership.pad_streams is not None,
                 client_backend=membership.client_backend)
             epoch = membership.epoch
-            recorder = SessionRecorder(store, name)
-            recorder.record_session(identity)
+            store.record_session(identity)
             stored = {e.epoch_id: e for e in store.epoch_records(name)}
             current = stored.get(epoch.epoch_id)
             if current is not None:
@@ -669,7 +651,7 @@ class ProtocolSession:
                         f"clique map; refusing to attach a diverged "
                         f"session lineage")
             elif epoch.epoch_id == 0:
-                recorder.record_epoch(epoch)
+                store.record_epoch(name, _epoch_record(epoch))
             elif epoch.epoch_id - 1 in stored:
                 # The session advanced exactly one epoch past the
                 # store's record (e.g. churn applied before attach):
@@ -677,8 +659,8 @@ class ProtocolSession:
                 # rosters, and replay stays deterministic.
                 prev = set(stored[epoch.epoch_id - 1].roster)
                 now = set(epoch.user_ids)
-                recorder.record_epoch(epoch, joins=sorted(now - prev),
-                                      leaves=sorted(prev - now))
+                store.record_epoch(name, _epoch_record(
+                    epoch, joins=now - prev, leaves=prev - now))
             else:
                 raise StoreError(
                     f"cannot attach at epoch {epoch.epoch_id}: the store "
@@ -690,21 +672,14 @@ class ProtocolSession:
             if owns:
                 store.close()
             raise
-        self._recorder = recorder
         self._store = store
+        self._store_name = name
         self._owns_store = owns
 
     @property
     def store(self) -> "Optional[HistoryStore]":
         """The attached history store (None when nothing records)."""
         return self._store
-
-    def note_week(self, week: Optional[int]) -> None:
-        """Tag rounds recorded from now on with a detection week (the
-        pipeline calls this before a window's rounds; ``None`` clears).
-        A no-op without an attached store."""
-        if self._recorder is not None:
-            self._recorder.week = week
 
     @property
     def transport(self) -> InMemoryTransport:
@@ -778,7 +753,7 @@ class ProtocolSession:
         leaving it open, while the root has no summary."""
         result = self._runner.close_round(round_id)
         if week is not None:
-            self.note_week(week)
+            self.week = week
         return self._finish_round(round_id, result)
 
     def _finish_round(self, round_id: int,
@@ -788,10 +763,11 @@ class ProtocolSession:
         self._next_round = max(self._next_round, round_id + 1)
         if self.membership is not None:
             self.membership.note_round(round_id)
-        if self._recorder is not None:
+        if self._store is not None:
             epoch = self.epoch
-            self._recorder.record_round(
-                result, epoch.epoch_id if epoch is not None else 0)
+            self._store.record_round(
+                self._store_name, result,
+                epoch.epoch_id if epoch is not None else 0, week=self.week)
         return result
 
     def run_next_round(self) -> RoundResult:
@@ -830,8 +806,12 @@ class ProtocolSession:
         rule = self.root.threshold_rule
         self._wire(self._remote or self.membership.population,
                    self.transport, rule)
-        if self._recorder is not None:
-            self._recorder.record_transition(transition)
+        if self._store is not None:
+            self._store.record_epoch(self._store_name, _epoch_record(
+                transition.epoch, transition.joined, transition.left,
+                moved=transition.moved, modexps=transition.modexps,
+                secrets_reused=transition.secrets_reused,
+                secrets_dropped=transition.secrets_dropped))
         return transition
 
     def reset_windows(self) -> None:
@@ -851,8 +831,8 @@ class ProtocolSession:
         Shuts down the aggregator subprocess pool (when this session
         spawned one), any transport the session created from a named
         spec (``transport="socket"``), and an attached history store
-        the session owns (:meth:`attach_store` with ``own=True``). A
-        caller-provided transport instance is the caller's to close.
+        the session opened from a path. A caller-provided transport or
+        store instance is the caller's to close.
         """
         if self._closed:
             return
@@ -871,6 +851,19 @@ class ProtocolSession:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _epoch_record(epoch: Epoch, joins: Iterable[str] = (),
+                  leaves: Iterable[str] = (), moved: Sequence[str] = (),
+                  **counts: int) -> "EpochRecord":
+    """One epoch snapshot plus how it was reached, as the store keeps
+    it (epoch 0 is recorded with an empty delta at attach time)."""
+    from repro.store.history import EpochRecord
+    return EpochRecord(
+        epoch_id=epoch.epoch_id, first_round=epoch.first_round,
+        num_cliques=epoch.num_cliques, roster=tuple(epoch.user_ids),
+        clique_of=dict(epoch.clique_of), joins=tuple(sorted(joins)),
+        leaves=tuple(sorted(leaves)), moved=tuple(moved), **counts)
 
 
 def run_private_round(config: RoundConfig, clients: Clients,

@@ -146,19 +146,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         print("--clients and --fan-in configure the private counting "
               "protocol session; add --private", file=sys.stderr)
         return 2
-    if args.aggregator_procs:
-        if args.cliques not in (1, args.aggregator_procs):
-            print(f"--aggregator-procs {args.aggregator_procs} conflicts "
-                  f"with --cliques {args.cliques}: one aggregator process "
-                  f"serves exactly one blinding clique", file=sys.stderr)
-            return 2
-        if args.transport == "memory":
-            print("--aggregator-procs runs real subprocesses behind "
-                  "sockets; their frames' bytes are only accounted by a "
-                  "byte-exact transport — add --transport wire or "
-                  "--transport socket", file=sys.stderr)
-            return 2
-        args.cliques = args.aggregator_procs
+    if args.aggregator_procs and args.transport == "memory":
+        print("--aggregator-procs runs real subprocesses behind "
+              "sockets; their frames' bytes are only accounted by a "
+              "byte-exact transport — add --transport wire or "
+              "--transport socket", file=sys.stderr)
+        return 2
     if args.chaos_seed is not None and args.chaos == "none":
         print("--chaos-seed seeds the fault plan's per-link RNGs and does "
               "nothing without a plan; add --chaos wan|lossy|hostile",
@@ -544,11 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the byte-exact wire codec, or real TCP "
                             "sockets with length-prefixed frames "
                             "(default memory)")
-    p_det.add_argument("--aggregator-procs", type=int, default=0,
-                       help="run each clique aggregator (and the root) as "
-                            "a real subprocess behind a socket; the count "
-                            "must match --cliques (0 = in-process, the "
-                            "default)")
+    p_det.add_argument("--aggregator-procs", action="store_true",
+                       help="run each clique aggregator (one per "
+                            "--cliques) and the root as a real subprocess "
+                            "behind a socket (default: in-process)")
     p_det.add_argument("--epoch-rounds", type=int, default=1,
                        help="reporting rounds per window (private mode): "
                             "extra rounds reuse the epoch's cached pad "

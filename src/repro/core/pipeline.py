@@ -30,14 +30,14 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.api import ProtocolSession, SessionConfig
 from repro.core.counters import GlobalUserCounter
 from repro.core.detector import CountBasedDetector, DetectorConfig
-from repro.errors import ConfigurationError, StoreError
+from repro.errors import ConfigurationError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import MAX_CLIQUES
 from repro.protocol.membership import EpochTransition
 from repro.protocol.runner import RoundResult
 from repro.statsutil.distributions import EmpiricalDistribution
 from repro.store.history import HistoryStore, WeeklyStatsRecord
-from repro.types import Ad, ClassifiedAd, Impression, Label
+from repro.types import Ad, ClassifiedAd, Impression
 
 
 @dataclass
@@ -96,14 +96,6 @@ class DetectionPipeline:
         if rounds_per_window < 1:
             raise ConfigurationError(
                 f"rounds_per_window must be >= 1, got {rounds_per_window}")
-        procs = settings.aggregator_procs
-        if procs and procs != num_cliques:
-            raise ConfigurationError(
-                f"aggregator_procs={procs} but num_cliques="
-                f"{num_cliques}; one aggregator process serves exactly one "
-                f"blinding clique, so the counts must match (a window whose "
-                f"population cannot support the clique count scales both "
-                f"down together)")
         self.detector_config = detector_config or DetectorConfig()
         self.private = private
         self.round_config = round_config
@@ -117,15 +109,15 @@ class DetectionPipeline:
         #: Wiring of every private session (see
         #: :class:`repro.api.SessionConfig`), forwarded as given except
         #: for what the pipeline owns: the threshold rule is the
-        #: detector's ``users_rule``, and ``aggregator_procs`` tracks
-        #: each window's effective clique count (a window whose
-        #: population forces the clique clamp down spawns
-        #: correspondingly fewer processes). A named transport is built
-        #: (and owned) afresh by each session, so a socket transport's
-        #: TCP pair is closed whenever the session is replaced or the
-        #: pipeline closed; a transport *instance* stays the caller's —
-        #: the hook for injecting client failures
-        #: (``fail_sender`` / ``restore_sender`` around a window).
+        #: detector's ``users_rule``. With ``aggregator_procs`` each
+        #: window's session spawns one process per clique it enrolled,
+        #: so a window clamped to fewer cliques runs fewer processes.
+        #: A named transport is built (and owned) afresh by each
+        #: session, so a socket transport's TCP pair is closed whenever
+        #: the session is replaced or the pipeline closed; a transport
+        #: *instance* stays the caller's — the hook for injecting client
+        #: failures (``fail_sender`` / ``restore_sender`` around a
+        #: window).
         self.settings = replace(
             settings, threshold_rule=self.detector_config.users_rule.compute)
         #: Reporting rounds run per window (CLI ``--epoch-rounds``). The
@@ -158,13 +150,11 @@ class DetectionPipeline:
         self.last_transition: Optional[EpochTransition] = None
         #: Durable round history (:class:`~repro.store.HistoryStore`, or
         #: a path to open one). When set, every private round and epoch
-        #: persists through the session's recorder hook, every window's
-        #: stats and detection verdicts land in SQL, and
-        #: :meth:`replay_window` answers historical windows without
-        #: recomputation. The store outlives individual session
-        #: generations (a re-enrollment starts a new recorded lineage),
-        #: so the pipeline attaches it with ``own=False`` and closes it
-        #: itself — but only if it opened it from a path.
+        #: persists through the session, and every window's stats and
+        #: detection verdicts land in SQL. The store outlives individual
+        #: session generations (a re-enrollment starts a new recorded
+        #: lineage), so the pipeline hands each session the open store
+        #: and closes it itself — but only if it opened it from a path.
         self._owns_store = isinstance(store, str)
         self._store: Optional[HistoryStore] = (
             HistoryStore(store) if isinstance(store, str) else store)
@@ -238,9 +228,6 @@ class DetectionPipeline:
     def _fresh_session(self, user_ids, config: RoundConfig,
                        cliques: int) -> ProtocolSession:
         """Epoch-0 enrollment of one window's population."""
-        settings = self.settings
-        if settings.aggregator_procs:
-            settings = replace(settings, aggregator_procs=cliques)
         # Each fresh enrollment is a new lineage in the store, named by
         # generation; the store itself is shared across them (and owned
         # by the pipeline, not any one session).
@@ -250,9 +237,9 @@ class DetectionPipeline:
                 name = f"{name}#g{self._session_gen}"
             self._session_gen += 1
         return ProtocolSession.create(
-            user_ids, config, settings, seed=self.enrollment_seed,
+            user_ids, config, self.settings, seed=self.enrollment_seed,
             use_oprf=self.use_oprf, num_cliques=cliques,
-            store=self._store, store_name=name, own_store=False)
+            store=self._store, store_name=name)
 
     def _session_for(self, user_ids, config: RoundConfig,
                      cliques: int) -> ProtocolSession:
@@ -325,9 +312,8 @@ class DetectionPipeline:
         # population (a singleton clique would report unblinded).
         cliques = max(1, min(self.num_cliques, len(user_ids) // 2))
         session = self._session_for(user_ids, config, cliques)
-        # Stamp the week on the session's recorder (no-op without an
-        # attached store) so persisted rounds carry their window index.
-        session.note_week(week)
+        # Persisted rounds carry their window index.
+        session.week = week
         session.reset_windows()
         if session.army is not None:
             for user_id, per_user in ads_by_user.items():
@@ -437,7 +423,7 @@ class DetectionPipeline:
             # Persist this window's longitudinal record: every verdict
             # (the `detections` table behind flagged_campaigns / trend)
             # plus the week's aggregate stats. The round itself was
-            # already recorded by the session's recorder hook.
+            # already recorded by the session.
             self._store.record_detections(week, classified)
             if round_result is not None:
                 num_reporting = len(round_result.reported_users)
@@ -454,45 +440,3 @@ class DetectionPipeline:
             week=week, classified=classified, users_threshold=threshold,
             users_distribution=distribution, private=self.private,
             round_result=round_result)
-
-    def replay_window(self, week: int) -> PipelineResult:
-        """Reconstruct a past window's result from the store — no
-        recomputation, no live session.
-
-        Verdicts come from the ``detections`` table, the threshold and
-        #Users distribution from ``weekly_stats``, and (when the window
-        ran privately with recording on) the round's aggregate is
-        rebuilt bit-identically from its persisted summary spec.
-        Raises :class:`~repro.errors.StoreError` when no store is
-        attached or the window was never recorded.
-        """
-        if self._store is None:
-            raise StoreError(
-                "replay_window needs a history store (pass store=... to "
-                "DetectionPipeline)")
-        stats = self._store.weekly_stats_record(week)
-        if stats is None:
-            recorded = self._store.recorded_weeks()
-            raise StoreError(
-                f"window {week} was never recorded "
-                f"(recorded weeks: {recorded})")
-        classified = [
-            ClassifiedAd(
-                user_id=rec.user_id, ad=Ad(url=rec.ad_identity),
-                label=Label(rec.label), domains_seen=rec.domains_seen,
-                users_seen=rec.users_seen,
-                domains_threshold=rec.domains_threshold,
-                users_threshold=rec.users_threshold, week=rec.week)
-            for rec in self._store.detection_records(week)]
-        round_result = None
-        rounds = self._store.round_history(week=week)
-        if rounds:
-            last = rounds[-1]
-            session_record = self._store.session_record(last.session)
-            if session_record is not None:
-                round_result = last.result(session_record.config)
-        return PipelineResult(
-            week=week, classified=classified,
-            users_threshold=stats.users_threshold,
-            users_distribution=EmpiricalDistribution(stats.distribution),
-            private=bool(rounds), round_result=round_result)

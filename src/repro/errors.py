@@ -2,8 +2,7 @@
 
 All library errors derive from :class:`ReproError` so callers can catch a
 single base class. Sub-hierarchies mirror the package layout: sketch, crypto,
-protocol, simulation and analysis errors are distinguishable without string
-matching.
+protocol and analysis errors are distinguishable without string matching.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ class StoreError(ReproError):
     """Base class for durable-history store errors (repro.store):
     migration failures, closed-store use, corrupted or mismatched
     persisted session records."""
-
-
-class SimulationError(ReproError):
-    """Base class for browsing/ad-ecosystem simulator errors."""
 
 
 class DetectorError(ReproError):

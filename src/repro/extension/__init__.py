@@ -12,9 +12,7 @@ This package reproduces that pipeline over a synthetic DOM model:
 * :mod:`repro.extension.landing` — landing-URL extraction heuristics
   (<a href>, onclick, URL-regex over script text);
 * :mod:`repro.extension.identity` — stable ad identity, falling back to
-  creative content hashes for randomized landing pages;
-* :mod:`repro.extension.extension` — the facade turning page visits into
-  :class:`~repro.types.Impression` records.
+  creative content hashes for randomized landing pages.
 """
 
 from repro.extension.adnetworks import AdNetworkRegistry
@@ -22,7 +20,6 @@ from repro.extension.pages import Element, WebPage, make_ad_element
 from repro.extension.addetection import AdDetector, DetectedAd, FilterRule
 from repro.extension.landing import extract_landing_url
 from repro.extension.identity import ad_identity
-from repro.extension.extension import BrowserExtension
 
 __all__ = [
     "AdNetworkRegistry",
@@ -34,5 +31,4 @@ __all__ = [
     "FilterRule",
     "extract_landing_url",
     "ad_identity",
-    "BrowserExtension",
 ]

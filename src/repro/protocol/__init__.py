@@ -117,9 +117,10 @@ clique aggregator — and the root — as a subprocess whose
 :class:`~repro.protocol.net.EndpointServer` answers one
 :class:`~repro.protocol.net.ProcessEndpointProxy` in a blocking
 request/reply frame loop, driven by the unchanged driver
-(``SessionConfig(transport="socket", aggregator_procs=k)``;
-``examples/distributed_round.py`` is the runnable recipe, and
-``cli detect --transport socket --aggregator-procs N`` the demo).
+(``SessionConfig(transport="socket", aggregator_procs=True)``, one
+process per enrolled clique; ``examples/distributed_round.py`` is the
+runnable recipe, and ``cli detect --transport socket --cliques N
+--aggregator-procs`` the demo).
 Epoch advances RECONFIGURE the live processes in place — same PIDs, new
 clique map.
 
@@ -154,7 +155,7 @@ round completes **bit-identically**. The budget is per worker per round;
 a crash-loop past it raises a ``ProtocolError`` describing the loop.
 
 **What survives which fault** (with ``transport="socket"``,
-``aggregator_procs=k``):
+``aggregator_procs=True``):
 
 ====================================  =================================
 Fault                                 Outcome

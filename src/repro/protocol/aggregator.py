@@ -20,8 +20,9 @@ clique's traffic. The back-end is therefore a tree:
 The paper's single honest-but-curious back-end is the k = 1 tree: one
 clique aggregator that collects and recovers, one root that queries and
 thresholds. Because clique aggregators share no state, they are the
-unit of concurrency: ``aggregator_procs`` runs each in its own process,
-and a multi-server deployment would place each behind its own socket.
+unit of concurrency: ``aggregator_procs=True`` runs each in its own
+process, and a multi-server deployment would place each behind its own
+socket.
 
 Each :class:`CliqueAggregator` *wraps* a clique-restricted
 :class:`~repro.protocol.server.AggregationServer`, which owns every

@@ -19,9 +19,10 @@ and :class:`ProcessAggregatorPool` takes the remaining step: each
 processes, each an :class:`EndpointServer` answering its one
 :class:`ProcessEndpointProxy` in a blocking request/reply loop on a
 loopback TCP port, driven by the unchanged round driver.
-``SessionConfig(transport="socket", aggregator_procs=k)`` wires all of
-it from the facade, and ``advance_epoch`` reconfigures the live
-processes without restarting them.
+``SessionConfig(transport="socket", aggregator_procs=True)`` wires all
+of it from the facade, one process per enrolled clique, and
+``advance_epoch`` reconfigures the live processes without restarting
+them.
 
 The pool is also its workers' supervisor, and that is the production
 failure story: given a :class:`RetryPolicy` with restart budget

@@ -15,7 +15,7 @@ whenever the fault is survivable.
 Everything is **seed-driven and deterministic**: each link gets its own
 :class:`random.Random` derived from ``sha256(seed | sender | recipient)``,
 so a failing chaos run replays exactly, link by link, draw by draw —
-the property the chaos-smoke CI job relies on.
+the property the fault-injection tests rely on.
 
 Fault semantics (what each knob does to one shipped frame):
 

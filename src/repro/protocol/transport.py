@@ -75,9 +75,6 @@ class InMemoryTransport:
     def restore_sender(self, endpoint: str) -> None:
         self._failed_senders.discard(endpoint)
 
-    def is_failed(self, endpoint: str) -> bool:
-        return endpoint in self._failed_senders
-
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------

@@ -155,11 +155,6 @@ class RemoteClient:
         self.http.token = self.token
         return self.token
 
-    def adopt_token(self, token: str) -> None:
-        """Use a token minted elsewhere (reconnecting process)."""
-        self.token = token
-        self.http.token = token
-
     # ------------------------------------------------------------------
     # Deterministic local rebuild
     # ------------------------------------------------------------------

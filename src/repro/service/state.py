@@ -218,7 +218,7 @@ class ServiceState:
                 num_cliques=self.num_cliques))
             self.session = ProtocolSession.create(
                 members, settings=self._settings, store=self.store,
-                store_name=self.session_name, own_store=False)
+                store_name=self.session_name)
             left: List[str] = []
         else:
             unknown = sorted(set(leaves) - set(self.roster))

@@ -197,7 +197,3 @@ class AdServer:
         for visit in visits:
             impressions.extend(self.serve(visit))
         return impressions
-
-    def impressions_served(self, campaign_id: str) -> int:
-        return sum(count for (cid, _uid), count in self._served.items()
-                   if cid == campaign_id)

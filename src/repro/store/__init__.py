@@ -9,10 +9,9 @@ the process that computed them. This package provides:
   ``MetadataStore`` file is adopted in place at version 1.
 * :class:`~repro.store.history.HistoryStore` — the typed DAO surface:
   sessions, epochs, rounds (full ``RoundSummary`` spec round-trips),
-  detection verdicts, plus the folded legacy metadata DAOs.
-* :class:`~repro.store.recorder.SessionRecorder` — the hook
-  :meth:`repro.api.ProtocolSession.attach_store` installs so every
-  round/epoch/verdict is persisted as it happens, making
+  detection verdicts, plus the folded legacy metadata DAOs. A
+  :class:`~repro.api.ProtocolSession` with an attached store writes
+  every round and epoch to it as it happens, making
   :meth:`repro.api.ProtocolSession.resume` possible.
 
 Longitudinal questions are answered from SQL, not recomputation::
@@ -41,11 +40,9 @@ from repro.store.migrations import (
     schema_signature,
     schema_version,
 )
-from repro.store.recorder import SessionRecorder
 
 __all__ = [
     "HistoryStore",
-    "SessionRecorder",
     "SessionRecord",
     "EpochRecord",
     "RoundRecord",

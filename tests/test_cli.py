@@ -72,8 +72,8 @@ class TestDetect:
         code, out = run_cli(capsys, "detect", "--users", "16",
                             "--websites", "40", "--visits", "20",
                             "--private", "--seed", "7",
-                            "--transport", "socket",
-                            "--aggregator-procs", "2")
+                            "--transport", "socket", "--cliques", "2",
+                            "--aggregator-procs")
         assert code == 0
         assert "distributed round: 2 clique aggregator" in out
         assert "clique-aggregator-0" in out
@@ -86,19 +86,14 @@ class TestDetect:
         assert code == 2
 
     def test_aggregator_procs_requires_private(self, capsys):
-        code = main(["detect", "--users", "16", "--aggregator-procs", "2"])
-        assert code == 2
-
-    def test_aggregator_procs_conflicting_cliques(self, capsys):
-        code = main(["detect", "--users", "16", "--private",
-                     "--cliques", "3", "--aggregator-procs", "2"])
+        code = main(["detect", "--users", "16", "--aggregator-procs"])
         assert code == 2
 
     def test_aggregator_procs_refused_on_memory_transport(self, capsys):
         """Subprocess aggregators speak frames over sockets; an
         in-memory transport would not account their bytes."""
         code = main(["detect", "--users", "16", "--private",
-                     "--aggregator-procs", "2", "--transport", "memory"])
+                     "--aggregator-procs", "--transport", "memory"])
         assert code == 2
         err = capsys.readouterr().err
         assert "byte-exact transport" in err

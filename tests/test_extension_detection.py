@@ -3,7 +3,6 @@
 
 from repro.extension.addetection import AdDetector, FilterRule
 from repro.extension.adnetworks import AdNetworkRegistry
-from repro.extension.extension import BrowserExtension
 from repro.extension.identity import ad_identity, content_hash
 from repro.extension.landing import extract_landing_url
 from repro.extension.pages import Element, make_ad_element, make_page
@@ -165,46 +164,3 @@ class TestAdIdentity:
         ad = ad_identity(AdDetector().detect(page)[0])
         assert ad.category == "sports"
 
-
-class TestBrowserExtension:
-    def test_observe_page_produces_impressions(self):
-        ext = BrowserExtension("user-1")
-        page = make_page("pub.example",
-                         ads=[make_ad_element("http://shop/x", "http://c")])
-        imps = ext.observe_page(page, tick=5)
-        assert len(imps) == 1
-        assert imps[0].user_id == "user-1"
-        assert imps[0].domain == "pub.example"
-        assert imps[0].tick == 5
-        assert imps[0].ad.url == "http://shop/x"
-
-    def test_impression_log_accumulates(self):
-        ext = BrowserExtension("u")
-        for t in range(3):
-            ext.observe_page(
-                make_page("pub.example",
-                          ads=[make_ad_element("http://shop/x", "http://c")]),
-                tick=t)
-        assert len(ext.impressions) == 3
-
-    def test_window_filter(self):
-        ext = BrowserExtension("u")
-        for t in (0, 10, 20):
-            ext.observe_page(
-                make_page("pub.example",
-                          ads=[make_ad_element("http://shop/x", "http://c")]),
-                tick=t)
-        window = ext.impressions_in_window(5, 15)
-        assert [i.tick for i in window] == [10]
-
-    def test_clear(self):
-        ext = BrowserExtension("u")
-        ext.observe_page(
-            make_page("p.example",
-                      ads=[make_ad_element("http://a", "http://c")]), 0)
-        ext.clear()
-        assert ext.impressions == []
-
-    def test_ad_free_page_no_impressions(self):
-        ext = BrowserExtension("u")
-        assert ext.observe_page(make_page("pub.example"), 0) == []

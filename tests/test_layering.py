@@ -95,7 +95,7 @@ def test_the_service_drives_one_session():
     """The HTTP operator steps one ``ProtocolSession``: nothing under
     service/ enrolls, wires the aggregation tree, drives a runner, marks
     rounds spent or records history by itself."""
-    owned = {"enroll_users", "SessionRecorder", "build_aggregation_tree",
+    owned = {"enroll_users", "build_aggregation_tree",
              "ProtocolRunner", "record_session", "record_epoch",
              "record_transition", "record_round", "note_round"}
     offenders = []

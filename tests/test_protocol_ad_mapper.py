@@ -134,8 +134,7 @@ class TestEvaluationCounts:
             observe(session, window)
             session.run_next_round()
             if crash_into is not None:
-                session = ProtocolSession.resume(crash_into, name="s",
-                                                 own_store=False)
+                session = ProtocolSession.resume(crash_into, name="s")
                 assert session.membership.client_backend == client_backend
                 assert session.membership.oprf_server.evaluations == 0
             session.reset_windows()
@@ -146,8 +145,8 @@ class TestEvaluationCounts:
 
         with HistoryStore() as store:
             resumed = two_rounds(
-                make_session(client_backend, store=store, store_name="s",
-                             own_store=False), crash_into=store)
+                make_session(client_backend, store=store, store_name="s"),
+                crash_into=store)
         reference = two_rounds(make_session(client_backend))
         assert resumed.round_id == reference.round_id == 1
         assert resumed.aggregate.cells == reference.aggregate.cells

@@ -532,7 +532,7 @@ class TestClientArmy:
 
 class TestProcessPoolRegionalTier:
     def test_army_round_through_subprocess_tree(self):
-        session = army_session(num_cliques=4, fan_in=2, aggregator_procs=4)
+        session = army_session(num_cliques=4, fan_in=2, aggregator_procs=True)
         try:
             r_pool = session.run_round(0)
             pids = dict(session.aggregator_pool.pids)

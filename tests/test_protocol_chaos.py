@@ -244,7 +244,7 @@ def test_crash_only_plan_works_over_any_transport():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                aggregator_procs=2, fault_plan=plan,
+                aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=1))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts["clique-aggregator-0"] == 1

@@ -63,7 +63,7 @@ def observe(clients, salt=0):
 def socket_session(num_cliques, seed=3, user_ids=USER_IDS):
     session = ProtocolSession.create(
         user_ids, CONFIG,
-        SessionConfig(transport="socket", aggregator_procs=num_cliques),
+        SessionConfig(transport="socket", aggregator_procs=True),
         seed=seed, use_oprf=False, num_cliques=num_cliques)
     observe(session.clients)
     return session
@@ -156,7 +156,7 @@ def test_non_default_rule_survives_epoch_advance_over_procs():
 
     with ProtocolSession.create(
             USER_IDS, CONFIG,
-            SessionConfig(transport="socket", aggregator_procs=2,
+            SessionConfig(transport="socket", aggregator_procs=True,
                           threshold_rule=rule.compute),
             seed=3, use_oprf=False, num_cliques=2) as session:
         observe(session.clients)
@@ -198,15 +198,15 @@ def test_socket_fan_out_and_subprocess_rounds_bill_identical_bytes():
     # Moving the aggregators into their own processes changes where the
     # frames are consumed, not what crosses the client-facing transport.
     runs = {}
-    for procs in (0, 4):
+    for procs in (False, True):
         with ProtocolSession.create(
                 enrolled(4),
                 settings=SessionConfig(transport="socket",
                                        aggregator_procs=procs)) as session:
             runs[procs] = (session.run_round(0),
                            session.transport.total_bytes)
-    assert_same_round(runs[4][0], runs[0][0])
-    assert runs[4][1] == runs[0][1] > 0
+    assert_same_round(runs[True][0], runs[False][0])
+    assert runs[True][1] == runs[False][1] > 0
 
 
 def test_socket_transport_ships_real_tcp_bytes():
@@ -281,21 +281,6 @@ def test_round_summary_spec_roundtrip_is_bit_exact():
 # ---------------------------------------------------------------------------
 # Session validation
 # ---------------------------------------------------------------------------
-
-def test_aggregator_procs_must_match_clique_count():
-    enrollment = enrolled(2)
-    with pytest.raises(ConfigurationError, match="2 blinding clique"):
-        ProtocolSession(CONFIG, enrollment.clients,
-                        SessionConfig(aggregator_procs=3))
-
-
-def test_pipeline_rejects_conflicting_transport_configs():
-    from repro.core.pipeline import DetectionPipeline
-
-    with pytest.raises(ConfigurationError, match="must match"):
-        DetectionPipeline(private=True, num_cliques=4,
-                          settings=SessionConfig(aggregator_procs=2))
-
 
 def test_unknown_transport_spec_is_refused():
     with pytest.raises(ConfigurationError, match="unknown transport"):

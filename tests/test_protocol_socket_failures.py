@@ -52,7 +52,7 @@ def enrolled(num_cliques=2, seed=5):
 
 def test_clique_process_crash_mid_round_raises():
     session = ProtocolSession.create(
-        USER_IDS, CONFIG, SessionConfig(aggregator_procs=2), seed=5,
+        USER_IDS, CONFIG, SessionConfig(aggregator_procs=True), seed=5,
         use_oprf=False, num_cliques=2)
     try:
         for i, client in enumerate(session.clients):
@@ -70,7 +70,7 @@ def test_clique_process_crash_mid_round_raises():
 
 def test_root_process_crash_mid_round_raises():
     session = ProtocolSession.create(
-        USER_IDS, CONFIG, SessionConfig(aggregator_procs=2), seed=5,
+        USER_IDS, CONFIG, SessionConfig(aggregator_procs=True), seed=5,
         use_oprf=False, num_cliques=2)
     try:
         for i, client in enumerate(session.clients):

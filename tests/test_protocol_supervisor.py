@@ -87,7 +87,7 @@ def test_clique_worker_crash_is_recovered_bit_identically():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         pool = session.aggregator_pool
@@ -102,7 +102,7 @@ def test_root_worker_crash_is_recovered_bit_identically():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[SERVER_ENDPOINT] == 1
@@ -118,7 +118,7 @@ def test_crash_loop_within_budget_survives():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
@@ -135,7 +135,7 @@ def test_crash_loop_under_wan_weather_survives():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
@@ -147,7 +147,7 @@ def test_crash_loop_past_budget_raises_with_the_loop_described():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         with pytest.raises(ProtocolError, match="crash-looped"):
             session.run_round(0)
@@ -161,7 +161,7 @@ def test_same_plan_with_retries_disabled_reproduces_todays_error():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=NO_RETRY)) as session:
         started = time.monotonic()
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
@@ -175,7 +175,7 @@ def test_a_plain_session_runs_the_same_pool_with_a_budget_of_zero():
     reference = reference_result()
     with ProtocolSession.create(
             enrolled(),
-            settings=SessionConfig(aggregator_procs=2)) as session:
+            settings=SessionConfig(aggregator_procs=True)) as session:
         pool = session.aggregator_pool
         assert type(pool) is ProcessAggregatorPool
         assert pool.retry_policy is NO_RETRY
@@ -227,7 +227,7 @@ def test_worker_crash_and_client_dropout_in_the_same_round():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         session.transport.fail_sender(dropped)
         result = session.run_round(0)
@@ -245,7 +245,7 @@ def test_session_outlives_the_recovered_round():
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(
-                transport="socket", aggregator_procs=2, fault_plan=plan,
+                transport="socket", aggregator_procs=True, fault_plan=plan,
                 retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
         first = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1

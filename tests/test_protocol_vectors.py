@@ -72,7 +72,7 @@ def run_scenario(name, backend, transport=None):
     session = ProtocolSession.create(
         USERS, CONFIG,
         SessionConfig(client_backend=backend) if store is not None else settings,
-        store=store, store_name="s", own_store=False, seed=SEED,
+        store=store, store_name="s", seed=SEED,
         use_oprf=use_oprf, num_cliques=num_cliques)
     try:
         observe(session, 0)
@@ -88,7 +88,7 @@ def run_scenario(name, backend, transport=None):
             else:
                 session.close()
                 session = ProtocolSession.resume(
-                    store, name="s", settings=settings, own_store=False)
+                    store, name="s", settings=settings)
             observe(session, 1)
             transport.transcript.clear()
         result = session.run_next_round()

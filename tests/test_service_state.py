@@ -328,13 +328,13 @@ class TestMultiEpochParity:
             self.observe(session.clients)
             if dropout:
                 session.transport.fail_sender(dropout)
-            session.note_week(session.next_round)
+            session.week = session.next_round
             results.append(session.run_next_round())
             if dropout:
                 session.transport.restore_sender(dropout)
         session.advance_epoch(joins=["u-new"], leaves=["u1"])
         self.observe(session.clients)
-        session.note_week(session.next_round)
+        session.week = session.next_round
         results.append(session.run_next_round())
         return session, results
 

@@ -74,6 +74,7 @@ class TestSessionConfigValidation:
             {"aggregator_procs": -1},
             {"fan_in": 0},
             {"fan_in": -3},
+            {"aggregator_procs": 2},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -212,24 +213,38 @@ class TestAttachRules:
             assert epochs[0].roster == tuple(USERS[:4])
         finally:
             session.close()
-        # create() owns the store it was handed by default.
-        assert store.closed
+            store.close()
 
-    def test_own_store_false_leaves_store_open(self):
-        store = HistoryStore()
-        session = ProtocolSession.create(
-            USERS[:4], CONFIG, store=store, store_name="s",
-            own_store=False, seed=2,
-        )
-        session.close()
-        assert not store.closed
-        store.close()
+    def test_close_closes_the_store_exactly_when_it_opened_it(self, tmp_path):
+        """One ownership rule on every entry point: a store instance
+        stays the caller's, a path is opened and closed by the session."""
+
+        def attach(store):
+            session = ProtocolSession.create(USERS[:4], CONFIG, seed=2)
+            session.attach_store(store, name="a")
+            return session
+
+        entry_points = {
+            "create": lambda store: ProtocolSession.create(
+                USERS[:4], CONFIG, store=store, store_name="c", seed=2),
+            "resume": lambda store: ProtocolSession.resume(store, name="c"),
+            "attach_store": attach,
+        }
+        path = str(tmp_path / "history.db")
+        for entry, open_session in entry_points.items():
+            with HistoryStore(path) as store:
+                open_session(store).close()
+                assert not store.closed, entry
+                assert "c" in store.session_names()
+            session = open_session(path)
+            opened = session.store
+            session.close()
+            assert opened.closed, entry
 
     def test_double_attach_refused(self):
         store = HistoryStore()
         session = ProtocolSession.create(
-            USERS[:4], CONFIG, store=store, store_name="s",
-            own_store=False, seed=2,
+            USERS[:4], CONFIG, store=store, store_name="s", seed=2,
         )
         try:
             with pytest.raises(ConfigurationError, match="already"):
@@ -244,33 +259,31 @@ class TestAttachRules:
             session.advance_epoch(joins=["zz1"])
             with HistoryStore() as store:
                 with pytest.raises(StoreError, match="epoch"):
-                    session.attach_store(store, name="s", own=False)
+                    session.attach_store(store, name="s")
         finally:
             session.close()
 
     def test_conflicting_identity_refused(self):
         with HistoryStore() as store:
             first = ProtocolSession.create(
-                USERS[:4], CONFIG, store=store, store_name="s",
-                own_store=False, seed=2,
+                USERS[:4], CONFIG, store=store, store_name="s", seed=2,
             )
             first.close()
             second = ProtocolSession.create(USERS[:4], CONFIG, seed=3)
             try:
                 with pytest.raises(StoreError, match="different"):
-                    second.attach_store(store, name="s", own=False)
+                    second.attach_store(store, name="s")
             finally:
                 second.close()
 
     def test_resume_unknown_session_lists_names(self):
         with HistoryStore() as store:
             session = ProtocolSession.create(
-                USERS[:4], CONFIG, store=store, store_name="real",
-                own_store=False, seed=2,
+                USERS[:4], CONFIG, store=store, store_name="real", seed=2,
             )
             session.close()
             with pytest.raises(StoreError, match="real"):
-                ProtocolSession.resume(store, name="ghost", own_store=False)
+                ProtocolSession.resume(store, name="ghost")
 
     def test_batched_lineage_resumes_as_batched(self):
         """The store's recorded backend wins: ``settings.client_backend``
@@ -284,7 +297,6 @@ class TestAttachRules:
                 SessionConfig(client_backend="batched"),
                 store=store,
                 store_name="army",
-                own_store=False,
                 seed=2,
             )
             session.close()
@@ -292,7 +304,6 @@ class TestAttachRules:
                 store,
                 name="army",
                 settings=SessionConfig(client_backend="objects"),
-                own_store=False,
             )
             try:
                 assert resumed.army is not None
@@ -325,7 +336,6 @@ class TestCrashResumeBitIdentity:
             SessionConfig(client_backend=client_backend),
             store=store,
             store_name="s",
-            own_store=False,
             seed=5,
             num_cliques=num_cliques,
         )
@@ -342,7 +352,6 @@ class TestCrashResumeBitIdentity:
             store,
             name="s",
             settings=SessionConfig(transport=HashingTransport()),
-            own_store=False,
         )
         try:
             assert resumed.membership.client_backend == client_backend
@@ -398,15 +407,14 @@ class TestCrashResumeBitIdentity:
     def test_resume_continues_recording_and_epochs(self):
         with HistoryStore() as store:
             first = ProtocolSession.create(
-                USERS[:8], CONFIG, store=store, store_name="s",
-                own_store=False, seed=5, num_cliques=2,
+                USERS[:8], CONFIG, store=store, store_name="s", seed=5,
+                num_cliques=2,
             )
             _observe_week(first, 0)
             first.run_round(0)
             del first
 
-            resumed = ProtocolSession.resume(store, name="s",
-                                             own_store=False)
+            resumed = ProtocolSession.resume(store, name="s")
             try:
                 transition = resumed.advance_epoch(joins=["zz9"])
                 assert transition.epoch.epoch_id == 1
@@ -421,7 +429,7 @@ class TestCrashResumeBitIdentity:
             ]
 
             # A second crash-resume replays the longer lineage too.
-            again = ProtocolSession.resume(store, name="s", own_store=False)
+            again = ProtocolSession.resume(store, name="s")
             try:
                 assert again.epoch.epoch_id == 1
                 assert again.next_round == 2

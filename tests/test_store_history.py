@@ -67,7 +67,6 @@ def _run_round(store=None, name="live", user_ids=("a", "b", "c", "d")):
         SessionConfig(),
         store=store,
         store_name=name,
-        own_store=False,
         seed=3,
     )
     try:
@@ -125,7 +124,7 @@ class TestSessionAndEpochDAOs:
                 name="live", use_oprf=True, num_cliques=1,
                 share_pad_streams=False))
             _run_round(store)
-            ProtocolSession.resume(store, "live", own_store=False).close()
+            ProtocolSession.resume(store, "live").close()
             assert not store.session_record("live").share_pad_streams
 
     def test_epoch_records_ordered_and_immutable(self):
