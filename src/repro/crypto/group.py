@@ -8,13 +8,23 @@ it.
 
 A few precomputed groups are bundled so tests and examples do not pay
 safe-prime generation costs; ``DHGroup.generate`` creates fresh ones.
+
+Key set-up pays for each key once. A group checks each element for
+membership once (the ``y^q`` modexp) and remembers the elements that
+passed, so a clique's pair secrets cost one check per distinct peer key
+and one modexp per pair. A refusal is never remembered: a bad key raises
+on every call. Key generation raises the fixed generator through a
+window table built on first use, so a key pair costs a few dozen
+multiplications instead of a generic ``pow``. Neither ``pow`` nor the
+table is constant-time; this is a simulator, not a hardened DH stack.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, KeyGenerationError
 from repro.crypto.primes import generate_safe_prime, is_probable_prime
@@ -32,6 +42,10 @@ _PRECOMPUTED_SAFE_PRIMES: Dict[int, int] = {
         16,
     ),
 }
+
+#: Bits of the private exponent consumed per row of the fixed-base table.
+_WINDOW_BITS = 4
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,11 @@ class DHGroup:
             raise ConfigurationError("p is not a safe prime: (p-1)/2 is composite")
         self.p = p
         self.q = q
+        # Elements that passed the membership check (never a refusal).
+        self._members: Set[int] = set()
+        # Row i holds g^(d * 16^i) for every digit d; built on first use.
+        self._g_table: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._g_table_lock = threading.Lock()
         if generator is None:
             generator = self._find_generator()
         if not self.contains(generator) or generator == 1:
@@ -87,18 +106,58 @@ class DHGroup:
 
     # ------------------------------------------------------------------
     def contains(self, element: int) -> bool:
-        """Membership test: element^q == 1 mod p and element in (0, p)."""
-        return 0 < element < self.p and pow(element, self.q, self.p) == 1
+        """Membership test: element^q == 1 mod p and element in (0, p).
+
+        An element that passes is remembered, so the modexp runs once per
+        distinct element; one that fails is checked again on every call.
+        """
+        if element in self._members:
+            return True
+        if 0 < element < self.p and pow(element, self.q, self.p) == 1:
+            self._members.add(element)
+            return True
+        return False
 
     def keypair(self, rng: random.Random) -> KeyPair:
         """Sample a key pair with private exponent in [1, q)."""
         x = rng.randrange(1, self.q)
-        return KeyPair(private=x, public=pow(self.g, x, self.p))
+        public, rest = 1, x
+        for row in self._generator_table():
+            digit = rest & _WINDOW_MASK
+            if digit:
+                public = public * row[digit] % self.p
+            rest >>= _WINDOW_BITS
+        return KeyPair(private=x, public=public)
+
+    def _generator_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Fixed-base table for ``g^x``: one row per window of ``x``.
+
+        Built once per group, under a lock so two threads that race to
+        build it agree on one table (e.g. 32 rows of 16 at 128 bits, 256
+        rows at 1024 bits).
+        """
+        table = self._g_table
+        if table is not None:
+            return table
+        with self._g_table_lock:
+            if self._g_table is None:
+                rows: List[Tuple[int, ...]] = []
+                base = self.g
+                for _ in range(-(-self.q.bit_length() // _WINDOW_BITS)):
+                    row = [1, base]
+                    for _ in range(_WINDOW_MASK):
+                        row.append(row[-1] * base % self.p)
+                    # The row's last entry is base^16: the next row's base.
+                    base = row.pop()
+                    rows.append(tuple(row))
+                self._g_table = tuple(rows)
+            return self._g_table
 
     def shared_secret(self, own: KeyPair, peer_public: int) -> int:
         """DH shared secret ``peer_public ^ own.private mod p``.
 
-        Symmetric: both endpoints derive ``g^(x_i * x_j)``.
+        Symmetric: both endpoints derive ``g^(x_i * x_j)``. The peer key's
+        membership check runs on its first use in this group only.
         """
         if not self.contains(peer_public):
             raise ConfigurationError("peer public key not in group")

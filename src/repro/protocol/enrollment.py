@@ -265,19 +265,18 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     clique_of = material.clique_of
     keypairs = material.keypairs
     index_of = material.index_of
-    publics = {index_of[uid]: kp.public for uid, kp in keypairs.items()}
-    clique_of_index = {index_of[uid]: clique for uid, clique
-                       in clique_of.items()}
+    # Key exchange is clique-scoped: a user only learns (and pays a
+    # modexp for) the public keys of its own clique.
+    publics_of: Dict[int, Dict[int, int]] = {}
+    for uid, kp in keypairs.items():
+        publics_of.setdefault(clique_of[uid], {})[index_of[uid]] = kp.public
 
     pad_streams = PadStreamProvider()
     clients: List[ProtocolClient] = []
     for uid in user_ids:
         idx = index_of[uid]
         clique = clique_of[uid]
-        # Key exchange is clique-scoped: a user only learns (and pays a
-        # modexp for) the public keys of its own clique.
-        peers = {j: pub for j, pub in publics.items()
-                 if j != idx and clique_of_index[j] == clique}
+        peers = {j: pub for j, pub in publics_of[clique].items() if j != idx}
         blinding = BlindingGenerator(group, idx, keypairs[uid], peers,
                                      pad_streams=pad_streams)
         clients.append(ProtocolClient(uid, config, blinding,

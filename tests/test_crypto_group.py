@@ -1,12 +1,56 @@
 """Unit tests for repro.crypto.group."""
 
+import builtins
 import random
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.crypto.group as group_module
 from repro.errors import ConfigurationError
 from repro.crypto.group import DHGroup
 from repro.crypto.primes import is_probable_prime
+from repro.protocol.army import ClientArmy
+from repro.protocol.enrollment import keypair_seed
+from repro.protocol.membership import MembershipManager
+from repro.protocol.client import RoundConfig
+from repro.statsutil.sampling import make_rng
+
+#: The three bundled groups plus a freshly generated one.
+GROUPS = {bits: DHGroup.standard(bits) for bits in (128, 256, 1024)}
+GROUPS[48] = DHGroup.generate(48, random.Random(1))
+
+
+class FixedExponent:
+    """An rng stand-in whose ``randrange`` returns one chosen exponent."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def randrange(self, start, stop):
+        assert start <= self.x < stop
+        return self.x
+
+
+def quadratic_non_residue(group):
+    """The smallest h > 1 outside the order-q subgroup (h^q = -1 mod p)."""
+    return next(h for h in range(2, 1000)
+                if pow(h, group.q, group.p) == group.p - 1)
+
+
+def count_subgroup_checks(monkeypatch, q):
+    """Record the base of every ``pow(base, q, p)`` the group module runs."""
+    bases = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == q:
+            bases.append(base)
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
+    return bases
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +116,22 @@ class TestKeyExchange:
         with pytest.raises(ConfigurationError):
             group.shared_secret(kp, group.p + 5)
 
+    @pytest.mark.parametrize("bad", ["order-2", "non-residue"])
+    def test_in_range_non_member_refused_every_time(self, bad):
+        group = DHGroup.standard(128)
+        key = group.p - 1 if bad == "order-2" else quadratic_non_residue(group)
+        assert 0 < key < group.p
+        rng = random.Random(10)
+        own, peer = group.keypair(rng), group.keypair(rng)
+        for _ in range(2):  # the first call, then a repeat
+            with pytest.raises(ConfigurationError):
+                group.shared_secret(own, key)
+        group.shared_secret(own, peer.public)  # a valid key is now cached
+        with pytest.raises(ConfigurationError):
+            group.shared_secret(own, key)
+        assert not group.contains(key)
+        assert group.contains(peer.public)
+
     def test_element_bytes(self, group):
         assert group.element_bytes == 16
         kp = group.keypair(random.Random(9))
@@ -79,3 +139,61 @@ class TestKeyExchange:
 
     def test_repr(self, group):
         assert "128" in repr(group)
+
+
+class TestFixedBaseKeypair:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_public_is_g_to_the_x(self, data):
+        group = GROUPS[data.draw(st.sampled_from(sorted(GROUPS)))]
+        # Window edges (15, 16, 17) and the ends of [1, q) beside random x.
+        x = data.draw(st.sampled_from([1, 15, 16, 17, group.q - 1])
+                      | st.integers(min_value=1, max_value=group.q - 1))
+        kp = group.keypair(FixedExponent(x))
+        assert kp.private == x
+        assert kp.public == pow(group.g, x, group.p)
+
+    def test_racing_threads_build_one_table(self):
+        group = DHGroup.standard(256)
+        barrier = threading.Barrier(4)
+        tables, keys = [], []
+
+        def build(seed):
+            barrier.wait()
+            tables.append(group._generator_table())
+            keys.append(group.keypair(random.Random(seed)))
+
+        threads = [threading.Thread(target=build, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(table is tables[0] for table in tables)
+        assert all(kp.public == pow(group.g, kp.private, group.p)
+                   for kp in keys)
+
+
+class TestSubgroupChecksOncePerKey:
+    CONFIG = RoundConfig(cms_depth=2, cms_width=32, cms_seed=7, id_space=64)
+
+    def test_army_enrollment_checks_each_key_once(self, monkeypatch):
+        bases = count_subgroup_checks(monkeypatch, DHGroup.standard(128).q)
+        users = [f"u{i:03d}" for i in range(100)]
+        ClientArmy.enroll(users, self.CONFIG, use_oprf=False, num_cliques=2)
+        # The generator plus at most one check per public key; checking
+        # every pair's peer key would be 2,451.
+        assert len(bases) <= 100
+        assert len(bases) == len(set(bases))
+
+    def test_advance_epoch_checks_only_joiners(self, monkeypatch):
+        users = [f"u{i:02d}" for i in range(20)]
+        manager = MembershipManager.enroll(users, self.CONFIG, seed=4,
+                                           use_oprf=False)
+        group = manager.group
+        joiners = [f"joiner-{i}" for i in range(4)]
+        bases = count_subgroup_checks(monkeypatch, group.q)
+        manager.advance_epoch(joins=joiners)
+        assert manager.epoch.min_clique_size == 24
+        assert sorted(bases) == sorted(
+            group.keypair(make_rng(keypair_seed(4, uid))).public
+            for uid in joiners)
