@@ -64,15 +64,23 @@ therefore aggregates — are bit-identical with or without a provider.
 
 Batched cliques
 ---------------
-A caller hosting a whole clique (:class:`~repro.protocol.army.
-ClientArmy`) needs every member's ``b_i`` at once, and the formula above
-is a running sum: :meth:`PadStreamProvider.clique_blinding` squeezes each
-pair's keystream once, adds it into its two members' rows of one
-``uint32`` accumulator (:func:`_scatter_rows`) and drops it. The working
-set is the ``(members, cells)`` accumulator plus one keystream row, and
-the cost is the squeeze itself; the ``(pairs, cells)`` pad matrix
+A caller hosting whole cliques (:class:`~repro.protocol.army.ClientArmy`)
+needs every member's ``b_i`` at once, and the formula above is a running
+sum. :meth:`PadStreamProvider.blind_cliques` adds it into a ``(g, m, C)``
+``uint32`` stack of ``g`` cliques sharing one layout ``(m, lo_rows,
+hi_rows)``, :func:`cliques_per_chunk` cliques at a time: per pair slot it
+squeezes each clique's row into one preallocated buffer of at most
+``_SQUEEZE_CELLS`` cells, or one row if a row is longer (byteswapped
+once, on write), then adds the buffer into the slot's high-end rows and
+subtracts it from its low-end rows of every clique with one ``+=`` and
+one ``-=`` (:func:`_scatter_slots`, the only scatter). The working set
+is the stack plus one buffer, and the cost is the squeeze itself: a
+chunk's Python and NumPy overhead is paid per pair slot, not per clique
+and pair.
+:meth:`PadStreamProvider.clique_blinding` (recovery adjustments) is the
+one-clique call. The ``(pairs, cells)`` pad matrix
 (:meth:`PadStreamProvider.clique_matrix`) exists for inspection only and
-feeds the same kernel through
+feeds the same scatter through
 :meth:`BlindingGenerator.accumulate_clique_matrix`.
 """
 
@@ -115,43 +123,51 @@ def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
     return xof
 
 
-def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.ndarray:
-    """Fork an absorbed XOF state with the round id and squeeze cells:
-    the byte stream read as big-endian 32-bit cells, returned as a
-    native ``uint32`` array."""
+def _pad_bytes(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> bytes:
+    """Fork an absorbed XOF state with the round id and squeeze
+    ``num_cells`` cells' worth of bytes (big-endian 32-bit cells)."""
     xof = absorbed.copy()
     xof.update(round_id.to_bytes(8, "big", signed=True))
-    raw = xof.digest(num_cells * _CELL_BYTES)
+    return xof.digest(num_cells * _CELL_BYTES)
+
+
+def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.ndarray:
+    """One pair's keystream for one round as a native ``uint32`` array."""
+    raw = _pad_bytes(absorbed, round_id, num_cells)
     return np.frombuffer(raw, dtype=">u4").astype(np.uint32)
 
 
-def _scatter_rows(
-    streams: Iterable[np.ndarray],
-    num_pairs: int,
-    num_cells: int,
-    lo_rows: np.ndarray,
-    hi_rows: np.ndarray,
-    num_members: int,
-    negate: bool,
-) -> np.ndarray:
-    """The batched blinding sum: add each pair's stream into its two ends.
+#: Cells of the batched kernel's squeeze buffer (256 KiB): a chunk of
+#: same-layout cliques is as many as one pair slot of theirs fits in it.
+#: Bounds the working set of a batched round; a clique whose own row is
+#: longer is a chunk of one.
+_SQUEEZE_CELLS = 1 << 16
 
-    ``streams`` yields one unsigned ``(num_cells,)`` keystream per pair,
-    in pair order; ``lo_rows[p]`` / ``hi_rows[p]`` give the output row
-    (member position) of pair ``p``'s low- and high-index end. Each
-    stream is added into (at most) two rows of the ``(num_members,
-    num_cells)`` wrapping ``uint32`` accumulator and can then be dropped,
-    so a lazy ``streams`` keeps one row alive at a time. Row ``m`` of the
-    result equals ``BlindingGenerator._accumulate(peers_of_m, ...)``
-    bit-for-bit: both are sums mod ``2^32`` of the same streams.
 
-    The sign convention is ``_accumulate``'s: for a pair ``(lo, hi)``,
-    the high end adds the stream and the low end subtracts it (the
-    opposite under ``negate=True``, the recovery adjustment). A row
-    index of ``-1`` discards that end — used when a pair's other end
-    lies outside the output population (a dropout-recovery pad whose
-    missing member produces no adjustment). The row maps are checked
-    before the first stream is pulled.
+def cliques_per_chunk(num_cells: int) -> int:
+    """How many cliques of ``num_cells``-cell rows one kernel call blinds
+    at a time: one pair slot of theirs fills the squeeze buffer."""
+    return max(1, _SQUEEZE_CELLS // num_cells)
+
+
+def _check_pairs(
+    pairs: Sequence[PairKey], secrets: Sequence[bytes], num_cells: int
+) -> None:
+    if len(pairs) != len(secrets):
+        raise ConfigurationError(f"{len(pairs)} pairs but {len(secrets)} secrets")
+    if num_cells <= 0:
+        raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
+
+
+def _slot_ends(
+    lo_rows: np.ndarray, hi_rows: np.ndarray, num_pairs: int, negate: bool
+) -> Tuple[List[int], List[int]]:
+    """Per pair slot, the member row the pad is added into and the row it
+    is subtracted from (``-1``: that end is skipped).
+
+    The sign convention is ``BlindingGenerator._accumulate``'s: for a pair
+    ``(lo, hi)`` the high end adds the stream and the low end subtracts
+    it, the opposite under ``negate=True`` (the recovery adjustment).
     """
     lo = np.asarray(lo_rows, dtype=np.intp)
     hi = np.asarray(hi_rows, dtype=np.intp)
@@ -161,13 +177,49 @@ def _scatter_rows(
             f"pairs, got {lo.shape} / {hi.shape}"
         )
     plus, minus = (lo, hi) if negate else (hi, lo)
-    acc = np.zeros((num_members, num_cells), dtype=np.uint32)
-    for stream, plus_row, minus_row in zip(streams, plus.tolist(), minus.tolist()):
+    return plus.tolist(), minus.tolist()
+
+
+def _scatter_slots(
+    cells: np.ndarray, slots: Iterable[np.ndarray], plus: List[int], minus: List[int]
+) -> None:
+    """The blinding sum, in place: the one scatter every batched path runs.
+
+    ``cells`` is a ``(g, m, C)`` wrapping ``uint32`` stack of ``g``
+    cliques sharing one layout; ``slots`` yields, per pair slot ``p``, a
+    ``(g, C)`` array holding each clique's pad row of that slot (the same
+    buffer, refilled, may be yielded every time). Slot ``p``'s rows are
+    added into member row ``plus[p]`` and subtracted from ``minus[p]`` of
+    every clique at once: one ``+=`` and one ``-=`` a slot, whatever
+    ``g``. Row ``m`` of clique ``k`` then equals ``BlindingGenerator.
+    _accumulate`` over that member's pairs bit-for-bit: both are sums mod
+    ``2^32`` of the same streams.
+    """
+    for rows, plus_row, minus_row in zip(slots, plus, minus):
         if plus_row >= 0:
-            acc[plus_row] += stream
+            cells[:, plus_row] += rows
         if minus_row >= 0:
-            acc[minus_row] -= stream
-    return acc
+            cells[:, minus_row] -= rows
+
+
+def _squeezed_slots(
+    absorbed: Sequence["hashlib._Hash"], num_pairs: int, round_id: int, num_cells: int
+) -> Iterator[np.ndarray]:
+    """Per pair slot, every clique's pad row for one round, squeezed into
+    one preallocated ``(g, C)`` ``uint32`` buffer.
+
+    ``absorbed`` lists the cliques' XOF states clique-major (clique ``k``'s
+    slot ``p`` at ``k * num_pairs + p``). Each row is byteswapped once, as
+    it is written into the buffer, so no array is allocated per row. Rows
+    are :func:`_squeeze`'s, byte for byte.
+    """
+    num_cliques = len(absorbed) // num_pairs if num_pairs else 0
+    rows = np.empty((num_cliques, num_cells), dtype=np.uint32)
+    for slot in range(num_pairs):
+        for k, state in enumerate(absorbed[slot::num_pairs]):
+            rows[k] = np.frombuffer(
+                _pad_bytes(state, round_id, num_cells), dtype=">u4")
+        yield rows
 
 
 class PadStreamProvider:
@@ -282,37 +334,6 @@ class PadStreamProvider:
             self._drop_stream_key(evicted)
         return stream
 
-    def _clique_rows(
-        self,
-        pairs: Sequence[PairKey],
-        secrets: Sequence[bytes],
-        round_id: int,
-        num_cells: int,
-    ) -> Iterator[np.ndarray]:
-        """One clique's pad rows for one round, lazily: item ``p`` is the
-        unsigned ``uint32`` keystream of ``pairs[p]``.
-
-        Each row is derived exactly as :meth:`stream` derives it (the
-        same ``_squeeze(_absorb(secret), round, cells)``), so a batched
-        caller's blinding — and therefore its reports — stays
-        byte-identical to the per-pair path. Absorbed XOF states are
-        cached per pair across rounds like the per-pair path; the derived
-        rows are *not* entered into the stream cache, because a batched
-        caller hosts both ends of every pair and consumes each row
-        exactly once. Arguments are checked here, before the first
-        squeeze; the rows themselves are squeezed as they are pulled.
-        """
-        if len(pairs) != len(secrets):
-            raise ConfigurationError(
-                f"{len(pairs)} pairs but {len(secrets)} secrets"
-            )
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
-        return (
-            _squeeze(self._ensure_absorbed(pair, secret), round_id, num_cells)
-            for pair, secret in zip(pairs, secrets)
-        )
-
     def clique_matrix(
         self,
         pairs: Sequence[PairKey],
@@ -321,20 +342,79 @@ class PadStreamProvider:
         num_cells: int,
     ) -> np.ndarray:
         """One clique's whole pad matrix for one round: row ``p`` is the
-        unsigned keystream of ``pairs[p]`` (:meth:`_clique_rows`,
-        stacked).
+        unsigned keystream of ``pairs[p]``, derived exactly as
+        :meth:`stream` derives it.
 
         Returns a read-only ``(len(pairs), num_cells)`` ``uint32`` array.
-        A round never needs it — :meth:`clique_blinding` sums the same
-        rows without holding them — it is the inspectable form of a
-        clique's pads.
+        A round never needs it — :meth:`blind_cliques` sums the same rows
+        without holding them — it is the inspectable form of a clique's
+        pads.
         """
-        rows = self._clique_rows(pairs, secrets, round_id, num_cells)
+        _check_pairs(pairs, secrets, num_cells)
         matrix = np.empty((len(pairs), num_cells), dtype=np.uint32)
-        for row, stream in enumerate(rows):
-            matrix[row] = stream
+        for row, (pair, secret) in enumerate(zip(pairs, secrets)):
+            matrix[row] = _squeeze(
+                self._ensure_absorbed(pair, secret), round_id, num_cells)
         matrix.setflags(write=False)
         return matrix
+
+    def blind_cliques(
+        self,
+        cells: np.ndarray,
+        pairs: Sequence[PairKey],
+        secrets: Sequence[bytes],
+        lo_rows: np.ndarray,
+        hi_rows: np.ndarray,
+        round_id: int,
+        negate: bool = False,
+    ) -> None:
+        """Add the blinding of ``g`` same-layout cliques into ``cells``.
+
+        ``cells`` is a ``(g, m, C)`` ``uint32`` stack, one ``(m, C)``
+        block per clique; the cliques share the layout ``(m, lo_rows,
+        hi_rows)``: ``lo_rows[p]`` / ``hi_rows[p]`` is the member row of
+        pair slot ``p``'s low- and high-index end (``-1`` skips that end,
+        as a dropout-recovery pad does for its missing member).
+        ``pairs`` and ``secrets`` list ``g * P`` pairs clique-major
+        (clique ``k``'s slot ``p`` at ``k * P + p``). Afterwards row ``m``
+        of clique ``k`` has gained member ``m``'s
+        :meth:`BlindingGenerator.blinding_vector_array` (its
+        :meth:`~BlindingGenerator.adjustment_for_missing_array` under
+        ``negate=True``) mod ``2^32``.
+
+        Cliques are blinded :func:`cliques_per_chunk` at a time, each
+        pair slot squeezed into one bounded buffer and scattered with one
+        ``+=`` and one ``-=`` (:func:`_scatter_slots`), so the working set
+        beyond ``cells`` is one buffer of at most ``_SQUEEZE_CELLS`` cells
+        (or one row). Absorbed XOF states are cached per pair across
+        rounds like :meth:`stream`'s; the rows are not entered into the
+        stream cache, because a batched caller hosts both ends of every
+        pair and consumes each row once. Arguments are checked before the
+        first squeeze.
+        """
+        if cells.ndim != 3 or cells.dtype != np.uint32:
+            raise ConfigurationError(
+                f"cells must be a (cliques, members, cells) uint32 stack, "
+                f"got {cells.dtype} {cells.shape}"
+            )
+        num_cliques, _, num_cells = cells.shape
+        _check_pairs(pairs, secrets, num_cells)
+        num_pairs = len(pairs) // num_cliques if num_cliques else 0
+        if num_pairs * num_cliques != len(pairs):
+            raise ConfigurationError(
+                f"need one lo/hi row per pair: {len(pairs)} pairs do not "
+                f"split over {num_cliques} cliques"
+            )
+        plus, minus = _slot_ends(lo_rows, hi_rows, num_pairs, negate)
+        absorbed = [self._ensure_absorbed(pair, secret)
+                    for pair, secret in zip(pairs, secrets)]
+        chunk = cliques_per_chunk(num_cells)
+        for start in range(0, num_cliques, chunk):
+            states = absorbed[start * num_pairs:(start + chunk) * num_pairs]
+            _scatter_slots(
+                cells[start:start + chunk],
+                _squeezed_slots(states, num_pairs, round_id, num_cells),
+                plus, minus)
 
     def clique_blinding(
         self,
@@ -347,22 +427,14 @@ class PadStreamProvider:
         num_cells: int,
         negate: bool = False,
     ) -> np.ndarray:
-        """Every member's blinding vector for one clique and round.
-
-        Returns the ``(num_members, num_cells)`` ``uint32`` accumulator,
-        whose row ``m`` is member ``m``'s
-        :meth:`BlindingGenerator.blinding_vector_array` (its
-        :meth:`~BlindingGenerator.adjustment_for_missing_array` under
-        ``negate=True`` with ``-1`` rows for the missing ends; see
-        :func:`_scatter_rows` for the row maps). Each pair's row is
-        squeezed, added into its two members' rows and dropped, so the
-        working set is the accumulator plus one ``4 * num_cells``-byte
-        row — the ``(pairs, cells)`` pad matrix is never built.
-        """
-        rows = self._clique_rows(pairs, secrets, round_id, num_cells)
-        return _scatter_rows(
-            rows, len(pairs), num_cells, lo_rows, hi_rows, num_members, negate
-        )
+        """Every member's blinding vector for one clique and round: the
+        ``(num_members, num_cells)`` ``uint32`` result of
+        :meth:`blind_cliques` on a zero stack of one clique."""
+        _check_pairs(pairs, secrets, num_cells)
+        acc = np.zeros((num_members, num_cells), dtype=np.uint32)
+        self.blind_cliques(acc[None], pairs, secrets, lo_rows, hi_rows,
+                           round_id, negate)
+        return acc
 
     def forget_users(self, user_indexes: Iterable[int]) -> None:
         """Drop cached state for every pair touching any of the given
@@ -533,9 +605,8 @@ class BlindingGenerator:
         ``pad_matrix`` is a clique's ``(P, C)`` unsigned keystream matrix
         (one row per pair, e.g. :meth:`PadStreamProvider.clique_matrix`).
         Returns the ``(num_members, C)`` ``uint32`` blinding matrix:
-        :func:`_scatter_rows` over the matrix's rows, hence equal to
-        :meth:`PadStreamProvider.clique_blinding` over the same pairs,
-        which is what a round calls.
+        :func:`_scatter_slots` over the matrix's rows, hence equal to
+        :meth:`PadStreamProvider.clique_blinding` over the same pairs.
         """
         pad = np.asarray(pad_matrix)
         if pad.ndim != 2:
@@ -545,9 +616,10 @@ class BlindingGenerator:
         if pad.dtype.kind != "u":
             pad = pad.astype(np.uint32)
         num_pairs, num_cells = pad.shape
-        return _scatter_rows(
-            pad, num_pairs, num_cells, lo_rows, hi_rows, num_members, negate
-        )
+        plus, minus = _slot_ends(lo_rows, hi_rows, num_pairs, negate)
+        acc = np.zeros((num_members, num_cells), dtype=np.uint32)
+        _scatter_slots(acc[None], pad[:, None, :], plus, minus)
+        return acc
 
     def blinding_vector_array(
         self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None

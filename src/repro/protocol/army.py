@@ -15,15 +15,19 @@ the *protocol* — every message, every byte — and deletes the objects:
   computation") and a window has far fewer distinct ads than (user, ad)
   pairs, so each distinct URL is hashed **once per round**, army-wide:
   :meth:`ClientArmy.on_round_start` builds one index table with
-  :meth:`~repro.sketch.countmin.CountMinSketch.flat_indexes` and every
-  clique's sketches are a gather from it plus one ``bincount`` — no
-  per-clique, per-(user, ad) hashing;
-* a clique is blinded by one
-  :meth:`~repro.crypto.blinding.PadStreamProvider.clique_blinding` call,
-  which squeezes each pair's keystream once, adds it into the pair's two
-  members' accumulator rows and drops it — the round's floor is the
-  squeeze of the pad XOF in ``crypto/blinding.py``, and no ``(pairs,
-  cells)`` pad matrix is ever held;
+  :meth:`~repro.sketch.countmin.CountMinSketch.flat_indexes`;
+* cliques of one layout (member count and pair wiring) are reported a
+  bounded **chunk** at a time: one zeroed ``(g, m, cells)`` ``uint32``
+  stack is blinded in place by one
+  :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques` call
+  (each pair slot squeezed into one buffer of at most 64 Ki cells and
+  scattered with one ``+=`` and one ``-=`` across the chunk), then the
+  members' counts — a gather from the index table — are added on with
+  one ``np.add.at``; every report's cells are a row view of the stack.
+  The round's floor is the squeeze of the pad XOF in
+  ``crypto/blinding.py``, and no ``(pairs, cells)`` pad matrix is held;
+* the pad-reuse guard hashes each chunk's sorted flat cell indexes (the
+  canonical form of its counts), not its cells;
 * because both backends consume the same
   :func:`~repro.protocol.enrollment.derive_key_material` derivation and
   the blinding sum is exact mod 2^32 in any order, every
@@ -59,7 +63,7 @@ from repro.errors import (
     ConfigurationError,
     RoundStateError,
 )
-from repro.crypto.blinding import PadStreamProvider, PairKey
+from repro.crypto.blinding import PadStreamProvider, PairKey, cliques_per_chunk
 from repro.crypto.group import DHGroup, KeyPair
 from repro.protocol.client import RoundConfig, notice_needs_answer
 from repro.protocol.endpoint import (
@@ -80,10 +84,15 @@ from repro.protocol.transport import InMemoryTransport
 #: Default transport mailbox name of the batched backend.
 ARMY_ENDPOINT = "client-army"
 
+#: A clique's shape as the blinding kernel sees it: the member count and
+#: the bytes of both per-pair row maps. Cliques with one layout are
+#: blinded together, a chunk at a time.
+Layout = Tuple[int, bytes, bytes]
+
 #: A clique's pairwise wiring: the (lo, hi) index pairs in derivation
-#: order plus, per pair, the member-row of each end (rows index the
-#: clique's sorted member list).
-CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray]
+#: order, per pair the member-row of each end (rows index the clique's
+#: sorted member list), and the clique's layout.
+CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray, Layout]
 
 #: One round's sketch index table: URL -> row, and per row the URL's
 #: ``depth`` flat cell indexes (an ``(n, depth)`` ``int64`` array, so a
@@ -94,6 +103,10 @@ IndexTable = Tuple[Dict[str, int], np.ndarray]
 #: the hash's ``(depth, slice)`` temporaries independent of the window
 #: size (the ``server._ID_CHUNK`` precedent).
 _TABLE_SLICE = 65536
+
+#: One cleartext count, typed: ``np.add.at`` takes its fast path only for
+#: a value of the cells' own dtype.
+_ONE = np.uint32(1)
 
 
 class ClientArmy(ProtocolEndpoint):
@@ -151,10 +164,11 @@ class ClientArmy(ProtocolEndpoint):
         self._inactive: Set[str] = set()
         self.last_threshold: Optional[float] = None
         self.last_threshold_round: Optional[int] = None
-        #: round id -> sha256 over the round's ``uint32`` cleartext sketch
-        #: matrices (the batched analogue of ProtocolClient's pad-reuse
-        #: guard: a *differing* rebuild under an already-blinded round id
-        #: would reuse one-time pads on new cleartext).
+        #: round id -> sha256 over the round's cleartext counts, chunk by
+        #: chunk: a length prefix, the member count and the sorted flat
+        #: cell indexes (the batched analogue of ProtocolClient's
+        #: pad-reuse guard: a *differing* rebuild under an already-blinded
+        #: round id would reuse one-time pads on new cleartext).
         self._round_digests: Dict[int, bytes] = {}
         self._scratch = config.make_sketch()
         #: (lo index, hi index) -> shared-secret bytes. DH secrets are
@@ -322,9 +336,11 @@ class ClientArmy(ProtocolEndpoint):
                         self.group.shared_secret(
                             self.keypairs[lo_uid],
                             self.keypairs[hi_uid].public))
-        self._wiring_of[clique] = (pairs,
-                                   np.asarray(lo_rows, dtype=np.intp),
-                                   np.asarray(hi_rows, dtype=np.intp))
+        lo = np.asarray(lo_rows, dtype=np.intp)
+        hi = np.asarray(hi_rows, dtype=np.intp)
+        self._wiring_of[clique] = (pairs, lo, hi,
+                                   (len(member_list), lo.tobytes(),
+                                    hi.tobytes()))
 
     def _index_table(self) -> IndexTable:
         """Hash every URL of the window once: the round's index table.
@@ -344,58 +360,60 @@ class ClientArmy(ProtocolEndpoint):
                 ad_ids[start:stop]).T
         return row_of, flat
 
-    def _sketch_matrix(self, member_list: Sequence[str],
-                       table: IndexTable) -> np.ndarray:
-        """All members' cleartext CMS cells as one ``(m, cells)`` uint32
-        matrix — a gather from the round's index table and one
-        ``bincount`` for the clique, equal mod 2^32 to per-user
-        ``CountMinSketch.update_many`` (the same flat indexes are
-        counted; only where they were derived differs), which is all a
-        blinded cell keeps."""
+    def _chunk_reports(self, cliques: Sequence[int], round_id: int,
+                       table: IndexTable,
+                       digest: "hashlib._Hash") -> Dict[int, Outbox]:
+        """Blind and report a chunk of same-layout cliques: clique id ->
+        its members' reports.
+
+        The chunk's cells are one zeroed ``(g, m, cells)`` ``uint32``
+        stack: blinded in place by one
+        :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques`
+        call, then the members' cleartext counts are added on with one
+        ``np.add.at`` over their flat cell indexes (a gather from the
+        round's index table, offset per member). That equals per-user
+        ``CountMinSketch.update_many`` plus the blinding mod 2^32, which
+        is all a blinded cell keeps. Each report's cells are a row view
+        of the stack. The sorted indexes are the canonical form of the
+        chunk's counts, so they, behind a length prefix and the member
+        count, are what the pad-reuse guard hashes.
+        """
         row_of, flat = table
         num_cells = self.config.num_cells
+        members = [uid for clique in cliques
+                   for uid in self._members_of[clique]]
         rows: List[int] = []
         lengths: List[int] = []
-        for uid in member_list:
+        for uid in members:
             seen = self._seen[uid]
             rows.extend(map(row_of.__getitem__, seen))
             lengths.append(len(seen))
-        members = len(member_list)
-        if not rows:
-            return np.zeros((members, num_cells), dtype=np.uint32)
-        combined = flat.take(rows, axis=0)
-        member_base = np.arange(members, dtype=np.int64) * num_cells
-        combined += member_base.repeat(lengths)[:, None]
-        counts = np.bincount(combined.ravel(), minlength=members * num_cells)
-        return counts.astype(np.uint32).reshape(members, num_cells)
-
-    def _build_clique_reports(self, clique: int, round_id: int,
-                              table: IndexTable,
-                              digest: "hashlib._Hash") -> Outbox:
-        member_list = self._members_of[clique]
-        cells = self._sketch_matrix(member_list, table)
-        # Hashed in place: a fresh (m, cells) matrix is C-contiguous,
-        # so its buffer is exactly the bytes ``tobytes()`` would copy.
-        assert cells.flags.c_contiguous
-        digest.update(cells)
-        pairs, lo_rows, hi_rows = self._wiring_of[clique]
-        secrets = [self._pair_secret[p] for p in pairs]
-        # Blinded in place: each row becomes one report's cells.
-        cells += self.pad_streams.clique_blinding(
-            pairs, secrets, lo_rows, hi_rows, len(member_list), round_id,
-            self.config.num_cells)
-        uplink = clique_endpoint_id(clique)
-        outbox: Outbox = []
-        reported: List[str] = []
-        for row, uid in enumerate(member_list):
-            if uid in self._inactive:
-                continue
-            reported.append(uid)
-            outbox.append((uplink, BlindedReport(
-                user_id=uid, round_id=round_id,
-                cells=CellVector(cells[row]), clique_id=clique)))
-        self._reported_by_clique[clique] = tuple(reported)
-        return outbox
+        indexes = flat.take(rows, axis=0)
+        member_base = np.arange(len(members), dtype=np.int64) * num_cells
+        indexes += member_base.repeat(lengths)[:, None]
+        indexes = indexes.ravel()
+        indexes.sort()
+        digest.update(np.array([indexes.size, len(members)], dtype=np.int64))
+        digest.update(indexes)
+        lo_rows, hi_rows = self._wiring_of[cliques[0]][1:3]
+        cells = np.zeros((len(cliques), len(self._members_of[cliques[0]]),
+                          num_cells), dtype=np.uint32)
+        pairs = [pair for clique in cliques
+                 for pair in self._wiring_of[clique][0]]
+        self.pad_streams.blind_cliques(
+            cells, pairs, [self._pair_secret[p] for p in pairs],
+            lo_rows, hi_rows, round_id)
+        np.add.at(cells.reshape(-1), indexes, _ONE)
+        reports: Dict[int, Outbox] = {}
+        for block, clique in zip(cells, cliques):
+            uplink = clique_endpoint_id(clique)
+            reports[clique] = [
+                (uplink, BlindedReport(user_id=uid, round_id=round_id,
+                                       cells=CellVector(row),
+                                       clique_id=clique))
+                for uid, row in zip(self._members_of[clique], block)
+                if uid not in self._inactive]
+        return reports
 
     def _build_adjustments(self, clique: int, round_id: int,
                            missing_indexes: Sequence[int],
@@ -446,14 +464,17 @@ class ClientArmy(ProtocolEndpoint):
     # Endpoint hooks
     # ------------------------------------------------------------------
     def on_round_start(self, round_id: int) -> Outbox:
-        self._reported_by_clique = {}
-        self._answered = {}
-        digest = hashlib.sha256()
         table = self._index_table()
-        outbox: Outbox = []
+        by_layout: Dict[Layout, List[int]] = {}
         for clique in sorted(self._members_of):
-            outbox.extend(self._build_clique_reports(clique, round_id,
-                                                     table, digest))
+            by_layout.setdefault(self._wiring_of[clique][3], []).append(clique)
+        chunk = cliques_per_chunk(self.config.num_cells)
+        digest = hashlib.sha256()
+        reports: Dict[int, Outbox] = {}
+        for cliques in by_layout.values():
+            for start in range(0, len(cliques), chunk):
+                reports.update(self._chunk_reports(
+                    cliques[start:start + chunk], round_id, table, digest))
         fingerprint = digest.digest()
         previous = self._round_digests.get(round_id)
         if previous is not None and previous != fingerprint:
@@ -461,9 +482,15 @@ class ClientArmy(ProtocolEndpoint):
                 f"round {round_id} already blinded different sketches; "
                 f"reusing its one-time pads on new cleartext would leak "
                 f"pad differences")
+        # Round state is committed only once the guard passed; a rebuild
+        # of the same round keeps the notices it answered.
         self._round_digests[round_id] = fingerprint
-        self._reported_round = round_id
-        return outbox
+        if round_id != self._reported_round:
+            self._reported_round, self._answered = round_id, {}
+        self._reported_by_clique = {
+            clique: tuple(message.user_id for _, message in outbox)
+            for clique, outbox in reports.items()}
+        return [item for clique in sorted(reports) for item in reports[clique]]
 
     def on_message(self, sender: str, message: Any) -> Outbox:
         if isinstance(message, MissingClientsNotice):

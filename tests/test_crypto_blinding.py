@@ -264,6 +264,7 @@ class TestCliqueBlinding:
             raise AssertionError("squeezed before the arguments were checked")
 
         monkeypatch.setattr(blinding_module, "_squeeze", no_squeeze)
+        monkeypatch.setattr(blinding_module, "_pad_bytes", no_squeeze)
         provider = PadStreamProvider()
         with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
             provider.clique_blinding(pairs, secrets[:2], lo, hi, 3, 1, 8)
@@ -289,6 +290,50 @@ class TestCliqueBlinding:
             with pytest.raises(ConfigurationError, match="2-D"):
                 BlindingGenerator.accumulate_clique_matrix(not_2d, lo, hi, 3)
         assert not provider._absorbed
+
+    @pytest.mark.parametrize("budget", [1, 16, 2**30])
+    def test_stack_of_cliques_equals_per_member_generators(self, group,
+                                                           monkeypatch,
+                                                           budget):
+        """Four same-layout cliques blinded by one call — in chunks of
+        one, two or all four cliques of 8-cell rows — add onto the cells
+        already there exactly each member generator's blinding (its
+        negation under ``negate``: every pair's sign flips)."""
+        monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
+        cliques = [make_clique(group, [k, k + 4, k + 8], seed=k)
+                   for k in range(1, 5)]
+        _, _, _, lo, hi = cliques[0]
+        pairs = [pair for clique in cliques for pair in clique[1]]
+        secrets = [secret for clique in cliques for secret in clique[2]]
+        blinding = np.stack([[g.blinding_vector_array(8, 5) for g in clique[0]]
+                             for clique in cliques])
+        for negate, expected in ((False, np.add), (True, np.subtract)):
+            cells = np.random.default_rng(7).integers(
+                0, 2**32, (4, 3, 8), dtype=np.uint32)
+            want = expected(cells, blinding)
+            PadStreamProvider().blind_cliques(cells, pairs, secrets, lo, hi,
+                                              5, negate)
+            assert cells.tobytes() == want.tobytes()
+
+    def test_stack_refusals_come_before_any_squeeze(self, group, monkeypatch):
+        _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9])
+
+        def no_squeeze(*args, **kwargs):
+            raise AssertionError("squeezed before the arguments were checked")
+
+        monkeypatch.setattr(blinding_module, "_pad_bytes", no_squeeze)
+        provider = PadStreamProvider()
+        stack = np.zeros((2, 3, 8), dtype=np.uint32)
+        for cells in (stack[0], stack.astype(np.uint64)):
+            with pytest.raises(ConfigurationError, match="uint32 stack"):
+                provider.blind_cliques(cells, pairs, secrets, lo, hi, 1)
+        with pytest.raises(ConfigurationError, match="do not split"):
+            provider.blind_cliques(stack, pairs, secrets, lo, hi, 1)
+        with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
+            provider.blind_cliques(stack[:1], pairs, secrets[:2], lo, hi, 1)
+        with pytest.raises(ConfigurationError, match="one lo/hi row"):
+            provider.blind_cliques(stack[:1], pairs, secrets, lo[:2], hi, 1)
+        assert not provider._absorbed and not stack.any()
 
     def test_forget_users_evicts_states_the_batched_path_absorbed(self, group):
         _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9, 14])
@@ -386,11 +431,12 @@ class TestAccumulatorOracle:
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=1, max_value=4), _MODES, _SEEDS,
            st.booleans(), st.none() | _SEEDS)
-    def test_scatter_rows_and_matrix(self, members, num_cells, mode, seed,
-                                     negate, scramble):
+    def test_scatter_slots_and_matrix(self, members, num_cells, mode, seed,
+                                      negate, scramble):
         """``scramble=None`` is a whole clique's wiring; otherwise each
         end keeps its member row, is discarded (``-1``) or lands on any
-        row."""
+        row. The kernel blinds two cliques of that layout, each with its
+        own pad, in one call."""
         pairs = [(a, b) for a in range(members) for b in range(a + 1, members)]
         lo = np.asarray([a for a, _ in pairs], dtype=np.intp)
         hi = np.asarray([b for _, b in pairs], dtype=np.intp)
@@ -401,22 +447,28 @@ class TestAccumulatorOracle:
                 ends[choice == 1] = -1
                 ends[choice == 2] = rng.integers(0, members,
                                                  int((choice == 2).sum()))
-        pad = oracle_pad(mode, seed, len(pairs), num_cells)
-        terms: Dict[int, List[Tuple[int, np.ndarray]]] = {
-            m: [] for m in range(-1, members)}
         sign = -1 if negate else 1
-        for stream, lo_row, hi_row in zip(pad, lo.tolist(), hi.tolist()):
-            terms[hi_row].append((sign, stream))
-            terms[lo_row].append((-sign, stream))
-        expected = [signed_sum(terms[m], num_cells) for m in range(members)]
-        scattered = blinding_module._scatter_rows(
-            iter(pad), len(pairs), num_cells, lo, hi, members, negate)
-        assert scattered.tolist() == expected
-        for matrix in (pad, pad.astype(np.uint64)):
+
+        def expected(pad):
+            terms: Dict[int, List[Tuple[int, np.ndarray]]] = {
+                m: [] for m in range(-1, members)}
+            for stream, lo_row, hi_row in zip(pad, lo.tolist(), hi.tolist()):
+                terms[hi_row].append((sign, stream))
+                terms[lo_row].append((-sign, stream))
+            return [signed_sum(terms[m], num_cells) for m in range(members)]
+
+        pads = [oracle_pad(mode, seed + k, len(pairs), num_cells)
+                for k in range(2)]
+        plus, minus = blinding_module._slot_ends(lo, hi, len(pairs), negate)
+        stack = np.zeros((2, members, num_cells), dtype=np.uint32)
+        blinding_module._scatter_slots(stack, np.stack(pads, axis=1),
+                                       plus, minus)
+        assert stack.tolist() == [expected(pad) for pad in pads]
+        for matrix in (pads[0], pads[0].astype(np.uint64)):
             result = BlindingGenerator.accumulate_clique_matrix(
                 matrix, lo, hi, members, negate=negate)
             assert result.dtype == np.uint32
-            assert result.tolist() == expected
+            assert result.tolist() == expected(pads[0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(min_value=1, max_value=4), _MODES, _SEEDS,

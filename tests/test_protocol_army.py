@@ -19,6 +19,11 @@ The contracts this file pins:
 * **Hash once** — a round hashes each distinct URL of the window once,
   army-wide, and builds no hash family; both are pinned by counting
   calls, not by a clock.
+* **Chunked blinding** — cliques of one layout are blinded a bounded
+  chunk at a time; mixed clique sizes, a joiner that breaks the
+  ascending layout and any chunk size leave every byte unchanged, the
+  pad-reuse guard still sees every cleartext change, and a round's
+  working set stays within a few chunk budgets.
 """
 
 import tracemalloc
@@ -29,6 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
+from repro.crypto import blinding as blinding_module
 from repro.errors import (
     BlindingError,
     ConfigurationError,
@@ -187,6 +193,156 @@ class TestBackendEquivalence:
         reports_army = payloads_of(s_army, BlindedReport)
         assert reports_obj == reports_army
         results_match(r_obj, r_army)
+
+
+def observe_window(session, roster):
+    """Refill both backends' windows with ``ads_for(roster)``."""
+    ads = ads_for(roster)
+    session.reset_windows()
+    if session.army is not None:
+        for uid in roster:
+            session.army.observe_ads(uid, ads[uid])
+    else:
+        for client in session.clients:
+            for url in ads[client.user_id]:
+                client.observe_ad(url)
+
+
+class TestChunkedBlinding:
+    """Reports and dropout adjustments stay byte-identical to the object
+    path wherever clique layouts or the kernel's chunks vary."""
+
+    BUDGETS = [None, 1, 2**30]
+
+    @staticmethod
+    def assert_same_round(s_obj, s_army, dropped):
+        for uid in dropped:
+            s_obj.transport.fail_sender(uid)
+        s_army.army.drop_users(dropped)
+        r_obj, r_army = s_obj.run_next_round(), s_army.run_next_round()
+        assert r_obj.round_id == r_army.round_id
+        assert sorted(r_army.missing_users) == sorted(dropped)
+        for kind in (BlindedReport, BlindingAdjustment):
+            assert payloads_of(s_obj, kind) == payloads_of(s_army, kind)
+        assert payloads_of(s_army, BlindingAdjustment)
+        results_match(r_obj, r_army)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_mixed_clique_sizes(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
+        users = USERS[:11]
+        s_obj = object_session(users, num_cliques=3, record=True)
+        s_army = army_session(users, num_cliques=3, record=True)
+        assert sorted(map(len, s_army.army.members().values())) == [3, 4, 4]
+        self.assert_same_round(s_obj, s_army, [users[1], users[6]])
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_joiner_breaks_the_ascending_layout(self, monkeypatch, budget):
+        """The joiner sorts first in its clique but holds the highest
+        index, so its clique has the others' size and not their layout."""
+        if budget is not None:
+            monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
+        joiner = "aaa-joiner"
+        s_obj, s_army = object_session(record=True), army_session(record=True)
+        results_match(s_obj.run_next_round(), s_army.run_next_round())
+        for session in (s_obj, s_army):
+            session.advance_epoch(joins=[joiner], leaves=[USERS[3]])
+        army = s_army.army
+        assert army.index_of[joiner] == max(army.index_of.values())
+        assert {len(m) for m in army.members().values()} == {6}
+        assert len({wiring[3] for wiring in army._wiring_of.values()}) == 2
+        for session in (s_obj, s_army):
+            observe_window(session, army.user_ids)
+        self.assert_same_round(s_obj, s_army, [joiner, USERS[20]])
+
+
+class TestPadReuseGuard:
+    """The army's guard hashes each chunk's sorted flat cell indexes: it
+    sees every change to any member's counts, in any chunk, and none to
+    the order a window was observed in."""
+
+    @staticmethod
+    def army(users=8, num_cliques=2):
+        return ClientArmy.enroll(USERS[:users], CONFIG, seed=1,
+                                 use_oprf=False, num_cliques=num_cliques)
+
+    def test_moving_a_url_between_members_raises(self):
+        """The clique's summed cells do not change; one member's do."""
+        army = self.army()
+        first, second, *_ = army.members()[0]
+        army.observe_ads(first, ["http://x/1", "http://x/2"])
+        army.on_round_start(0)
+        army.reset_window()
+        army.observe_ad(first, "http://x/1")
+        army.observe_ad(second, "http://x/2")
+        with pytest.raises(RoundStateError, match="already blinded"):
+            army.on_round_start(0)
+
+    def test_change_in_the_last_chunk_raises(self, monkeypatch):
+        """One clique a chunk; the last member of the last clique swaps a
+        URL for another, so every chunk keeps its index count."""
+        monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", CONFIG.num_cells)
+        army = self.army(users=12, num_cliques=4)
+        *_, last = army.members()[max(army.members())]
+
+        def observe(last_url):
+            army.reset_window()
+            for uid in army.user_ids:
+                army.observe_ad(uid, last_url if uid == last else "http://x/1")
+
+        observe("http://x/1")
+        army.on_round_start(0)
+        observe("http://x/2")
+        with pytest.raises(RoundStateError, match="already blinded"):
+            army.on_round_start(0)
+
+    def test_reobserving_in_reverse_order_is_the_same_round(self):
+        """A reset window refilled in reverse order fills the ad-id cache,
+        the index table and the members' URL sets in another order: same
+        counts, same round."""
+        army = self.army()
+        urls = [f"http://x/{i}" for i in range(60)]
+        windows = {uid: urls[i:i + 40] for i, uid in enumerate(army.user_ids)}
+
+        def reports():
+            return [(recipient, message.user_id,
+                     message.cells_as_array().tobytes())
+                    for recipient, message in army.on_round_start(0)]
+
+        for uid, window in windows.items():
+            army.observe_ads(uid, window)
+        first = reports()
+        orders = [list(army._seen[uid]) for uid in windows]
+        army.reset_window()
+        for uid, window in reversed(list(windows.items())):
+            army.observe_ads(uid, window[::-1])
+        assert [list(army._seen[uid]) for uid in windows] != orders
+        assert reports() == first
+
+    def test_round_working_set_is_a_few_chunk_budgets(self):
+        """1,000 cliques of 4 over 1,024 cells: the reports hold 16 MiB of
+        cells; on top of what the round leaves behind, its peak is within
+        a few squeeze buffers (a round-wide batch would add megabytes)."""
+        config = RoundConfig(cms_depth=4, cms_width=256, cms_seed=7,
+                             id_space=400)
+        army = ClientArmy.enroll([f"user-{i:04d}" for i in range(4000)],
+                                 config, seed=1, use_oprf=False,
+                                 num_cliques=1000)
+        for i, uid in enumerate(army.user_ids):
+            army.observe_ads(uid, [f"http://ads.example/{(3 * i + j) % 400}"
+                                   for j in range(3)])
+        army.on_round_start(0)
+        tracemalloc.start()
+        try:
+            outbox = army.on_round_start(1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outbox) == 4000
+        assert retained >= 4000 * config.num_cells * 4
+        four_buffers = 4 * 256 * 1024
+        assert peak - retained < four_buffers, (peak, retained)
 
 
 #: A pool small enough that users overlap, mapped onto an id space small

@@ -18,6 +18,9 @@ Each class pins one bug that existed before the hardening PR:
 * Both client backends answered a ``MissingClientsNotice`` for any
   round, any number of times, handing out pad material of rounds they
   never reported in.
+* ``ClientArmy`` forgot the notice it had answered whenever a round was
+  rebuilt — identically, or refused by the pad-reuse guard — so a
+  differing notice for the same round was answered a second time.
 """
 
 import hashlib
@@ -387,6 +390,49 @@ class TestRecoveryNoticeGuard:
         answer = endpoint.on_message(self.SENDER, self.notice(0, silent))
         assert answer and all(isinstance(m, BlindingAdjustment)
                               and m.round_id == 0 for _to, m in answer)
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent)) == []
+        with pytest.raises(RoundStateError, match="different"):
+            endpoint.on_message(self.SENDER, self.notice(0, silent, third))
+
+    @staticmethod
+    def silence(endpoint, index):
+        """Drop the member with blinding index ``index`` from the army's
+        reports; an object client reports only itself, so for it there
+        is nothing to silence."""
+        if isinstance(endpoint, ClientArmy):
+            endpoint.drop_users([uid for uid, i in endpoint.index_of.items()
+                                 if i == index])
+
+    @staticmethod
+    def observe(endpoint, index, url):
+        if isinstance(endpoint, ClientArmy):
+            [uid] = [u for u, i in endpoint.index_of.items() if i == index]
+            endpoint.observe_ad(uid, url)
+        else:
+            endpoint.observe_ad(url)
+
+    def test_identical_rebuild_keeps_the_answered_notice(self, clique0):
+        """A retransmitted round is the same round: its answered notice
+        still stands, so a notice naming a second dropout is refused
+        instead of handing out that member's pads too."""
+        endpoint, _survivor, silent, third = clique0
+        self.silence(endpoint, third)
+        endpoint.on_round_start(0)
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent))
+        endpoint.on_round_start(0)
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent)) == []
+        with pytest.raises(RoundStateError, match="different"):
+            endpoint.on_message(self.SENDER, self.notice(0, silent, third))
+
+    def test_refused_rebuild_keeps_the_answered_notice(self, clique0):
+        """A rebuild the pad-reuse guard refuses changes no round state."""
+        endpoint, survivor, silent, third = clique0
+        self.silence(endpoint, third)
+        endpoint.on_round_start(0)
+        assert endpoint.on_message(self.SENDER, self.notice(0, silent))
+        self.observe(endpoint, survivor, "http://ad.example/2")
+        with pytest.raises(RoundStateError, match="already blinded"):
+            endpoint.on_round_start(0)
         assert endpoint.on_message(self.SENDER, self.notice(0, silent)) == []
         with pytest.raises(RoundStateError, match="different"):
             endpoint.on_message(self.SENDER, self.notice(0, silent, third))
