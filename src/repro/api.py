@@ -394,7 +394,11 @@ class ProtocolSession:
             aggregation, root = build_aggregation_tree(
                 self.config, population.members(), population.user_ids,
                 threshold_rule=threshold_rule, fan_in=self.settings.fan_in)
-            endpoints = [*population.endpoints, *aggregation]
+            # The tree is registered, and so opened each round, before
+            # the clients: its aggregators drop the last round's reports
+            # (whose cells they hold) before the clients build the next
+            # round's, so the process holds one round of report cells.
+            endpoints = [*aggregation, *population.endpoints]
         self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
         population.register_mailboxes(self._runner.transport)

@@ -123,17 +123,23 @@ def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
     return xof
 
 
-def _pad_bytes(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> bytes:
-    """Fork an absorbed XOF state with the round id and squeeze
-    ``num_cells`` cells' worth of bytes (big-endian 32-bit cells)."""
+def _round_bytes(round_id: int) -> bytes:
+    """The round id as the pad XOF absorbs it: 8 signed big-endian bytes."""
+    return round_id.to_bytes(8, "big", signed=True)
+
+
+def _pad_bytes(absorbed: "hashlib._Hash", round_bytes: bytes, num_cells: int) -> bytes:
+    """Fork an absorbed XOF state with the encoded round id
+    (:func:`_round_bytes`) and squeeze ``num_cells`` cells' worth of
+    bytes (big-endian 32-bit cells): the one squeeze every path runs."""
     xof = absorbed.copy()
-    xof.update(round_id.to_bytes(8, "big", signed=True))
+    xof.update(round_bytes)
     return xof.digest(num_cells * _CELL_BYTES)
 
 
 def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.ndarray:
     """One pair's keystream for one round as a native ``uint32`` array."""
-    raw = _pad_bytes(absorbed, round_id, num_cells)
+    raw = _pad_bytes(absorbed, _round_bytes(round_id), num_cells)
     return np.frombuffer(raw, dtype=">u4").astype(np.uint32)
 
 
@@ -211,14 +217,15 @@ def _squeezed_slots(
     ``absorbed`` lists the cliques' XOF states clique-major (clique ``k``'s
     slot ``p`` at ``k * num_pairs + p``). Each row is byteswapped once, as
     it is written into the buffer, so no array is allocated per row. Rows
-    are :func:`_squeeze`'s, byte for byte.
+    are :func:`_squeeze`'s, byte for byte; the round id is encoded once.
     """
     num_cliques = len(absorbed) // num_pairs if num_pairs else 0
     rows = np.empty((num_cliques, num_cells), dtype=np.uint32)
+    round_bytes = _round_bytes(round_id)
     for slot in range(num_pairs):
         for k, state in enumerate(absorbed[slot::num_pairs]):
             rows[k] = np.frombuffer(
-                _pad_bytes(state, round_id, num_cells), dtype=">u4")
+                _pad_bytes(state, round_bytes, num_cells), dtype=">u4")
         yield rows
 
 

@@ -27,13 +27,17 @@ socket.
 Each :class:`CliqueAggregator` *wraps* a clique-restricted
 :class:`~repro.protocol.server.AggregationServer`, which owns every
 validation — duplicate/differing resends, wrong clique ids, adjustments
-from non-reporters, strict recovery-coverage release checks.
+from non-reporters, strict recovery-coverage release checks. A release
+reads the clique's roster once and hands the missing list to those
+checks, and its partial wraps the sum it built unchecked and read-only
+(only cells from outside the process are range-checked). Once released,
+a clique aggregator accepts only identical resends of what it counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,7 +188,10 @@ class CliqueAggregator(ProtocolEndpoint):
     adjustments; then release the clique's partial sum to the root. A
     clique whose members all dropped out emits an all-zero partial — its
     pads never entered any sum, so there is nothing to recover (the
-    root still learns its roster went missing).
+    root still learns its roster went missing). After the release, a
+    report or adjustment that is not an identical resend of one already
+    counted raises :class:`~repro.errors.RoundStateError`: it would be
+    stored and never counted.
     """
 
     def __init__(self, clique_id: int, config: RoundConfig,
@@ -220,48 +227,66 @@ class CliqueAggregator(ProtocolEndpoint):
                     f"late report from {message.user_id!r}: clique "
                     f"{self.clique_id}'s recovery notice already counted "
                     f"that user missing in round {message.round_id}")
+            if self._released:
+                self._refuse_late(message, self.server._reports)
             self.server.submit_report(message)
             return []
         if isinstance(message, BlindingAdjustment):
+            if self._released:
+                self._refuse_late(message, self.server._adjustments)
             self.server.submit_adjustment(message)
             return []
         return super().on_message(sender, message)
 
+    def _refuse_late(self, message: Union[BlindedReport, BlindingAdjustment],
+                     counted: Mapping[str, object]) -> None:
+        """After the release only a resend of a counted submission may
+        reach the server (which drops it if identical and refuses it if
+        not): anything new would be stored and never counted."""
+        if message.user_id not in counted:
+            raise RoundStateError(
+                f"late {type(message).__name__} from {message.user_id!r}: "
+                f"clique {self.clique_id} already released its partial for "
+                f"round {message.round_id}")
+
     def on_idle(self, round_id: int) -> Outbox:
         if self._released:
             return []
+        # The roster is read once per idle; the release checks reuse it.
         missing = self.server.missing_users()
-        if missing and self.server.reported_users and not self._noticed:
+        reports = self.server._reports
+        if missing and reports and not self._noticed:
             self._noticed = frozenset(missing)
             notice_indexes = tuple(
                 sorted(self.server.index_of[u] for u in missing))
             notice = MissingClientsNotice(round_id=round_id,
                                           missing_indexes=notice_indexes,
                                           clique_id=self.clique_id)
-            return [(user_id, notice)
-                    for user_id in sorted(self.server.reported_users)]
-        return [(self.root_id, self._release(round_id))]
+            return [(user_id, notice) for user_id in sorted(reports)]
+        return [(self.root_id, self._release(round_id, missing))]
 
-    def _release(self, round_id: int) -> PartialAggregate:
-        """The clique's partial sum, after its recovery completed.
+    def _release(self, round_id: int,
+                 missing: List[str]) -> PartialAggregate:
+        """The clique's partial sum, after its recovery completed;
+        ``missing`` is the server's current missing list.
 
         Raises :class:`~repro.errors.MissingReportError` (via the wrapped
         server's release checks) if survivors were notified but coverage
         is still partial — un-cancelled pads would poison every cell of
         the global aggregate.
         """
-        missing = tuple(self.server.missing_users())
-        reported = tuple(sorted(self.server.reported_users))
+        reported = tuple(sorted(self.server._reports))
         if not reported:
             # Whole clique dropped out: no pads entered any sum, nothing
             # to recover; contribute zeros and report the roster missing.
             cells = np.zeros(self.config.num_cells, dtype=np.uint32)
         else:
-            cells = self.server.aggregate_cells()
+            cells = self.server._checked_cells(missing)
         self._released = True
+        cells.setflags(write=False)
         return PartialAggregate(clique_id=self.clique_id, round_id=round_id,
-                                cells=CellVector(cells), reported=reported,
-                                missing=missing)
+                                cells=CellVector._wrap(cells),
+                                reported=reported, missing=tuple(missing))
 
 
 class _PartialCollector(ProtocolEndpoint):
@@ -364,9 +389,10 @@ class RegionalAggregator(_PartialCollector):
 
     def _complete(self, round_id: int) -> Outbox:
         cells, reported, missing = self._merged()
+        cells.setflags(write=False)
         return [(self.parent_id, PartialAggregate(
             clique_id=self.region_id, round_id=round_id,
-            cells=CellVector(cells), reported=tuple(reported),
+            cells=CellVector._wrap(cells), reported=tuple(reported),
             missing=tuple(missing)))]
 
 

@@ -23,9 +23,14 @@ the *protocol* — every message, every byte — and deletes the objects:
   (each pair slot squeezed into one buffer of at most 64 Ki cells and
   scattered with one ``+=`` and one ``-=`` across the chunk), then the
   members' counts — a gather from the index table — are added on with
-  one ``np.add.at``; every report's cells are a row view of the stack.
-  The round's floor is the squeeze of the pad XOF in
-  ``crypto/blinding.py``, and no ``(pairs, cells)`` pad matrix is held;
+  one ``np.add.at``; the stack is then made read-only once and every
+  report wraps a row view of it unchecked (a kernel's cells need no
+  range check; cells from outside the process still get one). The
+  round's floor is the squeeze of the pad XOF in ``crypto/blinding.py``,
+  and no ``(pairs, cells)`` pad matrix is held;
+* a chunk's wiring — its cliques' uplinks, members, pairs and shared
+  secrets in kernel order — is built by an epoch's first round and kept
+  until :meth:`ClientArmy.rewire` drops it;
 * the pad-reuse guard hashes each chunk's sorted flat cell indexes (the
   canonical form of its counts), not its cells;
 * because both backends consume the same
@@ -54,7 +59,18 @@ See ``docs/scaling.md`` for the cost model.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -93,6 +109,24 @@ Layout = Tuple[int, bytes, bytes]
 #: order, per pair the member-row of each end (rows index the clique's
 #: sorted member list), and the clique's layout.
 CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray, Layout]
+
+
+class _Chunk(NamedTuple):
+    """A chunk of same-layout cliques, wired for an epoch: what every
+    round of the epoch would otherwise rebuild before its one
+    :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques` call."""
+
+    cliques: List[int]
+    #: Per clique, the aggregator its members report to.
+    uplinks: List[str]
+    #: Every clique's sorted members, clique-major.
+    members: List[str]
+    #: Every clique's pairs, clique-major, and their shared secrets.
+    pairs: List[PairKey]
+    secrets: List[bytes]
+    lo_rows: np.ndarray
+    hi_rows: np.ndarray
+
 
 #: One round's sketch index table: URL -> row, and per row the URL's
 #: ``depth`` flat cell indexes (an ``(n, depth)`` ``int64`` array, so a
@@ -177,6 +211,9 @@ class ClientArmy(ProtocolEndpoint):
         self._pair_secret: Dict[PairKey, bytes] = {}
         self._members_of: Dict[int, List[str]] = {}
         self._wiring_of: Dict[int, CliqueWiring] = {}
+        #: The epoch's chunks, built by its first round and dropped by
+        #: :meth:`rewire`.
+        self._chunks: Optional[List[_Chunk]] = None
         #: User ids aliased to this army's mailbox by the last
         #: :meth:`register_mailboxes`.
         self._aliased: Set[str] = set()
@@ -360,7 +397,35 @@ class ClientArmy(ProtocolEndpoint):
                 ad_ids[start:stop]).T
         return row_of, flat
 
-    def _chunk_reports(self, cliques: Sequence[int], round_id: int,
+    def _chunk_wiring(self) -> List[_Chunk]:
+        """The epoch's chunks: cliques grouped by layout, in clique order
+        within a layout, :func:`~repro.crypto.blinding.cliques_per_chunk`
+        at a time. Built once per epoch; :meth:`rewire` drops them."""
+        if self._chunks is not None:
+            return self._chunks
+        by_layout: Dict[Layout, List[int]] = {}
+        for clique in sorted(self._members_of):
+            by_layout.setdefault(self._wiring_of[clique][3], []).append(clique)
+        size = cliques_per_chunk(self.config.num_cells)
+        chunks: List[_Chunk] = []
+        for same_layout in by_layout.values():
+            for start in range(0, len(same_layout), size):
+                cliques = same_layout[start:start + size]
+                pairs = [pair for clique in cliques
+                         for pair in self._wiring_of[clique][0]]
+                lo_rows, hi_rows = self._wiring_of[cliques[0]][1:3]
+                chunks.append(_Chunk(
+                    cliques=cliques,
+                    uplinks=[clique_endpoint_id(c) for c in cliques],
+                    members=[uid for clique in cliques
+                             for uid in self._members_of[clique]],
+                    pairs=pairs,
+                    secrets=[self._pair_secret[p] for p in pairs],
+                    lo_rows=lo_rows, hi_rows=hi_rows))
+        self._chunks = chunks
+        return chunks
+
+    def _chunk_reports(self, chunk: _Chunk, round_id: int,
                        table: IndexTable,
                        digest: "hashlib._Hash") -> Dict[int, Outbox]:
         """Blind and report a chunk of same-layout cliques: clique id ->
@@ -373,15 +438,16 @@ class ClientArmy(ProtocolEndpoint):
         ``np.add.at`` over their flat cell indexes (a gather from the
         round's index table, offset per member). That equals per-user
         ``CountMinSketch.update_many`` plus the blinding mod 2^32, which
-        is all a blinded cell keeps. Each report's cells are a row view
-        of the stack. The sorted indexes are the canonical form of the
-        chunk's counts, so they, behind a length prefix and the member
-        count, are what the pad-reuse guard hashes.
+        is all a blinded cell keeps. The stack is then made read-only
+        once, and each report wraps a row view of it unchecked
+        (``CellVector._wrap``): the kernel's cells need no range check.
+        The sorted indexes are the canonical form of the chunk's counts,
+        so they, behind a length prefix and the member count, are what
+        the pad-reuse guard hashes.
         """
         row_of, flat = table
         num_cells = self.config.num_cells
-        members = [uid for clique in cliques
-                   for uid in self._members_of[clique]]
+        members = chunk.members
         rows: List[int] = []
         lengths: List[int] = []
         for uid in members:
@@ -395,24 +461,23 @@ class ClientArmy(ProtocolEndpoint):
         indexes.sort()
         digest.update(np.array([indexes.size, len(members)], dtype=np.int64))
         digest.update(indexes)
-        lo_rows, hi_rows = self._wiring_of[cliques[0]][1:3]
-        cells = np.zeros((len(cliques), len(self._members_of[cliques[0]]),
-                          num_cells), dtype=np.uint32)
-        pairs = [pair for clique in cliques
-                 for pair in self._wiring_of[clique][0]]
-        self.pad_streams.blind_cliques(
-            cells, pairs, [self._pair_secret[p] for p in pairs],
-            lo_rows, hi_rows, round_id)
+        size = len(members) // len(chunk.cliques)
+        cells = np.zeros((len(chunk.cliques), size, num_cells),
+                         dtype=np.uint32)
+        self.pad_streams.blind_cliques(cells, chunk.pairs, chunk.secrets,
+                                       chunk.lo_rows, chunk.hi_rows, round_id)
         np.add.at(cells.reshape(-1), indexes, _ONE)
+        cells.setflags(write=False)
+        inactive = self._inactive
+        wrap = CellVector._wrap
         reports: Dict[int, Outbox] = {}
-        for block, clique in zip(cells, cliques):
-            uplink = clique_endpoint_id(clique)
+        for k, (block, clique, uplink) in enumerate(
+                zip(cells, chunk.cliques, chunk.uplinks)):
             reports[clique] = [
                 (uplink, BlindedReport(user_id=uid, round_id=round_id,
-                                       cells=CellVector(row),
-                                       clique_id=clique))
-                for uid, row in zip(self._members_of[clique], block)
-                if uid not in self._inactive]
+                                       cells=wrap(row), clique_id=clique))
+                for uid, row in zip(members[k * size:(k + 1) * size], block)
+                if uid not in inactive]
         return reports
 
     def _build_adjustments(self, clique: int, round_id: int,
@@ -455,9 +520,10 @@ class ClientArmy(ProtocolEndpoint):
             pairs, secrets, np.asarray(lo_rows, dtype=np.intp),
             np.asarray(hi_rows, dtype=np.intp), len(survivors), round_id,
             self.config.num_cells, negate=True)
+        adjustments.setflags(write=False)
         return [(recipient, BlindingAdjustment(
             user_id=uid, round_id=round_id,
-            cells=CellVector(adjustments[row]), clique_id=clique))
+            cells=CellVector._wrap(adjustments[row]), clique_id=clique))
             for row, uid in enumerate(survivors)]
 
     # ------------------------------------------------------------------
@@ -465,16 +531,11 @@ class ClientArmy(ProtocolEndpoint):
     # ------------------------------------------------------------------
     def on_round_start(self, round_id: int) -> Outbox:
         table = self._index_table()
-        by_layout: Dict[Layout, List[int]] = {}
-        for clique in sorted(self._members_of):
-            by_layout.setdefault(self._wiring_of[clique][3], []).append(clique)
-        chunk = cliques_per_chunk(self.config.num_cells)
         digest = hashlib.sha256()
         reports: Dict[int, Outbox] = {}
-        for cliques in by_layout.values():
-            for start in range(0, len(cliques), chunk):
-                reports.update(self._chunk_reports(
-                    cliques[start:start + chunk], round_id, table, digest))
+        for chunk in self._chunk_wiring():
+            reports.update(self._chunk_reports(chunk, round_id, table,
+                                               digest))
         fingerprint = digest.digest()
         previous = self._round_digests.get(round_id)
         if previous is not None and previous != fingerprint:
@@ -544,6 +605,7 @@ class ClientArmy(ProtocolEndpoint):
             self._inactive.discard(uid)
         self.clique_of = dict(clique_of)
         self._refresh_members()
+        self._chunks = None
         new_pairs: Set[PairKey] = set()
         for clique in affected:
             self._rewire_clique(clique)

@@ -39,6 +39,11 @@ class CellVector(Sequence):
     equivalent tuple. The constructor does not copy an array that is
     already ``uint32`` — callers hand over ownership and must not mutate
     it afterwards — and refuses values outside ``[0, 2^32)``.
+
+    Cells this process built (the army's blinded stack, an aggregator's
+    sum) skip that check through :meth:`_wrap`; everything that arrives
+    from outside — decoded wire bytes, HTTP bodies, caller tuples — is
+    checked here.
     """
 
     __slots__ = ("_array", "_hash")
@@ -48,6 +53,19 @@ class CellVector(Sequence):
         arr.setflags(write=False)
         self._array = arr
         self._hash = None
+
+    @classmethod
+    def _wrap(cls, array: np.ndarray) -> "CellVector":
+        """Wrap a ``uint32`` array that is already read-only, unchecked
+        and uncopied: a kernel's output needs no range check, and its
+        owner made it read-only once for a whole stack of rows."""
+        if array.dtype != np.uint32 or array.flags.writeable:
+            raise ProtocolError(
+                "only a read-only uint32 array is wrapped unchecked")
+        vector = cls.__new__(cls)
+        vector._array = array
+        vector._hash = None
+        return vector
 
     def __array__(
         self, dtype: Any = None, copy: Optional[bool] = None
@@ -241,4 +259,4 @@ class PartialAggregate:
 
     def size_bytes(self) -> int:
         return (HEADER_BYTES + len(self.cells) * CELL_BYTES
-                + sum(len(uid) for uid in self.reported + self.missing))
+                + sum(map(len, self.reported)) + sum(map(len, self.missing)))

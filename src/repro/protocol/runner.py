@@ -216,8 +216,9 @@ class ProtocolRunner:
                 if item is None:
                     break
                 sender, message = item
-                self._dispatch(endpoint.endpoint_id,
-                               endpoint.on_message(sender, message))
+                outbox = endpoint.on_message(sender, message)
+                if outbox:
+                    self._dispatch(endpoint.endpoint_id, outbox)
                 progressed = True
         return progressed
 

@@ -41,7 +41,7 @@ match.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -233,7 +233,10 @@ class AggregationServer:
 
     def missing_users(self) -> List[str]:
         """Enrolled users whose report has not arrived this round."""
-        return sorted(set(self.index_of) - set(self._reports))
+        if len(self._reports) == len(self.index_of):
+            # Intake refuses unknown users: a full count is everyone.
+            return []
+        return sorted(self.index_of.keys() - self._reports.keys())
 
     def missing_indexes(self) -> List[int]:
         return sorted(self.index_of[u] for u in self.missing_users())
@@ -253,17 +256,19 @@ class AggregationServer:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _check_recovery_coverage(self) -> None:
+    def _check_recovery_coverage(self, missing: Sequence[str]) -> None:
         """Raise unless every affected clique's recovery round completed.
 
         Blinding cancels per clique, so the conditions are clique-local:
         for every clique with at least one missing member, *every* one of
         its surviving reporters must have submitted an adjustment.
         Partial coverage leaves un-cancelled keystream terms in every
-        cell — the aggregate would be silently random noise.
+        cell — the aggregate would be silently random noise. ``missing``
+        is :meth:`missing_users`' current answer.
         """
-        missing = self.missing_users()
-        if missing and not self._reports:
+        if not missing:
+            return  # no clique is affected
+        if not self._reports:
             # Degenerate round: everyone dropped. A zero aggregate would
             # feed a garbage threshold downstream; fail loudly instead.
             raise MissingReportError(
@@ -284,9 +289,12 @@ class AggregationServer:
                     f"survivors adjusted; blinding cannot cancel (first "
                     f"unadjusted: {unadjusted[:5]})")
 
-    def _check_adjustment_consistency(self) -> None:
-        """Reject adjustments that would themselves corrupt the sum."""
-        missing_cliques = {self.clique_of[u] for u in self.missing_users()}
+    def _check_adjustment_consistency(self, missing: Sequence[str]) -> None:
+        """Reject adjustments that would themselves corrupt the sum;
+        ``missing`` is :meth:`missing_users`' current answer."""
+        if not self._adjustments:
+            return  # nothing to reject
+        missing_cliques = {self.clique_of[u] for u in missing}
         for user in sorted(self._adjustments):
             if user not in self._reports:
                 raise RoundStateError(
@@ -323,10 +331,21 @@ class AggregationServer:
         whatever the submissions sum to — the escape hatch for
         inspecting a corrupt or partial round state.
         """
+        if allow_missing:
+            self._require_round()
+            return self._sum_cells()
+        return self._checked_cells(self.missing_users())
+
+    def _checked_cells(self, missing: Sequence[str]) -> np.ndarray:
+        """:meth:`aggregate_cells` behind its release checks, for a caller
+        that already read the roster: ``missing`` is
+        :meth:`missing_users`' current answer."""
         self._require_round()
-        if not allow_missing:
-            self._check_adjustment_consistency()
-            self._check_recovery_coverage()
+        self._check_adjustment_consistency(missing)
+        self._check_recovery_coverage(missing)
+        return self._sum_cells()
+
+    def _sum_cells(self) -> np.ndarray:
         cells = np.zeros(self.config.num_cells, dtype=np.uint32)
         for submission in (*self._reports.values(),
                            *self._adjustments.values()):

@@ -21,6 +21,10 @@ Each class pins one bug that existed before the hardening PR:
 * ``ClientArmy`` forgot the notice it had answered whenever a round was
   rebuilt — identically, or refused by the pad-reuse guard — so a
   differing notice for the same round was answered a second time.
+* ``CliqueAggregator`` stored traffic that arrived after it released its
+  partial — an adjustment from a clique with no missing members (refused
+  before the release), a late report for a user the root had already
+  been told was missing — where it was never counted.
 """
 
 import hashlib
@@ -337,6 +341,88 @@ class TestLateReportAfterRecoveryNotice:
             c.user_id for c in survivors))
         assert np.array_equal(partial.cells_as_array(),
                               sum(self.cleartext(c) for c in survivors))
+
+
+class TestLateTrafficAfterRelease:
+    """Once a clique aggregator released its partial, only an identical
+    resend of a counted submission is a no-op; anything else is refused,
+    never stored behind the sum the root already has."""
+
+    def _clique(self, reporting):
+        clients = make_enrollment(4).clients
+        for client in clients:
+            client.observe_ad("http://ad.example/1")
+        aggregator = CliqueAggregator(
+            0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+        aggregator.on_round_start(1)
+        reports = {c.user_id: c.build_report(1) for c in clients}
+        for client in clients[:reporting]:
+            aggregator.on_message(client.user_id, reports[client.user_id])
+        [(_root, partial)] = aggregator.on_idle(1)
+        return clients, aggregator, reports, partial
+
+    def test_adjustment_after_a_full_release_is_refused(self):
+        clients, aggregator, reports, partial = self._clique(reporting=4)
+        assert partial.missing == ()
+        adjustment = BlindingAdjustment(
+            user_id=clients[0].user_id, round_id=1,
+            cells=(1,) * CONFIG.num_cells, clique_id=0)
+        with pytest.raises(RoundStateError, match="already released"):
+            aggregator.on_message(clients[0].user_id, adjustment)
+        assert not aggregator.server.adjusted_users
+        # An identical report resend stays a no-op, a differing one raises.
+        assert aggregator.on_message(
+            clients[1].user_id, reports[clients[1].user_id]) == []
+        with pytest.raises(RoundStateError, match="differing"):
+            aggregator.on_message(clients[1].user_id, BlindedReport(
+                user_id=clients[1].user_id, round_id=1,
+                cells=(0,) * CONFIG.num_cells, clique_id=0))
+        assert aggregator.on_idle(1) == []
+
+    def test_the_same_adjustment_before_release_is_refused_too(self):
+        clients = make_enrollment(4).clients
+        aggregator = CliqueAggregator(
+            0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+        aggregator.on_round_start(1)
+        for client in clients:
+            aggregator.on_message(client.user_id, client.build_report(1))
+        aggregator.on_message(clients[0].user_id, BlindingAdjustment(
+            user_id=clients[0].user_id, round_id=1,
+            cells=(1,) * CONFIG.num_cells, clique_id=0))
+        with pytest.raises(RoundStateError, match="no missing users"):
+            aggregator.on_idle(1)
+
+    def test_late_report_after_a_whole_clique_release_is_refused(self):
+        clients, aggregator, reports, partial = self._clique(reporting=0)
+        assert partial.reported == ()
+        late = clients[2].user_id
+        assert late in partial.missing
+        with pytest.raises(RoundStateError, match="already released"):
+            aggregator.on_message(late, reports[late])
+        assert not aggregator.server.reported_users
+
+    def test_identical_adjustment_resend_after_recovery_is_a_no_op(self):
+        clients = make_enrollment(4).clients
+        aggregator = CliqueAggregator(
+            0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+        aggregator.on_round_start(1)
+        survivors = clients[:3]
+        for client in survivors:
+            aggregator.on_message(client.user_id, client.build_report(1))
+        adjustments = []
+        for client, (_user, notice) in zip(survivors, aggregator.on_idle(1)):
+            [(_uplink, adjustment)] = client.on_message(
+                aggregator.endpoint_id, notice)
+            aggregator.on_message(client.user_id, adjustment)
+            adjustments.append(adjustment)
+        [(_root, partial)] = aggregator.on_idle(1)
+        assert partial.missing == (clients[3].user_id,)
+        assert aggregator.on_message(survivors[0].user_id,
+                                     adjustments[0]) == []
+        with pytest.raises(RoundStateError, match="differing"):
+            aggregator.on_message(survivors[0].user_id, BlindingAdjustment(
+                user_id=survivors[0].user_id, round_id=1,
+                cells=adjustments[1].cells, clique_id=0))
 
 
 class TestRecoveryNoticeGuard:

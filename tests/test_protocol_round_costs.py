@@ -1,0 +1,253 @@
+"""What a round pays per message, pinned by counting calls, not by a clock.
+
+* **The roster is read once per release** — a dropout-free round of N
+  cliques asks each clique's server for its missing users once: N
+  ``missing_users`` calls, not one per release check.
+* **Cells are checked once, where they are built** — the cells of the
+  reports, adjustments and partials this process built are wrapped
+  unchecked (``CellVector._wrap``) and read-only; anything from outside
+  (caller tuples, decoded bytes) still goes through the validating
+  ``CellVector(...)`` / ``cells_to_array``.
+* **One round of cells at a time** — the aggregation tier drops the
+  last round's reports before the clients build the next round's.
+* **The per-message transport seam holds** — a transport that overrides
+  only ``send`` and ``receive`` (as a tracing transport does) sees every
+  message the round bills and every message it delivers.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import ProtocolSession, SessionConfig
+from repro.errors import ProtocolError
+from repro.protocol import messages as messages_module
+from repro.protocol.aggregator import CliqueAggregator
+from repro.protocol.army import ClientArmy
+from repro.protocol.client import RoundConfig
+from repro.protocol.messages import (
+    BlindedReport,
+    BlindingAdjustment,
+    CellVector,
+    PartialAggregate,
+)
+from repro.protocol.server import AggregationServer
+from repro.protocol.transport import InMemoryTransport
+from repro.protocol.wire import decode, encode
+
+CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=7, id_space=400)
+#: Bytes of a wire message's fixed header.
+HEADER = 16
+USERS = [f"user-{i:03d}" for i in range(24)]
+
+
+def observe(session):
+    """The same small window for either backend."""
+    for i, uid in enumerate(sorted(USERS)):
+        urls = [f"http://ads.example/{i % 7}", f"http://ads.example/x{i % 3}"]
+        if session.army is not None:
+            session.army.observe_ads(uid, urls)
+        else:
+            client = next(c for c in session.clients if c.user_id == uid)
+            for url in urls:
+                client.observe_ad(url)
+
+
+def session_on(transport, batched, num_cliques=6, fan_in=None):
+    settings = SessionConfig(
+        transport=transport, fan_in=fan_in,
+        client_backend="batched" if batched else "objects")
+    session = ProtocolSession.create(
+        list(USERS), CONFIG, settings, seed=3, use_oprf=False,
+        num_cliques=num_cliques)
+    observe(session)
+    return session
+
+
+class SeamTransport(InMemoryTransport):
+    """Overrides only the per-message pair a tracing transport wraps."""
+
+    def __init__(self):
+        super().__init__(record_transcript=True)
+        self.sends = 0
+        self.billed = 0
+        self.received = []
+
+    def send(self, sender, recipient, message):
+        self.sends += 1
+        delivered = super().send(sender, recipient, message)
+        self.billed += delivered
+        return delivered
+
+    def receive(self, endpoint):
+        item = super().receive(endpoint)
+        if item is not None:
+            self.received.append(item[1])
+        return item
+
+
+class TestTransportSeam:
+    def test_army_round_sends_and_receives_every_message(self):
+        transport = SeamTransport()
+        session = session_on(transport, batched=True, fan_in=2)
+        result = session.run_round(0)
+        assert transport.sends == transport.total_messages \
+            == result.total_messages
+        delivered = [m for _s, _r, m in transport.transcript]
+        assert len(delivered) == transport.total_messages
+        assert sorted(map(id, transport.received)) == \
+            sorted(map(id, delivered))
+
+    def test_object_round_with_a_dropout(self):
+        transport = SeamTransport()
+        session = session_on(transport, batched=False)
+        transport.fail_sender(USERS[5])
+        result = session.run_round(0)
+        assert result.missing_users == [USERS[5]]
+        # The dropped report is one send the transport refused to bill.
+        assert transport.sends == transport.total_messages + 1
+        assert transport.billed == transport.total_messages \
+            == result.total_messages
+        assert any(isinstance(m, BlindingAdjustment)
+                   for m in transport.received)
+        delivered = [m for _s, _r, m in transport.transcript]
+        assert sorted(map(id, transport.received)) == \
+            sorted(map(id, delivered))
+
+
+class TestRosterReadOncePerRelease:
+    @pytest.mark.parametrize("num_cliques", [1, 6])
+    def test_dropout_free_round_reads_each_roster_once(self, monkeypatch,
+                                                       num_cliques):
+        calls = []
+        missing_users = AggregationServer.missing_users
+
+        def counting(self):
+            calls.append(self)
+            return missing_users(self)
+
+        monkeypatch.setattr(AggregationServer, "missing_users", counting)
+        session = session_on(None, batched=True, num_cliques=num_cliques,
+                             fan_in=2)
+        result = session.run_round(0)
+        assert result.missing_users == []
+        assert len(calls) == num_cliques
+        assert len(set(map(id, calls))) == num_cliques
+
+    def test_full_roster_answers_without_a_set_difference(self):
+        server = AggregationServer(CONFIG, {"a": 0, "b": 1})
+        server.start_round(1)
+        assert server.missing_users() == ["a", "b"]
+        for uid in ("a", "b"):
+            server.submit_report(BlindedReport(
+                uid, 1, cells=(0,) * CONFIG.num_cells))
+        assert server.missing_users() == []
+
+
+class TestOneRoundOfCellsAtATime:
+    def test_aggregators_drop_the_last_round_before_clients_build(
+            self, monkeypatch):
+        """The clique aggregators start the round (dropping the reports
+        they hold) before the army builds its reports, so a round never
+        holds two rounds of report cells."""
+        session = session_on(None, batched=True, fan_in=2)
+        session.run_round(0)
+        held = []
+        on_round_start = ClientArmy.on_round_start
+
+        def spy(self, round_id):
+            held.append(sorted(
+                len(endpoint.server.reported_users)
+                for endpoint in session.endpoints
+                if isinstance(endpoint, CliqueAggregator)))
+            return on_round_start(self, round_id)
+
+        monkeypatch.setattr(ClientArmy, "on_round_start", spy)
+        result = session.run_round(1)
+        assert held == [[0] * 6]
+        assert sorted(result.reported_users) == sorted(USERS)
+
+
+class TestBuiltCellsAreCheckedOnce:
+    @staticmethod
+    def count_validating_calls(monkeypatch):
+        """Calls of ``cells_to_array`` on anything but a ready
+        ``CellVector`` — the path ``CellVector(...)`` runs."""
+        validating = []
+        cells_to_array = messages_module.cells_to_array
+
+        def counting(cells):
+            if not isinstance(cells, CellVector):
+                validating.append(type(cells))
+            return cells_to_array(cells)
+
+        monkeypatch.setattr(messages_module, "cells_to_array", counting)
+        return validating
+
+    @pytest.mark.parametrize("dropped", [(), (USERS[2], USERS[11])])
+    def test_army_round_runs_no_validating_conversion(self, monkeypatch,
+                                                      dropped):
+        session = session_on(None, batched=True, fan_in=2)
+        session.army.drop_users(dropped)
+        validating = self.count_validating_calls(monkeypatch)
+        result = session.run_round(0)
+        assert sorted(result.missing_users) == sorted(dropped)
+        assert validating == []
+
+    def test_outside_cells_are_still_checked(self, monkeypatch):
+        validating = self.count_validating_calls(monkeypatch)
+        for bad in ([2 ** 32], [-1], [1.5]):
+            with pytest.raises(ProtocolError, match=r"\[0, 2\^32\)"):
+                CellVector(bad)
+        assert len(validating) == 3
+        server = AggregationServer(CONFIG, {"a": 0})
+        server.start_round(1)
+        tuple_report = BlindedReport(
+            "a", 1, cells=(2 ** 32,) + (0,) * (CONFIG.num_cells - 1))
+        with pytest.raises(ProtocolError):
+            server.submit_report(tuple_report)
+        with pytest.raises(ProtocolError):
+            encode(tuple_report)
+
+    def test_decoded_report_with_a_bad_cell_payload_raises(self):
+        data = bytearray(encode(BlindedReport("a", 1, cells=(1, 2, 3))))
+        # The cell count follows the user id (2-byte length + "a");
+        # claim one cell more than was sent.
+        offset = HEADER + 2 + 1
+        data[offset:offset + 4] = (4).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="truncated"):
+            decode(bytes(data))
+
+    def test_unchecked_wrap_takes_only_read_only_uint32(self):
+        writable = np.zeros(4, dtype=np.uint32)
+        with pytest.raises(ProtocolError):
+            CellVector._wrap(writable)
+        wide = np.zeros(4, dtype=np.uint64)
+        wide.setflags(write=False)
+        with pytest.raises(ProtocolError):
+            CellVector._wrap(wide)
+        writable.setflags(write=False)
+        vector = CellVector._wrap(writable)
+        assert vector.array is writable
+        assert vector == (0, 0, 0, 0) and hash(vector) == hash((0, 0, 0, 0))
+
+
+class TestBuiltCellsAreReadOnly:
+    def test_reports_adjustments_and_partials_cannot_be_written(self):
+        transport = InMemoryTransport(record_transcript=True)
+        session = session_on(transport, batched=True, fan_in=2)
+        session.army.drop_users([USERS[4]])
+        session.run_round(0)
+        seen = {BlindedReport: 0, BlindingAdjustment: 0, PartialAggregate: 0}
+        for _sender, _recipient, message in transport.transcript:
+            if type(message) not in seen:
+                continue
+            seen[type(message)] += 1
+            array = message.cells.array
+            assert array.dtype == np.uint32
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                np.add(array, 1, out=array)
+        assert seen[BlindedReport] == len(USERS) - 1
+        assert seen[BlindingAdjustment] > 0
+        # Six clique partials, three regional ones, two above them.
+        assert seen[PartialAggregate] == 6 + 3 + 2
