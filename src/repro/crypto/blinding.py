@@ -39,13 +39,12 @@ of ``U - 1`` keystreams per round. The recovery adjustment works the same
 way: a survivor can (and may only) correct for missing peers *it shares a
 secret with*, i.e. dropouts inside its own clique.
 
-Every operation has an array form (:meth:`BlindingGenerator.blind_array`,
+Every operation (:meth:`BlindingGenerator.blind_array`,
 :meth:`BlindingGenerator.blinding_vector_array`,
-:meth:`BlindingGenerator.adjustment_for_missing_array`) returning its
+:meth:`BlindingGenerator.adjustment_for_missing_array`) returns its
 wrapping ``numpy.uint32`` accumulator unchanged, the 4-byte cell a report
 carries to the root (only the cleartext sketch it blinds has 64-bit
-counts), so no cell is boxed, widened or masked on the way; the
-``List[int]`` methods are thin views over them.
+counts), so no cell is boxed, widened or masked on the way.
 
 Pad-stream caching
 ------------------
@@ -460,10 +459,6 @@ class PadStreamProvider:
                 for key in self._stream_keys.pop(pair, ()):
                     self._streams.pop(key, None)
 
-    def forget_user(self, user_index: int) -> None:
-        """Single-user convenience over :meth:`forget_users`."""
-        self.forget_users((user_index,))
-
     def clear(self) -> None:
         """Drop every cached stream and absorbed state."""
         self._absorbed.clear()
@@ -644,12 +639,6 @@ class BlindingGenerator:
             raise BlindingError(f"no shared secret with peers {unknown}")
         return self._accumulate(peer_list, round_id, num_cells, negate=False)
 
-    def blinding_vector(
-        self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None
-    ) -> List[int]:
-        """List-of-int view of :meth:`blinding_vector_array`."""
-        return self.blinding_vector_array(num_cells, round_id, peers).tolist()
-
     def blind_array(
         self,
         cells: Union[Sequence[int], np.ndarray],
@@ -666,12 +655,6 @@ class BlindingGenerator:
         blinded = self.blinding_vector_array(len(cell_arr), round_id, peers)
         blinded += cell_arr
         return blinded
-
-    def blind(
-        self, cells: Sequence[int], round_id: int, peers: Optional[Iterable[int]] = None
-    ) -> List[int]:
-        """List-of-int view of :meth:`blind_array`."""
-        return self.blind_array(cells, round_id, peers).tolist()
 
     def adjustment_for_missing_array(
         self, missing: Iterable[int], num_cells: int, round_id: int
@@ -692,14 +675,6 @@ class BlindingGenerator:
         if unknown:
             raise BlindingError(f"no shared secret with peers {unknown}")
         return self._accumulate(missing, round_id, num_cells, negate=True)
-
-    def adjustment_for_missing(
-        self, missing: Iterable[int], num_cells: int, round_id: int
-    ) -> List[int]:
-        """List-of-int view of :meth:`adjustment_for_missing_array`."""
-        return self.adjustment_for_missing_array(
-            missing, num_cells, round_id
-        ).tolist()
 
     def exchange_bytes(self) -> int:
         """Bytes this user downloads for the key exchange (one public key

@@ -51,7 +51,8 @@ to round-lifecycle hooks and incoming messages, returning its replies for
 the driver to deliver. There is one aggregation topology, a tree
 (:func:`~repro.protocol.runner.build_aggregation_tree`): one
 :class:`~repro.protocol.aggregator.CliqueAggregator` per blinding clique
-— each wrapping a clique-restricted :class:`AggregationServer` — feeds a
+— each holding and checking its clique's reports and recovery
+adjustments — feeds a
 :class:`~repro.protocol.aggregator.RootAggregator` with
 :class:`~repro.protocol.messages.PartialAggregate` messages, through
 regional merge tiers when ``fan_in`` bounds the fan-out. Blinding
@@ -240,7 +241,6 @@ from repro.protocol.endpoint import (
     mean_threshold,
 )
 from repro.protocol.client import ProtocolClient, RoundConfig
-from repro.protocol.server import AggregationServer
 from repro.protocol.aggregator import CliqueAggregator, RootAggregator
 from repro.protocol.runner import (
     ProtocolRunner,
@@ -276,7 +276,6 @@ __all__ = [
     "mean_threshold",
     "ProtocolClient",
     "RoundConfig",
-    "AggregationServer",
     "CliqueAggregator",
     "RootAggregator",
     "ProtocolRunner",

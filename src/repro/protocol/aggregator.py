@@ -24,14 +24,15 @@ unit of concurrency: ``aggregator_procs=True`` runs each in its own
 process, and a multi-server deployment would place each behind its own
 socket.
 
-Each :class:`CliqueAggregator` *wraps* a clique-restricted
-:class:`~repro.protocol.server.AggregationServer`, which owns every
-validation — duplicate/differing resends, wrong clique ids, adjustments
-from non-reporters, strict recovery-coverage release checks. A release
-reads the clique's roster once and hands the missing list to those
-checks, and its partial wraps the sum it built unchecked and read-only
-(only cells from outside the process are range-checked). Once released,
-a clique aggregator accepts only identical resends of what it counted.
+Each :class:`CliqueAggregator` holds its clique's round state and runs
+every check on it: intake validation (round, sender, cell count and
+range, clique claim, duplicate and late traffic) and the release checks
+(adjustments only from notified reporters, full recovery coverage). A
+release reads the clique's roster once and hands the missing list to
+those checks, and its partial wraps the sum it built unchecked and
+read-only (only cells from outside the process are range-checked).
+Once released, a clique aggregator accepts only identical resends of
+what it counted.
 """
 
 from __future__ import annotations
@@ -60,8 +61,11 @@ from repro.protocol.messages import (
     PartialAggregate,
     ThresholdBroadcast,
 )
-from repro.protocol.server import AggregationServer, UsersDistributionQuery
+from repro.protocol.server import UsersDistributionQuery
 from repro.sketch.countmin import CountMinSketch
+
+#: A member's submission to its clique aggregator.
+Submission = Union[BlindedReport, BlindingAdjustment]
 
 
 def regional_endpoint_id(level: int, region_id: int) -> str:
@@ -178,8 +182,9 @@ class CliqueAggregator(ProtocolEndpoint):
     """Aggregation endpoint for one blinding clique.
 
     ``index_of`` maps exactly this clique's members to their blinding
-    indexes. Reports and adjustments from anyone else are rejected by
-    the wrapped server's membership validation — a report routed to the
+    indexes (public enrollment metadata: the aggregator needs them only
+    to name missing members in the recovery notice). A report or
+    adjustment from anyone else is rejected — a message routed to the
     wrong aggregator is an error, never silently absorbed.
 
     Round flow: collect reports until the driver signals idle (the
@@ -188,10 +193,18 @@ class CliqueAggregator(ProtocolEndpoint):
     adjustments; then release the clique's partial sum to the root. A
     clique whose members all dropped out emits an all-zero partial — its
     pads never entered any sum, so there is nothing to recover (the
-    root still learns its roster went missing). After the release, a
-    report or adjustment that is not an identical resend of one already
-    counted raises :class:`~repro.errors.RoundStateError`: it would be
-    stored and never counted.
+    root still learns its roster went missing).
+
+    Every submission is validated at intake: the round, the sender, the
+    cell count and the clique claim, with a cell outside ``[0, 2^32)``
+    a :class:`~repro.errors.ProtocolError`. An identical resend is a
+    no-op and a differing one is refused, since overwriting would let a
+    replayed or forged upload corrupt the sum unnoticed. An adjustment
+    is accepted only from a member that reported and was sent this
+    round's notice. After the release, a report or adjustment that is
+    not an identical resend of one already counted raises
+    :class:`~repro.errors.RoundStateError`: it would be stored and never
+    counted.
     """
 
     def __init__(self, clique_id: int, config: RoundConfig,
@@ -204,16 +217,19 @@ class CliqueAggregator(ProtocolEndpoint):
         self.config = config
         self.root_id = root_id
         self.endpoint_id = clique_endpoint_id(clique_id)
-        self.server = AggregationServer(
-            config, dict(index_of),
-            clique_of={uid: clique_id for uid in index_of})
+        self.index_of = dict(index_of)
+        self._round_id: Optional[int] = None
+        self._reports: Dict[str, BlindedReport] = {}
+        self._adjustments: Dict[str, BlindingAdjustment] = {}
         #: Users this round's MissingClientsNotice named (empty until
         #: the notice goes out).
         self._noticed: FrozenSet[str] = frozenset()
         self._released = False
 
     def on_round_start(self, round_id: int) -> Outbox:
-        self.server.start_round(round_id)
+        self._round_id = round_id
+        self._reports.clear()
+        self._adjustments.clear()
         self._noticed = frozenset()
         self._released = False
         return []
@@ -228,20 +244,63 @@ class CliqueAggregator(ProtocolEndpoint):
                     f"{self.clique_id}'s recovery notice already counted "
                     f"that user missing in round {message.round_id}")
             if self._released:
-                self._refuse_late(message, self.server._reports)
-            self.server.submit_report(message)
+                self._refuse_late(message, self._reports)
+            self._store(message, self._checked(message), self._reports)
             return []
         if isinstance(message, BlindingAdjustment):
             if self._released:
-                self._refuse_late(message, self.server._adjustments)
-            self.server.submit_adjustment(message)
+                self._refuse_late(message, self._adjustments)
+            cells = self._checked(message)
+            if not self._noticed or message.user_id not in self._reports:
+                # Stored, it would wedge the release: nothing could
+                # cancel its pads.
+                raise RoundStateError(
+                    f"unsolicited adjustment from {message.user_id!r}: "
+                    f"clique {self.clique_id} sent it no recovery notice "
+                    f"in round {message.round_id}")
+            self._store(message, cells, self._adjustments)
             return []
         return super().on_message(sender, message)
 
-    def _refuse_late(self, message: Union[BlindedReport, BlindingAdjustment],
-                     counted: Mapping[str, object]) -> None:
+    def _checked(self, message: Submission) -> np.ndarray:
+        """The submission's cells, after its round, sender, cell count
+        and clique claim passed (reading the cells range-checks any that
+        came from outside the process)."""
+        kind = type(message).__name__
+        if message.round_id != self._round_id:
+            raise RoundStateError(
+                f"{kind} for round {message.round_id}, current is "
+                f"{self._round_id}")
+        if message.user_id not in self.index_of:
+            raise RoundStateError(
+                f"{kind} from unknown user {message.user_id!r}")
+        cells = message.cells_as_array()
+        if len(cells) != self.config.num_cells:
+            raise RoundStateError(
+                f"{kind} has {len(cells)} cells, expected "
+                f"{self.config.num_cells}")
+        if message.clique_id != self.clique_id:
+            raise RoundStateError(
+                f"{kind} from {message.user_id!r} claims clique "
+                f"{message.clique_id}, enrolled in {self.clique_id}")
+        return cells
+
+    def _store(self, message: Submission, cells: np.ndarray,
+               counted: Dict[str, Any]) -> None:
+        """Count a checked submission; an identical resend is a no-op."""
+        existing = counted.get(message.user_id)
+        if existing is None:
+            counted[message.user_id] = message
+        elif not np.array_equal(existing.cells_as_array(), cells):
+            raise RoundStateError(
+                f"duplicate {type(message).__name__} from "
+                f"{message.user_id!r} with differing cells in round "
+                f"{self._round_id}")
+
+    def _refuse_late(self, message: Submission,
+                     counted: Mapping[str, Any]) -> None:
         """After the release only a resend of a counted submission may
-        reach the server (which drops it if identical and refuses it if
+        reach intake (which drops it if identical and refuses it if
         not): anything new would be stored and never counted."""
         if message.user_id not in counted:
             raise RoundStateError(
@@ -249,44 +308,82 @@ class CliqueAggregator(ProtocolEndpoint):
                 f"clique {self.clique_id} already released its partial for "
                 f"round {message.round_id}")
 
+    def missing_users(self) -> List[str]:
+        """Members whose report has not arrived this round."""
+        if len(self._reports) == len(self.index_of):
+            # Intake refuses unknown users: a full count is everyone.
+            return []
+        return sorted(self.index_of.keys() - self._reports.keys())
+
     def on_idle(self, round_id: int) -> Outbox:
         if self._released:
             return []
         # The roster is read once per idle; the release checks reuse it.
-        missing = self.server.missing_users()
-        reports = self.server._reports
-        if missing and reports and not self._noticed:
+        missing = self.missing_users()
+        if missing and self._reports and not self._noticed:
             self._noticed = frozenset(missing)
-            notice_indexes = tuple(
-                sorted(self.server.index_of[u] for u in missing))
+            notice_indexes = tuple(sorted(self.index_of[u] for u in missing))
             notice = MissingClientsNotice(round_id=round_id,
                                           missing_indexes=notice_indexes,
                                           clique_id=self.clique_id)
-            return [(user_id, notice) for user_id in sorted(reports)]
+            return [(user_id, notice) for user_id in sorted(self._reports)]
         return [(self.root_id, self._release(round_id, missing))]
+
+    def _check_release(self, missing: List[str]) -> None:
+        """Raise unless the clique's reports and adjustments sum to its
+        true counts; ``missing`` is :meth:`missing_users`' answer.
+
+        An adjustment from a member whose report never arrived, or one
+        when nobody is missing, would itself add un-cancelled pads
+        (:class:`~repro.errors.RoundStateError`). With members missing,
+        *every* reporter must have adjusted: partial coverage leaves
+        un-cancelled pads in every cell, indistinguishable from a valid
+        sum by inspection (:class:`~repro.errors.MissingReportError`).
+        """
+        for user in sorted(self._adjustments):
+            if user not in self._reports:
+                raise RoundStateError(
+                    f"adjustment from {user!r} whose own report never "
+                    f"arrived; its pads are not in the sum to correct")
+            if not missing:
+                raise RoundStateError(
+                    f"adjustment from {user!r} in clique {self.clique_id}, "
+                    f"which has no missing users; applying it would add "
+                    f"un-cancelled noise")
+        if not missing:
+            return
+        unadjusted = sorted(self._reports.keys() - self._adjustments.keys())
+        if unadjusted:
+            survivors = len(self._reports)
+            raise MissingReportError(
+                f"clique {self.clique_id} has missing users but only "
+                f"{survivors - len(unadjusted)}/{survivors} survivors "
+                f"adjusted; blinding cannot cancel (first unadjusted: "
+                f"{unadjusted[:5]})")
 
     def _release(self, round_id: int,
                  missing: List[str]) -> PartialAggregate:
         """The clique's partial sum, after its recovery completed;
-        ``missing`` is the server's current missing list.
+        ``missing`` is :meth:`missing_users`' current answer.
 
-        Raises :class:`~repro.errors.MissingReportError` (via the wrapped
-        server's release checks) if survivors were notified but coverage
-        is still partial — un-cancelled pads would poison every cell of
-        the global aggregate.
+        The reports and adjustments are summed in one wrapping
+        ``uint32`` accumulator, exact mod 2^32, so any grouping of the
+        additions (per clique, per tree tier) gives the same cells. A
+        whole-clique dropout contributes zeros: none of its pads entered
+        any sum.
         """
-        reported = tuple(sorted(self.server._reports))
-        if not reported:
-            # Whole clique dropped out: no pads entered any sum, nothing
-            # to recover; contribute zeros and report the roster missing.
-            cells = np.zeros(self.config.num_cells, dtype=np.uint32)
-        else:
-            cells = self.server._checked_cells(missing)
+        cells = np.zeros(self.config.num_cells, dtype=np.uint32)
+        if self._reports:
+            self._check_release(missing)
+            for submission in (*self._reports.values(),
+                               *self._adjustments.values()):
+                cells += submission.cells_as_array()
         self._released = True
         cells.setflags(write=False)
         return PartialAggregate(clique_id=self.clique_id, round_id=round_id,
                                 cells=CellVector._wrap(cells),
-                                reported=reported, missing=tuple(missing))
+                                reported=tuple(sorted(self._reports)),
+                                missing=tuple(missing))
 
 
 class _PartialCollector(ProtocolEndpoint):

@@ -51,7 +51,7 @@ class TestBlindingCancellation:
         num_cells = 12
         total = [0] * num_cells
         for user in users:
-            vec = user.blinding_vector(num_cells, round_id=1)
+            vec = user.blinding_vector_array(num_cells, round_id=1).tolist()
             total = [(t + v) % BLINDING_MODULUS for t, v in zip(total, vec)]
         assert total == [0] * num_cells
 
@@ -60,25 +60,25 @@ class TestBlindingCancellation:
         reports = [[1, 2, 3], [4, 0, 1], [0, 0, 5], [2, 2, 2]]
         agg = [0, 0, 0]
         for user, cells in zip(users, reports):
-            blinded = user.blind(cells, round_id=3)
+            blinded = user.blind_array(cells, round_id=3).tolist()
             agg = [(a + b) % BLINDING_MODULUS for a, b in zip(agg, blinded)]
         assert agg == [7, 4, 11]
 
     def test_round_id_changes_blindings(self, group):
         users = make_users(group, 2)
-        v1 = users[0].blinding_vector(4, round_id=1)
-        v2 = users[0].blinding_vector(4, round_id=2)
+        v1 = users[0].blinding_vector_array(4, round_id=1).tolist()
+        v2 = users[0].blinding_vector_array(4, round_id=2).tolist()
         assert v1 != v2
 
     def test_cells_change_blindings(self, group):
         users = make_users(group, 2)
-        vec = users[0].blinding_vector(8, round_id=1)
+        vec = users[0].blinding_vector_array(8, round_id=1).tolist()
         assert len(set(vec)) > 1  # cells get distinct blinding factors
 
     def test_individual_blinded_cell_nonzero(self, group):
         """A single user's blinded report must not expose true counts."""
         users = make_users(group, 3)
-        blinded = users[0].blind([0] * 16, round_id=1)
+        blinded = users[0].blind_array([0] * 16, round_id=1).tolist()
         assert any(b != 0 for b in blinded)
 
 
@@ -93,11 +93,13 @@ class TestFaultTolerance:
 
         agg = [0] * num_cells
         for user in survivors:
-            blinded = user.blind(reports[user.user_index], round_id=9)
+            blinded = user.blind_array(reports[user.user_index],
+                                       round_id=9).tolist()
             agg = [(a + b) % BLINDING_MODULUS for a, b in zip(agg, blinded)]
         # Aggregate is noise at this point; apply the recovery round.
         for user in survivors:
-            adj = user.adjustment_for_missing(missing, num_cells, round_id=9)
+            adj = user.adjustment_for_missing_array(
+                missing, num_cells, round_id=9).tolist()
             agg = [(a + b) % BLINDING_MODULUS for a, b in zip(agg, adj)]
 
         expected_sum = sum(i + 1 for i in range(5) if i not in missing)
@@ -110,8 +112,9 @@ class TestFaultTolerance:
         survivors = [u for u in users if u.user_index not in missing]
         agg = [0] * num_cells
         for user in survivors:
-            blinded = user.blind([1] * num_cells, round_id=2)
-            adj = user.adjustment_for_missing(missing, num_cells, round_id=2)
+            blinded = user.blind_array([1] * num_cells, round_id=2).tolist()
+            adj = user.adjustment_for_missing_array(
+                missing, num_cells, round_id=2).tolist()
             agg = [(a + b + c) % BLINDING_MODULUS
                    for a, b, c in zip(agg, blinded, adj)]
         assert agg == [len(survivors)] * num_cells
@@ -119,12 +122,12 @@ class TestFaultTolerance:
     def test_missing_self_rejected(self, group):
         users = make_users(group, 3)
         with pytest.raises(BlindingError):
-            users[1].adjustment_for_missing({1}, 4, round_id=1)
+            users[1].adjustment_for_missing_array({1}, 4, round_id=1)
 
     def test_unknown_peer_rejected(self, group):
         users = make_users(group, 3)
         with pytest.raises(BlindingError):
-            users[0].adjustment_for_missing({99}, 4, round_id=1)
+            users[0].adjustment_for_missing_array({99}, 4, round_id=1)
 
 
 class TestValidation:
@@ -137,12 +140,12 @@ class TestValidation:
     def test_nonpositive_cells_rejected(self, group):
         users = make_users(group, 2)
         with pytest.raises(ConfigurationError):
-            users[0].blinding_vector(0, round_id=1)
+            users[0].blinding_vector_array(0, round_id=1)
 
     def test_unknown_peer_subset_rejected(self, group):
         users = make_users(group, 2)
         with pytest.raises(BlindingError):
-            users[0].blinding_vector(4, round_id=1, peers=[5])
+            users[0].blinding_vector_array(4, round_id=1, peers=[5])
 
     def test_exchange_bytes(self, group):
         users = make_users(group, 4)
@@ -160,7 +163,8 @@ class TestBlindingProperties:
         users = make_users(group, n_users, seed=round_id)
         total = [0] * num_cells
         for user in users:
-            vec = user.blinding_vector(num_cells, round_id=round_id)
+            vec = user.blinding_vector_array(
+                num_cells, round_id=round_id).tolist()
             total = [(t + v) % BLINDING_MODULUS for t, v in zip(total, vec)]
         assert total == [0] * num_cells
 

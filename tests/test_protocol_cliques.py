@@ -10,7 +10,13 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ConfigurationError, MissingReportError
+from reference_round import enrollment_round
+from repro.errors import (
+    ConfigurationError,
+    MissingReportError,
+    ProtocolError,
+    RoundStateError,
+)
 from repro.protocol import wire
 from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
@@ -21,7 +27,6 @@ from repro.protocol.messages import (
     BlindingAdjustment,
     MissingClientsNotice,
 )
-from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=500)
@@ -152,9 +157,9 @@ class TestScopedRecovery:
         return enrollment, session, result
 
     @staticmethod
-    def _clique_servers(session):
-        """Each clique aggregator's wrapped AggregationServer."""
-        return [e.server for e in session.endpoints
+    def _adjusted(session):
+        """Per clique aggregator, the users whose adjustment it holds."""
+        return [set(e._adjustments) for e in session.endpoints
                 if isinstance(e, CliqueAggregator)]
 
     def test_dropout_confined_to_its_clique(self):
@@ -165,9 +170,7 @@ class TestScopedRecovery:
         assert result.recovery_round_used
         assert result.missing_users == ["user-05"]
         # Exactly the victim's clique mates adjusted — nobody else.
-        adjusted = set().union(*(server.adjusted_users for server
-                                 in self._clique_servers(session)))
-        assert adjusted == mates
+        assert set().union(*self._adjusted(session)) == mates
 
     def test_unsharded_dropout_is_adjusted_by_every_survivor(self):
         # The k=1 side of the fan-out comparison: without sharding every
@@ -175,9 +178,9 @@ class TestScopedRecovery:
         # with k=4 (above) only its clique mates do.
         _enrollment, session, result = self._run_with_dropout(1)
         assert result.recovery_round_used
-        (server,) = self._clique_servers(session)
-        assert server.adjusted_users == set(USER_IDS) - {"user-05"}
-        assert len(server.adjusted_users) == len(USER_IDS) - 1
+        (adjusted,) = self._adjusted(session)
+        assert adjusted == set(USER_IDS) - {"user-05"}
+        assert len(adjusted) == len(USER_IDS) - 1
 
     def test_dropout_recovery_equals_survivor_truth(self):
         enrollment, _session, result = self._run_with_dropout(4)
@@ -192,24 +195,24 @@ class TestScopedRecovery:
 
     def test_notice_lists_only_clique_missing_indexes(self):
         enrollment = enrolled(num_cliques=4)
-        transport = InMemoryTransport()
+        transport = InMemoryTransport(record_transcript=True)
         victims = ["user-02", "user-09"]
         for victim in victims:
             transport.fail_sender(victim)
         session = ProtocolSession(CONFIG, enrollment.clients,
                                   SessionConfig(transport=transport))
         result = session.run_round(1)
-        # Reconstruct what each survivor was asked to fix from the server:
+        # What each survivor was asked to fix, from the notices sent:
         by_clique = {}
         index_of = {c.user_id: c.blinding.user_index
                     for c in enrollment.clients}
         for victim in victims:
             by_clique.setdefault(
                 enrollment.clique_of[victim], []).append(index_of[victim])
-        missing_by_clique = {}
-        for server in self._clique_servers(session):
-            missing_by_clique.update(server.missing_indexes_by_clique())
-        assert missing_by_clique == \
+        noticed = {message.clique_id: list(message.missing_indexes)
+                   for _s, _r, message in transport.transcript
+                   if isinstance(message, MissingClientsNotice)}
+        assert noticed == \
             {clique: sorted(idx) for clique, idx in by_clique.items()}
         assert sorted(result.missing_users) == sorted(victims)
 
@@ -220,15 +223,16 @@ class TestScopedRecovery:
         dead_clique = enrollment.clique_of["user-00"]
         dead = {uid for uid, clique in enrollment.clique_of.items()
                 if clique == dead_clique}
-        index_of = {c.user_id: c.blinding.user_index
-                    for c in enrollment.clients}
-        server = AggregationServer(CONFIG, index_of,
-                                   clique_of=enrollment.clique_of)
-        server.start_round(1)
-        for client in enrollment.clients:
-            if client.user_id not in dead:
-                server.submit_report(client.build_report(1))
-        aggregate = server.aggregate()  # no MissingReportError
+        transport = InMemoryTransport()
+        for uid in dead:
+            transport.fail_sender(uid)
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=transport))
+        aggregate = session.run_round(1).aggregate  # no MissingReportError
+        assert aggregate.cells == tuple(
+            enrollment_round(enrollment, 1, dead).root_cells)
+        assert all(not e._adjustments for e in session.endpoints
+                   if isinstance(e, CliqueAggregator))
         mapper = enrollment.clients[0].ad_mapper
         survivors = [c for c in enrollment.clients if c.user_id not in dead]
         for client in survivors:
@@ -239,38 +243,43 @@ class TestScopedRecovery:
         enrollment = enrolled(num_cliques=3)
         victim = enrollment.clients[0]
         clique = victim.clique_id
-        index_of = {c.user_id: c.blinding.user_index
-                    for c in enrollment.clients}
-        server = AggregationServer(CONFIG, index_of,
-                                   clique_of=enrollment.clique_of)
-        server.start_round(1)
-        survivors = [c for c in enrollment.clients if c is not victim]
-        for client in survivors:
-            server.submit_report(client.build_report(1))
-        mates = [c for c in survivors if c.clique_id == clique]
+        mates = [c for c in enrollment.clients
+                 if c.clique_id == clique and c is not victim]
         assert len(mates) >= 2
+        aggregator = CliqueAggregator(
+            clique, CONFIG, {c.user_id: c.blinding.user_index
+                             for c in (victim, *mates)})
+        aggregator.on_round_start(1)
+        for client in mates:
+            aggregator.on_message(client.user_id, client.build_report(1))
+        notices = dict(aggregator.on_idle(1))
         # Only one clique mate adjusts: coverage is partial.
-        server.submit_adjustment(mates[0].build_adjustment(
-            1, [victim.blinding.user_index]))
+        [(_uplink, adjustment)] = mates[0].on_message(
+            aggregator.endpoint_id, notices[mates[0].user_id])
+        aggregator.on_message(mates[0].user_id, adjustment)
         with pytest.raises(MissingReportError):
-            server.aggregate()
+            aggregator.on_idle(1)
 
 
 class TestServerCliqueValidation:
     def test_clique_of_must_cover_all_users(self):
-        from repro.errors import RoundStateError
-        with pytest.raises(RoundStateError):
-            AggregationServer(CONFIG, {"a": 0, "b": 1}, clique_of={"a": 0})
+        """A clique aggregator's roster is its clique: it needs members,
+        and a user outside the roster is refused."""
+        with pytest.raises(ProtocolError):
+            CliqueAggregator(0, CONFIG, {})
+        aggregator = CliqueAggregator(0, CONFIG, {"a": 0})
+        aggregator.on_round_start(1)
+        report = BlindedReport("b", 1, cells=tuple([0] * CONFIG.num_cells))
+        with pytest.raises(RoundStateError, match="unknown user"):
+            aggregator.on_message("b", report)
 
     def test_report_with_wrong_clique_rejected(self):
-        from repro.errors import RoundStateError
-        server = AggregationServer(CONFIG, {"a": 0, "b": 1},
-                                   clique_of={"a": 0, "b": 1})
-        server.start_round(1)
+        aggregator = CliqueAggregator(0, CONFIG, {"a": 0, "b": 1})
+        aggregator.on_round_start(1)
         report = BlindedReport("a", 1, cells=tuple([0] * CONFIG.num_cells),
                                clique_id=1)
-        with pytest.raises(RoundStateError):
-            server.submit_report(report)
+        with pytest.raises(RoundStateError, match="claims clique 1"):
+            aggregator.on_message("a", report)
 
 
 class TestCliqueWireFormat:

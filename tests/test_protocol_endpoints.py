@@ -2,8 +2,8 @@
 
 Covers the redesign's contracts:
 
-* the aggregation tree is **bit-identical** to one
-  ``AggregationServer`` fed every report directly — same aggregate
+* the aggregation tree is **bit-identical** to the independent
+  reference round (``tests/reference_round.py``) — same aggregate
   cells, same #Users distribution, same threshold — for k in {1, 4},
   including dropout-recovery rounds;
 * every mailbox is drained at the end of every round (the old inline
@@ -14,6 +14,7 @@ Covers the redesign's contracts:
 
 import pytest
 
+from reference_round import enrollment_round
 from repro.api import ProtocolSession, SessionConfig
 from repro.errors import (
     MissingReportError,
@@ -37,7 +38,6 @@ from repro.protocol.messages import (
     PartialAggregate,
     ThresholdBroadcast,
 )
-from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=500)
@@ -63,28 +63,11 @@ def run_session(enrollment, failed=(),
     return session, session.run_round(round_id)
 
 
-def reference_server(enrollment, failed=(), round_id=1):
-    """One ``AggregationServer`` over the whole population, fed every
-    report (and recovery adjustment) directly — no endpoints, no tree."""
-    clients = [c for c in enrollment.clients if c.user_id not in failed]
-    index_of = {c.user_id: c.blinding.user_index
-                for c in enrollment.clients}
-    server = AggregationServer(CONFIG, index_of,
-                               clique_of=enrollment.clique_of)
-    server.start_round(round_id)
-    for client in clients:
-        server.submit_report(client.build_report(round_id))
-    missing_by_clique = server.missing_indexes_by_clique()
-    for client in clients:
-        clique_missing = missing_by_clique.get(client.clique_id)
-        if clique_missing:
-            server.submit_adjustment(
-                client.build_adjustment(round_id, clique_missing))
-    return server
-
-
-def monolithic_reference_aggregate(enrollment, failed=(), round_id=1):
-    return reference_server(enrollment, failed, round_id).aggregate()
+def reference_cells(enrollment, failed=(), round_id=1):
+    """The reference round's root cells: every report and recovery
+    adjustment summed from the paper's formulas — no endpoints, no
+    tree."""
+    return tuple(enrollment_round(enrollment, round_id, failed).root_cells)
 
 
 def cleartext_sum(enrollment, failed=()):
@@ -98,41 +81,37 @@ def cleartext_sum(enrollment, failed=()):
 
 class TestFanoutEquivalence:
     @staticmethod
-    def assert_matches_direct_server(enrollment, failed=()):
-        """The tree's round result equals one AggregationServer fed
-        directly — and the plain sum of the reporters' sketches."""
-        server = reference_server(enrollment, failed=failed)
-        aggregate = server.aggregate()
-        distribution = server.users_distribution(aggregate)
+    def assert_matches_reference(enrollment, failed=()):
+        """The tree's round result equals the reference round — and the
+        plain sum of the reporters' sketches."""
+        reference = enrollment_round(enrollment, 1, failed)
         _, fan = run_session(enrollment, failed=failed)
-        assert fan.aggregate.cells == aggregate.cells
+        assert fan.aggregate.cells == tuple(reference.root_cells)
         assert fan.aggregate.cells == \
             cleartext_sum(enrollment, failed=failed).cells
-        assert fan.distribution.values == distribution.values
-        assert fan.users_threshold == distribution.mean
-        assert set(fan.reported_users) == server.reported_users
-        assert fan.missing_users == server.missing_users() == \
-            sorted(failed)
+        assert list(fan.distribution.values) == reference.distribution
+        assert fan.users_threshold == reference.users_threshold
+        assert sorted(fan.reported_users) == reference.reported
+        assert fan.missing_users == reference.missing == sorted(failed)
         assert fan.recovery_round_used == bool(failed)
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_bit_identical_to_monolithic(self, num_cliques):
-        self.assert_matches_direct_server(enrolled(num_cliques=num_cliques))
+        self.assert_matches_reference(enrolled(num_cliques=num_cliques))
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_bit_identical_with_dropout_recovery(self, num_cliques):
-        self.assert_matches_direct_server(
+        self.assert_matches_reference(
             enrolled(num_cliques=num_cliques), failed=("user-05",))
 
     @pytest.mark.parametrize("num_cliques", [1, 4])
     def test_matches_direct_aggregation_server(self, num_cliques):
-        """Acceptance: the tree equals AggregationServer.aggregate() on
-        the same enrollment/round inputs, dropouts included."""
+        """Acceptance: the tree equals the reference round on the same
+        enrollment/round inputs, dropouts included."""
         failed = ("user-02", "user-09")
         enrollment = enrolled(num_cliques=num_cliques)
-        reference = monolithic_reference_aggregate(enrollment, failed=failed)
         _, fan = run_session(enrollment, failed=failed)
-        assert fan.aggregate.cells == reference.cells
+        assert fan.aggregate.cells == reference_cells(enrollment, failed)
 
     def test_fanout_spawns_one_aggregator_per_clique(self):
         enrollment = enrolled(num_cliques=4)
@@ -152,7 +131,7 @@ class TestFanoutEquivalence:
         for endpoint in session.endpoints:
             if not isinstance(endpoint, CliqueAggregator):
                 continue
-            adjusted = endpoint.server.adjusted_users
+            adjusted = set(endpoint._adjustments)
             if endpoint.clique_id == victim_clique:
                 mates = {uid for uid, c in enrollment.clique_of.items()
                          if c == victim_clique and uid != victim}
@@ -166,9 +145,8 @@ class TestFanoutEquivalence:
         dead = tuple(uid for uid, c in enrollment.clique_of.items()
                      if c == dead_clique)
         _, fan = run_session(enrollment, failed=dead)
-        reference = monolithic_reference_aggregate(enrollment, failed=dead)
         assert sorted(fan.missing_users) == sorted(dead)
-        assert fan.aggregate.cells == reference.cells
+        assert fan.aggregate.cells == reference_cells(enrollment, dead)
 
     def test_unrecovered_clique_raises(self):
         """A survivor that fails after reporting (its adjustment is
@@ -206,8 +184,7 @@ class TestMultiRoundWireSession:
 
         # Round 1: everyone reports.
         r1 = session.run_round(1)
-        assert r1.aggregate.cells == \
-            monolithic_reference_aggregate(reference, round_id=1).cells
+        assert r1.aggregate.cells == reference_cells(reference, round_id=1)
 
         # Round 2: two users in different cliques drop out.
         transport.fail_sender("user-02")
@@ -215,16 +192,15 @@ class TestMultiRoundWireSession:
         r2 = session.run_round(2)
         assert sorted(r2.missing_users) == ["user-02", "user-09"]
         assert r2.recovery_round_used
-        assert r2.aggregate.cells == monolithic_reference_aggregate(
-            reference, failed=("user-02", "user-09"), round_id=2).cells
+        assert r2.aggregate.cells == reference_cells(
+            reference, failed=("user-02", "user-09"), round_id=2)
 
         # Round 3: they come back; the session keeps going.
         transport.restore_sender("user-02")
         transport.restore_sender("user-09")
         r3 = session.run_round(3)
         assert r3.missing_users == []
-        assert r3.aggregate.cells == \
-            monolithic_reference_aggregate(reference, round_id=3).cells
+        assert r3.aggregate.cells == reference_cells(reference, round_id=3)
 
         # Every client received every round's broadcast and no endpoint
         # has unread mail after three rounds on the same transport.

@@ -16,9 +16,12 @@ The contracts this file pins:
   uncached path) while computing each pair's stream once per round.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from reference_round import ReferenceRound
 from repro.api import ProtocolSession, SessionConfig
 from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
 from repro.errors import ConfigurationError, RoundStateError
@@ -27,7 +30,6 @@ from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.endpoint import clique_endpoint_id
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import Epoch, MembershipManager, reshard
-from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=7, id_space=400)
@@ -335,16 +337,20 @@ class TestAggregateEquivalence:
         assert len(other.endpoints) > len(baseline.endpoints)
         assert other_result.aggregate.cells == base_result.aggregate.cells
         assert other_result.users_threshold == base_result.users_threshold
-        # ... and both equal one AggregationServer fed the post-epoch
-        # reports directly (rebuilding a round's report is idempotent).
-        clients = baseline.clients
-        server = AggregationServer(
-            CONFIG, {c.user_id: c.blinding.user_index for c in clients},
-            clique_of={c.user_id: c.clique_id for c in clients})
-        server.start_round(base_result.round_id)
-        for client in clients:
-            server.submit_report(client.build_report(base_result.round_id))
-        assert server.aggregate().cells == base_result.aggregate.cells
+        # ... and both equal the reference round over the post-epoch
+        # roster's key material, read from the membership.
+        membership = baseline.membership
+        roster = membership.roster
+        keys = SimpleNamespace(
+            group=membership.group, keypairs=membership._keypairs,
+            index_of={u: membership._index_of[u] for u in roster},
+            clique_of=membership.epoch.clique_of)
+        ad_ids = {c.user_id: [c.ad_mapper.ad_id(url) for url in c.seen_urls]
+                  for c in baseline.clients}
+        reference = ReferenceRound(keys, ad_ids, base_result.round_id, (),
+                                   CONFIG)
+        assert base_result.aggregate.cells == tuple(reference.root_cells)
+        assert base_result.users_threshold == reference.users_threshold
 
     def test_recovery_round_works_after_epoch_advance(self):
         transport = InMemoryTransport()
@@ -549,7 +555,7 @@ class TestPadStreamProvider:
         pads.stream((0, 1), b"s01", 1, 8)
         pads.stream((1, 2), b"s12", 1, 8)
         pads.stream((0, 2), b"s02", 1, 8)
-        pads.forget_user(1)
+        pads.forget_users([1])
         assert all(1 not in pair for pair, _r, _c in pads._streams)
         assert all(1 not in pair for pair in pads._absorbed)
 

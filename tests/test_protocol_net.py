@@ -236,7 +236,7 @@ def test_endpoint_specs_rebuild_equivalent_endpoints():
     endpoint = build_endpoint(spec)
     assert endpoint.endpoint_id == clique_endpoint_id(2)
     assert endpoint.clique_id == 2
-    assert endpoint.server.index_of == {"u1": 0, "u2": 5}
+    assert endpoint.index_of == {"u1": 0, "u2": 5}
 
     spec = root_spec(CONFIG, [0, 1], ["u1", "u2"], rule="median")
     root = build_endpoint(spec)

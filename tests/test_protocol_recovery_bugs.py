@@ -2,11 +2,11 @@
 
 Each class pins one bug that existed before the hardening PR:
 
-* ``aggregate()`` accepted *partial* adjustment coverage (any non-empty
-  adjustment list silenced the missing-user check), releasing an
-  aggregate whose blinding had not cancelled — pure noise, silently.
-* ``submit_report`` silently overwrote an earlier report from the same
-  user, letting a replayed or forged upload corrupt the sum.
+* The aggregate was released on *partial* adjustment coverage (any
+  non-empty adjustment list silenced the missing-user check), so its
+  blinding had not cancelled — pure noise, silently.
+* A second report from the same user silently overwrote the first,
+  letting a replayed or forged upload corrupt the sum.
 * ``ProtocolClient.build_report`` would blind two different sketches
   under the same round id, reusing the pairwise one-time pad and leaking
   the cell-wise difference of the sketches.
@@ -25,6 +25,8 @@ Each class pins one bug that existed before the hardening PR:
   partial — an adjustment from a clique with no missing members (refused
   before the release), a late report for a user the root had already
   been told was missing — where it was never counted.
+* ``CliqueAggregator`` stored an adjustment nobody asked for; its release
+  then refused every attempt, so one member could wedge the round.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api import ProtocolSession
+from repro.api import ProtocolSession, SessionConfig
 from repro.errors import (
     BlindingError,
     MissingReportError,
@@ -52,7 +54,8 @@ from repro.protocol.messages import (
     BlindingAdjustment,
     MissingClientsNotice,
 )
-from repro.protocol.server import AggregationServer
+from repro.protocol.transport import InMemoryTransport
+from repro.sketch.countmin import CountMinSketch
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=5, id_space=300)
 
@@ -62,145 +65,163 @@ def make_enrollment(n=4, seed=0, **kwargs):
                         seed=seed, use_oprf=False, **kwargs)
 
 
-def make_server(clients):
-    index_of = {c.user_id: c.blinding.user_index for c in clients}
-    clique_of = {c.user_id: c.clique_id for c in clients}
-    return AggregationServer(CONFIG, index_of, clique_of=clique_of)
+def make_aggregator(clients, round_id=1):
+    """One clique's aggregator over ``clients`` (all in clique 0), with
+    ``round_id`` open."""
+    aggregator = CliqueAggregator(
+        0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+    aggregator.on_round_start(round_id)
+    return aggregator
+
+
+def submit(aggregator, message):
+    return aggregator.on_message(message.user_id, message)
+
+
+def answer(aggregator, clients, notices):
+    """Deliver each notice to its survivor and the adjustment back."""
+    by_id = {c.user_id: c for c in clients}
+    for user, notice in notices:
+        [(_uplink, adjustment)] = by_id[user].on_message(
+            aggregator.endpoint_id, notice)
+        submit(aggregator, adjustment)
 
 
 class TestPartialAdjustmentCoverage:
     def _drop_last(self, n=5):
         clients = make_enrollment(n).clients
-        server = make_server(clients)
-        server.start_round(1)
+        aggregator = make_aggregator(clients)
         for client in clients:
             client.observe_ad("http://ad.example/1")
         for client in clients[:-1]:
-            server.submit_report(client.build_report(1))
-        missing_index = clients[-1].blinding.user_index
-        return clients, server, missing_index
+            submit(aggregator, client.build_report(1))
+        notices = aggregator.on_idle(1)
+        assert [u for u, _ in notices] == \
+            sorted(c.user_id for c in clients[:-1])
+        return clients, aggregator, notices
 
     def test_partial_coverage_raises(self):
         """Some-but-not-all survivors adjusting must not release noise."""
-        clients, server, missing_index = self._drop_last()
-        survivors = clients[:-1]
-        for client in survivors[:2]:  # 2 of 4 adjust
-            server.submit_adjustment(client.build_adjustment(
-                1, [missing_index]))
+        clients, aggregator, notices = self._drop_last()
+        answer(aggregator, clients, notices[:2])  # 2 of 4 adjust
         with pytest.raises(MissingReportError):
-            server.aggregate()
+            aggregator.on_idle(1)
 
     def test_full_coverage_releases_clean_aggregate(self):
-        clients, server, missing_index = self._drop_last()
-        survivors = clients[:-1]
-        for client in survivors:
-            server.submit_adjustment(client.build_adjustment(
-                1, [missing_index]))
-        aggregate = server.aggregate()
+        clients, aggregator, notices = self._drop_last()
+        answer(aggregator, clients, notices)
+        [(_root, partial)] = aggregator.on_idle(1)
+        aggregate = CountMinSketch(CONFIG.cms_depth, CONFIG.cms_width,
+                                   CONFIG.cms_seed,
+                                   cells=partial.cells_as_array())
         mapper = clients[0].ad_mapper
-        assert aggregate.query(mapper.ad_id("http://ad.example/1")) >= \
-            len(survivors)
-
-    def test_allow_missing_still_bypasses(self):
-        _clients, server, _missing_index = self._drop_last()
-        noisy = server.aggregate(allow_missing=True)
-        nonzero = sum(1 for c in noisy.cells if c != 0)
-        assert nonzero > len(noisy.cells) * 0.9
+        assert aggregate.query(mapper.ad_id("http://ad.example/1")) == \
+            len(clients) - 1
 
     def test_all_dropout_round_raises(self):
-        """Zero reports must not release an all-zero 'aggregate'."""
+        """Zero reports must not release an all-zero 'aggregate': the
+        clique's partial is zeros with its whole roster missing, and
+        the root refuses to threshold it."""
         clients = make_enrollment(3).clients
-        server = make_server(clients)
-        server.start_round(1)
-        with pytest.raises(MissingReportError):
-            server.aggregate()
-        empty = server.aggregate(allow_missing=True)
-        assert all(c == 0 for c in empty.cells)
+        [(_root, partial)] = make_aggregator(clients).on_idle(1)
+        assert partial.reported == ()
+        assert partial.missing == tuple(sorted(c.user_id for c in clients))
+        assert not partial.cells_as_array().any()
+        transport = InMemoryTransport()
+        for client in clients:
+            transport.fail_sender(client.user_id)
+        session = ProtocolSession(CONFIG, clients,
+                                  SessionConfig(transport=transport))
+        with pytest.raises(MissingReportError, match="no reports"):
+            session.run_round(1)
 
     def test_adjusted_users_tracked(self):
-        clients, server, missing_index = self._drop_last()
-        assert server.adjusted_users == set()
-        server.submit_adjustment(clients[0].build_adjustment(
-            1, [missing_index]))
-        assert server.adjusted_users == {clients[0].user_id}
+        clients, aggregator, notices = self._drop_last()
+        assert aggregator._adjustments == {}
+        answer(aggregator, clients, notices[:1])
+        assert set(aggregator._adjustments) == {clients[0].user_id}
 
     def test_adjustment_from_non_reporting_user_rejected(self):
-        """A user whose own pads never entered the sum cannot 'correct'."""
+        """A user whose own pads never entered the sum cannot 'correct':
+        intake refuses it, and so does the release check behind it."""
         clients = make_enrollment(4).clients
-        server = make_server(clients)
-        server.start_round(1)
+        aggregator = make_aggregator(clients)
         for client in clients[:2]:
-            server.submit_report(client.build_report(1))
+            submit(aggregator, client.build_report(1))
+        assert aggregator.on_idle(1)  # the notice goes out
         # clients[2] never reported but sends an adjustment for clients[3].
-        server.submit_adjustment(clients[2].build_adjustment(
-            1, [clients[3].blinding.user_index]))
-        with pytest.raises(RoundStateError):
-            server.aggregate()
-        # The escape hatch still extracts the (corrupt) sum for inspection.
-        noisy = server.aggregate(allow_missing=True)
-        assert len(noisy.cells) == CONFIG.num_cells
+        adjustment = clients[2].build_adjustment(
+            1, [clients[3].blinding.user_index])
+        with pytest.raises(RoundStateError, match="unsolicited"):
+            submit(aggregator, adjustment)
+        assert aggregator._adjustments == {}
+        # Stored past intake (as an intake bug would), release refuses it.
+        aggregator._adjustments[adjustment.user_id] = adjustment
+        with pytest.raises(RoundStateError, match="never arrived"):
+            aggregator.on_idle(1)
 
     def test_adjustment_without_any_missing_user_rejected(self):
         """An unsolicited adjustment is un-cancelled noise, not a fix."""
         clients = make_enrollment(3).clients
-        server = make_server(clients)
-        server.start_round(1)
-        reports = [c.build_report(1) for c in clients]
-        for report in reports:
-            server.submit_report(report)
-        server.submit_adjustment(BlindingAdjustment(
-            clients[0].user_id, 1,
-            cells=tuple([1] * CONFIG.num_cells)))
-        with pytest.raises(RoundStateError):
-            server.aggregate()
+        aggregator = make_aggregator(clients)
+        for client in clients:
+            submit(aggregator, client.build_report(1))
+        adjustment = BlindingAdjustment(
+            clients[0].user_id, 1, cells=tuple([1] * CONFIG.num_cells))
+        with pytest.raises(RoundStateError, match="unsolicited"):
+            submit(aggregator, adjustment)
+        aggregator._adjustments[adjustment.user_id] = adjustment
+        with pytest.raises(RoundStateError, match="no missing users"):
+            aggregator.on_idle(1)
 
 
 class TestDuplicateReports:
-    def _server_with_report(self):
+    def _aggregator_with_report(self):
         clients = make_enrollment(3).clients
-        server = make_server(clients)
-        server.start_round(1)
+        aggregator = make_aggregator(clients)
         clients[0].observe_ad("http://ad.example/1")
         report = clients[0].build_report(1)
-        server.submit_report(report)
-        return clients, server, report
+        submit(aggregator, report)
+        return clients, aggregator, report
 
     def test_differing_resubmission_rejected(self):
-        clients, server, report = self._server_with_report()
+        clients, aggregator, report = self._aggregator_with_report()
         forged = BlindedReport(
             user_id=report.user_id, round_id=1,
             cells=tuple((c + 1) % (2 ** 32) for c in report.cells))
-        with pytest.raises(RoundStateError):
-            server.submit_report(forged)
+        with pytest.raises(RoundStateError, match="differing"):
+            submit(aggregator, forged)
         # And the original report is still the one in the round.
-        assert server.reported_users == {report.user_id}
+        assert aggregator._reports == {report.user_id: report}
 
     def test_identical_resend_is_idempotent(self):
-        clients, server, report = self._server_with_report()
-        server.submit_report(report)  # no raise
+        clients, aggregator, report = self._aggregator_with_report()
+        assert submit(aggregator, report) == []
         for client in clients[1:]:
-            server.submit_report(client.build_report(1))
-        aggregate = server.aggregate()
+            submit(aggregator, client.build_report(1))
+        [(_root, partial)] = aggregator.on_idle(1)
+        aggregate = CountMinSketch(CONFIG.cms_depth, CONFIG.cms_width,
+                                   CONFIG.cms_seed,
+                                   cells=partial.cells_as_array())
         mapper = clients[0].ad_mapper
         # Counted once despite the resend.
-        est = aggregate.query(mapper.ad_id("http://ad.example/1"))
-        assert est >= 1
+        assert aggregate.query(mapper.ad_id("http://ad.example/1")) == 1
 
     def test_duplicate_adjustment_differing_rejected(self):
         clients = make_enrollment(4).clients
-        server = make_server(clients)
-        server.start_round(1)
+        aggregator = make_aggregator(clients)
         for client in clients[:-1]:
-            server.submit_report(client.build_report(1))
+            submit(aggregator, client.build_report(1))
+        aggregator.on_idle(1)
         missing = [clients[-1].blinding.user_index]
         adjustment = clients[0].build_adjustment(1, missing)
-        server.submit_adjustment(adjustment)
-        server.submit_adjustment(adjustment)  # identical resend ok
+        submit(aggregator, adjustment)
+        assert submit(aggregator, adjustment) == []  # identical resend
         forged = BlindingAdjustment(
             adjustment.user_id, 1,
             cells=tuple((c + 1) % (2 ** 32) for c in adjustment.cells))
-        with pytest.raises(RoundStateError):
-            server.submit_adjustment(forged)
+        with pytest.raises(RoundStateError, match="differing"):
+            submit(aggregator, forged)
 
 
 class TestRoundIdReuse:
@@ -331,7 +352,7 @@ class TestLateReportAfterRecoveryNotice:
         assert np.array_equal(unmasked, self.cleartext(late))
         with pytest.raises(RoundStateError, match="late report"):
             aggregator.on_message(late.user_id, report)
-        assert late.user_id not in aggregator.server.reported_users
+        assert late.user_id not in aggregator._reports
         # A survivor's identical resend stays idempotent.
         aggregator.on_message(survivors[0].user_id,
                               survivors[0].build_report(1))
@@ -369,7 +390,7 @@ class TestLateTrafficAfterRelease:
             cells=(1,) * CONFIG.num_cells, clique_id=0)
         with pytest.raises(RoundStateError, match="already released"):
             aggregator.on_message(clients[0].user_id, adjustment)
-        assert not aggregator.server.adjusted_users
+        assert not aggregator._adjustments
         # An identical report resend stays a no-op, a differing one raises.
         assert aggregator.on_message(
             clients[1].user_id, reports[clients[1].user_id]) == []
@@ -380,17 +401,24 @@ class TestLateTrafficAfterRelease:
         assert aggregator.on_idle(1) == []
 
     def test_the_same_adjustment_before_release_is_refused_too(self):
+        """Refused at intake, it stores nothing: the round still
+        releases, and the next one starts."""
         clients = make_enrollment(4).clients
-        aggregator = CliqueAggregator(
-            0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
-        aggregator.on_round_start(1)
+        aggregator = make_aggregator(clients)
         for client in clients:
-            aggregator.on_message(client.user_id, client.build_report(1))
-        aggregator.on_message(clients[0].user_id, BlindingAdjustment(
-            user_id=clients[0].user_id, round_id=1,
-            cells=(1,) * CONFIG.num_cells, clique_id=0))
-        with pytest.raises(RoundStateError, match="no missing users"):
-            aggregator.on_idle(1)
+            submit(aggregator, client.build_report(1))
+        with pytest.raises(RoundStateError, match="unsolicited"):
+            submit(aggregator, BlindingAdjustment(
+                user_id=clients[0].user_id, round_id=1,
+                cells=(1,) * CONFIG.num_cells, clique_id=0))
+        [(_root, partial)] = aggregator.on_idle(1)
+        assert partial.missing == ()
+        assert partial.cells_as_array().sum() == 0  # nothing observed
+        aggregator.on_round_start(2)
+        for client in clients:
+            submit(aggregator, client.build_report(2))
+        [(_root, partial)] = aggregator.on_idle(2)
+        assert partial.round_id == 2
 
     def test_late_report_after_a_whole_clique_release_is_refused(self):
         clients, aggregator, reports, partial = self._clique(reporting=0)
@@ -399,7 +427,7 @@ class TestLateTrafficAfterRelease:
         assert late in partial.missing
         with pytest.raises(RoundStateError, match="already released"):
             aggregator.on_message(late, reports[late])
-        assert not aggregator.server.reported_users
+        assert not aggregator._reports
 
     def test_identical_adjustment_resend_after_recovery_is_a_no_op(self):
         clients = make_enrollment(4).clients

@@ -19,7 +19,7 @@ from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport
-from repro.protocol.server import AggregationServer
+from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.transport import InMemoryTransport
 
 
@@ -36,6 +36,16 @@ def single_backend_session(clients, transport=None):
     k = 1 tree (one clique aggregator, one root)."""
     return ProtocolSession(CONFIG, clients,
                            SessionConfig(transport=transport))
+
+
+def make_aggregator(clients, round_id=None):
+    """One clique's aggregator over ``clients``, with ``round_id`` open
+    unless it is None."""
+    aggregator = CliqueAggregator(
+        0, CONFIG, {c.user_id: c.blinding.user_index for c in clients})
+    if round_id is not None:
+        aggregator.on_round_start(round_id)
+    return aggregator
 
 
 class TestRoundConfig:
@@ -203,52 +213,49 @@ class TestFaultTolerance:
         """Without adjustments, a missing report leaves random cells."""
         enrollment = make_enrollment(4)
         clients = enrollment.clients
-        index_of = {c.user_id: c.blinding.user_index for c in clients}
-        server = AggregationServer(CONFIG, index_of)
-        server.start_round(1)
-        for client in clients[:3]:  # one client never reports
-            server.submit_report(client.build_report(1))
+        reports = [c.build_report(1) for c in clients[:3]]  # one never reports
+        aggregator = make_aggregator(clients, round_id=1)
+        for report in reports:
+            aggregator.on_message(report.user_id, report)
+        notices = aggregator.on_idle(1)
+        assert len(notices) == 3
         with pytest.raises(MissingReportError):
-            server.aggregate()
-        noisy = server.aggregate(allow_missing=True)
+            aggregator.on_idle(1)
         # Noise: nearly all cells non-zero even though nothing was observed.
-        nonzero = sum(1 for c in noisy.cells if c != 0)
-        assert nonzero > len(noisy.cells) * 0.9
+        noisy = sum(report.cells_as_array() for report in reports)
+        nonzero = int((noisy != 0).sum())
+        assert nonzero > len(noisy) * 0.9
 
 
 class TestServerValidation:
-    def make_server(self, clients):
-        index_of = {c.user_id: c.blinding.user_index for c in clients}
-        return AggregationServer(CONFIG, index_of)
-
     def test_requires_round(self):
         clients = make_enrollment(2).clients
-        server = self.make_server(clients)
+        aggregator = make_aggregator(clients)
         with pytest.raises(RoundStateError):
-            server.submit_report(clients[0].build_report(1))
+            aggregator.on_message(clients[0].user_id,
+                                  clients[0].build_report(1))
 
     def test_rejects_wrong_round(self):
         clients = make_enrollment(2).clients
-        server = self.make_server(clients)
-        server.start_round(2)
-        with pytest.raises(RoundStateError):
-            server.submit_report(clients[0].build_report(1))
+        aggregator = make_aggregator(clients, round_id=2)
+        with pytest.raises(RoundStateError, match="round 1, current is 2"):
+            aggregator.on_message(clients[0].user_id,
+                                  clients[0].build_report(1))
 
     def test_rejects_unknown_user(self):
         clients = make_enrollment(2).clients
-        server = self.make_server(clients)
-        server.start_round(1)
+        aggregator = make_aggregator(clients, round_id=1)
         report = BlindedReport("stranger", 1,
                                cells=tuple([0] * CONFIG.num_cells))
-        with pytest.raises(RoundStateError):
-            server.submit_report(report)
+        with pytest.raises(RoundStateError, match="unknown user"):
+            aggregator.on_message("stranger", report)
 
     def test_rejects_wrong_cell_count(self):
         clients = make_enrollment(2).clients
-        server = self.make_server(clients)
-        server.start_round(1)
-        with pytest.raises(RoundStateError):
-            server.submit_report(BlindedReport(clients[0].user_id, 1, (1, 2)))
+        aggregator = make_aggregator(clients, round_id=1)
+        with pytest.raises(RoundStateError, match="2 cells"):
+            aggregator.on_message(clients[0].user_id, BlindedReport(
+                clients[0].user_id, 1, (1, 2)))
 
     def test_session_rejects_empty_and_duplicates(self):
         with pytest.raises(ProtocolError):

@@ -1,7 +1,7 @@
 """What a round pays per message, pinned by counting calls, not by a clock.
 
 * **The roster is read once per release** — a dropout-free round of N
-  cliques asks each clique's server for its missing users once: N
+  cliques asks each clique aggregator for its missing users once: N
   ``missing_users`` calls, not one per release check.
 * **Cells are checked once, where they are built** — the cells of the
   reports, adjustments and partials this process built are wrapped
@@ -30,7 +30,6 @@ from repro.protocol.messages import (
     CellVector,
     PartialAggregate,
 )
-from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport
 from repro.protocol.wire import decode, encode
 
@@ -119,13 +118,13 @@ class TestRosterReadOncePerRelease:
     def test_dropout_free_round_reads_each_roster_once(self, monkeypatch,
                                                        num_cliques):
         calls = []
-        missing_users = AggregationServer.missing_users
+        missing_users = CliqueAggregator.missing_users
 
         def counting(self):
             calls.append(self)
             return missing_users(self)
 
-        monkeypatch.setattr(AggregationServer, "missing_users", counting)
+        monkeypatch.setattr(CliqueAggregator, "missing_users", counting)
         session = session_on(None, batched=True, num_cliques=num_cliques,
                              fan_in=2)
         result = session.run_round(0)
@@ -134,13 +133,13 @@ class TestRosterReadOncePerRelease:
         assert len(set(map(id, calls))) == num_cliques
 
     def test_full_roster_answers_without_a_set_difference(self):
-        server = AggregationServer(CONFIG, {"a": 0, "b": 1})
-        server.start_round(1)
-        assert server.missing_users() == ["a", "b"]
+        aggregator = CliqueAggregator(0, CONFIG, {"a": 0, "b": 1})
+        aggregator.on_round_start(1)
+        assert aggregator.missing_users() == ["a", "b"]
         for uid in ("a", "b"):
-            server.submit_report(BlindedReport(
+            aggregator.on_message(uid, BlindedReport(
                 uid, 1, cells=(0,) * CONFIG.num_cells))
-        assert server.missing_users() == []
+        assert aggregator.missing_users() == []
 
 
 class TestOneRoundOfCellsAtATime:
@@ -156,7 +155,7 @@ class TestOneRoundOfCellsAtATime:
 
         def spy(self, round_id):
             held.append(sorted(
-                len(endpoint.server.reported_users)
+                len(endpoint._reports)
                 for endpoint in session.endpoints
                 if isinstance(endpoint, CliqueAggregator)))
             return on_round_start(self, round_id)
@@ -199,12 +198,12 @@ class TestBuiltCellsAreCheckedOnce:
             with pytest.raises(ProtocolError, match=r"\[0, 2\^32\)"):
                 CellVector(bad)
         assert len(validating) == 3
-        server = AggregationServer(CONFIG, {"a": 0})
-        server.start_round(1)
+        aggregator = CliqueAggregator(0, CONFIG, {"a": 0})
+        aggregator.on_round_start(1)
         tuple_report = BlindedReport(
             "a", 1, cells=(2 ** 32,) + (0,) * (CONFIG.num_cells - 1))
         with pytest.raises(ProtocolError):
-            server.submit_report(tuple_report)
+            aggregator.on_message("a", tuple_report)
         with pytest.raises(ProtocolError):
             encode(tuple_report)
 

@@ -4,9 +4,9 @@ The protocol rewrite keeps cell vectors as ``uint32`` arrays from the
 client's blinding step through the server's aggregate; these tests pin the
 invariants that make that safe:
 
-* the vectorized server aggregate is bit-identical to the seed's scalar
-  per-cell modular sum over the same reports;
-* array and list blinding APIs agree;
+* a clique aggregator's vectorized partial is bit-identical to the
+  seed's scalar per-cell modular sum over the same reports;
+* the array blinding APIs agree with the independent reference round;
 * :class:`CellVector` is interchangeable with the tuple form everywhere a
   message crosses a layer boundary (equality, hashing, wire round-trip);
 * the batched #Users distribution equals the scalar id-by-id enumeration,
@@ -15,13 +15,15 @@ invariants that make that safe:
 
 import numpy as np
 
+from reference_round import ReferenceRound
 from repro.crypto.blinding import BLINDING_MODULUS
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
 from repro.api import ProtocolSession
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, BlindingAdjustment, CellVector
-from repro.protocol.server import AggregationServer
+from repro.protocol.aggregator import CliqueAggregator
+from repro.protocol.server import UsersDistributionQuery
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
 
@@ -60,48 +62,55 @@ def _enrolled_round(seed=11, n_users=5, ads_per_user=8):
     return enrollment
 
 
+def _aggregator(index_of, round_id):
+    aggregator = CliqueAggregator(0, CONFIG, index_of)
+    aggregator.on_round_start(round_id)
+    return aggregator
+
+
+def _released_cells(aggregator, round_id):
+    [(_root, partial)] = aggregator.on_idle(round_id)
+    return CountMinSketch(CONFIG.cms_depth, CONFIG.cms_width,
+                          CONFIG.cms_seed, cells=partial.cells_as_array())
+
+
 class TestVectorizedAggregation:
     def test_aggregate_bit_identical_to_seed_scalar_path(self):
         enrollment = _enrolled_round()
         reports = [c.build_report(4) for c in enrollment.clients]
-        server = AggregationServer(
-            CONFIG, {c.user_id: c.blinding.user_index
-                     for c in enrollment.clients})
-        server.start_round(4)
+        aggregator = _aggregator(enrollment.index_of, 4)
         for report in reports:
-            server.submit_report(report)
-        vectorized = server.aggregate()
+            aggregator.on_message(report.user_id, report)
+        vectorized = _released_cells(aggregator, 4)
         scalar = _seed_scalar_aggregate(CONFIG, reports)
         assert vectorized.cells == scalar.cells
 
     def test_aggregate_with_adjustments_matches_scalar(self):
         enrollment = _enrolled_round(seed=13)
         clients = enrollment.clients
-        missing = clients[-1]
         survivors = clients[:-1]
         reports = [c.build_report(2) for c in survivors]
-        adjustments = [c.build_adjustment(2, [missing.blinding.user_index])
-                       for c in survivors]
-        server = AggregationServer(
-            CONFIG, {c.user_id: c.blinding.user_index for c in clients})
-        server.start_round(2)
+        aggregator = _aggregator(enrollment.index_of, 2)
         for report in reports:
-            server.submit_report(report)
-        for adjustment in adjustments:
-            server.submit_adjustment(adjustment)
-        vectorized = server.aggregate()
+            aggregator.on_message(report.user_id, report)
+        adjustments = []
+        for client, (_user, notice) in zip(survivors,
+                                           aggregator.on_idle(2)):
+            [(_uplink, adjustment)] = client.on_message(
+                aggregator.endpoint_id, notice)
+            aggregator.on_message(client.user_id, adjustment)
+            adjustments.append(adjustment)
+        vectorized = _released_cells(aggregator, 2)
         scalar = _seed_scalar_aggregate(CONFIG, reports, adjustments)
         assert vectorized.cells == scalar.cells
 
     def test_aggregate_accepts_tuple_and_vector_reports(self):
-        server = AggregationServer(CONFIG, {"a": 0, "b": 1})
-        server.start_round(1)
+        aggregator = _aggregator({"a": 0, "b": 1}, 1)
         ones = [1] * CONFIG.num_cells
-        server.submit_report(BlindedReport("a", 1, cells=tuple(ones)))
-        server.submit_report(
-            BlindedReport("b", 1, cells=CellVector(np.asarray(
-                ones, dtype=np.uint64))))
-        agg = server.aggregate()
+        aggregator.on_message("a", BlindedReport("a", 1, cells=tuple(ones)))
+        aggregator.on_message("b", BlindedReport(
+            "b", 1, cells=CellVector(np.asarray(ones, dtype=np.uint64))))
+        agg = _released_cells(aggregator, 1)
         assert agg.cells == tuple([2] * CONFIG.num_cells)
 
 
@@ -116,18 +125,13 @@ class TestVectorizedDistribution:
     def test_chunked_fallback_matches_cached_table(self, monkeypatch):
         from repro.protocol import server as server_mod
         enrollment = _enrolled_round(seed=19)
-        reports = [c.build_report(1) for c in enrollment.clients]
-        index_of = {c.user_id: c.blinding.user_index
-                    for c in enrollment.clients}
+        aggregate = ProtocolSession(
+            CONFIG, enrollment.clients).run_round(1).aggregate
 
         def run(max_bytes):
             monkeypatch.setattr(server_mod, "_ID_TABLE_MAX_BYTES", max_bytes)
             monkeypatch.setattr(server_mod, "_ID_CHUNK", 77)
-            server = AggregationServer(CONFIG, index_of)
-            server.start_round(1)
-            for report in reports:
-                server.submit_report(report)
-            return server.users_distribution(server.aggregate())
+            return UsersDistributionQuery(CONFIG).distribution(aggregate)
 
         cached = run(128 * 1024 * 1024)
         chunked = run(0)  # force the no-table path
@@ -170,34 +174,39 @@ class TestVectorizedDistribution:
 
 
 class TestBlindingArrayApis:
-    def test_blind_array_matches_blind(self):
+    """The array forms against the reference round, whose report for a
+    user that saw nothing is that user's blinding vector, and whose
+    adjustments are the recovery vectors."""
+
+    def test_blind_array_matches_the_reference(self):
         enrollment = _enrolled_round(seed=29, n_users=3)
         client = enrollment.clients[0]
         cells = list(range(CONFIG.num_cells))
-        as_list = client.blinding.blind(cells, round_id=6)
         as_array = client.blinding.blind_array(
             np.asarray(cells, dtype=np.uint64), round_id=6)
+        blinding = ReferenceRound(enrollment, {}, 6, (), CONFIG).reports[
+            client.user_id]
         assert as_array.dtype == np.uint32
-        assert as_list == as_array.tolist()
+        assert as_array.tolist() == [(b + c) % BLINDING_MODULUS
+                                     for b, c in zip(blinding, cells)]
 
-    def test_adjustment_array_matches_list(self):
+    def test_adjustment_array_matches_the_reference(self):
         enrollment = _enrolled_round(seed=31, n_users=4)
-        client = enrollment.clients[0]
-        missing = [enrollment.clients[-1].blinding.user_index]
-        as_list = client.blinding.adjustment_for_missing(
-            missing, CONFIG.num_cells, round_id=3)
+        client, missing = enrollment.clients[0], enrollment.clients[-1]
         as_array = client.blinding.adjustment_for_missing_array(
-            missing, CONFIG.num_cells, round_id=3)
-        assert as_list == as_array.tolist()
+            [missing.blinding.user_index], CONFIG.num_cells, round_id=3)
+        reference = ReferenceRound(enrollment, {}, 3, [missing.user_id],
+                                   CONFIG)
+        assert as_array.tolist() == reference.adjustments[client.user_id]
 
-    def test_blinding_vector_list_view(self):
+    def test_blinding_vector_array_matches_the_reference(self):
         enrollment = _enrolled_round(seed=37, n_users=3)
-        vec = enrollment.clients[0].blinding.blinding_vector(16, round_id=1)
-        arr = enrollment.clients[0].blinding.blinding_vector_array(
-            16, round_id=1)
-        assert isinstance(vec, list)
-        assert all(isinstance(v, int) for v in vec)
-        assert vec == arr.tolist()
+        client = enrollment.clients[0]
+        arr = client.blinding.blinding_vector_array(CONFIG.num_cells,
+                                                    round_id=1)
+        assert arr.dtype == np.uint32
+        assert arr.tolist() == ReferenceRound(
+            enrollment, {}, 1, (), CONFIG).reports[client.user_id]
 
 
 class TestCellVector:

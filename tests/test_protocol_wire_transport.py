@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, BlindingAdjustment, CellVector
 from repro.protocol.net.transport import SocketTransport
-from repro.protocol.server import AggregationServer
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=3, id_space=200)
@@ -33,7 +33,8 @@ def transports():
 class TestCellRange:
     """A cell arrives exactly as sent or not at all: on the codec
     transports ``encode`` refuses a value outside ``[0, 2^32)``, and on
-    memory the server's intake does — nothing wraps it silently."""
+    memory the clique aggregator's intake does — nothing wraps it
+    silently."""
 
     @pytest.mark.parametrize("name", ["memory", "wire", "socket"])
     @settings(max_examples=30, deadline=None)
@@ -43,18 +44,23 @@ class TestCellRange:
     def test_cells_arrive_exact_or_are_refused(self, transports, name,
                                                kind, cells):
         transport = transports[name]
-        server = AggregationServer(
-            RoundConfig(cms_depth=1, cms_width=len(cells), cms_seed=0,
-                        id_space=1), {"u": 0})
-        server.start_round(1)
-        submit = server.submit_report if kind is BlindedReport \
-            else server.submit_adjustment
+        aggregator = CliqueAggregator(
+            0, RoundConfig(cms_depth=1, cms_width=len(cells), cms_seed=0,
+                           id_space=1), {"u": 0, "v": 1})
+        aggregator.on_round_start(1)
+        counted = aggregator._reports
+        if kind is BlindingAdjustment:
+            # An adjustment is taken only from a reporter sent a notice.
+            aggregator.on_message("u", BlindedReport(
+                "u", 1, cells=(0,) * len(cells)))
+            assert aggregator.on_idle(1)
+            counted = aggregator._adjustments
         message = kind("u", 1, cells=tuple(cells))
 
         def deliver():
             transport.send("u", "aggregator", message)
             _sender, delivered = transport.receive("aggregator")
-            submit(delivered)
+            aggregator.on_message("u", delivered)
             return delivered
 
         if all(0 <= cell < 2**32 for cell in cells):
@@ -68,7 +74,7 @@ class TestCellRange:
             with pytest.raises(ProtocolError, match=r"\[0, 2\^32\)"):
                 CellVector(cells)
             assert transport.pending("aggregator") == 0
-            assert not server.reported_users and not server.adjusted_users
+            assert "u" not in counted
 
 
 class TestWireTransportRound:

@@ -25,7 +25,7 @@ from repro.protocol import wire
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import RoundSummary
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.messages import MissingClientsNotice
+from repro.protocol.messages import BlindingAdjustment, MissingClientsNotice
 from repro.protocol.net.spec import (
     result_from_spec,
     result_to_spec,
@@ -190,6 +190,29 @@ class TestLifecycleGuards:
         rid = state.start_round()
         with pytest.raises(ProtocolError):
             state.finalize(rid)
+        state.close()
+
+    def test_an_unsolicited_adjustment_cannot_wedge_the_round(self):
+        """Every member reports, then one sends an adjustment nobody
+        asked for: it is refused and stores nothing, so the round still
+        finalizes and the next one starts."""
+        state = fresh_state()
+        clients = enrolled_clients()
+        rid = state.start_round()
+        for client in clients:
+            for _recipient, report in client.on_round_start(rid):
+                state.submit(client.user_id, wire.encode(report))
+        stray = BlindingAdjustment(
+            user_id=clients[0].user_id, round_id=rid,
+            cells=(1,) * CONFIG.num_cells, clique_id=clients[0].clique_id)
+        with pytest.raises(RoundStateError, match="unsolicited"):
+            state.submit(clients[0].user_id, wire.encode(stray))
+        while state.advance(rid)["emitted"]:
+            pass
+        result = state.finalize(rid)
+        assert result.missing_users == []
+        assert sorted(result.reported_users) == ROSTER
+        assert state.start_round() == rid + 1
         state.close()
 
     def test_summary_of_unfinalized_round_is_a_conflict(self):
