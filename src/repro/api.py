@@ -639,7 +639,7 @@ class ProtocolSession:
                 name=name, config=self.config, seed=membership.seed,
                 use_oprf=membership.use_oprf,
                 num_cliques=membership.num_cliques,
-                share_pad_streams=membership.pad_streams is not None,
+                share_pad_streams=True,
                 client_backend=membership.client_backend)
             epoch = membership.epoch
             store.record_session(identity)

@@ -46,26 +46,29 @@ wrapping ``numpy.uint32`` accumulator unchanged, the 4-byte cell a report
 carries to the root (only the cleartext sketch it blinds has 64-bit
 counts), so no cell is boxed, widened or masked on the way.
 
-Pad-stream caching
-------------------
-A real deployment's clients derive every (pair, round) stream locally,
-and so does a :class:`BlindingGenerator` built without a provider. An
-in-process session, however, hosts *both* ends of every pair, and the
-two ends derive byte-identical streams from the same shared secret —
-half of all pad XOF work in a simulated round is duplicated. A
-:class:`PadStreamProvider` shared across an enrollment removes that
-duplication: it keeps one absorbed XOF state per pair for the lifetime
-of an epoch (successive rounds fork the cached state instead of
-re-absorbing the secret from scratch) and hands each derived
-(pair, round) stream to both members, computing it once. Streams are
-derived exactly as the uncached path derives them, so reports — and
-therefore aggregates — are bit-identical with or without a provider.
+Pads are derived as the formula reads
+-------------------------------------
+Every squeeze is one SHAKE-128 over ``secret || round``
+(:func:`_pad_bytes`), and no hash state is kept between calls. Absorbing
+a secret of at most 128 bytes costs one Keccak permutation, against 25
+to 900 for the squeeze itself: on a 2-vCPU machine, forking a per-pair
+state cached across rounds measured no faster than hashing afresh
+(2,450 pairs × 6,144 cells, 208.6 vs 205.1 ms a round; 6,000 × 1,024,
+107.1 vs 107.9 ms; 380 × 38,066, 192.0 vs 193.8 ms), so none is kept.
+
+What is cached is one round's hand-off, on the object path only. An
+in-process session hosts *both* ends of every pair, and both ends derive
+the same stream. A :class:`PadStreamProvider` shared by an enrollment's
+generators hands the first end's stream to the second and holds the
+current round's streams alone. Its streams are :func:`_squeeze`'s, so
+reports are bit-identical with or without a provider. The batched path
+hosts both ends itself and squeezes each pair once without one.
 
 Batched cliques
 ---------------
 A caller hosting whole cliques (:class:`~repro.protocol.army.ClientArmy`)
 needs every member's ``b_i`` at once, and the formula above is a running
-sum. :meth:`PadStreamProvider.blind_cliques` adds it into a ``(g, m, C)``
+sum. :func:`blind_cliques` adds it into a ``(g, m, C)``
 ``uint32`` stack of ``g`` cliques sharing one layout ``(m, lo_rows,
 hi_rows)``, :func:`cliques_per_chunk` cliques at a time: per pair slot it
 squeezes each clique's row into one preallocated buffer of at most
@@ -76,17 +79,15 @@ one ``-=`` (:func:`_scatter_slots`, the only scatter). The working set
 is the stack plus one buffer, and the cost is the squeeze itself: a
 chunk's Python and NumPy overhead is paid per pair slot, not per clique
 and pair.
-:meth:`PadStreamProvider.clique_blinding` (recovery adjustments) is the
-one-clique call. The ``(pairs, cells)`` pad matrix
-(:meth:`PadStreamProvider.clique_matrix`) exists for inspection only and
-feeds the same scatter through
-:meth:`BlindingGenerator.accumulate_clique_matrix`.
+:func:`clique_blinding` (recovery adjustments) is the one-clique call.
+The ``(pairs, cells)`` pad matrix (:meth:`PadStreamProvider.
+clique_matrix`) exists for inspection only and feeds the same scatter
+through :meth:`BlindingGenerator.accumulate_clique_matrix`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import (
     Dict,
     Iterable,
@@ -94,7 +95,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -110,16 +110,9 @@ BLINDING_MODULUS = 1 << 32
 #: Bytes per keystream block (one 32-bit cell).
 _CELL_BYTES = 4
 
-#: A pair of user indexes, ordered (low, high): the cache key of one
-#: shared secret's keystream.
+#: A pair of user indexes, ordered (low, high): the key of one shared
+#: secret's keystream.
 PairKey = Tuple[int, int]
-
-
-def _absorb(secret_bytes: bytes) -> "hashlib._Hash":
-    """The pad XOF with the pair's shared secret absorbed, round not yet."""
-    xof = hashlib.shake_128()
-    xof.update(secret_bytes)
-    return xof
 
 
 def _round_bytes(round_id: int) -> bytes:
@@ -127,18 +120,17 @@ def _round_bytes(round_id: int) -> bytes:
     return round_id.to_bytes(8, "big", signed=True)
 
 
-def _pad_bytes(absorbed: "hashlib._Hash", round_bytes: bytes, num_cells: int) -> bytes:
-    """Fork an absorbed XOF state with the encoded round id
-    (:func:`_round_bytes`) and squeeze ``num_cells`` cells' worth of
-    bytes (big-endian 32-bit cells): the one squeeze every path runs."""
-    xof = absorbed.copy()
-    xof.update(round_bytes)
-    return xof.digest(num_cells * _CELL_BYTES)
+def _pad_bytes(secret_bytes: bytes, round_bytes: bytes, num_cells: int) -> bytes:
+    """SHAKE-128 over the pair's shared secret and the encoded round id
+    (:func:`_round_bytes`), squeezed for ``num_cells`` big-endian 32-bit
+    cells: the one squeeze every path runs."""
+    return hashlib.shake_128(secret_bytes + round_bytes).digest(
+        num_cells * _CELL_BYTES)
 
 
-def _squeeze(absorbed: "hashlib._Hash", round_id: int, num_cells: int) -> np.ndarray:
+def _squeeze(secret_bytes: bytes, round_id: int, num_cells: int) -> np.ndarray:
     """One pair's keystream for one round as a native ``uint32`` array."""
-    raw = _pad_bytes(absorbed, _round_bytes(round_id), num_cells)
+    raw = _pad_bytes(secret_bytes, _round_bytes(round_id), num_cells)
     return np.frombuffer(raw, dtype=">u4").astype(np.uint32)
 
 
@@ -155,11 +147,7 @@ def cliques_per_chunk(num_cells: int) -> int:
     return max(1, _SQUEEZE_CELLS // num_cells)
 
 
-def _check_pairs(
-    pairs: Sequence[PairKey], secrets: Sequence[bytes], num_cells: int
-) -> None:
-    if len(pairs) != len(secrets):
-        raise ConfigurationError(f"{len(pairs)} pairs but {len(secrets)} secrets")
+def _check_cells(num_cells: int) -> None:
     if num_cells <= 0:
         raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
 
@@ -208,98 +196,116 @@ def _scatter_slots(
 
 
 def _squeezed_slots(
-    absorbed: Sequence["hashlib._Hash"], num_pairs: int, round_id: int, num_cells: int
+    secrets: Sequence[bytes], num_pairs: int, round_id: int, num_cells: int
 ) -> Iterator[np.ndarray]:
     """Per pair slot, every clique's pad row for one round, squeezed into
     one preallocated ``(g, C)`` ``uint32`` buffer.
 
-    ``absorbed`` lists the cliques' XOF states clique-major (clique ``k``'s
-    slot ``p`` at ``k * num_pairs + p``). Each row is byteswapped once, as
-    it is written into the buffer, so no array is allocated per row. Rows
-    are :func:`_squeeze`'s, byte for byte; the round id is encoded once.
+    ``secrets`` lists the cliques' pair secrets clique-major (clique
+    ``k``'s slot ``p`` at ``k * num_pairs + p``). Each row is byteswapped
+    once, as it is written into the buffer, so no array is allocated per
+    row. Rows are :func:`_squeeze`'s, byte for byte; the round id is
+    encoded once.
     """
-    num_cliques = len(absorbed) // num_pairs if num_pairs else 0
+    num_cliques = len(secrets) // num_pairs if num_pairs else 0
     rows = np.empty((num_cliques, num_cells), dtype=np.uint32)
     round_bytes = _round_bytes(round_id)
     for slot in range(num_pairs):
-        for k, state in enumerate(absorbed[slot::num_pairs]):
+        for k, secret in enumerate(secrets[slot::num_pairs]):
             rows[k] = np.frombuffer(
-                _pad_bytes(state, round_bytes, num_cells), dtype=">u4")
+                _pad_bytes(secret, round_bytes, num_cells), dtype=">u4")
         yield rows
 
 
+def blind_cliques(
+    cells: np.ndarray,
+    secrets: Sequence[bytes],
+    lo_rows: np.ndarray,
+    hi_rows: np.ndarray,
+    round_id: int,
+    negate: bool = False,
+) -> None:
+    """Add the blinding of ``g`` same-layout cliques into ``cells``.
+
+    ``cells`` is a ``(g, m, C)`` ``uint32`` stack, one ``(m, C)`` block
+    per clique; the cliques share the layout ``(m, lo_rows, hi_rows)``:
+    ``lo_rows[p]`` / ``hi_rows[p]`` is the member row of pair slot
+    ``p``'s low- and high-index end (``-1`` skips that end, as a
+    dropout-recovery pad does for its missing member). ``secrets`` lists
+    the ``g * P`` pair secrets clique-major (clique ``k``'s slot ``p`` at
+    ``k * P + p``). Afterwards row ``m`` of clique ``k`` has gained
+    member ``m``'s :meth:`BlindingGenerator.blinding_vector_array` (its
+    :meth:`~BlindingGenerator.adjustment_for_missing_array` under
+    ``negate=True``) mod ``2^32``.
+
+    Cliques are blinded :func:`cliques_per_chunk` at a time, each pair
+    slot squeezed into one bounded buffer and scattered with one ``+=``
+    and one ``-=`` (:func:`_scatter_slots`), so the working set beyond
+    ``cells`` is one buffer of at most ``_SQUEEZE_CELLS`` cells (or one
+    row). Arguments are checked before the first squeeze.
+    """
+    if cells.ndim != 3 or cells.dtype != np.uint32:
+        raise ConfigurationError(
+            f"cells must be a (cliques, members, cells) uint32 stack, "
+            f"got {cells.dtype} {cells.shape}"
+        )
+    num_cliques, _, num_cells = cells.shape
+    _check_cells(num_cells)
+    num_pairs = len(secrets) // num_cliques if num_cliques else 0
+    if num_pairs * num_cliques != len(secrets):
+        raise ConfigurationError(
+            f"need one lo/hi row per pair: {len(secrets)} secrets do not "
+            f"split over {num_cliques} cliques"
+        )
+    plus, minus = _slot_ends(lo_rows, hi_rows, num_pairs, negate)
+    chunk = cliques_per_chunk(num_cells)
+    for start in range(0, num_cliques, chunk):
+        chunk_secrets = secrets[start * num_pairs:(start + chunk) * num_pairs]
+        _scatter_slots(
+            cells[start:start + chunk],
+            _squeezed_slots(chunk_secrets, num_pairs, round_id, num_cells),
+            plus, minus)
+
+
+def clique_blinding(
+    secrets: Sequence[bytes],
+    lo_rows: np.ndarray,
+    hi_rows: np.ndarray,
+    num_members: int,
+    round_id: int,
+    num_cells: int,
+    negate: bool = False,
+) -> np.ndarray:
+    """Every member's blinding vector for one clique and round: the
+    ``(num_members, num_cells)`` ``uint32`` result of
+    :func:`blind_cliques` on a zero stack of one clique."""
+    _check_cells(num_cells)
+    acc = np.zeros((num_members, num_cells), dtype=np.uint32)
+    blind_cliques(acc[None], secrets, lo_rows, hi_rows, round_id, negate)
+    return acc
+
+
 class PadStreamProvider:
-    """Shared cache of pairwise pad streams for an in-process session.
+    """One round's pad streams, handed from a pair's first end to its
+    second.
 
     One provider is shared by every :class:`BlindingGenerator` of an
-    enrollment (an epoch's worth of clients living in one process). It
-    caches two things:
-
-    * per pair — the XOF state with the shared secret already
-      absorbed, kept for the whole epoch so each round *extends* the
-      pair's stream family (fork + squeeze) instead of re-deriving the
-      state from scratch;
-    * per (pair, round) — the derived stream itself, so the second
-      member of the pair reuses the bytes the first member computed.
-      Both members consume each stream exactly once per round, so an
-      entry is dropped on its second fetch; an LRU bound caps worst-case
-      memory between the two fetches, and the first request of a newer
-      round evicts older rounds' unconsumed leftovers (e.g. streams a
-      dropout derived but never delivered).
-
-    Derivation is byte-identical to the provider-less path (the same
-    ``_squeeze(_absorb(secret), round, cells)`` a generator runs
-    locally), so blinded reports — not just aggregates — are unchanged
-    by caching. Deployment clients never share a provider; this is
-    purely the in-process perf lever ROADMAP PR 2/3 named.
+    in-process enrollment, which hosts both ends of every pair. The first
+    end to ask for a (pair, round) stream pays the squeeze; the second
+    gets the same bytes and the entry is dropped. The first request for
+    another round drops every entry left over (streams a dropout derived
+    but never delivered, or a recovery re-derivation), so the provider
+    never holds more than one round. Deployment clients never share a
+    provider.
     """
 
-    #: Default bound on cached derived streams (each ``num_cells`` uint32
-    #: values): at 6144 cells this caps the cache near 200 MB.
-    DEFAULT_MAX_STREAMS = 8192
-
-    def __init__(self, max_streams: int = DEFAULT_MAX_STREAMS) -> None:
-        if max_streams < 1:
-            raise ConfigurationError(f"max_streams must be >= 1, got {max_streams}")
-        self.max_streams = max_streams
-        self._absorbed: Dict[PairKey, "hashlib._Hash"] = {}
-        #: (pair, round, cells) -> the derived uint32 stream, waiting
-        #: for the pair's second member; dropped when fetched. Entries
-        #: a dropout never fetched (its transport send failed, or a
-        #: recovery re-derivation) would otherwise linger forever —
-        #: round ids are monotonic, so the first request of a *newer*
-        #: round evicts every older round's leftovers.
-        self._streams: "OrderedDict[Tuple[PairKey, int, int], np.ndarray]" = (
-            OrderedDict()
-        )
-        #: user index -> every cached pair touching that user. The
-        #: departure index: :meth:`forget_users` must not scan the whole
-        #: cache per departed user (100k-user churn makes that O(U·pairs)),
-        #: so membership is tracked per user as pairs are absorbed.
-        self._pairs_of: Dict[int, Set[PairKey]] = {}
-        #: pair -> the stream-cache keys currently holding that pair's
-        #: derived streams; the second half of the departure index.
-        self._stream_keys: Dict[PairKey, Set[Tuple[PairKey, int, int]]] = {}
-        self._latest_round: Optional[int] = None
+    def __init__(self) -> None:
+        self._round: Optional[int] = None
+        #: (pair, cells) -> the round's stream, waiting for the pair's
+        #: second end.
+        self._streams: Dict[Tuple[PairKey, int], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-
-    def _ensure_absorbed(self, pair: PairKey, secret_bytes: bytes) -> "hashlib._Hash":
-        """The pair's absorbed XOF state, creating (and indexing) it."""
-        absorbed = self._absorbed.get(pair)
-        if absorbed is None:
-            absorbed = self._absorbed[pair] = _absorb(secret_bytes)
-            self._pairs_of.setdefault(pair[0], set()).add(pair)
-            self._pairs_of.setdefault(pair[1], set()).add(pair)
-        return absorbed
-
-    def _drop_stream_key(self, key: Tuple[PairKey, int, int]) -> None:
-        """Unindex one evicted/consumed stream-cache entry."""
-        keys = self._stream_keys.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._stream_keys[key[0]]
 
     def stream(
         self, pair: PairKey, secret_bytes: bytes, round_id: int, num_cells: int
@@ -309,39 +315,24 @@ class PadStreamProvider:
         A read-only native ``uint32`` array. ``pair`` must be the
         ordered ``(low_index, high_index)`` tuple; both members pass
         the same shared-secret bytes, so whichever asks first pays the
-        squeeze and the other reuses the cached bytes.
+        squeeze and the other is handed its bytes.
         """
-        key = (pair, round_id, num_cells)
+        if round_id != self._round:
+            self._streams.clear()
+            self._round = round_id
+        key = (pair, num_cells)
         stream = self._streams.pop(key, None)
         if stream is not None:
-            # The pair's other member: hand over the bytes and drop the
-            # entry — both ends consume each stream exactly once per
-            # round (a rare third fetch, e.g. recovery adjustments,
-            # simply re-derives below).
-            self._drop_stream_key(key)
             self.hits += 1
             return stream
         self.misses += 1
-        if self._latest_round is None or round_id > self._latest_round:
-            # A newer round started: older rounds' unconsumed entries
-            # (dropouts, recovery re-derivations) can never be fetched
-            # again — round ids only move forward.
-            for stale in [k for k in self._streams if k[1] < round_id]:
-                del self._streams[stale]
-                self._drop_stream_key(stale)
-            self._latest_round = round_id
-        absorbed = self._ensure_absorbed(pair, secret_bytes)
-        stream = _squeeze(absorbed, round_id, num_cells)
+        stream = _squeeze(secret_bytes, round_id, num_cells)
         stream.setflags(write=False)
         self._streams[key] = stream
-        self._stream_keys.setdefault(pair, set()).add(key)
-        while len(self._streams) > self.max_streams:
-            evicted, _ = self._streams.popitem(last=False)
-            self._drop_stream_key(evicted)
         return stream
 
+    @staticmethod
     def clique_matrix(
-        self,
         pairs: Sequence[PairKey],
         secrets: Sequence[bytes],
         round_id: int,
@@ -352,119 +343,18 @@ class PadStreamProvider:
         :meth:`stream` derives it.
 
         Returns a read-only ``(len(pairs), num_cells)`` ``uint32`` array.
-        A round never needs it — :meth:`blind_cliques` sums the same rows
+        A round never needs it — :func:`blind_cliques` sums the same rows
         without holding them — it is the inspectable form of a clique's
         pads.
         """
-        _check_pairs(pairs, secrets, num_cells)
+        if len(pairs) != len(secrets):
+            raise ConfigurationError(f"{len(pairs)} pairs but {len(secrets)} secrets")
+        _check_cells(num_cells)
         matrix = np.empty((len(pairs), num_cells), dtype=np.uint32)
-        for row, (pair, secret) in enumerate(zip(pairs, secrets)):
-            matrix[row] = _squeeze(
-                self._ensure_absorbed(pair, secret), round_id, num_cells)
+        for row, secret in enumerate(secrets):
+            matrix[row] = _squeeze(secret, round_id, num_cells)
         matrix.setflags(write=False)
         return matrix
-
-    def blind_cliques(
-        self,
-        cells: np.ndarray,
-        pairs: Sequence[PairKey],
-        secrets: Sequence[bytes],
-        lo_rows: np.ndarray,
-        hi_rows: np.ndarray,
-        round_id: int,
-        negate: bool = False,
-    ) -> None:
-        """Add the blinding of ``g`` same-layout cliques into ``cells``.
-
-        ``cells`` is a ``(g, m, C)`` ``uint32`` stack, one ``(m, C)``
-        block per clique; the cliques share the layout ``(m, lo_rows,
-        hi_rows)``: ``lo_rows[p]`` / ``hi_rows[p]`` is the member row of
-        pair slot ``p``'s low- and high-index end (``-1`` skips that end,
-        as a dropout-recovery pad does for its missing member).
-        ``pairs`` and ``secrets`` list ``g * P`` pairs clique-major
-        (clique ``k``'s slot ``p`` at ``k * P + p``). Afterwards row ``m``
-        of clique ``k`` has gained member ``m``'s
-        :meth:`BlindingGenerator.blinding_vector_array` (its
-        :meth:`~BlindingGenerator.adjustment_for_missing_array` under
-        ``negate=True``) mod ``2^32``.
-
-        Cliques are blinded :func:`cliques_per_chunk` at a time, each
-        pair slot squeezed into one bounded buffer and scattered with one
-        ``+=`` and one ``-=`` (:func:`_scatter_slots`), so the working set
-        beyond ``cells`` is one buffer of at most ``_SQUEEZE_CELLS`` cells
-        (or one row). Absorbed XOF states are cached per pair across
-        rounds like :meth:`stream`'s; the rows are not entered into the
-        stream cache, because a batched caller hosts both ends of every
-        pair and consumes each row once. Arguments are checked before the
-        first squeeze.
-        """
-        if cells.ndim != 3 or cells.dtype != np.uint32:
-            raise ConfigurationError(
-                f"cells must be a (cliques, members, cells) uint32 stack, "
-                f"got {cells.dtype} {cells.shape}"
-            )
-        num_cliques, _, num_cells = cells.shape
-        _check_pairs(pairs, secrets, num_cells)
-        num_pairs = len(pairs) // num_cliques if num_cliques else 0
-        if num_pairs * num_cliques != len(pairs):
-            raise ConfigurationError(
-                f"need one lo/hi row per pair: {len(pairs)} pairs do not "
-                f"split over {num_cliques} cliques"
-            )
-        plus, minus = _slot_ends(lo_rows, hi_rows, num_pairs, negate)
-        absorbed = [self._ensure_absorbed(pair, secret)
-                    for pair, secret in zip(pairs, secrets)]
-        chunk = cliques_per_chunk(num_cells)
-        for start in range(0, num_cliques, chunk):
-            states = absorbed[start * num_pairs:(start + chunk) * num_pairs]
-            _scatter_slots(
-                cells[start:start + chunk],
-                _squeezed_slots(states, num_pairs, round_id, num_cells),
-                plus, minus)
-
-    def clique_blinding(
-        self,
-        pairs: Sequence[PairKey],
-        secrets: Sequence[bytes],
-        lo_rows: np.ndarray,
-        hi_rows: np.ndarray,
-        num_members: int,
-        round_id: int,
-        num_cells: int,
-        negate: bool = False,
-    ) -> np.ndarray:
-        """Every member's blinding vector for one clique and round: the
-        ``(num_members, num_cells)`` ``uint32`` result of
-        :meth:`blind_cliques` on a zero stack of one clique."""
-        _check_pairs(pairs, secrets, num_cells)
-        acc = np.zeros((num_members, num_cells), dtype=np.uint32)
-        self.blind_cliques(acc[None], pairs, secrets, lo_rows, hi_rows,
-                           round_id, negate)
-        return acc
-
-    def forget_users(self, user_indexes: Iterable[int]) -> None:
-        """Drop cached state for every pair touching any of the given
-        users (membership changes remove or re-key them). Indexed per
-        user: the cost is proportional to the departing users' own
-        cached pairs, never a scan of the whole cache."""
-        for user in set(user_indexes):
-            for pair in self._pairs_of.pop(user, ()):
-                self._absorbed.pop(pair, None)
-                other = pair[1] if pair[0] == user else pair[0]
-                peers = self._pairs_of.get(other)
-                if peers is not None:
-                    peers.discard(pair)
-                    if not peers:
-                        del self._pairs_of[other]
-                for key in self._stream_keys.pop(pair, ()):
-                    self._streams.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every cached stream and absorbed state."""
-        self._absorbed.clear()
-        self._streams.clear()
-        self._pairs_of.clear()
-        self._stream_keys.clear()
 
     @property
     def cached_streams(self) -> int:
@@ -490,9 +380,9 @@ class BlindingGenerator:
         blinding clique under sharded enrollment. Cancellation holds
         within whatever peer set is given here, provided every peer's
         generator is built over the matching set. The set is mutable
-        between epochs (:meth:`add_peer` / :meth:`remove_peer` /
-        :meth:`set_peers`): membership churn re-keys only the pairs that
-        actually changed, reusing every surviving shared secret.
+        between epochs (:meth:`add_peer` / :meth:`set_peers`):
+        membership churn re-keys only the pairs that actually changed,
+        reusing every surviving shared secret.
     pad_streams:
         Optional shared :class:`PadStreamProvider`. ``None`` (the
         deployment-faithful default) derives every stream locally.
@@ -545,10 +435,6 @@ class BlindingGenerator:
         )
         return True
 
-    def remove_peer(self, peer_index: int) -> None:
-        """Forget the shared secret with a departed (or re-sharded) peer."""
-        self._secret_bytes.pop(peer_index, None)
-
     def set_peers(self, peer_publics: Dict[int, int]) -> Tuple[int, int, int]:
         """Reconcile the peer set against a new clique roster.
 
@@ -574,12 +460,12 @@ class BlindingGenerator:
         return len(self._secret_bytes) - added, added, len(removed)
 
     def _unsigned_stream(self, peer: int, round_id: int, num_cells: int) -> np.ndarray:
-        """The raw (sign-free) pair keystream, cached or derived."""
+        """The raw (sign-free) pair keystream, handed off or derived."""
         secret = self._secret_bytes[peer]
         if self.pad_streams is not None:
             pair = (min(self.user_index, peer), max(self.user_index, peer))
             return self.pad_streams.stream(pair, secret, round_id, num_cells)
-        return _squeeze(_absorb(secret), round_id, num_cells)
+        return _squeeze(secret, round_id, num_cells)
 
     def _accumulate(
         self, peers: Sequence[int], round_id: int, num_cells: int, negate: bool
@@ -623,27 +509,14 @@ class BlindingGenerator:
         _scatter_slots(acc[None], pad[:, None, :], plus, minus)
         return acc
 
-    def blinding_vector_array(
-        self, num_cells: int, round_id: int, peers: Optional[Iterable[int]] = None
-    ) -> np.ndarray:
-        """Blinding factors for ``num_cells`` cells as a ``uint32`` array.
-
-        ``peers`` restricts the sum to a subset of peers (used by the
-        fault-tolerance re-round); default is all known peers.
-        """
-        if num_cells <= 0:
-            raise ConfigurationError(f"num_cells must be positive, got {num_cells}")
-        peer_list = self.peer_indexes if peers is None else sorted(peers)
-        unknown = [p for p in peer_list if p not in self._secret_bytes]
-        if unknown:
-            raise BlindingError(f"no shared secret with peers {unknown}")
-        return self._accumulate(peer_list, round_id, num_cells, negate=False)
+    def blinding_vector_array(self, num_cells: int, round_id: int) -> np.ndarray:
+        """Blinding factors over every known peer for ``num_cells`` cells,
+        as a ``uint32`` array."""
+        _check_cells(num_cells)
+        return self._accumulate(self.peer_indexes, round_id, num_cells, negate=False)
 
     def blind_array(
-        self,
-        cells: Union[Sequence[int], np.ndarray],
-        round_id: int,
-        peers: Optional[Iterable[int]] = None,
+        self, cells: Union[Sequence[int], np.ndarray], round_id: int
     ) -> np.ndarray:
         """Blind a cell vector: ``(cells + blinding) mod 2^32``.
 
@@ -652,7 +525,7 @@ class BlindingGenerator:
         accumulator they were added into (narrowing keeps a cell mod 2^32).
         """
         cell_arr = np.asarray(cells).astype(np.uint32, copy=False)
-        blinded = self.blinding_vector_array(len(cell_arr), round_id, peers)
+        blinded = self.blinding_vector_array(len(cell_arr), round_id)
         blinded += cell_arr
         return blinded
 

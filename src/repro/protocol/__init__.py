@@ -17,10 +17,10 @@ an **epoch lifecycle**:
    and uploads the blinded sketch. The aggregation side sums cell-wise
    modulo ``2**32``; missing clients trigger the clique-local recovery
    round; the ``#Users`` distribution and ``Users_th`` are recovered
-   from the aggregate and broadcast. Successive rounds of an epoch reuse
-   each pair's cached pad-stream state
-   (:class:`~repro.crypto.blinding.PadStreamProvider`) instead of
-   re-deriving it from scratch.
+   from the aggregate and broadcast. Every round derives each pair's pad
+   afresh from its shared secret and the round id; an in-process session
+   squeezes it once for both ends of the pair
+   (:class:`~repro.crypto.blinding.PadStreamProvider`).
 3. **Advance epoch** — between windows,
    :class:`~repro.protocol.membership.MembershipManager.advance_epoch`
    applies ``joins`` and ``leaves``. Re-sharding is minimal and

@@ -4,7 +4,7 @@ The object-backed client path (:class:`~repro.protocol.client.
 ProtocolClient` + one :class:`~repro.crypto.blinding.BlindingGenerator`
 each) tops out long before the crypto does: at 100k users a round pays
 for 100k Python objects, 100k per-object sketch builds and 2·(pairs)
-keystream squeezes routed through per-instance caches. This module keeps
+keystream fetches through one shared hand-off. This module keeps
 the *protocol* — every message, every byte — and deletes the objects:
 
 * a :class:`ClientArmy` is **one**
@@ -19,7 +19,7 @@ the *protocol* — every message, every byte — and deletes the objects:
 * cliques of one layout (member count and pair wiring) are reported a
   bounded **chunk** at a time: one zeroed ``(g, m, cells)`` ``uint32``
   stack is blinded in place by one
-  :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques` call
+  :func:`~repro.crypto.blinding.blind_cliques` call
   (each pair slot squeezed into one buffer of at most 64 Ki cells and
   scattered with one ``+=`` and one ``-=`` across the chunk), then the
   members' counts — a gather from the index table — are added on with
@@ -79,7 +79,12 @@ from repro.errors import (
     ConfigurationError,
     RoundStateError,
 )
-from repro.crypto.blinding import PadStreamProvider, PairKey, cliques_per_chunk
+from repro.crypto.blinding import (
+    PairKey,
+    blind_cliques,
+    clique_blinding,
+    cliques_per_chunk,
+)
 from repro.crypto.group import DHGroup, KeyPair
 from repro.protocol.client import RoundConfig, notice_needs_answer
 from repro.protocol.endpoint import (
@@ -114,15 +119,14 @@ CliqueWiring = Tuple[List[PairKey], np.ndarray, np.ndarray, Layout]
 class _Chunk(NamedTuple):
     """A chunk of same-layout cliques, wired for an epoch: what every
     round of the epoch would otherwise rebuild before its one
-    :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques` call."""
+    :func:`~repro.crypto.blinding.blind_cliques` call."""
 
     cliques: List[int]
     #: Per clique, the aggregator its members report to.
     uplinks: List[str]
     #: Every clique's sorted members, clique-major.
     members: List[str]
-    #: Every clique's pairs, clique-major, and their shared secrets.
-    pairs: List[PairKey]
+    #: Every clique's pair secrets, clique-major.
     secrets: List[bytes]
     lo_rows: np.ndarray
     hi_rows: np.ndarray
@@ -181,7 +185,6 @@ class ClientArmy(ProtocolEndpoint):
         self.use_oprf = material.oprf_server is not None
         self.ad_mapper = material.ad_mapper
         self.endpoint_id = endpoint_id
-        self.pad_streams = PadStreamProvider()
         #: Rows of the active roster only — same names as
         #: :class:`~repro.protocol.enrollment.Enrollment` so a
         #: MembershipManager reads either. The manager keeps departed
@@ -411,16 +414,14 @@ class ClientArmy(ProtocolEndpoint):
         for same_layout in by_layout.values():
             for start in range(0, len(same_layout), size):
                 cliques = same_layout[start:start + size]
-                pairs = [pair for clique in cliques
-                         for pair in self._wiring_of[clique][0]]
                 lo_rows, hi_rows = self._wiring_of[cliques[0]][1:3]
                 chunks.append(_Chunk(
                     cliques=cliques,
                     uplinks=[clique_endpoint_id(c) for c in cliques],
                     members=[uid for clique in cliques
                              for uid in self._members_of[clique]],
-                    pairs=pairs,
-                    secrets=[self._pair_secret[p] for p in pairs],
+                    secrets=[self._pair_secret[pair] for clique in cliques
+                             for pair in self._wiring_of[clique][0]],
                     lo_rows=lo_rows, hi_rows=hi_rows))
         self._chunks = chunks
         return chunks
@@ -433,8 +434,7 @@ class ClientArmy(ProtocolEndpoint):
 
         The chunk's cells are one zeroed ``(g, m, cells)`` ``uint32``
         stack: blinded in place by one
-        :meth:`~repro.crypto.blinding.PadStreamProvider.blind_cliques`
-        call, then the members' cleartext counts are added on with one
+        :func:`~repro.crypto.blinding.blind_cliques` call, then the members' cleartext counts are added on with one
         ``np.add.at`` over their flat cell indexes (a gather from the
         round's index table, offset per member). That equals per-user
         ``CountMinSketch.update_many`` plus the blinding mod 2^32, which
@@ -464,8 +464,8 @@ class ClientArmy(ProtocolEndpoint):
         size = len(members) // len(chunk.cliques)
         cells = np.zeros((len(chunk.cliques), size, num_cells),
                          dtype=np.uint32)
-        self.pad_streams.blind_cliques(cells, chunk.pairs, chunk.secrets,
-                                       chunk.lo_rows, chunk.hi_rows, round_id)
+        blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows,
+                      round_id)
         np.add.at(cells.reshape(-1), indexes, _ONE)
         cells.setflags(write=False)
         inactive = self._inactive
@@ -499,14 +499,13 @@ class ClientArmy(ProtocolEndpoint):
             raise BlindingError(
                 f"no shared secret for peers {unknown[:5]} in clique "
                 f"{clique}")
-        pairs: List[PairKey] = []
+        secrets: List[bytes] = []
         lo_rows: List[int] = []
         hi_rows: List[int] = []
         for row, uid in enumerate(survivors):
             i = self.index_of[uid]
             for j in missing:
-                pair = (i, j) if i < j else (j, i)
-                pairs.append(pair)
+                secrets.append(self._pair_secret[(i, j) if i < j else (j, i)])
                 # The missing end of the pair produces no adjustment:
                 # row -1 discards it in the accumulation.
                 if i < j:
@@ -515,9 +514,8 @@ class ClientArmy(ProtocolEndpoint):
                 else:
                     lo_rows.append(-1)
                     hi_rows.append(row)
-        secrets = [self._pair_secret[p] for p in pairs]
-        adjustments = self.pad_streams.clique_blinding(
-            pairs, secrets, np.asarray(lo_rows, dtype=np.intp),
+        adjustments = clique_blinding(
+            secrets, np.asarray(lo_rows, dtype=np.intp),
             np.asarray(hi_rows, dtype=np.intp), len(survivors), round_id,
             self.config.num_cells, negate=True)
         adjustments.setflags(write=False)

@@ -77,8 +77,8 @@ class Enrollment:
     #: The one URL -> ad-ID mapper every client of the panel holds (see
     #: :class:`KeyMaterial`; None only on a hand-built enrollment).
     ad_mapper: Optional[Union[KeyedPRF, ObliviousAdMapper]] = None
-    #: The pad-stream cache shared by this population's generators
-    #: (None only on a hand-built enrollment).
+    #: The round's pad-stream hand-off shared by this population's
+    #: generators (None only on a hand-built enrollment).
     pad_streams: Optional[PadStreamProvider] = None
 
     @property
@@ -254,7 +254,8 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     the default of 1 reproduces the unsharded protocol exactly.
 
     Every client is wired to one :class:`~repro.crypto.blinding.
-    PadStreamProvider`, halving the session's work for the pad XOF in
+    PadStreamProvider`, which hands each pair's stream from its first end
+    to its second, halving the session's work for the pad XOF in
     ``crypto/blinding.py``; the streams are byte-identical to the ones a
     deployment client derives on its own, so every report is too.
     """

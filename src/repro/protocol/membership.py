@@ -12,7 +12,7 @@ first-class lifecycle:
   one epoch's wiring; the roster never changes mid-round.
 * a :class:`MembershipManager` owns the durable key material (DH key
   pairs, stable blinding indexes, the panel's ad-ID mapper and OPRF
-  server, the pad-stream cache) and produces the next epoch from ``joins``
+  server, the object clients' pad-stream hand-off) and produces the next epoch from ``joins``
   and ``leaves``. Re-sharding is *minimal and deterministic*: continuing
   users keep their clique wherever possible, joiners fill the smallest
   cliques, and only when a clique would fall below two members does a
@@ -76,7 +76,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.crypto.blinding import BlindingGenerator
+from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
 from repro.crypto.group import KeyPair
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
@@ -326,7 +326,10 @@ class MembershipManager:
         #: The panel's one URL -> ad-id mapper, held by epoch-0 clients,
         #: joiners and returning users alike.
         self.ad_mapper = source.ad_mapper
-        self.pad_streams = source.pad_streams
+        #: The object clients' shared pad-stream hand-off; None for the
+        #: army, whose kernel squeezes each pair once on its own.
+        self.pad_streams: Optional[PadStreamProvider] = (
+            None if self.army is not None else source.pad_streams)
         self.num_cliques = source.num_cliques
         self._keypairs = dict(source.keypairs)
         self._index_of = dict(source.index_of)
@@ -537,11 +540,6 @@ class MembershipManager:
         affected.update(new_clique[u] for u in moved)
         affected.update(new_clique[u] for u in joins)
 
-        # Leavers' and moved users' cached pad streams are stale; key
-        # material itself is retained for rejoins.
-        if self.pad_streams is not None:
-            self.pad_streams.forget_users(
-                self._index_of[user] for user in (*leaves, *moved))
         joiners = {user: self._materialize(user) for user in sorted(joins)}
         rewire = (self._rewire_clients if self.army is None
                   else self.army.rewire)

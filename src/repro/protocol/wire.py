@@ -156,6 +156,9 @@ def encode(message: Message) -> bytes:
     if not 0 <= clique_id <= 0xFFFF:
         raise ProtocolError(
             f"clique_id {clique_id} out of wire range [0, 65535]")
+    if not 0 <= round_id <= 0xFFFFFFFF:
+        raise ProtocolError(
+            f"round_id {round_id} out of wire range [0, 2^32)")
     header = _HEADER.pack(MAGIC, VERSION, type_tag, round_id, len(payload),
                           clique_id)
     return header + payload

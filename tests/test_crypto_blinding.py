@@ -21,6 +21,8 @@ from repro.crypto.blinding import (
     BLINDING_MODULUS,
     BlindingGenerator,
     PadStreamProvider,
+    blind_cliques,
+    clique_blinding,
 )
 from repro.crypto.group import DHGroup
 from repro.protocol import wire
@@ -142,11 +144,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             users[0].blinding_vector_array(0, round_id=1)
 
-    def test_unknown_peer_subset_rejected(self, group):
-        users = make_users(group, 2)
-        with pytest.raises(BlindingError):
-            users[0].blinding_vector_array(4, round_id=1, peers=[5])
-
     def test_exchange_bytes(self, group):
         users = make_users(group, 4)
         # 3 peers * 16 bytes per 128-bit element
@@ -213,8 +210,7 @@ class TestCliqueBlinding:
         generators, pairs, secrets, lo, hi = make_clique(
             DHGroup.standard(128), indexes, seed=round_id)
         n = len(indexes)
-        batched = PadStreamProvider().clique_blinding(
-            pairs, secrets, lo, hi, n, round_id, num_cells)
+        batched = clique_blinding(secrets, lo, hi, n, round_id, num_cells)
         assert batched.dtype == np.uint32 and batched.shape == (n, num_cells)
         for row, generator in enumerate(generators):
             expected = generator.blinding_vector_array(num_cells, round_id)
@@ -242,8 +238,8 @@ class TestCliqueBlinding:
                 hi_rows.append(-1 if i < j else row)
         lo = np.asarray(lo_rows, dtype=np.intp)
         hi = np.asarray(hi_rows, dtype=np.intp)
-        batched = PadStreamProvider().clique_blinding(
-            pairs, secrets, lo, hi, len(survivors), 11, 16, negate=True)
+        batched = clique_blinding(secrets, lo, hi, len(survivors), 11, 16,
+                                  negate=True)
         for row, generator in enumerate(survivors):
             expected = generator.adjustment_for_missing_array(missing, 16, 11)
             assert batched[row].tobytes() == expected.tobytes()
@@ -254,46 +250,44 @@ class TestCliqueBlinding:
 
     def test_one_member_clique_is_all_zeros(self):
         empty = np.asarray([], dtype=np.intp)
-        batched = PadStreamProvider().clique_blinding(
-            [], [], empty, empty, 1, 3, 12)
+        batched = clique_blinding([], empty, empty, 1, 3, 12)
         assert batched.dtype == np.uint32 and batched.shape == (1, 12)
         assert not batched.any()
         assert PadStreamProvider().clique_matrix([], [], 3, 12).shape == (0, 12)
 
     def test_refusals_come_before_any_squeeze(self, group, monkeypatch):
         _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9])
-        pad = PadStreamProvider().clique_matrix(pairs, secrets, 1, 8)
+        pad = PadStreamProvider.clique_matrix(pairs, secrets, 1, 8)
+        squeezed = []
 
         def no_squeeze(*args, **kwargs):
+            squeezed.append(args)
             raise AssertionError("squeezed before the arguments were checked")
 
         monkeypatch.setattr(blinding_module, "_squeeze", no_squeeze)
         monkeypatch.setattr(blinding_module, "_pad_bytes", no_squeeze)
-        provider = PadStreamProvider()
+        with pytest.raises(ConfigurationError, match="one lo/hi row"):
+            clique_blinding(secrets[:2], lo, hi, 3, 1, 8)
         with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
-            provider.clique_blinding(pairs, secrets[:2], lo, hi, 3, 1, 8)
-        with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
-            provider.clique_matrix(pairs, secrets[:2], 1, 8)
+            PadStreamProvider.clique_matrix(pairs, secrets[:2], 1, 8)
         for num_cells in (0, -4):
             with pytest.raises(ConfigurationError, match="num_cells"):
-                provider.clique_blinding(pairs, secrets, lo, hi, 3, 1,
-                                         num_cells)
+                clique_blinding(secrets, lo, hi, 3, 1, num_cells)
             with pytest.raises(ConfigurationError, match="num_cells"):
-                provider.clique_matrix(pairs, secrets, 1, num_cells)
+                PadStreamProvider.clique_matrix(pairs, secrets, 1, num_cells)
         with pytest.raises(ConfigurationError, match="num_cells"):
-            provider.clique_blinding([], [], lo[:0], hi[:0], 1, 1, 0)
+            clique_blinding([], lo[:0], hi[:0], 1, 1, 0)
         for bad_lo, bad_hi in ((lo[:2], hi), (lo, hi[:2]),
                                (lo.reshape(3, 1), hi.reshape(3, 1))):
             with pytest.raises(ConfigurationError, match="one lo/hi row"):
-                provider.clique_blinding(pairs, secrets, bad_lo, bad_hi,
-                                         3, 1, 8)
+                clique_blinding(secrets, bad_lo, bad_hi, 3, 1, 8)
             with pytest.raises(ConfigurationError, match="one lo/hi row"):
                 BlindingGenerator.accumulate_clique_matrix(
                     pad, bad_lo, bad_hi, 3)
         for not_2d in (pad[0], pad.reshape(3, 2, 4)):
             with pytest.raises(ConfigurationError, match="2-D"):
                 BlindingGenerator.accumulate_clique_matrix(not_2d, lo, hi, 3)
-        assert not provider._absorbed
+        assert not squeezed
 
     @pytest.mark.parametrize("budget", [1, 16, 2**30])
     def test_stack_of_cliques_equals_per_member_generators(self, group,
@@ -307,7 +301,6 @@ class TestCliqueBlinding:
         cliques = [make_clique(group, [k, k + 4, k + 8], seed=k)
                    for k in range(1, 5)]
         _, _, _, lo, hi = cliques[0]
-        pairs = [pair for clique in cliques for pair in clique[1]]
         secrets = [secret for clique in cliques for secret in clique[2]]
         blinding = np.stack([[g.blinding_vector_array(8, 5) for g in clique[0]]
                              for clique in cliques])
@@ -315,40 +308,31 @@ class TestCliqueBlinding:
             cells = np.random.default_rng(7).integers(
                 0, 2**32, (4, 3, 8), dtype=np.uint32)
             want = expected(cells, blinding)
-            PadStreamProvider().blind_cliques(cells, pairs, secrets, lo, hi,
-                                              5, negate)
+            blind_cliques(cells, secrets, lo, hi, 5, negate)
             assert cells.tobytes() == want.tobytes()
 
     def test_stack_refusals_come_before_any_squeeze(self, group, monkeypatch):
-        _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9])
+        _, _, secrets, lo, hi = make_clique(group, [5, 2, 9])
+        squeezed = []
 
         def no_squeeze(*args, **kwargs):
+            squeezed.append(args)
             raise AssertionError("squeezed before the arguments were checked")
 
         monkeypatch.setattr(blinding_module, "_pad_bytes", no_squeeze)
-        provider = PadStreamProvider()
         stack = np.zeros((2, 3, 8), dtype=np.uint32)
         for cells in (stack[0], stack.astype(np.uint64)):
             with pytest.raises(ConfigurationError, match="uint32 stack"):
-                provider.blind_cliques(cells, pairs, secrets, lo, hi, 1)
+                blind_cliques(cells, secrets, lo, hi, 1)
         with pytest.raises(ConfigurationError, match="do not split"):
-            provider.blind_cliques(stack, pairs, secrets, lo, hi, 1)
-        with pytest.raises(ConfigurationError, match="3 pairs but 2 secrets"):
-            provider.blind_cliques(stack[:1], pairs, secrets[:2], lo, hi, 1)
+            blind_cliques(stack, secrets, lo, hi, 1)
+        with pytest.raises(ConfigurationError, match="num_cells"):
+            blind_cliques(stack[:, :, :0], secrets, lo, hi, 1)
         with pytest.raises(ConfigurationError, match="one lo/hi row"):
-            provider.blind_cliques(stack[:1], pairs, secrets, lo[:2], hi, 1)
-        assert not provider._absorbed and not stack.any()
-
-    def test_forget_users_evicts_states_the_batched_path_absorbed(self, group):
-        _, pairs, secrets, lo, hi = make_clique(group, [5, 2, 9, 14])
-        provider = PadStreamProvider()
-        provider.clique_blinding(pairs, secrets, lo, hi, 4, 1, 8)
-        assert set(provider._absorbed) == set(pairs)
-        assert provider.cached_streams == 0
-        provider.forget_users([9])
-        assert set(provider._absorbed) == {p for p in pairs if 9 not in p}
-        provider.forget_users([2, 5, 14])
-        assert not provider._absorbed and not provider._pairs_of
+            blind_cliques(stack[:1], secrets[:2], lo, hi, 1)
+        with pytest.raises(ConfigurationError, match="one lo/hi row"):
+            blind_cliques(stack[:1], secrets, lo[:2], hi, 1)
+        assert not squeezed and not stack.any()
 
 
 def reference_stream(secret: bytes, round_id: int, num_cells: int) -> List[int]:
@@ -368,17 +352,12 @@ class TestPadPRG:
            st.integers(min_value=-2**63, max_value=2**63 - 1),
            st.integers(min_value=1, max_value=64))
     def test_squeeze_matches_bare_shake128(self, secret, round_id, num_cells):
-        absorbed = blinding_module._absorb(secret)
-        stream = blinding_module._squeeze(absorbed, round_id, num_cells)
+        stream = blinding_module._squeeze(secret, round_id, num_cells)
         assert stream.dtype == np.uint32
         assert stream.tolist() == reference_stream(secret, round_id, num_cells)
-        # Forking leaves the absorbed state reusable for the next round.
-        assert blinding_module._squeeze(absorbed, round_id, num_cells).tolist() \
-            == stream.tolist()
 
     def test_stream_known_answer(self):
-        stream = blinding_module._squeeze(
-            blinding_module._absorb(bytes(range(32))), 7, 1024)
+        stream = blinding_module._squeeze(bytes(range(32)), 7, 1024)
         assert hashlib.sha256(stream.astype(">u4").tobytes()).hexdigest() == (
             "d633c1badee80d96abc337893b3fb184a6d3951d718064efdad3256f8b4325c1")
 
@@ -480,13 +459,13 @@ class TestAccumulatorOracle:
     def test_generator_vectors_and_adjustments(self, population_of_64, data,
                                                num_cells, mode, seed,
                                                round_id):
-        """``peers=None`` sums all 63 peers of a 64-member clique."""
+        """A vector sums all 63 peers of a 64-member clique; an
+        adjustment sums all of them or a drawn subset."""
         users = population_of_64
         user = users[data.draw(st.integers(min_value=0, max_value=63))]
         others = [u.user_index for u in users if u is not user]
-        subsets = st.lists(st.sampled_from(others), unique=True)
-        peers = data.draw(st.none() | subsets)
-        missing = data.draw(st.just(others) | subsets)
+        missing = data.draw(st.just(others) | st.lists(
+            st.sampled_from(others), unique=True))
         pad = oracle_pad(mode, seed, len(users), num_cells)
         row_of = {user._secret_bytes[peer]: peer for peer in others}
 
@@ -497,14 +476,12 @@ class TestAccumulatorOracle:
         def up(peer):  # +1 when this user is the pair's high end
             return 1 if user.user_index > peer else -1
 
-        with mock.patch.object(blinding_module, "_absorb", lambda s: s), \
-                mock.patch.object(blinding_module, "_squeeze", fake_squeeze):
-            vector = user.blinding_vector_array(num_cells, round_id, peers)
+        with mock.patch.object(blinding_module, "_squeeze", fake_squeeze):
+            vector = user.blinding_vector_array(num_cells, round_id)
             adjustment = user.adjustment_for_missing_array(
                 missing, num_cells, round_id)
         assert vector.dtype == adjustment.dtype == np.uint32
         assert vector.tolist() == signed_sum(
-            [(up(p), pad[p]) for p in (others if peers is None else peers)],
-            num_cells)
+            [(up(p), pad[p]) for p in others], num_cells)
         assert adjustment.tolist() == signed_sum(
             [(-up(p), pad[p]) for p in missing], num_cells)

@@ -148,3 +148,31 @@ def test_there_is_one_clique_aggregator():
     assert offenders == []
     # What the root and the benchmark still need stays where it was.
     from repro.protocol.server import UsersDistributionQuery  # noqa: F401
+
+
+def test_there_is_one_pad_derivation():
+    """A remote client and its operator must derive identical pad bytes,
+    so ``src/`` calls SHAKE-128 exactly once, in
+    ``crypto/blinding.py::_pad_bytes``: a second derivation path fails
+    here, not in a live round."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        # ast.walk is breadth-first, so an inner function's name
+        # overwrites its outer function's for the calls it encloses.
+        scope = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    scope[node] = func.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            named = (name == "new" and node.args
+                     and isinstance(node.args[0], ast.Constant)
+                     and node.args[0].value == "shake_128")
+            if name == "shake_128" or named:
+                calls.append(f"{rel}::{scope.get(node, '<module>')}")
+    assert calls == ["crypto/blinding.py::_pad_bytes"]

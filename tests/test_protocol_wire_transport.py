@@ -10,7 +10,14 @@ from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.client import RoundConfig
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.messages import BlindedReport, BlindingAdjustment, CellVector
+from repro.protocol import wire
+from repro.protocol.messages import (
+    BlindedReport,
+    BlindingAdjustment,
+    CellVector,
+    MissingClientsNotice,
+    ThresholdBroadcast,
+)
 from repro.protocol.net.transport import SocketTransport
 from repro.protocol.transport import InMemoryTransport, WireTransport
 
@@ -75,6 +82,33 @@ class TestCellRange:
                 CellVector(cells)
             assert transport.pending("aggregator") == 0
             assert "u" not in counted
+
+
+#: One message of each round-scoped kind, built for a given round id.
+ROUND_MESSAGES = {
+    "report": lambda r: BlindedReport("u", r, cells=(1, 2)),
+    "adjustment": lambda r: BlindingAdjustment("u", r, cells=(3,)),
+    "notice": lambda r: MissingClientsNotice(round_id=r, missing_indexes=(4,)),
+    "broadcast": lambda r: ThresholdBroadcast(round_id=r, users_threshold=1.5),
+}
+
+
+class TestRoundIdRange:
+    """The header carries the round id in 4 bytes: ``encode`` refuses
+    one outside ``[0, 2^32)`` with ``ProtocolError``, as it refuses an
+    out-of-range clique id, and both edges round-trip."""
+
+    @pytest.mark.parametrize("kind", ROUND_MESSAGES)
+    @pytest.mark.parametrize("round_id", [-1, 2**32, 2**63])
+    def test_out_of_range_round_id_is_refused(self, kind, round_id):
+        with pytest.raises(ProtocolError, match=r"round_id .* \[0, 2\^32\)"):
+            wire.encode(ROUND_MESSAGES[kind](round_id))
+
+    @pytest.mark.parametrize("kind", ROUND_MESSAGES)
+    @pytest.mark.parametrize("round_id", [0, 2**32 - 1])
+    def test_edge_round_ids_round_trip(self, kind, round_id):
+        message = ROUND_MESSAGES[kind](round_id)
+        assert wire.decode(wire.encode(message)) == message
 
 
 class TestWireTransportRound:

@@ -249,14 +249,14 @@ def swap_one_slot(monkeypatch):
 
 
 def drop_the_byteswap(monkeypatch):
-    def native_order(absorbed, num_pairs, round_id, num_cells):
-        num_cliques = len(absorbed) // num_pairs if num_pairs else 0
+    def native_order(secrets, num_pairs, round_id, num_cells):
+        num_cliques = len(secrets) // num_pairs if num_pairs else 0
         rows = np.empty((num_cliques, num_cells), dtype=np.uint32)
         round_bytes = blinding_module._round_bytes(round_id)
         for slot in range(num_pairs):
-            for k, state in enumerate(absorbed[slot::num_pairs]):
+            for k, secret in enumerate(secrets[slot::num_pairs]):
                 rows[k] = np.frombuffer(blinding_module._pad_bytes(
-                    state, round_bytes, num_cells), dtype=np.uint32)
+                    secret, round_bytes, num_cells), dtype=np.uint32)
             yield rows
 
     monkeypatch.setattr(blinding_module, "_squeezed_slots", native_order)

@@ -215,6 +215,20 @@ class TestAttachRules:
             session.close()
             store.close()
 
+    @pytest.mark.parametrize("backend", ["objects", "batched"])
+    def test_stored_row_marks_pad_sharing_on_either_backend(self, backend):
+        """The legacy ``share_pad_streams`` column is written 1 for every
+        session, whichever backend hosts its clients."""
+        store = HistoryStore()
+        session = ProtocolSession.create(
+            USERS[:4], CONFIG, SessionConfig(client_backend=backend),
+            store=store, store_name="s", seed=2)
+        try:
+            assert store.session_record("s").share_pad_streams is True
+        finally:
+            session.close()
+            store.close()
+
     def test_close_closes_the_store_exactly_when_it_opened_it(self, tmp_path):
         """One ownership rule on every entry point: a store instance
         stays the caller's, a path is opened and closed by the session."""
