@@ -85,7 +85,8 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigurationError, RoundStateError
+from repro.errors import (ConfigurationError, MissingReportError,
+                          RoundStateError)
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.endpoint import (
@@ -100,6 +101,7 @@ from repro.protocol.membership import (
     EpochTransition,
     MembershipManager,
 )
+from repro.protocol.net.spec import rule_spec
 from repro.protocol.runner import (
     ClientPopulation,
     Clients,
@@ -214,7 +216,9 @@ class SessionConfig:
         created, owned and closed by the session.
     threshold_rule:
         Maps the #Users distribution to ``Users_th`` (default: mean,
-        §4.2).
+        §4.2); fixed for the session's life. It must be a named rule (a
+        :class:`~repro.core.thresholds.ThresholdRule`'s ``compute`` or
+        the default), so a process-hosted root can be built from it.
     client_backend:
         ``"objects"`` or ``"batched"`` (see :data:`CLIENT_BACKENDS`);
         picks the population representation when
@@ -259,6 +263,7 @@ class SessionConfig:
                 f"unknown client_backend {self.client_backend!r}; "
                 f"expected one of {CLIENT_BACKENDS}")
         _check_transport(self.transport, self.fault_plan)
+        rule_spec(self.threshold_rule)  # refuses a rule it cannot name
         if not isinstance(self.aggregator_procs, bool):
             raise ConfigurationError(
                 f"aggregator_procs is True or False (one process per "
@@ -360,7 +365,7 @@ class ProtocolSession:
         transport, self._owns_transport = resolve_transport(
             settings.transport, fault_plan=settings.fault_plan)
         try:
-            self._wire(clients, transport, settings.threshold_rule)
+            self._wire(clients, transport)
         except BaseException:
             # Wiring failures must not strand owned subprocesses or the
             # owned socket transport: the caller never gets a session
@@ -374,8 +379,7 @@ class ProtocolSession:
             raise
 
     def _wire(self, clients: Clients,
-              transport: Optional[InMemoryTransport],
-              threshold_rule: ThresholdRuleFn) -> None:
+              transport: Optional[InMemoryTransport]) -> None:
         """(Re-)build endpoints and runner; shared by construction and
         epoch advances (which pass the session's existing transport).
 
@@ -388,6 +392,7 @@ class ProtocolSession:
         objects only (empty for the army and remote members).
         """
         population = as_population(clients)
+        threshold_rule = self.settings.threshold_rule
         if self._pool is not None:
             endpoints, root = self._pool.wire(clients, threshold_rule)
         else:
@@ -754,19 +759,29 @@ class ProtocolSession:
     def close_round(self, round_id: int,
                     week: Optional[int] = None) -> RoundResult:
         """End and record the round (tagged ``week`` when given); raises,
-        leaving it open, while the root has no summary."""
-        result = self._runner.close_round(round_id)
+        leaving it open, while the root has no summary. A round nobody
+        reported in raises :class:`~repro.errors.MissingReportError`
+        and is over all the same: unrecorded, its id spent."""
+        try:
+            result = self._runner.close_round(round_id)
+        except MissingReportError:
+            self._spend_round(round_id)
+            raise
         if week is not None:
             self.week = week
         return self._finish_round(round_id, result)
+
+    def _spend_round(self, round_id: int) -> None:
+        """Mark ``round_id``'s pads spent: no later round reuses it."""
+        self._next_round = max(self._next_round, round_id + 1)
+        if self.membership is not None:
+            self.membership.note_round(round_id)
 
     def _finish_round(self, round_id: int,
                       result: RoundResult) -> RoundResult:
         """Spend the round's pads and persist it (what :meth:`resume`
         replays)."""
-        self._next_round = max(self._next_round, round_id + 1)
-        if self.membership is not None:
-            self.membership.note_round(round_id)
+        self._spend_round(round_id)
         if self._store is not None:
             epoch = self.epoch
             self._store.record_round(
@@ -805,11 +820,8 @@ class ProtocolSession:
                 "enroll_users carries the required key material)")
         transition = self.membership.advance_epoch(
             joins=joins, leaves=leaves, first_round=self._next_round)
-        # Carry the current rule (possibly reassigned on the old root
-        # between rounds) into the new wiring.
-        rule = self.root.threshold_rule
         self._wire(self._remote or self.membership.population,
-                   self.transport, rule)
+                   self.transport)
         if self._store is not None:
             self._store.record_epoch(self._store_name, _epoch_record(
                 transition.epoch, transition.joined, transition.left,

@@ -148,8 +148,8 @@ outlive it). With the default budget of 0 (``retry_policy=None``, i.e.
 :data:`~repro.protocol.net.NO_RETRY`) a crashed or wedged worker fails
 the round fast (a :class:`~repro.errors.ProtocolError` naming the dead
 endpoint). With ``max_restarts`` > 0 the worker is respawned from its
-spec with exponential backoff (``backoff_base_s * backoff_factor**(n-1)``,
-capped at ``backoff_max_s``), the current round's exchanges are replayed
+spec after an exponential backoff (0.05 s · 2^(n−1) before restart n,
+capped at 2 s), the current round's exchanges are replayed
 into the replacement — sound because aggregators are deterministic and
 the protocol's messages are idempotent under identical resends — and the
 round completes **bit-identically**. The budget is per worker per round;
@@ -164,6 +164,9 @@ Fault                                 Outcome
 Client dropout (any transport)        Survives — clique-local recovery
                                       round; anonymity set shrinks to
                                       the clique's reporting members.
+Every client drops out                Fails that round cleanly — the
+                                      root's ``MissingReportError``;
+                                      it closes unrecorded, id spent.
 WAN latency / jitter / loss           Survives, bit-identical — loss is
                                       retransmit delay; only time and
                                       byte-timing change.
@@ -209,7 +212,9 @@ Oversized / trickled HTTP request     Fails that request fast — length
 ====================================  =================================
 
 **Transport-independent guarantees.** Pad one-time-ness is enforced on
-the *clients* (streams keyed by ``(pair, round)``, reuse refused), so no
+the *clients*: a per-round digest of the blinded cleartext
+(``ProtocolClient._blinded_rounds``, ``ClientArmy._round_digests``)
+refuses a *differing* rebuild under a spent round id, so no
 transport choice can weaken it; and the aggregate cells, #Users
 distribution and threshold decisions are bit-identical on every rung —
 in-process, over the wire codec, across sockets, and with aggregators in

@@ -500,7 +500,9 @@ class RootAggregator(_PartialCollector):
     it waits for one :class:`PartialAggregate` per expected child, adds
     the cell vectors modulo the blinding modulus (bit-identical to the
     flat sum over every report), answers the #Users distribution query
-    and broadcasts ``Users_th`` to every client.
+    and broadcasts ``Users_th`` to every client, by a rule fixed at
+    construction. A round nobody reported in releases nothing: its
+    :meth:`round_summary` raises :class:`~repro.errors.MissingReportError`.
     """
 
     def __init__(self, config: RoundConfig, clique_ids: Sequence[int],
@@ -510,26 +512,34 @@ class RootAggregator(_PartialCollector):
         super().__init__(config, clique_ids)
         self.clique_ids = self.child_ids
         self.client_ids = list(client_ids)
-        self.threshold_rule = threshold_rule
+        self._threshold_rule = threshold_rule
         self.endpoint_id = endpoint_id
         self._distribution_query = UsersDistributionQuery(config)
         self._summary: Optional[RoundSummary] = None
+        #: Why this round has no summary although every partial arrived.
+        self._failure: Optional[str] = None
+
+    @property
+    def threshold_rule(self) -> ThresholdRuleFn:
+        """Maps the round's #Users distribution to ``Users_th``."""
+        return self._threshold_rule
 
     def on_round_start(self, round_id: int) -> Outbox:
         self._summary = None
+        self._failure = None
         return super().on_round_start(round_id)
 
     def _complete(self, round_id: int) -> Outbox:
         cells, reported, missing = self._merged()
         if not reported:
-            raise MissingReportError(
-                f"no reports arrived; all {len(missing)} enrolled users "
-                f"are missing")
+            self._failure = (f"no reports arrived; all {len(missing)} "
+                             f"enrolled users are missing")
+            return []
         aggregate = CountMinSketch(self.config.cms_depth,
                                    self.config.cms_width,
                                    self.config.cms_seed, cells=cells)
         distribution = self._distribution_query.distribution(aggregate)
-        threshold = self.threshold_rule(distribution)
+        threshold = self._threshold_rule(distribution)
         self._summary = RoundSummary(
             round_id=round_id,
             aggregate=aggregate,
@@ -544,6 +554,8 @@ class RootAggregator(_PartialCollector):
         return [(user_id, broadcast) for user_id in self.client_ids]
 
     def round_summary(self) -> RoundSummary:
+        if self._failure is not None:
+            raise MissingReportError(self._failure)
         if self._summary is None:
             raise ProtocolError(
                 f"round has not finalized: {len(self._partials)}/"

@@ -33,7 +33,9 @@ bit-identically instead of raising. The default budget is 0
 (:data:`NO_RETRY`): the first worker death fails the round fast.
 
 The guarantees the rest of the stack proves are transport-independent:
-pad one-time-ness is keyed by ``(pair, round)`` on the clients, and the
+pad one-time-ness is guarded on the clients (a per-round digest of the
+blinded cleartext refuses a differing rebuild under a spent round id),
+the hosted tree is the session's own tree behind proxies, and the
 aggregate / #Users distribution / threshold are bit-identical across
 every rung of the ladder — the equivalence tests pin that down for
 ``k in {1, 4}``, dropout-recovery rounds and post-churn epochs.

@@ -52,8 +52,6 @@ SUMMARY = 4
 #: process (body: JSON spec) — how ``advance_epoch`` re-wires live
 #: aggregator processes.
 RECONFIGURE = 5
-#: Swap the hosted root's threshold rule (body: JSON rule spec).
-SET_RULE = 6
 #: Orderly process shutdown (empty body).
 SHUTDOWN = 7
 #: SocketTransport's ship-and-echo payload (body: wire-encoded message).

@@ -17,6 +17,11 @@ cliques get a RECONFIGURE frame with their new membership (same PID, no
 restart), vanished cliques are shut down, new cliques spawn, and the
 root learns the new clique/client rosters the same way.
 
+The tree it hosts is the session's own: :meth:`ensure` builds the
+in-process tree (:func:`~repro.protocol.runner.build_aggregation_tree`)
+and hosts each endpoint from its :func:`~repro.protocol.net.spec.
+endpoint_spec`; only an epoch advance's RECONFIGURE changes it later.
+
 The pool is also the workers' supervisor: :meth:`respawn` replaces a
 dead or hung worker from its stored spec, and the :class:`RetryPolicy`
 it is built with is the per-round restart budget its proxies spend (see
@@ -38,29 +43,15 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.protocol.aggregator import clique_endpoint_id, plan_aggregation_tree
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import SERVER_ENDPOINT, ProtocolEndpoint
+from repro.protocol.endpoint import ProtocolEndpoint, ThresholdRuleFn, mean_threshold
 from repro.protocol.net import frames
 from repro.protocol.net.proxy import ProcessEndpointProxy
-from repro.protocol.net.spec import (
-    clique_spec,
-    regional_spec,
-    root_spec,
-    rule_spec,
-)
+from repro.protocol.net.spec import endpoint_spec
+from repro.protocol.runner import as_population, build_aggregation_tree
 
 if TYPE_CHECKING:
     from repro.protocol.net.chaos import FaultPlan
@@ -69,22 +60,25 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
+#: Backoff before restart ``n`` of a round is ``BACKOFF_BASE_S *
+#: 2**(n-1)`` seconds, capped at ``BACKOFF_MAX_S``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry-with-backoff for endpoint exchanges.
+    """The restart budget for endpoint exchanges.
 
     ``max_restarts`` is the per-endpoint, per-round budget: a worker may
     be respawned that many times within one round before the crash loop
     is declared unrecoverable and the round fails with the underlying
-    :class:`~repro.errors.ProtocolError`. Backoff between restarts is
-    exponential: ``backoff_base_s * backoff_factor**(n-1)``, capped at
-    ``backoff_max_s``.
+    :class:`~repro.errors.ProtocolError`. Restart ``n`` waits
+    :meth:`backoff_s` first: ``BACKOFF_BASE_S * 2**(n-1)``, capped at
+    ``BACKOFF_MAX_S``.
     """
 
     max_restarts: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -92,42 +86,26 @@ class RetryPolicy:
                 f"RetryPolicy.max_restarts must be >= 0, got "
                 f"{self.max_restarts}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigurationError("RetryPolicy backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"RetryPolicy.backoff_factor must be >= 1, got "
-                f"{self.backoff_factor}"
-            )
 
-    def backoff_s(self, restart_no: int) -> float:
+    @staticmethod
+    def backoff_s(restart_no: int) -> float:
         """Backoff before restart number ``restart_no`` (1-based)."""
-        raw = self.backoff_base_s * self.backoff_factor ** max(
-            0, restart_no - 1
-        )
-        return min(self.backoff_max_s, raw)
+        return min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** max(0, restart_no - 1))
 
 
 #: A restart budget of 0: scheduled crashes still fire, but the first
 #: death raises. What a pool built without a policy enforces, and what
 #: "the same plan with retries disabled" runs against.
-NO_RETRY = RetryPolicy(max_restarts=0, backoff_base_s=0.0)
+NO_RETRY = RetryPolicy(max_restarts=0)
 
 
+@dataclass
 class _Worker:
     """One launched aggregator process and its attached proxy."""
 
-    __slots__ = ("process", "proxy", "spec")
-
-    def __init__(
-        self,
-        process: subprocess.Popen,
-        proxy: ProcessEndpointProxy,
-        spec: Dict[str, Any],
-    ) -> None:
-        self.process = process
-        self.proxy = proxy
-        self.spec = spec
+    process: subprocess.Popen
+    proxy: ProcessEndpointProxy
+    spec: Dict[str, Any]
 
 
 def _src_path() -> str:
@@ -152,23 +130,17 @@ class ProcessAggregatorPool:
         round.
     fault_plan:
         The :class:`~repro.protocol.net.chaos.FaultPlan` whose
-        ``worker_crashes`` schedule this pool executes.
-    chaos_delay_s:
-        Failure injection for tests: clique id -> seconds each frame
-        dispatch is delayed in that clique's process, modelling a slow
-        aggregation server (the net-layer analogue of
-        ``InMemoryTransport.fail_sender``).
-    chaos_hang_after:
-        Failure injection for tests: clique id -> number of dispatched
-        frames after which that clique's process *hangs* (stops replying
-        without dying) — the failure mode EOF detection cannot see; only
-        the proxy's per-exchange deadline catches it.
+        ``worker_crashes`` schedule this pool executes. Other worker
+        faults come from outside the worker: a test stops or kills its
+        pid (see :attr:`pids`).
+    timeout:
+        Seconds a worker has to announce its port, and each proxy's
+        per-exchange deadline.
     fan_in:
-        Bound on how many partial-aggregate feeds any hosted endpoint
-        collects. With more cliques than ``fan_in`` the pool also hosts
-        the regional merge tier (see :func:`~repro.protocol.aggregator.
-        plan_aggregation_tree`) as subprocesses — the root then only
-        ever sees fan-in partials. ``None`` (default) keeps the flat
+        The session's fan-in bound, handed to
+        :func:`~repro.protocol.runner.build_aggregation_tree`: with more
+        cliques than ``fan_in`` the pool also hosts the regional merge
+        tiers as subprocesses. ``None`` (default) keeps the flat
         clique -> root tree.
     """
 
@@ -178,8 +150,6 @@ class ProcessAggregatorPool:
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         timeout: float = 60.0,
-        chaos_delay_s: Optional[Dict[int, float]] = None,
-        chaos_hang_after: Optional[Dict[int, int]] = None,
         fan_in: Optional[int] = None,
     ) -> None:
         self.config = config
@@ -187,8 +157,6 @@ class ProcessAggregatorPool:
         self.fault_plan = fault_plan
         self.timeout = timeout
         self.fan_in = fan_in
-        self.chaos_delay_s = dict(chaos_delay_s or {})
-        self.chaos_hang_after = dict(chaos_hang_after or {})
         self._workers: Dict[str, _Worker] = {}
         #: endpoint id -> lifetime respawn count (telemetry).
         self.restarts: Counter = Counter()
@@ -200,19 +168,15 @@ class ProcessAggregatorPool:
     def wire(
         self,
         clients: "Clients",
-        threshold_rule: Callable,
+        threshold_rule: ThresholdRuleFn,
     ) -> Tuple[List[ProtocolEndpoint], ProcessEndpointProxy]:
         """Endpoints for a round over this pool: the clients (objects
         or an army) stay local, aggregation runs in the subprocesses —
         the counterpart of :func:`~repro.protocol.runner.
         build_aggregation_tree`."""
-        from repro.protocol.runner import as_population
-
         population = as_population(clients)
         proxies, root = self.ensure(
-            population.members(),
-            population.user_ids,
-            rule_spec(threshold_rule),
+            population.members(), population.user_ids, threshold_rule
         )
         return [*population.endpoints, *proxies, root], root
 
@@ -220,44 +184,24 @@ class ProcessAggregatorPool:
         self,
         members: Dict[int, Dict[str, int]],
         client_ids: Sequence[str],
-        rule: str = "mean",
+        threshold_rule: ThresholdRuleFn = mean_threshold,
     ) -> Tuple[List[ProcessEndpointProxy], ProcessEndpointProxy]:
-        """Converge the process set onto the given clique map.
+        """Converge the process set onto the session's tree over
+        ``members``.
 
         Surviving endpoints are RECONFIGUREd in place (PID preserved),
         missing ones are spawned, stale ones shut down. Returns the
-        non-root proxies (cliques sorted by clique id, then any regional
-        tier bottom-up) and the root proxy.
+        non-root proxies in the tree's order (cliques by clique id, then
+        any regional tiers bottom-up) and the root proxy.
         """
         if self._closed:
             raise ProtocolError("aggregator pool is closed")
-        if not members:
-            raise ConfigurationError("aggregator pool needs at least one clique")
-        plan = plan_aggregation_tree(sorted(members), self.fan_in)
-        desired: Dict[str, Dict[str, Any]] = {}
-        for clique_id, index_of in members.items():
-            desired[clique_endpoint_id(clique_id)] = clique_spec(
-                clique_id,
-                self.config,
-                index_of,
-                root_id=plan.clique_parent[clique_id],
-                delay_s=self.chaos_delay_s.get(clique_id, 0.0),
-                hang_after=self.chaos_hang_after.get(clique_id),
-            )
-        for node in plan.nodes():
-            desired[node.endpoint_id] = regional_spec(
-                node.region_id,
-                node.level,
-                self.config,
-                node.child_ids,
-                parent_id=node.parent_id,
-            )
-        desired[SERVER_ENDPOINT] = root_spec(
-            self.config,
-            list(plan.root_children),
-            list(client_ids),
-            rule=rule,
+        tree, _root = build_aggregation_tree(
+            self.config, members, client_ids, threshold_rule, self.fan_in
         )
+        desired = {
+            endpoint.endpoint_id: endpoint_spec(endpoint) for endpoint in tree
+        }
 
         for endpoint_id in sorted(set(self._workers) - set(desired)):
             self._workers.pop(endpoint_id).proxy.shutdown()
@@ -288,14 +232,9 @@ class ProcessAggregatorPool:
                 self._terminate(process, hard=True)
             raise
 
-        proxies = [
-            self._workers[clique_endpoint_id(clique_id)].proxy
-            for clique_id in sorted(members)
-        ]
-        proxies.extend(
-            self._workers[node.endpoint_id].proxy for node in plan.nodes()
-        )
-        return proxies, self._workers[SERVER_ENDPOINT].proxy
+        *proxies, root = (self._workers[endpoint_id].proxy
+                          for endpoint_id in desired)
+        return proxies, root
 
     # ------------------------------------------------------------------
     # Process management
@@ -318,12 +257,12 @@ class ProcessAggregatorPool:
         # (EOF there makes the worker exit even if we die uncleanly).
         return process
 
-    def _read_announcement(self, endpoint_id: str, worker: subprocess.Popen) -> bytes:
-        """One line from the worker's stdout, bounded by the pool timeout.
-
-        ``readline()`` on the pipe would block forever on a worker that
-        wedges before announcing; every other wait in the net layer is
-        bounded, so this first handshake must be too.
+    def _handshake(
+        self, endpoint_id: str, worker: subprocess.Popen
+    ) -> Tuple[str, int]:
+        """The worker's one-line port announcement, read within the pool
+        timeout: ``readline()`` on the pipe would block forever on a
+        worker that wedges before announcing.
         """
         import select
 
@@ -349,20 +288,13 @@ class ProcessAggregatorPool:
                     f"announcing its port (exit code {worker.poll()})"
                 )
             line += chunk
-        return bytes(line)
-
-    def _handshake(
-        self, endpoint_id: str, process: subprocess.Popen
-    ) -> Tuple[str, int]:
-        """Parse the worker's one-line port announcement."""
-        line = self._read_announcement(endpoint_id, process)
         try:
             announcement = json.loads(line)
             return announcement["host"], int(announcement["port"])
         except (ValueError, KeyError, TypeError):
             raise ProtocolError(
                 f"aggregator process for {endpoint_id!r} announced garbage: "
-                f"{line[:200]!r}"
+                f"{bytes(line[:200])!r}"
             ) from None
 
     def _attach(
@@ -373,14 +305,8 @@ class ProcessAggregatorPool:
     ) -> _Worker:
         host, port = self._handshake(endpoint_id, process)
         proxy = ProcessEndpointProxy.connect(
-            host,
-            port,
-            endpoint_id,
-            config=self.config,
-            timeout=self.timeout,
-            pid=process.pid,
-            rule=spec.get("threshold_rule"),
-            pool=self,
+            host, port, endpoint_id, config=self.config, timeout=self.timeout,
+            pid=process.pid, pool=self,
         )
         return _Worker(process, proxy, spec)
 
@@ -433,10 +359,6 @@ class ProcessAggregatorPool:
             for endpoint_id, worker in sorted(self._workers.items())
         }
 
-    @property
-    def endpoint_ids(self) -> List[str]:
-        return sorted(self._workers)
-
     def _worker(self, endpoint_id: str) -> _Worker:
         try:
             return self._workers[endpoint_id]
@@ -444,31 +366,23 @@ class ProcessAggregatorPool:
             raise ProtocolError(f"no aggregator process for {endpoint_id!r}") from None
 
     def kill(self, endpoint_id: str) -> None:
-        """Hard-kill one hosted endpoint's process (crash injection)."""
-        self._terminate(self._worker(endpoint_id).process, grace=10.0, hard=True)
+        """Hard-kill one hosted endpoint's process (crash injection, and
+        what a proxy runs for a scheduled ``FaultPlan`` crash)."""
+        process = self._worker(endpoint_id).process
+        logger.info("chaos: killing %s (pid %s)", endpoint_id, process.pid)
+        self._terminate(process, grace=10.0, hard=True)
 
     # ------------------------------------------------------------------
     # Supervision (what the proxies invoke)
     # ------------------------------------------------------------------
-    def inject_crash(self, endpoint_id: str) -> None:
-        """Execute one scheduled kill from the fault plan."""
-        logger.info(
-            "chaos: killing %s (pid %s) per fault plan",
-            endpoint_id,
-            self._worker(endpoint_id).process.pid,
-        )
-        self.kill(endpoint_id)
 
     def respawn(self, endpoint_id: str) -> Tuple[socket.socket, int]:
         """Replace one worker's process in place; returns the proxy's
         new connection and the new PID.
 
-        The replacement is built from the worker's stored spec — with
-        the threshold rule refreshed from the proxy's live mirror (a
-        SET_RULE pushed mid-epoch must survive the respawn) and any
-        ``hang_after`` chaos knob stripped (the injected wedge is a
-        one-shot fault; respawning it wedged would make every hang an
-        unrecoverable crash loop by construction).
+        The replacement is built from the worker's stored spec: the
+        spec of the endpoint as the session's tree built it, or as the
+        last epoch advance reconfigured it.
         """
         if self._closed:
             raise ProtocolError("aggregator pool is closed")
@@ -483,15 +397,7 @@ class ProcessAggregatorPool:
                     pipe.close()
                 except OSError:
                     pass
-        spec = {
-            key: value
-            for key, value in worker.spec.items()
-            if key != "hang_after"
-        }
-        if "threshold_rule" in spec:
-            spec["threshold_rule"] = rule_spec(worker.proxy.threshold_rule)
-        worker.spec = spec
-        process = self._launch(spec)
+        process = self._launch(worker.spec)
         host, port = self._handshake(endpoint_id, process)
         worker.process = process
         logger.info("respawned %s as pid %s", endpoint_id, process.pid)

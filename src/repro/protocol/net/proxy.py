@@ -53,8 +53,6 @@ import socket
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.protocol.endpoint import ThresholdRuleFn
-
 from repro.errors import (
     ConfigurationError,
     MissingReportError,
@@ -66,7 +64,7 @@ from repro.protocol import wire
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import Outbox, ProtocolEndpoint, RoundSummary
 from repro.protocol.net import frames
-from repro.protocol.net.spec import resolve_rule, rule_spec, summary_from_spec
+from repro.protocol.net.spec import summary_from_spec
 
 if TYPE_CHECKING:
     from repro.protocol.net.pool import ProcessAggregatorPool, RetryPolicy
@@ -88,9 +86,9 @@ _ERROR_TYPES = {
 
 
 #: Exchange kinds that rebuild round state and are therefore journaled
-#: for replay. SUMMARY / SET_RULE / RECONFIGURE / SHUTDOWN are not: they
-#: either carry no state, are re-pushed from the spec on respawn, or
-#: must not be retried against a fresh process.
+#: for replay. SUMMARY / RECONFIGURE / SHUTDOWN are not: a summary
+#: changes no state, a replacement is spawned from the reconfigured
+#: spec, and a shutdown must not be retried against a fresh process.
 _REPLAYED_KINDS = frozenset(
     (frames.ROUND_START, frames.MSG, frames.IDLE, frames.ROUND_END)
 )
@@ -112,7 +110,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         config: Optional[RoundConfig] = None,
         timeout: float = 60.0,
         pid: Optional[int] = None,
-        rule: Optional[str] = None,
         pool: "Optional[ProcessAggregatorPool]" = None,
     ) -> None:
         self.endpoint_id = endpoint_id
@@ -126,11 +123,6 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         self._restarts_this_round = 0
         self._needs_respawn = False
         self._adopt_socket(sock)
-        # The local mirror of the hosted root's threshold rule MUST
-        # start in sync with what the process was spawned with: epoch
-        # advances read it back (session.root.threshold_rule) to carry
-        # the rule into the re-wire.
-        self._rule: ThresholdRuleFn = resolve_rule(rule or "mean")
         self._summary_spec: Optional[Dict[str, Any]] = None
         self._closed = False
 
@@ -143,19 +135,11 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         config: Optional[RoundConfig] = None,
         timeout: float = 60.0,
         pid: Optional[int] = None,
-        rule: Optional[str] = None,
         pool: "Optional[ProcessAggregatorPool]" = None,
     ) -> "ProcessEndpointProxy":
         sock = frames.connect_stream(host, port, timeout=timeout)
-        return cls(
-            endpoint_id,
-            sock,
-            config=config,
-            timeout=timeout,
-            pid=pid,
-            rule=rule,
-            pool=pool,
-        )
+        return cls(endpoint_id, sock, config=config, timeout=timeout,
+                   pid=pid, pool=pool)
 
     # ------------------------------------------------------------------
     # Frame exchange
@@ -219,7 +203,7 @@ class ProcessEndpointProxy(ProtocolEndpoint):
                 if plan is not None and plan.take_crash(
                     self.endpoint_id, self._exchanges
                 ):
-                    pool.inject_crash(self.endpoint_id)
+                    pool.kill(self.endpoint_id)
                 outbox = self._exchange(kind, body)
             except ProtocolError as exc:
                 if not exc.peer_dead or policy.max_restarts == 0:
@@ -354,26 +338,12 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             raise self._died("returned no summary")
         return summary_from_spec(self._summary_spec, self.config)
 
-    @property
-    def threshold_rule(self) -> ThresholdRuleFn:
-        """Local mirror of the hosted root's threshold rule; assigning
-        pushes the (named) rule to the process."""
-        return self._rule
-
-    @threshold_rule.setter
-    def threshold_rule(self, rule: ThresholdRuleFn) -> None:
-        spec = rule_spec(rule)
-        self._call(frames.SET_RULE, frames.pack_json({"rule": spec}))
-        self._rule = resolve_rule(spec)
-
     # ------------------------------------------------------------------
     # Pool plumbing
     # ------------------------------------------------------------------
     def reconfigure(self, spec: Dict[str, Any]) -> None:
         """Swap the hosted endpoint from a new spec, process kept alive."""
         self._call(frames.RECONFIGURE, frames.pack_json(spec))
-        if "threshold_rule" in spec:
-            self._rule = resolve_rule(spec["threshold_rule"])
 
     def shutdown(self) -> None:
         """Ask the hosting process to exit; tolerant of an already-dead peer."""

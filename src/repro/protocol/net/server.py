@@ -26,14 +26,13 @@ without a subprocess).
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocol.endpoint import Outbox, ProtocolEndpoint
 from repro.protocol import wire
 from repro.protocol.net import frames
-from repro.protocol.net.spec import build_endpoint, resolve_rule, summary_to_spec
+from repro.protocol.net.spec import build_endpoint, summary_to_spec
 
 if TYPE_CHECKING:
     import socket
@@ -50,17 +49,8 @@ class EndpointServer:
         The hosted :class:`~repro.protocol.endpoint.ProtocolEndpoint`;
         a RECONFIGURE frame replaces it with
         :func:`~repro.protocol.net.spec.build_endpoint` of the new spec
-        (how epoch advances re-wire a live process).
-    delay_s:
-        Chaos knob: sleep this long before dispatching each frame,
-        modelling a slow aggregation server. The driver's quiescence
-        logic must tolerate it (see the failure-mode tests).
-    hang_after:
-        Chaos knob: after this many dispatched frames the server stops
-        replying (sleeps ~forever per request) *without* exiting — the
-        wedged-worker failure mode. EOF-based crash detection cannot see
-        it; the proxy's per-exchange deadline (and the pool's
-        kill-and-respawn) must.
+        (how epoch advances re-wire a live process); nothing else
+        changes it.
     """
 
     def __init__(
@@ -68,15 +58,10 @@ class EndpointServer:
         endpoint: ProtocolEndpoint,
         host: str = "127.0.0.1",
         port: int = 0,
-        delay_s: float = 0.0,
-        hang_after: Optional[int] = None,
     ) -> None:
         self.endpoint = endpoint
         self.host = host
         self.port = port
-        self.delay_s = delay_s
-        self.hang_after = hang_after
-        self._dispatched = 0
         self.address: Optional[Tuple[str, int]] = None
         self._stopping = False
         self._conn: Optional[socket.socket] = None
@@ -95,14 +80,6 @@ class EndpointServer:
 
     def dispatch(self, kind: int, body: bytes) -> List[Reply]:
         """Turn one request frame into its reply frames."""
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        self._dispatched += 1
-        if self.hang_after is not None and self._dispatched > self.hang_after:
-            # Wedge, don't die: no reply ever comes, the connection stays
-            # open, the process stays alive. An hour outlasts any test's
-            # deadline while keeping the hang recoverable by SIGKILL.
-            time.sleep(3600.0)
         try:
             return self._dispatch(kind, body)
         except BaseException as exc:  # noqa: BLE001 - shipped to caller
@@ -125,10 +102,6 @@ class EndpointServer:
         if kind == frames.SUMMARY:
             summary = self.endpoint.round_summary()
             return [(frames.SUMMARY_DATA, frames.pack_json(summary_to_spec(summary)))]
-        if kind == frames.SET_RULE:
-            spec = frames.unpack_json(body)
-            self.endpoint.threshold_rule = resolve_rule(spec["rule"])
-            return [(frames.DONE, b"")]
         if kind == frames.RECONFIGURE:
             self.endpoint = build_endpoint(frames.unpack_json(body))
             return [(frames.DONE, b"")]

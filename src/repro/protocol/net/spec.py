@@ -3,26 +3,30 @@
 A subprocess cannot be handed live Python objects, so every aggregation
 endpoint the pool hosts is described by a small JSON **spec**: the shared
 :class:`~repro.protocol.client.RoundConfig`, the endpoint's role
-(``"clique"`` or ``"root"``) and its role-specific wiring (clique
-membership map, or the root's clique/client rosters and threshold rule).
-:func:`build_endpoint` turns a spec back into the *same*
+(``"clique"``, ``"regional"`` or ``"root"``) and its role-specific wiring
+(clique membership map, a regional tier's children and parent, or the
+root's clique/client rosters and threshold rule). The pool takes
+:func:`endpoint_spec` of each endpoint in the session's in-process tree,
+and :func:`build_endpoint` turns a spec back into the *same*
 :class:`~repro.protocol.aggregator.CliqueAggregator` /
-:class:`~repro.protocol.aggregator.RootAggregator` classes the in-process
-fan-out uses — the worker runs the identical aggregation code, which is
-what makes the distributed round bit-identical by construction.
+:class:`~repro.protocol.aggregator.RegionalAggregator` /
+:class:`~repro.protocol.aggregator.RootAggregator` in the worker — the
+identical aggregation code over the identical wiring, which is what makes
+the distributed round bit-identical by construction.
 
 Threshold rules cross the boundary by *name* (the
 :class:`~repro.core.thresholds.ThresholdRule` values, with the default
-:func:`~repro.protocol.endpoint.mean_threshold` mapping to ``"mean"``); a
-bespoke callable cannot be shipped to another process and is refused with
-guidance rather than silently replaced.
+:func:`~repro.protocol.endpoint.mean_threshold` mapping to ``"mean"``).
+A session's rule is one of those names by construction:
+:class:`~repro.api.SessionConfig` refuses a rule :func:`rule_spec` cannot
+name.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.protocol.aggregator import (
@@ -82,23 +86,20 @@ def config_from_spec(spec: Dict[str, Any]) -> RoundConfig:
 # ---------------------------------------------------------------------------
 
 
-def rule_spec(rule: Union[ThresholdRuleFn, str]) -> str:
+def rule_spec(rule: ThresholdRuleFn) -> str:
     """The wire name of a threshold rule, or a refusal for bespoke ones."""
     from repro.core.thresholds import ThresholdRule
 
     if rule is mean_threshold:
         return "mean"
-    if isinstance(rule, str):
-        ThresholdRule(rule)  # validates
-        return rule
     owner = getattr(rule, "__self__", None)
     if isinstance(owner, ThresholdRule):
         return owner.value
     raise ConfigurationError(
-        "a process-hosted root aggregator only supports the named threshold "
-        "rules (repro.core.thresholds.ThresholdRule / the default "
-        "mean_threshold); a bespoke callable cannot be shipped to another "
-        f"process, got {rule!r}"
+        "a session's threshold rule is one of the named rules "
+        "(repro.core.thresholds.ThresholdRule / the default "
+        "mean_threshold), so that a process-hosted root can be built "
+        f"from its name; got {rule!r}"
     )
 
 
@@ -122,26 +123,15 @@ def clique_spec(
     config: RoundConfig,
     index_of: Dict[str, int],
     root_id: str = SERVER_ENDPOINT,
-    delay_s: float = 0.0,
-    hang_after: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Spec for one clique's aggregator process.
-
-    ``hang_after`` is chaos plumbing: the hosted server stops replying
-    (without exiting) after that many dispatched frames — the respawn
-    tests' stand-in for a wedged aggregation server.
-    """
-    spec = {
+    """Spec for one clique's aggregator process."""
+    return {
         "role": ROLE_CLIQUE,
         "clique_id": int(clique_id),
         "config": config_to_spec(config),
         "index_of": {uid: int(idx) for uid, idx in sorted(index_of.items())},
         "root_id": root_id,
-        "delay_s": float(delay_s),
     }
-    if hang_after is not None:
-        spec["hang_after"] = int(hang_after)
-    return spec
 
 
 def regional_spec(
@@ -172,7 +162,7 @@ def root_spec(
     config: RoundConfig,
     clique_ids: Sequence[int],
     client_ids: Sequence[str],
-    rule: str = "mean",
+    rule: ThresholdRuleFn = mean_threshold,
     endpoint_id: str = SERVER_ENDPOINT,
 ) -> Dict[str, Any]:
     """Spec for the root aggregator process."""
@@ -184,6 +174,31 @@ def root_spec(
         "threshold_rule": rule_spec(rule),
         "endpoint_id": endpoint_id,
     }
+
+
+def endpoint_spec(
+    endpoint: Union["CliqueAggregator", "RegionalAggregator", "RootAggregator"],
+) -> Dict[str, Any]:
+    """The spec :func:`build_endpoint` rebuilds ``endpoint`` from — its
+    inverse, which is how a pool hosts the tree the session planned."""
+    from repro.protocol.aggregator import (
+        CliqueAggregator,
+        RegionalAggregator,
+        RootAggregator,
+    )
+
+    if isinstance(endpoint, CliqueAggregator):
+        return clique_spec(endpoint.clique_id, endpoint.config,
+                           endpoint.index_of, root_id=endpoint.root_id)
+    if isinstance(endpoint, RegionalAggregator):
+        return regional_spec(endpoint.region_id, endpoint.level,
+                             endpoint.config, endpoint.child_ids,
+                             parent_id=endpoint.parent_id)
+    if isinstance(endpoint, RootAggregator):
+        return root_spec(endpoint.config, endpoint.clique_ids,
+                         endpoint.client_ids, rule=endpoint.threshold_rule,
+                         endpoint_id=endpoint.endpoint_id)
+    raise ProtocolError(f"no spec for endpoint {endpoint!r}")
 
 
 def build_endpoint(

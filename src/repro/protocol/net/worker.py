@@ -43,13 +43,7 @@ def main() -> int:
     line = sys.stdin.buffer.readline()
     if not line:
         return 2
-    spec = json.loads(line)
-    hang_after = spec.get("hang_after")
-    server = EndpointServer(
-        build_endpoint(spec),
-        delay_s=float(spec.get("delay_s", 0.0)),
-        hang_after=int(hang_after) if hang_after is not None else None,
-    )
+    server = EndpointServer(build_endpoint(json.loads(line)))
     threading.Thread(target=_stdin_leash, daemon=True).start()
 
     def announce(address: Tuple[str, int]) -> None:

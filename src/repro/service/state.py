@@ -52,7 +52,8 @@ from typing import (
 )
 
 from repro.api import ProtocolSession, SessionConfig, resolve_transport
-from repro.errors import ConfigurationError, ProtocolError, StoreError
+from repro.errors import (ConfigurationError, MissingReportError,
+                          ProtocolError, StoreError)
 from repro.protocol import wire
 from repro.protocol.aggregator import clique_endpoint_id
 from repro.protocol.client import RoundConfig
@@ -359,15 +360,20 @@ class ServiceState:
         """Close the round once the root holds a finalized summary.
 
         Raises :class:`~repro.errors.ProtocolError` (HTTP 409 upstream)
-        while partials are still outstanding. The session records the
+        while partials are still outstanding; once, closing the round
+        unrecorded, when nobody reported. The session records the
         round under week == round id (one round per weekly window).
         Mail nobody polled — e.g. the missing users' broadcasts — is
         drained into :attr:`undelivered`, not left for the next round.
         """
         self._require_round(round_id)
         self._deliver()
-        # Raises until the root finalized, leaving the round open.
-        result = self._session().close_round(round_id, week=round_id)
+        try:
+            # Raises until the root finalized, leaving the round open.
+            result = self._session().close_round(round_id, week=round_id)
+        except MissingReportError:
+            self._open_round = None
+            raise
         for user_id in self.roster:
             for sender, message in self.transport.drain(user_id):
                 self.undelivered.append(

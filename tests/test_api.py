@@ -99,12 +99,6 @@ class TestProtocolSession:
             assert flat_result.reported_users == \
                 tiered_result.reported_users
 
-    def test_threshold_rule_assignable_after_construction(self):
-        enrollment = make_enrollment()
-        session = ProtocolSession(CONFIG, enrollment.clients)
-        session.root.threshold_rule = lambda dist: 123.5
-        assert session.run_round(1).users_threshold == 123.5
-
     def test_round_coordinator_removed_with_guidance(self):
         """The deprecated shim is gone, and no module-level
         ``__getattr__`` tombstone stands in for it."""
@@ -141,17 +135,36 @@ class TestProtocolSession:
         assert len(inspect.signature(DetectionPipeline).parameters) == 10
         assert len(inspect.signature(run_detection).parameters) == 12
 
-    def test_service_users_rule_assignable_between_weeks(self):
-        """The threshold rule is assignable on ``session.root`` between
-        rounds and the next round's ``Users_th`` follows it."""
+    @pytest.mark.parametrize("aggregator_procs", [False, True],
+                             ids=["in-process", "aggregator-procs"])
+    def test_threshold_rule_governs_the_whole_session(self,
+                                                      aggregator_procs):
+        """The rule is a session setting: every round, before and after
+        an epoch advance, thresholds with it, on either wiring."""
         from repro.core.thresholds import ThresholdRule
-        session = ProtocolSession.create(make_enrollment())
-        first = session.run_round(0)
-        session.root.threshold_rule = ThresholdRule.MEAN_PLUS_STD.compute
-        second = session.run_round(1)
-        assert second.users_threshold == \
-            ThresholdRule.MEAN_PLUS_STD.compute(second.distribution)
-        assert second.users_threshold != first.users_threshold
+        from repro.protocol.endpoint import mean_threshold
+        median = ThresholdRule.MEDIAN.compute
+        settings = SessionConfig(threshold_rule=median,
+                                 aggregator_procs=aggregator_procs)
+        enrollment = make_enrollment(6)
+        for client in enrollment.clients[:2]:
+            client.observe_ad("http://pair.example/ad")
+        with ProtocolSession.create(enrollment, settings=settings) \
+                as session:
+            results = [session.run_next_round()]
+            session.advance_epoch(leaves=["u5"])
+            results.append(session.run_next_round())
+        for result in results:
+            assert result.users_threshold == median(result.distribution)
+            assert result.users_threshold != \
+                mean_threshold(result.distribution)
+
+    def test_threshold_rule_is_fixed_at_construction(self):
+        with pytest.raises(ConfigurationError, match="named rules"):
+            SessionConfig(threshold_rule=lambda dist: 123.5)
+        session = ProtocolSession(CONFIG, make_enrollment().clients)
+        with pytest.raises(AttributeError):
+            session.root.threshold_rule = lambda dist: 123.5
 
 
 class TestOneShotHelpers:

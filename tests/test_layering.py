@@ -176,3 +176,28 @@ def test_there_is_one_pad_derivation():
             if name == "shake_128" or named:
                 calls.append(f"{rel}::{scope.get(node, '<module>')}")
     assert calls == ["crypto/blinding.py::_pad_bytes"]
+
+
+def test_there_is_one_tree_planner():
+    """A process-hosted tree is the session's in-process tree behind
+    proxies: ``src/`` plans the aggregation tree in one place, nothing
+    swaps a hosted root's rule at run time, and a clique's spec carries
+    its wiring and no fault knobs."""
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                if name == "plan_aggregation_tree":
+                    calls.append(rel)
+    assert calls == ["protocol/runner.py"]
+
+    from repro.protocol.client import RoundConfig
+    from repro.protocol.net import clique_spec, frames
+    assert not hasattr(frames, "SET_RULE")
+    spec = clique_spec(0, RoundConfig(cms_depth=2, cms_width=8, cms_seed=1,
+                                      id_space=16), {"u": 0})
+    assert set(spec) == {"role", "clique_id", "config", "index_of",
+                         "root_id"}

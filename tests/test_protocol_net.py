@@ -238,11 +238,32 @@ def test_endpoint_specs_rebuild_equivalent_endpoints():
     assert endpoint.clique_id == 2
     assert endpoint.index_of == {"u1": 0, "u2": 5}
 
-    spec = root_spec(CONFIG, [0, 1], ["u1", "u2"], rule="median")
+    from repro.core.thresholds import ThresholdRule
+
+    spec = root_spec(CONFIG, [0, 1], ["u1", "u2"],
+                     rule=ThresholdRule.MEDIAN.compute)
     root = build_endpoint(spec)
     assert isinstance(root, RootAggregator)
     assert root.clique_ids == [0, 1]
     assert root.threshold_rule.__self__.value == "median"
+
+
+def test_endpoint_spec_inverts_build_endpoint_over_a_tiered_tree():
+    """The pool hosts the session's tree by its specs, so every endpoint
+    that tree holds must rebuild to one with the same spec."""
+    from repro.core.thresholds import ThresholdRule
+    from repro.protocol.net.spec import endpoint_spec
+    from repro.protocol.runner import build_aggregation_tree
+
+    members = {c: {f"u{c}-{i}": i for i in range(2)} for c in range(5)}
+    client_ids = sorted(uid for index_of in members.values()
+                        for uid in index_of)
+    tree, root = build_aggregation_tree(
+        CONFIG, members, client_ids, ThresholdRule.MEDIAN.compute, fan_in=2)
+    specs = [endpoint_spec(endpoint) for endpoint in tree]
+    assert [endpoint_spec(build_endpoint(spec)) for spec in specs] == specs
+    assert {spec["role"] for spec in specs} == {"clique", "regional", "root"}
+    assert endpoint_spec(root)["threshold_rule"] == "median"
 
 
 def test_rule_spec_names_and_refusals():

@@ -7,7 +7,9 @@ exceptions re-raise as their original classes, and a round with an
 injected slow endpoint still quiesces with a bit-identical result.
 """
 
+import os
 import select
+import signal
 import socket
 import struct
 import threading
@@ -172,7 +174,7 @@ _VALID_BODIES = st.one_of(
               st.integers(min_value=0, max_value=2**32 - 1)),
     st.builds(lambda name, rest: (frames.OUT, frames.pack_name(name) + rest),
               st.text(max_size=12), st.binary(max_size=48)),
-    st.builds(lambda spec: (frames.SET_RULE, frames.pack_json(spec)),
+    st.builds(lambda spec: (frames.RECONFIGURE, frames.pack_json(spec)),
               st.dictionaries(st.text(max_size=6),
                               st.none() | st.integers() | st.text(max_size=6),
                               max_size=4)),
@@ -430,7 +432,7 @@ def test_real_peer_death_names_endpoint_and_pid_and_is_marked(reply):
 def test_slow_aggregator_process_round_still_quiesces():
     reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0)
     enrollment = enrolled(2)
-    pool = ProcessAggregatorPool(CONFIG, chaos_delay_s={0: 0.15})
+    pool = ProcessAggregatorPool(CONFIG)
     transport = SocketTransport()
     try:
         from repro.protocol.endpoint import mean_threshold
@@ -439,6 +441,10 @@ def test_slow_aggregator_process_round_still_quiesces():
         endpoints, root = pool.wire(enrollment.clients, mean_threshold)
         runner = ProtocolRunner(endpoints, root, transport=transport)
         started = time.monotonic()
+        # Clique 0's process stalls from the round's start for 0.15 s.
+        pid = pool.pids[clique_endpoint_id(0)]
+        os.kill(pid, signal.SIGSTOP)
+        threading.Timer(0.15, os.kill, (pid, signal.SIGCONT)).start()
         result = runner.run_round(0)
         elapsed = time.monotonic() - started
         # The injected latency really happened and the round still

@@ -7,6 +7,8 @@ exchanges are replayed into the replacement, and the round completes
 with retries disabled reproduces today's fail-fast ProtocolError.
 """
 
+import os
+import signal
 import time
 
 import pytest
@@ -23,14 +25,12 @@ from repro.protocol.net import (
     ProcessAggregatorPool,
     RetryPolicy,
 )
+from repro.protocol.net.pool import BACKOFF_BASE_S, BACKOFF_MAX_S
 from repro.protocol.runner import ProtocolRunner
 
 CONFIG = RoundConfig(cms_depth=2, cms_width=64, cms_seed=7, id_space=200)
 USER_IDS = [f"user-{i:02d}" for i in range(8)]
 CLIQUE0 = "clique-aggregator-0"
-
-#: Fast backoff so crash-loop tests don't sleep their way through CI.
-FAST = dict(backoff_base_s=0.01, backoff_max_s=0.05)
 
 
 def enrolled(num_cliques=2, seed=5):
@@ -63,17 +63,19 @@ def assert_bit_identical(result, reference):
 # RetryPolicy surface
 # ---------------------------------------------------------------------------
 
-def test_retry_policy_validates_and_backs_off_exponentially():
+def test_retry_policy_is_a_budget_that_backs_off_exponentially():
     with pytest.raises(ConfigurationError, match="max_restarts"):
         RetryPolicy(max_restarts=-1)
-    with pytest.raises(ConfigurationError, match="backoff_factor"):
-        RetryPolicy(backoff_factor=0.5)
-    policy = RetryPolicy(max_restarts=5, backoff_base_s=0.1,
-                         backoff_factor=2.0, backoff_max_s=0.5)
-    assert policy.backoff_s(1) == pytest.approx(0.1)
-    assert policy.backoff_s(2) == pytest.approx(0.2)
-    assert policy.backoff_s(3) == pytest.approx(0.4)
-    assert policy.backoff_s(4) == pytest.approx(0.5)  # capped
+    with pytest.raises(TypeError):
+        RetryPolicy(backoff_base_s=0.1)
+    assert (BACKOFF_BASE_S, BACKOFF_MAX_S) == (0.05, 2.0)
+    policy = RetryPolicy(max_restarts=5)
+    assert policy.backoff_s(1) == pytest.approx(0.05)
+    assert policy.backoff_s(2) == pytest.approx(0.1)
+    assert policy.backoff_s(3) == pytest.approx(0.2)
+    assert policy.backoff_s(7) == pytest.approx(2.0)  # capped
+    # A budget of 2 sleeps at most 0.15 s in one crash loop.
+    assert sum(policy.backoff_s(n) for n in (1, 2)) == pytest.approx(0.15)
     assert NO_RETRY.max_restarts == 0
 
 
@@ -88,7 +90,7 @@ def test_clique_worker_crash_is_recovered_bit_identically():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         result = session.run_round(0)
         pool = session.aggregator_pool
         assert isinstance(pool, ProcessAggregatorPool)
@@ -103,7 +105,7 @@ def test_root_worker_crash_is_recovered_bit_identically():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[SERVER_ENDPOINT] == 1
     assert_bit_identical(result, reference)
@@ -119,7 +121,7 @@ def test_crash_loop_within_budget_survives():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
     assert_bit_identical(result, reference)
@@ -136,7 +138,7 @@ def test_crash_loop_under_wan_weather_survives():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
     assert_bit_identical(result, reference)
@@ -148,7 +150,7 @@ def test_crash_loop_past_budget_raises_with_the_loop_described():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         with pytest.raises(ProtocolError, match="crash-looped"):
             session.run_round(0)
 
@@ -182,7 +184,7 @@ def test_a_plain_session_runs_the_same_pool_with_a_budget_of_zero():
         result = session.run_round(0)
         assert pool.restarts == {}
         proxies = [e for e in session.endpoints
-                   if e.endpoint_id in pool.endpoint_ids]
+                   if e.endpoint_id in pool.pids]
         assert len(proxies) == 3
         assert all(proxy._journal == [] for proxy in proxies)
     assert_bit_identical(result, reference)
@@ -195,20 +197,32 @@ def test_a_plain_session_runs_the_same_pool_with_a_budget_of_zero():
 def test_hung_worker_is_detected_respawned_and_recovered():
     reference = reference_result()
     enrollment = enrolled()
-    # Clique 0's worker wedges (sleeps, doesn't die) after its second
-    # dispatched exchange; only the proxy deadline can catch that. The
-    # pool timeout doubles as the startup-handshake deadline, so it
-    # must still leave room for a subprocess cold start.
+    # The pool timeout is also the start-up handshake deadline, so it
+    # leaves room for a subprocess cold start.
     pool = ProcessAggregatorPool(
-        CONFIG, timeout=5.0, chaos_hang_after={0: 2},
-        retry_policy=RetryPolicy(max_restarts=1, **FAST))
+        CONFIG, timeout=5.0, retry_policy=RetryPolicy(max_restarts=1))
     try:
         endpoints, root = pool.wire(enrollment.clients, mean_threshold)
+        proxy = next(e for e in endpoints if e.endpoint_id == CLIQUE0)
+        # Only the wedged exchange waits on the per-exchange deadline.
+        proxy.timeout = 1.0
+        # Clique 0's worker wedges before its third exchange: SIGSTOP
+        # keeps it alive and connected, and it never replies. Only the
+        # proxy's deadline can catch that; the respawn SIGKILLs it.
+        exchange, calls = proxy._exchange, []
+
+        def wedge_third(kind, body=b""):
+            calls.append(kind)
+            if len(calls) == 3:
+                os.kill(pool.pids[CLIQUE0], signal.SIGSTOP)
+            return exchange(kind, body)
+
+        proxy._exchange = wedge_third
         runner = ProtocolRunner(endpoints, root)
         started = time.monotonic()
         result = runner.run_round(0)
-        # Detection is deadline-bound: one ~5s timeout plus respawn and
-        # replay overhead, nowhere near the wedge's 3600s sleep.
+        # Detection is deadline-bound: one ~1s timeout plus respawn and
+        # replay overhead; a stopped process never answers by itself.
         assert time.monotonic() - started < 40
         assert pool.restarts[CLIQUE0] == 1
     finally:
@@ -228,7 +242,7 @@ def test_worker_crash_and_client_dropout_in_the_same_round():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         session.transport.fail_sender(dropped)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
@@ -246,7 +260,7 @@ def test_session_outlives_the_recovered_round():
             enrolled(),
             settings=SessionConfig(
                 transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2, **FAST))) as session:
+                retry_policy=RetryPolicy(max_restarts=2))) as session:
         first = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
         second = session.run_round(1)

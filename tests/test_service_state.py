@@ -20,7 +20,12 @@ import pytest
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.protocol.net.spec import WeeklySnapshot
-from repro.errors import ConfigurationError, ProtocolError, RoundStateError
+from repro.errors import (
+    ConfigurationError,
+    MissingReportError,
+    ProtocolError,
+    RoundStateError,
+)
 from repro.protocol import wire
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import RoundSummary
@@ -212,6 +217,24 @@ class TestLifecycleGuards:
         result = state.finalize(rid)
         assert result.missing_users == []
         assert sorted(result.reported_users) == ROSTER
+        assert state.start_round() == rid + 1
+        state.close()
+
+    def test_a_round_nobody_reported_in_cannot_wedge_the_service(self):
+        """Every member drops out: ``finalize`` answers the real cause
+        once, the round closes with nothing recorded, and its id is
+        spent, so the next round opens."""
+        state = fresh_state(num_cliques=1)
+        rid = state.start_round()
+        while state.advance(rid)["emitted"]:
+            pass
+        with pytest.raises(MissingReportError, match="no reports arrived"):
+            state.finalize(rid)
+        assert state.open_round is None
+        assert state.status()["rounds_finalized"] == []
+        assert state.history_weeks() == []
+        with pytest.raises(ProtocolError, match="no round is open"):
+            state.finalize(rid)
         assert state.start_round() == rid + 1
         state.close()
 
