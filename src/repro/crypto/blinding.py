@@ -56,13 +56,16 @@ state cached across rounds measured no faster than hashing afresh
 (2,450 pairs × 6,144 cells, 208.6 vs 205.1 ms a round; 6,000 × 1,024,
 107.1 vs 107.9 ms; 380 × 38,066, 192.0 vs 193.8 ms), so none is kept.
 
-What is cached is one round's hand-off, on the object path only. An
+What is kept is one round's hand-off, on the object path only. An
 in-process session hosts *both* ends of every pair, and both ends derive
 the same stream. A :class:`PadStreamProvider` shared by an enrollment's
-generators hands the first end's stream to the second and holds the
-current round's streams alone. Its streams are :func:`_squeeze`'s, so
-reports are bit-identical with or without a provider. The batched path
-hosts both ends itself and squeezes each pair once without one.
+generators lets the first end squeeze it and fold it, with the second
+end's sign, into the second end's pending blinding sum, so it holds one
+vector per member still to build, never one per pair, and the current
+round's alone. Sums mod ``2^32`` of :func:`_squeeze`'s streams do not
+depend on their order, so reports are bit-identical with or without a
+provider. The batched path hosts both ends itself and squeezes each pair
+once without one.
 
 Batched cliques
 ---------------
@@ -93,8 +96,10 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -134,6 +139,31 @@ def _squeeze(secret_bytes: bytes, round_id: int, num_cells: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=">u4").astype(np.uint32)
 
 
+def _pad_sum(
+    user_index: int,
+    secrets: Mapping[int, bytes],
+    round_id: int,
+    num_cells: int,
+    negate: bool,
+) -> np.ndarray:
+    """Member ``user_index``'s blinding sum over its ``secrets`` (peer ->
+    shared-secret bytes), every pair squeezed here.
+
+    For a pair ``(lo, hi)`` the high end adds the stream and the low end
+    subtracts it, the opposite under ``negate=True`` (the recovery
+    adjustment). Wrapping ``uint32`` is exact mod ``2^32``, the blinding
+    modulus.
+    """
+    acc = np.zeros(num_cells, dtype=np.uint32)
+    for peer, secret in secrets.items():
+        stream = _squeeze(secret, round_id, num_cells)
+        if (user_index > peer) != negate:
+            acc += stream
+        else:
+            acc -= stream
+    return acc
+
+
 #: Cells of the batched kernel's squeeze buffer (256 KiB): a chunk of
 #: same-layout cliques is as many as one pair slot of theirs fits in it.
 #: Bounds the working set of a batched round; a clique whose own row is
@@ -158,9 +188,9 @@ def _slot_ends(
     """Per pair slot, the member row the pad is added into and the row it
     is subtracted from (``-1``: that end is skipped).
 
-    The sign convention is ``BlindingGenerator._accumulate``'s: for a pair
-    ``(lo, hi)`` the high end adds the stream and the low end subtracts
-    it, the opposite under ``negate=True`` (the recovery adjustment).
+    The sign convention is :func:`_pad_sum`'s: for a pair ``(lo, hi)``
+    the high end adds the stream and the low end subtracts it, the
+    opposite under ``negate=True`` (the recovery adjustment).
     """
     lo = np.asarray(lo_rows, dtype=np.intp)
     hi = np.asarray(hi_rows, dtype=np.intp)
@@ -184,9 +214,9 @@ def _scatter_slots(
     buffer, refilled, may be yielded every time). Slot ``p``'s rows are
     added into member row ``plus[p]`` and subtracted from ``minus[p]`` of
     every clique at once: one ``+=`` and one ``-=`` a slot, whatever
-    ``g``. Row ``m`` of clique ``k`` then equals ``BlindingGenerator.
-    _accumulate`` over that member's pairs bit-for-bit: both are sums mod
-    ``2^32`` of the same streams.
+    ``g``. Row ``m`` of clique ``k`` then equals :func:`_pad_sum` over
+    that member's pairs bit-for-bit: both are sums mod ``2^32`` of the
+    same streams.
     """
     for rows, plus_row, minus_row in zip(slots, plus, minus):
         if plus_row >= 0:
@@ -286,50 +316,107 @@ def clique_blinding(
 
 
 class PadStreamProvider:
-    """One round's pad streams, handed from a pair's first end to its
-    second.
+    """One round's blinding sums, each pair folded from its first end
+    into its second.
 
     One provider is shared by every :class:`BlindingGenerator` of an
     in-process enrollment, which hosts both ends of every pair. The first
-    end to ask for a (pair, round) stream pays the squeeze; the second
-    gets the same bytes and the entry is dropped. The first request for
-    another round drops every entry left over (streams a dropout derived
-    but never delivered, or a recovery re-derivation), so the provider
-    never holds more than one round. Deployment clients never share a
-    provider.
+    end of a pair to build (:meth:`blinding`) squeezes the pair's stream,
+    adds it into its own sum and folds it, with the peer's sign, into the
+    peer's *pending sum*; a member that builds later starts from its
+    pending sum and skips the pairs folded into it. Each pair is squeezed
+    once a round, and the provider holds at most one vector per member
+    still to build (Θ(m·C) cells a clique, not one stream per pair).
+
+    A newer round drops what is left (a dropout's pending sum). An older
+    round and a member's second build of the current round squeeze
+    locally and leave the pending state alone, as recovery adjustments
+    do. Sums mod ``2^32`` do not depend on their order, so every sum is
+    bit-identical to a provider-less generator's. A member whose peer set
+    lacks a contributor to its pending sum raises
+    :class:`~repro.errors.BlindingError` rather than send a pad the
+    server could not tell was wrong. Deployment clients never share a
+    provider. ``misses`` counts squeezes, ``hits`` pairs the other end
+    had already folded in.
     """
 
     def __init__(self) -> None:
         self._round: Optional[int] = None
-        #: (pair, cells) -> the round's stream, waiting for the pair's
-        #: second end.
-        self._streams: Dict[Tuple[PairKey, int], np.ndarray] = {}
+        self._cells = 0
+        #: member -> its pending sum and the peers folded into it.
+        self._pending: Dict[int, Tuple[np.ndarray, Set[int]]] = {}
+        #: Members that built the current round's blinding.
+        self._built: Set[int] = set()
         self.hits = 0
         self.misses = 0
 
+    @staticmethod
     def stream(
-        self, pair: PairKey, secret_bytes: bytes, round_id: int, num_cells: int
+        pair: PairKey, secret_bytes: bytes, round_id: int, num_cells: int
     ) -> np.ndarray:
-        """The pair's unsigned keystream for one round.
+        """The pair's unsigned keystream for one round, squeezed afresh:
+        a native ``uint32`` array. ``pair`` is the ordered ``(low_index,
+        high_index)`` tuple; both ends pass the same shared-secret bytes
+        and get the same stream."""
+        return _squeeze(secret_bytes, round_id, num_cells)
 
-        A read-only native ``uint32`` array. ``pair`` must be the
-        ordered ``(low_index, high_index)`` tuple; both members pass
-        the same shared-secret bytes, so whichever asks first pays the
-        squeeze and the other is handed its bytes.
-        """
-        if round_id != self._round:
-            self._streams.clear()
-            self._round = round_id
-        key = (pair, num_cells)
-        stream = self._streams.pop(key, None)
-        if stream is not None:
-            self.hits += 1
-            return stream
-        self.misses += 1
-        stream = _squeeze(secret_bytes, round_id, num_cells)
-        stream.setflags(write=False)
-        self._streams[key] = stream
-        return stream
+    def blinding(
+        self,
+        member: int,
+        secrets: Mapping[int, bytes],
+        round_id: int,
+        num_cells: int,
+    ) -> np.ndarray:
+        """Member ``member``'s blinding vector over its ``secrets`` (peer
+        -> shared-secret bytes) for one round, as a ``uint32`` array the
+        caller owns."""
+        if self._round is None or round_id > self._round:
+            self._round, self._cells = round_id, num_cells
+            self._pending.clear()
+            self._built.clear()
+        if (round_id != self._round or num_cells != self._cells
+                or member in self._built):
+            return _pad_sum(member, secrets, round_id, num_cells, negate=False)
+        acc, folded = self._pending.get(member, (None, set()))
+        foreign = folded.difference(secrets)
+        if foreign:
+            raise BlindingError(
+                f"user {member} was sent pads from {sorted(foreign)}, "
+                f"which are not its peers")
+        self._pending.pop(member, None)
+        self._built.add(member)
+        if acc is None:
+            acc = np.zeros(num_cells, dtype=np.uint32)
+        self.hits += len(folded)
+        for peer, secret in secrets.items():
+            if peer in folded:
+                continue
+            self.misses += 1
+            stream = _squeeze(secret, round_id, num_cells)
+            if member > peer:
+                acc += stream
+            else:
+                acc -= stream
+            if peer not in self._built:
+                self._fold(peer, member, stream)
+        return acc
+
+    def _fold(self, peer: int, member: int, stream: np.ndarray) -> None:
+        """Fold ``member``'s pair stream into ``peer``'s pending sum with
+        the peer's sign (the high end adds). A first contribution becomes
+        the sum itself, negated in place when the peer subtracts."""
+        entry = self._pending.get(peer)
+        if entry is None:
+            if peer < member:
+                np.negative(stream, out=stream)
+            self._pending[peer] = (stream, {member})
+            return
+        pending, folded = entry
+        if peer > member:
+            pending += stream
+        else:
+            pending -= stream
+        folded.add(member)
 
     @staticmethod
     def clique_matrix(
@@ -357,8 +444,9 @@ class PadStreamProvider:
         return matrix
 
     @property
-    def cached_streams(self) -> int:
-        return len(self._streams)
+    def pending_sums(self) -> int:
+        """Vectors held for members that have not built this round."""
+        return len(self._pending)
 
 
 class BlindingGenerator:
@@ -459,26 +547,17 @@ class BlindingGenerator:
                 added += 1
         return len(self._secret_bytes) - added, added, len(removed)
 
-    def _unsigned_stream(self, peer: int, round_id: int, num_cells: int) -> np.ndarray:
-        """The raw (sign-free) pair keystream, handed off or derived."""
-        secret = self._secret_bytes[peer]
-        if self.pad_streams is not None:
-            pair = (min(self.user_index, peer), max(self.user_index, peer))
-            return self.pad_streams.stream(pair, secret, round_id, num_cells)
-        return _squeeze(secret, round_id, num_cells)
-
     def _accumulate(
         self, peers: Sequence[int], round_id: int, num_cells: int, negate: bool
     ) -> np.ndarray:
-        # Wrapping uint32 is exact mod 2^32, the blinding modulus.
-        acc = np.zeros(num_cells, dtype=np.uint32)
-        for peer in peers:
-            stream = self._unsigned_stream(peer, round_id, num_cells)
-            if (self.user_index > peer) != negate:
-                acc += stream
-            else:
-                acc -= stream
-        return acc
+        """The blinding sum over ``peers``: through the shared provider
+        for a report, squeezed here for an adjustment (its streams were
+        consumed in the report phase) or without a provider."""
+        secrets = {peer: self._secret_bytes[peer] for peer in peers}
+        if self.pad_streams is not None and not negate:
+            return self.pad_streams.blinding(
+                self.user_index, secrets, round_id, num_cells)
+        return _pad_sum(self.user_index, secrets, round_id, num_cells, negate)
 
     @staticmethod
     def accumulate_clique_matrix(
@@ -494,7 +573,7 @@ class BlindingGenerator:
         (one row per pair, e.g. :meth:`PadStreamProvider.clique_matrix`).
         Returns the ``(num_members, C)`` ``uint32`` blinding matrix:
         :func:`_scatter_slots` over the matrix's rows, hence equal to
-        :meth:`PadStreamProvider.clique_blinding` over the same pairs.
+        :func:`clique_blinding` over the same pairs.
         """
         pad = np.asarray(pad_matrix)
         if pad.ndim != 2:

@@ -19,7 +19,8 @@ an **epoch lifecycle**:
    round; the ``#Users`` distribution and ``Users_th`` are recovered
    from the aggregate and broadcast. Every round derives each pair's pad
    afresh from its shared secret and the round id; an in-process session
-   squeezes it once for both ends of the pair
+   squeezes it once for both ends of the pair, the first end folding it
+   into the second end's pending blinding sum
    (:class:`~repro.crypto.blinding.PadStreamProvider`).
 3. **Advance epoch** — between windows,
    :class:`~repro.protocol.membership.MembershipManager.advance_epoch`

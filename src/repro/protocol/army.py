@@ -3,8 +3,9 @@
 The object-backed client path (:class:`~repro.protocol.client.
 ProtocolClient` + one :class:`~repro.crypto.blinding.BlindingGenerator`
 each) tops out long before the crypto does: at 100k users a round pays
-for 100k Python objects, 100k per-object sketch builds and 2·(pairs)
-keystream fetches through one shared hand-off. This module keeps
+for 100k Python objects, 100k per-object sketch builds and one
+keystream per pair folded between its ends by one shared hand-off,
+user by user. This module keeps
 the *protocol* — every message, every byte — and deletes the objects:
 
 * a :class:`ClientArmy` is **one**

@@ -254,10 +254,12 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     the default of 1 reproduces the unsharded protocol exactly.
 
     Every client is wired to one :class:`~repro.crypto.blinding.
-    PadStreamProvider`, which hands each pair's stream from its first end
-    to its second, halving the session's work for the pad XOF in
-    ``crypto/blinding.py``; the streams are byte-identical to the ones a
-    deployment client derives on its own, so every report is too.
+    PadStreamProvider`: a pair's first end to build squeezes its stream
+    and folds it into the second end's pending blinding sum, halving the
+    session's work for the pad XOF in ``crypto/blinding.py`` while
+    holding one vector per member still to build, not one stream per
+    pair. Each member's sum is byte-identical to the one a deployment
+    client derives on its own, so every report is too.
     """
     material = derive_key_material(user_ids, config, group=group, seed=seed,
                                    use_oprf=use_oprf, oprf_bits=oprf_bits,

@@ -166,7 +166,8 @@ def encode(message: Message) -> bytes:
 
 def decode(data: bytes) -> Message:
     """Parse bytes back into a protocol message; malformed bytes of any
-    kind raise :class:`~repro.errors.ProtocolError`."""
+    kind raise :class:`~repro.errors.ProtocolError`, bytes left over after
+    the message's last field included."""
     if len(data) < _HEADER.size:
         raise ProtocolError(f"message too short: {len(data)} bytes")
     magic, version, type_tag, round_id, payload_len, clique_id = \
@@ -181,55 +182,67 @@ def decode(data: bytes) -> Message:
             f"payload length mismatch: header says {payload_len}, "
             f"got {len(payload)}")
     try:
-        if type_tag == 1:
-            user_id, offset = _unpack_str(payload, 0)
-            (element_bytes,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            if offset + element_bytes > len(payload):
-                raise ProtocolError("public key overruns the payload")
-            key = int.from_bytes(payload[offset:offset + element_bytes], "big")
-            return PublicKeyAnnouncement(user_id=user_id, public_key=key,
-                                         element_bytes=element_bytes)
-        if type_tag == 2:
-            user_id, offset = _unpack_str(payload, 0)
-            cells, _ = _unpack_cells(payload, offset)
-            return BlindedReport(user_id=user_id, round_id=round_id,
-                                 cells=cells, clique_id=clique_id)
-        if type_tag == 3:
-            user_id, offset = _unpack_str(payload, 0)
-            bytes_per_char, count = struct.unpack_from(">BI", payload, offset)
-            offset += 5
-            urls = []
-            for _ in range(count):
-                url, offset = _unpack_str(payload, offset)
-                urls.append(url)
-            return CleartextReport(user_id=user_id, round_id=round_id,
-                                   urls=tuple(urls),
-                                   bytes_per_char=bytes_per_char)
-        if type_tag == 4:
-            (count,) = struct.unpack_from(">I", payload, 0)
-            indexes = struct.unpack_from(f">{count}I", payload, 4)
-            return MissingClientsNotice(round_id=round_id,
-                                        missing_indexes=tuple(indexes),
-                                        clique_id=clique_id)
-        if type_tag == 5:
-            user_id, offset = _unpack_str(payload, 0)
-            cells, _ = _unpack_cells(payload, offset)
-            return BlindingAdjustment(user_id=user_id, round_id=round_id,
-                                      cells=cells, clique_id=clique_id)
-        if type_tag == 6:
-            (threshold,) = struct.unpack_from(">d", payload, 0)
-            return ThresholdBroadcast(round_id=round_id,
-                                      users_threshold=threshold)
-        if type_tag == 7:
-            reported, offset = _unpack_str_seq(payload, 0)
-            missing, offset = _unpack_str_seq(payload, offset)
-            cells, _ = _unpack_cells(payload, offset)
-            return PartialAggregate(clique_id=clique_id, round_id=round_id,
-                                    cells=cells, reported=reported,
-                                    missing=missing)
+        message, end = _decode_payload(type_tag, payload, round_id, clique_id)
     except (struct.error, UnicodeDecodeError) as exc:
         raise ProtocolError(
             f"malformed payload for message type tag {type_tag}: {exc}"
         ) from None
+    if end != payload_len:
+        raise ProtocolError(
+            f"{payload_len - end} trailing bytes after a "
+            f"{type(message).__name__} payload")
+    return message
+
+
+def _decode_payload(type_tag: int, payload: bytes, round_id: int,
+                    clique_id: int) -> Tuple[Message, int]:
+    """One payload's message and the offset its last field ends at."""
+    if type_tag == 1:
+        user_id, offset = _unpack_str(payload, 0)
+        (element_bytes,) = struct.unpack_from(">H", payload, offset)
+        offset += 2
+        end = offset + element_bytes
+        if end > len(payload):
+            raise ProtocolError("public key overruns the payload")
+        key = int.from_bytes(payload[offset:end], "big")
+        return PublicKeyAnnouncement(user_id=user_id, public_key=key,
+                                     element_bytes=element_bytes), end
+    if type_tag == 2:
+        user_id, offset = _unpack_str(payload, 0)
+        cells, end = _unpack_cells(payload, offset)
+        return BlindedReport(user_id=user_id, round_id=round_id,
+                             cells=cells, clique_id=clique_id), end
+    if type_tag == 3:
+        user_id, offset = _unpack_str(payload, 0)
+        bytes_per_char, count = struct.unpack_from(">BI", payload, offset)
+        offset += 5
+        urls = []
+        for _ in range(count):
+            url, offset = _unpack_str(payload, offset)
+            urls.append(url)
+        return CleartextReport(user_id=user_id, round_id=round_id,
+                               urls=tuple(urls),
+                               bytes_per_char=bytes_per_char), offset
+    if type_tag == 4:
+        (count,) = struct.unpack_from(">I", payload, 0)
+        indexes = struct.unpack_from(f">{count}I", payload, 4)
+        return MissingClientsNotice(round_id=round_id,
+                                    missing_indexes=tuple(indexes),
+                                    clique_id=clique_id), 4 + 4 * count
+    if type_tag == 5:
+        user_id, offset = _unpack_str(payload, 0)
+        cells, end = _unpack_cells(payload, offset)
+        return BlindingAdjustment(user_id=user_id, round_id=round_id,
+                                  cells=cells, clique_id=clique_id), end
+    if type_tag == 6:
+        (threshold,) = struct.unpack_from(">d", payload, 0)
+        return ThresholdBroadcast(round_id=round_id,
+                                  users_threshold=threshold), 8
+    if type_tag == 7:
+        reported, offset = _unpack_str_seq(payload, 0)
+        missing, offset = _unpack_str_seq(payload, offset)
+        cells, end = _unpack_cells(payload, offset)
+        return PartialAggregate(clique_id=clique_id, round_id=round_id,
+                                cells=cells, reported=reported,
+                                missing=missing), end
     raise ProtocolError(f"unknown message type tag {type_tag}")

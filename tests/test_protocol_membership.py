@@ -11,20 +11,23 @@ The contracts this file pins:
 * **Aggregate equivalence** — rounds after any number of epoch
   transitions aggregate bit-identically to a fresh enrollment of the
   same roster (pads differ, their sum does not).
-* **Pad-stream hand-off** — a shared :class:`PadStreamProvider` derives
-  byte-identical streams (so even individual *reports* match the
-  provider-less path) while computing each pair's stream once per round
-  and holding one round's streams at most.
+* **Pad-stream hand-off** — a shared :class:`PadStreamProvider` gives
+  byte-identical blinding (so even individual *reports* and adjustments
+  match the provider-less path, in any build order) while squeezing each
+  pair's stream once per round and holding at most one vector per member
+  still to build, of one round.
 """
 
+import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from reference_round import ReferenceRound
 from repro.api import ProtocolSession, SessionConfig
 from repro.crypto.blinding import BlindingGenerator
-from repro.errors import ConfigurationError, RoundStateError
+from repro.errors import BlindingError, ConfigurationError, RoundStateError
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
 from repro.protocol.endpoint import clique_endpoint_id
@@ -459,28 +462,89 @@ class TestDeterminism:
             assert ra.users_threshold == rb.users_threshold
 
 
+def provider_less_twins(enrollment):
+    """user id -> a twin of that enrolled client: the same key material
+    behind a provider-less generator that squeezes every stream itself."""
+    publics = {enrollment.index_of[u]: kp.public
+               for u, kp in enrollment.keypairs.items()}
+    twins = {}
+    for client in enrollment.clients:
+        blinding = BlindingGenerator(
+            enrollment.group, enrollment.index_of[client.user_id],
+            enrollment.keypairs[client.user_id],
+            {j: publics[j] for j in client.blinding.peer_indexes})
+        twins[client.user_id] = ProtocolClient(
+            client.user_id, CONFIG, blinding, enrollment.ad_mapper,
+            clique_id=client.clique_id)
+    return twins
+
+
+def held_vectors(provider):
+    """Arrays the provider holds, found through its attributes whatever
+    containers they sit in."""
+    def count(value):
+        if isinstance(value, np.ndarray):
+            return 1
+        if isinstance(value, dict):
+            return sum(count(v) for v in value.values())
+        if isinstance(value, (list, tuple, set)):
+            return sum(count(v) for v in value)
+        return 0
+    return count(vars(provider))
+
+
 class TestPadStreamProvider:
     def test_cached_streams_match_uncached_reports_bitwise(self):
-        cached = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
-                              num_cliques=3)
-        assert cached.pad_streams is not None
-        # The reference: the same key material behind provider-less
-        # generators, each deriving its own streams.
-        publics = {cached.index_of[u]: kp.public
-                   for u, kp in cached.keypairs.items()}
-        uncached = []
-        for client in cached.clients:
-            blinding = BlindingGenerator(
-                cached.group, cached.index_of[client.user_id],
-                cached.keypairs[client.user_id],
-                {j: publics[j] for j in client.blinding.peer_indexes})
-            uncached.append(ProtocolClient(client.user_id, CONFIG, blinding,
-                                           cached.ad_mapper,
-                                           clique_id=client.clique_id))
-        observe(cached.clients)
-        observe(uncached)
-        for a, b in zip(cached.clients, uncached):
-            assert a.build_report(4).cells == b.build_report(4).cells
+        """Reports and adjustments through the shared provider equal a
+        provider-less generator's bit for bit, whatever the build order:
+        shuffled, two cliques interleaved, a same-round rebuild, an
+        older-round request in the middle of a round, and a recovery
+        round."""
+        enrollment = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
+                                  num_cliques=2)
+        pads = enrollment.pad_streams
+        assert pads is not None
+        clients = {c.user_id: c for c in enrollment.clients}
+        twins = provider_less_twins(enrollment)
+        observe(clients.values())
+        observe(twins.values())
+
+        def check(user_id, round_id):
+            assert clients[user_id].build_report(round_id).cells == \
+                twins[user_id].build_report(round_id).cells
+
+        rng = random.Random(11)
+        for round_id in (1, 2, 3):
+            order = sorted(clients)
+            rng.shuffle(order)
+            for user_id in order:
+                check(user_id, round_id)
+        # Two cliques of 6 registered interleaved, as a detection
+        # session registers its cliques' clients.
+        cliques = [[c.user_id for c in enrollment.clients if c.clique_id == k]
+                   for k in (0, 1)]
+        interleaved = [u for pair in zip(*cliques) for u in pair]
+        before = (pads.misses, pads.hits)
+        for user_id in interleaved[:5]:
+            check(user_id, 4)
+        check(interleaved[2], 4)  # a same-round rebuild
+        check(interleaved[0], 3)  # an older round...
+        for user_id in interleaved[5:]:
+            check(user_id, 4)
+        # ...neither of which touched round 4's pending sums: each of
+        # the 2 x 15 pairs was squeezed once and handed off once.
+        assert (pads.misses - before[0], pads.hits - before[1]) == (30, 30)
+        assert pads.pending_sums == 0
+        # Recovery: one member of each clique went missing.
+        missing = {enrollment.index_of[members[0]] for members in cliques}
+        for members in cliques:
+            survivors = members[1:]
+            gone = [i for i in missing
+                    if i in clients[survivors[0]].blinding.peer_indexes]
+            for user_id in survivors:
+                assert clients[user_id].build_adjustment(4, gone).cells == \
+                    twins[user_id].build_adjustment(4, gone).cells
+        assert (pads.misses - before[0], pads.hits - before[1]) == (30, 30)
 
     def test_each_pair_stream_computed_once_per_round(self):
         enrollment = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
@@ -489,11 +553,11 @@ class TestPadStreamProvider:
         pads = enrollment.pad_streams
         for client in enrollment.clients:
             client.build_report(1)
-        # 3 cliques of 4: 6 pairs each, 18 pair streams; 36 fetches.
+        # 3 cliques of 4: 6 pairs each, 18 pair streams; 36 pair ends.
         assert pads.misses == 18
         assert pads.hits == 18
-        # Every entry was consumed by its second fetch.
-        assert pads.cached_streams == 0
+        # Every pending sum was taken by its member.
+        assert pads.pending_sums == 0
 
     def test_second_round_reuses_absorbed_state_not_streams(self):
         """What a pair keeps across rounds is its secret bytes, the
@@ -508,25 +572,64 @@ class TestPadStreamProvider:
         for client in enrollment.clients:
             client.build_report(2)
         # Fresh streams per round (pads are one-time)...
-        assert (pads.misses, pads.hits, pads.cached_streams) == (36, 36, 0)
+        assert (pads.misses, pads.hits, pads.pending_sums) == (36, 36, 0)
         # ...from the same pair secrets.
         assert secrets_of(enrollment) == secrets
 
     def test_newer_round_evicts_unconsumed_leftovers(self):
-        """Streams a dropout derived but nobody consumed must not pile
-        up round after round (round ids only move forward)."""
-        transport = InMemoryTransport()
-        session = session_for(transport=transport)
-        pads = session.membership.pad_streams
-        observe(session.clients)
-        transport.fail_sender("user-03")
-        session.run_next_round()
-        leftover_after_one = pads.cached_streams
-        assert leftover_after_one > 0
-        for _ in range(3):
-            session.run_next_round()
-        # Stale rounds evicted: the backlog does not grow with rounds.
-        assert pads.cached_streams <= leftover_after_one
+        """A member that never builds leaves its pending sum behind; the
+        next round drops it, so leftovers do not pile up round after
+        round (round ids only move forward) or leak into a later pad."""
+        enrollment = enroll_users(USERS, CONFIG, seed=5, use_oprf=False,
+                                  num_cliques=3)
+        pads = enrollment.pad_streams
+        twins = provider_less_twins(enrollment)
+        observe(enrollment.clients)
+        observe(twins.values())
+        dropout = enrollment.clients[3]
+        for round_id in (1, 2):
+            for client in enrollment.clients:
+                if client is not dropout:
+                    client.build_report(round_id)
+            # Its clique mates folded their pads into one pending sum.
+            assert pads.pending_sums == 1
+            assert held_vectors(pads) == 1
+        for client in enrollment.clients:
+            assert client.build_report(3).cells == \
+                twins[client.user_id].build_report(3).cells
+        assert pads.pending_sums == 0
+        assert held_vectors(pads) == 0
+
+    def test_a_pad_from_a_non_peer_is_refused(self):
+        """Peer sets of one enrollment are symmetric; if they were not,
+        a member would be handed a pair's pad it does not share, which
+        the server could not tell from a right one."""
+        enrollment = enroll_users(USERS[:3], CONFIG, seed=5, use_oprf=False)
+        first, second, third = sorted(
+            enrollment.clients, key=lambda c: c.blinding.user_index)
+        # ``third`` forgets ``first``, who still names it as a peer.
+        third.blinding.set_peers({
+            second.blinding.user_index:
+                enrollment.keypairs[second.user_id].public})
+        observe(enrollment.clients)
+        first.build_report(1)
+        with pytest.raises(BlindingError, match="not its peers"):
+            third.build_report(1)
+
+    def test_one_clique_holds_one_vector_per_waiting_member(self):
+        """Built in registration order, a clique of 20 leaves at most 19
+        members waiting, so at most 19 vectors are held, not one stream
+        per pair still to hand off (100 at the halfway point)."""
+        users = [f"user-{i:02d}" for i in range(20)]
+        enrollment = enroll_users(users, CONFIG, seed=5, use_oprf=False)
+        pads = enrollment.pad_streams
+        observe(enrollment.clients)
+        held = []
+        for client in enrollment.clients:
+            client.build_report(1)
+            held.append(held_vectors(pads))
+        assert max(held) <= 19
+        assert held[-1] == 0
 
     def test_transition_accounting_covers_whole_population(self):
         """secrets_reused counts untouched cliques too, and a leaver's

@@ -142,6 +142,17 @@ class TestErrors:
             with pytest.raises(ProtocolError):
                 decode(bytes(header) + payload[:cut])
 
+    @pytest.mark.parametrize("message", EVERY_TYPE)
+    def test_trailing_bytes_are_a_protocol_error(self, message):
+        """Bytes past the last field, covered by the header's length
+        field, are refused rather than ignored."""
+        data = encode(message)
+        for extra in (b"\x00", b"\x00\x00\x00\x07"):
+            header = bytearray(data[:HEADER])
+            header[8:12] = (len(data) - HEADER + len(extra)).to_bytes(4, "big")
+            with pytest.raises(ProtocolError, match="trailing"):
+                decode(bytes(header) + data[HEADER:] + extra)
+
     def test_string_length_past_the_payload_is_a_protocol_error(self):
         data = bytearray(encode(BlindedReport("ab", 1, cells=(1, 2))))
         data[HEADER:HEADER + 2] = (200).to_bytes(2, "big")
