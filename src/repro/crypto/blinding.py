@@ -39,12 +39,11 @@ of ``U - 1`` keystreams per round. The recovery adjustment works the same
 way: a survivor can (and may only) correct for missing peers *it shares a
 secret with*, i.e. dropouts inside its own clique.
 
-Every operation (:meth:`BlindingGenerator.blind_array`,
-:meth:`BlindingGenerator.blinding_vector_array`,
+Every operation (:meth:`BlindingGenerator.blinding_vector_array`,
 :meth:`BlindingGenerator.adjustment_for_missing_array`) returns its
 wrapping ``numpy.uint32`` accumulator unchanged, the 4-byte cell a report
-carries to the root (only the cleartext sketch it blinds has 64-bit
-counts), so no cell is boxed, widened or masked on the way.
+carries to the root, so no cell is boxed, widened or masked on the way: a
+client adds its cleartext counts onto its blinding vector in place.
 
 Pads are derived as the formula reads
 -------------------------------------
@@ -101,7 +100,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -593,20 +591,6 @@ class BlindingGenerator:
         as a ``uint32`` array."""
         _check_cells(num_cells)
         return self._accumulate(self.peer_indexes, round_id, num_cells, negate=False)
-
-    def blind_array(
-        self, cells: Union[Sequence[int], np.ndarray], round_id: int
-    ) -> np.ndarray:
-        """Blind a cell vector: ``(cells + blinding) mod 2^32``.
-
-        Accepts any integer sequence (a sketch's ``cells_array`` view makes
-        the whole path array-to-array) and returns the ``uint32``
-        accumulator they were added into (narrowing keeps a cell mod 2^32).
-        """
-        cell_arr = np.asarray(cells).astype(np.uint32, copy=False)
-        blinded = self.blinding_vector_array(len(cell_arr), round_id)
-        blinded += cell_arr
-        return blinded
 
     def adjustment_for_missing_array(
         self, missing: Iterable[int], num_cells: int, round_id: int

@@ -270,6 +270,28 @@ def silent_excepts(path: str, tree: ast.Module) -> Iterator[Flag]:
 
 
 # ---------------------------------------------------------------------------
+# PL006: stdout belongs to the CLI
+# ---------------------------------------------------------------------------
+
+
+def stray_prints(path: str, tree: ast.Module) -> Iterator[Flag]:
+    """PL006: no ``print(...)`` call outside the command line's own
+    modules: library code returns what it found or raises, and the CLI
+    decides what reaches stdout."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ):
+            yield (
+                node.lineno,
+                "print() outside cli.py writes to stdout behind the CLI's "
+                "back; return or log the value instead",
+            )
+
+
+# ---------------------------------------------------------------------------
 # Annotations: the strict tier's dependency-free typing rung
 # ---------------------------------------------------------------------------
 
@@ -368,6 +390,11 @@ PL004_ALLOWED: Allowlist = {
     ),
 }
 
+PL006_ALLOWED: Allowlist = {
+    ("src/repro/cli.py", ""): "the command line owns stdout",
+    ("src/repro/devtools/protolint.py", "main"): "protolint's own report",
+}
+
 #: id -> (check, path scope, allowlist).
 CHECKS: Dict[str, Tuple[Check, Tuple[str, ...], Allowlist]] = {
     "PL001": (
@@ -381,6 +408,7 @@ CHECKS: Dict[str, Tuple[Check, Tuple[str, ...], Allowlist]] = {
         {},
     ),
     "PL004": (silent_excepts, ("src/repro/protocol/",), PL004_ALLOWED),
+    "PL006": (stray_prints, ("src/repro/",), PL006_ALLOWED),
     "annotations": (annotation_gaps, STRICT_TIER, {}),
 }
 

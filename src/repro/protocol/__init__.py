@@ -216,7 +216,14 @@ Oversized / trickled HTTP request     Fails that request fast — length
 the *clients*: a per-round digest of the blinded cleartext
 (``ProtocolClient._blinded_rounds``, ``ClientArmy._round_digests``)
 refuses a *differing* rebuild under a spent round id, so no
-transport choice can weaken it; and the aggregate cells, #Users
+transport choice can weaken it. Both guards hash the sorted flat cell
+indexes of the counts, not the cells, and keep runs of consecutive
+rounds that share a digest (:class:`~repro.protocol.client.
+RoundDigests`), so their state grows with window changes, not rounds.
+The clients also keep the floor of two reporters: a survivor answers a
+recovery notice only if its clique keeps two reporters, and the honest
+clique aggregator counts a lone reporter missing instead of asking, so
+no released sum is one user's sketch. And the aggregate cells, #Users
 distribution and threshold decisions are bit-identical on every rung —
 in-process, over the wire codec, across sockets, and with aggregators in
 separate processes — including dropout-recovery rounds and post-churn

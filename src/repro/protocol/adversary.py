@@ -33,14 +33,14 @@ robust to outliers) rather than cryptographic.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, Mapping
 
 import numpy as np
 
 from repro.crypto.blinding import BLINDING_MODULUS
 from repro.errors import ConfigurationError
-from repro.protocol.client import ProtocolClient
-from repro.sketch.countmin import CountMinSketch
+from repro.protocol.client import ProtocolClient, WindowCounts
 
 
 def poisoning_pull_bound(poison: Mapping[str, int]) -> int:
@@ -59,11 +59,15 @@ class PoisoningClient(ProtocolClient):
     aggregation arithmetic does, so suppression of counts the aggregate
     does not contain degrades other ads' estimates, not the protocol).
 
-    Everything after sketch construction is inherited unchanged —
-    blinding, pad bookkeeping, adjustments, reactive behaviour — so the
-    poisoned report is byte-indistinguishable from an honest one on the
-    wire (the tests assert equal message sizes): detection must work on
-    the *aggregate*, which is what the damage bound above is for.
+    The rogue overrides one hook, :meth:`_window_counts`: its window
+    is the honest cell indexes with one count each, followed by every
+    target's cell indexes with its delta as a ``uint32`` increment mod
+    2^32. Everything after it is inherited unchanged — adding the counts
+    onto the blinding vector, pad bookkeeping and the reuse guard,
+    adjustments, reactive behaviour — so the poisoned report is
+    byte-indistinguishable from an honest one on the wire (the tests
+    assert equal message sizes): detection must work on the *aggregate*,
+    which is what the damage bound above is for.
     """
 
     def __init__(
@@ -107,27 +111,28 @@ class PoisoningClient(ProtocolClient):
     def pull_bound(self) -> int:
         return poisoning_pull_bound(self.poison)
 
-    def _build_sketch(self) -> CountMinSketch:
-        if self._sketch_cache is None:
-            honest = self.config.make_sketch()
-            honest.update_many(
-                [self._ad_id_cached(url) for url in self._seen_urls]
-            )
-            cells = honest.cells_array.astype(np.int64)
-            for url in sorted(self.poison):
-                unit = self.config.make_sketch()
-                unit.update(self._ad_id_cached(url), 1)
-                cells = cells + self.poison[url] * unit.cells_array.astype(
-                    np.int64
-                )
-            cells %= BLINDING_MODULUS  # wraps negatives, like the pads do
-            self._sketch_cache = CountMinSketch(
-                self.config.cms_depth,
-                self.config.cms_width,
-                self.config.cms_seed,
-                cells=cells.astype(np.uint64),
-            )
-        return self._sketch_cache
+    def _window_counts(self) -> WindowCounts:
+        """The honest counts, then each target's ``d`` cell indexes with
+        its delta mod 2^32 (a negative delta wraps, like the pads do).
+        The poison is fixed, so the digest over both parts changes
+        exactly when the honest window does."""
+        honest, _, _ = super()._window_counts()
+        targets = sorted(self.poison)
+        poisoned = self.config.flat_indexes(
+            [self._ad_id_cached(url) for url in targets]
+        ).astype(np.int64)
+        deltas = np.array(
+            [self.poison[url] % BLINDING_MODULUS for url in targets],
+            dtype=np.uint32,
+        )
+        indexes = np.concatenate([honest, poisoned.ravel()])
+        increments = np.concatenate([
+            np.ones(honest.size, dtype=np.uint32),
+            np.broadcast_to(deltas, poisoned.shape).ravel(),
+        ])
+        digest = hashlib.sha256(indexes)
+        digest.update(increments)
+        return indexes, increments, digest.digest()
 
 
 __all__ = ["PoisoningClient", "poisoning_pull_bound"]

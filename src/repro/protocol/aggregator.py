@@ -43,7 +43,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.errors import MissingReportError, ProtocolError, RoundStateError
-from repro.protocol.client import RoundConfig
+from repro.protocol.client import MIN_REPORTERS, RoundConfig
 from repro.protocol.endpoint import (
     SERVER_ENDPOINT,
     Outbox,
@@ -189,11 +189,15 @@ class CliqueAggregator(ProtocolEndpoint):
 
     Round flow: collect reports until the driver signals idle (the
     deployment's phase timeout); if members are missing *and* at least
-    one member reported, notify the survivors and wait for their
-    adjustments; then release the clique's partial sum to the root. A
-    clique whose members all dropped out emits an all-zero partial — its
-    pads never entered any sum, so there is nothing to recover (the
-    root still learns its roster went missing).
+    :data:`~repro.protocol.client.MIN_REPORTERS` members reported,
+    notify the survivors and wait for their adjustments; then release
+    the clique's partial sum to the root. A clique whose members all
+    dropped out emits an all-zero partial — its pads never entered any
+    sum, so there is nothing to recover (the root still learns its
+    roster went missing). A lone reporter gets no notice: its
+    adjustment would cancel every pad left in its report and release
+    its cleartext sketch. Its report is dropped, it is counted missing,
+    and the clique releases the same all-zero partial.
 
     Every submission is validated at intake: the round, the sender, the
     cell count and the clique claim, with a cell outside ``[0, 2^32)``
@@ -320,6 +324,10 @@ class CliqueAggregator(ProtocolEndpoint):
             return []
         # The roster is read once per idle; the release checks reuse it.
         missing = self.missing_users()
+        if missing and len(self._reports) < MIN_REPORTERS:
+            # Too few reporters to hide among: count them missing too.
+            self._reports.clear()
+            missing = sorted(self.index_of)
         if missing and self._reports and not self._noticed:
             self._noticed = frozenset(missing)
             notice_indexes = tuple(sorted(self.index_of[u] for u in missing))

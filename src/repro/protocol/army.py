@@ -33,7 +33,11 @@ the *protocol* — every message, every byte — and deletes the objects:
   secrets in kernel order — is built by an epoch's first round and kept
   until :meth:`ClientArmy.rewire` drops it;
 * the pad-reuse guard hashes each chunk's sorted flat cell indexes (the
-  canonical form of its counts), not its cells;
+  canonical form of its counts), not its cells, and keeps runs of rounds
+  that share a digest (:class:`~repro.protocol.client.RoundDigests`);
+* a survivor answers a recovery notice only if its clique keeps two
+  reporters (:func:`~repro.protocol.client.keeps_reporters`), as an
+  object client does;
 * because both backends consume the same
   :func:`~repro.protocol.enrollment.derive_key_material` derivation and
   the blinding sum is exact mod 2^32 in any order, every
@@ -87,7 +91,13 @@ from repro.crypto.blinding import (
     cliques_per_chunk,
 )
 from repro.crypto.group import DHGroup, KeyPair
-from repro.protocol.client import RoundConfig, notice_needs_answer
+from repro.protocol.client import (
+    ONE_COUNT,
+    RoundConfig,
+    RoundDigests,
+    keeps_reporters,
+    notice_needs_answer,
+)
 from repro.protocol.endpoint import (
     Outbox,
     ProtocolEndpoint,
@@ -142,10 +152,6 @@ IndexTable = Tuple[Dict[str, int], np.ndarray]
 #: the hash's ``(depth, slice)`` temporaries independent of the window
 #: size (the ``server._ID_CHUNK`` precedent).
 _TABLE_SLICE = 65536
-
-#: One cleartext count, typed: ``np.add.at`` takes its fast path only for
-#: a value of the cells' own dtype.
-_ONE = np.uint32(1)
 
 
 class ClientArmy(ProtocolEndpoint):
@@ -207,7 +213,7 @@ class ClientArmy(ProtocolEndpoint):
         #: cell indexes (the batched analogue of ProtocolClient's
         #: pad-reuse guard: a *differing* rebuild under an already-blinded
         #: round id would reuse one-time pads on new cleartext).
-        self._round_digests: Dict[int, bytes] = {}
+        self._round_digests = RoundDigests()
         self._scratch = config.make_sketch()
         #: (lo index, hi index) -> shared-secret bytes. DH secrets are
         #: symmetric, so the army pays ONE modexp per pair where the
@@ -467,7 +473,7 @@ class ClientArmy(ProtocolEndpoint):
                          dtype=np.uint32)
         blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows,
                       round_id)
-        np.add.at(cells.reshape(-1), indexes, _ONE)
+        np.add.at(cells.reshape(-1), indexes, ONE_COUNT)
         cells.setflags(write=False)
         inactive = self._inactive
         wrap = CellVector._wrap
@@ -544,7 +550,7 @@ class ClientArmy(ProtocolEndpoint):
                 f"pad differences")
         # Round state is committed only once the guard passed; a rebuild
         # of the same round keeps the notices it answered.
-        self._round_digests[round_id] = fingerprint
+        self._round_digests.add(round_id, fingerprint)
         if round_id != self._reported_round:
             self._reported_round, self._answered = round_id, {}
         self._reported_by_clique = {
@@ -561,6 +567,9 @@ class ClientArmy(ProtocolEndpoint):
             if not notice_needs_answer(message, self._reported_round,
                                        clique in self._members_of,
                                        self._answered.get(clique)):
+                return []
+            members = (self.index_of[u] for u in self._members_of[clique])
+            if not keeps_reporters(members, message.missing_indexes):
                 return []
             outbox = self._build_adjustments(clique, message.round_id,
                                              message.missing_indexes,

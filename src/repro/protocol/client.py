@@ -3,7 +3,9 @@
 A :class:`ProtocolClient` accumulates the *set* of ads its user saw during
 the current window (set, not multiset: the global statistic is "how many
 users saw ad α", so each user contributes at most 1 per ad), then produces
-a blinded CMS report on demand.
+a blinded CMS report on demand. It never materialises its sketch: the
+window is kept as the sorted flat cell indexes of its ad ids, and a
+report is the blinding vector with one count added per index.
 
 The client is a reactive :class:`~repro.protocol.endpoint.
 ProtocolEndpoint`: when a round opens it uploads its blinded report to
@@ -20,8 +22,22 @@ primitives without a driver.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError, RoundStateError
 from repro.crypto.blinding import BlindingGenerator
@@ -38,7 +54,21 @@ from repro.protocol.messages import (
     MissingClientsNotice,
     ThresholdBroadcast,
 )
-from repro.sketch.countmin import CountMinSketch
+from repro.sketch.countmin import CountMinSketch, flat_indexes
+
+#: The fewest reporters a released clique sum may cover. With one, the
+#: reporter's recovery adjustment would cancel every pad left in its
+#: report and release its cleartext sketch. A constant, not a knob.
+MIN_REPORTERS = 2
+
+#: One cleartext count, typed: ``np.add.at`` takes its fast path only for
+#: a value of the cells' own dtype.
+ONE_COUNT = np.uint32(1)
+
+#: A window's cleartext counts: the sorted ``int64`` flat cell indexes,
+#: the ``uint32`` increment per index (``None``: one each) and the sha256
+#: the pad-reuse guard compares.
+WindowCounts = Tuple[np.ndarray, Optional[np.ndarray], bytes]
 
 
 @dataclass(frozen=True)
@@ -69,6 +99,12 @@ class RoundConfig:
 
     def make_sketch(self) -> CountMinSketch:
         return CountMinSketch(self.cms_depth, self.cms_width, self.cms_seed)
+
+    def flat_indexes(self, ad_ids: Sequence[int]) -> np.ndarray:
+        """The ``(depth, n)`` flat cell indexes of ``ad_ids`` in this
+        config's sketch layout, without allocating a sketch."""
+        return flat_indexes(self.cms_depth, self.cms_width, self.cms_seed,
+                            ad_ids)
 
 
 class AdMapper(Protocol):
@@ -113,8 +149,88 @@ def notice_needs_answer(notice: MissingClientsNotice,
     return False
 
 
+def keeps_reporters(members: Iterable[int], missing: Iterable[int]) -> bool:
+    """Whether a clique of ``members`` (blinding indexes) keeps
+    :data:`MIN_REPORTERS` reporters once a notice's ``missing`` are gone.
+
+    A survivor answers a recovery notice only if this holds: its
+    adjustment cancels the pads it shares with the named peers, so a
+    notice naming all of its peers would turn its report into its
+    cleartext sketch. The party whose data is at stake enforces the
+    floor, whatever the aggregator asks.
+    """
+    return len(set(members).difference(missing)) >= MIN_REPORTERS
+
+
+class RoundDigests:
+    """round id -> digest of the cleartext blinded in that round: the
+    pad-reuse guard's memory.
+
+    Kept as runs of consecutive round ids that share one digest, found
+    by bisecting on the run starts, so the state grows with the changes
+    of a window, not with its rounds. A round id holds at most one
+    digest; :meth:`add` of a differing one raises
+    :class:`~repro.errors.RoundStateError` (callers check with
+    :meth:`get` first and say why).
+    """
+
+    def __init__(self) -> None:
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._digests: List[bytes] = []
+
+    def _run_at(self, round_id: int) -> int:
+        """The index of the last run starting at or before ``round_id``
+        (-1 if none)."""
+        return bisect_right(self._starts, round_id) - 1
+
+    def get(self, round_id: int) -> Optional[bytes]:
+        run = self._run_at(round_id)
+        if run >= 0 and round_id <= self._ends[run]:
+            return self._digests[run]
+        return None
+
+    def add(self, round_id: int, digest: bytes) -> None:
+        previous = self.get(round_id)
+        if previous is not None:
+            if previous != digest:
+                raise RoundStateError(
+                    f"round {round_id} already holds a different digest")
+            return
+        run = self._run_at(round_id)
+        joins_left = (run >= 0 and self._ends[run] == round_id - 1
+                      and self._digests[run] == digest)
+        nxt = run + 1
+        joins_right = (nxt < len(self._starts)
+                       and self._starts[nxt] == round_id + 1
+                       and self._digests[nxt] == digest)
+        if joins_left and joins_right:
+            self._ends[run] = self._ends[nxt]
+            del self._starts[nxt], self._ends[nxt], self._digests[nxt]
+        elif joins_left:
+            self._ends[run] = round_id
+        elif joins_right:
+            self._starts[nxt] = round_id
+        else:
+            self._starts.insert(nxt, round_id)
+            self._ends.insert(nxt, round_id)
+            self._digests.insert(nxt, digest)
+
+    def __len__(self) -> int:
+        """The number of runs held."""
+        return len(self._starts)
+
+
 class ProtocolClient(ProtocolEndpoint):
     """One user's protocol endpoint.
+
+    Its window is cached as counts, not as a sketch: the sorted flat
+    cell indexes of its ad ids (Θ(a·d) for ``a`` ads and ``d`` rows, not
+    one cell per sketch cell) and their sha256. A report adds one count
+    per index onto the ``uint32`` blinding vector, so the client never
+    holds a vector of the sketch's size between rounds. Subclasses that
+    report other counts (:class:`~repro.protocol.adversary.
+    PoisoningClient`) override :meth:`_window_counts`.
 
     Parameters
     ----------
@@ -151,21 +267,18 @@ class ProtocolClient(ProtocolEndpoint):
         #: URL -> ad ID, filled as ads are observed so report building
         #: never re-runs the OPRF/PRF evaluation.
         self._ad_ids: Dict[str, int] = {}
-        #: The window's built sketch, reused across an epoch's rounds
-        #: (observations fix it); invalidated by new observations and
-        #: window resets.
-        self._sketch_cache: Optional[CountMinSketch] = None
-        #: (sketch, sha256 of its cells): the guard's digest, once per
-        #: sketch object whichever ``_build_sketch`` built it.
-        self._sketch_digest: Optional[Tuple[CountMinSketch, bytes]] = None
-        #: round id -> digest of the cell vector blinded in that round.
+        #: The window's counts (see :meth:`_window_counts`), reused
+        #: across an epoch's rounds (observations fix them); invalidated
+        #: by new observations and window resets.
+        self._window: Optional[WindowCounts] = None
+        #: round id -> digest of the counts blinded in that round.
         #: The pairwise keystream is a one-time pad keyed by
         #: ``(pair, round_id)``; blinding two *different* sketches under
         #: the same round id would hand the server the cell difference in
         #: the clear, so reuse is refused (identical rebuilds are
         #: idempotent and allowed). Survives :meth:`reset_window` — the
         #: pads are no fresher after a window reset.
-        self._blinded_rounds: Dict[int, bytes] = {}
+        self._blinded_rounds = RoundDigests()
         #: The round of the last report built, and the missing set of the
         #: recovery notice answered in it (see notice_needs_answer).
         self._reported_round: Optional[int] = None
@@ -197,7 +310,7 @@ class ProtocolClient(ProtocolEndpoint):
         ad_id = self._ad_id_cached(url)
         if url not in self._seen_urls:
             self._seen_urls.add(url)
-            self._sketch_cache = None
+            self._window = None
         return ad_id
 
     @property
@@ -212,7 +325,7 @@ class ProtocolClient(ProtocolEndpoint):
         """Clear observations at the start of a new weekly window."""
         self._seen_urls.clear()
         self._ad_ids.clear()
-        self._sketch_cache = None
+        self._window = None
 
     # ------------------------------------------------------------------
     # Reporting phase
@@ -224,19 +337,24 @@ class ProtocolClient(ProtocolEndpoint):
             self._ad_ids[url] = ad_id
         return ad_id
 
-    def _build_sketch(self) -> CountMinSketch:
-        if self._sketch_cache is None:
-            sketch = self.config.make_sketch()
-            sketch.update_many([self._ad_id_cached(url)
-                                for url in self._seen_urls])
-            self._sketch_cache = sketch
-        return self._sketch_cache
+    def _window_counts(self) -> WindowCounts:
+        """This window's counts: one per flat cell index of each seen
+        ad, hashed for the pad-reuse guard. The sorted indexes determine
+        the sketch's cells and back, so their digest changes exactly
+        when the cells would."""
+        indexes = self.config.flat_indexes(
+            [self._ad_id_cached(url) for url in self._seen_urls]
+        ).astype(np.int64).ravel()
+        indexes.sort()
+        return indexes, None, hashlib.sha256(indexes).digest()
 
     def build_report(self, round_id: int) -> BlindedReport:
-        """Encode seen ads into a CMS, blind every cell, wrap as a report.
+        """Blind this window's counts, wrap them as a report.
 
-        The cell vector stays a NumPy array from the sketch through the
-        blinding to the report's :class:`CellVector` — no per-cell boxing.
+        The ``uint32`` blinding vector is the report's cell buffer: one
+        count per cell index is added onto it with ``np.add.at``, which
+        equals blinding the window's sketch mod 2^32, and it is wrapped
+        read-only and unchecked — no sketch, cast or per-cell boxing.
 
         Raises :class:`RoundStateError` if ``round_id`` was already used
         to blind a *different* cell vector: the ``(pair, round_id)``
@@ -244,23 +362,25 @@ class ProtocolClient(ProtocolEndpoint):
         would leak their cell-wise difference. Rebuilding the identical
         report (e.g. a retransmission) is allowed.
         """
-        sketch = self._build_sketch()
-        if self._sketch_digest is None or self._sketch_digest[0] is not sketch:
-            self._sketch_digest = (
-                sketch, hashlib.sha256(sketch.cells_array).digest())
-        digest = self._sketch_digest[1]
+        if self._window is None:
+            self._window = self._window_counts()
+        indexes, increments, digest = self._window
         previous = self._blinded_rounds.get(round_id)
         if previous is not None and previous != digest:
             raise RoundStateError(
                 f"client {self.user_id!r} already blinded a different "
                 f"sketch under round {round_id}; reusing the pairwise "
                 f"keystream would leak the cell difference")
-        blinded = self.blinding.blind_array(sketch.cells_array, round_id)
-        self._blinded_rounds[round_id] = digest
+        cells = self.blinding.blinding_vector_array(self.config.num_cells,
+                                                    round_id)
+        np.add.at(cells, indexes,
+                  ONE_COUNT if increments is None else increments)
+        cells.setflags(write=False)
+        self._blinded_rounds.add(round_id, digest)
         if round_id != self._reported_round:
             self._reported_round, self._answered = round_id, None
         return BlindedReport(user_id=self.user_id, round_id=round_id,
-                             cells=CellVector(blinded),
+                             cells=CellVector._wrap(cells),
                              clique_id=self._clique_id)
 
     def build_cleartext_report(self, round_id: int) -> CleartextReport:
@@ -300,12 +420,17 @@ class ProtocolClient(ProtocolEndpoint):
 
     def on_message(self, sender: str, message: Any) -> Outbox:
         """React to server traffic: a notice for the round this client
-        last reported in begets one adjustment, the threshold broadcast
-        is recorded; anything else is a protocol violation and raises."""
+        last reported in begets one adjustment if the clique keeps
+        :data:`MIN_REPORTERS` reporters (nothing otherwise), the
+        threshold broadcast is recorded; anything else is a protocol
+        violation and raises."""
         if isinstance(message, MissingClientsNotice):
             if not notice_needs_answer(
                     message, self._reported_round,
                     message.clique_id == self._clique_id, self._answered):
+                return []
+            members = (self.blinding.user_index, *self.blinding.peer_indexes)
+            if not keeps_reporters(members, message.missing_indexes):
                 return []
             adjustment = self.build_adjustment(message.round_id,
                                                message.missing_indexes)

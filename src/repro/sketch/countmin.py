@@ -62,6 +62,28 @@ def _as_cell_array(cells: Union[Sequence[int], np.ndarray]) -> np.ndarray:
         ) from None
 
 
+def flat_indexes(
+    depth: int, width: int, seed: int, items: Sequence[Item]
+) -> np.ndarray:
+    """Flat (row-major) ``uint64`` cell index per (row, item) of a
+    ``depth x width`` sketch with hash seed ``seed``: shape ``(d, n)``.
+
+    The single source of truth for the sketch's cell layout; callers
+    that gather against :attr:`CountMinSketch.cells_array` directly (the
+    aggregation server's cached ID-space table, the batched client
+    backend's per-round index table) or that count without a sketch (an
+    object client's window, through ``RoundConfig.flat_indexes``) must
+    use this rather than re-deriving
+    ``row * width + column``. Indexes depend on the item alone, so a
+    caller counting many users' items hashes each distinct item once.
+    """
+    matrix = shared_hash_family(depth, width, seed).index_matrix(
+        stable_hash_many(items)
+    )
+    rows = np.arange(depth, dtype=np.uint64).reshape(-1, 1)
+    return rows * np.uint64(width) + matrix
+
+
 class CountMinSketch:
     """A ``d x w`` count-min sketch with mergeable, blindable cells."""
 
@@ -164,18 +186,9 @@ class CountMinSketch:
     # Core operations (batch) — bit-identical to looping the scalar ones
     # ------------------------------------------------------------------
     def flat_indexes(self, items: Sequence[Item]) -> np.ndarray:
-        """Flat (row-major) cell index per (row, item): shape ``(d, n)``.
-
-        The single source of truth for the sketch's cell layout; callers
-        that gather against :attr:`cells_array` directly (the aggregation
-        server's cached ID-space table, the batched client backend's
-        per-round index table) must use this rather than re-deriving
-        ``row * width + column``. Indexes depend on the item alone, so a
-        caller counting many users' items hashes each distinct item once.
-        """
-        matrix = self._hashes.index_matrix(stable_hash_many(items))
-        rows = np.arange(self.depth, dtype=np.uint64).reshape(-1, 1)
-        return rows * np.uint64(self.width) + matrix
+        """Flat (row-major) cell index per (row, item): shape ``(d, n)``;
+        the module's :func:`flat_indexes` for this sketch's shape."""
+        return flat_indexes(self.depth, self.width, self.seed, items)
 
     @staticmethod
     def _count_array(counts: Union[int, Sequence[int], None], n: int) -> np.ndarray:

@@ -13,8 +13,10 @@ read as big-endian ``uint32`` cells. User ``i`` blinds its cleartext
 sketch with every clique mate's pad. It adds a pad when ``i`` is the
 higher index and subtracts it when ``i`` is the lower one, so a clique's
 pads cancel. When members of a clique drop out, every reporting mate
-sends the negation of the pad terms it shares with them. The root cells
-are the sum of every report and adjustment. ``Users_th`` is the mean of
+sends the negation of the pad terms it shares with them, provided at
+least two mates report: a lone reporter's adjustment would unblind its
+report, so it sends none, its report is dropped and it counts missing.
+The root cells are the sum of every counted report and adjustment. ``Users_th`` is the mean of
 the positive #Users estimates over the public ID space (paper §4.2).
 """
 
@@ -57,8 +59,9 @@ class ReferenceRound:
     After construction:
 
     * ``reports`` / ``adjustments`` map user ids to the cells of the
-      blinded report / recovery adjustment that user sends;
-    * ``root_cells`` is the sum of them all;
+      blinded report / recovery adjustment that user sends (a lone
+      reporter's report included);
+    * ``root_cells`` is the sum of the counted ones;
     * ``reported`` and ``missing`` are the sorted participation rosters;
     * ``distribution`` lists the positive #Users estimates in ID order,
       and ``users_threshold`` is their mean (0.0 if there are none).
@@ -70,8 +73,6 @@ class ReferenceRound:
         group: DHGroup = keys.group
         index_of: dict = keys.index_of
         dropped = set(dropped)
-        self.reported = sorted(u for u in index_of if u not in dropped)
-        self.missing = sorted(u for u in index_of if u in dropped)
         cliques: dict = {}
         for user in sorted(index_of):
             cliques.setdefault(keys.clique_of[user], []).append(user)
@@ -92,11 +93,14 @@ class ReferenceRound:
 
         self.reports: dict = {}
         self.adjustments: dict = {}
+        #: Lone reporters: sent a report, counted missing.
+        lone = set()
         for clique_members in cliques.values():
             gone = [u for u in clique_members if u in dropped]
-            for user in clique_members:
-                if user in dropped:
-                    continue
+            reporters = [u for u in clique_members if u not in dropped]
+            if gone and len(reporters) < 2:
+                lone.update(reporters)
+            for user in reporters:
                 sketch = CountMinSketch(config.cms_depth, config.cms_width,
                                         config.cms_seed)
                 sketch.update_many(list(ad_ids.get(user, ())))
@@ -106,17 +110,21 @@ class ReferenceRound:
                         sign, pad = signed_pad(user, mate)
                         add(report, pad, sign)
                 self.reports[user] = report
-                if gone:
+                if gone and user not in lone:
                     adjustment = [0] * cells
                     for mate in gone:
                         sign, pad = signed_pad(user, mate)
                         add(adjustment, pad, -sign)
                     self.adjustments[user] = adjustment
 
+        self.reported = sorted(u for u in self.reports if u not in lone)
+        self.missing = sorted(u for u in index_of
+                              if u in dropped or u in lone)
         self.root_cells = [0] * cells
-        for submission in (*self.reports.values(),
-                           *self.adjustments.values()):
-            add(self.root_cells, submission)
+        for user in self.reported:
+            add(self.root_cells, self.reports[user])
+        for adjustment in self.adjustments.values():
+            add(self.root_cells, adjustment)
         aggregate = CountMinSketch(config.cms_depth, config.cms_width,
                                    config.cms_seed, cells=self.root_cells)
         estimates = (aggregate.query(i) for i in range(config.id_space))

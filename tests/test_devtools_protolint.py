@@ -247,6 +247,47 @@ class TestPL004:
 
 
 # ---------------------------------------------------------------------------
+# PL006 — stdout belongs to the CLI
+# ---------------------------------------------------------------------------
+
+
+class TestPL006:
+    flagged = (
+        "def report(rows):\n"
+        "    for row in rows:\n"
+        "        print(row)\n"
+        "    print('done', file=None)\n"
+    )
+
+    def test_flags_print_calls_anywhere_in_the_package(self):
+        for path in (PROTO, "src/repro/core/fake.py", "src/repro/fake.py"):
+            findings = lint(self.flagged, path)
+            assert ids(findings) == ["PL006", "PL006"]
+            assert sorted(f.split(":")[1] for f in findings) == ["3", "4"]
+
+    def test_near_miss_names_and_attributes_pass(self):
+        source = (
+            '"""Quickstart::\n\n    print(result)\n"""\n'  # in a docstring
+            "def render(printer, log, rows):\n"
+            "    printer.print(rows)\n"  # a method that happens to be print
+            "    log.info('%d rows', len(rows))\n"
+            "    pprint = repr\n"
+            "    return pprint(rows), 'print(rows)'\n"
+        )
+        assert lint(source, PROTO) == []
+
+    def test_the_cli_and_protolints_own_main_are_allowed(self):
+        assert lint(self.flagged, "src/repro/cli.py") == []
+        lint_main = "def main():\n    print('clean')\n"
+        assert lint(lint_main, "src/repro/devtools/protolint.py") == []
+        assert ids(lint(self.flagged, "src/repro/devtools/protolint.py")) \
+            == ["PL006", "PL006"]
+
+    def test_out_of_scope_paths_pass(self):
+        assert lint(self.flagged, "examples/fake.py") == []
+
+
+# ---------------------------------------------------------------------------
 # PL005 — wire-schema drift, checked by running the codec's tables rather
 # than by reading the source: fake message/codec modules that must flag
 # and a consistent pair that must pass, then the real modules
@@ -401,7 +442,8 @@ class TestFramework:
         """Every check is documented: a docstring on the function and a
         row in docs/static_analysis.md's table."""
         doc = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
-        assert sorted(CHECKS) == ["PL001", "PL002", "PL004", "annotations"]
+        assert sorted(CHECKS) == ["PL001", "PL002", "PL004", "PL006",
+                                  "annotations"]
         for check_id, (check, scope, _allowed) in CHECKS.items():
             assert check.__doc__ and scope
             assert f"| {check_id} " in doc and f"`{check.__name__}`" in doc
@@ -409,16 +451,16 @@ class TestFramework:
     def test_custom_rule_is_a_small_extension(self, monkeypatch):
         # A new check is a function and a row in the table; lint_tree
         # does the scoping, parsing and reporting.
-        def no_print(path, tree):
+        def no_eval(path, tree):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call) and \
-                        getattr(node.func, "id", None) == "print":
-                    yield node.lineno, "print() call"
+                        getattr(node.func, "id", None) == "eval":
+                    yield node.lineno, "eval() call"
 
         monkeypatch.setitem(
-            CHECKS, "PL900", (no_print, ("src/repro/protocol/",), {}))
-        assert lint("print('hi')\n", PROTO) == [f"{PROTO}:1: PL900 print() call"]
-        assert lint("print('hi')\n", "src/repro/cli.py") == []
+            CHECKS, "PL900", (no_eval, ("src/repro/protocol/",), {}))
+        assert lint("eval('1')\n", PROTO) == [f"{PROTO}:1: PL900 eval() call"]
+        assert lint("eval('1')\n", "src/repro/cli.py") == []
 
 
 class TestCLI:

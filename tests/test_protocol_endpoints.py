@@ -71,11 +71,13 @@ def reference_cells(enrollment, failed=(), round_id=1):
 
 
 def cleartext_sum(enrollment, failed=()):
-    """The plain cell-wise sum of the reporters' unblinded sketches."""
+    """The plain cell-wise sum of the reporters' unblinded sketches,
+    each built from the URLs its client saw."""
     total = CONFIG.make_sketch()
     for client in enrollment.clients:
         if client.user_id not in failed:
-            total.merge(client._build_sketch())
+            total.update_many([client.ad_mapper.ad_id(url)
+                               for url in client.seen_urls])
     return total
 
 

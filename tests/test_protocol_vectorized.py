@@ -178,17 +178,15 @@ class TestBlindingArrayApis:
     user that saw nothing is that user's blinding vector, and whose
     adjustments are the recovery vectors."""
 
-    def test_blind_array_matches_the_reference(self):
+    def test_blinding_vector_array_matches_the_reference(self):
         enrollment = _enrolled_round(seed=29, n_users=3)
         client = enrollment.clients[0]
-        cells = list(range(CONFIG.num_cells))
-        as_array = client.blinding.blind_array(
-            np.asarray(cells, dtype=np.uint64), round_id=6)
+        as_array = client.blinding.blinding_vector_array(CONFIG.num_cells,
+                                                         round_id=6)
         blinding = ReferenceRound(enrollment, {}, 6, (), CONFIG).reports[
             client.user_id]
         assert as_array.dtype == np.uint32
-        assert as_array.tolist() == [(b + c) % BLINDING_MODULUS
-                                     for b, c in zip(blinding, cells)]
+        assert as_array.tolist() == blinding
 
     def test_adjustment_array_matches_the_reference(self):
         enrollment = _enrolled_round(seed=31, n_users=4)

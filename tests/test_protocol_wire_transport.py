@@ -53,13 +53,15 @@ class TestCellRange:
         transport = transports[name]
         aggregator = CliqueAggregator(
             0, RoundConfig(cms_depth=1, cms_width=len(cells), cms_seed=0,
-                           id_space=1), {"u": 0, "v": 1})
+                           id_space=1), {"u": 0, "v": 1, "w": 2})
         aggregator.on_round_start(1)
         counted = aggregator._reports
         if kind is BlindingAdjustment:
-            # An adjustment is taken only from a reporter sent a notice.
-            aggregator.on_message("u", BlindedReport(
-                "u", 1, cells=(0,) * len(cells)))
+            # An adjustment is taken only from a reporter sent a notice,
+            # and a notice goes out only while two members report.
+            for user in ("u", "v"):
+                aggregator.on_message(user, BlindedReport(
+                    user, 1, cells=(0,) * len(cells)))
             assert aggregator.on_idle(1)
             counted = aggregator._adjustments
         message = kind("u", 1, cells=tuple(cells))

@@ -9,7 +9,7 @@ for random populations, clique counts, tree fan-ins, dropouts (a whole
 clique included), both client backends and the memory and wire
 transports.
 
-The oracle is only worth having if it catches real bugs, so four
+The oracle is only worth having if it catches real bugs, so five
 mutations of the protocol code are each run against a fixed example and
 against the property's own example budget, and each must fail:
 
@@ -18,10 +18,13 @@ against the property's own example budget, and each must fail:
 * the big-endian read of the pad XOF dropped in the army's squeeze —
   likewise invisible in the sum;
 * an army survivor that skips one adjustment;
-* a clique release that leaves the adjustments out of its partial.
+* a clique release that leaves the adjustments out of its partial;
+* a clique aggregator that sends a lone reporter the recovery notice
+  (the floor of two reporters dropped on the aggregator's side).
 """
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Tuple
 
@@ -34,6 +37,7 @@ from reference_round import ReferenceRound
 from repro.api import ProtocolSession, SessionConfig
 from repro.crypto import blinding as blinding_module
 from repro.errors import MissingReportError
+from repro.protocol import aggregator as aggregator_module
 from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import RoundConfig
@@ -109,8 +113,10 @@ def run(case: Case):
     clique_of = session.membership.epoch.clique_of
     dropped = {users[i] for i in case.dropped}
     dropped |= {u for u in users if clique_of[u] == case.dead_clique}
-    if len(dropped) == len(users):
-        dropped.discard(users[0])  # a round needs one reporter
+    reporters = Counter(clique_of[u] for u in users if u not in dropped)
+    if max(reporters.values(), default=0) < 2:
+        # A round needs one clique that keeps two reporters.
+        dropped -= {u for u in users if clique_of[u] == clique_of[users[0]]}
     for user, seen in zip(users, case.seen):
         for i in seen:
             if case.backend == "batched":
@@ -211,12 +217,36 @@ FIXED = Case(num_users=6, num_cliques=2, fan_in=2, backend="batched",
              dropped=(1,), dead_clique=None, round_id=3, seed=7)
 
 
+#: A lone survivor: clique 0 is users 0, 2 and 4 at seed 1, and 2 and 4
+#: drop out. User 0's report must not be released (its adjustment would
+#: have cancelled every pad left in it): it counts missing.
+LONE = Case(num_users=6, num_cliques=2, fan_in=None, backend="batched",
+            transport="memory", seen=((0, 1, 2), (1,), (3,), (4, 5), (6,),
+                                      (0, 7)),
+            dropped=(2, 4), dead_clique=None, round_id=5, seed=1)
+
+
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
 @pytest.mark.parametrize("backend", ["objects", "batched"])
 def test_a_fixed_round_matches_the_reference(backend, transport):
     check(FIXED._replace(backend=backend, transport=transport))
     check(FIXED._replace(backend=backend, transport=transport,
                          dropped=(), dead_clique=1))
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+@pytest.mark.parametrize("backend", ["objects", "batched"])
+def test_a_lone_survivor_is_counted_missing(backend, transport):
+    case = LONE._replace(backend=backend, transport=transport)
+    check(case)
+    session, result, dropped, transcript = run(case)
+    assert result.missing_users == ["user-00", "user-02", "user-04"]
+    assert not any(isinstance(m, (MissingClientsNotice, BlindingAdjustment))
+                   for _sender, _recipient, m in transcript)
+    partial = next(m for _sender, _recipient, m in transcript
+                   if isinstance(m, PartialAggregate) and m.clique_id == 0)
+    assert partial.reported == ()
+    assert not partial.cells_as_array().any()
 
 
 def test_the_reference_recovers_the_cleartext_sum():
@@ -271,6 +301,10 @@ def skip_one_adjustment(monkeypatch):
     monkeypatch.setattr(ClientArmy, "_build_adjustments", skipping)
 
 
+def notice_a_lone_reporter(monkeypatch):
+    monkeypatch.setattr(aggregator_module, "MIN_REPORTERS", 1)
+
+
 def release_without_adjustments(monkeypatch):
     release = CliqueAggregator._release
 
@@ -285,18 +319,25 @@ def release_without_adjustments(monkeypatch):
 
 
 #: Each mutation, and how the comparison notices it: a report or partial
-#: that differs from the reference, or a round the root cannot release.
+#: that differs from the reference, a notice the reference does not
+#: send, or a round the root cannot release (a lone reporter's client
+#: refuses the notice, so its clique never completes recovery).
 MUTATIONS = {swap_one_slot: AssertionError,
              drop_the_byteswap: AssertionError,
              skip_one_adjustment: MissingReportError,
-             release_without_adjustments: AssertionError}
+             release_without_adjustments: AssertionError,
+             notice_a_lone_reporter: (AssertionError, MissingReportError)}
+
+#: The fixed example each mutation must fail: FIXED unless the mutation
+#: only matters to a lone survivor.
+FIXED_FOR = {notice_a_lone_reporter: LONE}
 
 
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
 def test_each_mutation_fails_the_fixed_example(monkeypatch, mutate):
     mutate(monkeypatch)
     with pytest.raises(MUTATIONS[mutate]):
-        check(FIXED)
+        check(FIXED_FOR.get(mutate, FIXED))
 
 
 def examples_until_failure(monkeypatch, mutate=None) -> Optional[int]:
