@@ -11,8 +11,8 @@ names below will not.
   per reporting window and :meth:`~ProtocolSession.advance_epoch` when
   the population churns between windows.
 * :class:`SessionConfig` — the one value that names and validates every
-  wiring option (transport, client backend, subprocess fan-out, tree
-  fan-in, fault injection); every layer above — the pipeline, the
+  wiring option (transport, client backend, subprocess fan-out, restart
+  budget, tree fan-in); every layer above — the pipeline, the
   deployment loop, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
@@ -114,13 +114,11 @@ from repro.protocol.runner import (
 from repro.protocol.transport import InMemoryTransport
 
 if TYPE_CHECKING:
-    from repro.protocol.net.chaos import FaultPlan
     from repro.protocol.net.pool import ProcessAggregatorPool
     from repro.core.detector import DetectorConfig
     from repro.core.pipeline import PipelineResult
     from repro.store.history import EpochRecord, HistoryStore
     from repro.types import Impression
-    from repro.protocol.net.pool import RetryPolicy
 
 #: What ``transport=`` accepts: a named transport or a live instance.
 TransportSpec = Union[str, InMemoryTransport, None]
@@ -142,23 +140,10 @@ __all__ = [
 TRANSPORTS = ("memory", "wire", "socket")
 
 
-def _check_transport(spec: TransportSpec,
-                     fault_plan: "Optional[FaultPlan]" = None) -> None:
-    """Population-independent transport checks: the spec names a known
-    transport (or is an instance), and a ``fault_plan`` with link faults
-    rides the ``"socket"`` transport — the only one with a real byte
-    path to disturb (a crash-only plan — ``worker_crashes`` and nothing
-    else — is consumed by the aggregator pool and works over any
-    transport).
-    """
-    has_link_faults = fault_plan is not None and (
-        not fault_plan.default.is_noop or fault_plan.links)
-    if has_link_faults and spec != "socket":
-        raise ConfigurationError(
-            f"fault_plan injects WAN faults into the real socket byte "
-            f"path and needs transport='socket', got {spec!r} (pass a "
-            f"ChaosSocketTransport instance yourself to combine a plan "
-            f"with a custom transport)")
+def _check_transport(spec: TransportSpec) -> None:
+    """The spec names a known transport or is an instance (a
+    :class:`~repro.protocol.net.ChaosSocketTransport` carries its own
+    fault plan)."""
     if not (spec is None or isinstance(spec, InMemoryTransport)
             or spec in TRANSPORTS):
         raise ConfigurationError(
@@ -167,15 +152,10 @@ def _check_transport(spec: TransportSpec,
 
 
 def resolve_transport(
-    spec: TransportSpec, fault_plan: "Optional[FaultPlan]" = None
+    spec: TransportSpec,
 ) -> Tuple[Optional[InMemoryTransport], bool]:
-    """Transport spec -> (instance-or-None, session_owns_it).
-
-    A ``fault_plan`` turns the ``"socket"`` transport into a
-    :class:`~repro.protocol.net.ChaosSocketTransport` injecting the
-    plan's per-link WAN faults.
-    """
-    _check_transport(spec, fault_plan)
+    """Transport spec -> (instance-or-None, session_owns_it)."""
+    _check_transport(spec)
     if spec is None or isinstance(spec, InMemoryTransport):
         return spec, False
     if spec == "memory":
@@ -183,9 +163,6 @@ def resolve_transport(
     if spec == "wire":
         from repro.protocol.transport import WireTransport
         return WireTransport(), True
-    if fault_plan is not None:
-        from repro.protocol.net import ChaosSocketTransport
-        return ChaosSocketTransport(fault_plan), True
     from repro.protocol.net import SocketTransport
     return SocketTransport(), True
 
@@ -195,7 +172,7 @@ class SessionConfig:
     """Validated wiring options — the one place they are named.
 
     Collects every knob that shapes *how* a session runs — transport,
-    client backend, subprocess fan-out, tree fan-in, fault injection — as
+    client backend, subprocess fan-out, restart budget, tree fan-in — as
     one immutable, validated value, separate from *what* population
     runs (the source argument of :meth:`~ProtocolSession.create`) and
     from the protocol parameters themselves
@@ -213,7 +190,10 @@ class SessionConfig:
         :data:`TRANSPORTS`) or an
         :class:`~repro.protocol.transport.InMemoryTransport` instance;
         None is a fresh in-memory transport. A named transport is
-        created, owned and closed by the session.
+        created, owned and closed by the session; an instance stays the
+        caller's to close. Seeded WAN faults ride their own transport:
+        pass ``ChaosSocketTransport(plan)`` with a
+        :class:`~repro.protocol.net.FaultPlan`.
     threshold_rule:
         Maps the #Users distribution to ``Users_th`` (default: mean,
         §4.2); fixed for the session's life. It must be a named rule (a
@@ -226,22 +206,16 @@ class SessionConfig:
     aggregator_procs:
         ``True`` runs each clique aggregator and the root as real
         subprocesses, one per clique the population enrolled.
-    fault_plan:
-        Optional :class:`~repro.protocol.net.FaultPlan` of seeded WAN
-        faults. Its link faults need ``transport="socket"`` (injected
-        by a :class:`~repro.protocol.net.ChaosSocketTransport`); its
-        ``worker_crashes`` are executed by the aggregator pool and need
-        ``aggregator_procs``.
-    retry_policy:
-        Optional :class:`~repro.protocol.net.RetryPolicy`: the restart
-        budget of the aggregator pool, which respawns crashed/hung
-        workers and replays the round's exchanges while it lasts.
-        Requires ``aggregator_procs``. None is a budget of 0: worker
-        death fails the round fast (a :class:`ProtocolError` surfaces).
+    max_restarts:
+        The aggregator pool's per-endpoint, per-round restart budget: it
+        respawns a crashed or hung worker and replays the round's
+        exchanges that many times before the round fails. A budget
+        above 0 requires ``aggregator_procs``. 0 (default): worker death
+        fails the round fast (a :class:`ProtocolError` surfaces).
     fan_in:
-        Bound (>= 2) on the partial-aggregate fan-in of the aggregation
-        tree (regional merge tiers appear above it); None keeps every
-        clique aggregator feeding the root directly.
+        An ``int`` bound (>= 2) on the partial-aggregate fan-in of the
+        aggregation tree (regional merge tiers appear above it); None
+        keeps every clique aggregator feeding the root directly.
 
     Use :func:`dataclasses.replace` to derive variants::
 
@@ -253,8 +227,7 @@ class SessionConfig:
     threshold_rule: ThresholdRuleFn = mean_threshold
     client_backend: str = "objects"
     aggregator_procs: bool = False
-    fault_plan: "Optional[FaultPlan]" = None
-    retry_policy: "Optional[RetryPolicy]" = None
+    max_restarts: int = 0
     fan_in: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -262,26 +235,30 @@ class SessionConfig:
             raise ConfigurationError(
                 f"unknown client_backend {self.client_backend!r}; "
                 f"expected one of {CLIENT_BACKENDS}")
-        _check_transport(self.transport, self.fault_plan)
+        _check_transport(self.transport)
         rule_spec(self.threshold_rule)  # refuses a rule it cannot name
         if not isinstance(self.aggregator_procs, bool):
             raise ConfigurationError(
                 f"aggregator_procs is True or False (one process per "
                 f"enrolled clique), got {self.aggregator_procs!r}")
+        for name in ("fan_in", "max_restarts"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}")
         if self.fan_in is not None and self.fan_in < 2:
             raise ConfigurationError(
                 f"fan_in must be >= 2 (a 1-child tier merges nothing), "
                 f"got {self.fan_in}")
-        if self.retry_policy is not None and not self.aggregator_procs:
+        if self.max_restarts < 0:
             raise ConfigurationError(
-                "retry_policy supervises aggregator subprocesses; pass "
+                f"max_restarts must be >= 0, got {self.max_restarts}")
+        if self.max_restarts and not self.aggregator_procs:
+            raise ConfigurationError(
+                "max_restarts supervises aggregator subprocesses; pass "
                 "aggregator_procs=True to run them (in-process aggregators "
                 "have nothing to respawn)")
-        if self.fault_plan is not None and self.fault_plan.worker_crashes \
-                and not self.aggregator_procs:
-            raise ConfigurationError(
-                "fault_plan.worker_crashes kills aggregator subprocesses; "
-                "pass aggregator_procs=True to run them")
 
 
 class ProtocolSession:
@@ -356,14 +333,14 @@ class ProtocolSession:
         if settings.aggregator_procs:
             from repro.protocol.net import ProcessAggregatorPool
             self._pool = ProcessAggregatorPool(
-                config, retry_policy=settings.retry_policy,
-                fault_plan=settings.fault_plan, fan_in=settings.fan_in)
+                config, max_restarts=settings.max_restarts,
+                fan_in=settings.fan_in)
         # A membership mid-lifecycle (e.g. handed to create() after
         # rounds or epoch advances elsewhere) dictates the first
         # usable round id; pads from its earlier rounds are spent.
         self._next_round = membership.next_round if membership else 0
         transport, self._owns_transport = resolve_transport(
-            settings.transport, fault_plan=settings.fault_plan)
+            settings.transport)
         try:
             self._wire(clients, transport)
         except BaseException:
@@ -446,7 +423,7 @@ class ProtocolSession:
           in another process; its membership is the session's.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
-        transport, fan-in, fault injection); defaults apply when
+        transport, fan-in, restart budget); defaults apply when
         omitted. ``store`` (a
         :class:`~repro.store.history.HistoryStore` or a path for one)
         attaches durable history recording via :meth:`attach_store`

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
@@ -35,6 +36,9 @@ from repro.sketch.countmin import CountMinSketch
 from repro.validation.comparison import render_comparison_table
 from repro.validation.study import LiveValidationStudy
 from repro.validation.tree import TreeOutcome
+
+if TYPE_CHECKING:
+    from repro.protocol.net import ChaosSocketTransport
 
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
@@ -82,18 +86,22 @@ def _settings_from(args: argparse.Namespace) -> SessionConfig:
     """The one :class:`~repro.api.SessionConfig` the ``detect`` wiring
     flags describe; a combination the session would refuse raises
     :class:`~repro.errors.ConfigurationError` here."""
-    fault_plan = retry_policy = None
-    if args.chaos != "none":
-        from repro.protocol.net import FaultPlan
-        seed = args.chaos_seed if args.chaos_seed is not None else args.seed
-        fault_plan = getattr(FaultPlan, args.chaos)(seed=seed)
-    if args.retry_budget is not None:
-        from repro.protocol.net import RetryPolicy
-        retry_policy = RetryPolicy(max_restarts=args.retry_budget)
     return SessionConfig(
         transport=args.transport, client_backend=args.clients,
-        aggregator_procs=args.aggregator_procs, fault_plan=fault_plan,
-        retry_policy=retry_policy, fan_in=args.fan_in)
+        aggregator_procs=args.aggregator_procs,
+        max_restarts=args.retry_budget, fan_in=args.fan_in)
+
+
+def _chaos_transport(
+        args: argparse.Namespace) -> "Optional[ChaosSocketTransport]":
+    """The ``--chaos`` profile's :class:`~repro.protocol.net.
+    ChaosSocketTransport` (None without a profile). The session does not
+    own an instance it is handed, so whoever builds this closes it."""
+    if args.chaos == "none":
+        return None
+    from repro.protocol.net import ChaosSocketTransport, FaultPlan
+    seed = args.chaos_seed if args.chaos_seed is not None else args.seed
+    return ChaosSocketTransport(getattr(FaultPlan, args.chaos)(seed=seed))
 
 
 def _print_chaos_telemetry(args: argparse.Namespace, session) -> None:
@@ -177,8 +185,21 @@ def cmd_detect(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.churn:
-        return _detect_with_churn(args, settings)
+    chaos = _chaos_transport(args)
+    if chaos is not None:
+        settings = replace(settings, transport=chaos)
+    try:
+        if args.churn:
+            return _detect_with_churn(args, settings)
+        return _detect_one_week(args, settings)
+    finally:
+        if chaos is not None:
+            chaos.close()
+
+
+def _detect_one_week(args: argparse.Namespace,
+                     settings: SessionConfig) -> int:
+    """One weekly window through the pipeline, verdicts printed."""
     config = _config_from(args)
     result = Simulator(config).run()
     rule = ThresholdRule(args.threshold_rule)
@@ -554,18 +575,21 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["none", "wan", "lossy", "hostile"],
                        help="inject seeded WAN faults (latency, jitter, "
                             "loss) into every socket link of the private "
-                            "round; requires --private --transport socket "
+                            "round: the socket transport becomes a chaos "
+                            "transport carrying the profile's fault plan; "
+                            "link faults only, no profile kills a worker; "
+                            "requires --private --transport socket "
                             "(default none)")
     p_det.add_argument("--chaos-seed", type=int, default=None,
                        help="seed for the fault plan's per-link RNGs "
                             "(default: --seed), so a chaos run replays "
                             "fault-for-fault")
-    p_det.add_argument("--retry-budget", type=int, default=None,
-                       help="supervise aggregator subprocesses: respawn a "
-                            "crashed or hung worker up to N times per "
-                            "round, replaying the round's exchanges; "
-                            "requires --aggregator-procs (default: "
-                            "unsupervised, crashes fail the round)")
+    p_det.add_argument("--retry-budget", type=int, default=0,
+                       help="the session's max_restarts: respawn a "
+                            "crashed or hung aggregator subprocess up to "
+                            "N times per round, replaying the round's "
+                            "exchanges; N > 0 requires --aggregator-procs "
+                            "(default 0: a worker death fails the round)")
     p_det.add_argument("--clients", default="objects",
                        choices=["objects", "batched"],
                        help="private-round client backend: one object per "

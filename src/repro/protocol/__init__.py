@@ -97,8 +97,9 @@ realism for speed, and a session selects one by name
   :class:`~repro.protocol.net.LinkFault` (latency, jitter, loss modelled
   as retransmit delay, connection drops, truncated frames, slow-loris
   trickle), injected inside the ``_ship`` hook so byte accounting is
-  untouched and every run replays fault-for-fault from its seed
-  (``SessionConfig(transport="socket", fault_plan=...)``, or
+  untouched and every run replays fault-for-fault from its seed. A plan
+  rides only this transport
+  (``SessionConfig(transport=ChaosSocketTransport(plan))``, or
   ``cli detect --chaos wan|lossy|hostile``).
 * :mod:`repro.service` — the HTTP rung: the whole protocol exposed as a
   deployable service (``repro serve``). Remote processes drive real
@@ -108,9 +109,7 @@ realism for speed, and a session selects one by name
   ``_carry``/``_ship`` seam *under* the HTTP plane (the HTTP body
   carries the wire encoding; the service refuses ``transport="memory"``
   so parity never goes vacuous), which keeps HTTP-vs-socket byte parity
-  assertable and lets a chaos :class:`~repro.protocol.net.FaultPlan`
-  inject unchanged beneath the service
-  (``ReproService(..., transport="socket", fault_plan=...)``). See
+  assertable. The service takes a transport name, not a fault plan. See
   ``docs/service.md`` for routes and auth.
 
 Above the ladder, :mod:`repro.protocol.net` makes the parties real OS
@@ -142,12 +141,13 @@ collects more than ``fan_in`` partials. Both reuse the existing wire
 messages unchanged; the ``bench/`` workloads ``army_small_cliques`` and
 ``army_big_cliques`` time both.
 
-**Supervision.** The pool supervises its own workers; a
-:class:`~repro.protocol.net.RetryPolicy` is the restart budget it
-spends. Every exchange runs under a per-exchange deadline (hangs cannot
-outlive it). With the default budget of 0 (``retry_policy=None``, i.e.
-:data:`~repro.protocol.net.NO_RETRY`) a crashed or wedged worker fails
-the round fast (a :class:`~repro.errors.ProtocolError` naming the dead
+**Supervision.** The pool supervises its own workers;
+``SessionConfig.max_restarts`` is the restart budget it spends. Every
+exchange runs under a per-exchange deadline (hangs cannot outlive it).
+Nothing in the package schedules a worker fault: a crash or hang comes
+from outside, as a signal to the worker's pid
+(``ProcessAggregatorPool.pids``). With the default budget of 0
+(``max_restarts=0``) a crashed or wedged worker fails the round fast (a :class:`~repro.errors.ProtocolError` naming the dead
 endpoint). With ``max_restarts`` > 0 the worker is respawned from its
 spec after an exponential backoff (0.05 s · 2^(n−1) before restart n,
 capped at 2 s), the current round's exchanges are replayed
@@ -156,8 +156,9 @@ the protocol's messages are idempotent under identical resends — and the
 round completes **bit-identically**. The budget is per worker per round;
 a crash-loop past it raises a ``ProtocolError`` describing the loop.
 
-**What survives which fault** (with ``transport="socket"``,
-``aggregator_procs=True``):
+**What survives which fault** (with ``transport="socket"`` or a
+``ChaosSocketTransport``, ``aggregator_procs=True``; a worker crash is a
+SIGKILL and a hang a SIGSTOP from outside the worker):
 
 ====================================  =================================
 Fault                                 Outcome

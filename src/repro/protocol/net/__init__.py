@@ -11,7 +11,9 @@ transports below it are a fidelity ladder —
   flushes them through a real localhost TCP connection on mailbox reads;
 * :class:`ChaosSocketTransport` makes those frames suffer — seeded,
   per-link WAN faults (latency, jitter, loss, drops, truncation,
-  slow-loris trickle) described by a :class:`FaultPlan` —
+  slow-loris trickle) described by a :class:`FaultPlan`, which rides
+  only this transport (``SessionConfig(transport=
+  ChaosSocketTransport(plan))``) —
 
 and :class:`ProcessAggregatorPool` takes the remaining step: each
 :class:`~repro.protocol.aggregator.CliqueAggregator` and the
@@ -25,12 +27,14 @@ of it from the facade, one process per enrolled clique, and
 them.
 
 The pool is also its workers' supervisor, and that is the production
-failure story: given a :class:`RetryPolicy` with restart budget
-(``SessionConfig(fault_plan=..., retry_policy=...)``), workers that
-crash, crash-loop or hang mid-round are respawned from their specs and
-the round's exchanges are replayed, so the round completes
-bit-identically instead of raising. The default budget is 0
-(:data:`NO_RETRY`): the first worker death fails the round fast.
+failure story: given a restart budget
+(``SessionConfig(aggregator_procs=True, max_restarts=n)``), workers
+that crash, crash-loop or hang mid-round are respawned from their specs
+and the round's exchanges are replayed, so the round completes
+bit-identically instead of raising. The default budget is 0: the first
+worker death fails the round fast. Nothing in this package schedules a
+worker fault; a worker dies or wedges from outside, as a signal to its
+pid.
 
 The guarantees the rest of the stack proves are transport-independent:
 pad one-time-ness is guarded on the clients (a per-round digest of the
@@ -42,11 +46,7 @@ every rung of the ladder — the equivalence tests pin that down for
 """
 
 from repro.protocol.net import frames
-from repro.protocol.net.pool import (
-    NO_RETRY,
-    ProcessAggregatorPool,
-    RetryPolicy,
-)
+from repro.protocol.net.pool import ProcessAggregatorPool
 from repro.protocol.net.proxy import ProcessEndpointProxy
 from repro.protocol.net.server import EndpointServer
 from repro.protocol.net.spec import (
@@ -70,10 +70,8 @@ __all__ = [
     "EndpointServer",
     "FaultPlan",
     "LinkFault",
-    "NO_RETRY",
     "ProcessAggregatorPool",
     "ProcessEndpointProxy",
-    "RetryPolicy",
     "SocketTransport",
     "build_endpoint",
     "clique_spec",

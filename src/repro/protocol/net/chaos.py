@@ -38,9 +38,11 @@ Fault semantics (what each knob does to one shipped frame):
     pump's per-frame deadline still applies, so a trickle slower than
     ``timeout`` surfaces as a bounded stall error, never a hang.
 
-``FaultPlan.worker_crashes`` schedules aggregator-process kills by
-exchange ordinal; it is consumed by the aggregator pool's proxies
-(:mod:`repro.protocol.net.proxy`), not by the transport.
+A plan is link faults only, and it rides its own transport: a session
+takes it as ``SessionConfig(transport=ChaosSocketTransport(plan))``.
+Aggregator crashes are not scheduled here; they come from outside the
+worker, as a signal to its pid (see
+:attr:`~repro.protocol.net.pool.ProcessAggregatorPool.pids`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, TransportError
 from repro.protocol.net.transport import _CHUNK, SocketTransport
@@ -118,12 +120,6 @@ class FaultPlan:
         be the wildcard ``"*"``; resolution is most-specific-first:
         exact pair, then ``(sender, "*")``, then ``("*", recipient)``,
         then ``default``.
-    worker_crashes:
-        ``endpoint_id -> iterable of exchange ordinals`` (1-based) at
-        which the pool kills that endpoint's hosting process just
-        before the exchange runs. Consecutive ordinals produce a crash
-        loop: the respawned process is killed again on its first
-        exchange.
     """
 
     def __init__(
@@ -131,7 +127,6 @@ class FaultPlan:
         seed: int = 0,
         default: Optional[LinkFault] = None,
         links: Optional[Dict[LinkKey, LinkFault]] = None,
-        worker_crashes: Optional[Dict[str, Iterable[int]]] = None,
     ) -> None:
         self.seed = int(seed)
         self.default = default if default is not None else LinkFault()
@@ -151,20 +146,6 @@ class FaultPlan:
                     f"FaultPlan link values must be LinkFault, got {fault!r}"
                 )
             self.links[key] = fault
-        self.worker_crashes: Dict[str, Tuple[int, ...]] = {}
-        for endpoint_id, ordinals in (worker_crashes or {}).items():
-            schedule = tuple(sorted(int(n) for n in ordinals))
-            if schedule and schedule[0] < 1:
-                raise ConfigurationError(
-                    f"worker_crashes ordinals are 1-based exchange counts, "
-                    f"got {schedule[0]} for {endpoint_id!r}"
-                )
-            if schedule:
-                self.worker_crashes[endpoint_id] = schedule
-        self._pending_crashes: Dict[str, List[int]] = {
-            endpoint_id: list(schedule)
-            for endpoint_id, schedule in self.worker_crashes.items()
-        }
         self._rngs: Dict[LinkKey, random.Random] = {}
 
     # ------------------------------------------------------------------
@@ -190,71 +171,38 @@ class FaultPlan:
         return rng
 
     # ------------------------------------------------------------------
-    # Crash schedule (consumed by the pool's proxies)
-    # ------------------------------------------------------------------
-    def take_crash(self, endpoint_id: str, exchange_no: int) -> bool:
-        """True if the plan kills ``endpoint_id`` at this exchange.
-
-        Consuming: each scheduled ordinal fires exactly once. Ordinals
-        the exchange counter has already passed fire immediately, so a
-        schedule stays meaningful even if the caller's counting drifts
-        by a replayed exchange or two.
-        """
-        pending = self._pending_crashes.get(endpoint_id)
-        if pending and exchange_no >= pending[0]:
-            pending.pop(0)
-            return True
-        return False
-
-    def reset(self) -> None:
-        """Re-arm the crash schedule and per-link RNGs for a fresh run."""
-        self._pending_crashes = {
-            endpoint_id: list(schedule)
-            for endpoint_id, schedule in self.worker_crashes.items()
-        }
-        self._rngs.clear()
-
-    # ------------------------------------------------------------------
     # Canned profiles (what the CLI's --chaos flag names)
     # ------------------------------------------------------------------
+    @classmethod
+    def _profile(cls, seed: int, overrides: Dict[str, Any],
+                 **knobs: float) -> "FaultPlan":
+        """A plan whose default :class:`LinkFault` is ``knobs``, each
+        overridable by name; the other overrides go to the plan."""
+        fault = LinkFault(**{name: overrides.pop(name, value)
+                             for name, value in knobs.items()})
+        return cls(seed=seed, default=fault, **overrides)
+
     @classmethod
     def wan(cls, seed: int = 0, **overrides: Any) -> "FaultPlan":
         """A plausible continental WAN: a few ms of latency and jitter,
         1% loss. Rounds complete bit-identically, just slower."""
-        fault = LinkFault(
-            latency_s=overrides.pop("latency_s", 0.002),
-            jitter_s=overrides.pop("jitter_s", 0.002),
-            loss_prob=overrides.pop("loss_prob", 0.01),
-            retransmit_delay_s=overrides.pop("retransmit_delay_s", 0.01),
-        )
-        return cls(seed=seed, default=fault, **overrides)
+        return cls._profile(seed, overrides, latency_s=0.002, jitter_s=0.002,
+                            loss_prob=0.01, retransmit_delay_s=0.01)
 
     @classmethod
     def lossy(cls, seed: int = 0, **overrides: Any) -> "FaultPlan":
         """A congested path: heavy (20%) loss with longer retransmit
         delays. Still survivable — loss is delay, not data loss."""
-        fault = LinkFault(
-            latency_s=overrides.pop("latency_s", 0.001),
-            jitter_s=overrides.pop("jitter_s", 0.003),
-            loss_prob=overrides.pop("loss_prob", 0.2),
-            retransmit_delay_s=overrides.pop("retransmit_delay_s", 0.02),
-        )
-        return cls(seed=seed, default=fault, **overrides)
+        return cls._profile(seed, overrides, latency_s=0.001, jitter_s=0.003,
+                            loss_prob=0.2, retransmit_delay_s=0.02)
 
     @classmethod
     def hostile(cls, seed: int = 0, **overrides: Any) -> "FaultPlan":
-        """An actively bad network: WAN latency, heavy loss *and* a
-        scheduled aggregator crash-loop (supply ``worker_crashes`` to
-        place the kills; pair with a
-        :class:`~repro.protocol.net.RetryPolicy` to survive
-        them)."""
-        fault = LinkFault(
-            latency_s=overrides.pop("latency_s", 0.003),
-            jitter_s=overrides.pop("jitter_s", 0.005),
-            loss_prob=overrides.pop("loss_prob", 0.1),
-            retransmit_delay_s=overrides.pop("retransmit_delay_s", 0.02),
-        )
-        return cls(seed=seed, default=fault, **overrides)
+        """An actively bad network: more latency and jitter than
+        :meth:`wan` and 10% loss. Link faults only: an aggregator crash
+        is a signal to a worker's pid, not part of any plan."""
+        return cls._profile(seed, overrides, latency_s=0.003, jitter_s=0.005,
+                            loss_prob=0.1, retransmit_delay_s=0.02)
 
 
 class ChaosSocketTransport(SocketTransport):

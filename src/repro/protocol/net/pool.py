@@ -23,12 +23,14 @@ and hosts each endpoint from its :func:`~repro.protocol.net.spec.
 endpoint_spec`; only an epoch advance's RECONFIGURE changes it later.
 
 The pool is also the workers' supervisor: :meth:`respawn` replaces a
-dead or hung worker from its stored spec, and the :class:`RetryPolicy`
-it is built with is the per-round restart budget its proxies spend (see
+dead or hung worker from its stored spec, and ``max_restarts`` is the
+per-endpoint, per-round restart budget its proxies spend (see
 :mod:`repro.protocol.net.proxy` for the exchange loop and why replay is
 sound). The default budget is 0: the first worker death fails the round
 with a :class:`~repro.errors.ProtocolError` — "never a hang" — and a
 deployment where aggregation servers do die mid-round passes a budget.
+The pool schedules no fault itself: a worker dies or wedges from
+outside, as a signal to its pid (:attr:`~ProcessAggregatorPool.pids`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import ProtocolEndpoint, ThresholdRuleFn, mean_threshold
 from repro.protocol.net import frames
@@ -54,49 +56,9 @@ from repro.protocol.net.spec import endpoint_spec
 from repro.protocol.runner import as_population, build_aggregation_tree
 
 if TYPE_CHECKING:
-    from repro.protocol.net.chaos import FaultPlan
     from repro.protocol.runner import Clients
 
 logger = logging.getLogger(__name__)
-
-
-#: Backoff before restart ``n`` of a round is ``BACKOFF_BASE_S *
-#: 2**(n-1)`` seconds, capped at ``BACKOFF_MAX_S``.
-BACKOFF_BASE_S = 0.05
-BACKOFF_MAX_S = 2.0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """The restart budget for endpoint exchanges.
-
-    ``max_restarts`` is the per-endpoint, per-round budget: a worker may
-    be respawned that many times within one round before the crash loop
-    is declared unrecoverable and the round fails with the underlying
-    :class:`~repro.errors.ProtocolError`. Restart ``n`` waits
-    :meth:`backoff_s` first: ``BACKOFF_BASE_S * 2**(n-1)``, capped at
-    ``BACKOFF_MAX_S``.
-    """
-
-    max_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ConfigurationError(
-                f"RetryPolicy.max_restarts must be >= 0, got "
-                f"{self.max_restarts}"
-            )
-
-    @staticmethod
-    def backoff_s(restart_no: int) -> float:
-        """Backoff before restart number ``restart_no`` (1-based)."""
-        return min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** max(0, restart_no - 1))
-
-
-#: A restart budget of 0: scheduled crashes still fire, but the first
-#: death raises. What a pool built without a policy enforces, and what
-#: "the same plan with retries disabled" runs against.
-NO_RETRY = RetryPolicy(max_restarts=0)
 
 
 @dataclass
@@ -123,16 +85,11 @@ class ProcessAggregatorPool:
     config:
         The shared :class:`~repro.protocol.client.RoundConfig` every
         hosted aggregator is built with.
-    retry_policy:
-        The :class:`RetryPolicy` every proxy enforces. ``None`` means
-        :data:`NO_RETRY`: the first worker death raises — kept reachable
-        so a chaos scenario can prove the respawn (not luck) saved the
-        round.
-    fault_plan:
-        The :class:`~repro.protocol.net.chaos.FaultPlan` whose
-        ``worker_crashes`` schedule this pool executes. Other worker
-        faults come from outside the worker: a test stops or kills its
-        pid (see :attr:`pids`).
+    max_restarts:
+        How many times one worker may be respawned within one round
+        before the crash loop is declared unrecoverable and the round
+        fails with the underlying :class:`~repro.errors.ProtocolError`.
+        0 (default): the first worker death raises.
     timeout:
         Seconds a worker has to announce its port, and each proxy's
         per-exchange deadline.
@@ -147,14 +104,12 @@ class ProcessAggregatorPool:
     def __init__(
         self,
         config: RoundConfig,
-        retry_policy: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
+        max_restarts: int = 0,
         timeout: float = 60.0,
         fan_in: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.retry_policy = retry_policy if retry_policy is not None else NO_RETRY
-        self.fault_plan = fault_plan
+        self.max_restarts = max_restarts
         self.timeout = timeout
         self.fan_in = fan_in
         self._workers: Dict[str, _Worker] = {}
@@ -319,8 +274,8 @@ class ProcessAggregatorPool:
         """The one worker-shutdown escalation path: signal, bounded wait,
         escalate to SIGKILL (logged), bounded wait again.
 
-        ``hard=True`` skips SIGTERM and goes straight to SIGKILL (crash
-        injection, hung workers). Already-exited processes just reap.
+        ``hard=True`` skips SIGTERM and goes straight to SIGKILL (a
+        failed launch, a hung worker). Already-exited processes just reap.
         """
         if process.poll() is None:
             if hard:
@@ -349,7 +304,7 @@ class ProcessAggregatorPool:
                 )
 
     # ------------------------------------------------------------------
-    # Introspection & chaos
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def pids(self) -> Dict[str, int]:
@@ -364,13 +319,6 @@ class ProcessAggregatorPool:
             return self._workers[endpoint_id]
         except KeyError:
             raise ProtocolError(f"no aggregator process for {endpoint_id!r}") from None
-
-    def kill(self, endpoint_id: str) -> None:
-        """Hard-kill one hosted endpoint's process (crash injection, and
-        what a proxy runs for a scheduled ``FaultPlan`` crash)."""
-        process = self._worker(endpoint_id).process
-        logger.info("chaos: killing %s (pid %s)", endpoint_id, process.pid)
-        self._terminate(process, grace=10.0, hard=True)
 
     # ------------------------------------------------------------------
     # Supervision (what the proxies invoke)

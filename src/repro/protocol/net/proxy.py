@@ -20,10 +20,9 @@ Failure semantics (the satellite contract):
 * every exchange is bounded by a socket timeout.
 
 Supervision: a proxy handed out by a
-:class:`~repro.protocol.net.pool.ProcessAggregatorPool` whose
-:class:`~repro.protocol.net.pool.RetryPolicy` has restart budget left
-does not surface a peer death (EOF, reset, *or* a hung worker caught by
-the per-exchange deadline). It journals the current round's exchanges,
+:class:`~repro.protocol.net.pool.ProcessAggregatorPool` with restart
+budget left (``max_restarts``) does not surface a peer death (EOF,
+reset, *or* a hung worker caught by the per-exchange deadline). It journals the current round's exchanges,
 asks the pool for a fresh process (same spec, same endpoint id, new
 PID), replays the journal into it and retries the failed exchange. With
 a budget of 0 — the default — or with no pool behind it (a proxy
@@ -38,12 +37,10 @@ and the driver — which never learns about the crash — completes the
 round **bit-identically** to an undisturbed run. Outboxes produced
 during replay are discarded: the driver already delivered them.
 
-Crash injection (``FaultPlan.worker_crashes``) happens here rather than
-in the transport because what dies is a *process*, not a link: the proxy
-consults the plan's schedule before each exchange and has the pool kill
-its own worker — after any pending respawn, so consecutive ordinals
-crash the *replacement* process and produce a genuine crash loop against
-the restart budget.
+Faults come from outside: a signal to a worker's pid kills or wedges
+it, and the proxy only classifies what it sees (EOF or reset is a death,
+an expired deadline a hang). Replay runs through the same ``_exchange``,
+so a replacement killed mid-replay is a genuine crash loop.
 """
 
 from __future__ import annotations
@@ -67,9 +64,19 @@ from repro.protocol.net import frames
 from repro.protocol.net.spec import summary_from_spec
 
 if TYPE_CHECKING:
-    from repro.protocol.net.pool import ProcessAggregatorPool, RetryPolicy
+    from repro.protocol.net.pool import ProcessAggregatorPool
 
 logger = logging.getLogger(__name__)
+
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
+
+def _backoff_s(restart_no: int) -> float:
+    """Backoff before restart ``n`` of a round (1-based):
+    ``BACKOFF_BASE_S * 2**(n-1)`` seconds, capped at ``BACKOFF_MAX_S``."""
+    return min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** max(0, restart_no - 1))
+
 
 #: Exception classes an ERR frame may name; anything else re-raises as
 #: ProtocolError so a hosted bug cannot smuggle arbitrary types across.
@@ -98,8 +105,8 @@ class ProcessEndpointProxy(ProtocolEndpoint):
     """Drive a socket-hosted endpoint through the standard lifecycle.
 
     ``pool`` is the :class:`~repro.protocol.net.pool.ProcessAggregatorPool`
-    that launched the hosting process and can respawn it; its retry
-    policy and fault plan are the ones this proxy enforces. None (a
+    that launched the hosting process and can respawn it; its
+    ``max_restarts`` is the per-round budget this proxy spends. None (a
     proxy connected by hand) has nothing to respawn.
     """
 
@@ -119,12 +126,10 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         self._pool = pool
         #: The current round's (kind, body) exchange journal.
         self._journal: List[Tuple[int, bytes]] = []
-        self._exchanges = 0
         self._restarts_this_round = 0
         self._needs_respawn = False
-        self._adopt_socket(sock)
+        self._adopt_socket(sock)  # also marks the proxy open
         self._summary_spec: Optional[Dict[str, Any]] = None
-        self._closed = False
 
     @classmethod
     def connect(
@@ -181,17 +186,16 @@ class ProcessEndpointProxy(ProtocolEndpoint):
         return exc
 
     def _call(self, kind: int, body: bytes = b"") -> Outbox:
-        """The supervised exchange loop: scheduled crash, exchange, and
-        on peer death respawn + replay while the round's restart budget
-        lasts. With a budget of 0 the first death propagates as raised.
+        """The supervised exchange loop: exchange, and on peer death
+        respawn + replay while the round's restart budget lasts. With a
+        budget of 0 the first death propagates as raised.
         """
         pool = self._pool
         if pool is None or kind == frames.SHUTDOWN:
-            # No pool: nothing to crash, respawn or replay with. And
-            # SHUTDOWN must never respawn a dead worker just to kill it
-            # again.
+            # No pool: nothing to respawn or replay with. And SHUTDOWN
+            # must never respawn a dead worker just to kill it again.
             return self._exchange(kind, body)
-        policy, plan = pool.retry_policy, pool.fault_plan
+        budget = pool.max_restarts
         if kind == frames.ROUND_START:
             self._journal.clear()
             self._restarts_this_round = 0
@@ -199,28 +203,23 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             try:
                 if self._needs_respawn:
                     self._respawn_and_replay(pool)
-                self._exchanges += 1
-                if plan is not None and plan.take_crash(
-                    self.endpoint_id, self._exchanges
-                ):
-                    pool.kill(self.endpoint_id)
                 outbox = self._exchange(kind, body)
             except ProtocolError as exc:
-                if not exc.peer_dead or policy.max_restarts == 0:
+                if not exc.peer_dead or budget == 0:
                     raise  # a live peer's error, or no budget to retry on
-                self._note_death(policy, exc)  # raises once it is spent
+                self._note_death(budget, exc)  # raises once it is spent
                 continue
-            if policy.max_restarts and kind in _REPLAYED_KINDS:
+            if budget and kind in _REPLAYED_KINDS:
                 self._journal.append((kind, body))
             return outbox
 
-    def _note_death(self, policy: "RetryPolicy", exc: ProtocolError) -> None:
+    def _note_death(self, budget: int, exc: ProtocolError) -> None:
         """Account one worker death; schedule a respawn or give up."""
-        if self._restarts_this_round >= policy.max_restarts:
+        if self._restarts_this_round >= budget:
             raise ProtocolError(
                 f"endpoint process {self.endpoint_id!r} crash-looped: died "
                 f"{self._restarts_this_round + 1} time(s) this round, "
-                f"restart budget {policy.max_restarts} exhausted "
+                f"restart budget {budget} exhausted "
                 f"({exc})"
             ) from exc
         self._restarts_this_round += 1
@@ -231,19 +230,17 @@ class ProcessEndpointProxy(ProtocolEndpoint):
             "hung" if exc.timed_out else "died",
             exc,
             self._restarts_this_round,
-            policy.max_restarts,
+            budget,
         )
-        backoff = policy.backoff_s(self._restarts_this_round)
-        if backoff:
-            time.sleep(backoff)
+        time.sleep(_backoff_s(self._restarts_this_round))
 
     def _respawn_and_replay(self, pool: "ProcessAggregatorPool") -> None:
         """Fresh process, same identity: adopt its socket, replay the
         round journal to rebuild the partial state the dead worker held.
 
         Raises the usual death errors if the *replacement* dies during
-        replay — the loop in :meth:`_call` catches them, so consecutive
-        scheduled crashes burn restart budget as a genuine crash loop.
+        replay — the loop in :meth:`_call` catches them, so a replacement
+        killed again burns restart budget as a genuine crash loop.
         """
         sock, self.pid = pool.respawn(self.endpoint_id)
         self._adopt_socket(sock)

@@ -42,16 +42,13 @@ from __future__ import annotations
 import base64
 import binascii
 import threading
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.protocol.client import RoundConfig
 from repro.service.auth import ROLE_CLIENT, ROLE_OPERATOR, Principal, TokenBook
 from repro.service.http import HttpError, HttpServer, Request, Response
 from repro.service.state import ServiceState
-
-if TYPE_CHECKING:
-    from repro.protocol.net.chaos import FaultPlan
 
 OPERATOR_PRINCIPAL = "operator"
 
@@ -277,7 +274,6 @@ class ReproService:
     def __init__(self, config: RoundConfig, seed: int = 0,
                  num_cliques: int = 1, use_oprf: bool = False,
                  threshold_rule: str = "mean", transport: str = "wire",
-                 fault_plan: "Optional[FaultPlan]" = None,
                  host: str = "127.0.0.1", port: int = 0,
                  operator_token: Optional[str] = None,
                  store: Optional[str] = None,
@@ -293,7 +289,7 @@ class ReproService:
         self.state = ServiceState(
             config, seed=seed, num_cliques=num_cliques, use_oprf=use_oprf,
             threshold_rule=threshold_rule, transport=transport,
-            fault_plan=fault_plan, store=store, session_name=session_name)
+            store=store, session_name=session_name)
         self.shutdown_requested = threading.Event()
         self.app = ServiceApp(self.state, self.tokens,
                               shutdown=self.shutdown_requested)

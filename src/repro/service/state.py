@@ -16,8 +16,9 @@ refuses ``transport="memory"``: a report POSTed over HTTP is decoded
 from its wire bytes, then *re-sent* through ``transport.send(user,
 clique-aggregator, message)`` — the one ``_carry``/``_ship`` path every
 transport uses — so an HTTP round's byte counts equal an in-process
-round's, and a chaos fault plan injects *under* the HTTP plane
-(``transport="socket"`` + ``fault_plan``).
+round's. The service takes no fault plan: WAN faults ride a
+:class:`~repro.protocol.net.ChaosSocketTransport` of their own, which
+the HTTP plane does not build.
 
 **Remote clients rebuild themselves from the enrollment spec**, since
 enrollment and epoch advances are deterministic (see
@@ -41,7 +42,6 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -68,9 +68,6 @@ from repro.protocol.net.spec import (
 )
 from repro.protocol.runner import RemotePopulation, RoundResult
 from repro.store.history import HistoryStore, WeeklyStatsRecord
-
-if TYPE_CHECKING:
-    from repro.protocol.net.chaos import FaultPlan
 
 #: Transports the service plane accepts. "memory" is refused: its
 #: object mailboxes never produce wire bytes, so HTTP-vs-socket byte
@@ -101,7 +98,6 @@ class ServiceState:
                  num_cliques: int = 1, use_oprf: bool = False,
                  threshold_rule: str = "mean",
                  transport: str = "wire",
-                 fault_plan: "Optional[FaultPlan]" = None,
                  store: "Union[HistoryStore, str, None]" = None,
                  session_name: str = "service") -> None:
         if transport not in SERVICE_TRANSPORTS:
@@ -137,8 +133,7 @@ class ServiceState:
         self.store = store
         self.session_name = session_name
         self.lock = threading.RLock()
-        instance, self._owns_transport = resolve_transport(
-            transport, fault_plan=fault_plan)
+        instance, self._owns_transport = resolve_transport(transport)
         assert instance is not None
         self.transport = instance
         self._settings = SessionConfig(transport=instance,

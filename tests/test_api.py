@@ -77,7 +77,7 @@ class TestProtocolSession:
             SessionConfig(topology="fanout")
         assert [f.name for f in dataclasses.fields(SessionConfig)] == [
             "transport", "threshold_rule", "client_backend",
-            "aggregator_procs", "fault_plan", "retry_policy", "fan_in"]
+            "aggregator_procs", "max_restarts", "fan_in"]
         with pytest.raises(ImportError):
             from repro.protocol import ServerEndpoint  # noqa: F401
 

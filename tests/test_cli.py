@@ -113,7 +113,7 @@ class TestDetect:
     def test_wiring_refusals_speak_in_the_validators_words(
             self, capsys, flags, message):
         """One validator per value: the CLI forwards the flag and prints
-        SessionConfig's / RetryPolicy's refusal as is."""
+        SessionConfig's refusal as is."""
         code = main(["detect", "--users", "16", "--private", *flags])
         assert code == 2
         assert message in capsys.readouterr().err
@@ -121,6 +121,38 @@ class TestDetect:
     def test_transport_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--transport", "quic"])
+
+    def test_chaos_run_replays_and_closes_the_transport_it_built(
+            self, capsys, monkeypatch):
+        """``--chaos`` hands the session a ChaosSocketTransport the CLI
+        built; a session does not close a passed instance, so the CLI
+        must. Same flags, same output (pids aside), non-zero faults."""
+        import repro.protocol.net as net
+
+        built = []
+
+        class Recorded(net.ChaosSocketTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(net, "ChaosSocketTransport", Recorded)
+        argv = ["detect", "--users", "16", "--private", "--transport",
+                "socket", "--chaos", "lossy", "--aggregator-procs",
+                "--retry-budget", "1"]
+        outs = []
+        for _ in range(2):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            outs.append([line for line in out.splitlines()
+                         if " pid " not in line])
+        assert outs[0] == outs[1]
+        chaos_line = next(line for line in outs[0]
+                          if line.startswith("chaos profile 'lossy'"))
+        assert "retransmits=" in chaos_line
+        assert "injected delay 0.000s" not in chaos_line
+        assert len(built) == 2
+        assert all(transport._closed for transport in built)
 
 
 class TestBias:

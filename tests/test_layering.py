@@ -201,3 +201,31 @@ def test_there_is_one_tree_planner():
                                       id_space=16), {"u": 0})
     assert set(spec) == {"role", "clique_id", "config", "index_of",
                          "root_id"}
+
+
+def test_faults_are_scheduled_from_outside():
+    """A worker crashes or wedges by a signal to its pid, never on a
+    schedule inside ``src/``: the pool and its proxies know nothing of
+    fault plans, and a plan is not a session wiring option (it rides
+    its own ChaosSocketTransport)."""
+    offenders = []
+    for rel in ("protocol/net/pool.py", "protocol/net/proxy.py"):
+        source = (SRC / rel).read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders.extend(f"{rel} imports {module}" for module in modules
+                             if module == "repro.protocol.net.chaos")
+        if "FaultPlan" in source:
+            offenders.append(f"{rel} names FaultPlan")
+    assert offenders == []
+
+    import dataclasses
+    from repro.api import SessionConfig
+    names = [field.name for field in dataclasses.fields(SessionConfig)]
+    assert "fault_plan" not in names

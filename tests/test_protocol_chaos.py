@@ -11,6 +11,8 @@ Contracts pinned here:
   leave the round **bit-identical** to the in-memory reference; fatal
   faults (sever, truncation) surface as the transport/codec errors the
   clean stack already defines — never hangs.
+* A plan is link faults only and rides its own transport: a session
+  takes ``ChaosSocketTransport(plan)`` as its ``transport``.
 """
 
 import time
@@ -58,13 +60,11 @@ def test_link_fault_validates_probabilities_and_rates():
     assert not LinkFault(latency_s=0.001).is_noop
 
 
-def test_fault_plan_rejects_malformed_links_and_ordinals():
+def test_fault_plan_rejects_malformed_links():
     with pytest.raises(ConfigurationError, match="string pairs"):
         FaultPlan(links={"a->b": LinkFault()})
     with pytest.raises(ConfigurationError, match="must be LinkFault"):
         FaultPlan(links={("a", "b"): 0.5})
-    with pytest.raises(ConfigurationError, match="1-based"):
-        FaultPlan(worker_crashes={"clique-aggregator-0": (0,)})
 
 
 def test_fault_resolution_is_most_specific_first():
@@ -93,25 +93,18 @@ def test_per_link_rngs_are_seeded_and_independent():
     assert FaultPlan(seed=10).rng_for("a", "b").random() != draws[0]
 
 
-def test_crash_schedule_is_consuming_and_tolerates_drift():
-    plan = FaultPlan(worker_crashes={"w": (3, 4)})
-    assert not plan.take_crash("w", 2)
-    assert plan.take_crash("w", 3)
-    assert plan.take_crash("w", 4)
-    assert not plan.take_crash("w", 5)  # schedule exhausted
-    assert not plan.take_crash("other", 3)
-    # Ordinals already passed fire immediately (counting drift).
-    plan2 = FaultPlan(worker_crashes={"w": (3,)})
-    assert plan2.take_crash("w", 7)
-    plan2.reset()
-    assert plan2.take_crash("w", 3)
-
-
 def test_canned_profiles_build_and_thread_their_seed():
     for name in ("wan", "lossy", "hostile"):
         plan = getattr(FaultPlan, name)(seed=13)
         assert plan.seed == 13
         assert not plan.default.is_noop
+        assert plan.links == {}
+    # A profile knob is overridable by name; the rest go to the plan.
+    links = {("a", "b"): LinkFault(sever_prob=1.0)}
+    plan = FaultPlan.hostile(seed=1, loss_prob=0.5, links=links)
+    assert plan.default.loss_prob == 0.5
+    assert plan.default.latency_s == 0.003
+    assert plan.links == links
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +116,11 @@ def test_wan_faults_leave_round_bit_identical_to_memory():
     plan = FaultPlan(seed=3, default=LinkFault(
         latency_s=0.001, jitter_s=0.001, loss_prob=0.2,
         retransmit_delay_s=0.001))
-    with ProtocolSession.create(
+    with ChaosSocketTransport(plan) as transport, ProtocolSession.create(
             enrolled(),
-            settings=SessionConfig(
-                transport="socket", fault_plan=plan)) as session:
+            settings=SessionConfig(transport=transport)) as session:
         result = session.run_round(0)
-        transport = session.transport
-        assert isinstance(transport, ChaosSocketTransport)
+        assert session.transport is transport
         assert transport.events["delayed"] > 0
         assert transport.injected_delay_s > 0.0
     assert result.aggregate.cells == reference.aggregate.cells
@@ -142,13 +133,11 @@ def test_injected_faults_replay_deterministically():
         plan = FaultPlan(seed=seed, default=LinkFault(
             latency_s=0.0005, jitter_s=0.001, loss_prob=0.5,
             retransmit_delay_s=0.0005))
-        with ProtocolSession.create(
+        with ChaosSocketTransport(plan) as transport, ProtocolSession.create(
                 enrolled(),
-                settings=SessionConfig(
-                    transport="socket", fault_plan=plan)) as session:
+                settings=SessionConfig(transport=transport)) as session:
             session.run_round(0)
-            return dict(session.transport.events), \
-                session.transport.injected_delay_s
+            return dict(transport.events), transport.injected_delay_s
 
     events_a, delay_a = run(21)
     events_b, delay_b = run(21)
@@ -230,35 +219,23 @@ def test_slow_loris_trickle_stalls_out_against_the_pump_deadline():
 # Facade validation
 # ---------------------------------------------------------------------------
 
-def test_fault_plan_requires_the_socket_transport():
-    plan = FaultPlan.wan()
-    with pytest.raises(ConfigurationError, match="transport='socket'"):
-        SessionConfig(transport="memory", fault_plan=plan)
+def test_a_fault_plan_rides_only_its_own_transport():
+    # SessionConfig names no fault plan: the plan belongs to the
+    # transport, and a session does not close an instance it is handed.
+    with pytest.raises(TypeError, match="fault_plan"):
+        SessionConfig(transport="socket", fault_plan=FaultPlan.wan())
+    transport = ChaosSocketTransport(FaultPlan.wan(seed=3))
+    try:
+        with ProtocolSession.create(
+                enrolled(),
+                settings=SessionConfig(transport=transport)) as session:
+            session.run_round(0)
+        assert not transport._closed
+    finally:
+        transport.close()
 
 
-def test_crash_only_plan_works_over_any_transport():
-    # worker_crashes is consumed by the supervisor, not the transport;
-    # a plan with no link faults must not force the socket rung.
-    plan = FaultPlan(worker_crashes={"clique-aggregator-0": (1,)})
-    from repro.protocol.net import RetryPolicy
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=1))) as session:
-        result = session.run_round(0)
-        assert session.aggregator_pool.restarts["clique-aggregator-0"] == 1
-    reference = run_private_round(CONFIG, enrolled().clients, round_id=0)
-    assert result.aggregate.cells == reference.aggregate.cells
-
-
-def test_worker_crashes_require_aggregator_procs():
-    plan = FaultPlan(worker_crashes={"clique-aggregator-0": (1,)})
+def test_max_restarts_requires_aggregator_procs():
     with pytest.raises(ConfigurationError, match="aggregator_procs"):
-        SessionConfig(fault_plan=plan)
-
-
-def test_retry_policy_requires_aggregator_procs():
-    from repro.protocol.net import RetryPolicy
-    with pytest.raises(ConfigurationError, match="aggregator_procs"):
-        SessionConfig(retry_policy=RetryPolicy(max_restarts=1))
+        SessionConfig(max_restarts=1)
+    assert SessionConfig(max_restarts=0).max_restarts == 0

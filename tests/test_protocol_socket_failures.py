@@ -30,7 +30,6 @@ from repro.protocol.net import (
     EndpointServer,
     ProcessAggregatorPool,
     ProcessEndpointProxy,
-    RetryPolicy,
     SocketTransport,
     frames,
 )
@@ -59,7 +58,8 @@ def test_clique_process_crash_mid_round_raises():
     try:
         for i, client in enumerate(session.clients):
             client.observe_ad(f"ad-{i % 5}")
-        session.aggregator_pool.kill(clique_endpoint_id(0))
+        os.kill(session.aggregator_pool.pids[clique_endpoint_id(0)],
+                signal.SIGKILL)
         started = time.monotonic()
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
             session.run_round(0)
@@ -79,7 +79,7 @@ def test_root_process_crash_mid_round_raises():
             client.observe_ad(f"ad-{i % 5}")
         session.run_round(0)  # a healthy round first
         from repro.protocol.endpoint import SERVER_ENDPOINT
-        session.aggregator_pool.kill(SERVER_ENDPOINT)
+        os.kill(session.aggregator_pool.pids[SERVER_ENDPOINT], signal.SIGKILL)
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
             session.run_round(1)
     finally:
@@ -360,8 +360,7 @@ def test_malformed_reply_from_a_live_peer_is_not_misread_as_crash(budget):
     crash loop, hiding the codec bug."""
     pool = None
     if budget is not None:
-        pool = ProcessAggregatorPool(
-            CONFIG, retry_policy=RetryPolicy(max_restarts=budget))
+        pool = ProcessAggregatorPool(CONFIG, max_restarts=budget)
     port, cleanup = _scripted_peer([
         frames.pack_frame(frames.OUT, b"\x00\x64abc"),
         frames.pack_frame(frames.DONE),

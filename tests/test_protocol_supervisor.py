@@ -1,10 +1,17 @@
 """Supervised aggregator recovery: crash, crash-loop, hang, replay.
 
-The contract under test: with a :class:`RetryPolicy`, a worker process
-that dies (or wedges) mid-round is respawned from its spec, the round's
-exchanges are replayed into the replacement, and the round completes
-**bit-identically** to an undisturbed run — while the same fault plan
-with retries disabled reproduces today's fail-fast ProtocolError.
+The contract under test: with a restart budget
+(``SessionConfig.max_restarts``), a worker process that dies (or
+wedges) mid-round is respawned from its spec, the round's exchanges are
+replayed into the replacement, and the round completes
+**bit-identically** to an undisturbed run — while the same kill with a
+budget of 0 reproduces the fail-fast ProtocolError.
+
+Faults come from outside the code under test: a test SIGKILLs (or
+SIGSTOPs) a worker's pid from a wrapped ``proxy._exchange`` at a chosen
+call. Replays go through the same ``_exchange``, so calls are counted
+replays included, and a kill during replay hits the replacement — a
+genuine crash loop.
 """
 
 import os
@@ -19,13 +26,12 @@ from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import SERVER_ENDPOINT, mean_threshold
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.net import (
-    NO_RETRY,
+    ChaosSocketTransport,
     FaultPlan,
     LinkFault,
     ProcessAggregatorPool,
-    RetryPolicy,
 )
-from repro.protocol.net.pool import BACKOFF_BASE_S, BACKOFF_MAX_S
+from repro.protocol.net.proxy import BACKOFF_BASE_S, BACKOFF_MAX_S, _backoff_s
 from repro.protocol.runner import ProtocolRunner
 
 CONFIG = RoundConfig(cms_depth=2, cms_width=64, cms_seed=7, id_space=200)
@@ -59,24 +65,48 @@ def assert_bit_identical(result, reference):
     assert result.users_threshold == reference.users_threshold
 
 
+def supervised(max_restarts=2, transport="socket"):
+    return ProtocolSession.create(
+        enrolled(),
+        settings=SessionConfig(transport=transport, aggregator_procs=True,
+                               max_restarts=max_restarts))
+
+
+def kill_at(session, endpoint_id, *calls):
+    """SIGKILL ``endpoint_id``'s worker just before the proxy's n-th
+    ``_exchange`` call (1-based, replays included) for each n in
+    ``calls``; the pid is looked up at the call, so a kill during replay
+    hits the replacement."""
+    pool = session.aggregator_pool
+    proxy = next(e for e in session.endpoints
+                 if e.endpoint_id == endpoint_id)
+    exchange, made = proxy._exchange, []
+
+    def killing(kind, body=b""):
+        made.append(kind)
+        if len(made) in calls:
+            os.kill(pool.pids[endpoint_id], signal.SIGKILL)
+        return exchange(kind, body)
+
+    proxy._exchange = killing
+
+
 # ---------------------------------------------------------------------------
-# RetryPolicy surface
+# The restart budget
 # ---------------------------------------------------------------------------
 
-def test_retry_policy_is_a_budget_that_backs_off_exponentially():
+def test_restart_budget_is_an_int_that_backs_off_exponentially():
     with pytest.raises(ConfigurationError, match="max_restarts"):
-        RetryPolicy(max_restarts=-1)
-    with pytest.raises(TypeError):
-        RetryPolicy(backoff_base_s=0.1)
+        SessionConfig(aggregator_procs=True, max_restarts=-1)
+    assert SessionConfig().max_restarts == 0
+    assert ProcessAggregatorPool(CONFIG).max_restarts == 0
     assert (BACKOFF_BASE_S, BACKOFF_MAX_S) == (0.05, 2.0)
-    policy = RetryPolicy(max_restarts=5)
-    assert policy.backoff_s(1) == pytest.approx(0.05)
-    assert policy.backoff_s(2) == pytest.approx(0.1)
-    assert policy.backoff_s(3) == pytest.approx(0.2)
-    assert policy.backoff_s(7) == pytest.approx(2.0)  # capped
+    assert _backoff_s(1) == pytest.approx(0.05)
+    assert _backoff_s(2) == pytest.approx(0.1)
+    assert _backoff_s(3) == pytest.approx(0.2)
+    assert _backoff_s(7) == pytest.approx(2.0)  # capped
     # A budget of 2 sleeps at most 0.15 s in one crash loop.
-    assert sum(policy.backoff_s(n) for n in (1, 2)) == pytest.approx(0.15)
-    assert NO_RETRY.max_restarts == 0
+    assert sum(_backoff_s(n) for n in (1, 2)) == pytest.approx(0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +115,8 @@ def test_retry_policy_is_a_budget_that_backs_off_exponentially():
 
 def test_clique_worker_crash_is_recovered_bit_identically():
     reference = reference_result()
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised() as session:
+        kill_at(session, CLIQUE0, 3)
         result = session.run_round(0)
         pool = session.aggregator_pool
         assert isinstance(pool, ProcessAggregatorPool)
@@ -100,28 +126,32 @@ def test_clique_worker_crash_is_recovered_bit_identically():
 
 def test_root_worker_crash_is_recovered_bit_identically():
     reference = reference_result()
-    plan = FaultPlan(seed=5, worker_crashes={SERVER_ENDPOINT: (2,)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised() as session:
+        kill_at(session, SERVER_ENDPOINT, 2)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[SERVER_ENDPOINT] == 1
     assert_bit_identical(result, reference)
 
 
-def test_crash_loop_within_budget_survives():
-    # Consecutive ordinals kill the *replacement* process too (the
-    # exchange counter includes the retried attempt), so this is a
-    # genuine crash loop — two respawns against a budget of two.
+def test_worker_crash_is_recovered_over_the_memory_transport():
+    # Supervision is the pool's, not the transport's: a worker killed
+    # at its first exchange under the default in-memory transport is
+    # recovered the same way.
     reference = reference_result()
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3, 4)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised(max_restarts=1, transport=None) as session:
+        kill_at(session, CLIQUE0, 1)
+        result = session.run_round(0)
+        assert session.aggregator_pool.restarts[CLIQUE0] == 1
+    assert_bit_identical(result, reference)
+
+
+def test_crash_loop_within_budget_survives():
+    # Call 4 is the first replayed exchange into the replacement, so
+    # the *replacement* process dies too: a genuine crash loop — two
+    # respawns against a budget of two.
+    reference = reference_result()
+    with supervised() as session:
+        kill_at(session, CLIQUE0, 3, 4)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
     assert_bit_identical(result, reference)
@@ -133,38 +163,29 @@ def test_crash_loop_under_wan_weather_survives():
     reference = reference_result()
     plan = FaultPlan(seed=17, default=LinkFault(
         latency_s=0.002, jitter_s=0.002, loss_prob=0.01,
-        retransmit_delay_s=0.005), worker_crashes={CLIQUE0: (3, 4)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+        retransmit_delay_s=0.005))
+    with ChaosSocketTransport(plan) as weather, \
+            supervised(transport=weather) as session:
+        kill_at(session, CLIQUE0, 3, 4)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 2
+        assert weather.events["delayed"] > 0
     assert_bit_identical(result, reference)
 
 
 def test_crash_loop_past_budget_raises_with_the_loop_described():
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3, 4, 5)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised() as session:
+        kill_at(session, CLIQUE0, 3, 4, 5)
         with pytest.raises(ProtocolError, match="crash-looped"):
             session.run_round(0)
 
 
-def test_same_plan_with_retries_disabled_reproduces_todays_error():
-    # The acceptance criterion's control leg: the injection fires, no
-    # recovery happens, and the error is exactly the unsupervised
-    # pool's "process died" ProtocolError.
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=NO_RETRY)) as session:
+def test_same_kill_with_a_budget_of_zero_fails_fast():
+    # The control leg: the kill lands, no recovery happens, and the
+    # error is exactly the unsupervised pool's "process died"
+    # ProtocolError.
+    with supervised(max_restarts=0) as session:
+        kill_at(session, CLIQUE0, 3)
         started = time.monotonic()
         with pytest.raises(ProtocolError, match="died|closed|unreachable"):
             session.run_round(0)
@@ -172,15 +193,15 @@ def test_same_plan_with_retries_disabled_reproduces_todays_error():
 
 
 def test_a_plain_session_runs_the_same_pool_with_a_budget_of_zero():
-    # No retry_policy, no fault plan: still the one pool, enforcing
-    # NO_RETRY — nothing is respawned and nothing is journaled.
+    # No restart budget, no kill: still the one pool, with a budget of
+    # 0 — nothing is respawned and nothing is journaled.
     reference = reference_result()
     with ProtocolSession.create(
             enrolled(),
             settings=SessionConfig(aggregator_procs=True)) as session:
         pool = session.aggregator_pool
         assert type(pool) is ProcessAggregatorPool
-        assert pool.retry_policy is NO_RETRY
+        assert pool.max_restarts == 0
         result = session.run_round(0)
         assert pool.restarts == {}
         proxies = [e for e in session.endpoints
@@ -199,8 +220,7 @@ def test_hung_worker_is_detected_respawned_and_recovered():
     enrollment = enrolled()
     # The pool timeout is also the start-up handshake deadline, so it
     # leaves room for a subprocess cold start.
-    pool = ProcessAggregatorPool(
-        CONFIG, timeout=5.0, retry_policy=RetryPolicy(max_restarts=1))
+    pool = ProcessAggregatorPool(CONFIG, timeout=5.0, max_restarts=1)
     try:
         endpoints, root = pool.wire(enrollment.clients, mean_threshold)
         proxy = next(e for e in endpoints if e.endpoint_id == CLIQUE0)
@@ -237,12 +257,8 @@ def test_hung_worker_is_detected_respawned_and_recovered():
 def test_worker_crash_and_client_dropout_in_the_same_round():
     dropped = USER_IDS[3]
     reference = reference_result(fail=dropped)
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised() as session:
+        kill_at(session, CLIQUE0, 3)
         session.transport.fail_sender(dropped)
         result = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
@@ -255,12 +271,8 @@ def test_session_outlives_the_recovered_round():
     # After a supervised recovery the session keeps working: another
     # round, an epoch advance, and a post-churn round all succeed (the
     # respawned worker was re-wired exactly like its predecessor).
-    plan = FaultPlan(seed=5, worker_crashes={CLIQUE0: (3,)})
-    with ProtocolSession.create(
-            enrolled(),
-            settings=SessionConfig(
-                transport="socket", aggregator_procs=True, fault_plan=plan,
-                retry_policy=RetryPolicy(max_restarts=2))) as session:
+    with supervised() as session:
+        kill_at(session, CLIQUE0, 3)
         first = session.run_round(0)
         assert session.aggregator_pool.restarts[CLIQUE0] == 1
         second = session.run_round(1)

@@ -23,7 +23,6 @@ from repro.protocol.army import ClientArmy
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.membership import MembershipManager
-from repro.protocol.net import FaultPlan, RetryPolicy
 from repro.protocol.transport import WireTransport
 from repro.store import HistoryStore
 
@@ -75,6 +74,12 @@ class TestSessionConfigValidation:
             {"fan_in": 0},
             {"fan_in": -3},
             {"aggregator_procs": 2},
+            {"fan_in": 2.5},
+            {"fan_in": "4"},
+            {"aggregator_procs": True, "max_restarts": 1.5},
+            {"aggregator_procs": True, "max_restarts": True},
+            {"aggregator_procs": True, "max_restarts": -1},
+            {"max_restarts": 1},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -94,24 +99,25 @@ class TestSessionConfigValidation:
                 {"fan_in": -3}, "fan_in must be >= 2", id="fan-in-negative"
             ),
             pytest.param(
-                {
-                    "transport": "socket",
-                    "fault_plan": FaultPlan(
-                        worker_crashes={"clique-aggregator-0": (1,)}
-                    ),
-                },
-                "worker_crashes kills aggregator subprocesses",
-                id="worker-crashes-without-procs",
+                {"fan_in": 2.5}, "fan_in must be an int", id="fan-in-float"
             ),
             pytest.param(
-                {"transport": "memory", "fault_plan": FaultPlan.wan()},
-                "needs transport='socket'",
-                id="wan-plan-off-socket",
+                {"fan_in": "4"}, "fan_in must be an int", id="fan-in-str"
             ),
             pytest.param(
-                {"fault_plan": FaultPlan.wan()},
-                "needs transport='socket'",
-                id="wan-plan-default-transport",
+                {"aggregator_procs": True, "max_restarts": 1.5},
+                "max_restarts must be an int",
+                id="max-restarts-float",
+            ),
+            pytest.param(
+                {"aggregator_procs": True, "max_restarts": True},
+                "max_restarts must be an int",
+                id="max-restarts-bool",
+            ),
+            pytest.param(
+                {"aggregator_procs": True, "max_restarts": -1},
+                "max_restarts must be >= 0",
+                id="max-restarts-negative",
             ),
             pytest.param(
                 {"transport": "carrier-pigeon"},
@@ -119,8 +125,8 @@ class TestSessionConfigValidation:
                 id="unknown-transport",
             ),
             pytest.param(
-                {"retry_policy": RetryPolicy(max_restarts=1)},
-                "retry_policy supervises aggregator subprocesses",
+                {"max_restarts": 1},
+                "max_restarts supervises aggregator subprocesses",
                 id="retry-without-procs",
             ),
         ],
