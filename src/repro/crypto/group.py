@@ -9,14 +9,15 @@ it.
 A few precomputed groups are bundled so tests and examples do not pay
 safe-prime generation costs; ``DHGroup.generate`` creates fresh ones.
 
-Key set-up pays for each key once. A group checks each element for
-membership once (the ``y^q`` modexp) and remembers the elements that
-passed, so a clique's pair secrets cost one check per distinct peer key
-and one modexp per pair. A refusal is never remembered: a bad key raises
-on every call. Key generation raises the fixed generator through a
-window table built on first use, so a key pair costs a few dozen
-multiplications instead of a generic ``pow``. Neither ``pow`` nor the
-table is constant-time; this is a simulator, not a hardened DH stack.
+Key set-up pays only for the modexps its security needs. A key the group
+drew, ``g^x``, is a member by construction and is remembered without a
+check; any other element takes the ``y^q`` check on its first use and is
+remembered if it passed. A refusal is never remembered: a bad key, or the
+identity (whose pair secret anyone can compute), raises on every call.
+Key generation raises the fixed generator through a window table built on
+first use, so a key pair costs a few dozen multiplications instead of a
+generic ``pow``. Neither ``pow`` nor the table is constant-time; this is
+a simulator, not a hardened DH stack.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ class DHGroup:
             if digit:
                 public = public * row[digit] % self.p
             rest >>= _WINDOW_BITS
+        # g^x lies in the subgroup g generates: a member without a check.
+        self._members.add(public)
         return KeyPair(private=x, public=public)
 
     def _generator_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -156,11 +159,13 @@ class DHGroup:
     def shared_secret(self, own: KeyPair, peer_public: int) -> int:
         """DH shared secret ``peer_public ^ own.private mod p``.
 
-        Symmetric: both endpoints derive ``g^(x_i * x_j)``. The peer key's
-        membership check runs on its first use in this group only.
+        Symmetric: both endpoints derive ``g^(x_i * x_j)``. A peer key is
+        checked once at most (see ``contains``); the identity always
+        raises, since anyone can compute its pair secret.
         """
-        if not self.contains(peer_public):
-            raise ConfigurationError("peer public key not in group")
+        if peer_public == 1 or not self.contains(peer_public):
+            raise ConfigurationError(
+                "peer public key is the identity or not in the group")
         return pow(peer_public, own.private, self.p)
 
     @property

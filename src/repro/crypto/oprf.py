@@ -85,8 +85,9 @@ class OPRFServer:
         """Server step: raw-sign the blinded element."""
         if not 0 < blinded < self._keypair.n:
             raise OPRFError("blinded element outside Z_N")
+        signed = self._keypair.sign_raw(blinded)
         self.evaluations += 1
-        return self._keypair.sign_raw(blinded)
+        return signed
 
     def evaluate_direct(self, x: str, output_length: int = 16) -> bytes:
         """Unblinded PRF evaluation — test oracle only.

@@ -13,10 +13,8 @@ from repro.errors import ConfigurationError
 from repro.crypto.group import DHGroup
 from repro.crypto.primes import is_probable_prime
 from repro.protocol.army import ClientArmy
-from repro.protocol.enrollment import keypair_seed
 from repro.protocol.membership import MembershipManager
 from repro.protocol.client import RoundConfig
-from repro.statsutil.sampling import make_rng
 
 #: The three bundled groups plus a freshly generated one.
 GROUPS = {bits: DHGroup.standard(bits) for bits in (128, 256, 1024)}
@@ -132,6 +130,18 @@ class TestKeyExchange:
         assert not group.contains(key)
         assert group.contains(peer.public)
 
+    def test_identity_refused_every_time(self):
+        group = DHGroup.standard(128)
+        rng = random.Random(11)
+        own, peer = group.keypair(rng), group.keypair(rng)
+        assert group.contains(1)  # the subgroup's identity is a member
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                group.shared_secret(own, 1)
+        group.shared_secret(own, peer.public)
+        with pytest.raises(ConfigurationError):
+            group.shared_secret(own, 1)
+
     def test_element_bytes(self, group):
         assert group.element_bytes == 16
         kp = group.keypair(random.Random(9))
@@ -185,7 +195,7 @@ class TestSubgroupChecksOncePerKey:
         assert len(bases) <= 100
         assert len(bases) == len(set(bases))
 
-    def test_advance_epoch_checks_only_joiners(self, monkeypatch):
+    def test_advance_epoch_checks_no_drawn_key(self, monkeypatch):
         users = [f"u{i:02d}" for i in range(20)]
         manager = MembershipManager.enroll(users, self.CONFIG, seed=4,
                                            use_oprf=False)
@@ -194,6 +204,20 @@ class TestSubgroupChecksOncePerKey:
         bases = count_subgroup_checks(monkeypatch, group.q)
         manager.advance_epoch(joins=joiners)
         assert manager.epoch.min_clique_size == 24
-        assert sorted(bases) == sorted(
-            group.keypair(make_rng(keypair_seed(4, uid))).public
-            for uid in joiners)
+        # Every key, the joiners' too, was drawn by this group: g^x is a
+        # member by construction, so no check modexp runs.
+        assert bases == []
+
+    def test_key_from_elsewhere_checked_once_then_remembered(
+            self, monkeypatch):
+        group = DHGroup.standard(128)
+        own = group.keypair(random.Random(12))
+        by_hand = pow(group.g, 0xC0FFEE, group.p)
+        other = DHGroup.standard(128)  # same prime, its own memo
+        drawn_elsewhere = other.keypair(random.Random(13)).public
+        bases = count_subgroup_checks(monkeypatch, group.q)
+        for _ in range(2):  # the first use, then a repeat
+            for key in (by_hand, drawn_elsewhere):
+                assert group.shared_secret(own, key) == pow(
+                    key, own.private, group.p)
+        assert bases == [by_hand, drawn_elsewhere]

@@ -1,5 +1,7 @@
 """Unit tests for the RSA-based OPRF and the ad-ID PRF layer."""
 
+import builtins
+import functools
 import random
 
 import pytest
@@ -15,7 +17,29 @@ from repro.crypto.oprf import (
     hash_to_output,
 )
 from repro.crypto.prf import KeyedPRF, ObliviousAdMapper, recommended_id_space
+import repro.crypto.rsa as rsa_module
 from repro.crypto.rsa import RSAKeyPair
+
+
+@functools.lru_cache(maxsize=None)
+def rsa_key(bits):
+    """One key per modulus size, built on first use."""
+    return RSAKeyPair.generate(bits, random.Random(bits))
+
+
+def fault_one_crt_half(monkeypatch, keypair):
+    """Make the next mod-p half of a CRT signature come back off by one."""
+    faults = []
+
+    def faulty_pow(base, exp, mod=None):
+        result = builtins.pow(base, exp, mod)
+        if mod == keypair._p and not faults:
+            faults.append(base)
+            return (result + 1) % mod
+        return result
+
+    monkeypatch.setattr(rsa_module, "pow", faulty_pow, raising=False)
+    return faults
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +66,25 @@ class TestRSA:
         a = RSAKeyPair.generate(128, random.Random(5))
         b = RSAKeyPair.generate(128, random.Random(5))
         assert a.n == b.n
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_crt_signature_equals_plain_modexp(self, data):
+        kp = rsa_key(data.draw(st.sampled_from([64, 128, 256, 512])))
+        p, q = kp._p, kp._q
+        d = pow(kp.e, -1, (p - 1) * (q - 1))
+        # The ends of [1, n) and the multiples of one prime beside random x.
+        x = data.draw(st.sampled_from([1, p, q, kp.n - 1])
+                      | st.integers(min_value=1, max_value=kp.n - 1))
+        assert kp.sign_raw(x) == pow(x, d, kp.n)
+
+    def test_faulty_crt_half_raises(self, monkeypatch):
+        kp = rsa_key(256)
+        faults = fault_one_crt_half(monkeypatch, kp)
+        with pytest.raises(OPRFError):
+            kp.sign_raw(0x1234567)
+        assert len(faults) == 1
+        assert kp.public.apply(kp.sign_raw(0x1234567)) == 0x1234567
 
     def test_modulus_bytes(self):
         kp = RSAKeyPair.generate(128, random.Random(2))
@@ -106,6 +149,15 @@ class TestOPRFProtocol:
         before = server.evaluations
         client.evaluate("counted", server)
         assert server.evaluations == before + 1
+
+    def test_faulted_signature_is_not_counted(self, monkeypatch, server,
+                                              client):
+        before = server.evaluations
+        fault_one_crt_half(monkeypatch, server._keypair)
+        request = client.blind("http://ads.example/faulted")
+        with pytest.raises(OPRFError):
+            server.evaluate_blinded(request.blinded)
+        assert server.evaluations == before
 
     def test_exchange_bytes_two_elements(self, server, client):
         assert client.exchange_bytes() == 2 * server.public_key.modulus_bytes
