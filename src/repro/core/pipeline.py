@@ -23,12 +23,15 @@ of re-running the full DH enrollment per window.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import ProtocolSession, SessionConfig
-from repro.core.counters import GlobalUserCounter
+from repro.core.counters import (
+    GlobalUserCounter,
+    UserDomainCounter,
+    count_window,
+)
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.errors import ConfigurationError
 from repro.protocol.client import RoundConfig
@@ -37,7 +40,7 @@ from repro.protocol.membership import EpochTransition
 from repro.protocol.runner import RoundResult
 from repro.statsutil.distributions import EmpiricalDistribution
 from repro.store.history import HistoryStore, WeeklyStatsRecord
-from repro.types import Ad, ClassifiedAd, Impression
+from repro.types import ClassifiedAd, Impression
 
 
 @dataclass
@@ -56,22 +59,6 @@ class PipelineResult:
         return [c for c in self.classified if c.is_targeted]
 
 
-def _group_by_user(impressions: Sequence[Impression]
-                   ) -> Dict[str, List[Impression]]:
-    grouped: Dict[str, List[Impression]] = defaultdict(list)
-    for imp in impressions:
-        grouped[imp.user_id].append(imp)
-    return grouped
-
-
-def _unique_ads_by_user(impressions: Sequence[Impression]
-                        ) -> Dict[str, Dict[str, Ad]]:
-    ads: Dict[str, Dict[str, Ad]] = defaultdict(dict)
-    for imp in impressions:
-        ads[imp.user_id][imp.ad.identity] = imp.ad
-    return ads
-
-
 class DetectionPipeline:
     """Runs the count-based algorithm over weekly impression logs."""
 
@@ -86,6 +73,11 @@ class DetectionPipeline:
                  store: "Union[HistoryStore, str, None]" = None,
                  session_name: str = "pipeline") -> None:
         settings = settings if settings is not None else SessionConfig()
+        for name, value in (("num_cliques", num_cliques),
+                            ("rounds_per_window", rounds_per_window)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}")
         if num_cliques < 1:
             raise ConfigurationError(
                 f"num_cliques must be >= 1, got {num_cliques}")
@@ -198,13 +190,6 @@ class DetectionPipeline:
         return RoundConfig(cms_depth=probe.depth, cms_width=probe.width,
                            cms_seed=7, id_space=id_space)
 
-    def _global_from_cleartext(self, impressions: Sequence[Impression]):
-        counter = GlobalUserCounter()
-        counter.observe_all(impressions)
-        distribution = counter.distribution()
-        threshold = self.detector_config.users_rule.compute(distribution)
-        return counter.users_seen, distribution, threshold, None
-
     def _window_config(self, num_unique_ads: int) -> RoundConfig:
         """This window's round config: explicit > pinned > derived.
 
@@ -225,7 +210,7 @@ class DetectionPipeline:
         self._derived_for_ads = sized_for
         return self._derived_config
 
-    def _fresh_session(self, user_ids, config: RoundConfig,
+    def _fresh_session(self, user_ids: Sequence[str], config: RoundConfig,
                        cliques: int) -> ProtocolSession:
         """Epoch-0 enrollment of one window's population."""
         # Each fresh enrollment is a new lineage in the store, named by
@@ -241,7 +226,7 @@ class DetectionPipeline:
             use_oprf=self.use_oprf, num_cliques=cliques,
             store=self._store, store_name=name)
 
-    def _session_for(self, user_ids, config: RoundConfig,
+    def _session_for(self, user_ids: Sequence[str], config: RoundConfig,
                      cliques: int) -> ProtocolSession:
         """The window's session: reuse the persistent epoch session when
         possible, advancing its epoch by the roster delta; fall back to
@@ -301,12 +286,13 @@ class DetectionPipeline:
         if self._store is not None and self._owns_store:
             self._store.close()
 
-    def _global_from_protocol(self, impressions: Sequence[Impression],
-                              week: int):
-        ads_by_user = _unique_ads_by_user(impressions)
-        user_ids = sorted(ads_by_user)
-        all_identities = {identity for per_user in ads_by_user.values()
-                          for identity in per_user}
+    def _global_from_protocol(
+            self, counters: Dict[str, UserDomainCounter], week: int
+    ) -> Tuple[Callable[[str], float], EmpiricalDistribution, float,
+               RoundResult]:
+        user_ids = list(counters)
+        all_identities = {identity for counter in counters.values()
+                          for identity in counter.ads}
         config = self._window_config(len(all_identities))
         # Clamp so every clique has >= 2 members in this window's
         # population (a singleton clique would report unblinded).
@@ -315,16 +301,15 @@ class DetectionPipeline:
         # Persisted rounds carry their window index.
         session.week = week
         session.reset_windows()
+        # Each user hands its window's ads over in one call; each client
+        # maps and hashes its own (a separate device in deployment).
         if session.army is not None:
-            for user_id, per_user in ads_by_user.items():
-                for identity in per_user:
-                    session.army.observe_ad(user_id, identity)
+            for user_id, counter in counters.items():
+                session.army.observe_ads(user_id, counter.ads)
         else:
             clients_by_id = {c.user_id: c for c in session.clients}
-            for user_id, per_user in ads_by_user.items():
-                client = clients_by_id[user_id]
-                for identity in per_user:
-                    client.observe_ad(identity)
+            for user_id, counter in counters.items():
+                clients_by_id[user_id].observe_ads(counter.ads)
         # Round ids are session-monotonic (never reused across epochs —
         # the pads are one-time). Extra rounds per window re-report the
         # same observations under fresh pads: bit-identical aggregates,
@@ -363,14 +348,7 @@ class DetectionPipeline:
         estimates = round_result.aggregate.query_many(ad_ids)
         estimate_of = {identity: float(estimate) for identity, estimate
                        in zip(identities, estimates.tolist())}
-
-        def users_seen_of(identity: str) -> float:
-            cached = estimate_of.get(identity)
-            if cached is not None:
-                return cached
-            return float(round_result.aggregate.query(mapper.ad_id(identity)))
-
-        return (users_seen_of, round_result.distribution,
+        return (estimate_of.__getitem__, round_result.distribution,
                 round_result.users_threshold, round_result)
 
     # ------------------------------------------------------------------
@@ -402,22 +380,28 @@ class DetectionPipeline:
             raise ConfigurationError(
                 f"no impressions fall in window {index}")
 
+        # One pass over the window: every user's local counters (and,
+        # in cleartext, the exact #Users) for the private path and the
+        # detector alike.
+        users_seen_of: Callable[[str], float]
+        round_result: Optional[RoundResult] = None
         if self.private:
+            counters = count_window(week_impressions)
             users_seen_of, distribution, threshold, round_result = \
-                self._global_from_protocol(week_impressions, week)
+                self._global_from_protocol(counters, week)
         else:
-            users_seen_of, distribution, threshold, round_result = \
-                self._global_from_cleartext(week_impressions)
+            users = GlobalUserCounter()
+            counters = count_window(week_impressions, users)
+            distribution = users.distribution()
+            threshold = self.detector_config.users_rule.compute(distribution)
+            users_seen_of = users.users_seen
 
         classified: List[ClassifiedAd] = []
-        ads_by_user = _unique_ads_by_user(week_impressions)
-        grouped = _group_by_user(week_impressions)
-        for user_id in sorted(grouped):
-            detector = CountBasedDetector(user_id, self.detector_config)
-            detector.observe_all(grouped[user_id])
-            ads = list(ads_by_user[user_id].values())
+        for user_id, counter in counters.items():
+            detector = CountBasedDetector(user_id, self.detector_config,
+                                          counter)
             classified.extend(detector.classify_all(
-                ads, users_seen_of, threshold, week))
+                counter.ads.values(), users_seen_of, threshold, week))
 
         if self._store is not None:
             # Persist this window's longitudinal record: every verdict
@@ -429,7 +413,7 @@ class DetectionPipeline:
                 num_reporting = len(round_result.reported_users)
                 num_missing = len(round_result.missing_users)
             else:
-                num_reporting = len(grouped)
+                num_reporting = len(counters)
                 num_missing = 0
             self._store.save_weekly_record(WeeklyStatsRecord(
                 week=week, users_threshold=threshold,

@@ -38,6 +38,7 @@ STRICT_TIER = (
     "src/repro/crypto",
     "src/repro/devtools",
     "src/repro/store",
+    "src/repro/core",
 )
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -307,11 +307,22 @@ class ProtocolClient(ProtocolEndpoint):
         time; the resulting ID is cached so :meth:`build_report` costs no
         further PRF evaluations.
         """
-        ad_id = self._ad_id_cached(url)
-        if url not in self._seen_urls:
-            self._seen_urls.add(url)
+        self.observe_ads((url,))
+        return self._ad_ids[url]
+
+    def observe_ads(self, urls: Iterable[str]) -> None:
+        """Record a batch of seen ads (a window's, say), mapping each
+        new one as :meth:`observe_ad` does."""
+        ad_ids = self._ad_ids
+        seen = self._seen_urls
+        map_ad = self.ad_mapper.ad_id
+        num_seen = len(seen)
+        for url in urls:
+            if url not in ad_ids:
+                ad_ids[url] = map_ad(url)
+            seen.add(url)
+        if len(seen) != num_seen:
             self._window = None
-        return ad_id
 
     @property
     def seen_urls(self) -> Set[str]:
@@ -342,8 +353,9 @@ class ProtocolClient(ProtocolEndpoint):
         ad, hashed for the pad-reuse guard. The sorted indexes determine
         the sketch's cells and back, so their digest changes exactly
         when the cells would."""
+        ad_ids = self._ad_ids  # every seen url was mapped at observation
         indexes = self.config.flat_indexes(
-            [self._ad_id_cached(url) for url in self._seen_urls]
+            [ad_ids[url] for url in self._seen_urls]
         ).astype(np.int64).ravel()
         indexes.sort()
         return indexes, None, hashlib.sha256(indexes).digest()

@@ -114,6 +114,9 @@ def assign_cliques(user_ids: Sequence[str], num_cliques: int,
     """
     if len(set(user_ids)) != len(user_ids):
         raise ConfigurationError("duplicate user ids in clique assignment")
+    if isinstance(num_cliques, bool) or not isinstance(num_cliques, int):
+        raise ConfigurationError(
+            f"num_cliques must be an int, got {num_cliques!r}")
     if num_cliques < 1:
         raise ConfigurationError(
             f"num_cliques must be >= 1, got {num_cliques} (0 cliques would "

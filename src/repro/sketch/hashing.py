@@ -75,18 +75,16 @@ def stable_hash_many(items: Sequence[Item], salt: bytes = b"") -> np.ndarray:
 
     Bit-identical to calling :func:`stable_hash` per item; the per-item
     BLAKE2b call is unavoidable, but batching keeps the digests in a NumPy
-    array so every downstream index computation is vectorized.
+    array so every downstream index computation is vectorized. The
+    digests are joined and read as big-endian words in one step.
     """
     saltb = salt[:16].ljust(16, b"\0") if salt else _ZERO_SALT
     blake2b = hashlib.blake2b
-    from_bytes = int.from_bytes
     item_bytes = _item_bytes
-    out = np.empty(len(items), dtype=np.uint64)
-    for i, item in enumerate(items):
-        out[i] = from_bytes(
-            blake2b(item_bytes(item), digest_size=8, salt=saltb).digest(), "big"
-        )
-    return out
+    digests = [
+        blake2b(item_bytes(item), digest_size=8, salt=saltb).digest() for item in items
+    ]
+    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 
 def _fold61(y: np.ndarray) -> np.ndarray:

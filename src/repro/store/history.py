@@ -564,12 +564,14 @@ class HistoryStore:
         its verdicts (deterministic pipelines rewrite identical rows).
         """
         conn = self._conn()
+        # Ad.identity and Label.value, read off the fields: no property
+        # call per row.
         rows = [
             (
                 week,
                 call.user_id,
-                call.ad.identity,
-                call.label.value,
+                call.ad.url or call.ad.content_hash,
+                call.label._value_,
                 int(call.domains_seen),
                 float(call.users_seen),
                 float(call.domains_threshold),

@@ -1,13 +1,16 @@
 """Unit tests for counters, thresholds and the detector."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.counters import GlobalUserCounter, UserDomainCounter
 from repro.core.detector import CountBasedDetector, DetectorConfig
+from repro.core.pipeline import DetectionPipeline
 from repro.core.thresholds import ThresholdRule
 from repro.errors import ConfigurationError
 from repro.statsutil.distributions import EmpiricalDistribution
-from repro.types import Ad, Impression, Label
+from repro.types import TICKS_PER_WEEK, Ad, Impression, Label
 
 
 def imp(user, ad_url, domain, tick=0):
@@ -221,3 +224,80 @@ class TestDetector:
         ad = Ad(url="chaser")
         assert lenient.classify(ad, 1, 100.0).label is Label.TARGETED
         assert strict.classify(ad, 1, 100.0).label is Label.NON_TARGETED
+
+
+#: Ads of the generated logs: content-hash identities (``url=""``), and
+#: identities carried by two different ``Ad`` objects ("http://a/" by a
+#: second category and by a content hash; "h1" by a second category).
+ADS = [
+    Ad(url="http://a/"),
+    Ad(url="http://a/", category="shoes"),
+    Ad(url="", content_hash="http://a/"),
+    Ad(url="", content_hash="h1"),
+    Ad(url="", content_hash="h1", category="cars"),
+    Ad(url="http://b/", content_hash="h1"),
+    Ad(url="http://c/"),
+]
+
+
+@st.composite
+def windows(draw):
+    """(impression log, detector config): four users over six domains,
+    ticks in weeks 0 and 1 so the window filter drops some; the gate
+    ranges up to 4 domains, so some users fall under it."""
+    impressions = draw(st.lists(st.builds(
+        Impression,
+        user_id=st.sampled_from(["u0", "u1", "u2", "u3"]),
+        ad=st.sampled_from(ADS),
+        domain=st.sampled_from([f"d{i}.com" for i in range(6)]),
+        tick=st.integers(0, 2 * TICKS_PER_WEEK - 1)), max_size=40))
+    config = DetectorConfig(
+        domains_rule=draw(st.sampled_from(list(ThresholdRule))),
+        users_rule=draw(st.sampled_from(list(ThresholdRule))),
+        min_ad_serving_domains=draw(st.integers(1, 4)))
+    return impressions, config
+
+
+def one_by_one(impressions, config):
+    """The window's verdicts from per-impression counting and per-ad
+    ``classify``, with #Users and the identities' last ``Ad`` objects
+    taken straight from the log."""
+    users_by_identity = {}
+    ads_by_user = {}
+    for imp in impressions:
+        identity = imp.ad.identity
+        users_by_identity.setdefault(identity, set()).add(imp.user_id)
+        ads_by_user.setdefault(imp.user_id, {})[identity] = imp.ad
+    users_threshold = config.users_rule.compute(EmpiricalDistribution(
+        len(users) for users in users_by_identity.values()))
+    verdicts = []
+    for user_id in sorted(ads_by_user):
+        detector = CountBasedDetector(user_id, config)
+        for imp in impressions:  # other users' impressions included
+            detector.observe(imp)
+        for identity, ad in ads_by_user[user_id].items():
+            verdicts.append(detector.classify(
+                ad, len(users_by_identity[identity]), users_threshold))
+    return verdicts
+
+
+@settings(deadline=None)
+@given(window=windows())
+@example(window=([
+    Impression("u0", ADS[0], "d0.com", 0),
+    Impression("u1", ADS[3], "d1.com", 1),
+    Impression("u0", ADS[1], "d1.com", 2),
+    Impression("u0", ADS[4], "d2.com", 3),
+    Impression("u0", ADS[2], "d3.com", 4),
+    Impression("u1", ADS[0], "d1.com", 5),
+    Impression("u2", ADS[6], "d4.com", TICKS_PER_WEEK),
+], DetectorConfig(min_ad_serving_domains=2)))
+def test_one_pass_window_matches_per_impression_detector(window):
+    impressions, config = window
+    week = [imp for imp in impressions if imp.week == 0]
+    if not week:
+        with pytest.raises(ConfigurationError):
+            DetectionPipeline(config).run_week(impressions, week=0)
+        return
+    out = DetectionPipeline(config).run_week(impressions, week=0)
+    assert out.classified == one_by_one(week, config)

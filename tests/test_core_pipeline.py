@@ -82,6 +82,27 @@ class TestCleartextPipeline:
         assert counts.tp > 0
 
 
+class TestPipelineSettings:
+    @pytest.mark.parametrize("kwargs,message", [
+        pytest.param({"num_cliques": 2.5}, "num_cliques must be an int",
+                     id="cliques-float"),
+        pytest.param({"num_cliques": True}, "num_cliques must be an int",
+                     id="cliques-bool"),
+        pytest.param({"num_cliques": "2"}, "num_cliques must be an int",
+                     id="cliques-str"),
+        pytest.param({"rounds_per_window": 1.5},
+                     "rounds_per_window must be an int", id="rounds-float"),
+        pytest.param({"rounds_per_window": True},
+                     "rounds_per_window must be an int", id="rounds-bool"),
+    ])
+    def test_invalid_settings_rejected_at_construction(self, kwargs,
+                                                       message):
+        """Refused by ``__init__``, not by ``range()`` or the clique
+        deal in the first private window (after its enrollment)."""
+        with pytest.raises(ConfigurationError, match=message):
+            DetectionPipeline(private=True, **kwargs)
+
+
 class TestPrivatePipeline:
     def test_private_matches_cleartext_on_synthetic(self):
         impressions = synthetic_impressions()
@@ -162,3 +183,53 @@ class TestThresholdRuleSweep:
         mean_flagged = {(c.user_id, c.ad.identity) for c in mean_out.targeted}
         mm_flagged = {(c.user_id, c.ad.identity) for c in mm_out.targeted}
         assert mm_flagged <= mean_flagged
+
+
+def _verdict_stream(private, tmp_path):
+    """sha256 of a seeded 3-week panel's verdicts: every ``ClassifiedAd``
+    field in order (floats by ``repr``), then the store's
+    ``detection_records()``."""
+    import hashlib
+    from dataclasses import astuple
+
+    from repro.simulation.churn import churn_schedule, rosters_over_epochs
+    from repro.store.history import HistoryStore
+
+    result = Simulator(SimulationConfig.small(seed=23, num_weeks=3)).run()
+    everyone = [user.user_id for user in result.population]
+    roster0 = everyone[:40]
+    plans = churn_schedule(roster0, 2, 0.1, seed=5,
+                           joiner_pool=everyone[40:])
+    store = HistoryStore(str(tmp_path / "verdicts.sqlite"))
+    pipeline = DetectionPipeline(
+        private=private, use_oprf=private, num_cliques=2,
+        enrollment_seed=3, store=store)
+    sha = hashlib.sha256()
+    try:
+        for week, roster in enumerate(rosters_over_epochs(roster0, plans)):
+            members = set(roster)
+            log = [imp for imp in result.impressions
+                   if imp.week == week and imp.user_id in members]
+            for call in pipeline.run_week(log, week=week).classified:
+                sha.update(repr(astuple(call)).encode() + b"\n")
+        for record in store.detection_records():
+            sha.update(repr(record).encode() + b"\n")
+    finally:
+        pipeline.close()
+        store.close()
+    return sha.hexdigest()
+
+
+class TestVerdictStream:
+    """The verdict stream of two seeded 3-week panels, pinned at the
+    digest the per-object detector produced: a rewrite of the window's
+    grouping, counting or labelling must not move a single verdict,
+    float or stored row."""
+
+    def test_cleartext_panel(self, tmp_path):
+        assert _verdict_stream(False, tmp_path) == (
+            "e51ed951794d6ec043745540b69180934f4fd86785d5307ec9feb34982e06283")
+
+    def test_private_panel_with_oprf_churn_and_store(self, tmp_path):
+        assert _verdict_stream(True, tmp_path) == (
+            "f05c8d0bea336da5dbf4a6755010c85b7cbb64e7cd39939ecea6469be8f2c9dd")

@@ -73,6 +73,21 @@ class TestAssignment:
             enroll_users(["a", "b", "c"], CONFIG, use_oprf=False,
                          num_cliques=2)
 
+    @pytest.mark.parametrize("num_cliques", [2.5, 2.0, True, "2", None],
+                             ids=["float", "integral-float", "bool", "str",
+                                  "none"])
+    def test_non_int_clique_count_refused(self, num_cliques):
+        """A clique count is an int: 2.5 would deal fractional clique
+        ids (``i % 2.5``), True would pass as 1 and "2" would raise a
+        bare TypeError."""
+        with pytest.raises(ConfigurationError,
+                           match="num_cliques must be an int"):
+            assign_cliques(USER_IDS, num_cliques)
+        with pytest.raises(ConfigurationError,
+                           match="num_cliques must be an int"):
+            ProtocolSession.create(USER_IDS, CONFIG, use_oprf=False,
+                                   num_cliques=num_cliques)
+
     def test_single_clique_is_trivial(self):
         assert set(assign_cliques(USER_IDS, 1, seed=5).values()) == {0}
 
