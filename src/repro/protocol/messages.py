@@ -41,8 +41,10 @@ class CellVector(Sequence):
     it afterwards — and refuses values outside ``[0, 2^32)``.
 
     Cells this process built (the army's blinded stack, an aggregator's
-    sum) skip that check through :meth:`_wrap`; everything that arrives
-    from outside — decoded wire bytes, HTTP bodies, caller tuples — is
+    sum) skip that check through :meth:`_wrap`, and so do cells the wire
+    codec decodes (socket frames, HTTP bodies): they are a big-endian
+    4-byte read converted to ``uint32``, which cannot be out of range.
+    Everything else — caller tuples, arrays of any other dtype — is
     checked here.
     """
 

@@ -64,6 +64,8 @@ SUMMARY_DATA = 18  # JSON-serialized round summary
 ERR = 19  # JSON {"error": class name, "message": str, "traceback": str}
 
 _LEN = struct.Struct(">I")
+#: A frame's length prefix and kind byte.
+HEAD = struct.Struct(">IB")
 _ROUND = struct.Struct(">I")
 
 #: Default ceiling for one frame. Generous for the protocol's payloads
@@ -74,7 +76,7 @@ DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
 def pack_frame(kind: int, body: bytes = b"") -> bytes:
     """One frame: length prefix, kind byte, body."""
-    return _LEN.pack(1 + len(body)) + bytes([kind]) + body
+    return b"".join((HEAD.pack(1 + len(body), kind), body))
 
 
 def pack_round(round_id: int) -> bytes:

@@ -20,20 +20,24 @@ equivalence tests assert equality.
 
 A flush happens on one thread, so the pump interleaves non-blocking
 writes and reads under ``select``: frames larger than the socket buffers
-cannot deadlock it. Its stall deadline bounds one frame (re-armed as each
+cannot deadlock it. Frames leave the queue in batches of at most
+``_chunk`` bytes as the socket takes them, and each echoed frame is
+decoded from one slice of the read buffer, so a flush holds a tier's
+frames once. Its stall deadline bounds one frame (re-armed as each
 completes), and a flush that fails mid-stream closes the transport.
 """
 
 from __future__ import annotations
 
+import math
 import select
 import socket
-import struct
 import threading
 import time
-from typing import Any, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, List, Optional, Set, Tuple
 
-from repro.errors import ProtocolError, TransportError
+from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.protocol import wire
 from repro.protocol.net import frames
 from repro.protocol.transport import WireTransport
@@ -42,7 +46,13 @@ _CHUNK = 256 * 1024
 
 
 class SocketTransport(WireTransport):
-    """Wire transport whose bytes round-trip a localhost TCP connection."""
+    """Wire transport whose bytes round-trip a localhost TCP connection.
+
+    ``max_frame`` (a positive int) caps one frame's length; ``timeout``
+    (finite seconds > 0) is the pump's per-frame stall deadline. A value
+    under which no send or flush could work is a
+    :class:`~repro.errors.ConfigurationError` at construction.
+    """
 
     def __init__(
         self,
@@ -50,6 +60,15 @@ class SocketTransport(WireTransport):
         max_frame: int = frames.DEFAULT_MAX_FRAME,
         timeout: float = 30.0,
     ) -> None:
+        if isinstance(max_frame, bool) or not isinstance(max_frame, int) \
+                or max_frame < 1:
+            raise ConfigurationError(
+                f"max_frame must be a positive int, got {max_frame!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+                or not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigurationError(
+                f"timeout must be a finite number of seconds > 0, "
+                f"got {timeout!r}")
         super().__init__(record_transcript=record_transcript)
         # _closed first: __del__ runs even when __init__ died before the
         # sockets existed, and close() must find a coherent state.
@@ -62,7 +81,7 @@ class SocketTransport(WireTransport):
         self._write_pause = 0.0
         self._lock = threading.Lock()
         # Sends framed but not yet on the wire, and the mailboxes they are for.
-        self._queue: List[Tuple[str, str, str, bytes]] = []
+        self._queue: Deque[Tuple[str, str, str, bytes]] = deque()
         self._in_flight: Set[str] = set()
         listener = socket.create_server(("127.0.0.1", 0))
         try:
@@ -108,7 +127,7 @@ class SocketTransport(WireTransport):
         """Write the queued frames and read each back, in send order; an
         error mid-stream desynchronises the pair, so it closes the transport."""
         with self._lock:
-            queue, self._queue = self._queue, []
+            queue, self._queue = self._queue, deque()
             self._in_flight.clear()
             try:
                 self._pump(queue)
@@ -116,13 +135,17 @@ class SocketTransport(WireTransport):
                 self.close()
                 raise
 
-    def _pump(self, queue: List[Tuple[str, str, str, bytes]]) -> None:
-        """Interleaved under select; a frame is delivered as its echo completes."""
-        out = memoryview(b"".join(frame for _, _, _, frame in queue))
+    def _pump(self, queue: Deque[Tuple[str, str, str, bytes]]) -> None:
+        """Interleaved under select; a frame is delivered as its echo completes.
+
+        Frames leave ``queue`` in batches of at most ``_chunk`` bytes (a
+        larger frame alone), joined only as the socket can take them;
+        once written, only a frame's length stays, for its echo check."""
+        written: Deque[Tuple[str, str, str, int]] = deque()
+        out = memoryview(b"")
         buf = bytearray()
-        done = 0  # frames echoed, checked, decoded and delivered
         deadline = time.monotonic() + self.timeout
-        while done < len(queue):
+        while queue or written:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportError(
@@ -130,15 +153,17 @@ class SocketTransport(WireTransport):
                     f"mid-frame ({len(buf)} bytes echoed)"
                 )
             readable, writable, _ = select.select(
-                [self._in], [self._out] if out else [], [], remaining
+                [self._in], [self._out] if out or queue else [], [], remaining
             )
             if writable:
+                if not out:
+                    out = self._batch(queue, written)
                 try:
                     sent = self._out.send(out[: self._chunk])
                 except BlockingIOError:
                     sent = 0
                 out = out[sent:]
-                if sent and out and self._write_pause:
+                if sent and (out or queue) and self._write_pause:
                     # Trickle pacing: the deadline above still bounds the
                     # frame being echoed, so a too-slow sender stalls out.
                     left = deadline - time.monotonic()
@@ -150,23 +175,40 @@ class SocketTransport(WireTransport):
                 raise TransportError("socket transport connection closed mid-frame")
             buf += chunk
             start = 0
-            while done < len(queue) and len(buf) - start >= 5:
-                length, kind = struct.unpack_from(">IB", buf, start)
+            while written and len(buf) - start >= frames.HEAD.size:
+                length, kind = frames.HEAD.unpack_from(buf, start)
                 frames.check_frame_length(length, self.max_frame)
-                mailbox, sender, recipient, frame = queue[done]
-                if 4 + length != len(frame) or kind != frames.SHIP:
+                mailbox, sender, recipient, frame_len = written[0]
+                if 4 + length != frame_len or kind != frames.SHIP:
                     raise ProtocolError(
                         f"socket transport echoed {length} frame bytes of kind "
-                        f"{kind}, expected {len(frame) - 4} of kind SHIP"
+                        f"{kind}, expected {frame_len - 4} of kind SHIP"
                     )
-                end = start + len(frame)
+                end = start + frame_len
                 if len(buf) < end:
                     break
-                message = wire.decode(bytes(buf[start + 5 : end]))
+                written.popleft()
+                message = wire.decode(buf[start + frames.HEAD.size : end])
                 self._deliver(mailbox, sender, recipient, message)
-                start, done = end, done + 1
+                start = end
                 deadline = time.monotonic() + self.timeout
             del buf[:start]
+
+    def _batch(
+        self,
+        queue: Deque[Tuple[str, str, str, bytes]],
+        written: Deque[Tuple[str, str, str, int]],
+    ) -> memoryview:
+        """Join the next frames of ``queue``, up to ``_chunk`` bytes, and
+        move them to ``written`` as lengths."""
+        parts: List[bytes] = []
+        size = 0
+        while queue and (not parts or size + len(queue[0][3]) <= self._chunk):
+            mailbox, sender, recipient, frame = queue.popleft()
+            parts.append(frame)
+            size += len(frame)
+            written.append((mailbox, sender, recipient, len(frame)))
+        return memoryview(b"".join(parts))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -179,7 +221,7 @@ class SocketTransport(WireTransport):
         if getattr(self, "_closed", True):
             return
         self._closed = True
-        self._queue, self._in_flight = [], set()
+        self._queue, self._in_flight = deque(), set()
         for sock in (getattr(self, "_out", None), getattr(self, "_in", None)):
             if sock is None:
                 continue

@@ -306,7 +306,7 @@ def registry_drift(messages_module, wire_module):
     """Where the codec's tag table and ``Message`` union disagree with the
     message classes, and which tags are shared."""
     classes = message_classes(messages_module)
-    tagged = set(wire_module._TYPE_OF)
+    tagged = set(wire_module._ENCODERS)
     union = set(typing.get_args(wire_module.Message))
     problems = [f"{cls.__name__} has no wire tag" for cls in classes - tagged]
     problems += [f"{cls.__name__} is not in the Message union"
@@ -314,7 +314,7 @@ def registry_drift(messages_module, wire_module):
     problems += [f"{cls.__name__} is tagged but not a message class"
                  for cls in (tagged | union) - classes]
     owners = {}
-    for cls, tag in wire_module._TYPE_OF.items():
+    for cls, (tag, _encoder) in wire_module._ENCODERS.items():
         if tag in owners:
             problems.append(f"tag {tag} assigned to both "
                             f"{owners[tag].__name__} and {cls.__name__}")
@@ -357,7 +357,7 @@ MESSAGES_OK = (
     "        return 16\n"
 )
 WIRE_OK = (
-    "_TYPE_OF = {Ping: 1, Pang: 2}\n"
+    "_ENCODERS = {Ping: (1, repr), Pang: (2, repr)}\n"
     "Message = typing.Union[Ping, Pang]\n"
 )
 SPEC_CONFIG = RoundConfig(cms_depth=2, cms_width=8, cms_seed=5, id_space=50)
@@ -407,7 +407,7 @@ class TestPL005:
 
     def test_flags_stale_registry_entry_and_duplicate_tag(self):
         wire_source = "class Gone:\n    pass\n" + WIRE_OK.replace(
-            "Pang: 2}", "Pang: 2, Gone: 1}")
+            "Pang: (2, repr)}", "Pang: (2, repr), Gone: (1, repr)}")
         problems = registry_drift(*fake_tree(MESSAGES_OK, wire_source))
         assert problems == ["Gone is tagged but not a message class",
                             "tag 1 assigned to both Ping and Gone"]

@@ -21,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
-from repro.errors import ProtocolError, RoundStateError
+from repro.errors import ConfigurationError, ProtocolError, RoundStateError
 from repro.protocol.aggregator import CliqueAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, CellVector
 from repro.protocol.net import (
+    ChaosSocketTransport,
     EndpointServer,
     ProcessAggregatorPool,
     ProcessEndpointProxy,
@@ -139,6 +140,23 @@ def test_socket_transport_enforces_its_frame_ceiling():
         assert select.select([transport._in], [], [], 0.05)[0] == []
     finally:
         transport.close()
+
+
+@pytest.mark.parametrize("transport_class",
+                         [SocketTransport, ChaosSocketTransport])
+@pytest.mark.parametrize("kwargs", [
+    {"max_frame": 0}, {"max_frame": -5}, {"max_frame": 2.5},
+    {"max_frame": True}, {"max_frame": "64"},
+    {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")},
+    {"timeout": float("inf")}, {"timeout": "30"},
+], ids=repr)
+def test_socket_transport_refuses_settings_it_cannot_work_under(
+        transport_class, kwargs):
+    """A frame ceiling that refuses every send, or a deadline every flush
+    stalls past (or that ``select`` cannot take), is refused at
+    construction, before a socket is opened."""
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        transport_class(**kwargs)
 
 
 def test_worker_connection_drops_after_oversized_frame():

@@ -10,6 +10,9 @@ written, and a flush that fails mid-stream closes the transport instead
 of leaving a desynchronised TCP pair behind.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +32,7 @@ from repro.protocol.net import (
     SocketTransport,
     frames,
 )
+from repro.protocol.net.transport import _CHUNK
 from repro.protocol.transport import WireTransport
 
 CONFIG = RoundConfig(cms_depth=2, cms_width=64, cms_seed=7, id_space=200)
@@ -149,6 +153,32 @@ def test_three_big_queued_reports_round_trip_in_one_flush():
         assert transport.flushes == 0
         assert [message for _, message in transport.drain("b")] == reports
         assert transport.flushes == 1
+
+
+def test_a_flush_holds_the_tier_once():
+    """~1,000 queued 4 KiB frames leave the queue in ``_chunk`` batches
+    as they are written: at its peak a flush holds the frames, the
+    messages decoded so far and a few chunks of buffers, never a second
+    copy of the whole tier joined up front."""
+    cells = CellVector(np.arange(1024, dtype=np.uint32))
+    reports = [BlindedReport(user_id=f"user-{i:04d}", round_id=0,
+                             cells=cells) for i in range(1000)]
+    with opened(SocketTransport()) as transport:
+        tracemalloc.start()
+        try:
+            for report in reports:
+                transport.send("a", "b", report)
+            frames_total = sum(len(frame) for *_, frame in transport._queue)
+            tracemalloc.reset_peak()
+            delivered = transport.drain("b")
+            decoded, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert [message for _, message in delivered] == reports
+    assert frames_total > 1000 * 4096
+    # The frames are gone once written, so what a flush leaves traced
+    # is the decoded messages (and their mailbox).
+    assert peak < frames_total + decoded + 4 * _CHUNK
 
 
 # ---------------------------------------------------------------------------
