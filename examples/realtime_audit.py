@@ -11,7 +11,7 @@ from repro.api import ProtocolSession
 from repro.core.audit import AuditService
 from repro.core.detector import DetectorConfig
 from repro.protocol import RoundConfig, enroll_users
-from repro.protocol.net.spec import WeeklySnapshot
+from repro.protocol.spec import WeeklySnapshot
 from repro.types import Ad, Impression
 
 

@@ -11,8 +11,8 @@ names below will not.
   per reporting window and :meth:`~ProtocolSession.advance_epoch` when
   the population churns between windows.
 * :class:`SessionConfig` — the one value that names and validates every
-  wiring option (transport, client backend, subprocess fan-out, restart
-  budget, tree fan-in); every layer above — the pipeline, the
+  wiring option (transport, threshold rule, client backend, tree
+  fan-in); every layer above — the pipeline, the
   deployment loop, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
@@ -64,10 +64,9 @@ clique feeding the root, through regional merge tiers when ``fan_in``
 bounds the fan-out (the paper's single back-end is the one-clique
 tree). Transports are selected by name — ``transport="memory"``
 (default), ``"wire"`` (byte-exact codec round-trip) or ``"socket"``
-(real TCP frames) — and ``aggregator_procs=True`` additionally runs
-each clique aggregator present and the root as real subprocesses
-(:mod:`repro.protocol.net`), re-wired in place by ``advance_epoch``.
-Sessions that own subprocesses or sockets are context managers; call
+(real TCP frames, :mod:`repro.protocol.net`). The aggregators always
+run in the operator's process, re-wired in place by ``advance_epoch``.
+Sessions that own sockets or a store are context managers; call
 :meth:`ProtocolSession.close` (or use ``with``) when done.
 """
 
@@ -101,7 +100,7 @@ from repro.protocol.membership import (
     EpochTransition,
     MembershipManager,
 )
-from repro.protocol.net.spec import rule_spec
+from repro.protocol.spec import rule_spec
 from repro.protocol.runner import (
     ClientPopulation,
     Clients,
@@ -114,7 +113,6 @@ from repro.protocol.runner import (
 from repro.protocol.transport import InMemoryTransport
 
 if TYPE_CHECKING:
-    from repro.protocol.net.pool import ProcessAggregatorPool
     from repro.core.detector import DetectorConfig
     from repro.core.pipeline import PipelineResult
     from repro.store.history import EpochRecord, HistoryStore
@@ -172,7 +170,7 @@ class SessionConfig:
     """Validated wiring options — the one place they are named.
 
     Collects every knob that shapes *how* a session runs — transport,
-    client backend, subprocess fan-out, restart budget, tree fan-in — as
+    threshold rule, client backend, tree fan-in — as
     one immutable, validated value, separate from *what* population
     runs (the source argument of :meth:`~ProtocolSession.create`) and
     from the protocol parameters themselves
@@ -198,20 +196,11 @@ class SessionConfig:
         Maps the #Users distribution to ``Users_th`` (default: mean,
         §4.2); fixed for the session's life. It must be a named rule (a
         :class:`~repro.core.thresholds.ThresholdRule`'s ``compute`` or
-        the default), so a process-hosted root can be built from it.
+        the default): rules are persisted and served by name.
     client_backend:
         ``"objects"`` or ``"batched"`` (see :data:`CLIENT_BACKENDS`);
         picks the population representation when
         :meth:`~ProtocolSession.create` enrolls from user ids.
-    aggregator_procs:
-        ``True`` runs each clique aggregator and the root as real
-        subprocesses, one per clique the population enrolled.
-    max_restarts:
-        The aggregator pool's per-endpoint, per-round restart budget: it
-        respawns a crashed or hung worker and replays the round's
-        exchanges that many times before the round fails. A budget
-        above 0 requires ``aggregator_procs``. 0 (default): worker death
-        fails the round fast (a :class:`ProtocolError` surfaces).
     fan_in:
         An ``int`` bound (>= 2) on the partial-aggregate fan-in of the
         aggregation tree (regional merge tiers appear above it); None
@@ -226,8 +215,6 @@ class SessionConfig:
     transport: TransportSpec = None
     threshold_rule: ThresholdRuleFn = mean_threshold
     client_backend: str = "objects"
-    aggregator_procs: bool = False
-    max_restarts: int = 0
     fan_in: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -237,28 +224,14 @@ class SessionConfig:
                 f"expected one of {CLIENT_BACKENDS}")
         _check_transport(self.transport)
         rule_spec(self.threshold_rule)  # refuses a rule it cannot name
-        if not isinstance(self.aggregator_procs, bool):
+        if self.fan_in is not None and (isinstance(self.fan_in, bool)
+                                        or not isinstance(self.fan_in, int)):
             raise ConfigurationError(
-                f"aggregator_procs is True or False (one process per "
-                f"enrolled clique), got {self.aggregator_procs!r}")
-        for name in ("fan_in", "max_restarts"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}")
+                f"fan_in must be an int, got {self.fan_in!r}")
         if self.fan_in is not None and self.fan_in < 2:
             raise ConfigurationError(
                 f"fan_in must be >= 2 (a 1-child tier merges nothing), "
                 f"got {self.fan_in}")
-        if self.max_restarts < 0:
-            raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.max_restarts and not self.aggregator_procs:
-            raise ConfigurationError(
-                "max_restarts supervises aggregator subprocesses; pass "
-                "aggregator_procs=True to run them (in-process aggregators "
-                "have nothing to respawn)")
 
 
 class ProtocolSession:
@@ -323,18 +296,12 @@ class ProtocolSession:
         self._remote = clients if isinstance(clients, RemotePopulation) \
             else None
         self._closed = False
-        self._pool = None
         self._store: "Optional[HistoryStore]" = None
         self._store_name = ""
         self._owns_store = False
         #: The detection week stamped on every round recorded while it
         #: is set (the pipeline sets it before a window's rounds).
         self.week: Optional[int] = None
-        if settings.aggregator_procs:
-            from repro.protocol.net import ProcessAggregatorPool
-            self._pool = ProcessAggregatorPool(
-                config, max_restarts=settings.max_restarts,
-                fan_in=settings.fan_in)
         # A membership mid-lifecycle (e.g. handed to create() after
         # rounds or epoch advances elsewhere) dictates the first
         # usable round id; pads from its earlier rounds are spent.
@@ -344,11 +311,8 @@ class ProtocolSession:
         try:
             self._wire(clients, transport)
         except BaseException:
-            # Wiring failures must not strand owned subprocesses or the
-            # owned socket transport: the caller never gets a session
-            # object to close.
-            if self._pool is not None:
-                self._pool.close()
+            # Wiring failures must not strand the owned socket transport:
+            # the caller never gets a session object to close.
             if self._owns_transport:
                 close = getattr(transport, "close", None)
                 if callable(close):
@@ -360,27 +324,20 @@ class ProtocolSession:
         """(Re-)build endpoints and runner; shared by construction and
         epoch advances (which pass the session's existing transport).
 
-        With an aggregator pool, the aggregation endpoints are proxies to
-        live subprocesses: the pool converges its process set onto the
-        current clique map (reconfiguring survivors in place) and the
-        runner drives the proxies through the unchanged endpoint
-        lifecycle. Once the transport exists the population registers
+        Once the transport exists the population registers
         its members' mailboxes; ``self.clients`` holds per-user client
         objects only (empty for the army and remote members).
         """
         population = as_population(clients)
-        threshold_rule = self.settings.threshold_rule
-        if self._pool is not None:
-            endpoints, root = self._pool.wire(clients, threshold_rule)
-        else:
-            aggregation, root = build_aggregation_tree(
-                self.config, population.members(), population.user_ids,
-                threshold_rule=threshold_rule, fan_in=self.settings.fan_in)
-            # The tree is registered, and so opened each round, before
-            # the clients: its aggregators drop the last round's reports
-            # (whose cells they hold) before the clients build the next
-            # round's, so the process holds one round of report cells.
-            endpoints = [*aggregation, *population.endpoints]
+        aggregation, root = build_aggregation_tree(
+            self.config, population.members(), population.user_ids,
+            threshold_rule=self.settings.threshold_rule,
+            fan_in=self.settings.fan_in)
+        # The tree is registered, and so opened each round, before the
+        # clients: its aggregators drop the last round's reports (whose
+        # cells they hold) before the clients build the next round's, so
+        # the process holds one round of report cells.
+        endpoints = [*aggregation, *population.endpoints]
         self._runner = ProtocolRunner(endpoints, root, transport=transport)
         self.root = root
         population.register_mailboxes(self._runner.transport)
@@ -423,7 +380,7 @@ class ProtocolSession:
           in another process; its membership is the session's.
 
         ``settings`` is a validated :class:`SessionConfig` (wiring:
-        transport, fan-in, restart budget); defaults apply when
+        transport, threshold rule, fan-in); defaults apply when
         omitted. ``store`` (a
         :class:`~repro.store.history.HistoryStore` or a path for one)
         attaches durable history recording via :meth:`attach_store`
@@ -672,12 +629,6 @@ class ProtocolSession:
         return self._runner.transport
 
     @property
-    def aggregator_pool(self) -> "Optional[ProcessAggregatorPool]":
-        """The live :class:`~repro.protocol.net.ProcessAggregatorPool`
-        (None when aggregation runs in-process)."""
-        return self._pool
-
-    @property
     def endpoints(self) -> List[ProtocolEndpoint]:
         return list(self._runner.endpoints)
 
@@ -819,19 +770,16 @@ class ProtocolSession:
     # Resource lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release owned out-of-process resources (idempotent).
+        """Release owned resources (idempotent).
 
-        Shuts down the aggregator subprocess pool (when this session
-        spawned one), any transport the session created from a named
-        spec (``transport="socket"``), and an attached history store
+        Closes any transport the session created from a named spec
+        (``transport="socket"``) and an attached history store
         the session opened from a path. A caller-provided transport or
         store instance is the caller's to close.
         """
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
         if self._owns_transport:
             close = getattr(self.transport, "close", None)
             if callable(close):
@@ -865,7 +813,7 @@ def run_private_round(config: RoundConfig, clients: Clients,
                       ) -> RoundResult:
     """One-shot §6 round: wire a session, run it, return the result.
 
-    The session (and any subprocesses / sockets it owns) is closed
+    The session (and any sockets it owns) is closed
     before returning; pass a transport *instance* in ``settings`` to
     inspect byte accounting afterwards. ``clients`` may be per-user
     client objects or a :class:`~repro.protocol.army.ClientArmy`.
@@ -890,7 +838,7 @@ def run_detection(impressions: "Sequence[Impression]",
 
     The facade over :class:`~repro.core.pipeline.DetectionPipeline` for
     callers that do not need to keep the pipeline object around; the
-    pipeline (and any aggregator subprocesses or socket transports its
+    pipeline (and any socket transport its
     session owns) is closed before returning. With ``store`` the week's
     rounds, stats and verdicts persist durably (a path is opened and
     closed for you; a :class:`~repro.store.HistoryStore` stays yours).

@@ -88,8 +88,7 @@ def _settings_from(args: argparse.Namespace) -> SessionConfig:
     :class:`~repro.errors.ConfigurationError` here."""
     return SessionConfig(
         transport=args.transport, client_backend=args.clients,
-        aggregator_procs=args.aggregator_procs,
-        max_restarts=args.retry_budget, fan_in=args.fan_in)
+        fan_in=args.fan_in)
 
 
 def _chaos_transport(
@@ -114,11 +113,6 @@ def _print_chaos_telemetry(args: argparse.Namespace, session) -> None:
     print(f"chaos profile {args.chaos!r} "
           f"(seed {transport.plan.seed}): {events}; "
           f"injected delay {transport.injected_delay_s:.3f}s")
-    pool = session.aggregator_pool
-    if pool is not None and pool.restarts:
-        respawned = ", ".join(f"{eid} x{n}"
-                              for eid, n in sorted(pool.restarts.items()))
-        print(f"  supervised respawns: {respawned}")
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -144,21 +138,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
               "a property of the counting protocol session)",
               file=sys.stderr)
         return 2
-    if (args.transport != "memory" or args.aggregator_procs) \
-            and not args.private:
-        print("--transport and --aggregator-procs configure the private "
-              "counting protocol session; add --private", file=sys.stderr)
+    if args.transport != "memory" and not args.private:
+        print("--transport configures the private counting protocol "
+              "session; add --private", file=sys.stderr)
         return 2
     if (args.clients != "objects" or args.fan_in is not None) \
             and not args.private:
         print("--clients and --fan-in configure the private counting "
               "protocol session; add --private", file=sys.stderr)
-        return 2
-    if args.aggregator_procs and args.transport == "memory":
-        print("--aggregator-procs runs real subprocesses behind "
-              "sockets; their frames' bytes are only accounted by a "
-              "byte-exact transport — add --transport wire or "
-              "--transport socket", file=sys.stderr)
         return 2
     if args.chaos_seed is not None and args.chaos == "none":
         print("--chaos-seed seeds the fault plan's per-link RNGs and does "
@@ -178,9 +165,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         return 2
     try:
         # What the flag checks above did not need to phrase in CLI
-        # terms (a fan-in below 2, a negative retry budget or process
-        # count, a retry budget with nothing to supervise) is refused
-        # here, by the one validator, in its own words.
+        # terms (a fan-in below 2) is refused here, by the one
+        # validator, in its own words.
         settings = _settings_from(args)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
@@ -211,19 +197,10 @@ def _detect_one_week(args: argparse.Namespace,
         store=args.store)
     try:
         out = pipeline.run_week(result.impressions, week=0)
-        session = pipeline.session
-        pool = session.aggregator_pool if session is not None else None
-        if pool is not None:
-            pids = pool.pids
-            print(f"distributed round: {len(pids) - 1} clique aggregator "
-                  f"process(es) + root, over the "
-                  f"{args.transport!r} transport")
-            for endpoint_id, pid in pids.items():
-                print(f"  {endpoint_id:24s} pid {pid}")
         if args.private and args.transport != "memory":
             print(f"bytes on the wire this window: "
                   f"{out.round_result.total_bytes}")
-        _print_chaos_telemetry(args, session)
+        _print_chaos_telemetry(args, pipeline.session)
     finally:
         pipeline.close()
     mode = "private (blinded CMS)" if args.private else "cleartext oracle"
@@ -312,13 +289,6 @@ def _run_churn_windows(args, pipeline, rosters, result) -> int:
               f"min clique {epoch.min_clique_size})   "
               f"Users_th={out.users_threshold:.2f}   "
               f"{len(out.targeted)} flagged")
-        pool = (pipeline.session.aggregator_pool
-                if pipeline.session is not None else None)
-        if pool is not None:
-            pids = ", ".join(f"{eid}={pid}"
-                             for eid, pid in pool.pids.items())
-            print(f"  aggregator processes (re-wired in place across "
-                  f"epochs, never restarted): {pids}")
         transition = pipeline.last_transition
         if transition is not None:
             print(f"  epoch transition: +{len(transition.joined)} joined, "
@@ -558,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the byte-exact wire codec, or real TCP "
                             "sockets with length-prefixed frames "
                             "(default memory)")
-    p_det.add_argument("--aggregator-procs", action="store_true",
-                       help="run each clique aggregator (one per "
-                            "--cliques) and the root as a real subprocess "
-                            "behind a socket (default: in-process)")
     p_det.add_argument("--epoch-rounds", type=int, default=1,
                        help="reporting rounds per window (private mode): "
                             "extra rounds reuse the epoch's cached pad "
@@ -577,19 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "loss) into every socket link of the private "
                             "round: the socket transport becomes a chaos "
                             "transport carrying the profile's fault plan; "
-                            "link faults only, no profile kills a worker; "
                             "requires --private --transport socket "
                             "(default none)")
     p_det.add_argument("--chaos-seed", type=int, default=None,
                        help="seed for the fault plan's per-link RNGs "
                             "(default: --seed), so a chaos run replays "
                             "fault-for-fault")
-    p_det.add_argument("--retry-budget", type=int, default=0,
-                       help="the session's max_restarts: respawn a "
-                            "crashed or hung aggregator subprocess up to "
-                            "N times per round, replaying the round's "
-                            "exchanges; N > 0 requires --aggregator-procs "
-                            "(default 0: a worker death fails the round)")
     p_det.add_argument("--clients", default="objects",
                        choices=["objects", "batched"],
                        help="private-round client backend: one object per "

@@ -11,7 +11,7 @@ within at most few seconds." The pieces that make this possible:
   run.
 
 :class:`AuditService` wires a user's live counter to the operator's
-latest :class:`~repro.protocol.net.spec.WeeklySnapshot` — built from a
+latest :class:`~repro.protocol.spec.WeeklySnapshot` — built from a
 session's last round, read back from a service's store, or fetched from
 ``GET /v1/snapshots/{week}`` — and answers per-ad audit queries
 instantly.
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.errors import RoundStateError
-from repro.protocol.net.spec import WeeklySnapshot
+from repro.protocol.spec import WeeklySnapshot
 from repro.types import Ad, ClassifiedAd, Impression, Label
 
 
@@ -41,7 +41,7 @@ class AuditService:
     """Per-user real-time audit endpoint.
 
     ``latest_snapshot`` returns the most recent completed round's
-    :class:`~repro.protocol.net.spec.WeeklySnapshot` (None before the
+    :class:`~repro.protocol.spec.WeeklySnapshot` (None before the
     first); ``ad_id_of`` maps ad identities to the integer IDs the
     aggregate sketch is indexed by (the extension's OPRF cache in
     deployment).

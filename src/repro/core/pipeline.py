@@ -101,15 +101,12 @@ class DetectionPipeline:
         #: Wiring of every private session (see
         #: :class:`repro.api.SessionConfig`), forwarded as given except
         #: for what the pipeline owns: the threshold rule is the
-        #: detector's ``users_rule``. With ``aggregator_procs`` each
-        #: window's session spawns one process per clique it enrolled,
-        #: so a window clamped to fewer cliques runs fewer processes.
-        #: A named transport is built (and owned) afresh by each
-        #: session, so a socket transport's TCP pair is closed whenever
-        #: the session is replaced or the pipeline closed; a transport
-        #: *instance* stays the caller's — the hook for injecting client
-        #: failures (``fail_sender`` / ``restore_sender`` around a
-        #: window).
+        #: detector's ``users_rule``. A named transport is built (and
+        #: owned) afresh by each session, so a socket transport's TCP
+        #: pair is closed whenever the session is replaced or the
+        #: pipeline closed; a transport *instance* stays the caller's —
+        #: the hook for injecting client failures (``fail_sender`` /
+        #: ``restore_sender`` around a window).
         self.settings = replace(
             settings, threshold_rule=self.detector_config.users_rule.compute)
         #: Reporting rounds run per window (CLI ``--epoch-rounds``). The
@@ -268,17 +265,16 @@ class DetectionPipeline:
                 # window shrank below 2 members/clique): re-enroll.
                 self.last_transition = None
         if self._session is not None:
-            # The replaced session may own subprocesses / sockets.
+            # The replaced session may own a socket transport.
             self._session.close()
         self._session = self._fresh_session(user_ids, config, cliques)
         self._session_key = key
         return self._session
 
     def close(self) -> None:
-        """Release the persistent session's out-of-process resources
-        (aggregator subprocesses, socket transports) and, when this
-        pipeline opened the history store from a path, the store too.
-        Idempotent."""
+        """Release the persistent session's socket transport and, when
+        this pipeline opened the history store from a path, the store
+        too. Idempotent."""
         if self._session is not None:
             self._session.close()
             self._session = None

@@ -374,13 +374,11 @@ def annotation_gaps(path: str, tree: ast.Module) -> Iterator[Flag]:
 # The table and the runner
 # ---------------------------------------------------------------------------
 
-#: The framing layer and the transport whose ``_ship`` hook does the byte
-#: accounting. The HTTP service plane is deliberately not listed: its
-#: protocol bytes cross the same seam, and a raw socket there would be an
-#: unaccounted byte path.
+#: The transport whose ``_ship`` hook does the byte accounting. The HTTP
+#: service plane is deliberately not listed: its protocol bytes cross the
+#: same seam, and a raw socket there would be an unaccounted byte path.
 PL001_ALLOWED: Allowlist = {
     ("src/repro/protocol/net/transport.py", ""): "the accounting seam itself",
-    ("src/repro/protocol/net/frames.py", ""): "the framing layer",
 }
 
 PL004_ALLOWED: Allowlist = {

@@ -41,18 +41,7 @@ class OPRFError(CryptoError):
 
 
 class ProtocolError(ReproError):
-    """Base class for aggregation-protocol errors.
-
-    The networked layer tags instances with diagnostic flags as they
-    cross process boundaries (see ``protocol/net/proxy.py``); they are
-    declared here so the tags are part of the type, not ad-hoc
-    attributes only the raising site knows about.
-    """
-
-    #: The peer process died (or the proxy was closed) — respawnable.
-    peer_dead: bool = False
-    #: The failure was a socket timeout, not a protocol violation.
-    timed_out: bool = False
+    """Base class for aggregation-protocol errors."""
 
 
 class RoundStateError(ProtocolError):

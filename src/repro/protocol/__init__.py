@@ -67,8 +67,8 @@ aggregator set as cliques gain and lose members.
 One driver, :class:`~repro.protocol.runner.ProtocolRunner`, moves
 messages synchronously until the round quiesces; it raises on unknown
 message types and drains every mailbox before returning. How the parties
-are wired — transport, client backend, subprocess fan-out, tree
-fan-in, fault injection — is named and validated in exactly one place, the
+are wired — transport, threshold rule, client backend, tree
+fan-in — is named and validated in exactly one place, the
 :class:`repro.api.SessionConfig` value every layer above forwards.
 
 Transports — a fidelity ladder
@@ -112,18 +112,9 @@ realism for speed, and a session selects one by name
   assertable. The service takes a transport name, not a fault plan. See
   ``docs/service.md`` for routes and auth.
 
-Above the ladder, :mod:`repro.protocol.net` makes the parties real OS
-processes: :class:`~repro.protocol.net.ProcessAggregatorPool` runs each
-clique aggregator — and the root — as a subprocess whose
-:class:`~repro.protocol.net.EndpointServer` answers one
-:class:`~repro.protocol.net.ProcessEndpointProxy` in a blocking
-request/reply frame loop, driven by the unchanged driver
-(``SessionConfig(transport="socket", aggregator_procs=True)``, one
-process per enrolled clique; ``examples/distributed_round.py`` is the
-runnable recipe, and ``cli detect --transport socket --cliques N
---aggregator-procs`` the demo).
-Epoch advances RECONFIGURE the live processes in place — same PIDs, new
-clique map.
+Every rung carries the session's one aggregation tree, which runs in the
+operator's process; the devices-and-one-back-end shape of the paper's
+Figure 1 across processes is the HTTP rung.
 
 **Scale.** Two orthogonal levers take the same round to 100k+ users
 with bit-identical results (``docs/scaling.md`` has the cost model and
@@ -141,24 +132,8 @@ collects more than ``fan_in`` partials. Both reuse the existing wire
 messages unchanged; the ``bench/`` workloads ``army_small_cliques`` and
 ``army_big_cliques`` time both.
 
-**Supervision.** The pool supervises its own workers;
-``SessionConfig.max_restarts`` is the restart budget it spends. Every
-exchange runs under a per-exchange deadline (hangs cannot outlive it).
-Nothing in the package schedules a worker fault: a crash or hang comes
-from outside, as a signal to the worker's pid
-(``ProcessAggregatorPool.pids``). With the default budget of 0
-(``max_restarts=0``) a crashed or wedged worker fails the round fast (a :class:`~repro.errors.ProtocolError` naming the dead
-endpoint). With ``max_restarts`` > 0 the worker is respawned from its
-spec after an exponential backoff (0.05 s · 2^(n−1) before restart n,
-capped at 2 s), the current round's exchanges are replayed
-into the replacement — sound because aggregators are deterministic and
-the protocol's messages are idempotent under identical resends — and the
-round completes **bit-identically**. The budget is per worker per round;
-a crash-loop past it raises a ``ProtocolError`` describing the loop.
-
 **What survives which fault** (with ``transport="socket"`` or a
-``ChaosSocketTransport``, ``aggregator_procs=True``; a worker crash is a
-SIGKILL and a hang a SIGSTOP from outside the worker):
+``ChaosSocketTransport``):
 
 ====================================  =================================
 Fault                                 Outcome
@@ -176,17 +151,6 @@ Truncated frame / severed link        Fails fast — codec-level
                                       ``ProtocolError`` / transport
                                       ``TransportError``; nothing
                                       silently wrong.
-Clique worker crash (budget > 0)      Survives, bit-identical — respawn
-                                      + replay within ``max_restarts``.
-Root crash (budget > 0)               Survives, bit-identical — same
-                                      respawn/replay path.
-Worker hang (budget > 0)              Survives — per-exchange deadline
-                                      converts the hang into a crash,
-                                      then respawn + replay.
-Crash past the restart budget         Fails fast — ``ProtocolError``
-                                      naming the crash loop.
-Any crash (default budget of 0)       Fails fast — ``ProtocolError``
-                                      naming the dead endpoint.
 HTTP client vanishes mid-round        Survives — the service's idle
 (service plane)                       phase declares it missing; the
                                       clique recovery round runs; its
@@ -226,8 +190,8 @@ recovery notice only if its clique keeps two reporters, and the honest
 clique aggregator counts a lone reporter missing instead of asking, so
 no released sum is one user's sketch. And the aggregate cells, #Users
 distribution and threshold decisions are bit-identical on every rung —
-in-process, over the wire codec, across sockets, and with aggregators in
-separate processes — including dropout-recovery rounds and post-churn
+in-process, over the wire codec and across sockets — including
+dropout-recovery rounds and post-churn
 epochs (``tests/test_protocol_net.py`` pins this down for k in {1, 4}).
 What *does* change per transport is only cost: latency and the bytes
 actually on the wire, which the §7.1 accounting measures.

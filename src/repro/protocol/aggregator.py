@@ -20,9 +20,8 @@ clique's traffic. The back-end is therefore a tree:
 The paper's single honest-but-curious back-end is the k = 1 tree: one
 clique aggregator that collects and recovers, one root that queries and
 thresholds. Because clique aggregators share no state, they are the
-unit of concurrency: ``aggregator_procs=True`` runs each in its own
-process, and a multi-server deployment would place each behind its own
-socket.
+unit of concurrency: a multi-server deployment would place each behind
+its own socket.
 
 Each :class:`CliqueAggregator` holds its clique's round state and runs
 every check on it: intake validation (round, sender, cell count and
@@ -135,8 +134,7 @@ def plan_aggregation_tree(clique_ids: Sequence[int],
 
     Deterministic: sorted clique ids, consecutive chunks, region ids
     numbered 0.. per level — two sessions over the same population plan
-    the same tree, which keeps subprocess pools reconfigurable by spec
-    diffing.
+    the same tree.
     """
     ids = sorted(clique_ids)
     if not ids:

@@ -40,9 +40,6 @@ Fault semantics (what each knob does to one shipped frame):
 
 A plan is link faults only, and it rides its own transport: a session
 takes it as ``SessionConfig(transport=ChaosSocketTransport(plan))``.
-Aggregator crashes are not scheduled here; they come from outside the
-worker, as a signal to its pid (see
-:attr:`~repro.protocol.net.pool.ProcessAggregatorPool.pids`).
 """
 
 from __future__ import annotations
@@ -199,8 +196,7 @@ class FaultPlan:
     @classmethod
     def hostile(cls, seed: int = 0, **overrides: Any) -> "FaultPlan":
         """An actively bad network: more latency and jitter than
-        :meth:`wan` and 10% loss. Link faults only: an aggregator crash
-        is a signal to a worker's pid, not part of any plan."""
+        :meth:`wan` and 10% loss."""
         return cls._profile(seed, overrides, latency_s=0.003, jitter_s=0.005,
                             loss_prob=0.1, retransmit_delay_s=0.02)
 

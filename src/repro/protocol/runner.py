@@ -5,8 +5,8 @@ round on every endpoint, moves messages between mailboxes until the
 exchange quiesces, fires the idle hooks that model deployment
 phase-timeouts, and repeats until every endpoint is quiet. Endpoints are
 serviced synchronously in registration order — deterministic and
-debuggable; every endpoint handler and subprocess proxy call is itself
-synchronous, so there is nothing for an event loop to overlap.
+debuggable; every endpoint handler is itself synchronous, so there is
+nothing for an event loop to overlap.
 
 Invariants the driver enforces (and the old inline coordinator did not):
 

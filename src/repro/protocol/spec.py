@@ -1,20 +1,13 @@
-"""JSON specs for process-hosted endpoints and their round summaries.
+"""JSON codecs for round configs, summaries, results and weekly snapshots.
 
-A subprocess cannot be handed live Python objects, so every aggregation
-endpoint the pool hosts is described by a small JSON **spec**: the shared
-:class:`~repro.protocol.client.RoundConfig`, the endpoint's role
-(``"clique"``, ``"regional"`` or ``"root"``) and its role-specific wiring
-(clique membership map, a regional tier's children and parent, or the
-root's clique/client rosters and threshold rule). The pool takes
-:func:`endpoint_spec` of each endpoint in the session's in-process tree,
-and :func:`build_endpoint` turns a spec back into the *same*
-:class:`~repro.protocol.aggregator.CliqueAggregator` /
-:class:`~repro.protocol.aggregator.RegionalAggregator` /
-:class:`~repro.protocol.aggregator.RootAggregator` in the worker — the
-identical aggregation code over the identical wiring, which is what makes
-the distributed round bit-identical by construction.
+The HTTP plane serves and the history store persists the protocol's
+values as small JSON **specs**: the shared
+:class:`~repro.protocol.client.RoundConfig`, a finalized
+:class:`~repro.protocol.endpoint.RoundSummary` or
+:class:`~repro.protocol.runner.RoundResult` (aggregate cells exact), and
+the operator's :class:`WeeklySnapshot`.
 
-Threshold rules cross the boundary by *name* (the
+Threshold rules are persisted and served by *name* (the
 :class:`~repro.core.thresholds.ThresholdRule` values, with the default
 :func:`~repro.protocol.endpoint.mean_threshold` mapping to ``"mean"``).
 A session's rule is one of those names by construction:
@@ -26,34 +19,18 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:
-    from repro.protocol.aggregator import (
-        CliqueAggregator,
-        RegionalAggregator,
-        RootAggregator,
-    )
     from repro.protocol.runner import RoundResult
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import (
-    SERVER_ENDPOINT,
-    RoundSummary,
-    ThresholdRuleFn,
-    mean_threshold,
-)
+from repro.protocol.endpoint import RoundSummary, ThresholdRuleFn, mean_threshold
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
-
-#: Spec keys shared by all roles.
-ROLE_CLIQUE = "clique"
-ROLE_REGIONAL = "regional"
-ROLE_ROOT = "root"
-
 
 # ---------------------------------------------------------------------------
 # Round config
@@ -98,8 +75,8 @@ def rule_spec(rule: ThresholdRuleFn) -> str:
     raise ConfigurationError(
         "a session's threshold rule is one of the named rules "
         "(repro.core.thresholds.ThresholdRule / the default "
-        "mean_threshold), so that a process-hosted root can be built "
-        f"from its name; got {rule!r}"
+        "mean_threshold), as rules are persisted and served by name; "
+        f"got {rule!r}"
     )
 
 
@@ -114,136 +91,6 @@ def resolve_rule(spec: str) -> ThresholdRuleFn:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint specs
-# ---------------------------------------------------------------------------
-
-
-def clique_spec(
-    clique_id: int,
-    config: RoundConfig,
-    index_of: Dict[str, int],
-    root_id: str = SERVER_ENDPOINT,
-) -> Dict[str, Any]:
-    """Spec for one clique's aggregator process."""
-    return {
-        "role": ROLE_CLIQUE,
-        "clique_id": int(clique_id),
-        "config": config_to_spec(config),
-        "index_of": {uid: int(idx) for uid, idx in sorted(index_of.items())},
-        "root_id": root_id,
-    }
-
-
-def regional_spec(
-    region_id: int,
-    level: int,
-    config: RoundConfig,
-    child_ids: Sequence[int],
-    parent_id: str,
-) -> Dict[str, Any]:
-    """Spec for one mid-tier (regional) aggregator process.
-
-    The regional tier merges child partials and forwards one merged
-    :class:`~repro.protocol.messages.PartialAggregate` to ``parent_id``
-    — no new wire message, so the existing frame codec carries a
-    process-hosted tree unchanged.
-    """
-    return {
-        "role": ROLE_REGIONAL,
-        "region_id": int(region_id),
-        "level": int(level),
-        "config": config_to_spec(config),
-        "child_ids": sorted(int(c) for c in child_ids),
-        "parent_id": parent_id,
-    }
-
-
-def root_spec(
-    config: RoundConfig,
-    clique_ids: Sequence[int],
-    client_ids: Sequence[str],
-    rule: ThresholdRuleFn = mean_threshold,
-    endpoint_id: str = SERVER_ENDPOINT,
-) -> Dict[str, Any]:
-    """Spec for the root aggregator process."""
-    return {
-        "role": ROLE_ROOT,
-        "config": config_to_spec(config),
-        "clique_ids": sorted(int(c) for c in clique_ids),
-        "client_ids": list(client_ids),
-        "threshold_rule": rule_spec(rule),
-        "endpoint_id": endpoint_id,
-    }
-
-
-def endpoint_spec(
-    endpoint: Union["CliqueAggregator", "RegionalAggregator", "RootAggregator"],
-) -> Dict[str, Any]:
-    """The spec :func:`build_endpoint` rebuilds ``endpoint`` from — its
-    inverse, which is how a pool hosts the tree the session planned."""
-    from repro.protocol.aggregator import (
-        CliqueAggregator,
-        RegionalAggregator,
-        RootAggregator,
-    )
-
-    if isinstance(endpoint, CliqueAggregator):
-        return clique_spec(endpoint.clique_id, endpoint.config,
-                           endpoint.index_of, root_id=endpoint.root_id)
-    if isinstance(endpoint, RegionalAggregator):
-        return regional_spec(endpoint.region_id, endpoint.level,
-                             endpoint.config, endpoint.child_ids,
-                             parent_id=endpoint.parent_id)
-    if isinstance(endpoint, RootAggregator):
-        return root_spec(endpoint.config, endpoint.clique_ids,
-                         endpoint.client_ids, rule=endpoint.threshold_rule,
-                         endpoint_id=endpoint.endpoint_id)
-    raise ProtocolError(f"no spec for endpoint {endpoint!r}")
-
-
-def build_endpoint(
-    spec: Dict[str, Any],
-) -> Union["CliqueAggregator", "RegionalAggregator", "RootAggregator"]:
-    """Materialize the endpoint a spec describes (worker side).
-
-    Reused verbatim for RECONFIGURE frames: an epoch advance sends the
-    new spec and the live process swaps its endpoint object in place.
-    """
-    from repro.protocol.aggregator import (
-        CliqueAggregator,
-        RegionalAggregator,
-        RootAggregator,
-    )
-
-    role = spec.get("role")
-    config = config_from_spec(spec.get("config", {}))
-    if role == ROLE_CLIQUE:
-        return CliqueAggregator(
-            int(spec["clique_id"]),
-            config,
-            {uid: int(idx) for uid, idx in spec["index_of"].items()},
-            root_id=spec.get("root_id", SERVER_ENDPOINT),
-        )
-    if role == ROLE_REGIONAL:
-        return RegionalAggregator(
-            int(spec["region_id"]),
-            int(spec["level"]),
-            config,
-            [int(c) for c in spec["child_ids"]],
-            parent_id=spec["parent_id"],
-        )
-    if role == ROLE_ROOT:
-        return RootAggregator(
-            config,
-            [int(c) for c in spec["clique_ids"]],
-            list(spec["client_ids"]),
-            threshold_rule=resolve_rule(spec.get("threshold_rule", "mean")),
-            endpoint_id=spec.get("endpoint_id", SERVER_ENDPOINT),
-        )
-    raise ProtocolError(f"unknown endpoint role {role!r} in spec")
-
-
-# ---------------------------------------------------------------------------
 # Round summaries
 # ---------------------------------------------------------------------------
 
@@ -252,7 +99,7 @@ def summary_to_spec(summary: RoundSummary) -> Dict[str, Any]:
     """JSON-serializable form of a finalized round summary.
 
     Aggregate cells travel as base64 of big-endian ``uint64`` words —
-    exact, so the proxy-side reconstruction is bit-identical. Floats
+    exact, so the reconstruction is bit-identical. Floats
     survive JSON round-trips exactly (shortest-repr encoding).
     """
     cells = summary.aggregate.cells_array.astype(">u8").tobytes()
@@ -274,8 +121,7 @@ def summary_from_spec(
     re-wrap the aggregate cells as a :class:`CountMinSketch`."""
     if config is None:
         raise ProtocolError(
-            "reconstructing a round summary needs the shared RoundConfig "
-            "(construct the proxy with config=...)"
+            "reconstructing a round summary needs the shared RoundConfig"
         )
     try:
         raw = base64.b64decode(spec["cells"])

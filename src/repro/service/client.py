@@ -29,7 +29,7 @@ from repro.errors import ProtocolError, ReproError
 from repro.protocol import wire
 from repro.protocol.client import ProtocolClient
 from repro.protocol.membership import MembershipManager
-from repro.protocol.net.spec import config_from_spec
+from repro.protocol.spec import config_from_spec
 
 DEFAULT_TIMEOUT_S = 30.0
 

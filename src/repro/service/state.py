@@ -59,7 +59,7 @@ from repro.protocol.aggregator import clique_endpoint_id
 from repro.protocol.client import RoundConfig
 from repro.protocol.membership import Epoch, MembershipManager
 from repro.protocol.messages import BlindedReport, BlindingAdjustment
-from repro.protocol.net.spec import (
+from repro.protocol.spec import (
     WeeklySnapshot,
     config_to_spec,
     resolve_rule,

@@ -40,7 +40,7 @@ from typing import (
 
 from repro.errors import ProtocolError, StoreError
 from repro.protocol.client import RoundConfig
-from repro.protocol.net.spec import config_from_spec, config_to_spec
+from repro.protocol.spec import config_from_spec, config_to_spec
 from repro.store.migrations import HEAD_VERSION, apply_migrations, schema_version
 
 if TYPE_CHECKING:
@@ -116,7 +116,7 @@ class RoundRecord:
 
     def summary(self, config: RoundConfig) -> "RoundSummary":
         """The round's :class:`RoundSummary`, aggregate cells exact."""
-        from repro.protocol.net.spec import summary_from_spec
+        from repro.protocol.spec import summary_from_spec
 
         return summary_from_spec(self.summary_spec, config)
 
@@ -429,7 +429,7 @@ class HistoryStore:
         pads are), so two distinct results for one id mean the session
         lineage diverged.
         """
-        from repro.protocol.net.spec import summary_to_spec
+        from repro.protocol.spec import summary_to_spec
 
         spec = summary_to_spec(result)
         total_bytes = int(getattr(result, "total_bytes", 0))

@@ -137,7 +137,7 @@ class UnknownResolver:
         across categories.
         """
         # Imported here, not at module level: `import repro` (every
-        # aggregator worker and CLI run) must not pay scipy's import.
+        # CLI run) must not pay scipy's import.
         from scipy import stats
 
         receivers =[self.population.by_id(uid) for uid in receiving_users

@@ -76,8 +76,7 @@ class TestProtocolSession:
         with pytest.raises(TypeError):
             SessionConfig(topology="fanout")
         assert [f.name for f in dataclasses.fields(SessionConfig)] == [
-            "transport", "threshold_rule", "client_backend",
-            "aggregator_procs", "max_restarts", "fan_in"]
+            "transport", "threshold_rule", "client_backend", "fan_in"]
         with pytest.raises(ImportError):
             from repro.protocol import ServerEndpoint  # noqa: F401
 
@@ -135,17 +134,13 @@ class TestProtocolSession:
         assert len(inspect.signature(DetectionPipeline).parameters) == 10
         assert len(inspect.signature(run_detection).parameters) == 12
 
-    @pytest.mark.parametrize("aggregator_procs", [False, True],
-                             ids=["in-process", "aggregator-procs"])
-    def test_threshold_rule_governs_the_whole_session(self,
-                                                      aggregator_procs):
+    def test_threshold_rule_governs_the_whole_session(self):
         """The rule is a session setting: every round, before and after
-        an epoch advance, thresholds with it, on either wiring."""
+        an epoch advance, thresholds with it."""
         from repro.core.thresholds import ThresholdRule
         from repro.protocol.endpoint import mean_threshold
         median = ThresholdRule.MEDIAN.compute
-        settings = SessionConfig(threshold_rule=median,
-                                 aggregator_procs=aggregator_procs)
+        settings = SessionConfig(threshold_rule=median)
         enrollment = make_enrollment(6)
         for client in enrollment.clients[:2]:
             client.observe_ad("http://pair.example/ad")

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.core.pipeline import DetectionPipeline
 from repro.errors import ProtocolError, StoreError
 from repro.protocol.client import RoundConfig
-from repro.protocol.net.spec import snapshot_from_spec
+from repro.protocol.spec import snapshot_from_spec
 from repro.service.state import ServiceState
 from repro.simulation import SimulationConfig, Simulator
 from repro.store import HistoryStore, WeeklyStatsRecord

@@ -68,36 +68,18 @@ class TestDetect:
         assert code == 0
         assert "mean+median" in out
 
-    def test_distributed_round_over_socket_procs(self, capsys):
+    def test_private_round_over_socket(self, capsys):
         code, out = run_cli(capsys, "detect", "--users", "16",
                             "--websites", "40", "--visits", "20",
                             "--private", "--seed", "7",
-                            "--transport", "socket", "--cliques", "2",
-                            "--aggregator-procs")
+                            "--transport", "socket", "--cliques", "2")
         assert code == 0
-        assert "distributed round: 2 clique aggregator" in out
-        assert "clique-aggregator-0" in out
-        assert "backend-server" in out
         assert "bytes on the wire" in out
         assert "private (blinded CMS)" in out
 
     def test_transport_requires_private(self, capsys):
         code = main(["detect", "--users", "16", "--transport", "socket"])
         assert code == 2
-
-    def test_aggregator_procs_requires_private(self, capsys):
-        code = main(["detect", "--users", "16", "--aggregator-procs"])
-        assert code == 2
-
-    def test_aggregator_procs_refused_on_memory_transport(self, capsys):
-        """Subprocess aggregators speak frames over sockets; an
-        in-memory transport would not account their bytes."""
-        code = main(["detect", "--users", "16", "--private",
-                     "--aggregator-procs", "--transport", "memory"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "byte-exact transport" in err
-        assert "--transport wire" in err
 
     def test_chaos_seed_without_chaos_is_refused(self, capsys):
         code = main(["detect", "--users", "16", "--private",
@@ -106,17 +88,13 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "--chaos wan|lossy|hostile" in err
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--fan-in", "1"], "fan_in must be >= 2"),
-        (["--retry-budget", "-1"], "max_restarts must be >= 0"),
-    ], ids=["fan-in", "retry-budget"])
-    def test_wiring_refusals_speak_in_the_validators_words(
-            self, capsys, flags, message):
+    def test_wiring_refusals_speak_in_the_validators_words(self, capsys):
         """One validator per value: the CLI forwards the flag and prints
         SessionConfig's refusal as is."""
-        code = main(["detect", "--users", "16", "--private", *flags])
+        code = main(["detect", "--users", "16", "--private",
+                     "--fan-in", "1"])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert "fan_in must be >= 2" in capsys.readouterr().err
 
     def test_transport_choices(self):
         with pytest.raises(SystemExit):
@@ -126,7 +104,7 @@ class TestDetect:
             self, capsys, monkeypatch):
         """``--chaos`` hands the session a ChaosSocketTransport the CLI
         built; a session does not close a passed instance, so the CLI
-        must. Same flags, same output (pids aside), non-zero faults."""
+        must. Same flags, same output, non-zero faults."""
         import repro.protocol.net as net
 
         built = []
@@ -138,14 +116,12 @@ class TestDetect:
 
         monkeypatch.setattr(net, "ChaosSocketTransport", Recorded)
         argv = ["detect", "--users", "16", "--private", "--transport",
-                "socket", "--chaos", "lossy", "--aggregator-procs",
-                "--retry-budget", "1"]
+                "socket", "--chaos", "lossy"]
         outs = []
         for _ in range(2):
             code, out = run_cli(capsys, *argv)
             assert code == 0
-            outs.append([line for line in out.splitlines()
-                         if " pid " not in line])
+            outs.append(out.splitlines())
         assert outs[0] == outs[1]
         chaos_line = next(line for line in outs[0]
                           if line.startswith("chaos profile 'lossy'"))

@@ -8,7 +8,7 @@ from repro.core.detector import DetectorConfig
 from repro.errors import RoundStateError
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.net.spec import WeeklySnapshot
+from repro.protocol.spec import WeeklySnapshot
 from repro.types import Ad, Impression, Label
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=128, cms_seed=2, id_space=400)

@@ -35,7 +35,7 @@ from repro.protocol.messages import (
     BlindingAdjustment,
     MissingClientsNotice,
 )
-from repro.protocol.net import summary_from_spec, summary_to_spec
+from repro.protocol.spec import summary_from_spec, summary_to_spec
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
 

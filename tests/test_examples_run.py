@@ -19,7 +19,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = [
     ("quickstart.py", 240),
     ("privacy_protocol_demo.py", 120),
-    ("distributed_round.py", 180),
+    ("socket_round.py", 180),
     ("realtime_audit.py", 120),
     ("longitudinal_deployment.py", 420),
 ]

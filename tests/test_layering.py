@@ -2,19 +2,16 @@
 that operate it."""
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOWER = ("protocol", "crypto", "sketch", "statsutil")
 UPPER = ("repro.backend", "repro.service", "repro.api", "repro.cli")
-#: Threshold rules cross process boundaries by name; the names live in core.
-ALLOWED = {("protocol/net/spec.py", "repro.core.thresholds")}
+#: Threshold rules are persisted and served by name; the names live in core.
+ALLOWED = {("protocol/spec.py", "repro.core.thresholds")}
 
 
 def test_lower_layers_import_nothing_from_their_operators():
@@ -36,29 +33,61 @@ def test_lower_layers_import_nothing_from_their_operators():
     assert offenders == []
 
 
-def test_there_is_one_aggregator_pool_and_one_proxy():
-    """Supervision is the pool: the second pool/proxy pair and its
-    module are gone, not shimmed. (Names are assembled so this file does
-    not itself trip the check.)"""
-    gone = ["Supervised" + "AggregatorPool", "Supervised" + "EndpointProxy"]
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.protocol.net." + "supervisor")
-    for name in gone:
-        with pytest.raises(ImportError):
-            exec(f"from repro.protocol.net import {name}")
-    offenders = [
-        path.relative_to(SRC).as_posix()
-        for path in sorted(SRC.rglob("*.py"))
-        if any(name in path.read_text() for name in gone)
-    ]
+def test_the_operator_side_reaches_no_network_layer():
+    """The detector and the store speak the protocol's values (its JSON
+    codecs in ``protocol/spec.py``), never its socket transports."""
+    offenders = []
+    for package in ("core", "store"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "repro.protocol":
+                        modules += [f"repro.protocol.{alias.name}"
+                                    for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders.extend(
+                    f"{rel} imports {module}" for module in modules
+                    if module.split(".")[:3] == ["repro", "protocol", "net"])
     assert offenders == []
 
 
+def test_the_aggregation_tree_spawns_nothing():
+    """The aggregators run in the operator's process: nothing under
+    ``src/`` starts a process, and no session setting asks for one (a
+    devices-and-one-back-end deployment is the HTTP plane). The field
+    names are assembled so a search of the tree for them comes back
+    empty."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders.extend(
+                f"{rel} imports {module}" for module in modules
+                if module.split(".")[0] in ("subprocess", "multiprocessing"))
+    assert offenders == []
+
+    import dataclasses
+    from repro.api import SessionConfig
+    names = {field.name for field in dataclasses.fields(SessionConfig)}
+    assert not names & {"aggregator" + "_procs", "max" + "_restarts"}
+
+
 def test_the_package_runs_no_event_loop():
-    """An aggregator worker answers its one proxy in a blocking
-    request/reply loop, and the HTTP plane serves each connection on a
-    thread of its own: nothing in the package imports asyncio or
-    defines a coroutine."""
+    """The socket transport pumps its frames under ``select`` on one
+    thread, and the HTTP plane serves each connection on a thread of its
+    own: nothing in the package imports asyncio or defines a
+    coroutine."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -80,9 +109,9 @@ def test_the_package_runs_no_event_loop():
 
 def test_importing_the_package_does_not_load_scipy():
     """scipy serves two analyses (§7.3.3's hypergeometric test, the §8
-    regression); the package, the CLI and every aggregator worker
-    process import without paying for it."""
-    code = ("import sys, repro, repro.cli, repro.protocol.net.worker; "
+    regression); the package and the CLI import without paying for
+    it."""
+    code = ("import sys, repro, repro.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -179,10 +208,7 @@ def test_there_is_one_pad_derivation():
 
 
 def test_there_is_one_tree_planner():
-    """A process-hosted tree is the session's in-process tree behind
-    proxies: ``src/`` plans the aggregation tree in one place, nothing
-    swaps a hosted root's rule at run time, and a clique's spec carries
-    its wiring and no fault knobs."""
+    """``src/`` plans the aggregation tree in one place."""
     calls = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -194,37 +220,10 @@ def test_there_is_one_tree_planner():
                     calls.append(rel)
     assert calls == ["protocol/runner.py"]
 
-    from repro.protocol.client import RoundConfig
-    from repro.protocol.net import clique_spec, frames
-    assert not hasattr(frames, "SET_RULE")
-    spec = clique_spec(0, RoundConfig(cms_depth=2, cms_width=8, cms_seed=1,
-                                      id_space=16), {"u": 0})
-    assert set(spec) == {"role", "clique_id", "config", "index_of",
-                         "root_id"}
-
 
 def test_faults_are_scheduled_from_outside():
-    """A worker crashes or wedges by a signal to its pid, never on a
-    schedule inside ``src/``: the pool and its proxies know nothing of
-    fault plans, and a plan is not a session wiring option (it rides
-    its own ChaosSocketTransport)."""
-    offenders = []
-    for rel in ("protocol/net/pool.py", "protocol/net/proxy.py"):
-        source = (SRC / rel).read_text()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ImportFrom):
-                modules = [f"{node.module}.{alias.name}"
-                           for alias in node.names] + [node.module or ""]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            offenders.extend(f"{rel} imports {module}" for module in modules
-                             if module == "repro.protocol.net.chaos")
-        if "FaultPlan" in source:
-            offenders.append(f"{rel} names FaultPlan")
-    assert offenders == []
-
+    """A plan is not a session wiring option: it rides its own
+    ChaosSocketTransport."""
     import dataclasses
     from repro.api import SessionConfig
     names = [field.name for field in dataclasses.fields(SessionConfig)]

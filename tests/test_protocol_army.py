@@ -685,17 +685,3 @@ class TestClientArmy:
         ad_id = army.ad_mapper.ad_id("http://x/1")
         assert result.aggregate.query(ad_id) >= 8
 
-
-class TestProcessPoolRegionalTier:
-    def test_army_round_through_subprocess_tree(self):
-        session = army_session(num_cliques=4, fan_in=2, aggregator_procs=True)
-        try:
-            r_pool = session.run_round(0)
-            pids = dict(session.aggregator_pool.pids)
-        finally:
-            session.close()
-        r_flat = army_session(num_cliques=4).run_round(0)
-        assert np.array_equal(cells_of(r_pool), cells_of(r_flat))
-        # The pool hosts the two regional merges as subprocesses too.
-        regional = [eid for eid in pids if eid.startswith("regional-")]
-        assert len(regional) == 2

@@ -233,9 +233,3 @@ def test_a_fault_plan_rides_only_its_own_transport():
         assert not transport._closed
     finally:
         transport.close()
-
-
-def test_max_restarts_requires_aggregator_procs():
-    with pytest.raises(ConfigurationError, match="aggregator_procs"):
-        SessionConfig(max_restarts=1)
-    assert SessionConfig(max_restarts=0).max_restarts == 0

@@ -1,44 +1,26 @@
-"""The networked protocol layer: real sockets, real aggregator processes.
+"""The networked protocol layer: every message over a real socket.
 
 The contract under test is the acceptance bar of the socket-transport
-work: a private round whose clique aggregators (and root) run as real
-subprocesses behind TCP sockets produces **bit-identical** aggregate
-cells, #Users distribution and threshold decisions to the in-memory
-in-process path — for k in {1, 4}, including a dropout-recovery round
-and a post-``advance_epoch`` round over live (never restarted)
-processes. Byte accounting over the socket transport must equal the
-in-memory wire transport's, sender by sender: both bill the single
-shared codec path.
+work: a private round whose every message crosses a localhost TCP
+connection produces **bit-identical** aggregate cells, #Users
+distribution and threshold decisions to the in-memory path — for k in
+{1, 4}, including a dropout-recovery round, a post-``advance_epoch``
+round and a non-default threshold rule. Byte accounting over the socket
+transport must equal the in-memory wire transport's, sender by sender:
+both bill the single shared codec path.
 """
 
 import dataclasses
-import socket
-import time
 
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
 from repro.errors import ConfigurationError
-from repro.protocol.aggregator import RootAggregator, clique_endpoint_id
 from repro.protocol.client import RoundConfig
-from repro.protocol.endpoint import (
-    SERVER_ENDPOINT,
-    RoundSummary,
-    mean_threshold,
-)
+from repro.protocol.endpoint import RoundSummary, mean_threshold
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.net import (
-    EndpointServer,
-    ProcessEndpointProxy,
-    SocketTransport,
-    build_endpoint,
-    clique_spec,
-    frames,
-    root_spec,
-    rule_spec,
-    summary_from_spec,
-    summary_to_spec,
-)
+from repro.protocol.net import SocketTransport
+from repro.protocol.spec import rule_spec, summary_from_spec, summary_to_spec
 from repro.protocol.transport import InMemoryTransport, WireTransport
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
@@ -63,7 +45,7 @@ def observe(clients, salt=0):
 def socket_session(num_cliques, seed=3, user_ids=USER_IDS):
     session = ProtocolSession.create(
         user_ids, CONFIG,
-        SessionConfig(transport="socket", aggregator_procs=True),
+        SessionConfig(transport="socket"),
         seed=seed, use_oprf=False, num_cliques=num_cliques)
     observe(session.clients)
     return session
@@ -79,22 +61,18 @@ def assert_same_round(lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Bit-identical distributed rounds
+# Bit-identical rounds over sockets
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("num_cliques", [1, 4])
-def test_socket_procs_round_matches_monolithic(num_cliques):
-    # The reference is the same tree in-process, over plain mailboxes.
+def test_socket_round_matches_in_memory(num_cliques):
+    # The reference is the same tree over plain mailboxes.
     reference = run_private_round(
         CONFIG, enrolled(num_cliques).clients, round_id=0)
     with socket_session(num_cliques) as session:
         result = session.run_round(0)
-        pids = session.aggregator_pool.pids
+        assert session.transport.total_bytes > 0
     assert_same_round(result, reference)
-    # One process per clique plus the root, all distinct OS processes.
-    assert len(pids) == num_cliques + 1
-    assert len(set(pids.values())) == num_cliques + 1
-    assert SERVER_ENDPOINT in pids
 
 
 @pytest.mark.parametrize("num_cliques", [1, 4])
@@ -114,7 +92,7 @@ def test_dropout_recovery_over_sockets(num_cliques):
     assert result.missing_users == sorted(failed)
 
 
-def test_post_epoch_round_over_live_processes():
+def test_post_epoch_round_over_sockets():
     joins, leaves = ["user-90", "user-91"], ["user-00"]
     ref = ProtocolSession.create(USER_IDS, CONFIG, seed=3, use_oprf=False,
                                  num_cliques=4)
@@ -126,22 +104,20 @@ def test_post_epoch_round_over_live_processes():
 
     with socket_session(4) as session:
         session.run_next_round()
-        pids_before = dict(session.aggregator_pool.pids)
+        transport = session.transport
         transition = session.advance_epoch(joins=joins, leaves=leaves)
-        # The epoch advance re-wires the live processes: same PIDs, no
-        # restart — the RECONFIGURE path, not respawn.
-        assert dict(session.aggregator_pool.pids) == pids_before
+        # The epoch advance re-wires the tree over the same TCP pair.
+        assert session.transport is transport
         assert set(transition.joined) == set(joins)
         observe(session.clients, salt=2)
         result = session.run_next_round()
     assert_same_round(result, reference)
 
 
-def test_non_default_rule_survives_epoch_advance_over_procs():
-    """Regression: the root proxy's threshold-rule mirror must start in
-    sync with the spawn spec — advance_epoch reads it back to carry the
-    rule into the re-wire, and a stale 'mean' mirror silently reverted
-    every non-default rule after the first epoch transition."""
+def test_non_default_rule_survives_epoch_advance_over_sockets():
+    """The session's threshold rule carries into the re-wired root: a
+    non-default rule still thresholds the round after an epoch
+    transition, bit-identically to the in-memory session."""
     from repro.core.thresholds import ThresholdRule
 
     rule = ThresholdRule.MEAN_PLUS_STD
@@ -156,8 +132,7 @@ def test_non_default_rule_survives_epoch_advance_over_procs():
 
     with ProtocolSession.create(
             USER_IDS, CONFIG,
-            SessionConfig(transport="socket", aggregator_procs=True,
-                          threshold_rule=rule.compute),
+            SessionConfig(transport="socket", threshold_rule=rule.compute),
             seed=3, use_oprf=False, num_cliques=2) as session:
         observe(session.clients)
         session.run_next_round()
@@ -194,21 +169,6 @@ def test_socket_and_wire_transport_byte_accounting_identical():
     assert wire_t.total_bytes == socket_t.total_bytes > 0
 
 
-def test_socket_fan_out_and_subprocess_rounds_bill_identical_bytes():
-    # Moving the aggregators into their own processes changes where the
-    # frames are consumed, not what crosses the client-facing transport.
-    runs = {}
-    for procs in (False, True):
-        with ProtocolSession.create(
-                enrolled(4),
-                settings=SessionConfig(transport="socket",
-                                       aggregator_procs=procs)) as session:
-            runs[procs] = (session.run_round(0),
-                           session.transport.total_bytes)
-    assert_same_round(runs[True][0], runs[False][0])
-    assert runs[True][1] == runs[False][1] > 0
-
-
 def test_socket_transport_ships_real_tcp_bytes():
     from repro.protocol import wire
     from repro.protocol.messages import ThresholdBroadcast
@@ -230,41 +190,6 @@ def test_socket_transport_ships_real_tcp_bytes():
 # ---------------------------------------------------------------------------
 # Specs, rules and summaries
 # ---------------------------------------------------------------------------
-
-def test_endpoint_specs_rebuild_equivalent_endpoints():
-    spec = clique_spec(2, CONFIG, {"u1": 0, "u2": 5})
-    endpoint = build_endpoint(spec)
-    assert endpoint.endpoint_id == clique_endpoint_id(2)
-    assert endpoint.clique_id == 2
-    assert endpoint.index_of == {"u1": 0, "u2": 5}
-
-    from repro.core.thresholds import ThresholdRule
-
-    spec = root_spec(CONFIG, [0, 1], ["u1", "u2"],
-                     rule=ThresholdRule.MEDIAN.compute)
-    root = build_endpoint(spec)
-    assert isinstance(root, RootAggregator)
-    assert root.clique_ids == [0, 1]
-    assert root.threshold_rule.__self__.value == "median"
-
-
-def test_endpoint_spec_inverts_build_endpoint_over_a_tiered_tree():
-    """The pool hosts the session's tree by its specs, so every endpoint
-    that tree holds must rebuild to one with the same spec."""
-    from repro.core.thresholds import ThresholdRule
-    from repro.protocol.net.spec import endpoint_spec
-    from repro.protocol.runner import build_aggregation_tree
-
-    members = {c: {f"u{c}-{i}": i for i in range(2)} for c in range(5)}
-    client_ids = sorted(uid for index_of in members.values()
-                        for uid in index_of)
-    tree, root = build_aggregation_tree(
-        CONFIG, members, client_ids, ThresholdRule.MEDIAN.compute, fan_in=2)
-    specs = [endpoint_spec(endpoint) for endpoint in tree]
-    assert [endpoint_spec(build_endpoint(spec)) for spec in specs] == specs
-    assert {spec["role"] for spec in specs} == {"clique", "regional", "root"}
-    assert endpoint_spec(root)["threshold_rule"] == "median"
-
 
 def test_rule_spec_names_and_refusals():
     from repro.core.thresholds import ThresholdRule
@@ -314,75 +239,3 @@ def test_named_transports_resolve():
         with ProtocolSession(CONFIG, enrolled(1).clients,
                              SessionConfig(transport=name)) as session:
             assert type(session.transport) is cls
-
-
-# ---------------------------------------------------------------------------
-# The threaded endpoint server (a root served to external query clients)
-# ---------------------------------------------------------------------------
-
-def test_endpoint_server_hosts_a_root_over_tcp():
-    session = ProtocolSession(CONFIG, enrolled(2).clients)
-    session.run_round(0)
-    server = EndpointServer(session.root)
-    host, port = server.start()
-    try:
-        proxy = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
-                                             config=CONFIG)
-        summary = proxy.round_summary()
-        assert summary.aggregate.cells == \
-            session.root.round_summary().aggregate.cells
-        proxy.close()
-    finally:
-        server.stop()
-
-
-def test_endpoint_server_serves_the_next_proxy_after_one_hangs_up():
-    """One peer at a time: when a hand-connected proxy closes, the loop
-    goes back to accept and serves the next one; stop() ends it promptly
-    even while a proxy is still connected and idle."""
-    session = ProtocolSession(CONFIG, enrolled(2).clients)
-    expected = session.run_round(0)
-    server = EndpointServer(session.root)
-    host, port = server.start()
-    thread = server._thread
-    first = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
-                                         config=CONFIG)
-    second = None
-    try:
-        assert first.round_summary().aggregate.cells == \
-            expected.aggregate.cells
-        first.close()
-        second = ProcessEndpointProxy.connect(host, port, SERVER_ENDPOINT,
-                                              config=CONFIG)
-        summary = second.round_summary()
-        assert summary.aggregate.cells == expected.aggregate.cells
-        assert summary.users_threshold == expected.users_threshold
-        # `second` is still connected and idle: stop() must not wait on it.
-        started = time.monotonic()
-        server.stop()
-        assert time.monotonic() - started < 5
-        assert not thread.is_alive()
-    finally:
-        first.close()
-        if second is not None:
-            second.close()
-        server.stop()
-
-
-def test_frame_name_and_round_roundtrip():
-    body = frames.pack_name("clique-aggregator-7") + b"payload"
-    name, rest = frames.unpack_name(body)
-    assert name == "clique-aggregator-7"
-    assert rest == b"payload"
-    assert frames.unpack_round(frames.pack_round(1234)) == 1234
-
-
-def test_frames_over_a_real_socketpair():
-    left, right = socket.socketpair()
-    try:
-        frames.send_frame(left, frames.MSG, b"hello")
-        kind, body = frames.recv_frame(right)
-        assert (kind, body) == (frames.MSG, b"hello")
-    finally:
-        left.close()
-        right.close()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
-from repro.protocol.net.spec import WeeklySnapshot
+from repro.protocol.spec import WeeklySnapshot
 from repro.errors import (
     ConfigurationError,
     MissingReportError,
@@ -31,7 +31,7 @@ from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import RoundSummary
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindingAdjustment, MissingClientsNotice
-from repro.protocol.net.spec import (
+from repro.protocol.spec import (
     result_from_spec,
     result_to_spec,
     snapshot_from_spec,

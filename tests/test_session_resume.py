@@ -70,16 +70,10 @@ class TestSessionConfigValidation:
             {"fan_in": 1},
             {"transport": "carrier-pigeon"},
             {"client_backend": "quantum"},
-            {"aggregator_procs": -1},
             {"fan_in": 0},
             {"fan_in": -3},
-            {"aggregator_procs": 2},
             {"fan_in": 2.5},
             {"fan_in": "4"},
-            {"aggregator_procs": True, "max_restarts": 1.5},
-            {"aggregator_procs": True, "max_restarts": True},
-            {"aggregator_procs": True, "max_restarts": -1},
-            {"max_restarts": 1},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -105,29 +99,9 @@ class TestSessionConfigValidation:
                 {"fan_in": "4"}, "fan_in must be an int", id="fan-in-str"
             ),
             pytest.param(
-                {"aggregator_procs": True, "max_restarts": 1.5},
-                "max_restarts must be an int",
-                id="max-restarts-float",
-            ),
-            pytest.param(
-                {"aggregator_procs": True, "max_restarts": True},
-                "max_restarts must be an int",
-                id="max-restarts-bool",
-            ),
-            pytest.param(
-                {"aggregator_procs": True, "max_restarts": -1},
-                "max_restarts must be >= 0",
-                id="max-restarts-negative",
-            ),
-            pytest.param(
                 {"transport": "carrier-pigeon"},
                 "unknown transport",
                 id="unknown-transport",
-            ),
-            pytest.param(
-                {"max_restarts": 1},
-                "max_restarts supervises aggregator subprocesses",
-                id="retry-without-procs",
             ),
         ],
     )
