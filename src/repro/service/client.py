@@ -70,7 +70,7 @@ class ServiceHTTP:
             conn.close()
         try:
             parsed = json.loads(raw) if raw else {}
-        except ValueError:
+        except (ValueError, RecursionError):
             raise ServiceAPIError(
                 response.status,
                 f"unparseable response body {raw[:80]!r}") from None

@@ -101,7 +101,8 @@ class Request:
             return {}
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
+            # RecursionError: arrays or objects nested past the parser's depth
             raise HttpError(400, "request body is not valid JSON") from None
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")

@@ -134,13 +134,14 @@ class TestProtocolSession:
         assert len(inspect.signature(DetectionPipeline).parameters) == 10
         assert len(inspect.signature(run_detection).parameters) == 12
 
-    def test_threshold_rule_governs_the_whole_session(self):
+    @pytest.mark.parametrize("transport", ["memory", "wire", "socket"])
+    def test_threshold_rule_governs_the_whole_session(self, transport):
         """The rule is a session setting: every round, before and after
-        an epoch advance, thresholds with it."""
+        an epoch advance, thresholds with it, on every transport."""
         from repro.core.thresholds import ThresholdRule
         from repro.protocol.endpoint import mean_threshold
         median = ThresholdRule.MEDIAN.compute
-        settings = SessionConfig(threshold_rule=median)
+        settings = SessionConfig(threshold_rule=median, transport=transport)
         enrollment = make_enrollment(6)
         for client in enrollment.clients[:2]:
             client.observe_ad("http://pair.example/ad")
@@ -153,6 +154,56 @@ class TestProtocolSession:
             assert result.users_threshold == median(result.distribution)
             assert result.users_threshold != \
                 mean_threshold(result.distribution)
+
+    def test_a_session_that_fails_to_wire_closes_the_socket_it_opened(
+            self, monkeypatch):
+        """Wiring fails after the named transport exists (a duplicated
+        client): the caller gets no session to close, so the session
+        closes the TCP pair it opened before re-raising."""
+        from repro.errors import ProtocolError
+        import repro.protocol.net as net
+
+        opened = []
+
+        class Recorded(net.SocketTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(net, "SocketTransport", Recorded)
+        clients = make_enrollment().clients
+        with pytest.raises(ProtocolError, match="duplicate client"):
+            ProtocolSession(CONFIG, clients + clients[:1],
+                            SessionConfig(transport="socket"))
+        [transport] = opened
+        assert transport._closed
+
+    def test_a_session_that_fails_to_wire_leaves_a_passed_transport_open(
+            self):
+        from repro.errors import ProtocolError
+        from repro.protocol.net import SocketTransport
+
+        clients = make_enrollment().clients
+        with SocketTransport() as transport:
+            with pytest.raises(ProtocolError, match="duplicate client"):
+                ProtocolSession(CONFIG, clients + clients[:1],
+                                SessionConfig(transport=transport))
+            assert not transport._closed
+
+    def test_create_refuses_a_second_config_for_an_enrollment(self):
+        enrollment = make_enrollment()
+        other = RoundConfig(cms_depth=2, cms_width=64, cms_seed=3,
+                            id_space=200)
+        with pytest.raises(ConfigurationError,
+                           match="Enrollment carries its own RoundConfig"):
+            ProtocolSession.create(enrollment, other)
+        # The enrollment's own config object is not a second one.
+        ProtocolSession.create(enrollment, enrollment.config).close()
+
+    def test_create_refuses_user_ids_that_are_not_strings(self):
+        with pytest.raises(ConfigurationError,
+                           match="sequence containing int"):
+            ProtocolSession.create(["u0", 1, "u2"], CONFIG, seed=1)
 
     def test_threshold_rule_is_fixed_at_construction(self):
         with pytest.raises(ConfigurationError, match="named rules"):

@@ -88,6 +88,18 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "--chaos wan|lossy|hostile" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--fan-in", "4"], "--clients and --fan-in configure"),
+        (["--clients", "batched"], "--clients and --fan-in configure"),
+        (["--private", "--chaos", "wan"], "--private --transport socket"),
+    ], ids=["fan-in-without-private", "clients-without-private",
+            "chaos-without-socket"])
+    def test_session_flags_need_the_session_they_configure(
+            self, capsys, flags, message):
+        code = main(["detect", "--users", "16", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_wiring_refusals_speak_in_the_validators_words(self, capsys):
         """One validator per value: the CLI forwards the flag and prints
         SessionConfig's refusal as is."""
@@ -186,6 +198,17 @@ class TestServe:
         assert "failed to bind" in err
         assert err.count("\n") == 1
 
+    def test_a_service_that_comes_up_prints_its_token_and_address(
+            self, capsys, no_block):
+        code = main(["serve", "--port", "0", "--operator-token", "op-tok"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("operator token: ")
+        assert lines[0].endswith(".op-tok")
+        assert lines[1].startswith("serving on http://127.0.0.1:")
+        assert not lines[1].endswith(":0")
+        assert lines[2] == "shutdown requested; stopping"
+
     def test_unsendable_operator_token_is_one_line_and_exit_2(self, capsys,
                                                              no_block):
         code = main(["serve", "--operator-token", "bad token"])
@@ -193,3 +216,83 @@ class TestServe:
         err = capsys.readouterr().err
         assert "printable ASCII" in err
         assert err.count("\n") == 1
+
+
+class TestHistory:
+    """``history`` answers from a store ``detect --store`` recorded."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("history") / "history.db")
+        code = main(["detect", "--users", "16", "--websites", "40",
+                     "--visits", "20", "--private", "--seed", "7",
+                     "--store", path])
+        assert code == 0
+        return path
+
+    def history(self, capsys, path, *flags):
+        capsys.readouterr()
+        code = main(["history", "--store", path, *flags])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_overview_names_the_session_and_its_week(self, capsys,
+                                                     recorded):
+        code, out, _ = self.history(capsys, recorded)
+        assert code == 0
+        assert f"history store {recorded} (schema v" in out
+        assert "session 'pipeline':" in out
+        assert "1 epoch(s), 1 round(s)" in out
+        assert "weeks recorded: [0]" in out
+
+    def test_rounds_lists_the_persisted_round_and_filters_by_epoch(
+            self, capsys, recorded):
+        code, out, _ = self.history(capsys, recorded, "--rounds")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "1 persisted round(s)"
+        assert "reporting=16 missing=0" in lines[1]
+        code, out, _ = self.history(capsys, recorded, "--rounds",
+                                    "--epoch", "1")
+        assert code == 0
+        assert out.splitlines() == ["0 persisted round(s)"]
+
+    def test_flagged_agrees_with_the_overview_and_honours_since_week(
+            self, capsys, recorded):
+        _, overview, _ = self.history(capsys, recorded)
+        code, out, _ = self.history(capsys, recorded, "--flagged")
+        assert code == 0
+        count = int(out.split()[0])
+        assert count > 0
+        assert f"({count} flagged campaign-week(s))" in overview
+        assert len(out.splitlines()) == 1 + count
+        code, out, _ = self.history(capsys, recorded, "--flagged",
+                                    "--since-week", "1")
+        assert code == 0
+        assert out.splitlines() == ["0 flagged campaign-week(s) since week 1"]
+
+    def test_trend_of_a_flagged_campaign_marks_its_week(self, capsys,
+                                                        recorded):
+        _, flagged, _ = self.history(capsys, recorded, "--flagged")
+        ad = flagged.splitlines()[1].split()[2]
+        code, out, _ = self.history(capsys, recorded, "--trend", ad)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"trend for {ad}:"
+        assert lines[1].startswith("  week 0: ")
+        assert lines[1].endswith(" FLAGGED")
+
+    def test_trend_of_an_unrecorded_ad_exits_1(self, capsys, recorded):
+        code, out, err = self.history(capsys, recorded, "--trend",
+                                      "http://never.example/ad")
+        assert code == 1
+        assert out == ""
+        assert "no recorded verdicts" in err
+
+    def test_a_missing_store_is_refused_without_creating_it(
+            self, capsys, tmp_path):
+        path = tmp_path / "absent.db"
+        code, _, err = self.history(capsys, str(path))
+        assert code == 2
+        assert "no history store" in err
+        assert not path.exists()

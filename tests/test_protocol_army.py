@@ -539,6 +539,25 @@ class TestAggregationTreePlan:
         results_match(r_flat, r_tree)
 
 
+    def test_tiered_army_round_over_sockets_matches_flat(self):
+        """The regional merges of the batched backend's tree ride the
+        socket transport like every other hop."""
+        r_flat = army_session(num_cliques=4).run_round(0)
+        session = ProtocolSession.create(
+            list(USERS), CONFIG,
+            SessionConfig(transport="socket", client_backend="batched",
+                          fan_in=2),
+            seed=3, use_oprf=False, num_cliques=4)
+        with session:
+            for uid in session.army.user_ids:
+                for url in ads_for(USERS)[uid]:
+                    session.army.observe_ad(uid, url)
+            r_tree = session.run_round(0)
+            senders = set(session.transport.bytes_sent)
+        results_match(r_flat, r_tree)
+        assert sum(sender.startswith("regional-") for sender in senders) == 2
+
+
 class TestRegionalAggregator:
     def make(self):
         return RegionalAggregator(0, 0, CONFIG, child_ids=[0, 1],

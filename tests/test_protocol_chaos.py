@@ -128,6 +128,29 @@ def test_wan_faults_leave_round_bit_identical_to_memory():
     assert result.users_threshold == reference.users_threshold
 
 
+def test_wan_faults_and_a_client_dropout_in_the_same_round():
+    """Delayed and retransmitted frames do not disturb the recovery
+    phase: the round that recovers a silent client is the in-memory
+    one, bit for bit."""
+    ref = ProtocolSession.create(enrolled())
+    ref.transport.fail_sender(USER_IDS[2])
+    reference = ref.run_round(0)
+    assert reference.recovery_round_used
+    plan = FaultPlan(seed=4, default=LinkFault(
+        latency_s=0.001, loss_prob=0.3, retransmit_delay_s=0.001))
+    with ChaosSocketTransport(plan) as transport, ProtocolSession.create(
+            enrolled(),
+            settings=SessionConfig(transport=transport)) as session:
+        transport.fail_sender(USER_IDS[2])
+        result = session.run_round(0)
+        assert transport.events["delayed"] > 0
+    assert result.missing_users == [USER_IDS[2]]
+    assert result.recovery_round_used
+    assert result.aggregate.cells == reference.aggregate.cells
+    assert result.distribution.values == reference.distribution.values
+    assert result.users_threshold == reference.users_threshold
+
+
 def test_injected_faults_replay_deterministically():
     def run(seed):
         plan = FaultPlan(seed=seed, default=LinkFault(

@@ -4,23 +4,33 @@ The contract under test is the acceptance bar of the socket-transport
 work: a private round whose every message crosses a localhost TCP
 connection produces **bit-identical** aggregate cells, #Users
 distribution and threshold decisions to the in-memory path — for k in
-{1, 4}, including a dropout-recovery round, a post-``advance_epoch``
-round and a non-default threshold rule. Byte accounting over the socket
+{1, 4} and over regional merge tiers, including a dropout-recovery
+round, the round after it, a post-``advance_epoch`` round and a
+non-default threshold rule. Byte accounting over the socket
 transport must equal the in-memory wire transport's, sender by sender:
 both bill the single shared codec path.
 """
 
 import dataclasses
+import socket
+import threading
 
 import pytest
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.protocol.client import RoundConfig
 from repro.protocol.endpoint import RoundSummary, mean_threshold
 from repro.protocol.enrollment import enroll_users
-from repro.protocol.net import SocketTransport
-from repro.protocol.spec import rule_spec, summary_from_spec, summary_to_spec
+from repro.protocol.net import SocketTransport, frames
+from repro.protocol.spec import (
+    config_from_spec,
+    config_to_spec,
+    resolve_rule,
+    rule_spec,
+    summary_from_spec,
+    summary_to_spec,
+)
 from repro.protocol.transport import InMemoryTransport, WireTransport
 from repro.sketch.countmin import CountMinSketch
 from repro.statsutil.distributions import EmpiricalDistribution
@@ -42,10 +52,10 @@ def observe(clients, salt=0):
             client.observe_ad(f"ad-{(i * 3 + j + salt) % 15}")
 
 
-def socket_session(num_cliques, seed=3, user_ids=USER_IDS):
+def socket_session(num_cliques, seed=3, user_ids=USER_IDS, fan_in=None):
     session = ProtocolSession.create(
         user_ids, CONFIG,
-        SessionConfig(transport="socket"),
+        SessionConfig(transport="socket", fan_in=fan_in),
         seed=seed, use_oprf=False, num_cliques=num_cliques)
     observe(session.clients)
     return session
@@ -75,6 +85,20 @@ def test_socket_round_matches_in_memory(num_cliques):
     assert_same_round(result, reference)
 
 
+@pytest.mark.parametrize("num_cliques,fan_in", [(4, 2), (5, 2), (6, 3)])
+def test_tiered_socket_round_matches_in_memory(num_cliques, fan_in):
+    """Regional merge tiers ride the socket transport like the cliques
+    do: the tiered tree's round is the flat in-memory round."""
+    reference = run_private_round(
+        CONFIG, enrolled(num_cliques).clients, round_id=0)
+    with socket_session(num_cliques, fan_in=fan_in) as session:
+        regional = [endpoint for endpoint in session._runner.endpoints
+                    if endpoint.endpoint_id.startswith("regional-")]
+        assert regional
+        result = session.run_round(0)
+    assert_same_round(result, reference)
+
+
 @pytest.mark.parametrize("num_cliques", [1, 4])
 def test_dropout_recovery_over_sockets(num_cliques):
     failed = ["user-03", "user-10"]
@@ -90,6 +114,25 @@ def test_dropout_recovery_over_sockets(num_cliques):
         result = session.run_round(0)
     assert_same_round(result, reference)
     assert result.missing_users == sorted(failed)
+
+
+def test_socket_session_outlives_a_recovery_round():
+    """A round that needed the recovery phase leaves the socket session
+    fit for the next one: the following round, with everyone back,
+    matches the in-memory session's bit for bit."""
+    ref = ProtocolSession(CONFIG, enrolled(2).clients)
+    ref.transport.fail_sender("user-05")
+    assert ref.run_round(0).recovery_round_used
+    ref.transport.restore_sender("user-05")
+    reference = ref.run_round(1)
+
+    with socket_session(2) as session:
+        session.transport.fail_sender("user-05")
+        assert session.run_round(0).recovery_round_used
+        session.transport.restore_sender("user-05")
+        result = session.run_round(1)
+    assert not result.recovery_round_used
+    assert_same_round(result, reference)
 
 
 def test_post_epoch_round_over_sockets():
@@ -169,6 +212,27 @@ def test_socket_and_wire_transport_byte_accounting_identical():
     assert wire_t.total_bytes == socket_t.total_bytes > 0
 
 
+@pytest.mark.parametrize("fan_in", [2, 3])
+def test_tiered_socket_and_wire_rounds_bill_identical_bytes(fan_in):
+    """Regional tiers add partial-aggregate hops; the socket transport
+    bills each of them exactly as the in-memory wire transport does."""
+    runs = {}
+    for name, transport_cls in (("wire", WireTransport),
+                                ("socket", SocketTransport)):
+        transport = transport_cls()
+        session = ProtocolSession(
+            CONFIG, enrolled(6).clients,
+            SessionConfig(transport=transport, fan_in=fan_in))
+        runs[name] = (session.run_round(0), dict(transport.bytes_sent),
+                      transport.total_bytes)
+        if name == "socket":
+            transport.close()
+    assert_same_round(runs["socket"][0], runs["wire"][0])
+    assert runs["socket"][1:] == runs["wire"][1:]
+    assert any(sender.startswith("regional-")
+               for sender in runs["socket"][1])
+
+
 def test_socket_transport_ships_real_tcp_bytes():
     from repro.protocol import wire
     from repro.protocol.messages import ThresholdBroadcast
@@ -200,6 +264,38 @@ def test_rule_spec_names_and_refusals():
         rule_spec(lambda dist: 42.0)
 
 
+@pytest.mark.parametrize("name", ["mean", "median", "mean+median",
+                                  "mean+std"])
+def test_every_named_rule_round_trips_through_its_name(name):
+    """What a store persists or a service serves is the name; the rule
+    it resolves to is named the same and thresholds the same."""
+    rule = resolve_rule(name)
+    assert rule_spec(rule) == name
+    dist = EmpiricalDistribution([1, 2, 2, 3, 9])
+    assert resolve_rule(rule_spec(rule))(dist) == rule(dist)
+
+
+def test_the_default_rule_is_served_as_mean():
+    dist = EmpiricalDistribution([1, 2, 2, 3, 9])
+    assert resolve_rule(rule_spec(mean_threshold))(dist) == \
+        mean_threshold(dist)
+
+
+def test_round_config_spec_roundtrip():
+    spec = config_to_spec(CONFIG)
+    assert sorted(spec) == ["cms_depth", "cms_seed", "cms_width", "id_space"]
+    assert config_from_spec(spec) == CONFIG
+
+
+@pytest.mark.parametrize("field", ["cms_depth", "cms_width", "cms_seed",
+                                   "id_space"])
+def test_round_config_spec_missing_a_field_is_refused(field):
+    spec = config_to_spec(CONFIG)
+    del spec[field]
+    with pytest.raises(ProtocolError, match=f"missing field '{field}'"):
+        config_from_spec(spec)
+
+
 def test_round_summary_spec_roundtrip_is_bit_exact():
     """Over a recovery round, so that every field carries a value its
     default would not: a key summary_to_spec writes but summary_from_spec
@@ -222,6 +318,57 @@ def test_round_summary_spec_roundtrip_is_bit_exact():
     for field in dataclasses.fields(RoundSummary):
         assert comparable(getattr(rebuilt, field.name)) == \
             comparable(getattr(summary, field.name)), field.name
+
+
+# ---------------------------------------------------------------------------
+# The ship frame
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [0, 1, 300])
+def test_pack_frame_prefixes_length_and_kind(size):
+    body = bytes(range(256)) * 2
+    body = body[:size]
+    frame = frames.pack_frame(frames.SHIP, body)
+    assert frames.HEAD.unpack_from(frame) == (1 + size, frames.SHIP)
+    assert frame[frames.HEAD.size:] == body
+
+
+@pytest.mark.parametrize("length", [1, 64])
+def test_frame_lengths_within_the_ceiling_pass(length):
+    frames.check_frame_length(length, max_frame=64)
+
+
+@pytest.mark.parametrize("length,message", [
+    (0, "below the 1-byte minimum"),
+    (-1, "below the 1-byte minimum"),
+    (65, "exceeds the 64-byte limit"),
+    (2**32 - 1, "exceeds the 64-byte limit"),
+], ids=["zero", "negative", "one-past", "largest-prefix"])
+def test_frame_lengths_outside_the_bounds_are_refused(length, message):
+    with pytest.raises(ProtocolError, match=message):
+        frames.check_frame_length(length, max_frame=64)
+
+
+def test_hang_up_wakes_a_blocked_reader():
+    left, right = socket.socketpair()
+    try:
+        got = []
+        reader = threading.Thread(target=lambda: got.append(right.recv(1)))
+        reader.start()
+        frames.hang_up(right)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b""]
+    finally:
+        left.close()
+        right.close()
+
+
+def test_hang_up_on_a_closed_socket_is_a_no_op():
+    left, right = socket.socketpair()
+    left.close()
+    right.close()
+    frames.hang_up(left)
 
 
 # ---------------------------------------------------------------------------

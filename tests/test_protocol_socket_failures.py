@@ -4,8 +4,9 @@ The contract: truncated, oversized and zero-length frames are refused by
 the socket transport's pump (an oversized one from its length prefix
 alone), every malformed echo is a :class:`~repro.errors.ProtocolError`
 and never a bare exception or a hang, settings no flush could work under
-are refused at construction, and a round with a slow endpoint still
-quiesces.
+are refused at construction, an aggregator's refusal reaches the caller
+in its own class on every transport, and a round with a slow endpoint
+still quiesces.
 """
 
 import select
@@ -18,12 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ProtocolSession, SessionConfig, run_private_round
-from repro.errors import ConfigurationError, ProtocolError, TransportError
+from repro.errors import (
+    ConfigurationError,
+    ProtocolError,
+    RoundStateError,
+    TransportError,
+)
 from repro.protocol import wire
+from repro.protocol.aggregator import clique_endpoint_id
 from repro.protocol.client import RoundConfig
 from repro.protocol.enrollment import enroll_users
 from repro.protocol.messages import BlindedReport, CellVector
 from repro.protocol.net import ChaosSocketTransport, SocketTransport, frames
+from repro.protocol.transport import InMemoryTransport, WireTransport
 from test_protocol_socket_flush import Tampered, opened
 
 CONFIG = RoundConfig(cms_depth=2, cms_width=64, cms_seed=7, id_space=200)
@@ -64,6 +72,33 @@ def test_truncated_frame_is_rejected():
         frame = transport._queue[0][-1]
         echo_instead(transport, frame[:20])
         with pytest.raises(TransportError, match="closed mid-frame"):
+            transport.receive("b")
+        assert transport._closed
+        assert transport.pending("b") == 0
+
+
+def test_an_echo_cut_inside_its_head_is_a_transport_error():
+    """Three bytes of a five-byte head, then the end of the stream: not
+    enough to read a length from, and still a named truncation."""
+    with opened(SocketTransport()) as transport:
+        transport.send("a", "b", REPORT)
+        frame = transport._queue[0][-1]
+        echo_instead(transport, frame[:3])
+        with pytest.raises(TransportError, match="closed mid-frame"):
+            transport.receive("b")
+        assert transport._closed
+
+
+def test_an_echo_of_another_frame_is_refused():
+    """A whole, well-formed frame of another length is not the frame the
+    pump wrote: refused from its head, not decoded as the wrong message."""
+    other = BlindedReport(user_id="a", round_id=0,
+                          cells=CellVector(range(101)))
+    with opened(SocketTransport()) as transport:
+        transport.send("a", "b", REPORT)
+        echo_instead(transport, frames.pack_frame(
+            frames.SHIP, wire.encode(other)))
+        with pytest.raises(ProtocolError, match="expected .* of kind SHIP"):
             transport.receive("b")
         assert transport._closed
         assert transport.pending("b") == 0
@@ -214,6 +249,57 @@ def test_slow_client_endpoint_over_sockets_still_quiesces(monkeypatch):
         assert session.clients[1].user_id in result.missing_users
     finally:
         session.close()
+
+
+def test_slow_aggregator_over_sockets_still_quiesces():
+    """Clique 0's aggregator takes 20 ms per message: the round waits for
+    it and ends with the in-memory reference's result."""
+    import types
+
+    reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0)
+    with ProtocolSession(CONFIG, enrolled(2).clients,
+                         SessionConfig(transport="socket")) as session:
+        [laggard] = [endpoint for endpoint in session._runner.endpoints
+                     if endpoint.endpoint_id == clique_endpoint_id(0)]
+        original = laggard.on_message
+
+        def slow_on_message(self, sender, message):
+            time.sleep(0.02)
+            return original(sender, message)
+
+        laggard.on_message = types.MethodType(slow_on_message, laggard)
+        started = time.monotonic()
+        result = session.run_round(0)
+        assert time.monotonic() - started >= 0.02 * 4
+    assert result.aggregate.cells == reference.aggregate.cells
+    assert result.distribution.values == reference.distribution.values
+    assert result.users_threshold == reference.users_threshold
+
+
+@pytest.mark.parametrize("transport_class",
+                         [InMemoryTransport, WireTransport, SocketTransport],
+                         ids=["memory", "wire", "socket"])
+def test_a_refused_report_keeps_its_class_on_every_transport(
+        transport_class):
+    """A clique aggregator's refusal reaches the round's caller as the
+    aggregator raised it: crossing the codec and a TCP connection does
+    not turn a RoundStateError into a transport or codec error."""
+    transport = transport_class()
+    try:
+        session = ProtocolSession(CONFIG, enrolled(2).clients,
+                                  SessionConfig(transport=transport))
+        session._runner.open_round(0)
+        rogue = BlindedReport(user_id="intruder", round_id=0,
+                              cells=CellVector([0] * CONFIG.num_cells),
+                              clique_id=0)
+        assert transport.send("intruder", clique_endpoint_id(0), rogue)
+        with pytest.raises(RoundStateError, match="unknown user 'intruder'"):
+            while session._runner.deliver_pending():
+                pass
+    finally:
+        close = getattr(transport, "close", None)
+        if close is not None:
+            close()
 
 
 def test_socket_transport_pump_survives_frames_larger_than_buffers():

@@ -14,7 +14,9 @@ import socket
 
 import pytest
 
+from repro.service.client import ServiceAPIError, ServiceHTTP
 from repro.service.http import (
+    MAX_HEADER_BLOCK,
     MAX_REQUEST_LINE,
     HttpError,
     HttpServer,
@@ -28,6 +30,14 @@ def echo_handler(request: Request) -> Response:
         raise RuntimeError("handler exploded")
     if request.path == "/teapot":
         raise HttpError(418, "short and stout")
+    if request.path == "/reply":
+        # The reply body the query names, as is: what a client makes of
+        # answers the service's own serializer would never write.
+        return Response(body={
+            "garbage": b"not json{",
+            "deep": b"[" * 5000,
+            "list": b"[1, 2]",
+        }[request.query["body"]])
     return Response.json({
         "method": request.method,
         "path": request.path,
@@ -98,6 +108,41 @@ class TestDispatch:
         assert status == 400
         assert "not valid JSON" in body["error"]
 
+    def test_json_body_that_is_not_an_object_is_400(self, server):
+        _, host, port = server
+        status, body = _request(host, port, "POST", "/echo", body=b"[1, 2]")
+        assert status == 400
+        assert "must be a JSON object" in body["error"]
+
+    @pytest.mark.parametrize("body", [b"[" * 4000, b'{"":' * 1000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_json_body_is_400_not_500(self, server, body):
+        """Nesting past the parser's depth is the client's malformed
+        body, not a server fault."""
+        _, host, port = server
+        status, answer = _request(host, port, "POST", "/echo", body=body)
+        assert status == 400
+        assert "not valid JSON" in answer["error"]
+
+    def test_non_utf8_body_is_400(self, server):
+        _, host, port = server
+        status, body = _request(host, port, "POST", "/echo",
+                                body=b'{"k": "\xff\xfe"}')
+        assert status == 400
+        assert "not valid JSON" in body["error"]
+
+    @pytest.mark.parametrize("reply,message", [
+        ("garbage", "unparseable response body"),
+        ("deep", "unparseable response body"),
+        ("list", "expected a JSON object"),
+    ], ids=["garbage", "deep", "list"])
+    def test_client_refuses_replies_that_are_not_json_objects(
+            self, server, reply, message):
+        _, host, port = server
+        with pytest.raises(ServiceAPIError, match=message) as excinfo:
+            ServiceHTTP(host, port).get(f"/reply?body={reply}")
+        assert excinfo.value.status == 200
+
     def test_envelope_telemetry_counts(self, server):
         srv, host, port = server
         before_in, before_out = srv.bytes_in, srv.bytes_out
@@ -143,6 +188,36 @@ class TestReaderDiscipline:
         raw = _raw(host, port,
                    b"GET / HTTP/1.1\r\ncontent-length: -5\r\n\r\n")
         assert b"400" in raw.split(b"\r\n", 1)[0]
+
+    def test_header_line_without_a_colon_is_400(self, server):
+        _, host, port = server
+        raw = _raw(host, port, b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n")
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"malformed header line" in raw
+
+    def test_non_numeric_content_length_is_400(self, server):
+        _, host, port = server
+        raw = _raw(host, port,
+                   b"GET / HTTP/1.1\r\ncontent-length: ten\r\n\r\n")
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"bad content-length" in raw
+
+    def test_header_block_cap(self, server):
+        """Many short header lines, each under the per-line cap, still
+        add up to a refused block."""
+        _, host, port = server
+        line = b"x-pad: " + b"y" * 1000 + b"\r\n"
+        count = MAX_HEADER_BLOCK // len(line) + 2
+        raw = _raw(host, port, b"GET / HTTP/1.1\r\n" + line * count
+                   + b"\r\n")
+        assert b"431" in raw.split(b"\r\n", 1)[0]
+        assert b"header block exceeds" in raw
+
+    def test_malformed_request_target_is_400(self, server):
+        _, host, port = server
+        raw = _raw(host, port, b"GET http://[::1/ HTTP/1.1\r\n\r\n")
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"malformed request target" in raw
 
     def test_malformed_request_line_is_400(self, server):
         _, host, port = server

@@ -99,9 +99,22 @@ class TestSessionConfigValidation:
                 {"fan_in": "4"}, "fan_in must be an int", id="fan-in-str"
             ),
             pytest.param(
+                {"fan_in": True}, "fan_in must be an int", id="fan-in-bool"
+            ),
+            pytest.param(
                 {"transport": "carrier-pigeon"},
                 "unknown transport",
                 id="unknown-transport",
+            ),
+            pytest.param(
+                {"transport": 42},
+                "unknown transport",
+                id="transport-not-an-instance",
+            ),
+            pytest.param(
+                {"threshold_rule": lambda dist: 1.0},
+                "one of the named rules",
+                id="unnamed-rule",
             ),
         ],
     )
