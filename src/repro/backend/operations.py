@@ -107,6 +107,11 @@ class LongitudinalDeployment:
                 "the deployment injects dropouts through its own "
                 "in-memory transport; leave settings.transport unset, "
                 f"got {settings.transport!r}")
+        if settings.client_backend == "batched":
+            raise ConfigurationError(
+                "the deployment fails each dropout's sender on its "
+                "transport, and batched users send from one shared "
+                "mailbox; use client_backend='objects'")
         self.settings = settings
 
     def _active_subset(self, user_ids: Sequence[str]) -> Set[str]:

@@ -104,9 +104,11 @@ class DetectionPipeline:
         #: detector's ``users_rule``. A named transport is built (and
         #: owned) afresh by each session, so a socket transport's TCP
         #: pair is closed whenever the session is replaced or the
-        #: pipeline closed; a transport *instance* stays the caller's —
-        #: the hook for injecting client failures (``fail_sender`` /
-        #: ``restore_sender`` around a window).
+        #: pipeline closed; a transport *instance* stays the caller's.
+        #: On the objects backend it is the hook for injecting client
+        #: failures (``fail_sender`` / ``restore_sender`` around a
+        #: window); batched users are aliases of one mailbox, which the
+        #: transport refuses to fail, and have no dropout hook here.
         self.settings = replace(
             settings, threshold_rule=self.detector_config.users_rule.compute)
         #: Reporting rounds run per window (CLI ``--epoch-rounds``). The

@@ -73,14 +73,15 @@ needs every member's ``b_i`` at once, and the formula above is a running
 sum. :func:`blind_cliques` adds it into a ``(g, m, C)``
 ``uint32`` stack of ``g`` cliques sharing one layout ``(m, lo_rows,
 hi_rows)``, :func:`cliques_per_chunk` cliques at a time: per pair slot it
-squeezes each clique's row into one preallocated buffer of at most
-``_SQUEEZE_CELLS`` cells, or one row if a row is longer (byteswapped
-once, on write), then adds the buffer into the slot's high-end rows and
-subtracts it from its low-end rows of every clique with one ``+=`` and
-one ``-=`` (:func:`_scatter_slots`, the only scatter). The working set
-is the stack plus one buffer, and the cost is the squeeze itself: a
-chunk's Python and NumPy overhead is paid per pair slot, not per clique
-and pair.
+copies each clique's squeeze into one byte buffer of at most
+``_SQUEEZE_CELLS`` cells, or one row if a row is longer, reads the
+buffer as big-endian into a ``uint32`` buffer of the same shape once,
+then adds that into the slot's high-end rows and subtracts it from its
+low-end rows of every clique with one ``+=`` and one ``-=``
+(:func:`_scatter_slots`, the only scatter). The working set is the stack
+plus the two buffers, and the cost is the squeeze itself: a chunk's
+Python and NumPy overhead is paid per pair slot, not per clique and
+pair.
 :func:`clique_blinding` (recovery adjustments) is the one-clique call.
 The ``(pairs, cells)`` pad matrix (:meth:`PadStreamProvider.
 clique_matrix`) exists for inspection only and feeds the same scatter
@@ -230,18 +231,26 @@ def _squeezed_slots(
     one preallocated ``(g, C)`` ``uint32`` buffer.
 
     ``secrets`` lists the cliques' pair secrets clique-major (clique
-    ``k``'s slot ``p`` at ``k * num_pairs + p``). Each row is byteswapped
-    once, as it is written into the buffer, so no array is allocated per
-    row. Rows are :func:`_squeeze`'s, byte for byte; the round id is
-    encoded once.
+    ``k``'s slot ``p`` at ``k * num_pairs + p``). Each squeeze is copied
+    into one byte buffer as it comes, and the buffer is read as
+    big-endian into the ``uint32`` rows once per slot, so a slot costs
+    one NumPy call, not one per row. Rows are :func:`_squeeze`'s, byte
+    for byte; the round id is encoded once.
     """
     num_cliques = len(secrets) // num_pairs if num_pairs else 0
+    if not num_cliques:
+        return
+    row_bytes = num_cells * _CELL_BYTES
+    raw = bytearray(num_cliques * row_bytes)
+    squeezed = np.frombuffer(raw, dtype=">u4").reshape(num_cliques, num_cells)
     rows = np.empty((num_cliques, num_cells), dtype=np.uint32)
     round_bytes = _round_bytes(round_id)
     for slot in range(num_pairs):
-        for k, secret in enumerate(secrets[slot::num_pairs]):
-            rows[k] = np.frombuffer(
-                _pad_bytes(secret, round_bytes, num_cells), dtype=">u4")
+        start = 0
+        for secret in secrets[slot::num_pairs]:
+            raw[start : start + row_bytes] = _pad_bytes(secret, round_bytes, num_cells)
+            start += row_bytes
+        np.copyto(rows, squeezed)
         yield rows
 
 
@@ -269,8 +278,9 @@ def blind_cliques(
     Cliques are blinded :func:`cliques_per_chunk` at a time, each pair
     slot squeezed into one bounded buffer and scattered with one ``+=``
     and one ``-=`` (:func:`_scatter_slots`), so the working set beyond
-    ``cells`` is one buffer of at most ``_SQUEEZE_CELLS`` cells (or one
-    row). Arguments are checked before the first squeeze.
+    ``cells`` is two buffers of at most ``_SQUEEZE_CELLS`` cells (or one
+    row) each: the squeezed bytes and their ``uint32`` rows. Arguments
+    are checked before the first squeeze.
     """
     if cells.ndim != 3 or cells.dtype != np.uint32:
         raise ConfigurationError(

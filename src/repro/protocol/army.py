@@ -230,10 +230,13 @@ class ClientArmy(ProtocolEndpoint):
         self._refresh_members()
         for clique in sorted(self._members_of):
             self._rewire_clique(clique)
-        # Per-round volatile state: the last round reported in, who
-        # reported per clique, and the missing set each clique answered.
+        # Per-round volatile state: the last round reported in, the
+        # roster and silent users it was reported from (a clique's
+        # reporters are its members that were not silent; a rewire
+        # replaces the roster map, never mutates it), and the missing set
+        # each clique answered.
         self._reported_round: Optional[int] = None
-        self._reported_by_clique: Dict[int, Tuple[str, ...]] = {}
+        self._reporters: Tuple[Dict[int, List[str]], FrozenSet[str]] = ({}, frozenset())
         self._answered: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
@@ -433,24 +436,26 @@ class ClientArmy(ProtocolEndpoint):
         self._chunks = chunks
         return chunks
 
-    def _chunk_reports(self, chunk: _Chunk, round_id: int,
-                       table: IndexTable,
-                       digest: "hashlib._Hash") -> Dict[int, Outbox]:
-        """Blind and report a chunk of same-layout cliques: clique id ->
-        its members' reports.
+    def _chunk_reports(
+        self, chunk: _Chunk, round_id: int, table: IndexTable, digest: "hashlib._Hash"
+    ) -> Outbox:
+        """Blind and report a chunk of same-layout cliques: its active
+        members' reports, clique-major.
 
         The chunk's cells are one zeroed ``(g, m, cells)`` ``uint32``
         stack: blinded in place by one
-        :func:`~repro.crypto.blinding.blind_cliques` call, then the members' cleartext counts are added on with one
-        ``np.add.at`` over their flat cell indexes (a gather from the
-        round's index table, offset per member). That equals per-user
+        :func:`~repro.crypto.blinding.blind_cliques` call, then the
+        members' cleartext counts are added on with one ``np.add.at``
+        over their flat cell indexes (a gather from the round's index
+        table, offset per member). That equals per-user
         ``CountMinSketch.update_many`` plus the blinding mod 2^32, which
         is all a blinded cell keeps. The stack is then made read-only
-        once, and each report wraps a row view of it unchecked
-        (``CellVector._wrap``): the kernel's cells need no range check.
-        The sorted indexes are the canonical form of the chunk's counts,
-        so they, behind a length prefix and the member count, are what
-        the pad-reuse guard hashes.
+        once, and the reports are built in one pass over the members,
+        each wrapping its row view unchecked (``CellVector._wrap``: the
+        kernel's cells need no range check); member ``k`` is in the
+        chunk's clique ``k // m``. The sorted indexes are the canonical
+        form of the chunk's counts, so they, behind a length prefix and
+        the member count, are what the pad-reuse guard hashes.
         """
         row_of, flat = table
         num_cells = self.config.num_cells
@@ -468,29 +473,28 @@ class ClientArmy(ProtocolEndpoint):
         indexes.sort()
         digest.update(np.array([indexes.size, len(members)], dtype=np.int64))
         digest.update(indexes)
-        size = len(members) // len(chunk.cliques)
-        cells = np.zeros((len(chunk.cliques), size, num_cells),
-                         dtype=np.uint32)
-        blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows,
-                      round_id)
+        cliques, uplinks = chunk.cliques, chunk.uplinks
+        size = len(members) // len(cliques)
+        cells = np.zeros((len(cliques), size, num_cells), dtype=np.uint32)
+        blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows, round_id)
         np.add.at(cells.reshape(-1), indexes, ONE_COUNT)
         cells.setflags(write=False)
         inactive = self._inactive
         wrap = CellVector._wrap
-        reports: Dict[int, Outbox] = {}
-        for k, (block, clique, uplink) in enumerate(
-                zip(cells, chunk.cliques, chunk.uplinks)):
-            reports[clique] = [
-                (uplink, BlindedReport(user_id=uid, round_id=round_id,
-                                       cells=wrap(row), clique_id=clique))
-                for uid, row in zip(members[k * size:(k + 1) * size], block)
-                if uid not in inactive]
-        return reports
+        return [
+            (
+                uplinks[k // size],
+                BlindedReport(uid, round_id, wrap(row), cliques[k // size]),
+            )
+            for k, (uid, row) in enumerate(zip(members, cells.reshape(-1, num_cells)))
+            if uid not in inactive
+        ]
 
     def _build_adjustments(self, clique: int, round_id: int,
                            missing_indexes: Sequence[int],
                            recipient: str) -> Outbox:
-        survivors = self._reported_by_clique.get(clique, ())
+        members_of, silent = self._reporters
+        survivors = [uid for uid in members_of.get(clique, ()) if uid not in silent]
         if not survivors:
             return []
         missing = sorted(set(missing_indexes))
@@ -537,10 +541,9 @@ class ClientArmy(ProtocolEndpoint):
     def on_round_start(self, round_id: int) -> Outbox:
         table = self._index_table()
         digest = hashlib.sha256()
-        reports: Dict[int, Outbox] = {}
+        outbox: Outbox = []
         for chunk in self._chunk_wiring():
-            reports.update(self._chunk_reports(chunk, round_id, table,
-                                               digest))
+            outbox += self._chunk_reports(chunk, round_id, table, digest)
         fingerprint = digest.digest()
         previous = self._round_digests.get(round_id)
         if previous is not None and previous != fingerprint:
@@ -553,10 +556,8 @@ class ClientArmy(ProtocolEndpoint):
         self._round_digests.add(round_id, fingerprint)
         if round_id != self._reported_round:
             self._reported_round, self._answered = round_id, {}
-        self._reported_by_clique = {
-            clique: tuple(message.user_id for _, message in outbox)
-            for clique, outbox in reports.items()}
-        return [item for clique in sorted(reports) for item in reports[clique]]
+        self._reporters = (self._members_of, frozenset(self._inactive))
+        return outbox
 
     def on_message(self, sender: str, message: Any) -> Outbox:
         if isinstance(message, MissingClientsNotice):

@@ -13,12 +13,33 @@ client's blinding step through every aggregation tier (:func:`cells_to_array`
 recovers the array without per-cell boxing); only the root widens the final
 sum, into a cleartext ``CountMinSketch``. Equality, iteration and indexing
 behave exactly like the tuple form, so the two are interchangeable.
+
+Every message type is a frozen, slotted dataclass with its own
+``__init__``, the one constructor of the type (keyword, positional,
+``dataclasses.replace`` and the wire decoders all call it). It stores
+each argument through its field's slot setter, bound once per type
+(``_Message._stores``), where the generated frozen ``__init__`` looks
+each field up through ``object.__setattr__``: a round builds one
+message per user and one per clique, and a slotted message is smaller
+than one with a ``__dict__``. Equality, hashing, ``repr`` and the
+refusal of assignment are still the dataclass's; the ``__init__``
+parameters must list the fields in order with their defaults, which
+``tests/test_protocol_messages.py`` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -136,20 +157,37 @@ def cells_to_array(cells: Union[Cells, np.ndarray]) -> np.ndarray:
     return arr.astype(np.uint32)
 
 
-@dataclass(frozen=True)
-class PublicKeyAnnouncement:
+class _Message:
+    """Base of the frozen message types: every field is a slot, and
+    ``_stores`` holds each field's slot setter in field order, which the
+    type's ``__init__`` unpacks (bound at the end of this module, once
+    the slots exist)."""
+
+    __slots__ = ()
+    _stores: ClassVar[Tuple[Callable[[Any, Any], None], ...]] = ()
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class PublicKeyAnnouncement(_Message):
     """A user's DH public key posted to the bulletin board."""
 
     user_id: str
     public_key: int
     element_bytes: int
 
+    def __init__(self, user_id: str, public_key: int,
+                 element_bytes: int) -> None:
+        set_user_id, set_public_key, set_element_bytes = self._stores
+        set_user_id(self, user_id)
+        set_public_key(self, public_key)
+        set_element_bytes(self, element_bytes)
+
     def size_bytes(self) -> int:
         return HEADER_BYTES + self.element_bytes
 
 
-@dataclass(frozen=True)
-class BlindedReport:
+@dataclass(frozen=True, slots=True, init=False)
+class BlindedReport(_Message):
     """One client's blinded CMS cell vector for a round.
 
     ``clique_id`` names the blinding clique the cells were blinded
@@ -162,6 +200,14 @@ class BlindedReport:
     cells: Cells
     clique_id: int = 0
 
+    def __init__(self, user_id: str, round_id: int, cells: Cells,
+                 clique_id: int = 0) -> None:
+        set_user_id, set_round_id, set_cells, set_clique_id = self._stores
+        set_user_id(self, user_id)
+        set_round_id(self, round_id)
+        set_cells(self, cells)
+        set_clique_id(self, clique_id)
+
     def cells_as_array(self) -> np.ndarray:
         """The cell vector as a ``uint32`` array (zero-copy when possible)."""
         return cells_to_array(self.cells)
@@ -170,8 +216,8 @@ class BlindedReport:
         return HEADER_BYTES + len(self.cells) * CELL_BYTES
 
 
-@dataclass(frozen=True)
-class CleartextReport:
+@dataclass(frozen=True, slots=True, init=False)
+class CleartextReport(_Message):
     """The non-private baseline: the client uploads its ad URLs verbatim.
 
     §7.1 compares CMS size against this; the paper assumes 100-character
@@ -185,13 +231,22 @@ class CleartextReport:
     urls: Tuple[str, ...]
     bytes_per_char: int = 1
 
+    def __init__(self, user_id: str, round_id: int, urls: Tuple[str, ...],
+                 bytes_per_char: int = 1) -> None:
+        set_user_id, set_round_id, set_urls, set_bytes_per_char = \
+            self._stores
+        set_user_id(self, user_id)
+        set_round_id(self, round_id)
+        set_urls(self, urls)
+        set_bytes_per_char(self, bytes_per_char)
+
     def size_bytes(self) -> int:
         return HEADER_BYTES + sum(len(u) * self.bytes_per_char
                                   for u in self.urls)
 
 
-@dataclass(frozen=True)
-class MissingClientsNotice:
+@dataclass(frozen=True, slots=True, init=False)
+class MissingClientsNotice(_Message):
     """Server -> surviving clients: these peers never reported.
 
     With a sharded population the notice is clique-scoped: it lists only
@@ -203,18 +258,33 @@ class MissingClientsNotice:
     missing_indexes: Tuple[int, ...]
     clique_id: int = 0
 
+    def __init__(self, round_id: int, missing_indexes: Tuple[int, ...],
+                 clique_id: int = 0) -> None:
+        set_round_id, set_missing_indexes, set_clique_id = self._stores
+        set_round_id(self, round_id)
+        set_missing_indexes(self, missing_indexes)
+        set_clique_id(self, clique_id)
+
     def size_bytes(self) -> int:
         return HEADER_BYTES + 4 * len(self.missing_indexes)
 
 
-@dataclass(frozen=True)
-class BlindingAdjustment:
+@dataclass(frozen=True, slots=True, init=False)
+class BlindingAdjustment(_Message):
     """Surviving client -> server: correction for missing peers' blindings."""
 
     user_id: str
     round_id: int
     cells: Cells
     clique_id: int = 0
+
+    def __init__(self, user_id: str, round_id: int, cells: Cells,
+                 clique_id: int = 0) -> None:
+        set_user_id, set_round_id, set_cells, set_clique_id = self._stores
+        set_user_id(self, user_id)
+        set_round_id(self, round_id)
+        set_cells(self, cells)
+        set_clique_id(self, clique_id)
 
     def cells_as_array(self) -> np.ndarray:
         """The cell vector as a ``uint32`` array (zero-copy when possible)."""
@@ -224,19 +294,24 @@ class BlindingAdjustment:
         return HEADER_BYTES + len(self.cells) * CELL_BYTES
 
 
-@dataclass(frozen=True)
-class ThresholdBroadcast:
+@dataclass(frozen=True, slots=True, init=False)
+class ThresholdBroadcast(_Message):
     """Server -> all clients: the global Users_th for this round."""
 
     round_id: int
     users_threshold: float
 
+    def __init__(self, round_id: int, users_threshold: float) -> None:
+        set_round_id, set_users_threshold = self._stores
+        set_round_id(self, round_id)
+        set_users_threshold(self, users_threshold)
+
     def size_bytes(self) -> int:
         return HEADER_BYTES + 8
 
 
-@dataclass(frozen=True)
-class PartialAggregate:
+@dataclass(frozen=True, slots=True, init=False)
+class PartialAggregate(_Message):
     """Clique aggregator -> root: one clique's recovered partial sum.
 
     Sent once per round by each :class:`~repro.protocol.aggregator.
@@ -255,6 +330,17 @@ class PartialAggregate:
     reported: Tuple[str, ...] = ()
     missing: Tuple[str, ...] = ()
 
+    def __init__(self, clique_id: int, round_id: int, cells: Cells,
+                 reported: Tuple[str, ...] = (),
+                 missing: Tuple[str, ...] = ()) -> None:
+        set_clique_id, set_round_id, set_cells, set_reported, set_missing = \
+            self._stores
+        set_clique_id(self, clique_id)
+        set_round_id(self, round_id)
+        set_cells(self, cells)
+        set_reported(self, reported)
+        set_missing(self, missing)
+
     def cells_as_array(self) -> np.ndarray:
         """The cell vector as a ``uint32`` array (zero-copy when possible)."""
         return cells_to_array(self.cells)
@@ -262,3 +348,11 @@ class PartialAggregate:
     def size_bytes(self) -> int:
         return (HEADER_BYTES + len(self.cells) * CELL_BYTES
                 + sum(map(len, self.reported)) + sum(map(len, self.missing)))
+
+
+for _type in (PublicKeyAnnouncement, BlindedReport, CleartextReport,
+              MissingClientsNotice, BlindingAdjustment, ThresholdBroadcast,
+              PartialAggregate):
+    _type._stores = tuple(getattr(_type, field.name).__set__
+                          for field in fields(_type))
+del _type

@@ -48,13 +48,19 @@ class InMemoryTransport:
 
         The target mailbox must already be registered; an alias may be
         re-pointed (membership churn re-homes users) but must not shadow
-        a real mailbox — that would silently steal its traffic.
+        a real mailbox — that would silently steal its traffic — nor
+        name a failed sender, whose failure would then drop nothing (see
+        :meth:`fail_sender`).
         """
         if endpoint not in self._mailboxes:
             raise TransportError(f"unknown endpoint: {endpoint!r}")
         if alias in self._mailboxes:
             raise TransportError(
                 f"alias {alias!r} would shadow a registered endpoint")
+        if alias in self._failed_senders:
+            raise TransportError(
+                f"alias {alias!r} names a failed sender; an aliased name "
+                f"never sends, so its failure would drop nothing")
         self._aliases[alias] = endpoint
 
     def unregister_alias(self, alias: str) -> None:
@@ -69,7 +75,19 @@ class InMemoryTransport:
     # Failure injection
     # ------------------------------------------------------------------
     def fail_sender(self, endpoint: str) -> None:
-        """Silently drop all future messages sent *by* ``endpoint``."""
+        """Silently drop all future messages sent *by* ``endpoint``.
+
+        An alias is refused: its traffic is sent by the endpoint that
+        hosts it (the batched client backend sends every hosted user's
+        report from its one mailbox), so failing the alias would drop
+        nothing. Such a user is silenced at its host
+        (:meth:`~repro.protocol.army.ClientArmy.drop_users`).
+        """
+        if endpoint in self._aliases:
+            raise TransportError(
+                f"{endpoint!r} is an alias of {self._aliases[endpoint]!r}, "
+                f"which sends for it; failing the alias would drop "
+                f"nothing — silence the user at its host")
         self._failed_senders.add(endpoint)
 
     def restore_sender(self, endpoint: str) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import SessionConfig
 from repro.backend.operations import LongitudinalDeployment
 from repro.errors import ConfigurationError
 from repro.simulation.config import SimulationConfig
@@ -26,6 +27,14 @@ class TestLongitudinalDeployment:
             LongitudinalDeployment(dropout_rate=-0.1)
         with pytest.raises(ConfigurationError):
             LongitudinalDeployment().run(0)
+
+    def test_batched_backend_is_refused(self):
+        """Dropouts are failed senders on the deployment's transport;
+        batched users all send from the army's one mailbox, so their
+        dropouts would be ignored (no recovery round, ever)."""
+        with pytest.raises(ConfigurationError, match="batched users"):
+            LongitudinalDeployment(
+                settings=SessionConfig(client_backend="batched"))
 
     def test_runs_all_weeks(self, small_deployment_log):
         assert len(small_deployment_log.weeks) == 3

@@ -97,8 +97,9 @@ def payloads_of(session, kind):
     """``{user_id: cell bytes}`` for every ``kind`` message sent.
 
     The two backends emit the same message *multiset* in different
-    orders (objects iterate the enrollment roster, the army iterates
-    sorted cliques), so equivalence keys on the user, not the sequence.
+    orders (objects iterate the enrollment roster, the army its chunks
+    of same-layout cliques), so equivalence keys on the user, not the
+    sequence.
     """
     out = {}
     for _sender, _recipient, payload in session.transport.transcript:
@@ -212,7 +213,9 @@ class TestChunkedBlinding:
     """Reports and dropout adjustments stay byte-identical to the object
     path wherever clique layouts or the kernel's chunks vary."""
 
-    BUDGETS = [None, 1, 2**30]
+    #: Default, one clique a chunk, two and a half rows (chunks of two,
+    #: the buffer's last half row unused), every clique in one chunk.
+    BUDGETS = [None, 1, 5 * CONFIG.num_cells // 2, 2**30]
 
     @staticmethod
     def assert_same_round(s_obj, s_army, dropped):
@@ -255,6 +258,36 @@ class TestChunkedBlinding:
         for session in (s_obj, s_army):
             observe_window(session, army.user_ids)
         self.assert_same_round(s_obj, s_army, [joiner, USERS[20]])
+
+
+    @pytest.mark.parametrize("budget", BUDGETS[1:])
+    def test_slot_buffers_equal_per_row_squeezes(self, monkeypatch, budget):
+        """Each pair slot's buffer is filled with one big-endian read of
+        all its rows; every row is ``_squeeze``'s byte for byte, and so is
+        the blinding of five cliques of three, whether a chunk holds one
+        clique, two (the last chunk one) or all five."""
+        monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
+        num_cells, round_id = CONFIG.num_cells, 9
+        lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
+        secrets = [bytes([k, p]) * 20 for k in range(5) for p in range(3)]
+        per_row = [blinding_module._squeeze(secret, round_id, num_cells)
+                   for secret in secrets]
+        chunk = blinding_module.cliques_per_chunk(num_cells)
+        for start in range(0, 5, chunk):
+            stop = min(start + chunk, 5)
+            slots = blinding_module._squeezed_slots(
+                secrets[start * 3:stop * 3], 3, round_id, num_cells)
+            for slot, rows in enumerate(slots):
+                assert rows.tobytes() == np.stack(
+                    per_row[start * 3 + slot:stop * 3:3]).tobytes()
+        want = np.zeros((5, 3, num_cells), dtype=np.uint32)
+        for n, stream in enumerate(per_row):
+            clique, slot = divmod(n, 3)
+            want[clique, hi[slot]] += stream
+            want[clique, lo[slot]] -= stream
+        cells = np.zeros_like(want)
+        blinding_module.blind_cliques(cells, secrets, lo, hi, round_id)
+        assert cells.tobytes() == want.tobytes()
 
 
 class TestPadReuseGuard:
@@ -655,6 +688,30 @@ class TestClientArmy:
         session.army.restore_users([USERS[0]])
         r2 = session.run_round(1)
         assert r2.missing_users == []
+
+    def test_a_drop_after_the_reports_went_out_keeps_the_round(self):
+        """Recovery is answered for the users whose reports went out at
+        the round's start: a reporter dropped afterwards still adjusts
+        in this round (its pads are in the sum) and is silent from the
+        next one."""
+        from repro.protocol.messages import MissingClientsNotice
+
+        def recovery(late_drop):
+            army = ClientArmy.enroll(USERS[:4], CONFIG, seed=1,
+                                     use_oprf=False)
+            army.drop_users([USERS[0]])
+            outbox = army.on_round_start(0)
+            army.drop_users(late_drop)
+            notice = MissingClientsNotice(
+                round_id=0, missing_indexes=(army.index_of[USERS[0]],),
+                clique_id=0)
+            adjustments = army.on_message("clique-aggregator-0", notice)
+            assert [m.user_id for _, m in outbox] == USERS[1:4]
+            return [(m.user_id, m.cells) for _, m in adjustments]
+
+        late = recovery([USERS[1]])
+        assert [uid for uid, _ in late] == USERS[1:4]
+        assert late == recovery([])
 
     def test_adjustment_for_non_member_rejected(self):
         army = ClientArmy.enroll(USERS[:4], CONFIG, seed=1, use_oprf=False)

@@ -1,5 +1,8 @@
 """Unit tests for wire messages and the in-memory transport."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.errors import TransportError
@@ -8,12 +11,109 @@ from repro.protocol.messages import (
     HEADER_BYTES,
     BlindedReport,
     BlindingAdjustment,
+    CellVector,
     CleartextReport,
     MissingClientsNotice,
+    PartialAggregate,
     PublicKeyAnnouncement,
     ThresholdBroadcast,
 )
 from repro.protocol.transport import InMemoryTransport
+
+#: One instance's field values per message type, every field given.
+FIELDS = {
+    PublicKeyAnnouncement: dict(user_id="u1", public_key=12345,
+                                element_bytes=16),
+    BlindedReport: dict(user_id="u1", round_id=3,
+                        cells=CellVector((1, 2, 2**32 - 1)), clique_id=2),
+    CleartextReport: dict(user_id="u1", round_id=3, urls=("a", "bb"),
+                          bytes_per_char=2),
+    MissingClientsNotice: dict(round_id=3, missing_indexes=(4, 9),
+                               clique_id=2),
+    BlindingAdjustment: dict(user_id="u1", round_id=3, cells=(7, 0, 5),
+                             clique_id=2),
+    ThresholdBroadcast: dict(round_id=3, users_threshold=2.5),
+    PartialAggregate: dict(clique_id=2, round_id=3,
+                           cells=CellVector((9, 8)), reported=("u1", "u2"),
+                           missing=("u3",)),
+}
+MESSAGE_TYPES = list(FIELDS)
+
+
+def field_values(message):
+    return {field.name: getattr(message, field.name)
+            for field in dataclasses.fields(message)}
+
+
+def set_per_field(cls, values):
+    """An instance built as the generated frozen ``__init__`` builds
+    one: one ``object.__setattr__`` per field."""
+    message = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(message, name, value)
+    return message
+
+
+@pytest.mark.parametrize("cls", MESSAGE_TYPES,
+                         ids=lambda cls: cls.__name__)
+class TestFrozenMessages:
+    """Each type's own ``__init__`` builds what the dataclass's would,
+    and the dataclass behaviour around it is unchanged."""
+
+    def test_init_parameters_are_the_fields(self, cls):
+        parameters = list(inspect.signature(cls.__init__).parameters.values())
+        assert [p.name for p in parameters[1:]] == \
+            [f.name for f in dataclasses.fields(cls)]
+        for parameter, field in zip(parameters[1:], dataclasses.fields(cls)):
+            assert parameter.default == (
+                inspect.Parameter.empty
+                if field.default is dataclasses.MISSING else field.default)
+
+    def test_keyword_positional_and_per_field_builds_agree(self, cls):
+        values = FIELDS[cls]
+        keyword = cls(**values)
+        twins = [cls(*values.values()), set_per_field(cls, values)]
+        assert field_values(keyword) == values
+        for twin in twins:
+            assert keyword == twin
+            assert hash(keyword) == hash(twin)
+            assert repr(keyword) == repr(twin)
+
+    def test_defaults_fill_omitted_fields(self, cls):
+        required = {f.name: FIELDS[cls][f.name]
+                    for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING}
+        defaulted = {f.name: f.default for f in dataclasses.fields(cls)
+                     if f.default is not dataclasses.MISSING}
+        assert field_values(cls(**required)) == {**required, **defaulted}
+
+    def test_a_message_is_slotted(self, cls):
+        message = cls(**FIELDS[cls])
+        assert not hasattr(message, "__dict__")
+        assert set(cls.__slots__) == set(FIELDS[cls])
+
+    def test_assignment_and_deletion_raise(self, cls):
+        message = cls(**FIELDS[cls])
+        for name, value in FIELDS[cls].items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(message, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(message, name)
+        # A name that is no field has no slot either; the frozen
+        # ``__setattr__`` of a slotted dataclass refuses it with a
+        # TypeError (the same on Python 3.10 to 3.13).
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            message.extra = 1
+        assert field_values(message) == FIELDS[cls]
+
+    def test_replace_builds_a_changed_copy(self, cls):
+        message = cls(**FIELDS[cls])
+        name = "round_id" if "round_id" in FIELDS[cls] else "element_bytes"
+        changed = dataclasses.replace(message, **{name: 99})
+        assert type(changed) is cls
+        assert field_values(changed) == {**FIELDS[cls], name: 99}
+        assert changed != message
+        assert dataclasses.replace(message) == message
 
 
 class TestMessageSizes:
@@ -93,6 +193,33 @@ class TestTransport:
         t.fail_sender("u")
         t.restore_sender("u")
         assert t.send("u", "dst", "x") is True
+
+    def test_an_alias_cannot_be_failed(self):
+        """An aliased name never sends (its host does), so failing it
+        would drop nothing: refused, and nothing is failed."""
+        t = InMemoryTransport()
+        t.register("host")
+        t.register("dst")
+        t.register_alias("u", "host")
+        with pytest.raises(TransportError, match="alias of 'host'"):
+            t.fail_sender("u")
+        assert t.send("u", "dst", "x") is True
+        t.unregister_alias("u")
+        t.fail_sender("u")
+        assert t.send("u", "dst", "y") is False
+
+    def test_a_failed_sender_cannot_become_an_alias(self):
+        t = InMemoryTransport()
+        t.register("host")
+        t.fail_sender("u")
+        with pytest.raises(TransportError, match="failed sender"):
+            t.register_alias("u", "host")
+        with pytest.raises(TransportError, match="unknown endpoint"):
+            t.send("host", "u", "x")
+        t.restore_sender("u")
+        t.register_alias("u", "host")
+        assert t.send("host", "u", "x") is True
+        assert t.drain("host") == [("host", "x")]
 
     def test_byte_accounting(self):
         t = InMemoryTransport()
