@@ -300,12 +300,12 @@ class ProtocolSession:
         self._store_name = ""
         self._owns_store = False
         #: The detection week stamped on every round recorded while it
-        #: is set (the pipeline sets it before a window's rounds).
+        #: is set (the pipeline sets it before a window's round).
         self.week: Optional[int] = None
-        # A membership mid-lifecycle (e.g. handed to create() after
-        # rounds or epoch advances elsewhere) dictates the first
-        # usable round id; pads from its earlier rounds are spent.
-        self._next_round = membership.next_round if membership else 0
+        #: The round counter of a session built from bare client
+        #: objects; a membership keeps its own watermark (see
+        #: :attr:`next_round`).
+        self._next_round = 0
         transport, self._owns_transport = resolve_transport(
             settings.transport)
         try:
@@ -458,12 +458,12 @@ class ProtocolSession:
         have run — and its round counter starts after every persisted
         round, so one-time pads stay one-time.
 
-        The replayed final epoch is verified against the persisted
-        roster/clique snapshot; any drift (a store written by different
-        code, a truncated file) raises
-        :class:`~repro.errors.StoreError` instead of silently running
-        with wrong cliques. ``settings`` re-wires transport and
-        fan-in freely — wiring is not part of the persisted
+        Re-attaching the store (:meth:`attach_store`) verifies the
+        replayed final epoch against the persisted roster/clique
+        snapshot; any drift (a store written by different code, an
+        edited file) raises :class:`~repro.errors.StoreError` instead
+        of silently running with wrong cliques. ``settings`` re-wires
+        transport and fan-in freely — wiring is not part of the persisted
         identity. The client backend is: a lineage resumes on the
         backend the store recorded, whatever ``settings.client_backend``
         says (that field only picks a representation when
@@ -503,18 +503,6 @@ class ProtocolSession:
                 client_backend=record.client_backend,
                 seed=record.seed, use_oprf=record.use_oprf,
                 num_cliques=record.num_cliques)
-            final = epochs[-1]
-            replayed = membership.epoch
-            if (replayed.epoch_id != final.epoch_id
-                    or replayed.user_ids != final.roster
-                    or replayed.clique_of != final.clique_of
-                    or replayed.first_round != final.first_round):
-                raise StoreError(
-                    f"deterministic replay of session {name!r} diverged "
-                    f"from its persisted epoch {final.epoch_id} snapshot "
-                    f"(replayed roster/cliques do not match the store); "
-                    f"the store was written by incompatible code or is "
-                    f"corrupted")
             session = cls(record.config, membership.population, settings,
                           membership=membership)
         except BaseException:
@@ -641,14 +629,13 @@ class ProtocolSession:
     def next_round(self) -> int:
         """The round id :meth:`run_next_round` will use.
 
-        Reconciled against the current epoch's ``first_round``: epochs
-        advanced directly on the membership manager (outside this
-        session) move the floor forward, and the session follows rather
-        than wedging on its own stale counter.
+        With a membership this is the membership's round watermark: it
+        owns round ids, so every session built on one manager (and
+        every epoch advanced on it directly) moves the same counter,
+        and no two of them run one round id on the same pads.
         """
-        epoch = self.epoch
-        if epoch is not None:
-            return max(self._next_round, epoch.first_round)
+        if self.membership is not None:
+            return self.membership.next_round
         return self._next_round
 
     # ------------------------------------------------------------------
@@ -701,9 +688,10 @@ class ProtocolSession:
 
     def _spend_round(self, round_id: int) -> None:
         """Mark ``round_id``'s pads spent: no later round reuses it."""
-        self._next_round = max(self._next_round, round_id + 1)
         if self.membership is not None:
             self.membership.note_round(round_id)
+        else:
+            self._next_round = max(self._next_round, round_id + 1)
 
     def _finish_round(self, round_id: int,
                       result: RoundResult) -> RoundResult:
@@ -734,8 +722,8 @@ class ProtocolSession:
         aggregation endpoints — one aggregator per surviving clique —
         over the *same* transport, so
         byte/message accounting and any injected failures persist
-        across the transition. The new epoch's ``first_round`` is this
-        session's next round id: rounds never reuse an id across
+        across the transition. The new epoch's ``first_round`` is the
+        membership's next round id: rounds never reuse an id across
         epochs, keeping every pairwise pad one-time.
 
         Both client backends take this one path: the manager drives
@@ -746,8 +734,8 @@ class ProtocolSession:
                 "this session has no membership manager; construct it via "
                 "ProtocolSession.create (an enrollment built by "
                 "enroll_users carries the required key material)")
-        transition = self.membership.advance_epoch(
-            joins=joins, leaves=leaves, first_round=self._next_round)
+        transition = self.membership.advance_epoch(joins=joins,
+                                                   leaves=leaves)
         self._wire(self._remote or self.membership.population,
                    self.transport)
         if self._store is not None:
@@ -828,7 +816,6 @@ def run_detection(impressions: "Sequence[Impression]",
                   round_config: Optional[RoundConfig] = None,
                   use_oprf: bool = False, enrollment_seed: int = 0,
                   num_cliques: int = 1,
-                  rounds_per_window: int = 1,
                   settings: Optional[SessionConfig] = None,
                   store: "Union[HistoryStore, str, None]" = None,
                   session_name: str = "pipeline",
@@ -850,7 +837,6 @@ def run_detection(impressions: "Sequence[Impression]",
                                  use_oprf=use_oprf,
                                  enrollment_seed=enrollment_seed,
                                  num_cliques=num_cliques,
-                                 rounds_per_window=rounds_per_window,
                                  settings=settings, store=store,
                                  session_name=session_name)
     try:

@@ -121,22 +121,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     With ``--churn`` (private mode) the run spans two weekly windows
     over a churned population: between the windows the persistent epoch
     session applies the roster delta via ``advance_epoch`` instead of
-    re-enrolling, and the transition bookkeeping is printed.
-    ``--epoch-rounds`` repeats the reporting round within each window
-    (identical aggregates, fresh pads) to exercise multi-round epochs.
+    re-enrolling, and the transition bookkeeping is printed. Each
+    window runs one reporting round.
     """
     if not 0.0 <= args.churn < 1.0:
         print(f"--churn is a fraction of users replaced per epoch and "
               f"must be in [0, 1), got {args.churn}", file=sys.stderr)
         return 2
-    if args.epoch_rounds < 1:
-        print(f"--epoch-rounds must be >= 1, got {args.epoch_rounds}",
-              file=sys.stderr)
-        return 2
-    if (args.churn or args.epoch_rounds > 1) and not args.private:
-        print("--churn and --epoch-rounds require --private (epochs are "
-              "a property of the counting protocol session)",
-              file=sys.stderr)
+    if args.churn and not args.private:
+        print("--churn requires --private (epochs are a property of the "
+              "counting protocol session)", file=sys.stderr)
         return 2
     if args.transport != "memory" and not args.private:
         print("--transport configures the private counting protocol "
@@ -192,8 +186,7 @@ def _detect_one_week(args: argparse.Namespace,
     from repro.core.pipeline import DetectionPipeline
     pipeline = DetectionPipeline(
         detector_config=DetectorConfig(domains_rule=rule, users_rule=rule),
-        private=args.private, num_cliques=args.cliques,
-        rounds_per_window=args.epoch_rounds, settings=settings,
+        private=args.private, num_cliques=args.cliques, settings=settings,
         store=args.store)
     try:
         out = pipeline.run_week(result.impressions, week=0)
@@ -206,9 +199,6 @@ def _detect_one_week(args: argparse.Namespace,
     mode = "private (blinded CMS)" if args.private else "cleartext oracle"
     print(f"mode: {mode}   Users_th={out.users_threshold:.2f} "
           f"({rule.value})")
-    if args.private and args.epoch_rounds > 1:
-        print(f"epoch rounds this window: {args.epoch_rounds} "
-              f"(identical aggregates, fresh pads each round)")
     print(f"classified {len(out.classified)} (user, ad) pairs; "
           f"{len(out.targeted)} flagged\n")
     for call in out.targeted[:args.max_flagged]:
@@ -260,11 +250,10 @@ def _detect_with_churn(args: argparse.Namespace,
         detector_config=DetectorConfig(domains_rule=rule, users_rule=rule),
         private=True,
         round_config=DetectionPipeline.default_round_config(len(unique_ads)),
-        num_cliques=args.cliques, rounds_per_window=args.epoch_rounds,
-        settings=settings, store=args.store)
+        num_cliques=args.cliques, settings=settings, store=args.store)
 
     print(f"mode: private (blinded CMS), churned population "
-          f"({args.churn:.0%}/epoch, {args.epoch_rounds} round(s)/window)")
+          f"({args.churn:.0%}/epoch)")
     try:
         return _run_churn_windows(args, pipeline, rosters, result)
     finally:
@@ -528,10 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the byte-exact wire codec, or real TCP "
                             "sockets with length-prefixed frames "
                             "(default memory)")
-    p_det.add_argument("--epoch-rounds", type=int, default=1,
-                       help="reporting rounds per window (private mode): "
-                            "extra rounds reuse the epoch's cached pad "
-                            "streams (default 1)")
     p_det.add_argument("--churn", type=float, default=0.0,
                        help="fraction of users replaced between two "
                             "weekly windows (private mode): runs both "

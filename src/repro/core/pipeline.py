@@ -35,6 +35,7 @@ from repro.core.counters import (
 from repro.core.detector import CountBasedDetector, DetectorConfig
 from repro.errors import ConfigurationError
 from repro.protocol.client import RoundConfig
+from repro.protocol.endpoint import mean_threshold
 from repro.protocol.enrollment import MAX_CLIQUES
 from repro.protocol.membership import EpochTransition
 from repro.protocol.runner import RoundResult
@@ -68,16 +69,13 @@ class DetectionPipeline:
                  use_oprf: bool = False,
                  enrollment_seed: int = 0,
                  num_cliques: int = 1,
-                 rounds_per_window: int = 1,
                  settings: Optional[SessionConfig] = None,
                  store: "Union[HistoryStore, str, None]" = None,
                  session_name: str = "pipeline") -> None:
         settings = settings if settings is not None else SessionConfig()
-        for name, value in (("num_cliques", num_cliques),
-                            ("rounds_per_window", rounds_per_window)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}")
+        if isinstance(num_cliques, bool) or not isinstance(num_cliques, int):
+            raise ConfigurationError(
+                f"num_cliques must be an int, got {num_cliques!r}")
         if num_cliques < 1:
             raise ConfigurationError(
                 f"num_cliques must be >= 1, got {num_cliques}")
@@ -85,10 +83,15 @@ class DetectionPipeline:
             raise ConfigurationError(
                 f"num_cliques {num_cliques} exceeds the wire format's "
                 f"clique-id range (max {MAX_CLIQUES})")
-        if rounds_per_window < 1:
-            raise ConfigurationError(
-                f"rounds_per_window must be >= 1, got {rounds_per_window}")
         self.detector_config = detector_config or DetectorConfig()
+        users_rule = self.detector_config.users_rule
+        if settings.threshold_rule not in (mean_threshold,
+                                           users_rule.compute):
+            raise ConfigurationError(
+                f"the pipeline thresholds with the detector's users_rule "
+                f"(ThresholdRule.{users_rule.name}) and would ignore "
+                f"settings.threshold_rule; set detector_config.users_rule "
+                f"instead")
         self.private = private
         self.round_config = round_config
         self.use_oprf = use_oprf
@@ -101,21 +104,17 @@ class DetectionPipeline:
         #: Wiring of every private session (see
         #: :class:`repro.api.SessionConfig`), forwarded as given except
         #: for what the pipeline owns: the threshold rule is the
-        #: detector's ``users_rule``. A named transport is built (and
-        #: owned) afresh by each session, so a socket transport's TCP
-        #: pair is closed whenever the session is replaced or the
-        #: pipeline closed; a transport *instance* stays the caller's.
+        #: detector's ``users_rule`` (a different rule in ``settings``
+        #: is refused above rather than ignored). A named transport is
+        #: built (and owned) afresh by each session, so a socket
+        #: transport's TCP pair is closed whenever the session is
+        #: replaced or the pipeline closed; a transport *instance* stays
+        #: the caller's.
         #: On the objects backend it is the hook for injecting client
         #: failures (``fail_sender`` / ``restore_sender`` around a
         #: window); batched users are aliases of one mailbox, which the
         #: transport refuses to fail, and have no dropout hook here.
-        self.settings = replace(
-            settings, threshold_rule=self.detector_config.users_rule.compute)
-        #: Reporting rounds run per window (CLI ``--epoch-rounds``). The
-        #: aggregate is identical every round (same observations, fresh
-        #: pads); extra rounds model a deployment reporting more than
-        #: once per window and exercise the pad-stream cache.
-        self.rounds_per_window = rounds_per_window
+        self.settings = replace(settings, threshold_rule=users_rule.compute)
         #: The persistent epoch session reused across windows: when the
         #: next window's population differs, the roster delta becomes an
         #: ``advance_epoch(joins=..., leaves=...)`` instead of a full
@@ -133,8 +132,8 @@ class DetectionPipeline:
         #: rebuild after an unservable delta) restarts its own counter
         #: at 0, but same-seed re-enrollments of the same roster derive
         #: the *same* pair secrets — replaying round ids across windows
-        #: would reuse one-time pads. Every window's rounds start at
-        #: this floor.
+        #: would reuse one-time pads. Every window's round runs at or
+        #: above this floor.
         self._round_floor = 0
         #: The last window's epoch transition (None when the window ran
         #: in the session's existing epoch or on a fresh enrollment).
@@ -308,32 +307,15 @@ class DetectionPipeline:
             clients_by_id = {c.user_id: c for c in session.clients}
             for user_id, counter in counters.items():
                 clients_by_id[user_id].observe_ads(counter.ads)
+        # One round per window (§4.2), billed its own traffic (§7.1).
         # Round ids are session-monotonic (never reused across epochs —
-        # the pads are one-time). Extra rounds per window re-report the
-        # same observations under fresh pads: bit-identical aggregates,
-        # and the multi-round surface --epoch-rounds exercises.
-        # Byte/message accounting on the persistent session's transport
-        # is cumulative; report this *window's* traffic (the §7.1
-        # quantity), covering all of its rounds.
-        bytes_before = session.transport.total_bytes
-        messages_before = session.transport.total_messages
-        # The week index feeds the floor too: *independent* pipelines
-        # (e.g. one run_detection call per week) with the same
-        # enrollment seed derive identical pair secrets, and only the
-        # week number distinguishes their windows — exactly the pre-
-        # epoch `run_round(week)` guarantee, generalized to multi-round
-        # windows.
-        self._round_floor = max(self._round_floor,
-                                week * self.rounds_per_window)
-        for _ in range(self.rounds_per_window):
-            round_id = max(session.next_round, self._round_floor)
-            round_result = session.run_round(round_id)
-            self._round_floor = round_id + 1
-        round_result = replace(
-            round_result,
-            total_bytes=session.transport.total_bytes - bytes_before,
-            total_messages=(session.transport.total_messages
-                            - messages_before))
+        # the pads are one-time). The week index feeds the floor too:
+        # *independent* pipelines (e.g. one run_detection call per week)
+        # with the same enrollment seed derive identical pair secrets,
+        # and only the week number distinguishes their windows.
+        round_id = max(session.next_round, self._round_floor, week)
+        round_result = session.run_round(round_id)
+        self._round_floor = round_id + 1
 
         # The panel's one mapper, whichever backend hosts it: under OPRF
         # observation already mapped every identity, so these are hits.

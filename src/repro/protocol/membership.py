@@ -27,8 +27,7 @@ Lifecycle::
     enrollment = enroll_users(users, config, num_cliques=8)   # epoch 0
     manager = MembershipManager(enrollment)
     ... run rounds ...
-    transition = manager.advance_epoch(joins=[...], leaves=[...],
-                                       first_round=next_round)
+    transition = manager.advance_epoch(joins=[...], leaves=[...])
     ... run more rounds against the new epoch ...
 
 There is one lifecycle for both client backends. The manager is built
@@ -54,10 +53,12 @@ refuses rosters that cannot keep every clique at two members or more
 
 Epoch ids and round ids only move forward. Pads are keyed by
 ``(pair secret, round id)`` and pair secrets survive epochs, so reusing
-a round id after an epoch advance would reuse one-time pads; callers
-(e.g. :class:`repro.api.ProtocolSession`) thread a monotonically
-increasing ``first_round`` through :meth:`MembershipManager.
-advance_epoch` to make that structurally impossible.
+a round id after an epoch advance would reuse one-time pads. The
+manager owns the round watermark: every
+:class:`repro.api.ProtocolSession` built on it reads its next round id
+here and reports spent rounds via :meth:`MembershipManager.note_round`,
+and :meth:`MembershipManager.advance_epoch` starts the new epoch after
+them.
 """
 
 from __future__ import annotations
@@ -384,9 +385,9 @@ class MembershipManager:
         ``last_round`` marks the highest round id already completed
         (persisted) by the previous life of this membership; it is
         recorded via :meth:`note_round` so the resumed session's pads
-        stay one-time. Callers (:meth:`repro.api.ProtocolSession.
-        resume`) should verify the replayed final epoch against the
-        persisted roster/clique snapshot to detect store drift.
+        stay one-time. Callers should verify the replayed final epoch
+        against the persisted roster/clique snapshot to detect store
+        drift (:meth:`repro.api.ProtocolSession.attach_store` does).
         """
         manager = cls.enroll(user_ids, config, **enroll_kwargs)
         for joins, leaves, first_round in transitions:
@@ -503,9 +504,9 @@ class MembershipManager:
         """Produce the next epoch from a join/leave delta.
 
         ``first_round`` is the first round id the new epoch will run
-        (callers that drive rounds — sessions — pass their counter so
-        round ids, and therefore pads, never repeat across epochs);
-        omitted, the rounds recorded via :meth:`note_round` decide.
+        (a replay passes the recorded one); omitted, the rounds
+        recorded via :meth:`note_round` decide, so round ids, and
+        therefore pads, never repeat across epochs.
 
         ``min_clique_floor`` enforces an anonymity floor *above* the
         structural minimum of two: if the new epoch's smallest clique

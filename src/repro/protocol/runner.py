@@ -45,7 +45,10 @@ from repro.protocol.transport import InMemoryTransport
 @dataclass
 class RoundResult(RoundSummary):
     """Outcome of one protocol round: the root's summary plus the
-    transport's §7.1 byte accounting."""
+    round's §7.1 byte accounting. ``total_bytes`` and
+    ``total_messages`` count this round's traffic only (from its
+    ``open_round`` to its ``close_round``), not the transport's running
+    totals."""
 
     total_bytes: int
     total_messages: int
@@ -172,6 +175,8 @@ class ProtocolRunner:
         self.transport = transport or InMemoryTransport()
         for endpoint in self.endpoints:
             self.transport.register(endpoint.endpoint_id)
+        #: The transport's (bytes, messages) when the open round opened.
+        self._opened_at = (0, 0)
 
     def _dispatch(self, sender_id: str, outbox: Outbox) -> None:
         """Send an endpoint's outbox; an unregistered recipient raises
@@ -202,6 +207,8 @@ class ProtocolRunner:
     # ------------------------------------------------------------------
     def open_round(self, round_id: int) -> None:
         """Start the round on every endpoint and send what they emit."""
+        self._opened_at = (self.transport.total_bytes,
+                           self.transport.total_messages)
         for endpoint in self.endpoints:
             self._dispatch(endpoint.endpoint_id,
                            endpoint.on_round_start(round_id))
@@ -246,6 +253,8 @@ class ProtocolRunner:
                 raise ProtocolError(
                     f"mailbox {endpoint.endpoint_id!r} not drained at "
                     f"round end")
-        return RoundResult(**vars(summary),
-                           total_bytes=self.transport.total_bytes,
-                           total_messages=self.transport.total_messages)
+        opened_bytes, opened_messages = self._opened_at
+        return RoundResult(
+            **vars(summary),
+            total_bytes=self.transport.total_bytes - opened_bytes,
+            total_messages=self.transport.total_messages - opened_messages)

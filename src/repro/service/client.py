@@ -173,6 +173,10 @@ class RemoteClient:
             seed=int(spec["seed"]), use_oprf=bool(spec["use_oprf"]),
             num_cliques=int(spec["num_cliques"]))
         client = manager.client_of(self.user_id)
+        # The replay hosts the whole panel, but no peer of ours blinds
+        # in this process: a shared provider would fold our pads into
+        # pending sums nobody builds. A device squeezes its own pads.
+        client.blinding.pad_streams = None
         expected = spec["user"]
         if client.clique_id != int(expected["clique_id"]):
             raise ProtocolError(

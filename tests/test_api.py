@@ -53,8 +53,42 @@ class TestProtocolSession:
         r1 = session.run_round(1)
         r2 = session.run_round(2)
         assert r2.aggregate.cells == r1.aggregate.cells
-        # Accounting accumulates on the shared transport across rounds.
-        assert r2.total_messages == 2 * r1.total_messages
+        # Each round bills its own traffic on the shared transport.
+        assert r2.total_messages == r1.total_messages
+        assert r2.total_bytes == r1.total_bytes
+
+    @pytest.mark.parametrize("transport", ["memory", "wire", "socket"])
+    def test_each_round_bills_only_its_own_traffic(self, transport,
+                                                   tmp_path, capsys):
+        """A round's result, its stored row and its ``history --rounds``
+        line carry that round's bytes and messages, not the transport's
+        running totals."""
+        from repro.cli import main
+        path = str(tmp_path / "rounds.db")
+        with ProtocolSession.create(
+                make_enrollment(6, num_cliques=2),
+                settings=SessionConfig(transport=transport),
+                store=path) as session:
+            results = []
+            for _ in range(3):
+                before = (session.transport.total_bytes,
+                          session.transport.total_messages)
+                result = session.run_next_round()
+                assert (result.total_bytes, result.total_messages) == (
+                    session.transport.total_bytes - before[0],
+                    session.transport.total_messages - before[1])
+                results.append(result)
+            rows = session.store.round_history()
+        billed = {(r.total_bytes, r.total_messages) for r in results}
+        assert len(billed) == 1
+        assert [(r.round_id, r.total_bytes, r.total_messages)
+                for r in rows] == [(r.round_id, r.total_bytes,
+                                    r.total_messages) for r in results]
+        capsys.readouterr()
+        assert main(["history", "--store", path, "--rounds"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.rsplit("bytes=", 1)[1] for line in lines] == \
+            [str(r.total_bytes) for r in results]
 
     def test_reset_windows(self):
         enrollment = make_enrollment()
@@ -131,8 +165,8 @@ class TestProtocolSession:
             run_detection([], transport_factory=None)
         import repro.api
         assert not hasattr(repro.api, "TransportFactory")
-        assert len(inspect.signature(DetectionPipeline).parameters) == 10
-        assert len(inspect.signature(run_detection).parameters) == 12
+        assert len(inspect.signature(DetectionPipeline).parameters) == 9
+        assert len(inspect.signature(run_detection).parameters) == 11
 
     @pytest.mark.parametrize("transport", ["memory", "wire", "socket"])
     def test_threshold_rule_governs_the_whole_session(self, transport):

@@ -8,6 +8,7 @@ the privacy protocol is supposed to be invisible to detection quality
 
 import pytest
 
+from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline import DetectionPipeline
 from repro.core.thresholds import ThresholdRule
@@ -90,10 +91,9 @@ class TestPipelineSettings:
                      id="cliques-bool"),
         pytest.param({"num_cliques": "2"}, "num_cliques must be an int",
                      id="cliques-str"),
-        pytest.param({"rounds_per_window": 1.5},
-                     "rounds_per_window must be an int", id="rounds-float"),
-        pytest.param({"rounds_per_window": True},
-                     "rounds_per_window must be an int", id="rounds-bool"),
+        pytest.param({"settings": SessionConfig(
+                         threshold_rule=ThresholdRule.MEDIAN.compute)},
+                     "detector_config.users_rule", id="rule-ignored"),
     ])
     def test_invalid_settings_rejected_at_construction(self, kwargs,
                                                        message):

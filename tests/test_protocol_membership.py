@@ -288,6 +288,20 @@ class TestFromMembership:
         result = rebound.run_next_round()  # round 0/1 pads not reused
         assert result.round_id == 2
 
+    def test_sessions_on_one_membership_share_its_round_ids(self):
+        """Round ids have one owner, the membership: of two sessions
+        built on one manager, the second runs the round after the
+        first's, never the same id on the same pads."""
+        membership = session_for().membership
+        a = ProtocolSession.create(membership)
+        b = ProtocolSession.create(membership)
+        observe(membership.clients)
+        assert a.run_next_round().round_id == 0
+        assert (membership.next_round, a.next_round, b.next_round) \
+            == (1, 1, 1)
+        assert b.run_next_round().round_id == 1
+        assert a.next_round == 2
+
 
 class TestAggregateEquivalence:
     def run_epoch_round(self, **wiring):

@@ -114,6 +114,14 @@ class TestServeEndToEnd:
         for remote in self.remotes.values():
             assert remote.last_threshold == result["users_threshold"]
 
+    def test_synced_clients_blind_alone(self, served):
+        """A device's replay hosts the whole panel, yet its client holds
+        no pad-stream provider after ``sync`` and ``begin_round``: no
+        peer in its process would build the sums it folds."""
+        for remote in self.remotes.values():
+            assert remote.client is not None
+            assert remote.client.blinding.pad_streams is None
+
     def test_summary_is_bit_identical_to_in_memory_run(self, served):
         """The tentpole acceptance assertion, across two real
         processes."""

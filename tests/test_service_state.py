@@ -278,6 +278,26 @@ class TestEquivalence:
         assert via_service.total_messages == reference.total_messages
         assert via_service.total_bytes == transport.total_bytes
 
+    def test_each_finalized_round_bills_only_itself(self):
+        """Three HTTP-stepped rounds bill the same traffic each, and
+        ``/v1/history/rounds`` reports those per-round totals."""
+        state = fresh_state()
+        try:
+            clients = state.session.membership.clients
+            for client in clients:
+                for url in URLS[client.user_id]:
+                    client.observe_ad(url)
+            results = [drive_round(state, clients) for _ in range(3)]
+            billed = [(r.total_bytes, r.total_messages) for r in results]
+            assert len(set(billed)) == 1
+            assert sum(b for b, _m in billed) == state.transport.total_bytes
+            assert [(h["round_id"], h["total_bytes"], h["total_messages"])
+                    for h in state.history_rounds()] == \
+                [(r.round_id, r.total_bytes, r.total_messages)
+                 for r in results]
+        finally:
+            state.close()
+
     def test_full_participation_leaves_nothing_undelivered(self, finalized):
         state, _result = finalized
         assert state.undelivered == []

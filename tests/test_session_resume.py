@@ -444,6 +444,39 @@ class TestCrashResumeBitIdentity:
             finally:
                 again.close()
 
+    def test_resume_refuses_an_edited_epoch_snapshot(self, tmp_path):
+        """The stored final epoch is checked against the replay once, by
+        the re-attach: a clique map edited in the file is refused."""
+        import json
+        import sqlite3
+
+        path = str(tmp_path / "edited.db")
+        session = ProtocolSession.create(
+            USERS[:8], CONFIG, store=path, store_name="s", seed=5,
+            num_cliques=2,
+        )
+        session.advance_epoch(joins=["zz9"])
+        session.close()
+        db = sqlite3.connect(path)
+        try:
+            (raw,) = db.execute(
+                "SELECT clique_map_json FROM epochs "
+                "WHERE session = 's' AND epoch_id = 1").fetchone()
+            clique_of = json.loads(raw)
+            a = min(u for u, c in clique_of.items() if c == 0)
+            b = min(u for u, c in clique_of.items() if c == 1)
+            clique_of[a], clique_of[b] = 1, 0
+            db.execute(
+                "UPDATE epochs SET clique_map_json = ? "
+                "WHERE session = 's' AND epoch_id = 1",
+                (json.dumps(clique_of, sort_keys=True),))
+            db.commit()
+        finally:
+            db.close()
+        with pytest.raises(StoreError,
+                           match="refusing to attach a diverged session"):
+            ProtocolSession.resume(path, name="s")
+
     def test_resume_from_path_owns_the_reopened_store(self, tmp_path):
         path = str(tmp_path / "lineage.db")
         session = ProtocolSession.create(

@@ -173,17 +173,6 @@ class TestPipelineEpochPersistence:
         assert out_epoch.round_result.aggregate.cells == \
             out_fresh.round_result.aggregate.cells
 
-    def test_rounds_per_window(self):
-        pipeline = self._pipeline(rounds_per_window=3)
-        out = pipeline.run_week(_impressions(ROSTER, week=0), week=0)
-        # Three rounds ran; the last one's id is 2.
-        assert out.round_result.round_id == 2
-        assert pipeline.session.next_round == 3
-
-    def test_rounds_per_window_validated(self):
-        with pytest.raises(ConfigurationError):
-            DetectionPipeline(rounds_per_window=0)
-
     def test_independent_weekly_calls_never_replay_round_ids(self):
         """Two separate run_detection calls share pair secrets (same
         default enrollment seed, same roster) — their windows must use
@@ -201,11 +190,12 @@ class TestPipelineEpochPersistence:
         the users they share, so round ids must stay monotonic across
         windows even when a window gets a fresh session (an unservable
         roster delta re-enrolls) — replaying an id would reuse
-        (pair, round) one-time pads."""
-        pipeline = self._pipeline(rounds_per_window=2)
+        (pair, round) one-time pads. Both windows carry the same week,
+        so the week alone does not separate their round ids."""
+        pipeline = self._pipeline()
         w0 = pipeline.run_week(_impressions(ROSTER, week=0), week=0)
         first = pipeline.session
-        w1 = pipeline.run_week(_impressions(ROSTER[:3], week=1), week=1)
+        w1 = pipeline.run_week(_impressions(ROSTER[:3], week=0), week=0)
         assert pipeline.session is not first  # re-enrolled from round 0
         assert pipeline.session.epoch.epoch_id == 0
         assert w1.round_result.round_id > w0.round_result.round_id
@@ -321,7 +311,7 @@ class TestCliChurn:
         code = main(["detect", "--private", "--users", "16",
                      "--websites", "40", "--visits", "20",
                      "--cliques", "2", "--churn", "0.25",
-                     "--epoch-rounds", "2", "--seed", "5"])
+                     "--seed", "5"])
         out = capsys.readouterr().out
         assert code == 0
         assert "epoch 0" in out
@@ -332,9 +322,6 @@ class TestCliChurn:
     def test_churn_requires_private(self, capsys):
         from repro.cli import main
         code = main(["detect", "--churn", "0.2"])
-        assert code == 2
-        assert "--private" in capsys.readouterr().err
-        code = main(["detect", "--epoch-rounds", "3"])
         assert code == 2
         assert "--private" in capsys.readouterr().err
 
@@ -349,5 +336,3 @@ class TestCliChurn:
         from repro.cli import main
         assert main(["detect", "--private", "--churn", "1.0"]) == 2
         assert "[0, 1)" in capsys.readouterr().err
-        assert main(["detect", "--private", "--epoch-rounds", "0"]) == 2
-        assert ">= 1" in capsys.readouterr().err
