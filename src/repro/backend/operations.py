@@ -112,6 +112,10 @@ class LongitudinalDeployment:
                 "the deployment fails each dropout's sender on its "
                 "transport, and batched users send from one shared "
                 "mailbox; use client_backend='objects'")
+        # The pipeline run() builds refuses these too, but only after
+        # the simulation; refuse them here with its own checks.
+        DetectionPipeline.check_arguments(self.detector_config, num_cliques,
+                                          settings)
         self.settings = settings
 
     def _active_subset(self, user_ids: Sequence[str]) -> Set[str]:

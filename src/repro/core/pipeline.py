@@ -73,25 +73,8 @@ class DetectionPipeline:
                  store: "Union[HistoryStore, str, None]" = None,
                  session_name: str = "pipeline") -> None:
         settings = settings if settings is not None else SessionConfig()
-        if isinstance(num_cliques, bool) or not isinstance(num_cliques, int):
-            raise ConfigurationError(
-                f"num_cliques must be an int, got {num_cliques!r}")
-        if num_cliques < 1:
-            raise ConfigurationError(
-                f"num_cliques must be >= 1, got {num_cliques}")
-        if num_cliques > MAX_CLIQUES:
-            raise ConfigurationError(
-                f"num_cliques {num_cliques} exceeds the wire format's "
-                f"clique-id range (max {MAX_CLIQUES})")
         self.detector_config = detector_config or DetectorConfig()
-        users_rule = self.detector_config.users_rule
-        if settings.threshold_rule not in (mean_threshold,
-                                           users_rule.compute):
-            raise ConfigurationError(
-                f"the pipeline thresholds with the detector's users_rule "
-                f"(ThresholdRule.{users_rule.name}) and would ignore "
-                f"settings.threshold_rule; set detector_config.users_rule "
-                f"instead")
+        self.check_arguments(self.detector_config, num_cliques, settings)
         self.private = private
         self.round_config = round_config
         self.use_oprf = use_oprf
@@ -114,7 +97,8 @@ class DetectionPipeline:
         #: failures (``fail_sender`` / ``restore_sender`` around a
         #: window); batched users are aliases of one mailbox, which the
         #: transport refuses to fail, and have no dropout hook here.
-        self.settings = replace(settings, threshold_rule=users_rule.compute)
+        self.settings = replace(
+            settings, threshold_rule=self.detector_config.users_rule.compute)
         #: The persistent epoch session reused across windows: when the
         #: next window's population differs, the roster delta becomes an
         #: ``advance_epoch(joins=..., leaves=...)`` instead of a full
@@ -153,6 +137,33 @@ class DetectionPipeline:
         #: store; the generation counter keeps their names distinct
         #: (``pipeline``, ``pipeline#g1``, ``pipeline#g2``, ...).
         self._session_gen = 0
+
+    @staticmethod
+    def check_arguments(detector_config: DetectorConfig, num_cliques: int,
+                        settings: SessionConfig) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` for a
+        ``num_cliques`` the wire format cannot carry, or a
+        ``settings.threshold_rule`` the pipeline would ignore (it
+        thresholds with the detector's ``users_rule``). The constructor's
+        checks, for a caller that builds its pipeline later."""
+        if isinstance(num_cliques, bool) or not isinstance(num_cliques, int):
+            raise ConfigurationError(
+                f"num_cliques must be an int, got {num_cliques!r}")
+        if num_cliques < 1:
+            raise ConfigurationError(
+                f"num_cliques must be >= 1, got {num_cliques}")
+        if num_cliques > MAX_CLIQUES:
+            raise ConfigurationError(
+                f"num_cliques {num_cliques} exceeds the wire format's "
+                f"clique-id range (max {MAX_CLIQUES})")
+        users_rule = detector_config.users_rule
+        if settings.threshold_rule not in (mean_threshold,
+                                           users_rule.compute):
+            raise ConfigurationError(
+                f"the pipeline thresholds with the detector's users_rule "
+                f"(ThresholdRule.{users_rule.name}) and would ignore "
+                f"settings.threshold_rule; set detector_config.users_rule "
+                f"instead")
 
     @property
     def session(self) -> Optional[ProtocolSession]:

@@ -70,18 +70,21 @@ Batched cliques
 ---------------
 A caller hosting whole cliques (:class:`~repro.protocol.army.ClientArmy`)
 needs every member's ``b_i`` at once, and the formula above is a running
-sum. :func:`blind_cliques` adds it into a ``(g, m, C)``
+sum. :func:`blind_cliques` writes it into a member-major ``(m, g, C)``
 ``uint32`` stack of ``g`` cliques sharing one layout ``(m, lo_rows,
-hi_rows)``, :func:`cliques_per_chunk` cliques at a time: per pair slot it
+hi_rows)`` (``stack[r, k]`` is member row ``r`` of clique ``k``),
+:func:`cliques_per_chunk` cliques at a time: per pair slot it
 copies each clique's squeeze into one byte buffer of at most
 ``_SQUEEZE_CELLS`` cells, or one row if a row is longer, reads the
 buffer as big-endian into a ``uint32`` buffer of the same shape once,
 then adds that into the slot's high-end rows and subtracts it from its
 low-end rows of every clique with one ``+=`` and one ``-=``
-(:func:`_scatter_slots`, the only scatter). The working set is the stack
-plus the two buffers, and the cost is the squeeze itself: a chunk's
-Python and NumPy overhead is paid per pair slot, not per clique and
-pair.
+(:func:`_scatter_slots`, the only scatter); a row's first pad is copied
+(or negated) into it instead, so the stack needs no zero fill.
+Member-major, each of those writes one contiguous ``(g, C)`` block, not
+``g`` rows ``m * C`` cells apart. The working set is the stack plus the
+two buffers, and the cost is the squeeze itself: a chunk's Python and
+NumPy overhead is paid per pair slot, not per clique and pair.
 :func:`clique_blinding` (recovery adjustments) is the one-clique call.
 The ``(pairs, cells)`` pad matrix (:meth:`PadStreamProvider.
 clique_matrix`) exists for inspection only and feeds the same scatter
@@ -205,23 +208,37 @@ def _slot_ends(
 def _scatter_slots(
     cells: np.ndarray, slots: Iterable[np.ndarray], plus: List[int], minus: List[int]
 ) -> None:
-    """The blinding sum, in place: the one scatter every batched path runs.
+    """The blinding sum, written over ``cells``: the one scatter every
+    batched path runs.
 
-    ``cells`` is a ``(g, m, C)`` wrapping ``uint32`` stack of ``g``
-    cliques sharing one layout; ``slots`` yields, per pair slot ``p``, a
-    ``(g, C)`` array holding each clique's pad row of that slot (the same
-    buffer, refilled, may be yielded every time). Slot ``p``'s rows are
-    added into member row ``plus[p]`` and subtracted from ``minus[p]`` of
-    every clique at once: one ``+=`` and one ``-=`` a slot, whatever
-    ``g``. Row ``m`` of clique ``k`` then equals :func:`_pad_sum` over
-    that member's pairs bit-for-bit: both are sums mod ``2^32`` of the
-    same streams.
+    ``cells`` is a member-major ``(m, g, C)`` wrapping ``uint32`` stack
+    of ``g`` cliques sharing one layout, its contents ignored; ``slots``
+    yields, per pair slot ``p``, a ``(g, C)`` array holding each
+    clique's pad row of that slot (the same buffer, refilled, may be
+    yielded every time). Slot ``p``'s rows are added into member row
+    ``plus[p]`` and subtracted from ``minus[p]`` of every clique at
+    once: one ``+=`` and one ``-=`` a slot, whatever ``g``, each into
+    the member's contiguous ``(g, C)`` block. A row's first pad is
+    copied (or negated) into it rather than added to zeros, and a row no
+    slot reaches is zeroed. Row ``r`` of clique ``k`` (``cells[r, k]``)
+    then equals :func:`_pad_sum` over that member's pairs bit-for-bit:
+    both are sums mod ``2^32`` of the same streams.
     """
+    written: Set[int] = set()
     for rows, plus_row, minus_row in zip(slots, plus, minus):
-        if plus_row >= 0:
-            cells[:, plus_row] += rows
-        if minus_row >= 0:
-            cells[:, minus_row] -= rows
+        if plus_row in written:
+            cells[plus_row] += rows
+        elif plus_row >= 0:
+            np.copyto(cells[plus_row], rows)
+            written.add(plus_row)
+        if minus_row in written:
+            cells[minus_row] -= rows
+        elif minus_row >= 0:
+            np.negative(rows, out=cells[minus_row])
+            written.add(minus_row)
+    for row in range(len(cells)):
+        if row not in written:
+            cells[row] = 0
 
 
 def _squeezed_slots(
@@ -262,18 +279,20 @@ def blind_cliques(
     round_id: int,
     negate: bool = False,
 ) -> None:
-    """Add the blinding of ``g`` same-layout cliques into ``cells``.
+    """Write the blinding of ``g`` same-layout cliques into ``cells``,
+    whatever it held.
 
-    ``cells`` is a ``(g, m, C)`` ``uint32`` stack, one ``(m, C)`` block
-    per clique; the cliques share the layout ``(m, lo_rows, hi_rows)``:
+    ``cells`` is a member-major ``(m, g, C)`` ``uint32`` stack, one
+    ``(g, C)`` block per member row (``cells[r, k]`` is row ``r`` of
+    clique ``k``); the cliques share the layout ``(m, lo_rows, hi_rows)``:
     ``lo_rows[p]`` / ``hi_rows[p]`` is the member row of pair slot
     ``p``'s low- and high-index end (``-1`` skips that end, as a
     dropout-recovery pad does for its missing member). ``secrets`` lists
     the ``g * P`` pair secrets clique-major (clique ``k``'s slot ``p`` at
-    ``k * P + p``). Afterwards row ``m`` of clique ``k`` has gained
-    member ``m``'s :meth:`BlindingGenerator.blinding_vector_array` (its
+    ``k * P + p``). Afterwards row ``r`` of clique ``k`` is member
+    ``r``'s :meth:`BlindingGenerator.blinding_vector_array` (its
     :meth:`~BlindingGenerator.adjustment_for_missing_array` under
-    ``negate=True``) mod ``2^32``.
+    ``negate=True``), so a caller may pass ``np.empty``.
 
     Cliques are blinded :func:`cliques_per_chunk` at a time, each pair
     slot squeezed into one bounded buffer and scattered with one ``+=``
@@ -284,10 +303,10 @@ def blind_cliques(
     """
     if cells.ndim != 3 or cells.dtype != np.uint32:
         raise ConfigurationError(
-            f"cells must be a (cliques, members, cells) uint32 stack, "
+            f"cells must be a (members, cliques, cells) uint32 stack, "
             f"got {cells.dtype} {cells.shape}"
         )
-    num_cliques, _, num_cells = cells.shape
+    _, num_cliques, num_cells = cells.shape
     _check_cells(num_cells)
     num_pairs = len(secrets) // num_cliques if num_cliques else 0
     if num_pairs * num_cliques != len(secrets):
@@ -300,7 +319,7 @@ def blind_cliques(
     for start in range(0, num_cliques, chunk):
         chunk_secrets = secrets[start * num_pairs:(start + chunk) * num_pairs]
         _scatter_slots(
-            cells[start:start + chunk],
+            cells[:, start : start + chunk],
             _squeezed_slots(chunk_secrets, num_pairs, round_id, num_cells),
             plus, minus)
 
@@ -316,11 +335,11 @@ def clique_blinding(
 ) -> np.ndarray:
     """Every member's blinding vector for one clique and round: the
     ``(num_members, num_cells)`` ``uint32`` result of
-    :func:`blind_cliques` on a zero stack of one clique."""
+    :func:`blind_cliques` on a stack of one clique."""
     _check_cells(num_cells)
-    acc = np.zeros((num_members, num_cells), dtype=np.uint32)
-    blind_cliques(acc[None], secrets, lo_rows, hi_rows, round_id, negate)
-    return acc
+    acc = np.empty((num_members, 1, num_cells), dtype=np.uint32)
+    blind_cliques(acc, secrets, lo_rows, hi_rows, round_id, negate)
+    return acc.reshape(num_members, num_cells)
 
 
 class PadStreamProvider:
@@ -592,9 +611,9 @@ class BlindingGenerator:
             pad = pad.astype(np.uint32)
         num_pairs, num_cells = pad.shape
         plus, minus = _slot_ends(lo_rows, hi_rows, num_pairs, negate)
-        acc = np.zeros((num_members, num_cells), dtype=np.uint32)
-        _scatter_slots(acc[None], pad[:, None, :], plus, minus)
-        return acc
+        acc = np.empty((num_members, 1, num_cells), dtype=np.uint32)
+        _scatter_slots(acc, pad[:, None, :], plus, minus)
+        return acc.reshape(num_members, num_cells)
 
     def blinding_vector_array(self, num_cells: int, round_id: int) -> np.ndarray:
         """Blinding factors over every known peer for ``num_cells`` cells,

@@ -59,12 +59,26 @@ from repro.protocol.messages import (
     MissingClientsNotice,
     PartialAggregate,
     ThresholdBroadcast,
+    cells_to_array,
 )
 from repro.protocol.server import UsersDistributionQuery
 from repro.sketch.countmin import CountMinSketch
 
 #: A member's submission to its clique aggregator.
 Submission = Union[BlindedReport, BlindingAdjustment]
+
+
+def _cell_sum(arrays: Sequence[np.ndarray], num_cells: int) -> np.ndarray:
+    """The wrapping ``uint32`` sum of ``arrays`` as a new array, each
+    read once: the first two in one ``np.add``, the rest added in place
+    (no zero vector to start from; all zeros for no array)."""
+    if len(arrays) < 2:
+        return (arrays[0].copy() if arrays
+                else np.zeros(num_cells, dtype=np.uint32))
+    cells = np.add(arrays[0], arrays[1])
+    for array in arrays[2:]:
+        cells += array
+    return cells
 
 
 def regional_endpoint_id(level: int, region_id: int) -> str:
@@ -217,6 +231,8 @@ class CliqueAggregator(ProtocolEndpoint):
                 f"clique {clique_id} has no members to aggregate")
         self.clique_id = clique_id
         self.config = config
+        #: Read at every intake: ``config.num_cells`` is computed per call.
+        self._num_cells = config.num_cells
         self.root_id = root_id
         self.endpoint_id = clique_endpoint_id(clique_id)
         self.index_of = dict(index_of)
@@ -276,8 +292,8 @@ class CliqueAggregator(ProtocolEndpoint):
         if message.user_id not in self.index_of:
             raise RoundStateError(
                 f"{kind} from unknown user {message.user_id!r}")
-        cells = message.cells_as_array()
-        if len(cells) != self.config.num_cells:
+        cells = cells_to_array(message.cells)
+        if len(cells) != self._num_cells:
             raise RoundStateError(
                 f"{kind} has {len(cells)} cells, expected "
                 f"{self.config.num_cells}")
@@ -378,12 +394,12 @@ class CliqueAggregator(ProtocolEndpoint):
         whole-clique dropout contributes zeros: none of its pads entered
         any sum.
         """
-        cells = np.zeros(self.config.num_cells, dtype=np.uint32)
+        counted: List[np.ndarray] = []
         if self._reports:
             self._check_release(missing)
-            for submission in (*self._reports.values(),
-                               *self._adjustments.values()):
-                cells += submission.cells_as_array()
+            counted = [submission.cells_as_array() for submission in
+                       (*self._reports.values(), *self._adjustments.values())]
+        cells = _cell_sum(counted, self._num_cells)
         self._released = True
         cells.setflags(write=False)
         return PartialAggregate(clique_id=self.clique_id, round_id=round_id,
@@ -410,6 +426,8 @@ class _PartialCollector(ProtocolEndpoint):
         if len(self._children) != len(child_ids):
             raise ProtocolError("duplicate child ids")
         self.config = config
+        #: Read at every intake: ``config.num_cells`` is computed per call.
+        self._num_cells = config.num_cells
         self.child_ids: List[int] = sorted(child_ids)
         self._round_id: Optional[int] = None
         self._partials: Dict[int, PartialAggregate] = {}
@@ -433,7 +451,7 @@ class _PartialCollector(ProtocolEndpoint):
             raise RoundStateError(
                 f"partial from unexpected child {message.clique_id} at "
                 f"{self.endpoint_id}")
-        if len(message.cells) != self.config.num_cells:
+        if len(message.cells) != self._num_cells:
             raise RoundStateError(
                 f"partial has {len(message.cells)} cells, expected "
                 f"{self.config.num_cells}")
@@ -457,14 +475,14 @@ class _PartialCollector(ProtocolEndpoint):
         wrapping ``uint32`` (exact mod 2^32, so the result is
         bit-identical at every tree depth) and the concatenated
         participation rosters."""
-        cells = np.zeros(self.config.num_cells, dtype=np.uint32)
+        partials = [self._partials[child] for child in self.child_ids]
         reported: List[str] = []
         missing: List[str] = []
-        for child in self.child_ids:
-            partial = self._partials[child]
-            cells += partial.cells_as_array()
+        for partial in partials:
             reported.extend(partial.reported)
             missing.extend(partial.missing)
+        cells = _cell_sum([partial.cells_as_array() for partial in partials],
+                          self._num_cells)
         return cells, reported, missing
 
 

@@ -18,15 +18,16 @@ the *protocol* — every message, every byte — and deletes the objects:
   :meth:`ClientArmy.on_round_start` builds one index table with
   :meth:`~repro.sketch.countmin.CountMinSketch.flat_indexes`;
 * cliques of one layout (member count and pair wiring) are reported a
-  bounded **chunk** at a time: one zeroed ``(g, m, cells)`` ``uint32``
-  stack is blinded in place by one
+  bounded **chunk** at a time: one member-major ``(m, g, cells)``
+  ``uint32`` stack is written with the blinding by one
   :func:`~repro.crypto.blinding.blind_cliques` call
   (each pair slot squeezed into one buffer of at most 64 Ki cells and
   scattered with one ``+=`` and one ``-=`` across the chunk), then the
   members' counts — a gather from the index table — are added on with
-  one ``np.add.at``; the stack is then made read-only once and every
-  report wraps a row view of it unchecked (a kernel's cells need no
-  range check; cells from outside the process still get one). The
+  one ``np.add.at``; the stack is then made read-only and checked once,
+  and every report wraps a row view of it unchecked
+  (``CellVector._wrap_rows``: a kernel's cells need no range check;
+  cells from outside the process still get one). The
   round's floor is the squeeze of the pad XOF in ``crypto/blinding.py``,
   and no ``(pairs, cells)`` pad matrix is held;
 * a chunk's wiring — its cliques' uplinks, members, pairs and shared
@@ -64,6 +65,7 @@ See ``docs/scaling.md`` for the cost model.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -132,11 +134,14 @@ class _Chunk(NamedTuple):
     round of the epoch would otherwise rebuild before its one
     :func:`~repro.crypto.blinding.blind_cliques` call."""
 
-    cliques: List[int]
-    #: Per clique, the aggregator its members report to.
-    uplinks: List[str]
     #: Every clique's sorted members, clique-major.
     members: List[str]
+    #: Per member, its clique and the aggregator it reports to.
+    routes: List[Tuple[int, str]]
+    #: The chunk's member-major ``(m, g, cells)`` stack shape.
+    shape: Tuple[int, int, int]
+    #: Per member, the offset of its row in the flattened stack.
+    row_offsets: np.ndarray
     #: Every clique's pair secrets, clique-major.
     secrets: List[bytes]
     lo_rows: np.ndarray
@@ -419,17 +424,25 @@ class ClientArmy(ProtocolEndpoint):
         by_layout: Dict[Layout, List[int]] = {}
         for clique in sorted(self._members_of):
             by_layout.setdefault(self._wiring_of[clique][3], []).append(clique)
-        size = cliques_per_chunk(self.config.num_cells)
+        num_cells = self.config.num_cells
+        size = cliques_per_chunk(num_cells)
         chunks: List[_Chunk] = []
-        for same_layout in by_layout.values():
+        for (num_members, _, _), same_layout in by_layout.items():
             for start in range(0, len(same_layout), size):
                 cliques = same_layout[start:start + size]
                 lo_rows, hi_rows = self._wiring_of[cliques[0]][1:3]
+                # Member r of clique k sits at [r, k] of the (m, g) stack.
+                offsets = (np.arange(num_members, dtype=np.int64) * len(cliques)
+                           + np.arange(len(cliques), dtype=np.int64)[:, None])
+                routes = [(clique, clique_endpoint_id(clique))
+                          for clique in cliques]
                 chunks.append(_Chunk(
-                    cliques=cliques,
-                    uplinks=[clique_endpoint_id(c) for c in cliques],
                     members=[uid for clique in cliques
                              for uid in self._members_of[clique]],
+                    routes=[route for route in routes
+                            for _ in range(num_members)],
+                    shape=(num_members, len(cliques), num_cells),
+                    row_offsets=offsets.ravel() * num_cells,
                     secrets=[self._pair_secret[pair] for clique in cliques
                              for pair in self._wiring_of[clique][0]],
                     lo_rows=lo_rows, hi_rows=hi_rows))
@@ -442,51 +455,41 @@ class ClientArmy(ProtocolEndpoint):
         """Blind and report a chunk of same-layout cliques: its active
         members' reports, clique-major.
 
-        The chunk's cells are one zeroed ``(g, m, cells)`` ``uint32``
-        stack: blinded in place by one
+        The chunk's cells are one member-major ``(m, g, cells)``
+        ``uint32`` stack: written with the blinding by one
         :func:`~repro.crypto.blinding.blind_cliques` call, then the
         members' cleartext counts are added on with one ``np.add.at``
         over their flat cell indexes (a gather from the round's index
-        table, offset per member). That equals per-user
+        table, offset by each member's row). That equals per-user
         ``CountMinSketch.update_many`` plus the blinding mod 2^32, which
-        is all a blinded cell keeps. The stack is then made read-only
-        once, and the reports are built in one pass over the members,
-        each wrapping its row view unchecked (``CellVector._wrap``: the
-        kernel's cells need no range check); member ``k`` is in the
-        chunk's clique ``k // m``. The sorted indexes are the canonical
-        form of the chunk's counts, so they, behind a length prefix and
-        the member count, are what the pad-reuse guard hashes.
+        is all a blinded cell keeps. The stack is then made read-only,
+        its rows are wrapped clique-major after one check of the stack
+        (``CellVector._wrap_rows``: the kernel's cells need no range
+        check), and the reports are built in one pass over the members.
+        The sorted indexes are the canonical form of the chunk's counts,
+        so they, behind a length prefix and the member count, are what
+        the pad-reuse guard hashes.
         """
         row_of, flat = table
-        num_cells = self.config.num_cells
         members = chunk.members
-        rows: List[int] = []
-        lengths: List[int] = []
-        for uid in members:
-            seen = self._seen[uid]
-            rows.extend(map(row_of.__getitem__, seen))
-            lengths.append(len(seen))
+        seen = list(map(self._seen.__getitem__, members))
+        lengths = list(map(len, seen))
+        rows = list(map(row_of.__getitem__, chain.from_iterable(seen)))
         indexes = flat.take(rows, axis=0)
-        member_base = np.arange(len(members), dtype=np.int64) * num_cells
-        indexes += member_base.repeat(lengths)[:, None]
+        indexes += chunk.row_offsets.repeat(lengths)[:, None]
         indexes = indexes.ravel()
         indexes.sort()
         digest.update(np.array([indexes.size, len(members)], dtype=np.int64))
         digest.update(indexes)
-        cliques, uplinks = chunk.cliques, chunk.uplinks
-        size = len(members) // len(cliques)
-        cells = np.zeros((len(cliques), size, num_cells), dtype=np.uint32)
+        cells = np.empty(chunk.shape, dtype=np.uint32)
         blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows, round_id)
         np.add.at(cells.reshape(-1), indexes, ONE_COUNT)
         cells.setflags(write=False)
         inactive = self._inactive
-        wrap = CellVector._wrap
         return [
-            (
-                uplinks[k // size],
-                BlindedReport(uid, round_id, wrap(row), cliques[k // size]),
-            )
-            for k, (uid, row) in enumerate(zip(members, cells.reshape(-1, num_cells)))
+            (uplink, BlindedReport(uid, round_id, vector, clique))
+            for uid, vector, (clique, uplink) in zip(
+                members, CellVector._wrap_rows(cells), chunk.routes)
             if uid not in inactive
         ]
 
@@ -531,9 +534,9 @@ class ClientArmy(ProtocolEndpoint):
             self.config.num_cells, negate=True)
         adjustments.setflags(write=False)
         return [(recipient, BlindingAdjustment(
-            user_id=uid, round_id=round_id,
-            cells=CellVector._wrap(adjustments[row]), clique_id=clique))
-            for row, uid in enumerate(survivors)]
+            user_id=uid, round_id=round_id, cells=vector, clique_id=clique))
+            for uid, vector in zip(
+                survivors, CellVector._wrap_rows(adjustments[:, None]))]
 
     # ------------------------------------------------------------------
     # Endpoint hooks
@@ -560,6 +563,11 @@ class ClientArmy(ProtocolEndpoint):
         return outbox
 
     def on_message(self, sender: str, message: Any) -> Outbox:
+        if isinstance(message, ThresholdBroadcast):
+            # Tested first: every hosted user receives one a round.
+            self.last_threshold = message.users_threshold
+            self.last_threshold_round = message.round_id
+            return []
         if isinstance(message, MissingClientsNotice):
             # The aggregator notifies every survivor individually; the
             # first notice for a clique yields *all* survivors'
@@ -577,10 +585,6 @@ class ClientArmy(ProtocolEndpoint):
                                              sender)
             self._answered[clique] = frozenset(message.missing_indexes)
             return outbox
-        if isinstance(message, ThresholdBroadcast):
-            self.last_threshold = message.users_threshold
-            self.last_threshold_round = message.round_id
-            return []
         return super().on_message(sender, message)
 
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ from typing import (
     Callable,
     ClassVar,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -61,9 +62,10 @@ class CellVector(Sequence):
     already ``uint32`` — callers hand over ownership and must not mutate
     it afterwards — and refuses values outside ``[0, 2^32)``.
 
-    Cells this process built (the army's blinded stack, an aggregator's
-    sum) skip that check through :meth:`_wrap`, and so do cells the wire
-    codec decodes (socket frames, HTTP bodies): they are a big-endian
+    Cells this process built skip that check: an aggregator's sum
+    through :meth:`_wrap`, the army's blinded stack through
+    :meth:`_wrap_rows`. So do cells the wire codec decodes (socket
+    frames, HTTP bodies), through :meth:`_wrap`: they are a big-endian
     4-byte read converted to ``uint32``, which cannot be out of range.
     Everything else — caller tuples, arrays of any other dtype — is
     checked here.
@@ -89,6 +91,27 @@ class CellVector(Sequence):
         vector._array = array
         vector._hash = None
         return vector
+
+    @classmethod
+    def _wrap_rows(cls, stack: np.ndarray) -> List["CellVector"]:
+        """Wrap every row of a read-only member-major ``(m, g, C)``
+        ``uint32`` stack (``stack[r, k]`` is member row ``r`` of clique
+        ``k``) unchecked and uncopied, clique-major: clique 0's ``m``
+        rows, then clique 1's. The stack is checked once, before any row
+        is wrapped, where :meth:`_wrap` would check every row."""
+        if stack.ndim != 3 or stack.dtype != np.uint32 or stack.flags.writeable:
+            raise ProtocolError(
+                "only a read-only (members, cliques, cells) uint32 stack "
+                "is wrapped unchecked")
+        new = cls.__new__
+        vectors: List[CellVector] = []
+        for clique in stack.swapaxes(0, 1):
+            for row in clique:
+                vector = new(cls)
+                vector._array = row
+                vector._hash = None
+                vectors.append(vector)
+        return vectors
 
     def __array__(
         self, dtype: Any = None, copy: Optional[bool] = None

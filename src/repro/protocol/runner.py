@@ -181,8 +181,9 @@ class ProtocolRunner:
     def _dispatch(self, sender_id: str, outbox: Outbox) -> None:
         """Send an endpoint's outbox; an unregistered recipient raises
         :class:`~repro.errors.TransportError` (unroutable = violation)."""
+        send = self.transport.send
         for recipient, message in outbox:
-            self.transport.send(sender_id, recipient, message)
+            send(sender_id, recipient, message)
 
     def run_round(self, round_id: int) -> RoundResult:
         """Drive one complete round; returns once every endpoint is quiet.
@@ -194,7 +195,9 @@ class ProtocolRunner:
         """
         self.open_round(round_id)
         for _ in range(self._MAX_CYCLES):
-            if self.deliver_pending():
+            # A pass that sent nothing left every mailbox empty, so the
+            # idle phase comes next, not another pass.
+            if self._deliver()[1]:
                 continue
             if not self.idle_phase(round_id):
                 return self.close_round(round_id)
@@ -216,26 +219,39 @@ class ProtocolRunner:
     def deliver_pending(self) -> bool:
         """Empty every endpoint's mailbox once, in registration order;
         True when anything was delivered (so more may be pending)."""
-        progressed = False
+        return self._deliver()[0]
+
+    def _deliver(self) -> Tuple[bool, bool]:
+        """One delivery pass over every mailbox, in registration order:
+        whether it delivered anything and whether the handlers sent
+        anything.
+
+        ``receive``, ``send`` and each endpoint's handler are bound once;
+        every message still takes one ``receive`` and one ``send`` call.
+        """
+        delivered = sent = False
+        receive = self.transport.receive
+        send = self.transport.send
         for endpoint in self.endpoints:
-            while True:
-                item = self.transport.receive(endpoint.endpoint_id)
-                if item is None:
-                    break
-                sender, message = item
-                outbox = endpoint.on_message(sender, message)
-                if outbox:
-                    self._dispatch(endpoint.endpoint_id, outbox)
-                progressed = True
-        return progressed
+            endpoint_id = endpoint.endpoint_id
+            handle = endpoint.on_message
+            item = receive(endpoint_id)
+            while item is not None:
+                delivered = True
+                for recipient, message in handle(*item):
+                    send(endpoint_id, recipient, message)
+                    sent = True
+                item = receive(endpoint_id)
+        return delivered, sent
 
     def idle_phase(self, round_id: int) -> bool:
         """Fire every endpoint's phase timeout; True when any emitted."""
         emitted = False
+        dispatch = self._dispatch
         for endpoint in self.endpoints:
             outbox = endpoint.on_idle(round_id)
             if outbox:
-                self._dispatch(endpoint.endpoint_id, outbox)
+                dispatch(endpoint.endpoint_id, outbox)
                 emitted = True
         return emitted
 
@@ -247,9 +263,10 @@ class ProtocolRunner:
         the round stays open and a later ``close_round`` succeeds.
         """
         summary: RoundSummary = self.root.round_summary()
+        pending = self.transport.pending
         for endpoint in self.endpoints:
             endpoint.on_round_end(round_id)
-            if self.transport.pending(endpoint.endpoint_id):
+            if pending(endpoint.endpoint_id):
                 raise ProtocolError(
                     f"mailbox {endpoint.endpoint_id!r} not drained at "
                     f"round end")

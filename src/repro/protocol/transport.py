@@ -120,8 +120,11 @@ class InMemoryTransport:
         """Carry hook: get one routed message to ``mailbox``, return the
         bytes to bill (memory: the object itself, now, at ``size_bytes()``)."""
         self._deliver(mailbox, sender, recipient, message)
-        size = getattr(message, "size_bytes", None)
-        return size() if callable(size) else 0
+        try:
+            size_bytes = message.size_bytes
+        except AttributeError:
+            return 0
+        return size_bytes()
 
     def _deliver(self, mailbox: str, sender: str, recipient: str,
                  delivered: Any) -> None:
@@ -132,9 +135,9 @@ class InMemoryTransport:
 
     def receive(self, endpoint: str) -> Optional[Tuple[str, Any]]:
         """Pop the oldest (sender, message) pair, or None if empty."""
-        if endpoint not in self._mailboxes:
+        box = self._mailboxes.get(endpoint)
+        if box is None:
             raise TransportError(f"unknown endpoint: {endpoint!r}")
-        box = self._mailboxes[endpoint]
         return box.popleft() if box else None
 
     def drain(self, endpoint: str) -> List[Tuple[str, Any]]:

@@ -4,8 +4,11 @@ import pytest
 
 from repro.api import SessionConfig
 from repro.backend.operations import LongitudinalDeployment
+from repro.core.thresholds import ThresholdRule
 from repro.errors import ConfigurationError
+from repro.protocol.enrollment import MAX_CLIQUES
 from repro.simulation.config import SimulationConfig
+from repro.simulation.simulator import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +30,22 @@ class TestLongitudinalDeployment:
             LongitudinalDeployment(dropout_rate=-0.1)
         with pytest.raises(ConfigurationError):
             LongitudinalDeployment().run(0)
+
+    def test_pipeline_arguments_are_refused_before_any_simulation(
+            self, monkeypatch):
+        """A clique count or threshold rule the deployment's pipeline
+        would refuse is refused by the constructor, through the
+        pipeline's own checks, before ``run`` simulates anything."""
+        def no_simulation(self):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr(Simulator, "run", no_simulation)
+        with pytest.raises(ConfigurationError, match="threshold_rule"):
+            LongitudinalDeployment(settings=SessionConfig(
+                threshold_rule=ThresholdRule.MEDIAN.compute))
+        for num_cliques in (0, True, MAX_CLIQUES + 1):
+            with pytest.raises(ConfigurationError, match="num_cliques"):
+                LongitudinalDeployment(num_cliques=num_cliques)
 
     def test_batched_backend_is_refused(self):
         """Dropouts are failed senders on the deployment's transport;

@@ -302,20 +302,21 @@ class TestCliqueBlinding:
                                                            monkeypatch,
                                                            budget):
         """Four same-layout cliques blinded by one call — in chunks of
-        one, two or all four cliques of 8-cell rows — add onto the cells
-        already there exactly each member generator's blinding (its
-        negation under ``negate``: every pair's sign flips)."""
+        one, two or all four cliques of 8-cell rows — write over whatever
+        the cells held exactly each member generator's blinding (its
+        negation under ``negate``: every pair's sign flips). The stack is
+        member-major: ``cells[r, k]`` is member row ``r`` of clique
+        ``k``."""
         monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
         cliques = [make_clique(group, [k, k + 4, k + 8], seed=k)
                    for k in range(1, 5)]
         _, _, _, lo, hi = cliques[0]
         secrets = [secret for clique in cliques for secret in clique[2]]
         blinding = np.stack([[g.blinding_vector_array(8, 5) for g in clique[0]]
-                             for clique in cliques])
-        for negate, expected in ((False, np.add), (True, np.subtract)):
+                             for clique in cliques]).swapaxes(0, 1)
+        for negate, want in ((False, blinding), (True, np.negative(blinding))):
             cells = np.random.default_rng(7).integers(
-                0, 2**32, (4, 3, 8), dtype=np.uint32)
-            want = expected(cells, blinding)
+                0, 2**32, (3, 4, 8), dtype=np.uint32)
             blind_cliques(cells, secrets, lo, hi, 5, negate)
             assert cells.tobytes() == want.tobytes()
 
@@ -328,7 +329,7 @@ class TestCliqueBlinding:
             raise AssertionError("squeezed before the arguments were checked")
 
         monkeypatch.setattr(blinding_module, "_pad_bytes", no_squeeze)
-        stack = np.zeros((2, 3, 8), dtype=np.uint32)
+        stack = np.zeros((3, 2, 8), dtype=np.uint32)
         for cells in (stack[0], stack.astype(np.uint64)):
             with pytest.raises(ConfigurationError, match="uint32 stack"):
                 blind_cliques(cells, secrets, lo, hi, 1)
@@ -337,9 +338,9 @@ class TestCliqueBlinding:
         with pytest.raises(ConfigurationError, match="num_cells"):
             blind_cliques(stack[:, :, :0], secrets, lo, hi, 1)
         with pytest.raises(ConfigurationError, match="one lo/hi row"):
-            blind_cliques(stack[:1], secrets[:2], lo, hi, 1)
+            blind_cliques(stack[:, :1], secrets[:2], lo, hi, 1)
         with pytest.raises(ConfigurationError, match="one lo/hi row"):
-            blind_cliques(stack[:1], secrets, lo[:2], hi, 1)
+            blind_cliques(stack[:, :1], secrets, lo[:2], hi, 1)
         assert not squeezed and not stack.any()
 
 
@@ -427,7 +428,7 @@ class TestAccumulatorOracle:
         """``scramble=None`` is a whole clique's wiring; otherwise each
         end keeps its member row, is discarded (``-1``) or lands on any
         row. The kernel blinds two cliques of that layout, each with its
-        own pad, in one call."""
+        own pad, in one call, over a member-major stack of garbage."""
         pairs = [(a, b) for a in range(members) for b in range(a + 1, members)]
         lo = np.asarray([a for a, _ in pairs], dtype=np.intp)
         hi = np.asarray([b for _, b in pairs], dtype=np.intp)
@@ -451,10 +452,10 @@ class TestAccumulatorOracle:
         pads = [oracle_pad(mode, seed + k, len(pairs), num_cells)
                 for k in range(2)]
         plus, minus = blinding_module._slot_ends(lo, hi, len(pairs), negate)
-        stack = np.zeros((2, members, num_cells), dtype=np.uint32)
+        stack = np.full((members, 2, num_cells), 0xDEADBEEF, dtype=np.uint32)
         blinding_module._scatter_slots(stack, np.stack(pads, axis=1),
                                        plus, minus)
-        assert stack.tolist() == [expected(pad) for pad in pads]
+        assert stack.swapaxes(0, 1).tolist() == [expected(pad) for pad in pads]
         for matrix in (pads[0], pads[0].astype(np.uint64)):
             result = BlindingGenerator.accumulate_clique_matrix(
                 matrix, lo, hi, members, negate=negate)

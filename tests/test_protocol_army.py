@@ -264,8 +264,9 @@ class TestChunkedBlinding:
     def test_slot_buffers_equal_per_row_squeezes(self, monkeypatch, budget):
         """Each pair slot's buffer is filled with one big-endian read of
         all its rows; every row is ``_squeeze``'s byte for byte, and so is
-        the blinding of five cliques of three, whether a chunk holds one
-        clique, two (the last chunk one) or all five."""
+        the blinding of five cliques of three written over a member-major
+        stack, whether a chunk holds one clique, two (the last chunk one)
+        or all five."""
         monkeypatch.setattr(blinding_module, "_SQUEEZE_CELLS", budget)
         num_cells, round_id = CONFIG.num_cells, 9
         lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
@@ -280,12 +281,12 @@ class TestChunkedBlinding:
             for slot, rows in enumerate(slots):
                 assert rows.tobytes() == np.stack(
                     per_row[start * 3 + slot:stop * 3:3]).tobytes()
-        want = np.zeros((5, 3, num_cells), dtype=np.uint32)
+        want = np.zeros((3, 5, num_cells), dtype=np.uint32)
         for n, stream in enumerate(per_row):
             clique, slot = divmod(n, 3)
-            want[clique, hi[slot]] += stream
-            want[clique, lo[slot]] -= stream
-        cells = np.zeros_like(want)
+            want[hi[slot], clique] += stream
+            want[lo[slot], clique] -= stream
+        cells = np.full_like(want, 0xDEADBEEF)
         blinding_module.blind_cliques(cells, secrets, lo, hi, round_id)
         assert cells.tobytes() == want.tobytes()
 

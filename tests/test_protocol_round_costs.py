@@ -5,7 +5,8 @@
   ``missing_users`` calls, not one per release check.
 * **Cells are checked once, where they are built** — the cells of the
   reports, adjustments and partials this process built are wrapped
-  unchecked (``CellVector._wrap``) and read-only; anything from outside
+  unchecked (``CellVector._wrap``, or ``_wrap_rows`` for a whole stack)
+  and read-only; anything from outside
   (caller tuples, decoded bytes) still goes through the validating
   ``CellVector(...)`` / ``cells_to_array``.
 * **One round of cells at a time** — the aggregation tier drops the
@@ -13,7 +14,13 @@
 * **The per-message transport seam holds** — a transport that overrides
   only ``send`` and ``receive`` (as a tracing transport does) sees every
   message the round bills and every message it delivers.
+* **A tiered round's traffic is pinned** — the ordered transcript of an
+  army round behind a regional tier, with a dropout and its recovery,
+  hashes to one digest on the memory and the wire transport, and bills
+  the same bytes and messages: no tier may reorder or re-bill.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,7 +37,7 @@ from repro.protocol.messages import (
     CellVector,
     PartialAggregate,
 )
-from repro.protocol.transport import InMemoryTransport
+from repro.protocol.transport import InMemoryTransport, WireTransport
 from repro.protocol.wire import decode, encode
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=7, id_space=400)
@@ -228,6 +235,79 @@ class TestBuiltCellsAreCheckedOnce:
         vector = CellVector._wrap(writable)
         assert vector.array is writable
         assert vector == (0, 0, 0, 0) and hash(vector) == hash((0, 0, 0, 0))
+
+
+    def test_row_wrap_checks_the_stack_once_and_wraps_views(self):
+        """``_wrap_rows`` refuses a writable or non-``uint32`` stack
+        before it builds a single vector; otherwise each vector is a
+        zero-copy view of its row, clique-major: clique 0's members,
+        then clique 1's."""
+        built = []
+
+        class Counted(CellVector):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(cls)
+                return super().__new__(cls)
+
+        stack = np.arange(3 * 2 * 4, dtype=np.uint32).reshape(3, 2, 4)
+        wide = stack.astype(np.uint64)
+        wide.setflags(write=False)
+        for refused in (stack, wide, stack[0]):
+            with pytest.raises(ProtocolError):
+                Counted._wrap_rows(refused)
+        assert not built
+        stack.setflags(write=False)
+        vectors = Counted._wrap_rows(stack)
+        assert len(built) == len(vectors) == 6
+        order = [(row, clique) for clique in range(2) for row in range(3)]
+        for vector, (row, clique) in zip(vectors, order):
+            assert np.shares_memory(vector.array, stack)
+            assert vector.array.tobytes() == stack[row, clique].tobytes()
+            assert not vector.array.flags.writeable
+
+
+#: The tiered round below on either transport, recorded on the code
+#: before the member-major kernel: sha256 over the ordered
+#: ``(sender, recipient, encode(message))`` transcript, billed bytes and
+#: messages.
+TIERED_ROUND_PINS = {
+    "memory": ("16ca3e574a77db0da1e323b3e5729a9f"
+               "74dd68764feb59540395cde215f3ab98", 51516, 83),
+    "wire": ("16ca3e574a77db0da1e323b3e5729a9f"
+             "74dd68764feb59540395cde215f3ab98", 52364, 83),
+}
+
+
+class TestTieredRoundIsPinned:
+    @pytest.mark.parametrize("name", sorted(TIERED_ROUND_PINS))
+    def test_army_round_behind_a_regional_tier(self, name):
+        """8 cliques of 4 behind ``fan_in=2`` (two regional levels), one
+        dropout and its clique's recovery: every message, in order and
+        byte for byte, and what the round bills."""
+        transport = {"memory": InMemoryTransport,
+                     "wire": WireTransport}[name](record_transcript=True)
+        users = [f"user-{i:03d}" for i in range(32)]
+        session = ProtocolSession.create(
+            users, CONFIG, SessionConfig(transport=transport, fan_in=2,
+                                         client_backend="batched"),
+            seed=5, use_oprf=False, num_cliques=8)
+        for i, uid in enumerate(users):
+            session.army.observe_ads(
+                uid, [f"http://ads.example/{i % 5}",
+                      f"http://ads.example/y{i % 11}"])
+        session.army.drop_users([users[9]])
+        result = session.run_round(0)
+        assert result.recovery_round_used
+        assert result.missing_users == [users[9]]
+        digest = hashlib.sha256()
+        for sender, recipient, message in transport.transcript:
+            for part in (sender.encode(), recipient.encode(), encode(message)):
+                digest.update(len(part).to_bytes(4, "big"))
+                digest.update(part)
+        assert (digest.hexdigest(), result.total_bytes,
+                result.total_messages) == TIERED_ROUND_PINS[name]
 
 
 class TestBuiltCellsAreReadOnly:
