@@ -12,9 +12,8 @@ cliques sharded two ways, so the exchange fans out over two per-clique
 aggregators whose partial sums a root aggregator combines.
 """
 
-from repro.api import ProtocolSession, SessionConfig
+from repro.api import ProtocolSession
 from repro.protocol import RoundConfig, enroll_users
-from repro.protocol.transport import InMemoryTransport
 
 
 def main() -> None:
@@ -45,10 +44,8 @@ def main() -> None:
           f"{report.size_bytes()} bytes")
 
     print("\nRunning the round with user-7 crashing before reporting ...")
-    transport = InMemoryTransport()
-    transport.fail_sender("user-7")
-    session = ProtocolSession(config, clients,
-                              SessionConfig(transport=transport))
+    session = ProtocolSession(config, clients)
+    session.drop_users(["user-7"])
     aggregators = [e.endpoint_id for e in session.endpoints
                    if e.endpoint_id.startswith("clique-aggregator")]
     print(f"  message-driven session: {len(session.endpoints)} endpoints, "
@@ -56,10 +53,11 @@ def main() -> None:
     result = session.run_round(1)
     print(f"  missing: {result.missing_users}, recovery round used: "
           f"{result.recovery_round_used} (scoped to the victim's clique)")
+    pending = sum(session.transport.pending(e.endpoint_id)
+                  for e in session.endpoints)
     print(f"  every client got the broadcast: Users_th = "
           f"{clients[0].last_threshold:.2f}, no mail left behind "
-          f"({sum(transport.pending(e.endpoint_id) for e in session.endpoints)} "
-          f"pending messages)")
+          f"({pending} pending messages)")
 
     brand_id = mapper.ad_id("http://brand.example/springsale")
     tracker_id = mapper.ad_id("http://tracker.example/you-again")

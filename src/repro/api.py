@@ -721,7 +721,7 @@ class ProtocolSession:
         users whose clique changed are re-keyed), then rebuilds the
         aggregation endpoints — one aggregator per surviving clique —
         over the *same* transport, so
-        byte/message accounting and any injected failures persist
+        byte/message accounting and the staying users' dropouts persist
         across the transition. The new epoch's ``first_round`` is the
         membership's next round id: rounds never reuse an id across
         epochs, keeping every pairwise pad one-time.
@@ -738,6 +738,8 @@ class ProtocolSession:
                                                    leaves=leaves)
         self._wire(self._remote or self.membership.population,
                    self.transport)
+        # A leaver is no longer dropped, as the army forgets it too.
+        self._silence(transition.left, False)
         if self._store is not None:
             self._store.record_epoch(self._store_name, _epoch_record(
                 transition.epoch, transition.joined, transition.left,
@@ -753,6 +755,45 @@ class ProtocolSession:
             return
         for client in self.clients:
             client.reset_window()
+
+    # ------------------------------------------------------------------
+    # Dropouts (§6 fault tolerance)
+    # ------------------------------------------------------------------
+    def drop_users(self, user_ids: Iterable[str]) -> None:
+        """Silence roster members from the next round on, until
+        :meth:`restore_users` or they leave: no report, no adjustment,
+        and their cliques' survivors recover the round. The one dropout
+        seam of both backends (the army silences its rows; a client
+        object's sender fails on the transport). Ids outside the roster,
+        and remote members (who drop out by not submitting), raise
+        :class:`~repro.errors.ConfigurationError`."""
+        self._silence(self._roster_ids(user_ids, "drop"), True)
+
+    def restore_users(self, user_ids: Iterable[str]) -> None:
+        """Let dropped users report again (refused as :meth:`drop_users`)."""
+        self._silence(self._roster_ids(user_ids, "restore"), False)
+
+    def _roster_ids(self, user_ids: Iterable[str], verb: str) -> List[str]:
+        if self._remote is not None:
+            raise ConfigurationError(
+                f"cannot {verb} remote members: they drop out by not submitting")
+        ids = list(user_ids)
+        roster = {c.user_id for c in self.clients} if self.army is None \
+            else self.army.clique_of
+        unknown = [uid for uid in ids if uid not in roster]
+        if unknown:
+            raise ConfigurationError(f"cannot {verb} {unknown}: not in the roster")
+        return ids
+
+    def _silence(self, user_ids: Iterable[str], silent: bool) -> None:
+        if self.army is not None:
+            (self.army.drop_users if silent else self.army.restore_users)(user_ids)
+            return
+        for uid in user_ids:
+            if silent:
+                self.transport.fail_sender(uid)
+            else:
+                self.transport.restore_sender(uid)
 
     # ------------------------------------------------------------------
     # Resource lifecycle

@@ -9,7 +9,8 @@ modules below write to.
   behaviourally targeted, which is what the validation tree keys on;
 * :mod:`repro.backend.operations` — the weekly cadence under churn and
   mid-round dropouts: one :class:`~repro.core.pipeline.DetectionPipeline`
-  operated week over week.
+  operated week over week, on either client backend (each week's
+  dropouts go to :meth:`~repro.api.ProtocolSession.drop_users`).
 
 The weekly round itself has two operators, both driving one
 :class:`~repro.api.ProtocolSession` and differing in where the clients

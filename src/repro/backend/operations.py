@@ -20,14 +20,13 @@ panel size, dropouts, Users_th trajectory, flagged counts, traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 from repro.api import SessionConfig
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline import DetectionPipeline
 from repro.errors import ConfigurationError
-from repro.protocol.transport import InMemoryTransport
 from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulator
 from repro.statsutil.sampling import make_rng
@@ -98,20 +97,9 @@ class LongitudinalDeployment:
         self._rng = make_rng(seed)
         self.seed = seed
         #: Forwarded to the private session: blinding cliques (one
-        #: aggregator per clique) and the session wiring (its transport
-        #: must stay unset — the run owns the dropout-injecting one).
+        #: aggregator per clique) and the session wiring, either backend.
         self.num_cliques = num_cliques
         settings = settings if settings is not None else SessionConfig()
-        if settings.transport is not None:
-            raise ConfigurationError(
-                "the deployment injects dropouts through its own "
-                "in-memory transport; leave settings.transport unset, "
-                f"got {settings.transport!r}")
-        if settings.client_backend == "batched":
-            raise ConfigurationError(
-                "the deployment fails each dropout's sender on its "
-                "transport, and batched users send from one shared "
-                "mailbox; use client_backend='objects'")
         # The pipeline run() builds refuses these too, but only after
         # the simulation; refuse them here with its own checks.
         DetectionPipeline.check_arguments(self.detector_config, num_cliques,
@@ -140,13 +128,11 @@ class LongitudinalDeployment:
         result = Simulator(sim_config).run()
         all_users = [u.user_id for u in result.population]
 
-        # One pipeline, hence one epoch session, for the whole run; the
-        # transport is ours so each week's dropouts can be failed on it.
-        transport = InMemoryTransport()
+        # One pipeline, hence one epoch session, for the whole run.
         pipeline = DetectionPipeline(
             detector_config=self.detector_config, private=True,
             enrollment_seed=self.seed, num_cliques=self.num_cliques,
-            settings=replace(self.settings, transport=transport))
+            settings=self.settings)
         log = DeploymentLog()
         try:
             for week in range(num_weeks):
@@ -164,13 +150,8 @@ class LongitudinalDeployment:
                 if len(reporting_users - dropouts) < 2:
                     dropouts = set()
 
-                for uid in dropouts:
-                    transport.fail_sender(uid)
-                try:
-                    out = pipeline.run_week(week_impressions, week=week)
-                finally:
-                    for uid in dropouts:
-                        transport.restore_sender(uid)
+                out = pipeline.run_week(week_impressions, week=week,
+                                        dropouts=dropouts)
                 transition = pipeline.last_transition
                 log.weeks.append(WeeklyOpsReport(
                     week=week,

@@ -24,7 +24,7 @@ of re-running the full DH enrollment per window.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api import ProtocolSession, SessionConfig
 from repro.core.counters import (
@@ -93,10 +93,6 @@ class DetectionPipeline:
         #: transport's TCP pair is closed whenever the session is
         #: replaced or the pipeline closed; a transport *instance* stays
         #: the caller's.
-        #: On the objects backend it is the hook for injecting client
-        #: failures (``fail_sender`` / ``restore_sender`` around a
-        #: window); batched users are aliases of one mailbox, which the
-        #: transport refuses to fail, and have no dropout hook here.
         self.settings = replace(
             settings, threshold_rule=self.detector_config.users_rule.compute)
         #: The persistent epoch session reused across windows: when the
@@ -295,7 +291,8 @@ class DetectionPipeline:
             self._store.close()
 
     def _global_from_protocol(
-            self, counters: Dict[str, UserDomainCounter], week: int
+            self, counters: Dict[str, UserDomainCounter], week: int,
+            dropouts: Collection[str]
     ) -> Tuple[Callable[[str], float], EmpiricalDistribution, float,
                RoundResult]:
         user_ids = list(counters)
@@ -325,7 +322,12 @@ class DetectionPipeline:
         # with the same enrollment seed derive identical pair secrets,
         # and only the week number distinguishes their windows.
         round_id = max(session.next_round, self._round_floor, week)
-        round_result = session.run_round(round_id)
+        # The window's dropouts crash before reporting, this round only.
+        session.drop_users(dropouts)
+        try:
+            round_result = session.run_round(round_id)
+        finally:
+            session.restore_users(dropouts)
         self._round_floor = round_id + 1
 
         # The panel's one mapper, whichever backend hosts it: under OPRF
@@ -343,22 +345,28 @@ class DetectionPipeline:
                 round_result.users_threshold, round_result)
 
     # ------------------------------------------------------------------
-    def run_week(self, impressions: Sequence[Impression],
-                 week: int = 0) -> PipelineResult:
+    def run_week(self, impressions: Sequence[Impression], week: int = 0,
+                 dropouts: Collection[str] = ()) -> PipelineResult:
         """Classify every (user, ad) pair in one weekly impression log."""
         from repro.types import TICKS_PER_WEEK
         return self.run_window(impressions, index=week,
-                               window_ticks=TICKS_PER_WEEK)
+                               window_ticks=TICKS_PER_WEEK,
+                               dropouts=dropouts)
 
     def run_window(self, impressions: Sequence[Impression], index: int = 0,
-                   window_ticks: Optional[int] = None) -> PipelineResult:
+                   window_ticks: Optional[int] = None,
+                   dropouts: Collection[str] = ()) -> PipelineResult:
         """Classify one window of arbitrary length.
 
         The paper fixes the window at seven days (§4.2); shorter windows
         starve the activity gate and the repetition signal, longer ones
-        mix in faded campaigns and delay reporting.
+        mix in faded campaigns and delay reporting. ``dropouts`` crash
+        before reporting in this window's private round only; the
+        cleartext oracle has no round and refuses them.
         """
         from repro.types import TICKS_PER_WEEK
+        if dropouts and not self.private:
+            raise ConfigurationError("the cleartext pipeline has no round to drop out of")
         if window_ticks is None:
             window_ticks = TICKS_PER_WEEK
         if window_ticks <= 0:
@@ -379,7 +387,7 @@ class DetectionPipeline:
         if self.private:
             counters = count_window(week_impressions)
             users_seen_of, distribution, threshold, round_result = \
-                self._global_from_protocol(counters, week)
+                self._global_from_protocol(counters, week, dropouts)
         else:
             users = GlobalUserCounter()
             counters = count_window(week_impressions, users)

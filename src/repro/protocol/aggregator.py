@@ -284,23 +284,23 @@ class CliqueAggregator(ProtocolEndpoint):
         """The submission's cells, after its round, sender, cell count
         and clique claim passed (reading the cells range-checks any that
         came from outside the process)."""
-        kind = type(message).__name__
         if message.round_id != self._round_id:
             raise RoundStateError(
-                f"{kind} for round {message.round_id}, current is "
-                f"{self._round_id}")
+                f"{type(message).__name__} for round {message.round_id}, "
+                f"current is {self._round_id}")
         if message.user_id not in self.index_of:
             raise RoundStateError(
-                f"{kind} from unknown user {message.user_id!r}")
+                f"{type(message).__name__} from unknown user "
+                f"{message.user_id!r}")
         cells = cells_to_array(message.cells)
         if len(cells) != self._num_cells:
             raise RoundStateError(
-                f"{kind} has {len(cells)} cells, expected "
-                f"{self.config.num_cells}")
+                f"{type(message).__name__} has {len(cells)} cells, "
+                f"expected {self.config.num_cells}")
         if message.clique_id != self.clique_id:
             raise RoundStateError(
-                f"{kind} from {message.user_id!r} claims clique "
-                f"{message.clique_id}, enrolled in {self.clique_id}")
+                f"{type(message).__name__} from {message.user_id!r} claims "
+                f"clique {message.clique_id}, enrolled in {self.clique_id}")
         return cells
 
     def _store(self, message: Submission, cells: np.ndarray,

@@ -172,11 +172,11 @@ class ClientArmy(ProtocolEndpoint):
     notices with every survivor's adjustment in one batch and records
     the threshold broadcast.
 
-    Dropouts are injected with :meth:`drop_users` — the batched
-    analogue of failing a client's transport sender: the user's report
-    is simply never sent, and because adjustments are only built for
-    users that *reported*, the dropped user stays silent through
-    recovery exactly like a crashed object client.
+    Dropouts reach it through the session's one seam,
+    :meth:`~repro.api.ProtocolSession.drop_users`, which calls
+    :meth:`drop_users` here: the user's report is never sent, and
+    because adjustments are only built for users that *reported*, the
+    dropped user stays silent through recovery like a crashed client.
     """
 
     def __init__(self, config: RoundConfig, material: KeyMaterial,
@@ -340,17 +340,13 @@ class ClientArmy(ProtocolEndpoint):
     # Dropout injection
     # ------------------------------------------------------------------
     def drop_users(self, user_ids: Iterable[str]) -> None:
-        """Make users silent for subsequent rounds (transport-failure
-        analogue: no report, no adjustments)."""
-        for uid in user_ids:
-            if uid not in self.clique_of:
-                raise ConfigurationError(
-                    f"cannot drop {uid!r}: not in the current roster")
-            self._inactive.add(uid)
+        """Make roster members silent for subsequent rounds (no report,
+        no adjustments) until restored or until they leave the roster;
+        the session's seam checks the ids against the roster."""
+        self._inactive.update(user_ids)
 
     def restore_users(self, user_ids: Iterable[str]) -> None:
-        for uid in user_ids:
-            self._inactive.discard(uid)
+        self._inactive.difference_update(user_ids)
 
     # ------------------------------------------------------------------
     # Struct-of-arrays internals
@@ -485,12 +481,14 @@ class ClientArmy(ProtocolEndpoint):
         blind_cliques(cells, chunk.secrets, chunk.lo_rows, chunk.hi_rows, round_id)
         np.add.at(cells.reshape(-1), indexes, ONE_COUNT)
         cells.setflags(write=False)
-        inactive = self._inactive
+        routes, sent = chunk.routes, None
+        if self._inactive:  # a dropped member's row is never wrapped
+            sent = [i for i, uid in enumerate(members) if uid not in self._inactive]
+            members, routes = [members[i] for i in sent], [routes[i] for i in sent]
         return [
             (uplink, BlindedReport(uid, round_id, vector, clique))
             for uid, vector, (clique, uplink) in zip(
-                members, CellVector._wrap_rows(cells), chunk.routes)
-            if uid not in inactive
+                members, CellVector._wrap_rows(cells, sent), routes)
         ]
 
     def _build_adjustments(self, clique: int, round_id: int,

@@ -93,24 +93,28 @@ class CellVector(Sequence):
         return vector
 
     @classmethod
-    def _wrap_rows(cls, stack: np.ndarray) -> List["CellVector"]:
-        """Wrap every row of a read-only member-major ``(m, g, C)``
+    def _wrap_rows(cls, stack: np.ndarray,
+                   rows: Optional[Sequence[int]] = None) -> List["CellVector"]:
+        """Wrap the rows of a read-only member-major ``(m, g, C)``
         ``uint32`` stack (``stack[r, k]`` is member row ``r`` of clique
         ``k``) unchecked and uncopied, clique-major: clique 0's ``m``
-        rows, then clique 1's. The stack is checked once, before any row
-        is wrapped, where :meth:`_wrap` would check every row."""
+        rows, then clique 1's, or only the positions ``rows`` picks in
+        that order. The stack is checked once, before any row is wrapped,
+        where :meth:`_wrap` would check every row."""
         if stack.ndim != 3 or stack.dtype != np.uint32 or stack.flags.writeable:
             raise ProtocolError(
                 "only a read-only (members, cliques, cells) uint32 stack "
                 "is wrapped unchecked")
+        by_clique = stack.swapaxes(0, 1)
+        picked = ((row for clique in by_clique for row in clique) if rows is None
+                  else (by_clique[divmod(i, stack.shape[0])] for i in rows))
         new = cls.__new__
         vectors: List[CellVector] = []
-        for clique in stack.swapaxes(0, 1):
-            for row in clique:
-                vector = new(cls)
-                vector._array = row
-                vector._hash = None
-                vectors.append(vector)
+        for row in picked:
+            vector = new(cls)
+            vector._array = row
+            vector._hash = None
+            vectors.append(vector)
         return vectors
 
     def __array__(

@@ -2,8 +2,8 @@
 
 The real eyeWnder moves reports over HTTPS; the quantities §7.1 measures
 are message counts and byte volumes, which an in-memory mailbox preserves
-exactly. Failure injection (silently dropping a sender) drives the
-fault-tolerance tests: a dropped client looks to the server like a user who
+exactly. Failure injection (silently dropping a sender) is how the
+session drops a client object: to the server it looks like a user who
 went offline before reporting.
 """
 
@@ -80,8 +80,8 @@ class InMemoryTransport:
         An alias is refused: its traffic is sent by the endpoint that
         hosts it (the batched client backend sends every hosted user's
         report from its one mailbox), so failing the alias would drop
-        nothing. Such a user is silenced at its host
-        (:meth:`~repro.protocol.army.ClientArmy.drop_users`).
+        nothing. :meth:`~repro.api.ProtocolSession.drop_users` silences
+        a user where it sends from.
         """
         if endpoint in self._aliases:
             raise TransportError(

@@ -11,15 +11,18 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.simulator import Simulator
 
 
-@pytest.fixture(scope="module")
-def small_deployment_log():
-    deployment = LongitudinalDeployment(
+def small_deployment(settings=None):
+    return LongitudinalDeployment(
         config=SimulationConfig(num_users=30, num_websites=60,
                                 average_user_visits=40,
                                 percentage_targeted=2.0, frequency_cap=8,
                                 seed=3),
-        churn_rate=0.2, dropout_rate=0.1, seed=3)
-    return deployment.run(num_weeks=3)
+        churn_rate=0.2, dropout_rate=0.1, seed=3, settings=settings)
+
+
+@pytest.fixture(scope="module")
+def small_deployment_log():
+    return small_deployment().run(num_weeks=3)
 
 
 class TestLongitudinalDeployment:
@@ -47,13 +50,15 @@ class TestLongitudinalDeployment:
             with pytest.raises(ConfigurationError, match="num_cliques"):
                 LongitudinalDeployment(num_cliques=num_cliques)
 
-    def test_batched_backend_is_refused(self):
-        """Dropouts are failed senders on the deployment's transport;
-        batched users all send from the army's one mailbox, so their
-        dropouts would be ignored (no recovery round, ever)."""
-        with pytest.raises(ConfigurationError, match="batched users"):
-            LongitudinalDeployment(
-                settings=SessionConfig(client_backend="batched"))
+    def test_batched_backend_returns_the_same_weeks(
+            self, small_deployment_log):
+        """Dropouts go through the session's seam, so the batched
+        backend runs the same weeks: the same dropouts and recovery
+        rounds, thresholds, verdict counts, bytes and re-keyed users."""
+        batched = small_deployment(
+            SessionConfig(client_backend="batched")).run(num_weeks=3)
+        assert any(w.dropouts for w in batched.weeks)
+        assert batched.weeks == small_deployment_log.weeks
 
     def test_runs_all_weeks(self, small_deployment_log):
         assert len(small_deployment_log.weeks) == 3
