@@ -663,9 +663,9 @@ class ProtocolSession:
         self._check_round_id(round_id)
         self._runner.open_round(round_id)
 
-    def deliver_pending(self) -> bool:
-        """Empty every endpoint's mailbox once; True if anything moved."""
-        return self._runner.deliver_pending()
+    def deliver_pending(self) -> None:
+        """Deliver until no endpoint has mail (the runner's one call)."""
+        self._runner.deliver_pending()
 
     def idle_phase(self, round_id: int) -> bool:
         """Fire every endpoint's phase timeout; True when any emitted."""

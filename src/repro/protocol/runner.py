@@ -1,12 +1,12 @@
 """The transport-agnostic driver for message-driven protocol rounds.
 
 The driver owns no protocol logic. :class:`ProtocolRunner` opens the
-round on every endpoint, moves messages between mailboxes until the
-exchange quiesces, fires the idle hooks that model deployment
-phase-timeouts, and repeats until every endpoint is quiet. Endpoints are
-serviced synchronously in registration order — deterministic and
-debuggable; every endpoint handler is itself synchronous, so there is
-nothing for an event loop to overlap.
+round on every endpoint, delivers until no endpoint has mail, fires the
+idle hooks that model deployment phase-timeouts, and repeats until every
+endpoint is quiet. It serves endpoints synchronously (every handler is,
+so an event loop would have nothing to overlap), in registration order,
+and only those the transport marks as holding mail: delivering one
+remote message, as the HTTP plane does, costs that message's work alone.
 
 Invariants the driver enforces (and the old inline coordinator did not):
 
@@ -20,6 +20,8 @@ Invariants the driver enforces (and the old inline coordinator did not):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
@@ -169,6 +171,7 @@ class ProtocolRunner:
         ids = [e.endpoint_id for e in self.endpoints]
         if len(set(ids)) != len(ids):
             raise ProtocolError(f"duplicate endpoint ids: {sorted(ids)[:5]}")
+        self._position = {endpoint_id: i for i, endpoint_id in enumerate(ids)}
         if root not in self.endpoints:
             raise ProtocolError("root must be one of the endpoints")
         self.root = root
@@ -195,10 +198,7 @@ class ProtocolRunner:
         """
         self.open_round(round_id)
         for _ in range(self._MAX_CYCLES):
-            # A pass that sent nothing left every mailbox empty, so the
-            # idle phase comes next, not another pass.
-            if self._deliver()[1]:
-                continue
+            self.deliver_pending()
             if not self.idle_phase(round_id):
                 return self.close_round(round_id)
         raise ProtocolError(f"round {round_id} did not quiesce")
@@ -216,33 +216,40 @@ class ProtocolRunner:
             self._dispatch(endpoint.endpoint_id,
                            endpoint.on_round_start(round_id))
 
-    def deliver_pending(self) -> bool:
-        """Empty every endpoint's mailbox once, in registration order;
-        True when anything was delivered (so more may be pending)."""
-        return self._deliver()[0]
+    def deliver_pending(self) -> None:
+        """Deliver until no endpoint has mail, in registration order.
 
-    def _deliver(self) -> Tuple[bool, bool]:
-        """One delivery pass over every mailbox, in registration order:
-        whether it delivered anything and whether the handlers sent
-        anything.
-
-        ``receive``, ``send`` and each endpoint's handler are bound once;
-        every message still takes one ``receive`` and one ``send`` call.
+        A pass visits the endpoints the transport marks as holding mail
+        (``has_mail``): one after the cursor that gets mail is visited
+        in this pass, one at or before it in the next. The marks live on
+        the transport, so a handler that raises strands no mail.
         """
-        delivered = sent = False
-        receive = self.transport.receive
-        send = self.transport.send
-        for endpoint in self.endpoints:
-            endpoint_id = endpoint.endpoint_id
-            handle = endpoint.on_message
-            item = receive(endpoint_id)
-            while item is not None:
-                delivered = True
-                for recipient, message in handle(*item):
-                    send(endpoint_id, recipient, message)
-                    sent = True
+        has_mail, position = self.transport.has_mail, self._position
+        receive, send = self.transport.receive, self.transport.send
+        for _ in range(self._MAX_CYCLES):
+            marked = position.keys() & has_mail.keys()
+            due = sorted(position[endpoint_id] for endpoint_id in marked)
+            if not due:
+                return
+            while due:
+                index = heappop(due)
+                endpoint = self.endpoints[index]
+                endpoint_id = endpoint.endpoint_id
+                handle = endpoint.on_message
+                # The visit ends by unmarking this mailbox; the marks its
+                # sends added are the last keys of the ordered marks.
+                kept = len(has_mail) - 1
                 item = receive(endpoint_id)
-        return delivered, sent
+                while item is not None:
+                    for recipient, message in handle(*item):
+                        send(endpoint_id, recipient, message)
+                    item = receive(endpoint_id)
+                added = len(has_mail) - kept
+                for mailbox in (islice(reversed(has_mail), added) if added else ()):
+                    later = position.get(mailbox, -1)
+                    if later > index:
+                        heappush(due, later)
+        raise ProtocolError("delivery did not quiesce")
 
     def idle_phase(self, round_id: int) -> bool:
         """Fire every endpoint's phase timeout; True when any emitted."""

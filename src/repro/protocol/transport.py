@@ -34,6 +34,10 @@ class InMemoryTransport:
         #: its single mailbox, so aggregators keep addressing users by
         #: id (notices, threshold broadcasts) with no topology knowledge.
         self._aliases: Dict[str, str] = {}
+        #: Mailboxes holding mail or frames in flight, in the order they
+        #: were marked (by :meth:`send`; a :meth:`receive` that finds one
+        #: empty or a :meth:`drain` unmarks it). Keys only: an ordered set.
+        self.has_mail: Dict[str, None] = {}
         self.bytes_sent: Dict[str, int] = defaultdict(int)
         self.messages_sent: Dict[str, int] = defaultdict(int)
         self.transcript: Optional[List[Tuple[str, str, Any]]] = \
@@ -110,6 +114,7 @@ class InMemoryTransport:
             raise TransportError(f"unknown endpoint: {recipient!r}")
         if sender in self._failed_senders:
             return False
+        self.has_mail[mailbox] = None
         nbytes = self._carry(mailbox, sender, recipient, message)
         self.messages_sent[sender] += 1
         self.bytes_sent[sender] += nbytes
@@ -138,7 +143,10 @@ class InMemoryTransport:
         box = self._mailboxes.get(endpoint)
         if box is None:
             raise TransportError(f"unknown endpoint: {endpoint!r}")
-        return box.popleft() if box else None
+        if box:
+            return box.popleft()
+        self.has_mail.pop(endpoint, None)
+        return None
 
     def drain(self, endpoint: str) -> List[Tuple[str, Any]]:
         """Pop every pending message for ``endpoint``."""
@@ -147,6 +155,7 @@ class InMemoryTransport:
         box = self._mailboxes[endpoint]
         out = list(box)
         box.clear()
+        self.has_mail.pop(endpoint, None)
         return out
 
     def pending(self, endpoint: str) -> int:

@@ -234,12 +234,6 @@ class ServiceState:
             "left": left,
         }
 
-    def _deliver(self) -> None:
-        """Deliver server-bound mail until the server side is quiet."""
-        session = self._session()
-        while session.deliver_pending():
-            pass
-
     def enrollment_spec(self, user_id: str) -> Dict[str, Any]:
         """Everything a remote process needs to rebuild ``user_id``'s
         :class:`~repro.protocol.client.ProtocolClient` deterministically:
@@ -281,7 +275,7 @@ class ServiceState:
         session.open_round(round_id)
         self._open_round = round_id
         self._reports_seen = {}
-        self._deliver()
+        session.deliver_pending()
         return round_id
 
     def _require_round(self, round_id: int) -> None:
@@ -318,7 +312,7 @@ class ServiceState:
                 f"message is for round {message.round_id}, but round "
                 f"{self._open_round} is open")
         self.transport.send(user_id, uplink, message)
-        self._deliver()
+        self._session().deliver_pending()
         if isinstance(message, BlindedReport):
             self._reports_seen[user_id] = message.round_id
         return {"round_id": self._open_round, "accepted": True}
@@ -337,9 +331,9 @@ class ServiceState:
         clique aggregator declares non-reporters missing and starts the
         recovery round, and later releases its partial aggregate."""
         self._require_round(round_id)
-        self._deliver()
+        self._session().deliver_pending()
         emitted = self._session().idle_phase(round_id)
-        self._deliver()
+        self._session().deliver_pending()
         return {
             "round_id": round_id,
             "emitted": emitted,
@@ -362,7 +356,7 @@ class ServiceState:
         drained into :attr:`undelivered`, not left for the next round.
         """
         self._require_round(round_id)
-        self._deliver()
+        self._session().deliver_pending()
         try:
             # Raises until the root finalized, leaving the round open.
             result = self._session().close_round(round_id, week=round_id)

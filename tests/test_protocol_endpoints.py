@@ -300,13 +300,46 @@ class TestRunnerPhases:
         with pytest.raises(ProtocolError, match="not finalized"):
             runner.close_round(1)
         assert ended == []
-        while runner.deliver_pending() or runner.idle_phase(1):
-            pass
+        runner.deliver_pending()
+        while runner.idle_phase(1):
+            runner.deliver_pending()
         result = runner.close_round(1)
         assert ended == [e.endpoint_id for e in runner.endpoints]
         assert result.aggregate.cells == expected.aggregate.cells
         assert result.users_threshold == expected.users_threshold
         assert result.total_bytes == expected.total_bytes
+
+    @pytest.mark.parametrize("drive", ["run_round", "stepped"])
+    def test_endpoints_that_never_stop_mailing_hit_the_safety_valve(
+            self, drive):
+        """Two endpoints that answer every message with one to the
+        other never quiesce: ``run_round`` and a caller stepping
+        ``open_round`` + ``deliver_pending`` (the HTTP plane) both get a
+        ProtocolError from the cap, not a hung process."""
+        from repro.protocol.endpoint import ProtocolEndpoint
+        from repro.protocol.runner import ProtocolRunner
+
+        class PingPong(ProtocolEndpoint):
+            def __init__(self, endpoint_id, peer):
+                self.endpoint_id = endpoint_id
+                self.peer = peer
+
+            def on_round_start(self, round_id):
+                return [(self.peer, "ping")] if self.peer == "b" else []
+
+            def on_message(self, sender, message):
+                return [(self.peer, message)]
+
+        ping = PingPong("a", "b")
+        runner = ProtocolRunner([ping, PingPong("b", "a")], ping)
+        with pytest.raises(ProtocolError, match="did not quiesce"):
+            if drive == "run_round":
+                runner.run_round(0)
+            else:
+                runner.open_round(0)
+                runner.deliver_pending()
+        assert runner.transport.total_messages \
+            == 2 * ProtocolRunner._MAX_CYCLES
 
 
 class TestStrictRouting:

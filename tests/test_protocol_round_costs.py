@@ -14,6 +14,9 @@
 * **The per-message transport seam holds** — a transport that overrides
   only ``send`` and ``receive`` (as a tracing transport does) sees every
   message the round bills and every message it delivers.
+* **Delivery follows the mail** — a round calls ``receive`` once per
+  message plus once per endpoint visit that found mail (the call that
+  finds the mailbox empty), not once per endpoint every pass.
 * **A tiered round's traffic is pinned** — the ordered transcript of an
   army round behind a regional tier, with a dropout and its recovery,
   hashes to one digest on the memory and the wire transport, and bills
@@ -118,6 +121,41 @@ class TestTransportSeam:
         delivered = [m for _s, _r, m in transport.transcript]
         assert sorted(map(id, transport.received)) == \
             sorted(map(id, delivered))
+
+
+class VisitCountingTransport(InMemoryTransport):
+    """Counts ``receive`` calls, the messages they return, and the
+    visits that found mail. A visit is a run of ``receive`` calls on one
+    mailbox, ended by the call that finds it empty."""
+
+    def __init__(self):
+        super().__init__()
+        self.receives = self.received = self.visits_with_mail = 0
+        self._visiting = None
+
+    def receive(self, endpoint):
+        item = super().receive(endpoint)
+        self.receives += 1
+        if endpoint != self._visiting:
+            self.visits_with_mail += item is not None
+        self._visiting = endpoint if item is not None else None
+        self.received += item is not None
+        return item
+
+
+class TestDeliveryFollowsTheMail:
+    def test_army_round_receives_only_where_mail_is(self):
+        """6 cliques behind ``fan_in=2`` with a dropout and its recovery:
+        ``receive`` calls are at most messages plus visits that found
+        mail — no call on an endpoint with an empty mailbox."""
+        transport = VisitCountingTransport()
+        session = session_on(transport, batched=True, fan_in=2)
+        session.drop_users([USERS[5]])
+        result = session.run_round(0)
+        assert result.recovery_round_used
+        assert transport.received == result.total_messages
+        assert transport.receives <= \
+            result.total_messages + transport.visits_with_mail
 
 
 class TestRosterReadOncePerRelease:

@@ -283,23 +283,39 @@ def test_a_refused_report_keeps_its_class_on_every_transport(
         transport_class):
     """A clique aggregator's refusal reaches the round's caller as the
     aggregator raised it: crossing the codec and a TCP connection does
-    not turn a RoundStateError into a transport or codec error."""
+    not turn a RoundStateError into a transport or codec error. The
+    refusal strands no mail: every mailbox it left undelivered stays
+    marked, the next ``deliver_pending`` delivers it, and the round
+    closes with every mailbox drained."""
     transport = transport_class()
     try:
         session = ProtocolSession(CONFIG, enrolled(2).clients,
                                   SessionConfig(transport=transport))
-        session._runner.open_round(0)
+        # Opening queues every client's honest report, clique 1's too.
+        session.open_round(0)
         rogue = BlindedReport(user_id="intruder", round_id=0,
                               cells=CellVector([0] * CONFIG.num_cells),
                               clique_id=0)
         assert transport.send("intruder", clique_endpoint_id(0), rogue)
         with pytest.raises(RoundStateError, match="unknown user 'intruder'"):
-            while session._runner.deliver_pending():
-                pass
+            session.deliver_pending()
+        assert clique_endpoint_id(1) in transport.has_mail
+        assert transport.pending(clique_endpoint_id(1)) == 4
+        session.deliver_pending()
+        assert transport.pending(clique_endpoint_id(1)) == 0
+        while session.idle_phase(0):
+            session.deliver_pending()
+        result = session.close_round(0)
+        assert all(transport.pending(mailbox) == 0
+                   for mailbox in transport.endpoints)
+        assert not transport.has_mail
     finally:
         close = getattr(transport, "close", None)
         if close is not None:
             close()
+    reference = run_private_round(CONFIG, enrolled(2).clients, round_id=0)
+    assert result.aggregate.cells == reference.aggregate.cells
+    assert result.missing_users == []
 
 
 def test_socket_transport_pump_survives_frames_larger_than_buffers():

@@ -357,6 +357,39 @@ class TestEquivalence:
         assert result.total_bytes == reference.total_bytes + len(late)
 
 
+class TestDeliveryFollowsTheMail:
+    @staticmethod
+    def receives_per_submit(users, monkeypatch):
+        """``transport.receive`` calls per report submitted, over a
+        round's reports, with cliques of 4 on the wire transport."""
+        state = ServiceState(CONFIG, seed=3, num_cliques=users // 4)
+        roster = [f"p{i:04d}" for i in range(users)]
+        for uid in roster:
+            state.enroll(uid)
+        state.advance_epoch()
+        clients = {c.user_id: c for c in state.session.membership.clients}
+        rid = state.start_round()
+        reports = [(uid, wire.encode(clients[uid].build_report(rid)))
+                   for uid in roster]
+        calls = []
+        receive = state.transport.receive
+        monkeypatch.setattr(
+            state.transport, "receive",
+            lambda endpoint: calls.append(endpoint) or receive(endpoint))
+        for uid, payload in reports:
+            state.submit(uid, payload)
+        state.close()
+        return len(calls) / users
+
+    def test_a_submit_costs_the_same_receives_at_any_roster_size(
+            self, monkeypatch):
+        """A submit visits the one clique aggregator it mailed — its
+        report and the call that finds the mailbox empty — whatever the
+        number of server endpoints."""
+        assert self.receives_per_submit(200, monkeypatch) \
+            == self.receives_per_submit(800, monkeypatch) == 2
+
+
 class TestMultiEpochParity:
     """A service life — two rounds (one with a dropout), an epoch with a
     join and a leave, one more round — against an in-process session
