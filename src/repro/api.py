@@ -738,8 +738,6 @@ class ProtocolSession:
                                                    leaves=leaves)
         self._wire(self._remote or self.membership.population,
                    self.transport)
-        # A leaver is no longer dropped, as the army forgets it too.
-        self._silence(transition.left, False)
         if self._store is not None:
             self._store.record_epoch(self._store_name, _epoch_record(
                 transition.epoch, transition.joined, transition.left,
@@ -763,8 +761,10 @@ class ProtocolSession:
         """Silence roster members from the next round on, until
         :meth:`restore_users` or they leave: no report, no adjustment,
         and their cliques' survivors recover the round. The one dropout
-        seam of both backends (the army silences its rows; a client
-        object's sender fails on the transport). Ids outside the roster,
+        mechanism of both backends: the army silences its rows, a client
+        object its :attr:`~repro.protocol.client.ProtocolClient.dropped`
+        flag, and either takes effect at the next round start (a round
+        already open completes as it began). Ids outside the roster,
         and remote members (who drop out by not submitting), raise
         :class:`~repro.errors.ConfigurationError`."""
         self._silence(self._roster_ids(user_ids, "drop"), True)
@@ -789,11 +789,10 @@ class ProtocolSession:
         if self.army is not None:
             (self.army.drop_users if silent else self.army.restore_users)(user_ids)
             return
-        for uid in user_ids:
-            if silent:
-                self.transport.fail_sender(uid)
-            else:
-                self.transport.restore_sender(uid)
+        silenced = set(user_ids)
+        for client in self.clients:
+            if client.user_id in silenced:
+                client.dropped = silent
 
     # ------------------------------------------------------------------
     # Resource lifecycle

@@ -293,31 +293,6 @@ def stray_prints(path: str, tree: ast.Module) -> Iterator[Flag]:
 
 
 # ---------------------------------------------------------------------------
-# PL007: dropouts go through the session's one seam
-# ---------------------------------------------------------------------------
-
-_SENDER_FAILURES = {"fail_sender", "restore_sender"}
-
-
-def sender_failures(path: str, tree: ast.Module) -> Iterator[Flag]:
-    """PL007: no ``.fail_sender(...)`` / ``.restore_sender(...)`` call
-    outside the session's dropout seam, so which backend silences a
-    user is decided in one place (an army-hosted user has no sender of
-    its own to fail)."""
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SENDER_FAILURES
-        ):
-            yield (
-                node.lineno,
-                f".{node.func.attr}() outside the dropout seam; drop users "
-                "with ProtocolSession.drop_users / restore_users",
-            )
-
-
-# ---------------------------------------------------------------------------
 # Annotations: the strict tier's dependency-free typing rung
 # ---------------------------------------------------------------------------
 
@@ -419,10 +394,6 @@ PL006_ALLOWED: Allowlist = {
     ("src/repro/devtools/protolint.py", "main"): "protolint's own report",
 }
 
-PL007_ALLOWED: Allowlist = {
-    ("src/repro/api.py", "ProtocolSession._silence"): "the dropout seam itself",
-}
-
 #: id -> (check, path scope, allowlist).
 CHECKS: Dict[str, Tuple[Check, Tuple[str, ...], Allowlist]] = {
     "PL001": (
@@ -437,7 +408,6 @@ CHECKS: Dict[str, Tuple[Check, Tuple[str, ...], Allowlist]] = {
     ),
     "PL004": (silent_excepts, ("src/repro/protocol/",), PL004_ALLOWED),
     "PL006": (stray_prints, ("src/repro/",), PL006_ALLOWED),
-    "PL007": (sender_failures, ("src/repro/",), PL007_ALLOWED),
     "annotations": (annotation_gaps, STRICT_TIER, {}),
 }
 

@@ -174,9 +174,11 @@ class ClientArmy(ProtocolEndpoint):
 
     Dropouts reach it through the session's one seam,
     :meth:`~repro.api.ProtocolSession.drop_users`, which calls
-    :meth:`drop_users` here: the user's report is never sent, and
-    because adjustments are only built for users that *reported*, the
-    dropped user stays silent through recovery like a crashed client.
+    :meth:`drop_users` here (and sets a client object's ``dropped``
+    flag otherwise): from the next round start the user's report is
+    never sent, and because adjustments are only built for users that
+    *reported*, the dropped user stays silent through recovery like a
+    crashed client.
     """
 
     def __init__(self, config: RoundConfig, material: KeyMaterial,

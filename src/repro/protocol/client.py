@@ -283,6 +283,10 @@ class ProtocolClient(ProtocolEndpoint):
         #: recovery notice answered in it (see notice_needs_answer).
         self._reported_round: Optional[int] = None
         self._answered: Optional[FrozenSet[int]] = None
+        #: Offline from the next round start on, as the army's dropped
+        #: rows are; set only by the session's
+        #: :meth:`~repro.api.ProtocolSession.drop_users` seam.
+        self.dropped = False
 
     @property
     def clique_id(self) -> int:
@@ -427,7 +431,11 @@ class ProtocolClient(ProtocolEndpoint):
         return self.user_id
 
     def on_round_start(self, round_id: int) -> Outbox:
-        """The round opened: upload this window's blinded report."""
+        """The round opened: upload this window's blinded report, unless
+        :attr:`dropped` — then nothing, and no notice of this round is
+        ever answered, like a client that went offline."""
+        if self.dropped:
+            return []
         return [(self.uplink, self.build_report(round_id))]
 
     def on_message(self, sender: str, message: Any) -> Outbox:

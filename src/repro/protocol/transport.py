@@ -1,16 +1,16 @@
-"""In-memory message transport with byte accounting and failure injection.
+"""In-memory message transport with byte accounting.
 
 The real eyeWnder moves reports over HTTPS; the quantities §7.1 measures
 are message counts and byte volumes, which an in-memory mailbox preserves
-exactly. Failure injection (silently dropping a sender) is how the
-session drops a client object: to the server it looks like a user who
-went offline before reporting.
+exactly. A transport only routes and meters: a user who went offline
+before reporting is one whose client sends nothing (see
+:meth:`~repro.api.ProtocolSession.drop_users`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.protocol import wire
@@ -27,7 +27,6 @@ class InMemoryTransport:
 
     def __init__(self, record_transcript: bool = False) -> None:
         self._mailboxes: Dict[str, Deque[Tuple[str, Any]]] = {}
-        self._failed_senders: Set[str] = set()
         #: alias -> mailbox endpoint. Aliases let one endpoint receive
         #: traffic addressed to many protocol-level names: the batched
         #: client backend registers every hosted user id as an alias of
@@ -52,19 +51,13 @@ class InMemoryTransport:
 
         The target mailbox must already be registered; an alias may be
         re-pointed (membership churn re-homes users) but must not shadow
-        a real mailbox — that would silently steal its traffic — nor
-        name a failed sender, whose failure would then drop nothing (see
-        :meth:`fail_sender`).
+        a real mailbox — that would silently steal its traffic.
         """
         if endpoint not in self._mailboxes:
             raise TransportError(f"unknown endpoint: {endpoint!r}")
         if alias in self._mailboxes:
             raise TransportError(
                 f"alias {alias!r} would shadow a registered endpoint")
-        if alias in self._failed_senders:
-            raise TransportError(
-                f"alias {alias!r} names a failed sender; an aliased name "
-                f"never sends, so its failure would drop nothing")
         self._aliases[alias] = endpoint
 
     def unregister_alias(self, alias: str) -> None:
@@ -76,49 +69,23 @@ class InMemoryTransport:
         return sorted(self._mailboxes)
 
     # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-    def fail_sender(self, endpoint: str) -> None:
-        """Silently drop all future messages sent *by* ``endpoint``.
-
-        An alias is refused: its traffic is sent by the endpoint that
-        hosts it (the batched client backend sends every hosted user's
-        report from its one mailbox), so failing the alias would drop
-        nothing. :meth:`~repro.api.ProtocolSession.drop_users` silences
-        a user where it sends from.
-        """
-        if endpoint in self._aliases:
-            raise TransportError(
-                f"{endpoint!r} is an alias of {self._aliases[endpoint]!r}, "
-                f"which sends for it; failing the alias would drop "
-                f"nothing — silence the user at its host")
-        self._failed_senders.add(endpoint)
-
-    def restore_sender(self, endpoint: str) -> None:
-        self._failed_senders.discard(endpoint)
-
-    # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def send(self, sender: str, recipient: str, message: Any) -> bool:
-        """Deliver ``message``; returns False if the sender is failed.
+    def send(self, sender: str, recipient: str, message: Any) -> None:
+        """Deliver ``message``.
 
-        The single send path for every transport: routing, failed-sender
-        drop and message/byte accounting live here and subclasses customize
-        only :meth:`_carry`, so byte accounting cannot drift between them.
-        Dropped messages are not counted: a crashed client sends nothing.
+        The single send path for every transport: routing and
+        message/byte accounting live here and subclasses customize only
+        :meth:`_carry`, so byte accounting cannot drift between them.
         """
         mailbox = recipient if recipient in self._mailboxes \
             else self._aliases.get(recipient)
         if mailbox is None:
             raise TransportError(f"unknown endpoint: {recipient!r}")
-        if sender in self._failed_senders:
-            return False
         self.has_mail[mailbox] = None
         nbytes = self._carry(mailbox, sender, recipient, message)
         self.messages_sent[sender] += 1
         self.bytes_sent[sender] += nbytes
-        return True
 
     def _carry(self, mailbox: str, sender: str, recipient: str,
                message: Any) -> int:
@@ -179,7 +146,7 @@ class WireTransport(InMemoryTransport):
     each delivery parses it back, so a full protocol round over this
     transport proves the byte-exact format carries everything the round
     needs. Byte accounting uses the *actual encoded size* rather than the
-    ``size_bytes()`` model. Everything else — failed senders, mailboxes,
+    ``size_bytes()`` model. Everything else — routing, mailboxes,
     accounting — is the base class's single send path.
     """
 

@@ -150,10 +150,9 @@ class TestBackendEquivalence:
     def test_dropout_recovery_identical(self, num_cliques):
         dropped = [USERS[2], USERS[11]]
         s_obj = object_session(num_cliques=num_cliques, record=True)
-        for uid in dropped:
-            s_obj.transport.fail_sender(uid)
         s_army = army_session(num_cliques=num_cliques, record=True)
-        s_army.army.drop_users(dropped)
+        for session in (s_obj, s_army):
+            session.drop_users(dropped)
         r_obj = s_obj.run_round(0)
         r_army = s_army.run_round(0)
         assert r_obj.recovery_round_used and r_army.recovery_round_used
@@ -219,9 +218,8 @@ class TestChunkedBlinding:
 
     @staticmethod
     def assert_same_round(s_obj, s_army, dropped):
-        for uid in dropped:
-            s_obj.transport.fail_sender(uid)
-        s_army.army.drop_users(dropped)
+        for session in (s_obj, s_army):
+            session.drop_users(dropped)
         r_obj, r_army = s_obj.run_next_round(), s_army.run_next_round()
         assert r_obj.round_id == r_army.round_id
         assert sorted(r_army.missing_users) == sorted(dropped)

@@ -164,10 +164,9 @@ class TestAggregateEquivalence:
 class TestScopedRecovery:
     def _run_with_dropout(self, num_cliques, victim="user-05"):
         enrollment = enrolled(num_cliques=num_cliques)
-        transport = InMemoryTransport()
-        transport.fail_sender(victim)
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  SessionConfig(transport=transport))
+                                  SessionConfig(transport=InMemoryTransport()))
+        session.drop_users([victim])
         result = session.run_round(1)
         return enrollment, session, result
 
@@ -212,10 +211,9 @@ class TestScopedRecovery:
         enrollment = enrolled(num_cliques=4)
         transport = InMemoryTransport(record_transcript=True)
         victims = ["user-02", "user-09"]
-        for victim in victims:
-            transport.fail_sender(victim)
         session = ProtocolSession(CONFIG, enrollment.clients,
                                   SessionConfig(transport=transport))
+        session.drop_users(victims)
         result = session.run_round(1)
         # What each survivor was asked to fix, from the notices sent:
         by_clique = {}
@@ -238,11 +236,9 @@ class TestScopedRecovery:
         dead_clique = enrollment.clique_of["user-00"]
         dead = {uid for uid, clique in enrollment.clique_of.items()
                 if clique == dead_clique}
-        transport = InMemoryTransport()
-        for uid in dead:
-            transport.fail_sender(uid)
         session = ProtocolSession(CONFIG, enrollment.clients,
-                                  SessionConfig(transport=transport))
+                                  SessionConfig(transport=InMemoryTransport()))
+        session.drop_users(dead)
         aggregate = session.run_round(1).aggregate  # no MissingReportError
         assert aggregate.cells == tuple(
             enrollment_round(enrollment, 1, dead).root_cells)
@@ -315,11 +311,10 @@ class TestCliqueWireFormat:
     def test_round_over_wire_transport_with_cliques(self):
         from repro.protocol.transport import WireTransport
         enrollment = enrolled(num_cliques=4)
-        transport = WireTransport()
-        transport.fail_sender("user-03")
-        result = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport)).run_round(1)
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=WireTransport()))
+        session.drop_users(["user-03"])
+        result = session.run_round(1)
         assert result.missing_users == ["user-03"]
         # Recovery over the byte-exact codec still matches the survivor
         # truth (the victim's ads are absent, so only >= checks).

@@ -55,11 +55,9 @@ def enrolled(num_cliques=1, seed=3, user_ids=USER_IDS):
 
 def run_session(enrollment, failed=(),
                 transport_cls=InMemoryTransport, round_id=1):
-    transport = transport_cls()
-    for uid in failed:
-        transport.fail_sender(uid)
     session = ProtocolSession(CONFIG, enrollment.clients,
-                              SessionConfig(transport=transport))
+                              SessionConfig(transport=transport_cls()))
+    session.drop_users(failed)
     return session, session.run_round(round_id)
 
 
@@ -155,9 +153,9 @@ class TestFanoutEquivalence:
         dropped) makes the round unreleasable, loudly."""
         enrollment = enrolled(num_cliques=1)
         transport = InMemoryTransport()
-        transport.fail_sender("user-03")
         session = ProtocolSession(CONFIG, enrollment.clients,
                                   SessionConfig(transport=transport))
+        session.drop_users(["user-03"])
         # Let reports through but drop one survivor's adjustment — the
         # "failed after reporting" shape the recovery cannot absorb.
         original_send = transport.send
@@ -165,7 +163,7 @@ class TestFanoutEquivalence:
         def send_hook(sender, recipient, message):
             if sender == "user-04" and not isinstance(message,
                                                       BlindedReport):
-                return False  # drop user-04's adjustment
+                return None  # drop user-04's adjustment
             return original_send(sender, recipient, message)
 
         transport.send = send_hook
@@ -189,8 +187,7 @@ class TestMultiRoundWireSession:
         assert r1.aggregate.cells == reference_cells(reference, round_id=1)
 
         # Round 2: two users in different cliques drop out.
-        transport.fail_sender("user-02")
-        transport.fail_sender("user-09")
+        session.drop_users(["user-02", "user-09"])
         r2 = session.run_round(2)
         assert sorted(r2.missing_users) == ["user-02", "user-09"]
         assert r2.recovery_round_used
@@ -198,8 +195,7 @@ class TestMultiRoundWireSession:
             reference, failed=("user-02", "user-09"), round_id=2)
 
         # Round 3: they come back; the session keeps going.
-        transport.restore_sender("user-02")
-        transport.restore_sender("user-09")
+        session.restore_users(["user-02", "user-09"])
         r3 = session.run_round(3)
         assert r3.missing_users == []
         assert r3.aggregate.cells == reference_cells(reference, round_id=3)

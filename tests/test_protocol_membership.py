@@ -370,14 +370,13 @@ class TestAggregateEquivalence:
         assert base_result.users_threshold == reference.users_threshold
 
     def test_recovery_round_works_after_epoch_advance(self):
-        transport = InMemoryTransport()
-        session = session_for(transport=transport)
+        session = session_for(transport=InMemoryTransport())
         observe(session.clients)
         session.run_next_round()
         session.advance_epoch(joins=["n-a"], leaves=["user-06"])
         session.reset_windows()
         observe(session.clients, salt=1)
-        transport.fail_sender("user-09")
+        session.drop_users(["user-09"])
         result = session.run_next_round()
         assert result.missing_users == ["user-09"]
         assert result.recovery_round_used

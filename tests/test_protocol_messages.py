@@ -180,46 +180,31 @@ class TestTransport:
             t.send("src", "dst", i)
         assert [m for _, m in t.drain("dst")] == [0, 1, 2, 3, 4]
 
-    def test_failed_sender_dropped(self):
-        t = InMemoryTransport()
-        t.register("dst")
-        t.fail_sender("bad")
-        assert t.send("bad", "dst", "x") is False
-        assert t.pending("dst") == 0
-
-    def test_restore_sender(self):
-        t = InMemoryTransport()
-        t.register("dst")
-        t.fail_sender("u")
-        t.restore_sender("u")
-        assert t.send("u", "dst", "x") is True
-
-    def test_an_alias_cannot_be_failed(self):
-        """An aliased name never sends (its host does), so failing it
-        would drop nothing: refused, and nothing is failed."""
+    def test_an_alias_routes_into_its_endpoint_until_unregistered(self):
         t = InMemoryTransport()
         t.register("host")
-        t.register("dst")
+        t.register("home")
         t.register_alias("u", "host")
-        with pytest.raises(TransportError, match="alias of 'host'"):
-            t.fail_sender("u")
-        assert t.send("u", "dst", "x") is True
+        t.send("s", "u", "x")
+        assert t.drain("host") == [("s", "x")]
+        t.register_alias("u", "home")  # churn re-homes a user
+        t.send("s", "u", "y")
+        assert t.drain("home") == [("s", "y")] and t.pending("host") == 0
         t.unregister_alias("u")
-        t.fail_sender("u")
-        assert t.send("u", "dst", "y") is False
+        t.unregister_alias("u")  # unknown aliases are a no-op
+        with pytest.raises(TransportError, match="unknown endpoint"):
+            t.send("s", "u", "z")
 
-    def test_a_failed_sender_cannot_become_an_alias(self):
+    def test_an_alias_must_name_a_mailbox_and_not_shadow_one(self):
         t = InMemoryTransport()
         t.register("host")
-        t.fail_sender("u")
-        with pytest.raises(TransportError, match="failed sender"):
-            t.register_alias("u", "host")
+        t.register("dst")
         with pytest.raises(TransportError, match="unknown endpoint"):
-            t.send("host", "u", "x")
-        t.restore_sender("u")
-        t.register_alias("u", "host")
-        assert t.send("host", "u", "x") is True
-        assert t.drain("host") == [("host", "x")]
+            t.register_alias("u", "ghost")
+        with pytest.raises(TransportError, match="shadow"):
+            t.register_alias("dst", "host")
+        t.send("s", "dst", "x")
+        assert t.drain("dst") == [("s", "x")] and t.pending("host") == 0
 
     def test_byte_accounting(self):
         t = InMemoryTransport()

@@ -103,14 +103,12 @@ def test_tiered_socket_round_matches_in_memory(num_cliques, fan_in):
 def test_dropout_recovery_over_sockets(num_cliques):
     failed = ["user-03", "user-10"]
     ref_session = ProtocolSession(CONFIG, enrolled(num_cliques).clients)
-    for user_id in failed:
-        ref_session.transport.fail_sender(user_id)
+    ref_session.drop_users(failed)
     reference = ref_session.run_round(0)
     assert reference.recovery_round_used
 
     with socket_session(num_cliques) as session:
-        for user_id in failed:
-            session.transport.fail_sender(user_id)
+        session.drop_users(failed)
         result = session.run_round(0)
     assert_same_round(result, reference)
     assert result.missing_users == sorted(failed)
@@ -121,15 +119,15 @@ def test_socket_session_outlives_a_recovery_round():
     fit for the next one: the following round, with everyone back,
     matches the in-memory session's bit for bit."""
     ref = ProtocolSession(CONFIG, enrolled(2).clients)
-    ref.transport.fail_sender("user-05")
+    ref.drop_users(["user-05"])
     assert ref.run_round(0).recovery_round_used
-    ref.transport.restore_sender("user-05")
+    ref.restore_users(["user-05"])
     reference = ref.run_round(1)
 
     with socket_session(2) as session:
-        session.transport.fail_sender("user-05")
+        session.drop_users(["user-05"])
         assert session.run_round(0).recovery_round_used
-        session.transport.restore_sender("user-05")
+        session.restore_users(["user-05"])
         result = session.run_round(1)
     assert not result.recovery_round_used
     assert_same_round(result, reference)
@@ -241,7 +239,7 @@ def test_socket_transport_ships_real_tcp_bytes():
         transport.register("a")
         transport.register("b")
         message = ThresholdBroadcast(round_id=3, users_threshold=2.5)
-        assert transport.send("a", "b", message)
+        transport.send("a", "b", message)
         sender, delivered = transport.receive("b")
         assert sender == "a"
         assert delivered == message
@@ -301,7 +299,7 @@ def test_round_summary_spec_roundtrip_is_bit_exact():
     default would not: a key summary_to_spec writes but summary_from_spec
     never reads shows up as a field that does not come back."""
     session = ProtocolSession(CONFIG, enrolled(2).clients)
-    session.transport.fail_sender(USER_IDS[3])
+    session.drop_users([USER_IDS[3]])
     session.run_round(1)
     summary = session.root.round_summary()
     assert summary.missing_users == [USER_IDS[3]]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MissingReportError
 from repro.protocol.client import MIN_REPORTERS, RoundConfig
-from repro.api import ProtocolSession, SessionConfig
+from repro.api import ProtocolSession
 from repro.protocol.enrollment import enroll_users
 
 CONFIG = RoundConfig(cms_depth=4, cms_width=64, cms_seed=5, id_space=300)
@@ -83,11 +83,8 @@ class TestAggregateCorrectness:
                 client.observe_ad(url)
                 if i != drop_index:
                     surviving_truth[url].add(client.user_id)
-        from repro.protocol.transport import InMemoryTransport
-        transport = InMemoryTransport()
-        transport.fail_sender(enrollment.clients[drop_index].user_id)
-        session = ProtocolSession(CONFIG, enrollment.clients,
-                                  SessionConfig(transport=transport))
+        session = ProtocolSession(CONFIG, enrollment.clients)
+        session.drop_users([enrollment.clients[drop_index].user_id])
         if n - 1 < MIN_REPORTERS:
             with pytest.raises(MissingReportError):
                 session.run_round(2)

@@ -127,11 +127,9 @@ class TestPartialAdjustmentCoverage:
         assert partial.reported == ()
         assert partial.missing == tuple(sorted(c.user_id for c in clients))
         assert not partial.cells_as_array().any()
-        transport = InMemoryTransport()
-        for client in clients:
-            transport.fail_sender(client.user_id)
         session = ProtocolSession(CONFIG, clients,
-                                  SessionConfig(transport=transport))
+                                  SessionConfig(transport=InMemoryTransport()))
+        session.drop_users(c.user_id for c in clients)
         with pytest.raises(MissingReportError, match="no reports"):
             session.run_round(1)
 

@@ -184,10 +184,10 @@ class TestFaultTolerance:
         clients = enrollment.clients
         for client in clients:
             client.observe_ad("http://shared.ad/1")
-        transport = InMemoryTransport()
-        transport.fail_sender(clients[2].user_id)
+        session = single_backend_session(clients, transport=InMemoryTransport())
+        session.drop_users([clients[2].user_id])
 
-        result = single_backend_session(clients, transport=transport).run_round(1)
+        result = session.run_round(1)
 
         assert result.missing_users == [clients[2].user_id]
         assert result.recovery_round_used
@@ -200,11 +200,9 @@ class TestFaultTolerance:
         clients = enrollment.clients
         for client in clients:
             client.observe_ad("http://shared.ad/1")
-        transport = InMemoryTransport()
-        transport.fail_sender(clients[0].user_id)
-        transport.fail_sender(clients[5].user_id)
-        result = single_backend_session(
-            clients, transport=transport).run_round(3)
+        session = single_backend_session(clients, transport=InMemoryTransport())
+        session.drop_users([clients[0].user_id, clients[5].user_id])
+        result = session.run_round(3)
         assert len(result.missing_users) == 2
         ad_id = clients[1].ad_mapper.ad_id("http://shared.ad/1")
         assert result.aggregate.query(ad_id) >= 4

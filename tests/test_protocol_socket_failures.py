@@ -243,7 +243,7 @@ def test_slow_client_endpoint_over_sockets_still_quiesces(monkeypatch):
             return original(sender, message)
 
         laggard.on_message = types.MethodType(slow_on_message, laggard)
-        session.transport.fail_sender(session.clients[1].user_id)
+        session.drop_users([session.clients[1].user_id])
         result = session.run_round(0)
         assert result.recovery_round_used
         assert session.clients[1].user_id in result.missing_users
@@ -296,7 +296,7 @@ def test_a_refused_report_keeps_its_class_on_every_transport(
         rogue = BlindedReport(user_id="intruder", round_id=0,
                               cells=CellVector([0] * CONFIG.num_cells),
                               clique_id=0)
-        assert transport.send("intruder", clique_endpoint_id(0), rogue)
+        transport.send("intruder", clique_endpoint_id(0), rogue)
         with pytest.raises(RoundStateError, match="unknown user 'intruder'"):
             session.deliver_pending()
         assert clique_endpoint_id(1) in transport.has_mail
@@ -329,7 +329,7 @@ def test_socket_transport_pump_survives_frames_larger_than_buffers():
         transport.register("b")
         report = BlindedReport(user_id="a", round_id=0,
                                cells=CellVector(list(range(big.num_cells))))
-        assert transport.send("a", "b", report)
+        transport.send("a", "b", report)
         _, delivered = transport.receive("b")
         assert delivered == report
 

@@ -77,10 +77,7 @@ def run_scenario(name, backend, transport=None):
     try:
         observe(session, 0)
         if kind == "dropout":
-            if session.army is not None:
-                session.army.drop_users([USERS[5]])
-            else:
-                session.transport.fail_sender(USERS[5])
+            session.drop_users([USERS[5]])
         if kind in ("churn", "resume"):
             session.run_round(0)
             if kind == "churn":

@@ -136,11 +136,10 @@ class TestWireTransportRound:
                                   seed=3, use_oprf=False)
         for client in enrollment.clients:
             client.observe_ad("http://shared.example/ad")
-        transport = WireTransport()
-        transport.fail_sender("u2")
-        result = ProtocolSession(
-            CONFIG, enrollment.clients,
-            SessionConfig(transport=transport)).run_round(1)
+        session = ProtocolSession(CONFIG, enrollment.clients,
+                                  SessionConfig(transport=WireTransport()))
+        session.drop_users(["u2"])
+        result = session.run_round(1)
         assert result.missing_users == ["u2"]
         mapper = enrollment.clients[0].ad_mapper
         assert result.aggregate.query(

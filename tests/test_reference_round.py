@@ -123,11 +123,7 @@ def run(case: Case):
                 session.army.observe_ad(user, URLS[i])
             else:
                 session.membership.client_of(user).observe_ad(URLS[i])
-    if case.backend == "batched":
-        session.army.drop_users(sorted(dropped))
-    else:
-        for user in dropped:
-            transport.fail_sender(user)
+    session.drop_users(sorted(dropped))
     try:
         result = session.run_round(case.round_id)
     finally:

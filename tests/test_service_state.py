@@ -426,11 +426,11 @@ class TestMultiEpochParity:
         for dropout in (None, "u3"):
             self.observe(session.clients)
             if dropout:
-                session.transport.fail_sender(dropout)
+                session.drop_users([dropout])
             session.week = session.next_round
             results.append(session.run_next_round())
             if dropout:
-                session.transport.restore_sender(dropout)
+                session.restore_users([dropout])
         session.advance_epoch(joins=["u-new"], leaves=["u1"])
         self.observe(session.clients)
         session.week = session.next_round

@@ -11,6 +11,9 @@ here:
 * a dropped user sends nothing, and the recovered aggregate is exact:
   the survivors' cleartext sum;
 * a drop lasts until it is restored or the user leaves the roster;
+* a drop takes effect at the next round start on both backends: a
+  clique mate dropped after the reports went out still adjusts for the
+  round already open, and counts missing from the next one;
 * the refusals: an id outside the roster (on both backends, before
   anything is dropped), any call on remote members, and dropouts on a
   cleartext pipeline;
@@ -113,6 +116,30 @@ class TestSameRoundOnBothBackends:
         observe(session)
         result = session.run_next_round()
         assert result.missing_users == [] and not result.recovery_round_used
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_drop_mid_round_waits_for_the_next_round(self, backend,
+                                                       transport):
+        session = make_session(backend, TRANSPORTS[transport]())
+        first = DROPPED[0]
+        clique_of = session.membership.epoch.clique_of
+        mate = next(uid for uid in USERS
+                    if uid != first and clique_of[uid] == clique_of[first])
+        session.drop_users([first])
+        session.open_round(0)
+        session.deliver_pending()
+        session.drop_users([mate])
+        while session.idle_phase(0):
+            session.deliver_pending()
+        result = session.close_round(0)
+        assert result.missing_users == [first]
+        survivors = sorted(set(USERS) - {first})
+        assert np.array_equal(result.aggregate.cells_array,
+                              cleartext(session, survivors))
+        observe(session)
+        assert sorted(session.run_next_round().missing_users) \
+            == sorted([first, mate])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_leaver_is_no_longer_dropped(self, backend):
