@@ -13,7 +13,11 @@ here:
 * a drop lasts until it is restored or the user leaves the roster;
 * a drop takes effect at the next round start on both backends: a
   clique mate dropped after the reports went out still adjusts for the
-  round already open, and counts missing from the next one;
+  round already open, and counts missing from the next one; a restore
+  likewise waits: a user restored mid-round stays missing from the open
+  round and reports in the next one;
+* a dropped client object builds no report and squeezes no pad: its
+  round start yields an empty outbox until it is restored;
 * the refusals: an id outside the roster (on both backends, before
   anything is dropped), any call on remote members, and dropouts on a
   cleartext pipeline;
@@ -140,6 +144,39 @@ class TestSameRoundOnBothBackends:
         observe(session)
         assert sorted(session.run_next_round().missing_users) \
             == sorted([first, mate])
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_restore_mid_round_waits_for_the_next_round(self, backend,
+                                                          transport):
+        session = make_session(backend, TRANSPORTS[transport]())
+        session.drop_users(DROPPED)
+        session.open_round(0)
+        session.deliver_pending()
+        session.restore_users(DROPPED[:1])
+        while session.idle_phase(0):
+            session.deliver_pending()
+        result = session.close_round(0)
+        assert sorted(result.missing_users) == DROPPED
+        survivors = sorted(set(USERS) - set(DROPPED))
+        assert np.array_equal(result.aggregate.cells_array,
+                              cleartext(session, survivors))
+        observe(session)
+        assert session.run_next_round().missing_users == DROPPED[1:]
+
+    def test_a_dropped_client_object_builds_no_report(self):
+        session = make_session("objects")
+        client = session.membership.client_of(DROPPED[0])
+        session.drop_users(DROPPED[:1])
+        assert client.dropped
+        assert client.on_round_start(0) == []
+        assert client._reported_round is None
+        assert client._blinded_rounds.get(0) is None
+        session.restore_users(DROPPED[:1])
+        assert not client.dropped
+        (_, report), = client.on_round_start(0)
+        assert isinstance(report, BlindedReport)
+        assert report.user_id == DROPPED[0] and report.round_id == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_leaver_is_no_longer_dropped(self, backend):
