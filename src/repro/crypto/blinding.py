@@ -94,7 +94,10 @@ through :meth:`BlindingGenerator.accumulate_clique_matrix`.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import (
+    Callable,
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -495,7 +498,8 @@ class BlindingGenerator:
         blinding clique under sharded enrollment. Cancellation holds
         within whatever peer set is given here, provided every peer's
         generator is built over the matching set. The set is mutable
-        between epochs (:meth:`add_peer` / :meth:`set_peers`):
+        between epochs (:meth:`set_peers`, or :meth:`rekey` on a host
+        that holds the peers' key pairs, see :func:`wire_clique`):
         membership churn re-keys only the pairs that actually changed,
         reusing every surviving shared secret.
     pad_streams:
@@ -519,13 +523,10 @@ class BlindingGenerator:
         self.user_index = user_index
         self.keypair = keypair
         self.pad_streams = pad_streams
-        # Precompute shared-secret bytes per peer: one modexp each, reused
-        # for every cell and round (and across epochs while the pair
-        # survives membership changes).
-        self._secret_bytes: Dict[int, bytes] = {
-            j: group.element_to_bytes(group.shared_secret(keypair, pub))
-            for j, pub in peer_publics.items()
-        }
+        # Shared-secret bytes per peer, reused for every cell and round
+        # (and across epochs while the pair survives membership changes).
+        self._secret_bytes: Dict[int, bytes] = {}
+        self.set_peers(peer_publics)
 
     @property
     def peer_indexes(self) -> List[int]:
@@ -534,43 +535,41 @@ class BlindingGenerator:
     # ------------------------------------------------------------------
     # Epoch membership: incremental peer management
     # ------------------------------------------------------------------
-    def add_peer(self, peer_index: int, public_key: int) -> bool:
-        """Derive (or keep) the shared secret with one peer.
-
-        Returns True when a modexp was actually performed — i.e. the
-        pair is new; an already-known peer is a no-op, which is what
-        makes epoch re-sharding cheap for unchanged pairs.
-        """
-        if peer_index == self.user_index:
-            raise ConfigurationError(f"user {self.user_index} cannot peer with itself")
-        if peer_index in self._secret_bytes:
-            return False
-        self._secret_bytes[peer_index] = self.group.element_to_bytes(
-            self.group.shared_secret(self.keypair, public_key)
+    def set_peers(self, peer_publics: Mapping[int, int]) -> Tuple[int, int, int]:
+        """Reconcile the peer set against a new clique roster, as a
+        device does: one modexp, ``shared_secret(own, peer_public)``,
+        per new peer (see :meth:`rekey`)."""
+        group, keypair = self.group, self.keypair
+        return self.rekey(
+            peer_publics,
+            lambda j: group.element_to_bytes(group.shared_secret(keypair, peer_publics[j])),
         )
-        return True
 
-    def set_peers(self, peer_publics: Dict[int, int]) -> Tuple[int, int, int]:
-        """Reconcile the peer set against a new clique roster.
+    def rekey(
+        self, peers: Collection[int], secret_of: Callable[[int], bytes]
+    ) -> Tuple[int, int, int]:
+        """Reconcile the peer set to ``peers``.
 
-        Keeps the derived secret of every pair that survives, removes
-        departed pairs, and performs a modexp only for genuinely new
-        pairs (the caller guarantees key pairs are stable across epochs,
-        so a kept pair's secret cannot have changed). Returns
-        ``(kept, added, removed)`` pair counts — the bookkeeping epoch
-        transitions report.
+        Keeps the secret of every pair that survives, removes departed
+        pairs, and asks ``secret_of(peer)`` for the bytes of genuinely
+        new pairs only (the caller guarantees key pairs are stable
+        across epochs, so a kept pair's secret cannot have changed).
+        Returns ``(kept, added, removed)`` pair counts — the bookkeeping
+        epoch transitions report.
         """
-        if self.user_index in peer_publics:
+        wanted = set(peers)
+        if self.user_index in wanted:
             raise ConfigurationError(
-                f"peer_publics must not contain the user's own index "
+                f"a generator's peers must not contain the user's own index "
                 f"({self.user_index})"
             )
-        removed = [j for j in self._secret_bytes if j not in peer_publics]
+        removed = [j for j in self._secret_bytes if j not in wanted]
         for j in removed:
             del self._secret_bytes[j]
         added = 0
-        for j, pub in peer_publics.items():
-            if self.add_peer(j, pub):
+        for j in peers:
+            if j not in self._secret_bytes:
+                self._secret_bytes[j] = secret_of(j)
                 added += 1
         return len(self._secret_bytes) - added, added, len(removed)
 
@@ -645,3 +644,36 @@ class BlindingGenerator:
         """Bytes this user downloads for the key exchange (one public key
         per peer), the quantity reported in §7.1."""
         return len(self._secret_bytes) * self.group.element_bytes
+
+
+def wire_clique(
+    group: DHGroup, generators: Sequence[BlindingGenerator]
+) -> Tuple[int, int, int]:
+    """Reconcile one clique's generators to each other, as the host that
+    holds every member's key pair.
+
+    Each end's new pairs come from :meth:`BlindingGenerator.rekey`; the
+    pair's first end derives it once with :meth:`DHGroup.pair_secret`
+    (one table walk, the value a device's modexp gives) and the second
+    end takes the same bytes. Returns ``(kept, added, removed)`` summed
+    over the generators, i.e. counted per generator end.
+    """
+    keys = {blinding.user_index: blinding.keypair for blinding in generators}
+    handed: Dict[PairKey, bytes] = {}
+
+    def pair_bytes(own: int, peer: int) -> bytes:
+        pair = (own, peer) if own < peer else (peer, own)
+        secret = handed.pop(pair, None)
+        if secret is None:
+            secret = handed[pair] = group.element_to_bytes(
+                group.pair_secret(keys[own], keys[peer]))
+        return secret
+
+    kept = added = removed = 0
+    for blinding in generators:
+        own = blinding.user_index
+        counts = blinding.rekey([j for j in keys if j != own], partial(pair_bytes, own))
+        kept += counts[0]
+        added += counts[1]
+        removed += counts[2]
+    return kept, added, removed

@@ -16,7 +16,14 @@ remembered if it passed. A refusal is never remembered: a bad key, or the
 identity (whose pair secret anyone can compute), raises on every call.
 Key generation raises the fixed generator through a window table built on
 first use, so a key pair costs a few dozen multiplications instead of a
-generic ``pow``. Neither ``pow`` nor the table is constant-time; this is
+generic ``pow``.
+
+A pair secret has two derivations. A device holds only its own exponent
+and pays one modexp per peer, ``shared_secret(own, peer_public)``. A
+simulator's host holds both ends' key pairs, so ``pair_secret`` derives
+the pair once, as ``g^(x_i * x_j mod q)`` through the same table: the
+same value, since it trusts a key pair only once its public key is
+``g^private``. Neither ``pow`` nor the table is constant-time; this is
 a simulator, not a hardened DH stack.
 """
 
@@ -70,6 +77,8 @@ class DHGroup:
         self.q = q
         # Elements that passed the membership check (never a refusal).
         self._members: Set[int] = set()
+        # Key pairs whose public key is g^private (drawn here or checked).
+        self._keys: Set[KeyPair] = set()
         # Row i holds g^(d * 16^i) for every digit d; built on first use.
         self._g_table: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._g_table_lock = threading.Lock()
@@ -122,15 +131,23 @@ class DHGroup:
     def keypair(self, rng: random.Random) -> KeyPair:
         """Sample a key pair with private exponent in [1, q)."""
         x = rng.randrange(1, self.q)
-        public, rest = 1, x
+        key = KeyPair(private=x, public=self._power_of_g(x))
+        # g^x lies in the subgroup g generates: a member without a check,
+        # and a key pair ``pair_secret`` trusts without a table walk.
+        self._members.add(key.public)
+        self._keys.add(key)
+        return key
+
+    def _power_of_g(self, exponent: int) -> int:
+        """``g^exponent mod p`` for ``0 <= exponent < q``, one table row
+        per window of the exponent."""
+        result, rest = 1, exponent
         for row in self._generator_table():
             digit = rest & _WINDOW_MASK
             if digit:
-                public = public * row[digit] % self.p
+                result = result * row[digit] % self.p
             rest >>= _WINDOW_BITS
-        # g^x lies in the subgroup g generates: a member without a check.
-        self._members.add(public)
-        return KeyPair(private=x, public=public)
+        return result
 
     def _generator_table(self) -> Tuple[Tuple[int, ...], ...]:
         """Fixed-base table for ``g^x``: one row per window of ``x``.
@@ -167,6 +184,27 @@ class DHGroup:
             raise ConfigurationError(
                 "peer public key is the identity or not in the group")
         return pow(peer_public, own.private, self.p)
+
+    def pair_secret(self, one: KeyPair, other: KeyPair) -> int:
+        """The pair secret of two key pairs one host holds, derived once.
+
+        ``g^(x_i * x_j mod q)`` through the fixed-base table: equal to
+        ``shared_secret`` taken from either end, at a table walk instead
+        of a modexp per end. It refuses what ``shared_secret`` refuses
+        (the identity and non-members) and any key pair whose public key
+        is not ``g^private``, which is what makes the two agree. A key
+        pair this group drew is trusted; any other is checked once (one
+        table walk) and remembered if it passed.
+        """
+        for key in (one, other):
+            if key not in self._keys:
+                if key.public == 1 or key.public != self._power_of_g(
+                        key.private % self.q):
+                    raise ConfigurationError(
+                        "key pair's public key is the identity or not "
+                        "g^private")
+                self._keys.add(key)
+        return self._power_of_g(one.private * other.private % self.q)
 
     @property
     def element_bytes(self) -> int:

@@ -26,8 +26,8 @@ an **epoch lifecycle**:
    :class:`~repro.protocol.membership.MembershipManager.advance_epoch`
    applies ``joins`` and ``leaves``. Re-sharding is minimal and
    deterministic: only users whose clique changed are re-keyed, every
-   surviving pair secret is reused, and a modexp is paid per genuinely
-   new pair — never the full U·(U/k−1) exchange again.
+   surviving pair secret is reused, and a secret is derived per
+   genuinely new pair — never the full U·(U/k−1) exchange again.
 4. **More rounds** — round ids keep increasing across epochs (pads are
    keyed by ``(pair, round)`` and pairs outlive epochs, so ids never
    repeat), and any epoch's aggregate is bit-identical to what a fresh

@@ -222,9 +222,8 @@ class ClientArmy(ProtocolEndpoint):
         #: round id would reuse one-time pads on new cleartext).
         self._round_digests = RoundDigests()
         self._scratch = config.make_sketch()
-        #: (lo index, hi index) -> shared-secret bytes. DH secrets are
-        #: symmetric, so the army pays ONE modexp per pair where the
-        #: object path's two generator ends pay one each.
+        #: (lo index, hi index) -> shared-secret bytes, derived once per
+        #: pair by the host (``DHGroup.pair_secret``).
         self._pair_secret: Dict[PairKey, bytes] = {}
         self._members_of: Dict[int, List[str]] = {}
         self._wiring_of: Dict[int, CliqueWiring] = {}
@@ -361,7 +360,8 @@ class ClientArmy(ProtocolEndpoint):
 
     def _rewire_clique(self, clique: int) -> None:
         """(Re)build one clique's pair list and row maps, deriving any
-        shared secrets not already held (one modexp per new pair)."""
+        pair secret not already held (one :meth:`~repro.crypto.group.
+        DHGroup.pair_secret` table walk per new pair)."""
         member_list = self._members_of.get(clique)
         if not member_list:
             self._wiring_of.pop(clique, None)
@@ -386,9 +386,8 @@ class ClientArmy(ProtocolEndpoint):
                     lo_uid = member_list[lo_rows[-1]]
                     hi_uid = member_list[hi_rows[-1]]
                     self._pair_secret[pair] = self.group.element_to_bytes(
-                        self.group.shared_secret(
-                            self.keypairs[lo_uid],
-                            self.keypairs[hi_uid].public))
+                        self.group.pair_secret(self.keypairs[lo_uid],
+                                               self.keypairs[hi_uid]))
         lo = np.asarray(lo_rows, dtype=np.intp)
         hi = np.asarray(hi_rows, dtype=np.intp)
         self._wiring_of[clique] = (pairs, lo, hi,
@@ -601,8 +600,8 @@ class ClientArmy(ProtocolEndpoint):
         ``joiners`` carries each joiner's (stable index, key pair) from
         the manager's durable tables. Returns the pair secrets
         ``(added, kept, dropped)`` across the affected cliques, counted
-        per *generator end* (×2 per pair) for parity with the object
-        path, even though the army holds each symmetric secret once.
+        per *generator end* (×2 per pair), the deployment's cost, as
+        the object path counts them; either host derives a pair once.
         """
         affected = sorted(affected)
         old_pairs: Set[PairKey] = set()

@@ -11,8 +11,13 @@ In the epoch lifecycle (:mod:`repro.protocol.membership`) this is the
 (key pairs, stable blinding indexes, the panel's ad-ID mapper and its OPRF
 server, and the pad-stream provider) that a
 :class:`~repro.protocol.membership.MembershipManager` reuses when the
-population churns between epochs, so joins and leaves never re-run the
-full U·(U/k−1)-modexp exchange.
+population churns between epochs, so joins and leaves never re-derive
+the U·(U/k−1)/2 pair secrets of the full exchange.
+
+A device pays one modexp per peer for its pair secrets. This in-process
+host holds both ends' key pairs, so it derives each pair's secret once
+(:func:`~repro.crypto.blinding.wire_clique`, one fixed-base table walk
+a pair) and hands both ends the same bytes.
 
 Blinding cliques
 ----------------
@@ -35,7 +40,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
-from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
+from repro.crypto.blinding import (
+    BlindingGenerator,
+    PadStreamProvider,
+    wire_clique,
+)
 from repro.crypto.group import DHGroup, KeyPair
 from repro.crypto.oprf import OPRFClient, OPRFServer
 from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
@@ -271,22 +280,21 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     clique_of = material.clique_of
     keypairs = material.keypairs
     index_of = material.index_of
-    # Key exchange is clique-scoped: a user only learns (and pays a
-    # modexp for) the public keys of its own clique.
-    publics_of: Dict[int, Dict[int, int]] = {}
-    for uid, kp in keypairs.items():
-        publics_of.setdefault(clique_of[uid], {})[index_of[uid]] = kp.public
 
     pad_streams = PadStreamProvider()
     clients: List[ProtocolClient] = []
+    generators_of: Dict[int, List[BlindingGenerator]] = {}
     for uid in user_ids:
-        idx = index_of[uid]
         clique = clique_of[uid]
-        peers = {j: pub for j, pub in publics_of[clique].items() if j != idx}
-        blinding = BlindingGenerator(group, idx, keypairs[uid], peers,
+        blinding = BlindingGenerator(group, index_of[uid], keypairs[uid], {},
                                      pad_streams=pad_streams)
+        generators_of.setdefault(clique, []).append(blinding)
         clients.append(ProtocolClient(uid, config, blinding,
                                       material.ad_mapper, clique_id=clique))
+    # Key exchange is clique-scoped: a user only peers with its own
+    # clique's members.
+    for generators in generators_of.values():
+        wire_clique(group, generators)
     return Enrollment(clients=clients, group=group,
                       oprf_server=material.oprf_server,
                       config=config, clique_of=clique_of,

@@ -18,9 +18,9 @@ first-class lifecycle:
   cliques, and only when a clique would fall below two members does a
   deterministically chosen member move. Consequently only users whose
   clique actually changed are re-keyed, and even they reuse their DH
-  key pair — a modexp is paid per genuinely new pair, never for a
+  key pair — a secret is derived per genuinely new pair, never for a
   surviving one (:meth:`~repro.crypto.blinding.BlindingGenerator.
-  set_peers`).
+  rekey`).
 
 Lifecycle::
 
@@ -77,7 +77,11 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.crypto.blinding import BlindingGenerator, PadStreamProvider
+from repro.crypto.blinding import (
+    BlindingGenerator,
+    PadStreamProvider,
+    wire_clique,
+)
 from repro.crypto.group import KeyPair
 from repro.protocol.army import ClientArmy
 from repro.protocol.client import ProtocolClient, RoundConfig
@@ -136,9 +140,10 @@ class EpochTransition:
     clique assignment changed: joiners plus forcibly moved continuing
     users. Everyone else kept their generator untouched (or, in a clique
     that only gained/lost a member, kept every surviving pair secret).
-    The pair-secret counters are per *generator end* — an in-process
-    session hosts both ends of a pair, so a brand-new pair contributes
-    two modexps, exactly as two real clients would each pay one.
+    The pair-secret counters are per *generator end*, the deployment's
+    cost: a brand-new pair counts two modexps, one per device, while
+    the in-process host derives it once (one table walk, on either
+    backend).
     """
 
     epoch: Epoch
@@ -148,7 +153,7 @@ class EpochTransition:
     moved: Tuple[str, ...]
     #: joined + moved: the only users whose blinding was rebuilt.
     rekeyed: Tuple[str, ...]
-    #: Modexps actually performed (one per new generator-end secret).
+    #: Modexps a deployment pays (one per new generator-end secret).
     modexps: int
     #: Generator-end pair secrets reused unchanged across the transition.
     secrets_reused: int
@@ -483,17 +488,16 @@ class MembershipManager:
             if clique in members_of:
                 members_of[clique].append(user)
         for clique in sorted(members_of):
-            publics = {self._index_of[m]: self._keypairs[m].public
-                       for m in members_of[clique]}
+            generators = []
             for user in sorted(members_of[clique]):
                 client = self._clients[user]
                 client.clique_id = clique
-                own = self._index_of[user]
-                was_kept, was_added, was_removed = client.blinding.set_peers(
-                    {i: pub for i, pub in publics.items() if i != own})
-                kept += was_kept
-                added += was_added
-                dropped += was_removed
+                generators.append(client.blinding)
+            was_kept, was_added, was_removed = wire_clique(self.group,
+                                                           generators)
+            kept += was_kept
+            added += was_added
+            dropped += was_removed
         return added, kept, dropped
 
     def advance_epoch(self, joins: Sequence[str] = (),
@@ -518,8 +522,8 @@ class MembershipManager:
 
         Only users whose clique changed are re-keyed; everyone else
         keeps their pair secrets, and survivors of an affected clique
-        keep every pair secret that survives (one modexp per genuinely
-        new pair end). Returns the bookkeeping as an
+        keep every pair secret that survives (one derivation per
+        genuinely new pair). Returns the bookkeeping as an
         :class:`EpochTransition`.
         """
         old = self._epoch

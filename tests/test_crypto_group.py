@@ -1,8 +1,10 @@
 """Unit tests for repro.crypto.group."""
 
 import builtins
+import itertools
 import random
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import repro.crypto.group as group_module
 from repro.errors import ConfigurationError
-from repro.crypto.group import DHGroup
+from repro.crypto.group import DHGroup, KeyPair
 from repro.crypto.primes import is_probable_prime
 from repro.protocol.army import ClientArmy
 from repro.protocol.membership import MembershipManager
@@ -49,6 +51,33 @@ def count_subgroup_checks(monkeypatch, q):
 
     monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
     return bases
+
+
+def count_pair_modexps(monkeypatch):
+    """Record every ``pow`` the group module runs other than a subgroup
+    check: on a group already built, each one is a pair modexp."""
+    calls = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod is not None and exp != (mod - 1) // 2:
+            calls.append((base, exp))
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
+    return calls
+
+
+def count_pair_derivations(monkeypatch):
+    """Record the public keys of every ``DHGroup.pair_secret`` call."""
+    pairs = []
+    derive = DHGroup.pair_secret
+
+    def counting_pair_secret(self, one, other):
+        pairs.append(frozenset((one.public, other.public)))
+        return derive(self, one, other)
+
+    monkeypatch.setattr(DHGroup, "pair_secret", counting_pair_secret)
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +250,123 @@ class TestSubgroupChecksOncePerKey:
                 assert group.shared_secret(own, key) == pow(
                     key, own.private, group.p)
         assert bases == [by_hand, drawn_elsewhere]
+
+
+def exponents(group):
+    """Private exponents in [1, q): window edges, the ends, random ones."""
+    return (st.sampled_from([1, 15, 16, 17, group.q - 1])
+            | st.integers(min_value=1, max_value=group.q - 1))
+
+
+class TestHostPairSecret:
+    """``pair_secret``, the host's derivation, against the device's
+    formula ``shared_secret(own, peer_public)``."""
+
+    def assert_matches_device(self, group, x, y):
+        one = group.keypair(FixedExponent(x))
+        other = group.keypair(FixedExponent(y))
+        secret = group.pair_secret(one, other)
+        assert secret == group.pair_secret(other, one)
+        assert secret == group.shared_secret(one, other.public)
+        assert secret == group.shared_secret(other, one.public)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_the_device_formula_from_either_end(self, data):
+        group = GROUPS[data.draw(st.sampled_from([128, 256]))]
+        x, y = data.draw(exponents(group)), data.draw(exponents(group))
+        self.assert_matches_device(group, x, y)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.data())
+    def test_equals_the_device_formula_at_1024_bits(self, data):
+        group = GROUPS[1024]
+        x, y = data.draw(exponents(group)), data.draw(exponents(group))
+        self.assert_matches_device(group, x, y)
+
+    @pytest.mark.parametrize("bad", [
+        "identity", "order-2", "non-residue", "member-not-g^x"])
+    def test_bad_key_pair_refused_every_time(self, bad):
+        group = DHGroup.standard(128)
+        rng = random.Random(14)
+        own, peer = group.keypair(rng), group.keypair(rng)
+        x = 0xC0FFEE
+        public = {
+            "identity": 1,
+            "order-2": group.p - 1,
+            "non-residue": quadratic_non_residue(group),
+            "member-not-g^x": pow(group.g, x + 1, group.p),
+        }[bad]
+        keys = [KeyPair(private=x, public=public)]
+        if bad == "identity":  # g^q is the identity: public == g^private
+            keys.append(KeyPair(private=group.q, public=1))
+        for key in keys:
+            for _ in range(2):  # the first call, then a repeat
+                with pytest.raises(ConfigurationError):
+                    group.pair_secret(own, key)
+                with pytest.raises(ConfigurationError):
+                    group.pair_secret(key, own)
+            group.pair_secret(own, peer)  # a good pair still derives
+            with pytest.raises(ConfigurationError):
+                group.pair_secret(own, key)
+
+    def test_key_pair_from_elsewhere_checked_once_then_remembered(
+            self, monkeypatch):
+        group = DHGroup.standard(128)
+        own = group.keypair(random.Random(15))
+        other = DHGroup.standard(128)  # same prime, its own memo
+        drawn_elsewhere = other.keypair(random.Random(16))
+        walks = []
+        power_of_g = group._power_of_g
+
+        def counting_power_of_g(exponent):
+            walks.append(exponent)
+            return power_of_g(exponent)
+
+        monkeypatch.setattr(group, "_power_of_g", counting_power_of_g)
+        pair_exponent = own.private * drawn_elsewhere.private % group.q
+        for _ in range(2):  # the first use, then a repeat
+            assert group.pair_secret(own, drawn_elsewhere) == pow(
+                drawn_elsewhere.public, own.private, group.p)
+        # One check walk for the foreign key, then one walk per secret.
+        assert walks == [drawn_elsewhere.private, pair_exponent,
+                         pair_exponent]
+
+
+class TestPairSecretsOncePerPair:
+    """An in-process host, on either backend, derives each clique pair
+    once through ``pair_secret`` and runs no pair modexp, while the
+    transition still reports a deployment's two modexps a new pair."""
+
+    CONFIG = RoundConfig(cms_depth=2, cms_width=32, cms_seed=7, id_space=64)
+    USERS = [f"u{i:02d}" for i in range(40)]
+    JOINERS = [f"joiner-{i}" for i in range(6)]
+
+    @staticmethod
+    def clique_pairs(epoch, keypairs):
+        return {frozenset((keypairs[a].public, keypairs[b].public))
+                for clique in range(epoch.num_cliques)
+                for a, b in itertools.combinations(
+                    epoch.members_of(clique), 2)}
+
+    @pytest.mark.parametrize("backend", ["objects", "batched"])
+    def test_enrollment_and_joiners_derive_each_pair_once(
+            self, monkeypatch, backend):
+        group = DHGroup.standard(128)
+        modexps = count_pair_modexps(monkeypatch)
+        derived = count_pair_derivations(monkeypatch)
+        manager = MembershipManager.enroll(
+            self.USERS, self.CONFIG, client_backend=backend, group=group,
+            seed=4, use_oprf=False, num_cliques=10)
+        before = self.clique_pairs(manager.epoch, manager._keypairs)
+        assert len(before) == 10 * 6
+        assert Counter(derived) == Counter(before)
+
+        derived.clear()
+        transition = manager.advance_epoch(joins=self.JOINERS)
+        after = self.clique_pairs(manager.epoch, manager._keypairs)
+        new_pairs = after - before
+        assert len(new_pairs) == 6 * 4
+        assert Counter(derived) == Counter(new_pairs)
+        assert transition.modexps == 2 * len(new_pairs)
+        assert modexps == []
