@@ -51,7 +51,7 @@ from repro.protocol import (
     RoundConfig,
     enroll_users,
 )
-from repro.api import ProtocolSession, run_detection, run_private_round
+from repro.api import ProtocolSession, run_private_round
 from repro.simulation import SimulationConfig, Simulator
 from repro.validation import LiveValidationStudy
 
@@ -74,7 +74,6 @@ __all__ = [
     "Epoch",
     "MembershipManager",
     "ProtocolSession",
-    "run_detection",
     "run_private_round",
     "enroll_users",
     "SimulationConfig",

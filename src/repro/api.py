@@ -16,8 +16,10 @@ names below will not.
   deployment loop, the CLI — accepts and forwards it unchanged.
 * :func:`run_private_round` — one-shot convenience: enrolled clients in,
   :class:`~repro.protocol.runner.RoundResult` out.
-* :func:`run_detection` — impressions in, classified (user, ad) pairs
-  out, through either the cleartext oracle or the full private protocol.
+
+Impressions in, classified (user, ad) pairs out, is
+:class:`~repro.core.pipeline.DetectionPipeline`'s job (``repro detect``
+on the command line).
 
 The session lifecycle mirrors a deployment's operational cadence::
 
@@ -113,10 +115,7 @@ from repro.protocol.runner import (
 from repro.protocol.transport import InMemoryTransport
 
 if TYPE_CHECKING:
-    from repro.core.detector import DetectorConfig
-    from repro.core.pipeline import PipelineResult
     from repro.store.history import EpochRecord, HistoryStore
-    from repro.types import Impression
 
 #: What ``transport=`` accepts: a named transport or a live instance.
 TransportSpec = Union[str, InMemoryTransport, None]
@@ -125,7 +124,6 @@ __all__ = [
     "ProtocolSession",
     "SessionConfig",
     "run_private_round",
-    "run_detection",
     "RoundConfig",
     "RoundResult",
 ]
@@ -848,38 +846,3 @@ def run_private_round(config: RoundConfig, clients: Clients,
     """
     with ProtocolSession(config, clients, settings) as session:
         return session.run_round(round_id)
-
-
-def run_detection(impressions: "Sequence[Impression]",
-                  week: int = 0, private: bool = True,
-                  detector_config: "Optional[DetectorConfig]" = None,
-                  round_config: Optional[RoundConfig] = None,
-                  use_oprf: bool = False, enrollment_seed: int = 0,
-                  num_cliques: int = 1,
-                  settings: Optional[SessionConfig] = None,
-                  store: "Union[HistoryStore, str, None]" = None,
-                  session_name: str = "pipeline",
-                  ) -> "PipelineResult":
-    """Classify one week of impressions, optionally through the private
-    protocol; returns a :class:`~repro.core.pipeline.PipelineResult`.
-
-    The facade over :class:`~repro.core.pipeline.DetectionPipeline` for
-    callers that do not need to keep the pipeline object around; the
-    pipeline (and any socket transport its
-    session owns) is closed before returning. With ``store`` the week's
-    rounds, stats and verdicts persist durably (a path is opened and
-    closed for you; a :class:`~repro.store.HistoryStore` stays yours).
-    """
-    from repro.core.pipeline import DetectionPipeline
-    pipeline = DetectionPipeline(detector_config=detector_config,
-                                 private=private,
-                                 round_config=round_config,
-                                 use_oprf=use_oprf,
-                                 enrollment_seed=enrollment_seed,
-                                 num_cliques=num_cliques,
-                                 settings=settings, store=store,
-                                 session_name=session_name)
-    try:
-        return pipeline.run_week(impressions, week=week)
-    finally:
-        pipeline.close()

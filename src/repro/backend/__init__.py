@@ -1,8 +1,9 @@
 """Back-end substrate (paper §5): crawler and deployment loop.
 
-The paper's MySQL metadata role — anonymized weekly aggregates, crawler
-findings — is served by :class:`repro.store.HistoryStore`, which both
-modules below write to.
+The paper's MySQL metadata role — anonymized weekly aggregates — is
+served by :class:`repro.store.HistoryStore`, which either weekly
+operator below writes when given one; the crawler keeps its findings in
+memory for the audit.
 
 * :mod:`repro.backend.crawler` — the clean-profile crawler that visits
   audited pages with empty history; any ad it sees cannot have been

@@ -51,10 +51,6 @@ class UserDomainCounter:
                 for identity in ad_identities]
 
     @property
-    def ads_seen(self) -> List[str]:
-        return sorted(self._domains_by_ad)
-
-    @property
     def num_ad_serving_domains(self) -> int:
         """Distinct domains that served this user ads (activity gate)."""
         return len(self._ad_serving_domains)

@@ -318,7 +318,7 @@ class DetectionPipeline:
         # One round per window (§4.2), billed its own traffic (§7.1).
         # Round ids are session-monotonic (never reused across epochs —
         # the pads are one-time). The week index feeds the floor too:
-        # *independent* pipelines (e.g. one run_detection call per week)
+        # *independent* pipelines (e.g. a fresh pipeline per week)
         # with the same enrollment seed derive identical pair secrets,
         # and only the week number distinguishes their windows.
         round_id = max(session.next_round, self._round_floor, week)

@@ -16,6 +16,7 @@ Two views of the same function live here:
 The ID space should *over*-estimate the true number of distinct ads to keep
 collisions rare: bigger space -> more server false-positive queries,
 smaller space -> more collisions inflating counts (paper §6).
+``DetectionPipeline.default_round_config`` takes ten times the distinct ads.
 """
 
 from __future__ import annotations
@@ -82,23 +83,3 @@ class ObliviousAdMapper:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-
-def recommended_id_space(
-    expected_unique_ads: int, overestimate_factor: float = 10.0
-) -> int:
-    """ID-space size per the paper's guidance to overestimate ``|A|``.
-
-    With ``id_space = factor * ads`` the expected number of colliding pairs
-    is roughly ``ads^2 / (2 * id_space)`` (birthday bound); a factor of 10
-    keeps collisions below ~5% of ads even at 100k unique ads.
-    """
-    if expected_unique_ads <= 0:
-        raise ConfigurationError(
-            f"expected_unique_ads must be positive, got {expected_unique_ads}"
-        )
-    if overestimate_factor < 1.0:
-        raise ConfigurationError(
-            f"overestimate_factor must be >= 1, got {overestimate_factor}"
-        )
-    return int(expected_unique_ads * overestimate_factor)

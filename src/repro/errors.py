@@ -66,11 +66,6 @@ class DetectorError(ReproError):
     """Base class for count-based detector errors."""
 
 
-class InsufficientDataError(DetectorError):
-    """The per-user activity gate (>= 4 ad-serving domains in the last
-    7 days) was not met, so the detector refuses to classify."""
-
-
 class ValidationError(ReproError):
     """Base class for evaluation-methodology errors."""
 

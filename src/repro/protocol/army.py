@@ -181,9 +181,11 @@ class ClientArmy(ProtocolEndpoint):
     crashed client.
     """
 
+    #: Every army answers at one mailbox; hosted users are aliased to it.
+    endpoint_id = ARMY_ENDPOINT
+
     def __init__(self, config: RoundConfig, material: KeyMaterial,
-                 seed: int = 0, num_cliques: int = 1,
-                 endpoint_id: str = ARMY_ENDPOINT) -> None:
+                 seed: int = 0, num_cliques: int = 1) -> None:
         missing = [u for u in material.clique_of
                    if u not in material.keypairs
                    or u not in material.index_of]
@@ -198,7 +200,6 @@ class ClientArmy(ProtocolEndpoint):
         self.oprf_server = material.oprf_server
         self.use_oprf = material.oprf_server is not None
         self.ad_mapper = material.ad_mapper
-        self.endpoint_id = endpoint_id
         #: Rows of the active roster only — same names as
         #: :class:`~repro.protocol.enrollment.Enrollment` so a
         #: MembershipManager reads either. The manager keeps departed
@@ -253,9 +254,7 @@ class ClientArmy(ProtocolEndpoint):
                group: Optional[DHGroup] = None,
                seed: int = 0,
                use_oprf: bool = True,
-               oprf_bits: int = 256,
-               num_cliques: int = 1,
-               endpoint_id: str = ARMY_ENDPOINT) -> "ClientArmy":
+               num_cliques: int = 1) -> "ClientArmy":
         """Epoch-0 enrollment of the batched backend.
 
         Consumes the same :func:`~repro.protocol.enrollment.
@@ -267,10 +266,8 @@ class ClientArmy(ProtocolEndpoint):
         """
         material = derive_key_material(user_ids, config, group=group,
                                        seed=seed, use_oprf=use_oprf,
-                                       oprf_bits=oprf_bits,
                                        num_cliques=num_cliques)
-        return cls(config, material, seed=seed, num_cliques=num_cliques,
-                   endpoint_id=endpoint_id)
+        return cls(config, material, seed=seed, num_cliques=num_cliques)
 
     # ------------------------------------------------------------------
     # Population surface (what the wiring layer reads)

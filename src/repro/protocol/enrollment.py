@@ -55,6 +55,9 @@ from repro.statsutil.sampling import make_rng
 #: (see the header format in :mod:`repro.protocol.wire`).
 MAX_CLIQUES = 0xFFFF + 1
 
+#: RSA modulus size of the panel's OPRF server, in bits.
+OPRF_BITS = 256
+
 
 @dataclass
 class Enrollment:
@@ -188,7 +191,6 @@ def derive_key_material(user_ids: Sequence[str], config: RoundConfig,
                         group: Optional[DHGroup] = None,
                         seed: int = 0,
                         use_oprf: bool = True,
-                        oprf_bits: int = 256,
                         num_cliques: int = 1) -> KeyMaterial:
     """Derive the epoch-0 key material for a population.
 
@@ -216,7 +218,7 @@ def derive_key_material(user_ids: Sequence[str], config: RoundConfig,
     oprf_server: Optional[OPRFServer] = None
     ad_mapper: Union[KeyedPRF, ObliviousAdMapper]
     if use_oprf:
-        oprf_server = OPRFServer.generate(bits=oprf_bits,
+        oprf_server = OPRFServer.generate(bits=OPRF_BITS,
                                           rng=random.Random(seed + 1))
         # The blinding factor cancels, so ad ids do not depend on this
         # rng stream (nor on who asks): one mapper serves the panel.
@@ -251,7 +253,6 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
                  group: Optional[DHGroup] = None,
                  seed: int = 0,
                  use_oprf: bool = True,
-                 oprf_bits: int = 256,
                  num_cliques: int = 1) -> Enrollment:
     """Wire up a population of protocol clients (epoch 0).
 
@@ -274,7 +275,7 @@ def enroll_users(user_ids: Sequence[str], config: RoundConfig,
     client derives on its own, so every report is too.
     """
     material = derive_key_material(user_ids, config, group=group, seed=seed,
-                                   use_oprf=use_oprf, oprf_bits=oprf_bits,
+                                   use_oprf=use_oprf,
                                    num_cliques=num_cliques)
     group = material.group
     clique_of = material.clique_of

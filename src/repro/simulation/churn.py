@@ -39,10 +39,6 @@ class ChurnPlan:
     joins: Tuple[str, ...]
     leaves: Tuple[str, ...]
 
-    @property
-    def net_change(self) -> int:
-        return len(self.joins) - len(self.leaves)
-
 
 def apply_churn(roster: Sequence[str], plan: ChurnPlan) -> List[str]:
     """The roster after one plan, validating the delta is applicable."""

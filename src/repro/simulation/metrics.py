@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.types import AdKind, ClassifiedAd, ConfusionCounts, Label
 
@@ -30,21 +30,3 @@ def evaluate_classifications(classified: Iterable[ClassifiedAd],
         counts.add(predicted_targeted=(item.label is Label.TARGETED),
                    actually_targeted=kind.is_targeted)
     return counts
-
-
-def per_kind_rates(classified: Iterable[ClassifiedAd],
-                   ground_truth: Mapping[str, AdKind]
-                   ) -> Dict[AdKind, ConfusionCounts]:
-    """Confusion counts broken down by ground-truth ad kind."""
-    by_kind: Dict[AdKind, ConfusionCounts] = {}
-    for item in classified:
-        kind = ground_truth.get(item.ad.identity)
-        if kind is None:
-            continue
-        counts = by_kind.setdefault(kind, ConfusionCounts())
-        if item.label is Label.UNDECIDED:
-            counts.undecided += 1
-            continue
-        counts.add(predicted_targeted=(item.label is Label.TARGETED),
-                   actually_targeted=kind.is_targeted)
-    return by_kind

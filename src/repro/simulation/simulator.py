@@ -31,9 +31,6 @@ class SimulationResult:
     impressions: List[Impression]
     ground_truth: Dict[str, AdKind]  # ad identity -> kind
 
-    def impressions_in_week(self, week: int) -> List[Impression]:
-        return [imp for imp in self.impressions if imp.week == week]
-
     def is_targeted_truth(self, ad_identity: str) -> bool:
         kind = self.ground_truth.get(ad_identity)
         return bool(kind and kind.is_targeted)

@@ -92,10 +92,6 @@ class EmpiricalDistribution:
         frac = pos - lo
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
-    def probability_density(self, bins: int = 10) -> Dict[float, float]:
-        """Histogram density over integer-ish bins (used for Figure 2)."""
-        return histogram_density(self._values, bins=bins)
-
     def total_variation_distance(self, other: "EmpiricalDistribution",
                                  bins: int = 20) -> float:
         """TV distance between two distributions on a shared binning.

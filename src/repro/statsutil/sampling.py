@@ -53,9 +53,6 @@ class ZipfSampler:
         u = self._rng.random() * self._total
         return bisect_right(self._cum, u)
 
-    def sample_many(self, k: int) -> List[int]:
-        return [self.sample() for _ in range(k)]
-
     def probability(self, index: int) -> float:
         """Exact probability mass of ``index`` under this Zipf law."""
         if not 0 <= index < self.n:
@@ -83,9 +80,6 @@ class CategoricalSampler:
     def sample(self) -> T:
         u = self._rng.random() * self._total
         return self._keys[bisect_right(self._cum, u)]
-
-    def sample_many(self, k: int) -> List[T]:
-        return [self.sample() for _ in range(k)]
 
 
 def sample_without_replacement(rng: random.Random, population: Sequence[T],

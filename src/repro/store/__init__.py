@@ -9,7 +9,7 @@ the process that computed them. This package provides:
   ``MetadataStore`` file is adopted in place at version 1.
 * :class:`~repro.store.history.HistoryStore` — the typed DAO surface:
   sessions, epochs, rounds (full ``RoundSummary`` spec round-trips),
-  detection verdicts, plus the folded legacy metadata DAOs. A
+  detection verdicts, plus the legacy schema's weekly stats. A
   :class:`~repro.api.ProtocolSession` with an attached store writes
   every round and epoch to it as it happens, making
   :meth:`repro.api.ProtocolSession.resume` possible.

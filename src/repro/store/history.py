@@ -10,11 +10,11 @@ persist per (week, user, ad) so longitudinal questions — "which
 campaigns were flagged since week N", "how did #Users trend for this
 ad" — are answered by SQL instead of recomputation.
 
-The store also carries the paper's metadata-database role (weekly
-aggregate stats, crawler sightings) as typed DAOs — tables of the
-pre-migration ``MetadataStore`` schema, whose files are still adopted in
-place. (That schema's ``users`` table stays, so files at rest still
-open; nothing writes it.)
+The store also carries the paper's metadata-database role: each week's
+aggregate stats go to the ``weekly_stats`` table of the pre-migration
+``MetadataStore`` schema, whose files are still adopted in place. (That
+schema's ``users`` and ``crawler_sightings`` tables stay, so files at
+rest still open; nothing writes them.)
 
 Connection lifecycle matches the transport hardening from PR 6:
 ``close()`` is idempotent, the store is a context manager, and every
@@ -139,29 +139,6 @@ class WeeklyStatsRecord:
     num_reporting: int
     num_missing: int
     distribution: Tuple[float, ...]
-
-    def to_spec(self) -> Dict[str, Any]:
-        """JSON-serializable form (the PR-8 spec round-trip pattern)."""
-        return {
-            "week": self.week,
-            "users_threshold": self.users_threshold,
-            "num_reporting": self.num_reporting,
-            "num_missing": self.num_missing,
-            "distribution": list(self.distribution),
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "WeeklyStatsRecord":
-        try:
-            return cls(
-                week=int(spec["week"]),
-                users_threshold=float(spec["users_threshold"]),
-                num_reporting=int(spec["num_reporting"]),
-                num_missing=int(spec["num_missing"]),
-                distribution=tuple(float(v) for v in spec["distribution"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed weekly-stats spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -667,69 +644,9 @@ class HistoryStore:
                 ),
             )
 
-    def weekly_stats_record(self, week: int) -> Optional[WeeklyStatsRecord]:
-        """The typed weekly record (None when the week never ran)."""
-        row = (
-            self._conn()
-            .execute(
-                "SELECT users_threshold, num_reporting, num_missing, "
-                "distribution_json FROM weekly_stats WHERE week = ?",
-                (week,),
-            )
-            .fetchone()
-        )
-        if row is None:
-            return None
-        return WeeklyStatsRecord(
-            week=week,
-            users_threshold=float(row[0]),
-            num_reporting=int(row[1]),
-            num_missing=int(row[2]),
-            distribution=tuple(float(v) for v in json.loads(row[3])),
-        )
-
     def recorded_weeks(self) -> List[int]:
         rows = self._conn().execute("SELECT week FROM weekly_stats ORDER BY week")
         return [int(r[0]) for r in rows.fetchall()]
-
-    # -- crawler sightings (folded from MetadataStore) ----------------------
-    def record_sighting(self, ad_identity: str, domain: str, week: int) -> None:
-        conn = self._conn()
-        with conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO crawler_sightings VALUES (?, ?, ?)",
-                (ad_identity, domain, week),
-            )
-
-    def crawler_saw(self, ad_identity: str, week: Optional[int] = None) -> bool:
-        if week is None:
-            row = (
-                self._conn()
-                .execute(
-                    "SELECT 1 FROM crawler_sightings WHERE ad_identity = ? LIMIT 1",
-                    (ad_identity,),
-                )
-                .fetchone()
-            )
-        else:
-            row = (
-                self._conn()
-                .execute(
-                    "SELECT 1 FROM crawler_sightings WHERE ad_identity = ? "
-                    "AND week = ? LIMIT 1",
-                    (ad_identity, week),
-                )
-                .fetchone()
-            )
-        return row is not None
-
-    def sightings_for_week(self, week: int) -> List[Tuple[str, str]]:
-        rows = self._conn().execute(
-            "SELECT ad_identity, domain FROM crawler_sightings "
-            "WHERE week = ? ORDER BY ad_identity, domain",
-            (week,),
-        )
-        return [(str(r[0]), str(r[1])) for r in rows.fetchall()]
 
 
 #: Re-exported for callers that assert against it.

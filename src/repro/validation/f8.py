@@ -59,8 +59,3 @@ class CrowdLabeler:
                        else CrowdLabel.NON_TARGETED)
         self._labels[key] = verdict
         return verdict
-
-    @property
-    def num_labeled(self) -> int:
-        return sum(1 for v in self._labels.values()
-                   if v is not CrowdLabel.NOT_LABELED)

@@ -79,7 +79,7 @@ class LiveValidationStudy:
         # visited "any website in which eyeWnder has classified an ad").
         crawler = CleanProfileCrawler(simulator.adserver)
         crawler.crawl_sites(result.catalog.sites[:self.crawl_sites],
-                            tick=10 ** 6, week=week)
+                            tick=10 ** 6)
 
         # CB profiles from the panel's visit log.
         content_based = ContentBasedHeuristic(self.cb_min_websites)

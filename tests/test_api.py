@@ -5,7 +5,6 @@ import pytest
 from repro.api import (
     ProtocolSession,
     SessionConfig,
-    run_detection,
     run_private_round,
 )
 from repro.errors import ConfigurationError
@@ -161,12 +160,12 @@ class TestProtocolSession:
             importlib.import_module("repro.backend.service")
         with pytest.raises(TypeError, match="transport_factory"):
             DetectionPipeline(transport_factory=None)
-        with pytest.raises(TypeError, match="transport_factory"):
-            run_detection([], transport_factory=None)
+        import repro
         import repro.api
         assert not hasattr(repro.api, "TransportFactory")
         assert len(inspect.signature(DetectionPipeline).parameters) == 9
-        assert len(inspect.signature(run_detection).parameters) == 11
+        assert not hasattr(repro.api, "run_detection")
+        assert not hasattr(repro, "run_detection")
 
     @pytest.mark.parametrize("transport", ["memory", "wire", "socket"])
     def test_threshold_rule_governs_the_whole_session(self, transport):
@@ -253,17 +252,3 @@ class TestOneShotHelpers:
         b = ProtocolSession.create(make_enrollment()).run_round(1)
         assert a.aggregate.cells == b.aggregate.cells
         assert a.users_threshold == b.users_threshold
-
-    def test_run_detection_private_and_cleartext(self):
-        from repro.simulation import SimulationConfig, Simulator
-        sim = Simulator(SimulationConfig(
-            num_users=12, num_websites=30, average_user_visits=30,
-            percentage_targeted=2.0, frequency_cap=6, num_weeks=1,
-            seed=4)).run()
-        private = run_detection(sim.impressions, private=True,
-                                num_cliques=2)
-        clear = run_detection(sim.impressions, private=False)
-        assert private.private and not clear.private
-        assert private.round_result is not None
-        assert clear.round_result is None
-        assert len(private.classified) == len(clear.classified)

@@ -1,6 +1,7 @@
-"""Unit tests for the back-end substrate: metadata tables, crawler,
-service."""
+"""Unit tests for the back-end substrate: the weekly-stats table, the
+crawler, the service."""
 
+import json
 from contextlib import closing
 
 import pytest
@@ -18,24 +19,29 @@ from repro.store import HistoryStore, WeeklyStatsRecord
 from repro.types import TICKS_PER_WEEK, Ad, Impression
 
 
+def weekly_row(store, week):
+    """The ``weekly_stats`` row of ``week`` as a record, read with SQL:
+    the store writes the row and has no reader for it."""
+    row = store._conn().execute(
+        "SELECT users_threshold, num_reporting, num_missing, "
+        "distribution_json FROM weekly_stats WHERE week = ?",
+        (week,)).fetchone()
+    return WeeklyStatsRecord(
+        week=week, users_threshold=row[0], num_reporting=row[1],
+        num_missing=row[2], distribution=tuple(json.loads(row[3])))
+
+
 class TestMetadataStore:
-    """The paper's metadata-database role (weekly aggregates, crawler
-    sightings), served by :class:`HistoryStore`."""
+    """The paper's metadata-database role (weekly aggregates), served by
+    :class:`HistoryStore`."""
 
     def test_weekly_stats_roundtrip(self):
         with HistoryStore() as store:
-            store.save_weekly_record(WeeklyStatsRecord(
+            record = WeeklyStatsRecord(
                 week=3, users_threshold=2.5, num_reporting=100,
-                num_missing=2, distribution=(1.0, 2.0, 3.0)))
-            stats = store.weekly_stats_record(3)
-            assert stats.users_threshold == 2.5
-            assert stats.num_reporting == 100
-            assert stats.num_missing == 2
-            assert stats.distribution == (1.0, 2.0, 3.0)
-
-    def test_weekly_stats_missing(self):
-        with HistoryStore() as store:
-            assert store.weekly_stats_record(9) is None
+                num_missing=2, distribution=(1.0, 2.0, 3.0))
+            store.save_weekly_record(record)
+            assert weekly_row(store, 3) == record
 
     def test_weekly_stats_overwrite(self):
         with HistoryStore() as store:
@@ -45,18 +51,8 @@ class TestMetadataStore:
             store.save_weekly_record(WeeklyStatsRecord(
                 week=1, users_threshold=2.0, num_reporting=11,
                 num_missing=1, distribution=(5.0,)))
-            assert store.weekly_stats_record(1).users_threshold == 2.0
+            assert weekly_row(store, 1).users_threshold == 2.0
             assert store.recorded_weeks() == [1]
-
-    def test_sightings(self):
-        with HistoryStore() as store:
-            store.record_sighting("ad-1", "site.example", week=0)
-            store.record_sighting("ad-1", "site.example", week=0)  # idempotent
-            assert store.crawler_saw("ad-1")
-            assert store.crawler_saw("ad-1", week=0)
-            assert not store.crawler_saw("ad-1", week=1)
-            assert not store.crawler_saw("ad-2")
-            assert store.sightings_for_week(0) == [("ad-1", "site.example")]
 
 
 class TestCleanProfileCrawler:
@@ -73,19 +69,11 @@ class TestCleanProfileCrawler:
         for imp in impressions:
             assert not truth[imp.ad.identity].is_targeted
 
-    def test_sightings_recorded(self, sim):
-        store = HistoryStore()
-        crawler = CleanProfileCrawler(sim.adserver, store=store)
-        crawler.crawl_site(sim.catalog.sites[0], tick=0, week=2)
-        for identity in crawler.ads_seen:
-            assert store.crawler_saw(identity, week=2)
-
     def test_saw_ad(self, sim):
         crawler = CleanProfileCrawler(sim.adserver)
-        crawler.crawl_site(sim.catalog.sites[0], tick=0)
-        seen = crawler.ads_seen
-        if seen:
-            assert crawler.saw_ad(next(iter(seen)))
+        impressions = crawler.crawl_site(sim.catalog.sites[0], tick=0)
+        for impression in impressions:
+            assert crawler.saw_ad(impression.ad.identity)
         assert not crawler.saw_ad("never-seen")
 
     def test_fresh_profile_each_session(self, sim):
@@ -130,7 +118,7 @@ class TestBackendService:
         with closing(self.make_service()) as state:
             result = self.run_week(state, "http://shared.example/ad")
             assert result.users_threshold > 0
-            stored = state.store.weekly_stats_record(0)
+            stored = weekly_row(state.store, 0)
             assert stored == WeeklyStatsRecord(
                 week=0, users_threshold=result.users_threshold,
                 num_reporting=4, num_missing=0,

@@ -56,12 +56,6 @@ class TestUserDomainCounter:
         assert counter.domains_seen("ad1") == 0
         assert counter.num_ad_serving_domains == 0
 
-    def test_ads_seen_sorted(self):
-        counter = UserDomainCounter("u")
-        counter.observe_all([imp("u", "b-ad", "a.com"),
-                             imp("u", "a-ad", "a.com")])
-        assert counter.ads_seen == ["a-ad", "b-ad"]
-
 
 class TestGlobalUserCounter:
     def test_counts_distinct_users(self):

@@ -6,6 +6,8 @@ the privacy protocol is supposed to be invisible to detection quality
 (paper Figure 2's message).
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.api import SessionConfig
@@ -154,6 +156,21 @@ class TestPrivatePipeline:
         assert keyed_flagged == oprf_flagged
         assert keyed.users_threshold == pytest.approx(
             oprf.users_threshold, rel=0.15)
+
+    def test_private_and_cleartext_on_a_simulated_panel(self):
+        sim = Simulator(SimulationConfig(
+            num_users=12, num_websites=30, average_user_visits=30,
+            percentage_targeted=2.0, frequency_cap=6, num_weeks=1,
+            seed=4)).run()
+        with closing(DetectionPipeline(private=True,
+                                       num_cliques=2)) as pipeline:
+            private = pipeline.run_week(sim.impressions, week=0)
+        with closing(DetectionPipeline(private=False)) as pipeline:
+            clear = pipeline.run_week(sim.impressions, week=0)
+        assert private.private and not clear.private
+        assert private.round_result is not None
+        assert clear.round_result is None
+        assert len(private.classified) == len(clear.classified)
 
     def test_explicit_round_config(self):
         config = RoundConfig(cms_depth=8, cms_width=512, cms_seed=3,

@@ -16,7 +16,7 @@ from repro.crypto.oprf import (
     hash_to_group,
     hash_to_output,
 )
-from repro.crypto.prf import KeyedPRF, ObliviousAdMapper, recommended_id_space
+from repro.crypto.prf import KeyedPRF, ObliviousAdMapper
 import repro.crypto.rsa as rsa_module
 from repro.crypto.rsa import RSAKeyPair
 
@@ -246,17 +246,3 @@ class TestObliviousAdMapper:
     def test_validation(self, server):
         with pytest.raises(ConfigurationError):
             ObliviousAdMapper(OPRFClient(server.public_key), server, 0)
-
-
-class TestRecommendedIdSpace:
-    def test_overestimates(self):
-        assert recommended_id_space(1000) == 10000
-
-    def test_custom_factor(self):
-        assert recommended_id_space(100, 5.0) == 500
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            recommended_id_space(0)
-        with pytest.raises(ConfigurationError):
-            recommended_id_space(10, 0.5)

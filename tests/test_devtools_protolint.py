@@ -322,9 +322,9 @@ def registry_drift(messages_module, wire_module):
     return sorted(problems)
 
 
-def spec_drift(summary, to_spec, from_spec):
-    """The RoundSummary fields that do not survive ``from_spec(to_spec())``."""
-    rebuilt = from_spec(to_spec(summary), SPEC_CONFIG)
+def spec_drift(summary, encode, decode):
+    """The RoundSummary fields that do not survive ``decode(encode())``."""
+    rebuilt = decode(encode(summary), SPEC_CONFIG)
 
     def comparable(value):
         if isinstance(value, CountMinSketch):

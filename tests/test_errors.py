@@ -15,8 +15,6 @@ from repro.errors import (
     AnalysisError,
     BlindingError,
     CryptoError,
-    DetectorError,
-    InsufficientDataError,
     KeyGenerationError,
     MissingReportError,
     OPRFError,
@@ -48,7 +46,6 @@ class TestHierarchy:
         assert issubclass(MissingReportError, ProtocolError)
         assert issubclass(TransportError, ProtocolError)
         assert issubclass(SketchDimensionMismatch, SketchError)
-        assert issubclass(InsufficientDataError, DetectorError)
 
     def test_subsystems_disjoint(self):
         assert not issubclass(SketchError, CryptoError)

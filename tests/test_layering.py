@@ -228,3 +228,23 @@ def test_faults_are_scheduled_from_outside():
     from repro.api import SessionConfig
     names = [field.name for field in dataclasses.fields(SessionConfig)]
     assert "fault_plan" not in names
+
+
+def test_every_export_resolves():
+    """Each name a ``repro`` package or module lists in ``__all__`` is
+    defined there, so a deleted definition cannot leave its export
+    behind."""
+    import importlib
+    import pkgutil
+
+    import repro
+    names = ["repro"] + [info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.")]
+    dangling = []
+    for name in names:
+        module = importlib.import_module(name)
+        dangling.extend(f"{name}.{export}"
+                        for export in getattr(module, "__all__", ())
+                        if not hasattr(module, export))
+    assert {"repro.api", "repro.protocol", "repro.protocol.net"} <= set(names)
+    assert dangling == []

@@ -11,7 +11,7 @@ from repro.simulation.campaigns import (
     CampaignGenerator,
 )
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import evaluate_classifications, per_kind_rates
+from repro.simulation.metrics import evaluate_classifications
 from repro.simulation.population import Population, UserProfile
 from repro.simulation.simulator import Simulator
 from repro.simulation.websites import WebsiteCatalog
@@ -231,8 +231,8 @@ class TestSimulator:
     def test_weeks_partition_impressions(self):
         config = SimulationConfig.small(num_weeks=2, seed=3)
         result = Simulator(config).run()
-        w0 = result.impressions_in_week(0)
-        w1 = result.impressions_in_week(1)
+        w0 = [imp for imp in result.impressions if imp.week == 0]
+        w1 = [imp for imp in result.impressions if imp.week == 1]
         assert len(w0) + len(w1) == len(result.impressions)
         assert w0 and w1
 
@@ -285,11 +285,3 @@ class TestMetrics:
         counts = evaluate_classifications(
             [self._classified("unknown", Label.TARGETED)], {})
         assert counts.total == 0
-
-    def test_per_kind_rates(self):
-        truth = {"t": AdKind.TARGETED, "b": AdKind.BRAND}
-        classified = [self._classified("t", Label.TARGETED),
-                      self._classified("b", Label.TARGETED)]
-        by_kind = per_kind_rates(classified, truth)
-        assert by_kind[AdKind.TARGETED].tp == 1
-        assert by_kind[AdKind.BRAND].fp == 1

@@ -3,6 +3,8 @@ the schedule generator, the pipeline's persistent epoch session, the
 service plane's between-weeks rotation, and the CLI surface.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.core.pipeline import DetectionPipeline
@@ -36,7 +38,6 @@ class TestChurnSchedule:
         for plan in plans:
             assert len(plan.leaves) == 4  # 20% of 20
             assert len(plan.joins) == 4
-            assert plan.net_change == 0
 
     def test_joiner_pool_consumed_in_order(self):
         pool = [f"pool-{i}" for i in range(10)]
@@ -174,15 +175,18 @@ class TestPipelineEpochPersistence:
             out_fresh.round_result.aggregate.cells
 
     def test_independent_weekly_calls_never_replay_round_ids(self):
-        """Two separate run_detection calls share pair secrets (same
-        default enrollment seed, same roster) — their windows must use
-        distinct round ids or the one-time pads repeat across calls."""
-        from repro.api import run_detection
+        """Two independent pipelines share pair secrets (same default
+        enrollment seed, same roster) — their windows must use distinct
+        round ids or the one-time pads repeat across pipelines."""
         config = DetectionPipeline.default_round_config(self.CONFIG_ADS)
-        w0 = run_detection(_impressions(ROSTER, week=0), week=0,
-                           round_config=config, num_cliques=2)
-        w1 = run_detection(_impressions(ROSTER, week=1), week=1,
-                           round_config=config, num_cliques=2)
+
+        def one_week(week):
+            with closing(DetectionPipeline(private=True, round_config=config,
+                                           num_cliques=2)) as pipeline:
+                return pipeline.run_week(_impressions(ROSTER, week=week),
+                                         week=week)
+
+        w0, w1 = one_week(0), one_week(1)
         assert w0.round_result.round_id != w1.round_result.round_id
 
     def test_fresh_sessions_never_replay_round_ids(self):

@@ -14,7 +14,6 @@ from repro.store import (
     EpochRecord,
     HistoryStore,
     SessionRecord,
-    WeeklyStatsRecord,
 )
 from repro.types import Ad, ClassifiedAd, Label
 
@@ -228,30 +227,3 @@ class TestLongitudinalQueries:
                 (3, 0),
             ]
             assert store.trend("http://ad/ghost") == []
-
-    def test_weekly_stats_typed_round_trip(self):
-        with HistoryStore() as store:
-            record = WeeklyStatsRecord(
-                week=2,
-                users_threshold=4.5,
-                num_reporting=10,
-                num_missing=1,
-                distribution=(1.0, 2.0),
-            )
-            store.save_weekly_record(record)
-            assert store.weekly_stats_record(2) == record
-            assert store.weekly_stats_record(3) is None
-            assert WeeklyStatsRecord.from_spec(record.to_spec()) == record
-            assert store.recorded_weeks() == [2]
-
-
-class TestFoldedMetadataDAOs:
-    def test_sightings(self):
-        with HistoryStore() as store:
-            store.record_sighting("http://ad/a", "news.example", week=1)
-            assert store.crawler_saw("http://ad/a")
-            assert store.crawler_saw("http://ad/a", week=1)
-            assert not store.crawler_saw("http://ad/a", week=2)
-            assert store.sightings_for_week(1) == [
-                ("http://ad/a", "news.example")
-            ]

@@ -103,7 +103,6 @@ class TestCrowdLabeler:
     def test_zero_rate_labels_nothing(self):
         labeler = CrowdLabeler(self.TRUTH, labeling_rate=0.0, seed=3)
         assert labeler.label("u", "t-ad") is CrowdLabel.NOT_LABELED
-        assert labeler.num_labeled == 0
 
     def test_unknown_ad_not_labeled(self):
         labeler = CrowdLabeler(self.TRUTH, labeling_rate=1.0, seed=4)

@@ -1,8 +1,5 @@
-"""Additional coverage: study internals and distribution helpers."""
+"""Additional coverage: study internals."""
 
-import pytest
-
-from repro.statsutil.distributions import EmpiricalDistribution
 from repro.validation.tree import TreeOutcome, TreeRates
 from repro.types import Ad, ClassifiedAd
 
@@ -45,16 +42,3 @@ class TestTreeRatesAccounting:
 
     def test_count_missing_outcome(self):
         assert self.make_rates().count(TreeOutcome.FN_F8) == 0
-
-
-class TestProbabilityDensityHelper:
-    def test_density_matches_histogram(self):
-        dist = EmpiricalDistribution([1, 1, 2, 3, 3, 3])
-        density = dist.probability_density(bins=3)
-        assert sum(density.values()) == pytest.approx(1.0)
-        # The 3-heavy bin carries the most mass.
-        peak_bin = max(density, key=density.get)
-        assert peak_bin > 2.0
-
-    def test_density_empty(self):
-        assert EmpiricalDistribution().probability_density() == {}
