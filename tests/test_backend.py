@@ -20,12 +20,15 @@ from repro.types import TICKS_PER_WEEK, Ad, Impression
 
 
 def weekly_row(store, week):
-    """The ``weekly_stats`` row of ``week`` as a record, read with SQL:
-    the store writes the row and has no reader for it."""
+    """The ``weekly_stats`` row of ``week`` as a record (None when the
+    week has none), read with SQL: the store writes the row and has no
+    reader for it."""
     row = store._conn().execute(
         "SELECT users_threshold, num_reporting, num_missing, "
         "distribution_json FROM weekly_stats WHERE week = ?",
         (week,)).fetchone()
+    if row is None:
+        return None
     return WeeklyStatsRecord(
         week=week, users_threshold=row[0], num_reporting=row[1],
         num_missing=row[2], distribution=tuple(json.loads(row[3])))
@@ -42,6 +45,11 @@ class TestMetadataStore:
                 num_missing=2, distribution=(1.0, 2.0, 3.0))
             store.save_weekly_record(record)
             assert weekly_row(store, 3) == record
+
+    def test_weekly_stats_missing(self):
+        with HistoryStore() as store:
+            assert weekly_row(store, 9) is None
+            assert store.recorded_weeks() == []
 
     def test_weekly_stats_overwrite(self):
         with HistoryStore() as store:
@@ -75,6 +83,16 @@ class TestCleanProfileCrawler:
         for impression in impressions:
             assert crawler.saw_ad(impression.ad.identity)
         assert not crawler.saw_ad("never-seen")
+
+    def test_sightings_accumulate_across_sites(self, sim):
+        """The crawler keeps every sighting of its life in memory: a
+        later site's crawl does not forget an earlier site's ads."""
+        crawler = CleanProfileCrawler(sim.adserver)
+        first = crawler.crawl_sites(sim.catalog.sites[:15], tick=0)
+        second = crawler.crawl_sites(sim.catalog.sites[15:30], tick=1)
+        assert first and second
+        for impression in first + second:
+            assert crawler.saw_ad(impression.ad.identity)
 
     def test_fresh_profile_each_session(self, sim):
         crawler = CleanProfileCrawler(sim.adserver, visits_per_site=2)
@@ -123,6 +141,31 @@ class TestBackendService:
                 week=0, users_threshold=result.users_threshold,
                 num_reporting=4, num_missing=0,
                 distribution=tuple(result.distribution.values))
+
+    def test_legacy_tables_are_written_by_nothing(self):
+        """Migration v1's ``crawler_sightings`` and ``users`` tables stay
+        in the append-only schema, but a served week and an in-process
+        week leave both empty: the crawler keeps its sightings in memory
+        and rosters live in the epoch records."""
+        tables = ("crawler_sightings", "users")
+        with closing(self.make_service()) as state:
+            self.run_week(state, "http://shared.example/ad")
+            conn = state.store._conn()
+            for table in tables:
+                assert conn.execute(
+                    f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+        impressions = [Impression(user_id=f"u{i}",
+                                  ad=Ad(url="http://shared.example/ad"),
+                                  domain="site.example", tick=0)
+                       for i in range(4)]
+        with HistoryStore() as store:
+            with closing(DetectionPipeline(private=True, store=store,
+                                           round_config=self.CONFIG)) as p:
+                p.run_week(impressions, week=0)
+            assert store.recorded_weeks() == [0]
+            for table in tables:
+                assert store._conn().execute(
+                    f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
 
     def test_windows_reset_between_weeks(self):
         """A week's observations do not leak into the next week's

@@ -49,6 +49,15 @@ class TestUserDomainCounter:
         dist = counter.distribution()
         assert sorted(dist.values) == [1.0, 2.0]
 
+    def test_ads_kept_in_first_seen_order(self):
+        counter = UserDomainCounter("u")
+        counter.observe_all([imp("u", "b-ad", "a.com"),
+                             imp("other", "c-ad", "a.com"),
+                             imp("u", "a-ad", "a.com"),
+                             imp("u", "b-ad", "b.com")])
+        assert list(counter.ads) == ["b-ad", "a-ad"]
+        assert counter.ads["a-ad"] == Ad(url="a-ad")
+
     def test_clear(self):
         counter = UserDomainCounter("u")
         counter.observe(imp("u", "ad1", "a.com"))
@@ -64,6 +73,13 @@ class TestGlobalUserCounter:
                              imp("u2", "ad", "b.com"),
                              imp("u1", "ad", "c.com")])
         assert counter.users_seen("ad") == 2
+
+    def test_ads_sorted(self):
+        counter = GlobalUserCounter()
+        counter.observe_all([imp("u1", "b-ad", "a.com"),
+                             imp("u2", "a-ad", "a.com"),
+                             imp("u2", "b-ad", "b.com")])
+        assert counter.ads == ["a-ad", "b-ad"]
 
     def test_distribution(self):
         counter = GlobalUserCounter()

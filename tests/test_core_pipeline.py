@@ -6,6 +6,7 @@ the privacy protocol is supposed to be invisible to detection quality
 (paper Figure 2's message).
 """
 
+import math
 from contextlib import closing
 
 import pytest
@@ -178,6 +179,29 @@ class TestPrivatePipeline:
         out = DetectionPipeline(private=True, round_config=config).run_week(
             synthetic_impressions(), week=0)
         assert out.round_result.aggregate.depth == 8
+
+
+class TestDefaultRoundConfig:
+    """``default_round_config`` sizes a window from its ad volume: the
+    ID space overestimates |A| tenfold, and the sketch meets the paper's
+    epsilon = delta = 0.001 bounds (§7.1)."""
+
+    def test_id_space_overestimates_tenfold(self):
+        assert DetectionPipeline.default_round_config(1000).id_space == 10000
+
+    def test_id_space_floor(self):
+        assert DetectionPipeline.default_round_config(1).id_space == 64
+        assert DetectionPipeline.default_round_config(6).id_space == 64
+        assert DetectionPipeline.default_round_config(7).id_space == 70
+
+    def test_sketch_meets_paper_error_bounds(self):
+        config = DetectionPipeline.default_round_config(1000)
+        assert config.cms_width == math.ceil(math.e / 0.001)
+        assert config.cms_depth == math.ceil(math.log(1000 / 0.001))
+        # Small windows are sized as if they held 16 ads.
+        small = DetectionPipeline.default_round_config(3)
+        assert small.cms_depth == math.ceil(math.log(16 / 0.001))
+        assert config.cms_seed == small.cms_seed
 
 
 class TestThresholdRuleSweep:

@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.api import ProtocolSession, SessionConfig
 from repro.protocol.client import RoundConfig
-from repro.protocol.enrollment import enroll_users
+from repro.protocol.enrollment import OPRF_BITS, enroll_users
 from repro.protocol.messages import BlindedReport
 from repro.protocol.aggregator import CliqueAggregator
 from repro.protocol.transport import InMemoryTransport
@@ -83,6 +83,11 @@ class TestEnrollment:
         # id is a function of the URL alone).
         assert enrollment.clients[0].ad_mapper is enrollment.ad_mapper
         assert enrollment.clients[1].ad_mapper is enrollment.ad_mapper
+
+    def test_oprf_server_key_size(self):
+        enrollment = make_enrollment(2, use_oprf=True)
+        public_key = enrollment.oprf_server.public_key
+        assert public_key.modulus_bytes == OPRF_BITS // 8
 
     def test_keyed_prf_mode_shares_mapper(self):
         enrollment = make_enrollment(2, use_oprf=False)

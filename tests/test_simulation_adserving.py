@@ -281,6 +281,16 @@ class TestMetrics:
         assert counts.undecided == 1
         assert counts.total == 0
 
+    def test_every_kind_scored_by_is_targeted(self):
+        """Retargeted and indirect ads count as targeted; contextual,
+        static and brand ads as untargeted (paper §2.1)."""
+        classified = [self._classified(kind.value, Label.TARGETED)
+                      for kind in AdKind]
+        truth = {kind.value: kind for kind in AdKind}
+        counts = evaluate_classifications(classified, truth)
+        assert (counts.tp, counts.fp) == (3, 3)
+        assert counts.fn == counts.tn == 0
+
     def test_unlabelled_ads_skipped(self):
         counts = evaluate_classifications(
             [self._classified("unknown", Label.TARGETED)], {})

@@ -90,6 +90,13 @@ class TestHistogramDensity:
         with pytest.raises(ConfigurationError):
             histogram_density([1, 2], bins=0)
 
+    def test_distribution_values_peak_at_their_mode(self):
+        dist = EmpiricalDistribution([1, 1, 2, 3, 3, 3])
+        density = histogram_density(dist.values, bins=3)
+        assert sum(density.values()) == pytest.approx(1.0)
+        # The 3-heavy bin carries the most mass.
+        assert max(density, key=density.get) > 2.0
+
     def test_max_value_lands_in_last_bin(self):
         density = histogram_density([0.0, 1.0], bins=2)
         assert sum(density.values()) == pytest.approx(1.0)

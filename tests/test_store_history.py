@@ -14,6 +14,7 @@ from repro.store import (
     EpochRecord,
     HistoryStore,
     SessionRecord,
+    WeeklyStatsRecord,
 )
 from repro.types import Ad, ClassifiedAd, Label
 
@@ -227,3 +228,11 @@ class TestLongitudinalQueries:
                 (3, 0),
             ]
             assert store.trend("http://ad/ghost") == []
+
+    def test_recorded_weeks_sorted_and_distinct(self):
+        with HistoryStore() as store:
+            for week in (5, 2, 5):
+                store.save_weekly_record(WeeklyStatsRecord(
+                    week=week, users_threshold=1.0, num_reporting=3,
+                    num_missing=0, distribution=(1.0,)))
+            assert store.recorded_weeks() == [2, 5]
